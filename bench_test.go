@@ -14,6 +14,7 @@ import (
 
 	"repro"
 	"repro/internal/bench89"
+	"repro/internal/core"
 	"repro/internal/delay"
 	"repro/internal/experiments"
 	"repro/internal/netlist"
@@ -341,6 +342,47 @@ func BenchmarkIntervalSelection(b *testing.B) {
 		s := tb.NewSession(dipe.NewIIDSource(len(c.Inputs), 0.5, int64(i+1)))
 		if _, err := dipe.SelectInterval(s, dipe.DefaultOptions()); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPhase1 measures phase 1 of the parallel estimators — warm-up
+// plus the Fig. 2 interval selection — on s1494, once on the scalar
+// session and once on the compiled trajectory PreparePlanCtx runs it
+// on. Both select the same interval from bit-identical samples;
+// cycles/sec counts hidden plus sampled cycles.
+func BenchmarkPhase1(b *testing.B) {
+	c := bench89.MustGet("s1494")
+	tb := dipe.NewTestbench(c)
+	opts := dipe.DefaultOptions()
+	for _, mode := range []dipe.PowerMode{dipe.ZeroDelayMode, dipe.GeneralDelayMode} {
+		for _, compiled := range []bool{false, true} {
+			name := mode.String() + "/session"
+			if compiled {
+				name = mode.String() + "/trajectory"
+			}
+			b.Run(name, func(b *testing.B) {
+				var cycles uint64
+				for i := 0; i < b.N; i++ {
+					src := dipe.NewIIDSource(len(c.Inputs), 0.5, int64(i+1))
+					var col core.Collector
+					var count func() uint64
+					if compiled {
+						t := tb.NewTrajectoryMode(src, mode)
+						t.StepHiddenN(opts.WarmupCycles)
+						col, count = t, func() uint64 { return t.HiddenCycles + t.SampledCycles }
+					} else {
+						s := tb.NewSessionMode(src, mode)
+						s.StepHiddenN(opts.WarmupCycles)
+						col, count = s, func() uint64 { return s.HiddenCycles + s.SampledCycles }
+					}
+					if _, err := core.SelectInterval(col, opts); err != nil {
+						b.Fatal(err)
+					}
+					cycles += count()
+				}
+				b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
+			})
 		}
 	}
 }

@@ -198,7 +198,7 @@ const (
 	// VarianceControlVariate subtracts the regression-scaled, centred
 	// same-cycle zero-delay toggle power from every general-delay
 	// sample. The coefficient is estimated from the phase-1 sequence and
-	// the covariate mean from a cheap packed zero-delay pre-run.
+	// the covariate mean from a cheap 64-lane zero-delay pre-run.
 	VarianceControlVariate = vr.ModeControlVariate
 )
 

@@ -106,7 +106,7 @@ type workerState struct {
 // for propagation).
 //
 // Estimation flow: interval selection runs locally on the coordinator
-// (one scalar session — negligible against the sampling phase), the
+// (one compiled trajectory — small against the sampling phase), the
 // replication space is partitioned into contiguous ranges, one
 // streaming /v1/run per range is opened on the live workers, and the
 // per-range sample blocks are merged through core.Merger in the

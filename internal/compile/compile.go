@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -13,6 +14,28 @@ import (
 type Unit struct {
 	Full *Program
 	Step *Program
+
+	oneWord     sync.Once
+	fullOneWord *Blocked
+	stepOneWord *Blocked
+}
+
+// OneWord returns the serial cache-blocked forms of the Full and Step
+// programs at one word per row under the default budget (nil for a
+// program with no instructions), built on first use. Blocked.Exec only
+// reads them, so every one-word session over the circuit shares them,
+// concurrently too.
+func (u *Unit) OneWord() (full, step *Blocked) {
+	u.oneWord.Do(func() {
+		block := func(p *Program, observeAll bool) *Blocked {
+			if p.NumInsts() == 0 {
+				return nil
+			}
+			return Block(p, BlockOptions{W: 1, ObserveAll: observeAll})
+		}
+		u.fullOneWord, u.stepOneWord = block(u.Full, true), block(u.Step, false)
+	})
+	return u.fullOneWord, u.stepOneWord
 }
 
 // For returns the compiled Unit of a frozen circuit, compiling on first

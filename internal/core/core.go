@@ -265,6 +265,13 @@ func (tb *Testbench) NewSessionMode(src vectors.Source, mode power.PowerMode) *s
 	return sim.NewSessionEngine(tb.Circuit, tb.Engine(mode), src, tb.weights)
 }
 
+// NewTrajectoryMode creates the compiled phase-1 trajectory whose
+// samples are observed under the given power mode: bit-identical, call
+// for call, to Collect on NewSessionMode's session over the same source.
+func (tb *Testbench) NewTrajectoryMode(src vectors.Source, mode power.PowerMode) *sim.Trajectory {
+	return sim.NewTrajectory(tb.Circuit, tb.Engine(mode), src, tb.weights)
+}
+
 // Weights exposes the per-transition power weights (watts per
 // transition); read-only.
 func (tb *Testbench) Weights() []float64 { return tb.weights }

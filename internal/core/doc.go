@@ -16,8 +16,11 @@
 // Interval selection implements Section III (Fig. 2's sequential
 // procedure over the runs test); the sampling/stopping phase implements
 // Section IV. EstimateParallel runs the same flow with many independent
-// replications advanced concurrently on the bit-packed simulator, with
-// deterministic seeding and merge order. The Ctx variants add
+// replications advanced concurrently on the lane-parallel simulators,
+// with deterministic seeding and merge order. Its phase 1 (warm-up and
+// Fig. 2) runs on a compiled sim.Trajectory rather than a scalar
+// session: SelectInterval accepts either through the Collector
+// interface, and both give bit-identical samples. The Ctx variants add
 // cooperative cancellation (covering interval selection too, via
 // SelectIntervalCtx), and Options.Progress streams running snapshots
 // with a guaranteed terminal snapshot — the hooks the dipe-server job
@@ -34,8 +37,8 @@
 // same-cycle zero-delay toggle power. ResolvePlan freezes the transform
 // into a vr.Plan after interval selection — regression-estimating the
 // coefficient from the phase-1 sequence and the covariate mean from a
-// packed pre-run — and both the in-process estimator and the cluster
-// coordinator apply the identical plan, keeping distributed runs
+// compiled 64-lane pre-run — and both the in-process estimator and the
+// cluster coordinator apply the identical plan, keeping distributed runs
 // bit-identical. The Merger folds antithetic rounds to pair means, so
 // pairing is a pure function of the canonical merge order.
 package core

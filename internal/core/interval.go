@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/netlist"
 	"repro/internal/randtest"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -46,23 +47,36 @@ type IntervalSelection struct {
 	Toggles []uint64
 }
 
+// Collector is a single trajectory that phase 1 collects power
+// sequences from. *sim.Trajectory (the compiled engine, which the
+// parallel estimators use) and *sim.Session (the scalar simulators)
+// both satisfy it with bit-identical samples.
+type Collector interface {
+	// Circuit returns the simulated circuit.
+	Circuit() *netlist.Circuit
+	// Collect appends n power samples to dst, each taken after k hidden
+	// cycles; a non-nil cov also receives each cycle's zero-delay toggle
+	// power, and a non-nil counts accumulates per-node transitions.
+	Collect(k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64)
+}
+
 // collectSequence gathers n power samples, separated by k hidden
 // (zero-delay) cycles each, into dst. It polls ctx every ctxCheckEvery
 // samples and returns early with ctx.Err() when cancelled, so one trial
 // on a large circuit cannot pin a worker past a cancellation request.
-func collectSequence(ctx context.Context, s *sim.Session, k, n int, dst []float64) ([]float64, error) {
+func collectSequence(ctx context.Context, s Collector, k, n int, dst []float64) ([]float64, error) {
 	dst, _, err := collectSequencePairs(ctx, s, k, n, dst, nil, nil)
 	return dst, err
 }
 
 // collectSequencePairs is collectSequence with an optional covariate
 // buffer: when cov is non-nil it also records each cycle's zero-delay
-// toggle power (StepSampledPair), leaving the sample values and the
-// session trajectory bit-identical to the plain collection. A non-nil
-// counts buffer (len NumNodes) is zeroed and accumulates the sequence's
-// per-node transition counts, so after an accepted trial it holds
-// exactly the accepted sequence's toggles.
-func collectSequencePairs(ctx context.Context, s *sim.Session, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
+// toggle power, leaving the sample values and the trajectory
+// bit-identical to the plain collection. A non-nil counts buffer (len
+// NumNodes) is zeroed and accumulates the sequence's per-node transition
+// counts, so after an accepted trial it holds exactly the accepted
+// sequence's toggles.
+func collectSequencePairs(ctx context.Context, s Collector, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
 	dst = dst[:0]
 	if cov != nil {
 		cov = cov[:0]
@@ -70,35 +84,27 @@ func collectSequencePairs(ctx context.Context, s *sim.Session, k, n int, dst, co
 	for i := range counts {
 		counts[i] = 0
 	}
-	for i := 0; i < n; i++ {
-		if i%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return dst, cov, err
-			}
+	for i := 0; i < n; i += ctxCheckEvery {
+		if err := ctx.Err(); err != nil {
+			return dst, cov, err
 		}
-		s.StepHiddenN(k)
-		if cov != nil {
-			x, c := s.StepSampledPair(counts)
-			dst = append(dst, x)
-			cov = append(cov, c)
-		} else {
-			dst = append(dst, s.StepSampled(counts))
-		}
+		dst, cov = s.Collect(k, min(ctxCheckEvery, n-i), dst, cov, counts)
 	}
 	return dst, cov, nil
 }
 
 // ctxCheckEvery is the cancellation-poll cadence of sequence collection,
 // in samples. Coarse enough to stay invisible in profiles, fine enough
-// that cancellation latency is a handful of sampled cycles.
+// that cancellation latency is a handful of sampled cycles; it is also
+// the trajectory's settle batch, so each poll covers whole Full passes.
 const ctxCheckEvery = 32
 
-// SelectInterval runs the sequential procedure of Fig. 2 on a session:
+// SelectInterval runs the sequential procedure of Fig. 2 on a trajectory:
 // starting from trial interval 0, collect a power sequence of length
 // opts.SeqLen whose adjacent samples are separated by the trial interval,
 // apply the randomness test, and increment the interval until the
 // randomness hypothesis is accepted at significance opts.Alpha.
-func SelectInterval(s *sim.Session, opts Options) (IntervalSelection, error) {
+func SelectInterval(s Collector, opts Options) (IntervalSelection, error) {
 	return SelectIntervalCtx(context.Background(), s, opts)
 }
 
@@ -107,7 +113,7 @@ func SelectInterval(s *sim.Session, opts Options) (IntervalSelection, error) {
 // them) and returns ctx.Err() when cancelled. The dipe-server job
 // manager relies on this to abort jobs that are still selecting an
 // interval on a large uploaded circuit.
-func SelectIntervalCtx(ctx context.Context, s *sim.Session, opts Options) (IntervalSelection, error) {
+func SelectIntervalCtx(ctx context.Context, s Collector, opts Options) (IntervalSelection, error) {
 	if err := opts.Validate(); err != nil {
 		return IntervalSelection{}, err
 	}

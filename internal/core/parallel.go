@@ -75,8 +75,9 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 }
 
 // EstimateParallel runs the DIPE flow with many independent replications
-// advanced concurrently. Interval selection runs once on a scalar
-// session seeded baseSeed (exactly like Estimate); sampling then shards
+// advanced concurrently. Warm-up and interval selection run once on a
+// compiled trajectory seeded baseSeed, whose samples are bit-identical
+// to Estimate's scalar session; sampling then shards
 // opts.Replications independent sequences — replication r is seeded
 // baseSeed+1+r, a fixed lane→seed mapping — across a goroutine worker
 // pool. Each worker drives a bit-packed zero-delay session (up to 64
@@ -100,9 +101,9 @@ func EstimateParallel(tb *Testbench, src vectors.Factory, baseSeed int64, opts O
 // (unconverged) result together with ctx.Err() when the context is
 // cancelled. The dipe-server job manager uses this to abort jobs.
 func EstimateParallelCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (Result, error) {
-	// Phase 1 (interval selection on a scalar session seeded baseSeed)
-	// and plan resolution freeze into a ResumePoint; the sampling tail
-	// runs from it. The split is the checkpoint seam the durable job
+	// Phase 1 (interval selection on a compiled trajectory seeded
+	// baseSeed) and plan resolution freeze into a ResumePoint; the
+	// sampling tail runs from it. The split is the checkpoint seam the durable job
 	// store persists across server restarts — the uninterrupted path
 	// here is literally prepare-then-resume, so a resumed run cannot
 	// diverge from it.

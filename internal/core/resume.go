@@ -58,7 +58,9 @@ type ResumePoint struct {
 
 // PreparePlanCtx runs the pre-sampling phases of an EstimateParallel
 // run and freezes them into a ResumePoint. With fixed == nil, phase 1
-// (Fig. 2 interval selection) runs on a scalar session seeded baseSeed;
+// (warm-up and Fig. 2 interval selection) runs on a compiled trajectory
+// seeded baseSeed (Testbench.NewTrajectoryMode), whose samples and cycle
+// counts are bit-identical to a scalar session's;
 // a non-nil fixed skips selection and pins the interval, exactly like
 // EstimateParallelWithInterval. Plan resolution (ResolvePlan) follows
 // in either case. Two calls with the same inputs produce bit-identical
@@ -80,7 +82,7 @@ func PreparePlanCtx(ctx context.Context, tb *Testbench, src vectors.Factory, bas
 		rp.Interval = *fixed
 	} else {
 		endSel := tr.Begin("select-interval")
-		sel0 := tb.NewSessionMode(src(baseSeed), opts.Mode)
+		sel0 := tb.NewTrajectoryMode(src(baseSeed), opts.Mode)
 		sel0.StepHiddenN(opts.WarmupCycles)
 		s, err := SelectIntervalCtx(ctx, sel0, opts)
 		if err != nil {

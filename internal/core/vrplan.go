@@ -43,9 +43,9 @@ type CalCost struct {
 //
 // Control-variate resolution estimates the coefficient by regressing
 // the phase-1 (sample, covariate) pairs — or, for fixed-interval runs,
-// a dedicated SeqLen-pair calibration sequence on a scalar session
+// a dedicated SeqLen-pair calibration sequence on a compiled trajectory
 // seeded baseSeed, the seed selection would have used — and the
-// covariate mean from a packed zero-delay pre-run over dedicated lane
+// covariate mean from a compiled zero-delay pre-run over dedicated lane
 // seeds. Everything is seeded deterministically, so two resolutions
 // with the same inputs produce bit-identical plans.
 func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, interval int, sel *IntervalSelection) (vr.Plan, []float64, CalCost, error) {
@@ -82,7 +82,7 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 				// Fixed-interval run: no phase-1 data exists, so collect a
 				// dedicated calibration sequence shaped like one selection
 				// trial at the sampling interval.
-				s := tb.NewSessionMode(src(baseSeed), opts.Mode)
+				s := tb.NewTrajectoryMode(src(baseSeed), opts.Mode)
 				s.StepHiddenN(opts.WarmupCycles)
 				var err error
 				xs, cs, err = collectSequencePairs(ctx, s, interval, opts.SeqLen,
@@ -121,10 +121,11 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 }
 
 // controlMean estimates the covariate mean — the stationary per-cycle
-// zero-delay toggle power — with a packed 64-lane zero-delay pre-run
-// over dedicated seeds. The run costs hidden-cycle rates (one packed
-// sweep plus a diff pass per cycle) and is tallied entirely as hidden
-// cycles.
+// zero-delay toggle power — with a 64-lane compiled zero-delay pre-run
+// over dedicated seeds. Lane powers are bit-identical to the packed
+// interpreter's and are summed in lane order. The run costs hidden-cycle
+// rates (one Full pass plus a diff pass per cycle) and is tallied
+// entirely as hidden cycles.
 func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (float64, CalCost) {
 	cycles := opts.Variance.ControlCycles
 	if cycles == 0 {
@@ -134,7 +135,7 @@ func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Option
 	for k := range srcs {
 		srcs[k] = src(baseSeed + controlSeedOffset + int64(k))
 	}
-	ps := sim.NewPackedSession(tb.Circuit, srcs)
+	ps := sim.NewLaneSession(sim.BackendCompiled, tb.Circuit, srcs)
 	ps.StepHiddenN(opts.WarmupCycles)
 	weights := tb.Weights()
 	powers := make([]float64, sim.MaxLanes)
@@ -145,7 +146,8 @@ func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Option
 			sum += p
 		}
 	}
-	return sum / float64(cycles*sim.MaxLanes), CalCost{Hidden: ps.HiddenCycles + ps.SampledCycles}
+	hidden, sampled := ps.CycleCounts()
+	return sum / float64(cycles*sim.MaxLanes), CalCost{Hidden: hidden + sampled}
 }
 
 // replicationSource builds replication r's input source under a plan:

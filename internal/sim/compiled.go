@@ -154,18 +154,17 @@ func NewCompiledSessionConfig(c *netlist.Circuit, srcs []vectors.Source, cfg Com
 		spins:   make([]bool, len(c.Inputs)),
 		sq:      make([]bool, len(c.Latches)),
 	}
-	s.bFull = blockProgram(u.Full, w, cfg, true)
-	s.bStep = blockProgram(u.Step, w, cfg, false)
+	if w == 1 && cfg.Workers <= 1 && cfg.CacheBudget == 0 && cfg.MaxSegInsts == 0 {
+		// The default one-word forms are built once per circuit and
+		// shared with every other one-word session and Trajectory.
+		s.bFull, s.bStep = u.OneWord()
+	} else {
+		s.bFull = blockProgram(u.Full, w, cfg, true)
+		s.bStep = blockProgram(u.Step, w, cfg, false)
+	}
 	s.costFull = programCost(u.Full, s.bFull)
 	s.costStep = programCost(u.Step, s.bStep)
-	scratch := 0
-	if s.bFull != nil && s.bFull.ScratchSlots > scratch {
-		scratch = s.bFull.ScratchSlots
-	}
-	if s.bStep != nil && s.bStep.ScratchSlots > scratch {
-		scratch = s.bStep.ScratchSlots
-	}
-	if scratch > 0 {
+	if scratch := scratchSlots(s.bFull, s.bStep); scratch > 0 {
 		s.scratch = make([]uint64, scratch*w)
 	}
 	// Constant rows are written once per register file; Exec never
@@ -205,6 +204,18 @@ func blockProgram(p *compile.Program, w int, cfg CompiledConfig, observeAll bool
 		MaxSegInsts: cfg.MaxSegInsts,
 		ObserveAll:  observeAll,
 	})
+}
+
+// scratchSlots returns the scratch rows the largest of the blocked
+// forms needs (nil forms need none).
+func scratchSlots(bs ...*compile.Blocked) int {
+	n := 0
+	for _, b := range bs {
+		if b != nil && b.ScratchSlots > n {
+			n = b.ScratchSlots
+		}
+	}
+	return n
 }
 
 // BlockedStats reports the session's blocked execution forms for

@@ -30,6 +30,17 @@
 // general-delay path: each lane is extracted into a scalar engine for
 // exact glitch accounting.
 //
+// Trajectory is the compiled engine's single-trajectory form, used for
+// the estimators' serial phase 1 (warm-up and interval selection). Each
+// cycle advances the latch state with the one-lane Step program; each
+// sampled cycle records its old and new (pins, q), and 32 such pairs
+// are settled together in one 64-lane Full pass. Zero-delay samples are
+// the pairs' lane diffs, summed in node-index order like
+// ZeroDelayToggle; general-delay samples hand the settled old lane to
+// the event-driven engine. Samples, counts and cycle counters are
+// bit-identical to a scalar Session's; Session stays the reference and
+// drives the serial estimators.
+//
 // The scalar simulators operate on the same dense value array, so a
 // session can interleave them cycle by cycle; the packed simulator keeps
 // one uint64 word per node and can extract any single lane into the

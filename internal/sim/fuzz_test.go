@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
@@ -13,7 +15,9 @@ import (
 // hidden-plus-sampled trajectory, asserting the compiled session agrees
 // with the interpreted packed session on every lane and that nothing
 // panics on degenerate shapes — constant cones, buffer chains, latches
-// fed by latches, unused inputs. The budget byte steers the blocked /
+// fed by latches, unused inputs. It then collects two short trials with
+// a compiled Trajectory and a scalar Session, zero-delay and
+// general-delay with covariates, and requires the same sample bits. The budget byte steers the blocked /
 // level-parallel configuration, so segmentation and spill analysis are
 // fuzzed on the same degenerate shapes: 0 = plain, 1 = one instruction
 // per segment, 2 = blocking disabled, 3 = two workers, otherwise a tiny
@@ -79,6 +83,36 @@ func FuzzCompile(f *testing.F) {
 			for i := range cVals {
 				if cVals[i] != pVals[i] {
 					t.Fatalf("lane %d: node %s mismatch", k, c.Nodes[i].Name)
+				}
+			}
+		}
+		dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
+		for _, gd := range []bool{false, true} {
+			engine := func() PowerEngine {
+				if gd {
+					return NewEventDriven(c, dt)
+				}
+				return NewZeroDelayToggle(c)
+			}
+			src := func() vectors.Source { return vectors.NewIID(len(c.Inputs), 0.5, 7) }
+			s := NewSessionEngine(c, engine(), src(), weights)
+			tr := NewTrajectory(c, engine(), src(), weights)
+			for trial, k := range []int{0, 2} {
+				var sCov, tCov []float64
+				if gd {
+					sCov, tCov = []float64{}, []float64{}
+				}
+				sx, sc := s.Collect(k, 5, nil, sCov, nil)
+				tx, tc := tr.Collect(k, 5, nil, tCov, nil)
+				for i := range sx {
+					if math.Float64bits(sx[i]) != math.Float64bits(tx[i]) {
+						t.Fatalf("gd=%v trial %d sample %d: trajectory %v, session %v", gd, trial, i, tx[i], sx[i])
+					}
+				}
+				for i := range sc {
+					if math.Float64bits(sc[i]) != math.Float64bits(tc[i]) {
+						t.Fatalf("gd=%v trial %d covariate %d: trajectory %v, session %v", gd, trial, i, tc[i], sc[i])
+					}
 				}
 			}
 		}

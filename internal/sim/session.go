@@ -173,6 +173,25 @@ func (s *Session) StepSampledPair(counts []uint64) (x, c float64) {
 	return x, c
 }
 
+// Collect appends n power samples to dst, each taken after k hidden
+// cycles (StepHiddenN then StepSampled), and returns the extended slice.
+// A non-nil cov switches the sampled step to StepSampledPair and also
+// receives each cycle's zero-delay toggle power; counts is passed to
+// the sampled step. Trajectory.Collect is the compiled counterpart.
+func (s *Session) Collect(k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64) {
+	for i := 0; i < n; i++ {
+		s.StepHiddenN(k)
+		if cov != nil {
+			x, c := s.StepSampledPair(counts)
+			dst = append(dst, x)
+			cov = append(cov, c)
+		} else {
+			dst = append(dst, s.StepSampled(counts))
+		}
+	}
+	return dst, cov
+}
+
 // Engine returns the session's power engine.
 func (s *Session) Engine() PowerEngine { return s.engine }
 

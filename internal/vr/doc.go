@@ -26,7 +26,7 @@
 //     Y = X - beta (C - mu_C). The coefficient beta is
 //     regression-estimated from the phase-1 sequence (the accepted
 //     randomness-test sequence of Fig. 2, collected as (X, C) pairs),
-//     and mu_C comes from a long packed zero-delay pre-run, which costs
+//     and mu_C comes from a long 64-lane zero-delay pre-run, which costs
 //     hidden-cycle rates. Since E[C] = mu_C up to the pre-run's small
 //     estimation error and beta is fixed before phase 2 on independent
 //     seeds, E[Y] = E[X]: the transform is unbiased, and

@@ -85,7 +85,7 @@ type Spec struct {
 	// estimator to.
 	BetaOverride *float64
 	// ControlCycles overrides the covariate-mean pre-run length in
-	// packed sweeps (0 = DefaultControlCycles). Ignored outside
+	// 64-lane sweeps (0 = DefaultControlCycles). Ignored outside
 	// ModeControlVariate.
 	ControlCycles int
 }
