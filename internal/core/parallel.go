@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -80,13 +82,15 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 // to Estimate's scalar session; sampling then shards
 // opts.Replications independent sequences — replication r is seeded
 // baseSeed+1+r, a fixed lane→seed mapping — across a goroutine worker
-// pool. Each worker drives a bit-packed zero-delay session (up to 64
-// replications per machine word) through the hidden cycles of the
-// independence interval and hands each lane to a scalar event-driven
-// simulator on sampled cycles. Samples are merged into the stopping
-// criterion deterministically (round-major, in replication order), so
-// the result is reproducible and independent of opts.Workers and of
-// goroutine scheduling.
+// pool. Each worker drives a lane session (the compiled backend by
+// default, up to sim.CompiledMaxLanes = 512 replications per session;
+// the packed interpreter takes 64) through the hidden cycles of the
+// independence interval. On sampled cycles a general-delay run hands
+// each lane to the shard's scalar event-driven simulator; a zero-delay
+// run observes every lane word-parallel. Samples are merged into the
+// stopping criterion deterministically (round-major, in replication
+// order), so the result is reproducible and independent of
+// opts.Workers and of goroutine scheduling.
 //
 // Compared to Estimate, the power samples come from Replications
 // parallel sequences instead of one long sequence; samples remain
@@ -143,11 +147,12 @@ func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vec
 // On cancellation it returns the partial result together with ctx.Err().
 //
 // Engine selection: under zero-delay mode sampled cycles run entirely
-// word-parallel (PackedSession.StepSampled) and no scalar simulator is
-// built at all; under general-delay mode each shard owns a scalar
-// event-driven engine and lanes are extracted per sampled cycle. A
-// general-delay run whose delay table is all-zero is upgraded to the
-// packed engine too — the transition sets are identical (see
+// word-parallel (the lane session's StepSampled: CompiledSession on the
+// default backend, PackedSession on the packed one) and no scalar
+// simulator is built at all; under general-delay mode each shard owns
+// a scalar event-driven engine and lanes are extracted per sampled
+// cycle. A general-delay run whose delay table is all-zero is upgraded
+// to the packed engine too — the transition sets are identical (see
 // delay.Table.AllZero), though power sums may differ from per-lane
 // event-driven simulation in the last ulp because the summation order
 // changes.
@@ -326,7 +331,11 @@ func foldBreakdown(tb *Testbench, opts Options, m *Merger, seed []float64, seedT
 }
 
 // runShards applies fn to every shard with at most `workers` goroutines
-// in flight, and waits for all of them.
+// in flight, and waits for all of them. A panic in fn on a shard
+// goroutine is recovered there and frees its slot; once every other
+// shard has finished, the first such panic is raised again on the
+// caller's goroutine as a *shardPanic, so the caller's recover (the
+// service fails just that job) sees it instead of the process dying.
 func runShards(shards []*shard, workers int, fn func(*shard)) {
 	if workers <= 1 || len(shards) == 1 {
 		for _, sh := range shards {
@@ -336,14 +345,36 @@ func runShards(shards []*shard, workers int, fn func(*shard)) {
 	}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
+	var once sync.Once
+	var first *shardPanic
 	for _, sh := range shards {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(sh *shard) {
-			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { first = &shardPanic{value: r, stack: debug.Stack()} })
+				}
+				<-sem
+				wg.Done()
+			}()
 			fn(sh)
-			<-sem
 		}(sh)
 	}
 	wg.Wait()
+	if first != nil {
+		panic(first)
+	}
+}
+
+// shardPanic is a panic raised on a shard goroutine, carried to the
+// goroutine that ran the shards together with the stack it was raised
+// on.
+type shardPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *shardPanic) Error() string {
+	return fmt.Sprintf("%v [shard goroutine stack:\n%s]", p.value, p.stack)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bench89"
@@ -161,5 +162,39 @@ func TestEstimateParallelValidate(t *testing.T) {
 	opts.Workers = -2
 	if _, err := EstimateParallel(tb, factory, 1, opts); err == nil {
 		t.Fatal("negative Workers accepted")
+	}
+}
+
+// TestRunShardsPanicReachesCaller: a panic in fn on one shard goroutine
+// does not kill the process. Every other shard still runs, and the
+// panic is raised again on the caller's goroutine, carrying its value
+// and the stack it was raised on.
+func TestRunShardsPanicReachesCaller(t *testing.T) {
+	shards := make([]*shard, 7)
+	for i := range shards {
+		shards[i] = &shard{lanes: i}
+	}
+	ran := make([]bool, len(shards))
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		runShards(shards, 3, func(sh *shard) {
+			if sh.lanes == 2 {
+				panic("shard 2 failed")
+			}
+			ran[sh.lanes] = true
+		})
+	}()
+	p, ok := recovered.(*shardPanic)
+	if !ok || p.value != "shard 2 failed" {
+		t.Fatalf("recovered %#v, want the shard's panic value", recovered)
+	}
+	if msg := p.Error(); !strings.Contains(msg, "shard 2 failed") || !strings.Contains(msg, "TestRunShardsPanicReachesCaller") {
+		t.Fatalf("panic message lacks the value or the shard's stack:\n%s", msg)
+	}
+	for i, ok := range ran {
+		if i != 2 && !ok {
+			t.Fatalf("shard %d never ran", i)
+		}
 	}
 }

@@ -14,7 +14,8 @@ type Picoseconds int64
 // pure functions of the node's structure so results can be precomputed.
 type Model interface {
 	// NodeDelay returns the inertial propagation delay of the node's
-	// output, given its gate kind and fanout count.
+	// output, given its gate kind and fanout count. A gate's delay must
+	// not be negative: the event-driven simulator refuses such a table.
 	NodeDelay(kind logic.Kind, fanout int) Picoseconds
 	// Name identifies the model in reports.
 	Name() string

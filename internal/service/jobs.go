@@ -493,9 +493,10 @@ func NewManagerObs(reg *Registry, dispatch Dispatcher, workers, queueCap int, st
 
 // restore folds replayed journal records into the job table before the
 // pool starts: terminal jobs are installed finished (their done channel
-// already closed, their results priming the cache), everything else is
-// re-enqueued with its checkpoint attached. ID sequencing continues
-// from the highest replayed ID so restarts never reuse a job ID.
+// already closed, their results priming the cache, their checkpoints
+// dropped), everything else is re-enqueued with its checkpoint
+// attached. ID sequencing continues from the highest replayed ID so
+// restarts never reuse a job ID.
 func (m *Manager) restore(restored []RestoredJob) {
 	for _, r := range restored {
 		j := &job{
@@ -505,7 +506,6 @@ func (m *Manager) restore(restored []RestoredJob) {
 			progress: r.Progress,
 			result:   r.Result,
 			err:      r.Error,
-			ckpt:     r.Checkpoint,
 			done:     make(chan struct{}),
 			trace:    obs.NewTrace(),
 		}
@@ -522,6 +522,7 @@ func (m *Manager) restore(restored []RestoredJob) {
 			}
 		} else {
 			j.state = StateQueued
+			j.ckpt = r.Checkpoint
 			j.trace.Event("restore")
 			m.queue <- j // capacity >= len(restored) by construction
 			m.log.Info("job resumed from journal", "job", j.id, "circuit", j.req.Circuit)
@@ -900,6 +901,9 @@ func (m *Manager) finishLocked(j *job, state JobState, res *ResultView, msg stri
 	j.state = state
 	j.result = res
 	j.err = msg
+	// Only a queued or running job resumes from its checkpoint; a
+	// finished one keeps neither it nor its cancel func alive.
+	j.ckpt, j.cancel = nil, nil
 	close(j.done)
 	if state == StateDone && res != nil && !res.Cached && j.cacheKey != "" {
 		m.cache.put(j.cacheKey, *res)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -285,4 +286,134 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if got := back.ResumePoint(); !reflect.DeepEqual(got, rp) {
 		t.Errorf("checkpoint round trip changed the resume point\n got %+v\nwant %+v", got, rp)
 	}
+}
+
+// endingDispatcher wraps the local dispatcher so every job freezes and
+// saves its checkpoint, then ends the way its seed says: seed 2 fails
+// after the run, seed 3 parks in its first progress report until it is
+// cancelled, any other seed finishes.
+type endingDispatcher struct {
+	inner  ResumableDispatcher
+	parked chan struct{}
+	mu     sync.Mutex
+	saves  map[int64]int
+}
+
+func (d *endingDispatcher) Name() string { return d.inner.Name() }
+func (d *endingDispatcher) Ready() error { return d.inner.Ready() }
+func (d *endingDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, progress func(core.Progress)) (core.Result, error) {
+	return d.inner.Estimate(ctx, tb, req, progress)
+}
+
+func (d *endingDispatcher) EstimateResumable(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
+	counted := func(c Checkpoint) {
+		d.mu.Lock()
+		d.saves[req.Seed]++
+		d.mu.Unlock()
+		save(c)
+	}
+	wrapped := progress
+	if req.Seed == 3 {
+		wrapped = func(p core.Progress) {
+			progress(p)
+			select {
+			case <-d.parked:
+			default:
+				close(d.parked)
+			}
+			<-ctx.Done()
+		}
+	}
+	res, err := d.inner.EstimateResumable(ctx, tb, req, ckpt, counted, wrapped)
+	if req.Seed == 2 && err == nil {
+		return core.Result{}, errors.New("injected failure after the checkpoint")
+	}
+	return res, err
+}
+
+// TestFinishedJobsDropCheckpoint: a done, a failed and a cancelled job
+// each froze a checkpoint while running; once finished, the job record
+// holds neither the checkpoint nor the cancel func, live and after a
+// restart from the journal, and the view, trace and breakdown still
+// answer.
+func TestFinishedJobsDropCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	reg := NewRegistry(0)
+	store, err := OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &endingDispatcher{inner: localDispatcher{}, parked: make(chan struct{}), saves: map[int64]int{}}
+	m := NewManager(reg, d, 2, 0, store)
+	want := map[string]JobState{}
+	ids := map[int64]string{}
+	for seed, state := range map[int64]JobState{1: StateDone, 2: StateFailed, 3: StateCancelled} {
+		req := fastRequest(seed)
+		req.Options.Breakdown = true
+		id, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id], ids[seed] = state, id
+	}
+	select {
+	case <-d.parked:
+	case <-time.After(30 * time.Second):
+		t.Fatal("seed-3 job never reached sampling")
+	}
+	m.Cancel(ids[3])
+	for id := range want {
+		if _, err := m.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		if d.saves[seed] == 0 {
+			t.Fatalf("seed %d job never saved a checkpoint", seed)
+		}
+	}
+
+	check := func(m *Manager, label string) {
+		t.Helper()
+		for id, state := range want {
+			m.mu.Lock()
+			j := m.jobs[id]
+			ckpt, cancel := j.ckpt, j.cancel
+			m.mu.Unlock()
+			if ckpt != nil || cancel != nil {
+				t.Errorf("%s %s (%s): checkpoint %v, cancel func set %v", label, id, state, ckpt != nil, cancel != nil)
+			}
+			if v, ok := m.Get(id); !ok || v.State != state {
+				t.Errorf("%s %s: view %+v (ok %v), want state %s", label, id, v, ok, state)
+			}
+			if tr, ok := m.Trace(id); !ok || len(tr.Spans) == 0 {
+				t.Errorf("%s %s: trace %+v (ok %v)", label, id, tr, ok)
+			}
+			b, ok := m.Breakdown(id)
+			if !ok || (state == StateDone) != (b.Report != nil) {
+				t.Errorf("%s %s: breakdown report present %v (ok %v)", label, id, b.Report != nil, ok)
+			}
+		}
+	}
+	check(m, "live")
+	m.Close()
+
+	// The journal still carries the checkpoints; restore leaves them on
+	// the floor for terminal jobs.
+	store2, err := OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := 0
+	for _, r := range store2.Restored() {
+		if r.Checkpoint != nil {
+			journaled++
+		}
+	}
+	if journaled == 0 {
+		t.Fatal("journal replayed no checkpoint records")
+	}
+	m2 := NewManager(reg, nil, 1, 0, store2)
+	defer m2.Close()
+	check(m2, "restored")
 }

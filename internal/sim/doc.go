@@ -9,6 +9,26 @@
 //     used on sampled cycles to observe every transition (including
 //     glitches) for the power computation of Eq. 1.
 //
+// EventDriven keeps its pending events in a calendar queue: a ring of
+// time buckets one delay quantum wide (the gcd of the nonzero gate
+// delays, 20 ps under the default fanout-loaded model), as many as the
+// largest delay has quanta plus one, capped at 4096 by widening them. The
+// events of the time being committed are filed into one list per logic
+// level. Commits happen in exactly (time, level, scheduling order), the
+// order of the binary heap the queue replaced, so transition sets, float
+// summation order and every golden result are unchanged:
+//
+//   - time, because buckets are visited in ring order and a multi-tick
+//     bucket yields its earliest time first;
+//   - level, because a commit at time t schedules a zero-delay fanout
+//     gate at t on a strictly higher level, which the upward level scan
+//     has not reached yet;
+//   - scheduling order, because buckets and level lists are only ever
+//     appended to in that order.
+//
+// The heap engine survives as the oracle of a differential test battery
+// and of FuzzEventDriven.
+//
 // Power observation itself is pluggable behind the PowerEngine
 // interface: a sampled cycle is "apply the new (pattern, state), settle,
 // return the weighted transition sum of Eq. 1", and which transitions
