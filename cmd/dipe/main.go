@@ -87,15 +87,12 @@ func main() {
 		test        = flag.String("test", "runs", "randomness test: runs | updown | vonneumann")
 		powerMode   = flag.String("power-mode", "general-delay", "sampled-cycle observation: general-delay (glitches included) | zero-delay (functional toggles, bit-parallel)")
 		variance    = flag.String("variance", "none", "variance reduction: none | antithetic | control-variate (implies -replications; fewer sampled cycles to the same confidence interval)")
-		backendName = flag.String("backend", "compiled", "lane-parallel backend for -replications: compiled (word-level bytecode, default) | packed (reference interpreter; observation-equivalent)")
 		inputProb   = flag.Float64("p", 0.5, "primary-input signal probability")
 		inputRho    = flag.Float64("rho", 0, "primary-input lag-1 autocorrelation (0 = i.i.d.)")
 		seed        = flag.Int64("seed", 1, "random seed")
 		fixed       = flag.Int("interval", -1, "fixed independence interval (skip selection; -1 = dynamic)")
-		reps        = flag.Int("replications", 0, "parallel replications (bit-packed, 64 per word; 0 = serial estimator)")
+		reps        = flag.Int("replications", 0, "parallel replications on the compiled engine (64 lanes per word, up to 512 per session; 0 = serial estimator)")
 		workers     = flag.Int("workers", 0, "goroutine pool for -replications (0 = GOMAXPROCS)")
-		sessWorkers = flag.Int("session-workers", 0, "level-parallel workers inside each compiled session (0 = serial; result-invariant)")
-		cacheBudget = flag.Int("cache-budget", 0, "compiled-backend cache-blocking budget in bytes (0 = default ~L2/2, <0 = disable blocking; result-invariant)")
 		breakdown   = flag.Bool("breakdown", false, "report ranked per-node dynamic+leakage power (implies -replications; the dynamic column sums to the estimate in plain mode)")
 		brkTop      = flag.Int("breakdown-top", 20, "rows to print with -breakdown (0 = all)")
 		ztrace      = flag.Int("ztrace", -1, "print z statistic for trial intervals 0..N and exit")
@@ -127,8 +124,8 @@ func main() {
 	}
 
 	err := run(*circuitName, *benchPath, *blifPath, *alpha, *seqLen, *relErr, *confidence,
-		*criterion, *test, *powerMode, *variance, *backendName, *inputProb, *inputRho, *seed, *fixed, *reps, *workers,
-		*sessWorkers, *cacheBudget, *breakdown, *brkTop, *ztrace, *ztraceLen,
+		*criterion, *test, *powerMode, *variance, *inputProb, *inputRho, *seed, *fixed, *reps, *workers,
+		*breakdown, *brkTop, *ztrace, *ztraceLen,
 		*refCycles, *verbose, *topN, *maxBudget, *vcdPath, *vcdCycles, *progJSON)
 
 	// os.Exit below skips defers, so the profiles are finalized inline
@@ -168,8 +165,8 @@ type progressRecord struct {
 }
 
 func run(circuitName, benchPath, blifPath string, alpha float64, seqLen int, relErr, confidence float64,
-	criterion, test, powerMode, variance, backendName string, inputProb, inputRho float64, seed int64, fixed, reps, workers,
-	sessWorkers, cacheBudget int, breakdown bool, brkTop, ztrace, ztraceLen int,
+	criterion, test, powerMode, variance string, inputProb, inputRho float64, seed int64, fixed, reps, workers int,
+	breakdown bool, brkTop, ztrace, ztraceLen int,
 	refCycles int, verbose bool, topN, maxBudget int, vcdPath string, vcdCycles int, progJSON bool) error {
 
 	var (
@@ -234,22 +231,15 @@ func run(circuitName, benchPath, blifPath string, alpha float64, seqLen int, rel
 		return err
 	}
 	opts.Variance.Mode = vrMode
-	backend, err := dipe.ParseBackend(backendName)
-	if err != nil {
-		return err
-	}
-	opts.Backend = backend
-	opts.SessionWorkers = sessWorkers
-	opts.CacheBudget = cacheBudget
 	if vrMode != dipe.VarianceNone && reps == 0 {
 		// The transforms are defined over the replication space; default
-		// to one full packed word like the parallel estimator does.
+		// to 64 replications, one lane word, like the parallel estimator.
 		reps = 64
 	}
 	opts.Breakdown = breakdown
 	if breakdown && reps == 0 {
 		// Attribution needs the parallel estimator (it holds the power
-		// model); default to one full packed word.
+		// model); default to 64 replications, one lane word.
 		reps = 64
 	}
 

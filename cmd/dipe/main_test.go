@@ -17,12 +17,9 @@ type runArgs struct {
 	criterion, test      string
 	powerMode            string
 	variance             string
-	backend              string
 	inputProb, inputRho  float64
 	seed                 int64
 	fixed, reps, workers int
-	sessWorkers          int
-	cacheBudget          int
 	breakdown            bool
 	brkTop               int
 	ztrace, ztraceLen    int
@@ -45,8 +42,8 @@ func defaults() runArgs {
 
 func (a runArgs) run() error {
 	return run(a.circuit, a.bench, a.blif, a.alpha, a.seqLen, a.relErr, a.confidence,
-		a.criterion, a.test, a.powerMode, a.variance, a.backend, a.inputProb, a.inputRho, a.seed, a.fixed, a.reps, a.workers,
-		a.sessWorkers, a.cacheBudget, a.breakdown, a.brkTop, a.ztrace, a.ztraceLen, a.refCycles, a.verbose, a.topN, a.maxBudget, a.vcdPath, a.vcdCycles, a.progJSON)
+		a.criterion, a.test, a.powerMode, a.variance, a.inputProb, a.inputRho, a.seed, a.fixed, a.reps, a.workers,
+		a.breakdown, a.brkTop, a.ztrace, a.ztraceLen, a.refCycles, a.verbose, a.topN, a.maxBudget, a.vcdPath, a.vcdCycles, a.progJSON)
 }
 
 func TestRunEstimate(t *testing.T) {
@@ -222,39 +219,16 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestRunCompiledBackend(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.backend = "compiled"
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
-	// Replications + zero-delay take the compiled word-parallel path.
-	a.reps = 8
-	a.powerMode = "zero-delay"
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
-	a.backend = "bogus"
-	if err := a.run(); err == nil {
-		t.Fatal("bogus backend accepted")
-	}
-}
-
-func TestRunSessionTuning(t *testing.T) {
-	// The blocking budget and level-parallel worker knobs are
-	// result-invariant; the run just has to succeed end to end.
+	// Replications + zero-delay take the compiled word-parallel path,
+	// at one lane word and at the full 512-lane session width.
 	a := defaults()
 	a.circuit = "s27"
 	a.powerMode = "zero-delay"
-	a.reps = 8
-	a.cacheBudget = 4 << 10
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
-	a.cacheBudget = 0
-	a.sessWorkers = 2
-	if err := a.run(); err != nil {
-		t.Fatal(err)
+	for _, reps := range []int{8, 512} {
+		a.reps = reps
+		if err := a.run(); err != nil {
+			t.Fatalf("%d replications: %v", reps, err)
+		}
 	}
 }
 

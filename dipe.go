@@ -102,8 +102,8 @@ var (
 
 // PowerMode selects the power-observation scenario for sampled cycles:
 // general-delay (event-driven, glitches included — the paper's default)
-// or zero-delay (functional transitions only, bit-parallel across
-// replication lanes so sampled cycles run at packed-simulation
+// or zero-delay (functional transitions only, observed word-parallel
+// across replication lanes so sampled cycles run at compiled-engine
 // throughput). Set Options.Mode, or build sessions with
 // Testbench.NewSessionMode. Result.Engine and Result.DelayModel record
 // what actually observed a run's sampled cycles.
@@ -114,8 +114,9 @@ const (
 	// GeneralDelayMode counts every transition, glitches included, with
 	// the event-driven simulator (the default; equals the zero value).
 	GeneralDelayMode = power.ModeGeneralDelay
-	// ZeroDelayMode counts functional transitions only, with the packed
-	// 64-lane engine under EstimateParallel.
+	// ZeroDelayMode counts functional transitions only, observed by the
+	// compiled word-level engine (up to 512 lanes per session) under
+	// EstimateParallel.
 	ZeroDelayMode = power.ModeZeroDelay
 )
 
@@ -152,31 +153,6 @@ type LeakModel = power.LeakModel
 // DefaultLeakModel returns the default static-leakage coefficients.
 func DefaultLeakModel() LeakModel { return power.DefaultLeakModel() }
 
-// Backend names a lane-parallel simulation backend for the parallel
-// estimators' sampling phase. The backends are observation-equivalent —
-// per-lane samples are bit-identical — so Options.Backend is purely a
-// throughput knob; Result.Backend records what a run used.
-type Backend = sim.Backend
-
-// Simulation backends for Options.Backend.
-const (
-	// BackendPacked is the interpreted bit-parallel simulator (the
-	// default; equals the zero value): one levelized sweep per cycle,
-	// 64 replication lanes per machine word.
-	BackendPacked = sim.BackendPacked
-	// BackendCompiled compiles the circuit once into straight-line
-	// word-level bytecode (fused gate chains, dead-fanout elimination)
-	// and replays it with up to 512 lanes per step.
-	BackendCompiled = sim.BackendCompiled
-)
-
-// ParseBackend resolves a user-supplied backend string ("packed",
-// "compiled"; empty means packed).
-func ParseBackend(s string) (Backend, error) { return sim.ParseBackend(s) }
-
-// Backends lists the valid canonical simulation backends.
-func Backends() []Backend { return sim.Backends() }
-
 // VarianceMode names a variance-reduction transform for the sampling
 // phase; see internal/vr for the statistics.
 type VarianceMode = vr.Mode
@@ -191,9 +167,9 @@ const (
 	// VarianceNone is the paper's plain estimator (the zero value).
 	VarianceNone = vr.ModeNone
 	// VarianceAntithetic pairs replication lanes with mirrored input
-	// streams and feeds the stopping criterion pair means. The packed
-	// simulator makes the mirrored lanes free: each 64-lane word-step
-	// yields 32 negatively correlated pairs.
+	// streams and feeds the stopping criterion pair means. Lane-parallel
+	// simulation makes the mirrored lanes free: every 64-lane word of a
+	// compiled step yields 32 negatively correlated pairs.
 	VarianceAntithetic = vr.ModeAntithetic
 	// VarianceControlVariate subtracts the regression-scaled, centred
 	// same-cycle zero-delay toggle power from every general-delay
@@ -245,11 +221,12 @@ func NewLagCorrelatedSourceFactory(width int, p, rho float64) SourceFactory {
 
 // EstimateParallel runs the DIPE flow with Options.Replications
 // independent replications advanced concurrently: hidden cycles run on
-// a bit-packed zero-delay simulator (64 replications per machine word)
-// and sampled cycles on the engine Options.Mode selects — per-shard
-// event-driven simulators under the default general-delay mode, or
-// word-level packed transition counting under ZeroDelayMode (sampled
-// cycles then cost the same as hidden ones). Replication r is seeded
+// the compiled word-level zero-delay engine (up to 512 replications per
+// session, 64 per machine word) and sampled cycles on the engine
+// Options.Mode selects — per-shard event-driven simulators under the
+// default general-delay mode, or word-level transition counting on the
+// compiled register file under ZeroDelayMode (sampled cycles then cost
+// about the same as hidden ones). Replication r is seeded
 // baseSeed+1+r (interval selection uses baseSeed), and samples merge
 // into the stopping criterion in a fixed order, so results are
 // reproducible and independent of the worker count.

@@ -22,9 +22,10 @@
 //	res, _ := dipe.Estimate(tb.NewSession(src), dipe.DefaultOptions())
 //	fmt.Println(res.Power, res.Interval, res.SampleSize)
 //
-// For many replications at once use EstimateParallel (bit-packed, 64
-// lanes per machine word); to serve estimates over HTTP use NewServer,
-// the entry point behind cmd/dipe-server.
+// For many replications at once use EstimateParallel, which runs them
+// on the compiled word-level engine (64 lanes per machine word, up to
+// 512 per session); to serve estimates over HTTP use NewServer, the
+// entry point behind cmd/dipe-server.
 //
 // The package is a thin facade; the implementation lives in the
 // internal packages, each documented with the paper section it
@@ -32,8 +33,12 @@
 //
 //   - internal/netlist, internal/logic — circuit substrate: gate-level
 //     representation, .bench/BLIF I/O, frozen CSR view
-//   - internal/sim — Section IV's two-phase simulation: zero-delay,
-//     packed 64-lane, and event-driven general-delay simulators
+//   - internal/sim — Section IV's two-phase simulation: scalar
+//     zero-delay, compiled word-level lane sessions (the default; the
+//     packed 64-lane interpreter is their test oracle), and event-driven
+//     general-delay simulators
+//   - internal/compile — the netlist compiler behind the compiled
+//     sessions: straight-line word-level programs, one execution form
 //   - internal/power, internal/delay — the power model of Eq. 1 and the
 //     timing models feeding it
 //   - internal/randtest — Section III.A randomness tests (Eqs. 4–7)

@@ -5,15 +5,15 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/sim"
 )
 
 // TestClusterCompiledBackendGolden: the golden cross-backend guarantee
-// over the wire — a cluster job on the compiled backend, with one and
-// with two workers, reproduces the single-process *packed* reference
-// bit for bit. Backend selection travels in the run request, is
-// reported in the result, and cannot move the estimate.
+// over the wire — a cluster job, whose workers run the compiled engine,
+// with one and with two workers, reproduces the single-process *packed*
+// reference bit for bit. Only the engine and backend labels differ.
 func TestClusterCompiledBackendGolden(t *testing.T) {
 	w1, w2 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
 	s1 := httptest.NewServer(w1.Handler())
@@ -22,19 +22,28 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 	defer s2.Close()
 
 	reg := service.NewRegistry(0)
-
-	packedReq := service.JobRequest{
+	req := service.JobRequest{
 		Circuit: "s298", Seed: 404,
 		Options: service.OptionsSpec{Replications: 96, Workers: 2, PowerMode: "zero-delay"},
 	}
-	want := reference(t, reg, packedReq)
-	compiledReq := packedReq
-	compiledReq.Options.Backend = string(sim.BackendCompiled)
-
-	tb, err := reg.Testbench(compiledReq.Circuit)
+	tb, err := reg.Testbench(req.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
+	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := req.Options.Options()
+	opts.Backend = sim.BackendPacked
+	want, err := core.EstimateParallel(tb, factory, req.Seed, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Engine != sim.EnginePackedZeroDelay || want.Backend != string(sim.BackendPacked) {
+		t.Fatalf("reference labels (%q, %q), want the packed oracle", want.Engine, want.Backend)
+	}
+
 	for _, tc := range []struct {
 		name string
 		urls []string
@@ -44,7 +53,7 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord := newTestCoordinator(t, reg, tc.urls...)
-			got, err := coord.Estimate(context.Background(), tb, compiledReq, nil)
+			got, err := coord.Estimate(context.Background(), tb, req, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,21 +71,5 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 				t.Fatal("cluster run did not converge")
 			}
 		})
-	}
-}
-
-// TestRunRequestBackendValidation: unknown backends are rejected at the
-// protocol boundary, before any simulation starts.
-func TestRunRequestBackendValidation(t *testing.T) {
-	req := RunRequest{
-		Hash: "abc", Interval: 1, RepHi: 4, Rounds: 1,
-		Backend: "vectorized",
-	}
-	if err := req.Validate(); err == nil {
-		t.Fatal("bad backend accepted")
-	}
-	req.Backend = "compiled"
-	if err := req.Validate(); err != nil {
-		t.Fatalf("compiled backend rejected: %v", err)
 	}
 }

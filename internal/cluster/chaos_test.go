@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,6 +211,68 @@ func TestTransportFaultReassignment(t *testing.T) {
 	}
 	if lastErr == "" {
 		t.Error("no last error recorded on the cut worker")
+	}
+}
+
+// panicOnRun is a RoundTripper that panics on every /v1/run request
+// and passes everything else (health probes) through.
+type panicOnRun struct{}
+
+func (panicOnRun) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/run" {
+		panic("injected run panic")
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestRangePanicFailsJob: a panic on a coordinator range goroutine
+// fails the job with an error that carries the panic value, frees the
+// lease slot the range held, and leaves the process running.
+func TestRangePanicFailsJob(t *testing.T) {
+	srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+	defer srv.Close()
+	reg := service.NewRegistry(0)
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Workers:   []string{srv.URL},
+		Heartbeat: time.Hour,
+		Client:    &http.Client{Transport: panicOnRun{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.SetRegistry(reg)
+	t.Cleanup(coord.Close)
+
+	req := service.JobRequest{
+		Circuit: "s27", Seed: 3,
+		Options: service.OptionsSpec{Replications: 16, Workers: 1, PowerMode: "zero-delay"},
+	}
+	tb, err := reg.Testbench(req.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = coord.Estimate(context.Background(), tb, req, nil)
+	if err == nil {
+		t.Fatal("Estimate succeeded through a panicking transport")
+	}
+	if !strings.Contains(err.Error(), "injected run panic") {
+		t.Fatalf("error does not carry the panic value: %v", err)
+	}
+	// The other ranges stop once the job fails; every lease slot must
+	// come back.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		active := 0
+		for _, w := range coord.Workers() {
+			active += w.ActiveLeases
+		}
+		if active == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d lease slots still held after the job failed", active)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

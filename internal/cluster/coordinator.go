@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/delay"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -535,8 +534,8 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 	// fast workers a tail of leases to steal from slow ones. The range
 	// *boundaries* come from core.SplitRangeAligned — the one partition
 	// rule shared with the in-process shard layout, rounded to the
-	// backend's session width so leases pack whole compiled word rows —
-	// and the merge order is unchanged, so neither the range count nor
+	// compiled session width the workers run so leases pack whole word
+	// rows — and the merge order is unchanged, so neither the range count nor
 	// the alignment shows in the merged result. Jobs too small for
 	// full-width leases halve the alignment until every lease keeps at
 	// least one aligned block, preserving the stealable tail.
@@ -544,7 +543,7 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 	if k > reps {
 		k = reps
 	}
-	align := sim.MaxLanesFor(opts.Backend)
+	align := sim.CompiledMaxLanes
 	for align > 1 && reps < k*align {
 		align >>= 1
 	}
@@ -570,18 +569,7 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 		go c.runLeasedRange(sctx, js, hash, src, req, opts, plan, interval, rounds, maxBlocks, budgetRounds, rg)
 	}
 
-	// Engine naming mirrors core.parallelTail exactly, including the
-	// all-zero-delay upgrade and the backend that observed the sampled
-	// cycles, so a cluster result is indistinguishable from a local one.
-	backend := opts.Backend.Canonical()
-	packedSampled := (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !plan.NeedsCovariate()
-	engineName, delayName := sim.EnginePackedZeroDelay, delay.Zero{}.Name()
-	if packedSampled && backend == sim.BackendCompiled {
-		engineName = sim.EngineCompiledZeroDelay
-	}
-	if !packedSampled {
-		engineName, delayName = sim.EngineEventDriven, tb.Delays.ModelName
-	}
+	engineName, delayName := core.EngineLabels(tb, opts, plan)
 	result := func(converged bool) core.Result {
 		// Cycle counters follow from the merged prefix alone — warm-up
 		// plus interval hidden cycles and one sampled cycle per merged
@@ -601,7 +589,7 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 			SampledCycles: merged * uint64(reps),
 			Criterion:     m.CriterionName(),
 			Engine:        engineName,
-			Backend:       string(backend),
+			Backend:       string(opts.Backend.Canonical()),
 			DelayModel:    delayName,
 			Variance:      plan.Label(),
 			CVBeta:        plan.Beta,
@@ -719,7 +707,6 @@ func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, h
 		Source:       req.Source,
 		Seed:         req.Seed,
 		Mode:         string(opts.Mode),
-		Backend:      string(opts.Backend),
 		VR:           plan,
 		Warmup:       opts.WarmupCycles,
 		Interval:     interval,

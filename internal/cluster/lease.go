@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -262,8 +263,27 @@ func (l *blockLease) stop() { l.timer.Stop() }
 // handover invisible in the merged result. The error budget
 // (maxAttempts) fails the job on a cluster that keeps breaking rather
 // than spinning forever.
+//
+// A panic on this goroutine fails the job, not the process: it is
+// recovered here, the lease slot it held is freed, and the panic value
+// and stack reach the merge loop as the range's error.
 func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash string, src service.CircuitSource, req service.JobRequest, opts core.Options, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, rg *repRange) {
 	defer close(rg.ch)
+	held := "" // the worker whose lease slot this range holds
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if held != "" {
+			js.release(held)
+		}
+		err := fmt.Errorf("panic: %v [range goroutine stack:\n%s]", r, debug.Stack())
+		select {
+		case rg.ch <- rangeMsg{err: err}:
+		case <-ctx.Done():
+		}
+	}()
 	delivered := 0
 	attempts := 0
 	uploaded := make(map[string]bool)
@@ -276,6 +296,7 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash
 		if err != nil {
 			return // job context ended while waiting for a live worker
 		}
+		held = worker
 		if expired && worker != prev {
 			tr.Event("steal", "range", strconv.Itoa(rg.idx), "worker", worker, "from", prev)
 		} else {
@@ -298,6 +319,7 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash
 			}
 		}()
 		js.release(worker)
+		held = ""
 		if serr == nil || ctx.Err() != nil {
 			return // range complete, or the merge loop is done with us
 		}

@@ -6,7 +6,6 @@ import (
 	"net/http"
 
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/vr"
 )
 
@@ -25,12 +24,6 @@ type RunRequest struct {
 	Seed int64 `json:"seed"`
 	// Mode is the power-observation mode ("" = general-delay).
 	Mode string `json:"mode,omitempty"`
-	// Backend is the lane-parallel simulation backend ("" = compiled,
-	// via sim.Backend.Canonical).
-	// The backends are observation-equivalent, so a mixed cluster still
-	// merges bit-identical samples; the field exists so operators can
-	// pick throughput per job.
-	Backend string `json:"backend,omitempty"`
 	// VR is the resolved variance-reduction plan (zero value = plain
 	// estimation). The coordinator freezes it — including the
 	// regression-estimated control-variate coefficient and covariate
@@ -93,9 +86,6 @@ func (r RunRequest) Validate() error {
 		return fmt.Errorf("cluster: negative workers %d", r.Workers)
 	case r.BudgetRounds < 0:
 		return fmt.Errorf("cluster: negative budgetRounds %d", r.BudgetRounds)
-	}
-	if err := sim.Backend(r.Backend).Validate(); err != nil {
-		return err
 	}
 	return r.VR.Validate()
 }

@@ -1,26 +1,26 @@
 package compile
 
-// Opcode-batched wave execution.
+// Opcode-batched execution.
 //
 // Profiling the linear interpreter on s38417-class programs shows the
 // per-instruction switch, not memory traffic, is the dominant cost: gate
 // types arrive in near-random order, so the 14-way dispatch branch
 // mispredicts on most instructions (~5-6 ns each on a desktop core,
-// comparable to the bitwise work itself). The blocked compiler already
-// establishes that instructions of one logic level are write/read-
-// disjoint — the property the level-parallel executor is built on — so
-// within a wave they may execute in any order. Sorting each wave's
-// instructions by opcode makes the dispatch stream perfectly
-// predictable, and lets the executor dispatch once per same-opcode run
-// with an unrolled row kernel instead of once per instruction. The
-// per-lane results are unchanged: every op is a pure per-word bitwise
-// function, and no instruction reads a row written by its own wave.
+// comparable to the bitwise work itself). Instructions of one logic
+// level are write/read-disjoint — operands come from strictly lower
+// levels, and the Step allocator recycles slots only across level
+// boundaries — so within a level they may execute in any order. The
+// compiler therefore emits each level's instructions sorted by opcode:
+// the dispatch stream becomes predictable, and at the full 512-lane
+// width the executor dispatches once per same-opcode run with an
+// unrolled row kernel instead of once per instruction. The per-lane
+// results are unchanged: every op is a pure per-word bitwise function,
+// and no instruction reads a row written by its own level.
 
 // sortRunsByOpcode stable-sorts code by opcode within each level run.
 // levels must align with code (levels[i] is code[i]'s level) and be
 // nondecreasing; instructions of equal level and opcode keep their
-// order. The caller must own code — segments sort private copies, never
-// the parent program's stream.
+// emission order.
 func sortRunsByOpcode(code []inst, levels []int32) {
 	var buckets [numOpcodes][]inst
 	for lo := 0; lo < len(code); {

@@ -2,7 +2,6 @@ package compile
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -14,28 +13,6 @@ import (
 type Unit struct {
 	Full *Program
 	Step *Program
-
-	oneWord     sync.Once
-	fullOneWord *Blocked
-	stepOneWord *Blocked
-}
-
-// OneWord returns the serial cache-blocked forms of the Full and Step
-// programs at one word per row under the default budget (nil for a
-// program with no instructions), built on first use. Blocked.Exec only
-// reads them, so every one-word session over the circuit shares them,
-// concurrently too.
-func (u *Unit) OneWord() (full, step *Blocked) {
-	u.oneWord.Do(func() {
-		block := func(p *Program, observeAll bool) *Blocked {
-			if p.NumInsts() == 0 {
-				return nil
-			}
-			return Block(p, BlockOptions{W: 1, ObserveAll: observeAll})
-		}
-		u.fullOneWord, u.stepOneWord = block(u.Full, true), block(u.Step, false)
-	})
-	return u.fullOneWord, u.stepOneWord
 }
 
 // For returns the compiled Unit of a frozen circuit, compiling on first
@@ -65,8 +42,8 @@ func Compile(c *netlist.Circuit) *Unit {
 // levelOrder returns r.Order stably re-sorted by logic level (a counting
 // sort). The CSR order is a valid topological order but interleaves
 // levels; emitting in level-contiguous order instead makes each program's
-// instructions a sequence of level runs, which is what the blocked
-// executor's per-level waves require. The re-sort is itself topological —
+// instructions a sequence of level runs, which the compiler then sorts
+// by opcode (sortRunsByOpcode). The re-sort is itself topological —
 // every fanin sits at a strictly lower level — and settled values are
 // independent of which valid order is used, so compiled results are
 // unchanged.
@@ -309,6 +286,7 @@ func compileFull(r *netlist.CSR, cv []constVal, ord []int32) *Program {
 		p.emit(id, base, inv, ops)
 		p.levels = append(p.levels, r.Level[id])
 	}
+	sortRunsByOpcode(p.code, p.levels)
 	return p
 }
 
@@ -540,8 +518,8 @@ func compileStep(r *netlist.CSR, cv []constVal, ord []int32) *Program {
 	// rows (the n-ary forms accumulate in place). A slot freed during
 	// level L enters the free list only at the L→L+1 boundary: within one
 	// level no instruction may overwrite a row a same-level neighbor
-	// still reads, which is what lets the blocked executor run one
-	// level's instructions in any order (or in parallel).
+	// still reads, which is what lets sortRunsByOpcode reorder one level's
+	// instructions.
 	remaining := make([]int32, n)
 	for _, vi := range vcode {
 		for _, o := range vi.ops {
@@ -592,6 +570,7 @@ func compileStep(r *netlist.CSR, cv []constVal, ord []int32) *Program {
 		p.emit(row[vi.dst], vi.base, vi.inv, ops)
 		p.levels = append(p.levels, vi.lvl)
 	}
+	sortRunsByOpcode(p.code, p.levels)
 
 	// D rows: the row of each latch's (collapsed) D driver — a leaf, a
 	// pinned temporary, or a constant row.

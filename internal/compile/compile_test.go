@@ -101,7 +101,8 @@ func checkUnitExact(t *testing.T, c *netlist.Circuit, w, trials int, seed int64)
 }
 
 // TestUnitExactBench89 checks compiled-vs-interpreted exactness on
-// every bench89 circuit at 1- and 4-word widths.
+// every bench89 circuit at 1-, 4- and 8-word widths (8 words take the
+// run-batched dispatcher).
 func TestUnitExactBench89(t *testing.T) {
 	for _, name := range bench89.Names() {
 		name := name
@@ -110,6 +111,7 @@ func TestUnitExactBench89(t *testing.T) {
 			c := bench89.MustGet(name)
 			checkUnitExact(t, c, 1, 8, 11)
 			checkUnitExact(t, c, 4, 3, 13)
+			checkUnitExact(t, c, 8, 2, 17)
 		})
 	}
 }
@@ -149,6 +151,152 @@ func TestStepProgramShrinks(t *testing.T) {
 	}
 	if !shrank {
 		t.Error("Step never produced a smaller program than Full on any bench89 circuit")
+	}
+}
+
+// levelTestCircuits returns every bench89 circuit plus seeded random
+// netlists, whose level structure is much more irregular.
+func levelTestCircuits(t *testing.T) []*netlist.Circuit {
+	var cs []*netlist.Circuit
+	for _, name := range bench89.Names() {
+		cs = append(cs, bench89.MustGet(name))
+	}
+	for seed := uint32(0); seed < 12; seed++ {
+		c, err := bench89.Generate(randomSignature(seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// TestLevelsNondecreasing pins the compiler's level-contiguous emission
+// contract: every instruction has a level entry, and the level sequence
+// never decreases.
+func TestLevelsNondecreasing(t *testing.T) {
+	check := func(name string, p *compile.Program) {
+		lv := p.Levels()
+		if len(lv) != p.NumInsts() {
+			t.Fatalf("%s: %d level entries for %d instructions", name, len(lv), p.NumInsts())
+		}
+		for i := 1; i < len(lv); i++ {
+			if lv[i] < lv[i-1] {
+				t.Fatalf("%s: level drops %d -> %d at instruction %d", name, lv[i-1], lv[i], i)
+			}
+		}
+	}
+	for _, c := range levelTestCircuits(t) {
+		u := compile.Compile(c)
+		check(c.Name+"/full", u.Full)
+		check(c.Name+"/step", u.Step)
+	}
+}
+
+// TestLevelsOperandsStrictlyLower pins the property that makes the
+// compiler's opcode sort legal: within one level run no row is both
+// read and written, in either order, and no row is written twice, so
+// the run's instructions may execute in any order. It also checks that
+// the compiler emitted each run sorted by opcode.
+func TestLevelsOperandsStrictlyLower(t *testing.T) {
+	check := func(name string, p *compile.Program) {
+		insts := p.Insts()
+		for lo := 0; lo < len(insts); {
+			hi := lo + 1
+			for hi < len(insts) && insts[hi].Level == insts[lo].Level {
+				hi++
+			}
+			run := insts[lo:hi]
+			written := make(map[int32]int) // row -> writing instruction
+			read := make(map[int32]int)    // row -> first reading instruction
+			for i, in := range run {
+				if i > 0 && in.Op < run[i-1].Op {
+					t.Fatalf("%s: level %d run not opcode-sorted at instruction %d", name, in.Level, lo+i)
+				}
+				if j, ok := written[in.Dst]; ok {
+					t.Fatalf("%s: level %d: row %d written by instructions %d and %d", name, in.Level, in.Dst, lo+j, lo+i)
+				}
+				written[in.Dst] = i
+				for _, r := range in.Reads {
+					if _, ok := read[r]; !ok {
+						read[r] = i
+					}
+				}
+			}
+			for r, i := range read {
+				if j, ok := written[r]; ok {
+					t.Fatalf("%s: level %d: row %d read by instruction %d and written by instruction %d",
+						name, run[0].Level, r, lo+i, lo+j)
+				}
+			}
+			lo = hi
+		}
+	}
+	for _, c := range levelTestCircuits(t) {
+		u := compile.Compile(c)
+		check(c.Name+"/full", u.Full)
+		check(c.Name+"/step", u.Step)
+	}
+}
+
+// TestBlockedExecExact checks Exec against ExecReference from identical
+// random register files, over both programs of several circuits at the
+// 1-word (per-instruction dispatch) and 8-word (run-batched dispatch)
+// widths. Every row must match, temporaries included. The subtest names
+// keep the 1 GiB budget of the cache-blocked partition this test used to
+// sweep: at that budget every program was one direct segment in
+// opcode-sorted order, which is the single form Exec now runs.
+func TestBlockedExecExact(t *testing.T) {
+	const budget = 1 << 30
+	for _, name := range []string{"s298", "s1423", "s5378"} {
+		u := compile.Compile(bench89.MustGet(name))
+		for _, w := range []int{1, 8} {
+			for _, pc := range []struct {
+				tag string
+				p   *compile.Program
+			}{{"full", u.Full}, {"step", u.Step}} {
+				w, p := w, pc.p
+				t.Run(fmt.Sprintf("%s/%s/w%d/budget%d", name, pc.tag, w, budget), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(budget) + int64(w)))
+					for trial := 0; trial < 4; trial++ {
+						ref := make([]uint64, p.Slots*w)
+						for i := range ref {
+							ref[i] = rng.Uint64()
+						}
+						p.InitConsts(ref, w)
+						got := append([]uint64(nil), ref...)
+						p.ExecReference(ref, w)
+						p.Exec(got, w)
+						for i := range ref {
+							if got[i] != ref[i] {
+								t.Fatalf("trial %d: row %d word %d: Exec %#x, reference %#x",
+									trial, i/w, i%w, got[i], ref[i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestEmptyProgram exercises the zero-instruction edge: a circuit with
+// no gates compiles to empty programs, and Exec is a no-op at every
+// width.
+func TestEmptyProgram(t *testing.T) {
+	c, err := netlist.ParseBenchString("tiny", "INPUT(a)\nOUTPUT(a)\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := compile.Compile(c)
+	for _, p := range []*compile.Program{u.Full, u.Step} {
+		if p.NumInsts() != 0 {
+			t.Fatalf("%d instructions for a gate-free circuit", p.NumInsts())
+		}
+		for _, w := range []int{1, 8} {
+			vals := make([]uint64, p.Slots*w)
+			p.Exec(vals, w)
+		}
 	}
 }
 

@@ -31,10 +31,13 @@
 // is chosen by the caller at execution time (1 word = 64 lanes, up to 8
 // words = 512 lanes per step). Two-operand gates get specialized
 // opcodes; wider gates read their operand list from a shared args
-// table. Instructions are emitted in levelized order, so execution is a
-// single linear pass with no scheduling logic, and each op streams W
-// contiguous words per operand — the per-instruction decode cost is
-// amortized over the whole lane block.
+// table. Instructions are emitted level by level, and within each
+// level sorted by opcode (instructions of one level never read each
+// other's rows, so their order is free). Program.Exec is the one
+// executor: a single pass with no scheduling logic, where each op
+// streams W contiguous words per operand and, at the full 8-word width,
+// each same-opcode run dispatches once — the per-instruction decode
+// cost is amortized over the whole lane block.
 //
 // Programs are compiled once per frozen circuit — Unit construction is
 // a pure function of the CSR view built at Freeze — and cached on the

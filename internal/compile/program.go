@@ -49,24 +49,6 @@ type inst struct {
 	n    int32 // n-ary: operand count
 }
 
-// forOperands calls f for each operand row of the instruction, in
-// operand order. args is the owning program's (or segment's) table.
-func (in *inst) forOperands(args []int32, f func(int32)) {
-	if in.n > 0 {
-		for _, s := range args[in.off : in.off+in.n] {
-			f(s)
-		}
-		return
-	}
-	switch in.op {
-	case opCopy, opNot:
-		f(in.a)
-	default:
-		f(in.a)
-		f(in.b)
-	}
-}
-
 // Program is a straight-line word-level program over a register file of
 // Slots rows. The caller picks the row width W (words per row) at
 // execution time; all state arrays are laid out row-major, so row s is
@@ -90,10 +72,11 @@ type Program struct {
 	code []inst
 	// levels[i] is the logic level of code[i]'s destination node. The
 	// compiler emits in level-contiguous order, so levels is
-	// nondecreasing; the blocked executor uses the level runs as its
-	// parallel waves. Instructions of one level are write/read-disjoint
-	// from each other (operands come from strictly lower levels, and the
-	// Step allocator recycles slots only across level boundaries).
+	// nondecreasing, and sorts each level run by opcode (see batched.go).
+	// Instructions of one level are write/read-disjoint from each other
+	// (operands come from strictly lower levels, and the Step allocator
+	// recycles slots only across level boundaries), which is what makes
+	// that sort legal.
 	levels []int32
 }
 
@@ -142,18 +125,22 @@ func (p *Program) InitConsts(vals []uint64, w int) {
 
 // Exec runs the program over a register file of w-word rows. vals must
 // hold Slots*w words with the In and Q rows (and, once, the constant
-// rows via InitConsts) already written. Execution is a single linear
-// pass in levelized order; bit j of word k of a row is the value of
-// that signal in lane k*64+j, and lanes never mix — every op is a pure
-// per-word bitwise function.
+// rows via InitConsts) already written. Execution is a single pass in
+// emission order — level by level, each level's instructions grouped by
+// opcode — dispatching once per same-opcode run at the full 8-word
+// width and once per instruction otherwise. Bit j of word k of a row is
+// the value of that signal in lane k*64+j, and lanes never mix — every
+// op is a pure per-word bitwise function.
 func (p *Program) Exec(vals []uint64, w int) {
+	if w == 8 {
+		execRuns8(p.code, p.Args, vals)
+		return
+	}
 	execCode(p.code, p.Args, vals, w)
 }
 
-// execCode runs one instruction sequence over a register file of w-word
-// rows. Factored out of Program.Exec so the blocked executor can run
-// segment code (with segment-local args tables) through the same
-// dispatch loop.
+// execCode runs an instruction sequence over a register file of w-word
+// rows, dispatching once per instruction.
 func execCode(code []inst, args []int32, vals []uint64, w int) {
 	if w == 1 {
 		execCode1(code, args, vals)

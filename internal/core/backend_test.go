@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench89"
@@ -181,50 +182,39 @@ func TestCompiledBackendGoldenStreamed(t *testing.T) {
 	}
 }
 
-// TestBlockedGoldenS38417 is the large-circuit golden test of the
-// cache-blocked and level-parallel executors at estimator level: the
-// full EstimateParallel flow on s38417 must produce bit-identical
-// results whether the compiled programs run as one linear pass
-// (CacheBudget -1), cache-blocked segments (a deliberately tiny budget
-// that forces many segments even at w=1), or level waves across
-// goroutines (SessionWorkers 3). A fixed interval and a loose accuracy
-// spec keep the run test-sized; the contract is exact equality, not
-// statistics.
-func TestBlockedGoldenS38417(t *testing.T) {
+// TestWideSessionGoldenS38417 is the large-circuit golden test of wide
+// compiled sessions at estimator level: the full EstimateParallel flow
+// on s38417, zero-delay with 512 replications, must produce results
+// bit-identical to the packed oracle (eight 64-lane interpreted
+// sessions) whether the compiled engine runs them as one 512-lane
+// session (Workers 1: 8-word rows, the run-batched dispatcher) or as
+// two 256-lane sessions (Workers 2). A fixed interval, a short warm-up
+// and a loose accuracy spec keep the run test-sized; the contract is
+// exact equality, not statistics.
+func TestWideSessionGoldenS38417(t *testing.T) {
 	c := bench89.MustGet("s38417")
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
-	base := func() Options {
+	run := func(backend sim.Backend, workers int) Result {
 		opts := DefaultOptions()
 		opts.Mode = power.ModeZeroDelay
-		opts.Replications = 64
-		opts.Workers = 2
-		opts.MaxSamples = 1024 // cap the run; unconverged is fine for identity
+		opts.Backend = backend
+		opts.Replications = 512
+		opts.Workers = workers
+		opts.WarmupCycles = 64
 		opts.Spec.RelErr = 0.5
-		return opts
-	}
-	run := func(label string, mutate func(*Options)) Result {
-		opts := base()
-		mutate(&opts)
 		res, err := EstimateParallelWithInterval(tb, factory, 7, opts, 2)
 		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+			t.Fatalf("%s backend, %d workers: %v", backend, workers, err)
 		}
 		return res
 	}
-	ref := run("unblocked", func(o *Options) { o.CacheBudget = -1 })
-	blocked := run("blocked", func(o *Options) { o.CacheBudget = 32 << 10 })
-	parallel := run("parallel", func(o *Options) { o.SessionWorkers = 3 })
-	if blocked.Power != ref.Power || blocked.HalfWidth != ref.HalfWidth || blocked.SampleSize != ref.SampleSize {
-		t.Errorf("blocked: (%v, %v, %d) != unblocked (%v, %v, %d)",
-			blocked.Power, blocked.HalfWidth, blocked.SampleSize, ref.Power, ref.HalfWidth, ref.SampleSize)
-	}
-	if parallel.Power != ref.Power || parallel.HalfWidth != ref.HalfWidth || parallel.SampleSize != ref.SampleSize {
-		t.Errorf("parallel: (%v, %v, %d) != unblocked (%v, %v, %d)",
-			parallel.Power, parallel.HalfWidth, parallel.SampleSize, ref.Power, ref.HalfWidth, ref.SampleSize)
-	}
-	if blocked.HiddenCycles != ref.HiddenCycles || parallel.HiddenCycles != ref.HiddenCycles {
-		t.Errorf("hidden cycles diverge: unblocked %d, blocked %d, parallel %d",
-			ref.HiddenCycles, blocked.HiddenCycles, parallel.HiddenCycles)
+	packed := run(sim.BackendPacked, 2)
+	for _, workers := range []int{1, 2} {
+		compiled := run(sim.BackendCompiled, workers)
+		requireGolden(t, fmt.Sprintf("workers %d", workers), packed, compiled)
+		if compiled.Engine != sim.EngineCompiledZeroDelay || packed.Engine != sim.EnginePackedZeroDelay {
+			t.Errorf("engines (%q, %q)", compiled.Engine, packed.Engine)
+		}
 	}
 }

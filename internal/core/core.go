@@ -54,9 +54,10 @@ type Options struct {
 	// sample sizes (all = 320 + k*32) indicate the paper does this.
 	ReuseTestSamples bool
 	// Replications is the number of independent replications
-	// EstimateParallel runs concurrently (bit-packed, up to 64 per
-	// machine word). 0 means the default of 64 — one full word. Ignored
-	// by the serial estimators.
+	// EstimateParallel runs concurrently, 64 lanes per machine word and
+	// up to sim.CompiledMaxLanes (512) per compiled session; more
+	// replications than that take more sessions. 0 means the default of
+	// 64 — one lane word. Ignored by the serial estimators.
 	Replications int
 	// Workers bounds the goroutine pool of EstimateParallel. 0 means
 	// GOMAXPROCS. The estimate is independent of the worker count:
@@ -77,21 +78,18 @@ type Options struct {
 	// circuit once at first use and replays it, or the interpreted
 	// packed sweep (sim.BackendPacked). The backends are
 	// observation-equivalent — per-lane samples are bit-identical — so
-	// this switch changes throughput, never results. Ignored by the
-	// serial estimators (they are scalar).
+	// this switch changes throughput, never results. It is an in-process
+	// seam through which tests reach the packed oracle; no wire format,
+	// flag or facade carries it. Ignored by the serial estimators (they
+	// are scalar).
 	Backend sim.Backend
-	// SessionWorkers > 1 runs each compiled session's per-level
-	// instruction waves across this many goroutines, so one big-circuit
-	// replication block can use several cores on top of the
-	// replication-level pool. Result-invariant (deterministic
-	// segment→worker mapping, disjoint writes per wave); ignored by the
-	// packed backend. 0 or 1 keeps sessions single-threaded.
+	// Deprecated: SessionWorkers has no effect. Compiled sessions run
+	// their programs in the one form internal/compile emits, on one
+	// goroutine each; replication shards fill the cores. It remains only
+	// because the benchmark module still reads it.
 	SessionWorkers int
-	// CacheBudget bounds the compiled backend's cache-blocked execution
-	// scratch working set in bytes. 0 selects the default
-	// (compile.DefaultBudgetBytes, ~L2/2); negative disables blocking.
-	// Result-invariant; sessions whose register files already fit run
-	// unblocked either way.
+	// Deprecated: CacheBudget has no effect, for the same reason as
+	// SessionWorkers, and remains for the same reason.
 	CacheBudget int
 	// Variance selects a variance-reduction transform for the sampling
 	// phase (see internal/vr): antithetic replication pairing, or a
@@ -194,9 +192,6 @@ func (o Options) Validate() error {
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", o.Workers)
-	}
-	if o.SessionWorkers < 0 {
-		return fmt.Errorf("core: negative SessionWorkers %d", o.SessionWorkers)
 	}
 	if err := o.Mode.Validate(); err != nil {
 		return err

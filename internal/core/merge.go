@@ -366,7 +366,7 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 		workers = n
 	}
 	useCov := plan.NeedsCovariate()
-	packedSampled := (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !useCov
+	packedSampled := wordSampled(tb, opts, plan)
 
 	// The same shard layout as parallelTail (newShards), over the
 	// sub-range: contiguous ascending so block assembly is

@@ -58,13 +58,7 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 				return nil, err
 			}
 		}
-		sh := &shard{
-			ps: sim.NewLaneSessionConfig(backend, tb.Circuit, srcs, sim.SessionConfig{
-				CacheBudget: opts.CacheBudget,
-				Workers:     opts.SessionWorkers,
-			}),
-			lanes: lanes,
-		}
+		sh := &shard{ps: sim.NewLaneSession(backend, tb.Circuit, srcs), lanes: lanes}
 		if !packedSampled {
 			sh.engine = sim.NewEventDriven(tb.Circuit, tb.Delays)
 		}
@@ -141,21 +135,48 @@ func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vec
 	return res, err
 }
 
+// wordSampled reports whether a parallel run observes its sampled
+// cycles word-parallel on the lane session (StepSampled) instead of per
+// lane on a scalar engine: zero-delay mode, or a general-delay run whose
+// delay table is all-zero (see delay.Table.AllZero), unless a control
+// variate needs the scalar engine's sample next to the covariate.
+func wordSampled(tb *Testbench, opts Options, plan vr.Plan) bool {
+	return (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !plan.NeedsCovariate()
+}
+
+// EngineLabels names the engine and delay model that observe a parallel
+// run's sampled cycles, as Result.Engine and Result.DelayModel report
+// them. It tracks both the word-parallel upgrade (wordSampled) and the
+// backend that observes the words: a compiled run whose sampled phase
+// stays word-parallel reports the compiled zero-delay engine, not the
+// packed interpreter. The in-process tail and the cluster coordinator
+// both label their results here, so a cluster result is
+// indistinguishable from a local one.
+func EngineLabels(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel string) {
+	switch {
+	case !wordSampled(tb, opts, plan):
+		return sim.EngineEventDriven, tb.Delays.ModelName
+	case opts.Backend.Canonical() == sim.BackendCompiled:
+		return sim.EngineCompiledZeroDelay, delay.Zero{}.Name()
+	}
+	return sim.EnginePackedZeroDelay, delay.Zero{}.Name()
+}
+
 // parallelTail runs the parallel sampling/stopping phase at a fixed
 // interval, optionally seeded with an already-collected random sequence
 // (consumed only when opts.ReuseTestSamples is set, as in estimateTail).
 // On cancellation it returns the partial result together with ctx.Err().
 //
 // Engine selection: under zero-delay mode sampled cycles run entirely
-// word-parallel (the lane session's StepSampled: CompiledSession on the
-// default backend, PackedSession on the packed one) and no scalar
-// simulator is built at all; under general-delay mode each shard owns
-// a scalar event-driven engine and lanes are extracted per sampled
+// word-parallel (the lane session's StepSampled: CompiledSession by
+// default, PackedSession when a test selects the packed oracle) and no
+// scalar simulator is built at all; under general-delay mode each shard
+// owns a scalar event-driven engine and lanes are extracted per sampled
 // cycle. A general-delay run whose delay table is all-zero is upgraded
-// to the packed engine too — the transition sets are identical (see
-// delay.Table.AllZero), though power sums may differ from per-lane
+// to the word-parallel path too — the transition sets are identical
+// (see delay.Table.AllZero), though power sums may differ from per-lane
 // event-driven simulation in the last ulp because the summation order
-// changes.
+// changes. EngineLabels names the result accordingly.
 func parallelTail(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, interval int, seed []float64, seedToggles []uint64, plan vr.Plan) (Result, error) {
 	reps := opts.Replications
 	if reps == 0 {
@@ -169,21 +190,8 @@ func parallelTail(ctx context.Context, tb *Testbench, src vectors.Factory, baseS
 		workers = reps
 	}
 	useCov := plan.NeedsCovariate()
-	backend := opts.Backend.Canonical()
-	packedSampled := (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !useCov
-	// The reported engine must track both the sampled-phase upgrade
-	// (including the implicit one a general-delay run takes when its
-	// delay table is all-zero — see delay.Table.AllZero) AND the backend
-	// that actually observed the sampled cycles: a compiled-backend run
-	// whose sampled phase stays word-parallel reports the compiled
-	// zero-delay engine, not the packed interpreter.
-	engineName, delayName := sim.EnginePackedZeroDelay, delay.Zero{}.Name()
-	if packedSampled && backend == sim.BackendCompiled {
-		engineName = sim.EngineCompiledZeroDelay
-	}
-	if !packedSampled {
-		engineName, delayName = sim.EngineEventDriven, tb.Delays.ModelName
-	}
+	packedSampled := wordSampled(tb, opts, plan)
+	engineName, delayName := EngineLabels(tb, opts, plan)
 
 	shards, err := newShards(tb, src, baseSeed, opts, plan, 0, reps, workers, packedSampled, useCov)
 	if err != nil {
@@ -262,7 +270,7 @@ func parallelTail(ctx context.Context, tb *Testbench, src vectors.Factory, baseS
 			SampledCycles: sampled,
 			Criterion:     m.CriterionName(),
 			Engine:        engineName,
-			Backend:       string(backend),
+			Backend:       string(opts.Backend.Canonical()),
 			DelayModel:    delayName,
 			Variance:      plan.Label(),
 			CVBeta:        plan.Beta,

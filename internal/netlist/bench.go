@@ -47,13 +47,13 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 			continue
 		}
 		switch {
-		case hasPrefixFold(line, "INPUT"):
+		case isDecl(line, "INPUT"):
 			arg, err := parseDecl(line, "INPUT")
 			if err != nil {
 				return nil, fmt.Errorf("netlist: %s line %d: %v", name, lineNo, err)
 			}
 			inputs = append(inputs, arg)
-		case hasPrefixFold(line, "OUTPUT"):
+		case isDecl(line, "OUTPUT"):
 			arg, err := parseDecl(line, "OUTPUT")
 			if err != nil {
 				return nil, fmt.Errorf("netlist: %s line %d: %v", name, lineNo, err)
@@ -157,6 +157,14 @@ func parseDecl(line, kw string) (string, error) {
 		return "", fmt.Errorf("empty %s declaration", kw)
 	}
 	return arg, nil
+}
+
+// isDecl reports whether line is an INPUT or OUTPUT declaration (kw,
+// any case, then an opening parenthesis). Anything else that starts with
+// the keyword is an assignment to a gate whose name merely begins with
+// it, like "OUTPUT_VALID = AND(A, B)".
+func isDecl(line, kw string) bool {
+	return hasPrefixFold(line, kw) && strings.HasPrefix(strings.TrimSpace(line[len(kw):]), "(")
 }
 
 func hasPrefixFold(s, prefix string) bool {

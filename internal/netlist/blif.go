@@ -9,6 +9,10 @@ import (
 	"repro/internal/logic"
 )
 
+// benchReserved holds the characters the .bench grammar separates a
+// line with. ParseBLIF rejects signal names that contain one.
+const benchReserved = "=,()"
+
 // ParseBLIF reads a circuit in Berkeley Logic Interchange Format, the
 // native format of SIS-era logic synthesis (the toolchain of the paper's
 // contemporaries). The supported subset is the structural core:
@@ -25,7 +29,9 @@ import (
 // cubes are OR-ed; the constant covers become CONST0/CONST1. Covers with
 // output value 0 define the complement and are inverted. Latch init
 // values other than 0 are accepted and ignored (the simulators start
-// from the all-zero state).
+// from the all-zero state). Signal names may not contain the .bench
+// separators "=,()", so every accepted circuit can be written out with
+// WriteBench and parsed back.
 func ParseBLIF(name string, r io.Reader) (*Circuit, error) {
 	type cover struct {
 		out   string
@@ -140,13 +146,22 @@ func ParseBLIF(name string, r io.Reader) (*Circuit, error) {
 	}
 
 	c := NewCircuit(modelName)
+	// Every signal is declared here (cover and latch inputs, and outputs,
+	// must name one of these), so checking these names checks them all.
+	declare := func(sig string, k logic.Kind) error {
+		if strings.ContainsAny(sig, benchReserved) {
+			return fmt.Errorf("netlist: %s: signal name %q contains one of %q, which .bench reserves", name, sig, benchReserved)
+		}
+		_, err := c.AddNode(sig, k)
+		return err
+	}
 	for _, in := range inputs {
-		if _, err := c.AddNode(in, logic.Input); err != nil {
+		if err := declare(in, logic.Input); err != nil {
 			return nil, err
 		}
 	}
 	for _, l := range latches {
-		if _, err := c.AddNode(l.out, logic.DFF); err != nil {
+		if err := declare(l.out, logic.DFF); err != nil {
 			return nil, err
 		}
 	}
@@ -162,7 +177,7 @@ func ParseBLIF(name string, r io.Reader) (*Circuit, error) {
 			return nil, fmt.Errorf("netlist: %s line %d: signal %q defined twice", name, cv.line, cv.out)
 		}
 		// Kind fixed up in the synthesis pass below; BUF placeholder.
-		if _, err := c.AddNode(cv.out, logic.Buf); err != nil {
+		if err := declare(cv.out, logic.Buf); err != nil {
 			return nil, err
 		}
 	}

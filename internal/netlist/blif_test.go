@@ -221,6 +221,8 @@ func TestBLIFErrors(t *testing.T) {
 		{"mixed cover", ".inputs a b\n.outputs y\n.names a b y\n11 1\n00 0\n", "mixes"},
 		{"latch arity", ".inputs a\n.outputs a\n.latch a\n", ".latch needs"},
 		{"subckt", ".inputs a\n.outputs a\n.subckt foo x=a\n", "unsupported"},
+		{"reserved character", ".inputs a,b\n.outputs a,b\n", ".bench reserves"},
+		{"reserved in cover output", ".inputs a\n.outputs y(0)\n.names a y(0)\n1 1\n", ".bench reserves"},
 	}
 	for _, tc := range cases {
 		_, err := ParseBLIFString(tc.name, tc.text)

@@ -49,8 +49,8 @@ func HashSource(src CircuitSource) string {
 // cacheKeySpec is the canonical form of everything a Result depends on.
 // Zero-valued request fields are expanded to their defaults before
 // hashing, so requests that differ only in how they spell a default
-// share a key. Options.Workers, SessionWorkers and CacheBudget are
-// deliberately absent: they tune throughput, never results.
+// share a key. Options.Workers is deliberately absent: it tunes
+// throughput, never results.
 type cacheKeySpec struct {
 	Hash string `json:"hash"`
 	// Input model, normalized ("" kind means "iid", 0 probability means
@@ -74,7 +74,6 @@ type cacheKeySpec struct {
 	Replications  int      `json:"replications"`
 	Reuse         bool     `json:"reuse"`
 	Mode          string   `json:"mode"`
-	Backend       string   `json:"backend"`
 	Variance      string   `json:"variance,omitempty"`
 	Beta          *float64 `json:"beta,omitempty"`
 	ControlCycles int      `json:"controlCycles,omitempty"`
@@ -107,7 +106,6 @@ func resultKey(src CircuitSource, req JobRequest) string {
 		Replications:  opts.Replications,
 		Reuse:         opts.ReuseTestSamples,
 		Mode:          opts.Mode.String(),
-		Backend:       opts.Backend.String(),
 		Variance:      string(opts.Variance.Mode.Canonical()),
 		Beta:          opts.Variance.BetaOverride,
 		ControlCycles: opts.Variance.ControlCycles,

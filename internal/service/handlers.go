@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -331,13 +332,20 @@ func submitStatus(err error) int {
 // readJSON decodes the request body into v, writing a 400 and returning
 // false on malformed input.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
+}
+
+// decodeJSON decodes one JSON value from r into v. Unknown fields fail
+// the decode, so a misspelled field, or one this server no longer
+// accepts, is a 400 instead of being silently ignored.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // maxBodyBytes bounds request bodies (netlist uploads dominate; the

@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
@@ -87,35 +86,21 @@ type OptionsSpec struct {
 	Alpha float64 `json:"alpha,omitempty"`
 	// SeqLen is the randomness-test sequence length (default 320).
 	SeqLen int `json:"seqLen,omitempty"`
-	// Replications is the number of bit-packed parallel replications
-	// (default 64, one full machine word).
+	// Replications is the number of parallel replications, run on the
+	// compiled engine 64 lanes per machine word and up to 512 per session
+	// (default 64, one lane word; at most maxReplications).
 	Replications int `json:"replications,omitempty"`
 	// Workers bounds the per-job goroutine pool (default GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
-	// MaxSamples caps the sample budget (default 2^21).
+	// MaxSamples caps the sample budget (default 2^21; at most
+	// maxSampleBudget).
 	MaxSamples int `json:"maxSamples,omitempty"`
 	// PowerMode selects the sampled-cycle observation scenario:
 	// "general-delay" (event-driven, glitches included — the default) or
-	// "zero-delay" (functional transitions only, bit-parallel packed
-	// engine). Unknown values fail Validate, so bad requests are rejected
-	// at submit time.
+	// "zero-delay" (functional transitions only, observed word-parallel
+	// by the compiled engine). Unknown values fail Validate, so bad
+	// requests are rejected at submit time.
 	PowerMode string `json:"powerMode,omitempty"`
-	// Backend selects the lane-parallel simulation backend: "" or
-	// "compiled" (the word-level bytecode engine, compiled once per
-	// circuit — the default, gated ≥2x faster in CI) or "packed" (the
-	// interpreted word-parallel sweep, the escape hatch). The backends
-	// are observation-equivalent — results are bit-identical — so this
-	// is a throughput knob. Unknown values fail Validate at submit time.
-	Backend string `json:"backend,omitempty"`
-	// SessionWorkers > 1 runs each compiled session's per-level
-	// instruction waves across this many goroutines (level parallelism
-	// for big-circuit replications). Result-invariant; ignored by the
-	// packed backend.
-	SessionWorkers int `json:"sessionWorkers,omitempty"`
-	// CacheBudget bounds the compiled backend's cache-blocked execution
-	// scratch in bytes (0 = default ~L2/2, negative disables blocking).
-	// Result-invariant.
-	CacheBudget int `json:"cacheBudget,omitempty"`
 	// Variance selects a variance-reduction transform for the sampling
 	// phase: "" or "none" (plain), "antithetic" (mirrored replication
 	// pairs) or "control-variate" (zero-delay toggle covariate; needs
@@ -158,9 +143,6 @@ func (o OptionsSpec) Options() core.Options {
 		opts.MaxSamples = o.MaxSamples
 	}
 	opts.Mode = power.PowerMode(o.PowerMode)
-	opts.Backend = sim.Backend(o.Backend)
-	opts.SessionWorkers = o.SessionWorkers
-	opts.CacheBudget = o.CacheBudget
 	opts.Variance.Mode = vr.Mode(o.Variance).Canonical()
 	opts.Breakdown = o.Breakdown
 	return opts
@@ -184,7 +166,19 @@ type JobRequest struct {
 	Interval *int `json:"interval,omitempty"`
 }
 
-// Validate rejects requests the pool would fail on anyway.
+// Upper bounds on the sizes a submitted job may ask for. They limit
+// outside input and are not options: both sit far above every real use
+// (the defaults are 64 replications and 2^21 samples), and they keep
+// one request from exhausting the server's memory — phase 1 allocates
+// SeqLen samples up front (SeqLen is at most MaxSamples), and the tail
+// builds one session per 512 replications.
+const (
+	maxReplications = 4096
+	maxSampleBudget = 1 << 24
+)
+
+// Validate rejects requests the pool would fail on anyway, and requests
+// larger than the server accepts.
 func (r JobRequest) Validate() error {
 	if r.Circuit == "" {
 		return errors.New("service: request missing circuit name")
@@ -195,7 +189,14 @@ func (r JobRequest) Validate() error {
 	if _, err := r.Source.Factory(1); err != nil {
 		return err
 	}
-	return r.Options.Options().Validate()
+	opts := r.Options.Options()
+	if opts.Replications > maxReplications {
+		return fmt.Errorf("service: %d replications above the limit of %d", opts.Replications, maxReplications)
+	}
+	if opts.MaxSamples > maxSampleBudget {
+		return fmt.Errorf("service: sample budget %d above the limit of %d", opts.MaxSamples, maxSampleBudget)
+	}
+	return opts.Validate()
 }
 
 // jsonFinite maps non-finite values to -1 for JSON transport: a
@@ -224,7 +225,6 @@ type ResultView struct {
 	SampledCycles  uint64  `json:"sampledCycles"`
 	Criterion      string  `json:"criterion"`
 	Engine         string  `json:"engine"`
-	Backend        string  `json:"backend,omitempty"`
 	DelayModel     string  `json:"delayModel"`
 	Variance       string  `json:"variance,omitempty"`
 	CVBeta         float64 `json:"cvBeta,omitempty"`
@@ -309,7 +309,6 @@ func viewResult(res core.Result) *ResultView {
 		SampledCycles:  res.SampledCycles,
 		Criterion:      res.Criterion,
 		Engine:         res.Engine,
-		Backend:        res.Backend,
 		DelayModel:     res.DelayModel,
 		Variance:       res.Variance,
 		CVBeta:         res.CVBeta,

@@ -176,55 +176,85 @@ func TestDeterminismAndCacheHit(t *testing.T) {
 	}
 }
 
-// TestCacheKeyedByBackend: requests differing only in simulation
-// backend occupy separate cache slots — estimates are bit-identical
-// across backends by construction, but the result's engine/backend
-// labels report what actually ran, so a cached compiled run must not
-// answer a packed request.
-func TestCacheKeyedByBackend(t *testing.T) {
-	svc, ts := newTestService(t, Config{Workers: 1})
+// TestSubmitRejectsRemovedFields: the options that selected a
+// simulation backend or tuned compiled execution are no longer part of
+// the request. A submit that still sends one is a 400, like any other
+// unknown field, rather than being accepted and silently ignored.
+func TestSubmitRejectsRemovedFields(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	for _, field := range []string{`"backend":"packed"`, `"sessionWorkers":2`, `"cacheBudget":4096`} {
+		body := `{"circuit":"s27","seed":1,"options":{"replications":16,` + field + `}}`
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit with %s: status %d, want 400", field, resp.StatusCode)
+		}
+	}
+}
 
-	run := func(backend string) JobView {
-		req := fastRequest(7)
-		req.Options.PowerMode = "zero-delay"
-		req.Options.Backend = backend
-		var v JobView
-		if code := postJSON(t, ts.URL+"/v1/jobs", req, &v); code != http.StatusAccepted {
-			t.Fatalf("submit status = %d", code)
+// TestSubmitSizeBounds: a request may not ask for more replications or
+// a larger sample budget than the server accepts, since either could
+// exhaust its memory before any recover could help; every request the
+// repository's own scripts and benchmark send stays within the bounds.
+func TestSubmitSizeBounds(t *testing.T) {
+	_, ts := newTestService(t, Config{Workers: 1})
+	tooBig := []OptionsSpec{
+		{Replications: maxReplications + 1},
+		{Replications: 1 << 30},
+		{MaxSamples: maxSampleBudget + 1},
+		{SeqLen: 1 << 40, MaxSamples: 1 << 41},
+	}
+	for _, o := range tooBig {
+		req := JobRequest{Circuit: "s27", Options: o}
+		if err := req.Validate(); err == nil {
+			// Stop before submitting: an accepted oversized job would
+			// try to allocate what the bound exists to refuse.
+			t.Fatalf("%+v: Validate accepted an oversized request", o)
 		}
-		var out JobView
-		if code := getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/wait?timeout=60s", &out); code != http.StatusOK {
-			t.Fatalf("wait status = %d", code)
+		if code := postJSON(t, ts.URL+"/v1/jobs", req, nil); code != http.StatusBadRequest {
+			t.Errorf("%+v: submit status %d, want 400", o, code)
 		}
-		if out.State != StateDone {
-			t.Fatalf("job %s finished %s (%s)", v.ID, out.State, out.Error)
-		}
-		return out
+	}
+	atLimit := JobRequest{Circuit: "s27", Options: OptionsSpec{Replications: maxReplications, MaxSamples: maxSampleBudget}}
+	if err := atLimit.Validate(); err != nil {
+		t.Errorf("request at the limits rejected: %v", err)
 	}
 
-	compiled := run("compiled")
-	packed := run("packed")
-	if packed.Result.Cached {
-		t.Fatalf("packed request was served from the compiled run's cache slot: %+v", packed.Result)
+	// The request bodies of scripts/e2e_cluster.sh and the option shapes
+	// of the bench/ workloads (64 replications, 2% and 25% error, fixed
+	// intervals) must keep validating.
+	interval := 8
+	valid := []string{
+		`{"circuit":"s27",  "seed":5, "options":{"replications":16,"workers":1}}`,
+		`{"circuit":"s298", "seed":8, "options":{"replications":16,"workers":1,"variance":"control-variate"}}`,
+		`{"circuit":"s1494","seed":11,"options":{"relErr":0.03,"replications":64,"workers":1}}`,
+		`{"circuit":"s1494","seed":77,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":64,"workers":1,"maxSamples":262144}}`,
+		`{"circuit":"s1494","seed":21,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":128,"workers":2,"maxSamples":262144}}`,
 	}
-	if compiled.Result.Backend != "compiled" || compiled.Result.Engine != "compiled-zero-delay" {
-		t.Fatalf("compiled run labels = (%q, %q)", compiled.Result.Backend, compiled.Result.Engine)
+	for _, body := range valid {
+		var req JobRequest
+		if err := decodeJSON(strings.NewReader(body), &req); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if err := req.Validate(); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
 	}
-	if packed.Result.Backend != "packed" || packed.Result.Engine != "packed-zero-delay" {
-		t.Fatalf("packed run labels = (%q, %q)", packed.Result.Backend, packed.Result.Engine)
-	}
-	if b1, b2 := math.Float64bits(compiled.Result.Power), math.Float64bits(packed.Result.Power); b1 != b2 {
-		t.Fatalf("backends disagree on the estimate: %x vs %x", b1, b2)
-	}
-	// A repeat of each spelling hits its own slot.
-	if again := run("compiled"); !again.Result.Cached || again.Result.Backend != "compiled" {
-		t.Fatalf("compiled repeat = %+v, want cached compiled result", again.Result)
-	}
-	if again := run("packed"); !again.Result.Cached || again.Result.Backend != "packed" {
-		t.Fatalf("packed repeat = %+v, want cached packed result", again.Result)
-	}
-	if cs := svc.Jobs.CacheStats(); cs.Hits != 2 || cs.Misses != 2 || cs.Entries != 2 {
-		t.Fatalf("result cache stats = %+v, want 2 hits / 2 misses / 2 entries", cs)
+	for _, o := range []OptionsSpec{
+		{Replications: 64, PowerMode: "zero-delay"},
+		{Replications: 64, Variance: "control-variate"},
+		{Replications: 64, Variance: "antithetic"},
+		{Replications: 64, Breakdown: true},
+		{Replications: 64, Workers: 1, RelErr: 0.02},
+		{Replications: 64, RelErr: 0.25},
+	} {
+		req := JobRequest{Circuit: "s38417", Seed: 1 << 47, Options: o, Interval: &interval}
+		if err := req.Validate(); err != nil {
+			t.Errorf("%+v: %v", o, err)
+		}
 	}
 }
 

@@ -264,6 +264,35 @@ func TestJournalTruncatedTailTolerated(t *testing.T) {
 	}
 }
 
+// TestJournalWithRemovedFieldsRestores: a journal written when requests
+// and results still carried a backend and the compiled-session tuning
+// options replays. The journal decoder ignores fields it no longer
+// knows, so such a job restores with everything else intact.
+func TestJournalWithRemovedFieldsRestores(t *testing.T) {
+	dir := t.TempDir()
+	journal := `{"kind":"submit","id":"job-000001","req":{"circuit":"s298","seed":1,"options":{"replications":64,"backend":"packed","sessionWorkers":2,"cacheBudget":4096}}}` + "\n" +
+		`{"kind":"submit","id":"job-000002","req":{"circuit":"s27","seed":2,"options":{"backend":"compiled"}}}` + "\n" +
+		`{"kind":"state","id":"job-000002","state":"done","result":{"power":0.5,"engine":"compiled-zero-delay","backend":"compiled","converged":true}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	restored := store.Restored()
+	if len(restored) != 2 {
+		t.Fatalf("restored %d jobs, want 2", len(restored))
+	}
+	if r := restored[0]; r.State != StateQueued || r.Req.Circuit != "s298" || r.Req.Options.Replications != 64 {
+		t.Errorf("queued job restored as %+v", r)
+	}
+	if r := restored[1]; r.State != StateDone || r.Result == nil || r.Result.Power != 0.5 || r.Result.Engine != "compiled-zero-delay" {
+		t.Errorf("finished job restored as %+v", r)
+	}
+}
+
 // TestCheckpointRoundTrip: the persisted checkpoint reproduces the core
 // resume point exactly, including the float64 seed sequence (JSON's
 // shortest round-trip rendering is lossless).

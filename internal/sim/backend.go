@@ -8,10 +8,10 @@ import (
 )
 
 // Backend names a lane-parallel simulation backend for the sampling
-// phase: the interpreted packed sweep or the compiled word-level
-// program. The empty string means the default, compiled, which is the
-// faster of the two on the estimation duty cycle; "packed" remains the
-// escape hatch.
+// phase: the compiled word-level program or the interpreted packed
+// sweep. The empty string means the default, compiled, which every
+// estimate runs on; "packed" is the oracle tests compare it against
+// (core.Options.Backend is the in-process seam that selects it).
 type Backend string
 
 const (
@@ -44,16 +44,6 @@ func (b Backend) Validate() error {
 // String returns the canonical name.
 func (b Backend) String() string { return string(b.Canonical()) }
 
-// ParseBackend resolves a user-supplied backend string ("packed",
-// "compiled"; empty means compiled).
-func ParseBackend(s string) (Backend, error) {
-	b := Backend(s)
-	if err := b.Validate(); err != nil {
-		return "", err
-	}
-	return b.Canonical(), nil
-}
-
 // Backends lists the valid canonical backends.
 func Backends() []Backend { return []Backend{BackendPacked, BackendCompiled} }
 
@@ -67,9 +57,9 @@ func MaxLanesFor(b Backend) int {
 
 // LaneSession is the lane-parallel session contract the estimation
 // layer drives: both PackedSession and CompiledSession implement it
-// with bit-identical per-lane observations, so backend selection can
-// never change an estimate — only its speed. See the differential
-// battery in this package for the enforcement.
+// with bit-identical per-lane observations, so the packed oracle checks
+// every bit the compiled engine observes. See the differential battery
+// in this package for the enforcement.
 type LaneSession interface {
 	// Circuit returns the simulated circuit.
 	Circuit() *netlist.Circuit
@@ -104,39 +94,36 @@ type LaneSession interface {
 	ExtractLane(k int, vals, pins, q []bool)
 }
 
-// SessionConfig carries backend tuning options through the estimation
-// layer. Every field is result-invariant: it changes how fast a session
-// runs, never what it observes. The packed backend ignores it.
-type SessionConfig struct {
-	// CacheBudget bounds the compiled backend's blocked-execution
-	// scratch working set in bytes (0 = default, <0 = disable blocking).
-	CacheBudget int
-	// Workers > 1 runs the compiled programs' per-level instruction
-	// waves across this many goroutines inside one session.
-	Workers int
-	// MaxSegInsts caps instructions per blocked segment (test hook).
-	MaxSegInsts int
-}
-
 // NewLaneSession builds a session of the given backend over the
-// per-lane sources with the default config. The packed backend accepts
-// up to MaxLanes sources, the compiled backend up to CompiledMaxLanes;
-// lane k of either is bit-identical to a scalar Session seeded from
-// srcs[k].
+// per-lane sources. The packed backend accepts up to MaxLanes sources,
+// the compiled backend up to CompiledMaxLanes; lane k of either is
+// bit-identical to a scalar Session seeded from srcs[k].
 func NewLaneSession(b Backend, c *netlist.Circuit, srcs []vectors.Source) LaneSession {
-	return NewLaneSessionConfig(b, c, srcs, SessionConfig{})
-}
-
-// NewLaneSessionConfig is NewLaneSession with backend tuning options.
-func NewLaneSessionConfig(b Backend, c *netlist.Circuit, srcs []vectors.Source, cfg SessionConfig) LaneSession {
 	if b.Canonical() == BackendCompiled {
-		return NewCompiledSessionConfig(c, srcs, CompiledConfig{
-			CacheBudget: cfg.CacheBudget,
-			Workers:     cfg.Workers,
-			MaxSegInsts: cfg.MaxSegInsts,
-		})
+		return NewCompiledSession(c, srcs)
 	}
 	return NewPackedSession(c, srcs)
+}
+
+// SessionConfig once carried compiled-session tuning options.
+//
+// Deprecated: SessionConfig has no effect. A compiled session runs its
+// programs in the one form internal/compile emits, so there is nothing
+// left to tune. It remains only because the benchmark module still
+// passes one to NewLaneSessionConfig; it goes once the benchmark stops.
+type SessionConfig struct {
+	// Deprecated: CacheBudget has no effect; see SessionConfig.
+	CacheBudget int
+	// Deprecated: Workers has no effect; see SessionConfig.
+	Workers int
+}
+
+// NewLaneSessionConfig is NewLaneSession; it ignores cfg.
+//
+// Deprecated: use NewLaneSession. SessionConfig has no effect; this
+// remains only because the benchmark module still calls it.
+func NewLaneSessionConfig(b Backend, c *netlist.Circuit, srcs []vectors.Source, cfg SessionConfig) LaneSession {
+	return NewLaneSession(b, c, srcs)
 }
 
 // CycleCounts returns the packed session's cost counters, satisfying

@@ -47,14 +47,6 @@ type CompiledSession struct {
 	step    []uint64 // Step register file
 	fresh   bool     // full holds the settled values of the current (pins, q)
 
-	// Blocked execution (nil runs the plain linear programs): the serial
-	// cache-blocked forms share one scratch file; the level-parallel
-	// forms run direct segments across goroutines. Either way per-lane
-	// results are bit-identical to the unblocked programs.
-	bFull   *compile.Blocked
-	bStep   *compile.Blocked
-	scratch []uint64
-
 	pins  []uint64 // one row per input
 	q     []uint64 // one row per latch
 	nextQ []uint64
@@ -77,44 +69,14 @@ type CompiledSession struct {
 	// same accounting as PackedSession and the scalar Session.
 	HiddenCycles  uint64
 	SampledCycles uint64
-
-	costFull execCost // static per-pass cost of the Full form
-	costStep execCost // static per-pass cost of the Step form
-}
-
-// CompiledConfig tunes how a compiled session executes its programs.
-// The zero value selects the defaults; every setting is
-// result-invariant (per-lane observations stay bit-identical).
-type CompiledConfig struct {
-	// CacheBudget bounds the blocked executor's scratch working set in
-	// bytes. 0 selects compile.DefaultBudgetBytes; a negative value
-	// disables blocked execution entirely (the plain linear programs). A
-	// register file already within the budget still gets the blocked
-	// form — one direct segment running batched wave dispatch.
-	CacheBudget int
-	// Workers > 1 executes each program's per-level instruction waves
-	// across this many goroutines inside one session step (level
-	// parallelism for big-circuit replications). Takes precedence over
-	// cache blocking.
-	Workers int
-	// MaxSegInsts caps instructions per segment and forces blocking even
-	// for cache-resident files — a test hook for the differential
-	// battery's budget sweep (0 = off).
-	MaxSegInsts int
 }
 
 // NewCompiledSession builds a compiled session over 1..CompiledMaxLanes
-// per-lane sources with the default execution config.
+// per-lane sources, compiling the circuit on first use (the Unit is
+// cached on the circuit). Every lane starts in the all-zero latch state
+// with an all-zero input pattern, settled — the same reset state as the
+// packed and scalar sessions.
 func NewCompiledSession(c *netlist.Circuit, srcs []vectors.Source) *CompiledSession {
-	return NewCompiledSessionConfig(c, srcs, CompiledConfig{})
-}
-
-// NewCompiledSessionConfig builds a compiled session over
-// 1..CompiledMaxLanes per-lane sources, compiling the circuit on first
-// use (the Unit is cached on the circuit). Every lane starts in the
-// all-zero latch state with an all-zero input pattern, settled — the
-// same reset state as the packed and scalar sessions.
-func NewCompiledSessionConfig(c *netlist.Circuit, srcs []vectors.Source, cfg CompiledConfig) *CompiledSession {
 	if len(srcs) == 0 || len(srcs) > CompiledMaxLanes {
 		panic(fmt.Sprintf("sim: NewCompiledSession needs 1..%d sources, got %d", CompiledMaxLanes, len(srcs)))
 	}
@@ -154,23 +116,9 @@ func NewCompiledSessionConfig(c *netlist.Circuit, srcs []vectors.Source, cfg Com
 		spins:   make([]bool, len(c.Inputs)),
 		sq:      make([]bool, len(c.Latches)),
 	}
-	if w == 1 && cfg.Workers <= 1 && cfg.CacheBudget == 0 && cfg.MaxSegInsts == 0 {
-		// The default one-word forms are built once per circuit and
-		// shared with every other one-word session and Trajectory.
-		s.bFull, s.bStep = u.OneWord()
-	} else {
-		s.bFull = blockProgram(u.Full, w, cfg, true)
-		s.bStep = blockProgram(u.Step, w, cfg, false)
-	}
-	s.costFull = programCost(u.Full, s.bFull)
-	s.costStep = programCost(u.Step, s.bStep)
-	if scratch := scratchSlots(s.bFull, s.bStep); scratch > 0 {
-		s.scratch = make([]uint64, scratch*w)
-	}
 	// Constant rows are written once per register file; Exec never
 	// touches them, and the full/oldFull swap exchanges two files that
-	// both carry them. (Blocked segments load constant rows from the
-	// global file like any other upward-exposed read.)
+	// both carry them.
 	u.Full.InitConsts(s.full, w)
 	u.Full.InitConsts(s.oldFull, w)
 	u.Step.InitConsts(s.step, w)
@@ -178,93 +126,15 @@ func NewCompiledSessionConfig(c *netlist.Circuit, srcs []vectors.Source, cfg Com
 	return s
 }
 
-// blockProgram picks a program's blocked form under the config: the
-// level-parallel partition when Workers asks for one, the serial
-// cache-blocked partition otherwise (a register file within the budget
-// still gets the blocked form — a single direct segment whose
-// wave-sorted code runs through the batched dispatcher), or nil with
-// CacheBudget < 0 to run the plain linear program.
-func blockProgram(p *compile.Program, w int, cfg CompiledConfig, observeAll bool) *compile.Blocked {
-	if p.NumInsts() == 0 {
-		return nil
-	}
-	if cfg.Workers > 1 {
-		return compile.Block(p, compile.BlockOptions{Workers: cfg.Workers})
-	}
-	if cfg.CacheBudget < 0 {
-		return nil
-	}
-	budget := cfg.CacheBudget
-	if budget == 0 {
-		budget = compile.DefaultBudgetBytes
-	}
-	return compile.Block(p, compile.BlockOptions{
-		BudgetBytes: budget,
-		W:           w,
-		MaxSegInsts: cfg.MaxSegInsts,
-		ObserveAll:  observeAll,
-	})
-}
-
-// scratchSlots returns the scratch rows the largest of the blocked
-// forms needs (nil forms need none).
-func scratchSlots(bs ...*compile.Blocked) int {
-	n := 0
-	for _, b := range bs {
-		if b != nil && b.ScratchSlots > n {
-			n = b.ScratchSlots
-		}
-	}
-	return n
-}
-
-// BlockedStats reports the session's blocked execution forms for
-// reports and tests; blocked is false when both programs run plain.
-func (s *CompiledSession) BlockedStats() (step, full compile.BlockedStats, blocked bool) {
-	if s.bStep != nil {
-		step = s.bStep.Stats()
-	}
-	if s.bFull != nil {
-		full = s.bFull.Stats()
-	}
-	return step, full, s.bStep != nil || s.bFull != nil
-}
-
-// programCost freezes a program form's per-pass execution cost: the
-// plain linear form is one wave with no spills; a blocked form
-// dispatches its wave count and copies its boundary rows every pass.
-func programCost(p *compile.Program, b *compile.Blocked) execCost {
-	c := execCost{insts: uint64(p.NumInsts()), waves: 1}
-	if p.NumInsts() == 0 {
-		c.waves = 0
-	}
-	if b != nil {
-		st := b.Stats()
-		c.waves = uint64(st.Waves)
-		c.spills = uint64(st.LoadRows + st.StoreRows)
-	}
-	return c
-}
-
-// execProgram runs one program through its configured execution form.
-// The telemetry updates are per pass, never per instruction: with no
-// registry installed they cost one atomic pointer load and a branch,
-// which is what keeps disabled observability under 1% of the duty
-// cycle.
-func (s *CompiledSession) execProgram(p *compile.Program, b *compile.Blocked, cost *execCost, vals []uint64) {
-	switch {
-	case b == nil:
-		p.Exec(vals, s.w)
-	case b.Workers > 1:
-		b.ExecParallel(vals, s.w)
-	default:
-		b.Exec(vals, s.scratch, s.w)
-	}
+// execProgram runs one program over vals. The telemetry updates are
+// per pass, never per instruction: with no registry installed they cost
+// one atomic pointer load and a branch, which is what keeps disabled
+// observability under 1% of the duty cycle.
+func (s *CompiledSession) execProgram(p *compile.Program, vals []uint64) {
+	p.Exec(vals, s.w)
 	if m := compiledMet.Load(); m != nil {
 		m.Execs.Inc()
-		m.Insts.Add(cost.insts)
-		m.Waves.Add(cost.waves)
-		m.SpillRows.Add(cost.spills)
+		m.Insts.Add(uint64(p.NumInsts()))
 		m.LaneSteps.Add(uint64(s.lanes))
 	}
 }
@@ -314,7 +184,7 @@ func (s *CompiledSession) settleFull() {
 	p := s.unit.Full
 	copyRows(s.full, p.In, s.pins, s.w)
 	copyRows(s.full, p.Q, s.q, s.w)
-	s.execProgram(p, s.bFull, &s.costFull, s.full)
+	s.execProgram(p, s.full)
 	s.fresh = true
 }
 
@@ -373,7 +243,7 @@ func (s *CompiledSession) advanceHidden() {
 	p := s.unit.Step
 	copyRows(s.step, p.In, s.pins, s.w)
 	copyRows(s.step, p.Q, s.q, s.w)
-	s.execProgram(p, s.bStep, &s.costStep, s.step)
+	s.execProgram(p, s.step)
 	for i, d := range p.D {
 		copy(s.nextQ[i*s.w:(i+1)*s.w], s.step[int(d)*s.w:(int(d)+1)*s.w])
 	}

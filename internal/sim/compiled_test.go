@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/bench89"
-	"repro/internal/compile"
 	"repro/internal/delay"
 	"repro/internal/netlist"
 )
@@ -48,16 +47,7 @@ func newPackedTiles(c *netlist.Circuit, lanes int, base int64) []packedTile {
 // control-variate covariate must all be bit-identical.
 func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, base, rngSeed int64) {
 	t.Helper()
-	diffCompiledPackedConfig(t, c, lanes, cycles, base, rngSeed, CompiledConfig{})
-}
-
-// diffCompiledPackedConfig is diffCompiledPacked with an explicit
-// compiled-session configuration, so cache-blocked and level-parallel
-// executions run through the same bit-identity battery as the plain
-// compiled engine.
-func diffCompiledPackedConfig(t *testing.T, c *netlist.Circuit, lanes, cycles int, base, rngSeed int64, cfg CompiledConfig) {
-	t.Helper()
-	cs := NewCompiledSessionConfig(c, laneSources(len(c.Inputs), lanes, base), cfg)
+	cs := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, base))
 	tiles := newPackedTiles(c, lanes, base)
 	weights := make([]float64, c.NumNodes())
 	for i := range weights {
@@ -187,79 +177,18 @@ func TestCompiledMatchesPackedBench89(t *testing.T) {
 	}
 }
 
-// TestCompiledBlockedMatchesPacked reruns the differential battery with
-// cache blocking forced into every degenerate regime: a tiny budget
-// (many multi-instruction segments), one instruction per segment (the
-// maximum spill traffic possible), blocking disabled outright, and the
-// default budget. All must stay bit-identical to the packed
-// interpreter.
+// TestCompiledBlockedMatchesPacked reruns the differential battery on
+// three circuits of increasing size with a second stimulus seed. The
+// name and the /default subtests date from when the test also forced
+// cache-blocked regimes; the default session, a single opcode-sorted
+// pass, is the one form that remains.
 func TestCompiledBlockedMatchesPacked(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  CompiledConfig
-	}{
-		{"budget4k", CompiledConfig{CacheBudget: 4 << 10}},
-		{"budget64k", CompiledConfig{CacheBudget: 64 << 10}},
-		{"seg1", CompiledConfig{CacheBudget: 4 << 10, MaxSegInsts: 1}},
-		{"unblocked", CompiledConfig{CacheBudget: -1}},
-		{"default", CompiledConfig{}},
-	}
 	for _, circuit := range []string{"s298", "s1423", "s5378"} {
 		c := bench89.MustGet(circuit)
-		for _, tc := range configs {
-			tc := tc
-			t.Run(circuit+"/"+tc.name, func(t *testing.T) {
-				t.Parallel()
-				diffCompiledPackedConfig(t, c, MaxLanes, 10, bench89SeedBase(circuit), 7, tc.cfg)
-			})
-		}
-	}
-}
-
-// TestCompiledParallelMatchesPacked reruns the battery with the
-// level-parallel executor at several worker counts, including more
-// workers than some levels have segments. Determinism does not depend
-// on scheduling — each worker owns a fixed stripe of each wave — so the
-// result must stay bit-identical to the serial interpreter.
-func TestCompiledParallelMatchesPacked(t *testing.T) {
-	for _, workers := range []int{2, 3, 7} {
-		workers := workers
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+		t.Run(circuit+"/default", func(t *testing.T) {
 			t.Parallel()
-			c := bench89.MustGet("s1423")
-			diffCompiledPackedConfig(t, c, MaxLanes, 10, 4242, 9, CompiledConfig{Workers: workers})
+			diffCompiledPacked(t, c, MaxLanes, 10, bench89SeedBase(circuit), 7)
 		})
-	}
-}
-
-// TestCompiledBlockedStats sanity-checks the segmentation metadata on a
-// forced-blocking session: blocking must actually engage, produce more
-// than one segment, and bound the scratch file by the requested budget.
-func TestCompiledBlockedStats(t *testing.T) {
-	c := bench89.MustGet("s5378")
-	lanes := MaxLanes
-	// 2KB is below both program's live-slot footprints at w=1 (full needs
-	// ~3000 slots, step ~600), so blocking must engage on both.
-	cs := NewCompiledSessionConfig(c, laneSources(len(c.Inputs), lanes, 1), CompiledConfig{CacheBudget: 2 << 10})
-	step, full, blocked := cs.BlockedStats()
-	if !blocked {
-		t.Fatal("2KB budget on s5378 did not engage blocking")
-	}
-	w := (lanes + 63) / 64
-	budgetSlots := (2 << 10) / (8 * w)
-	for _, st := range []struct {
-		name string
-		s    compile.BlockedStats
-	}{{"step", step}, {"full", full}} {
-		if st.s.Segments < 2 {
-			t.Fatalf("%s: got %d segments, want >= 2", st.name, st.s.Segments)
-		}
-		if st.s.ScratchSlots > budgetSlots {
-			t.Fatalf("%s: scratch %d slots exceeds budget %d", st.name, st.s.ScratchSlots, budgetSlots)
-		}
-	}
-	if _, _, blocked := NewCompiledSessionConfig(c, laneSources(len(c.Inputs), lanes, 1), CompiledConfig{CacheBudget: -1}).BlockedStats(); blocked {
-		t.Fatal("CacheBudget -1 still produced a blocked program")
 	}
 }
 
@@ -273,8 +202,9 @@ func bench89SeedBase(name string) int64 {
 }
 
 // TestCompiledMultiWordLanes checks the widened packing: 65, 256 and
-// 512 lanes exercise 2- and 8-word rows, including a partial final
-// word, against 64-lane packed tiles.
+// 512 lanes exercise 2-, 4- and 8-word rows (8 words take the
+// run-batched dispatcher), including a partial final word, against
+// 64-lane packed tiles.
 func TestCompiledMultiWordLanes(t *testing.T) {
 	c := bench89.MustGet("s298")
 	for _, lanes := range []int{1, 63, 65, 256, CompiledMaxLanes} {

@@ -3,8 +3,11 @@
 //
 //   - a zero-delay levelized functional simulator, used to advance the
 //     circuit state cheaply through the independence interval,
-//   - a bit-parallel 64-lane variant of it (PackedZeroDelay), which
-//     advances 64 independent replications per machine word, and
+//   - lane-parallel variants of it that advance 64 independent
+//     replications per machine word: CompiledSession, which replays the
+//     word-level programs of internal/compile at up to 512 lanes per
+//     session and runs every estimate, and the interpreted
+//     PackedZeroDelay/PackedSession, kept as its test oracle, and
 //   - an event-driven general-delay simulator with inertial gate delays,
 //     used on sampled cycles to observe every transition (including
 //     glitches) for the power computation of Eq. 1.

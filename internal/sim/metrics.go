@@ -8,13 +8,15 @@ import (
 
 // CompiledMetrics is the process-wide execution telemetry of the
 // compiled backend, fed by every CompiledSession in the process:
-// register-file passes, instructions executed, waves dispatched,
-// scratch spill rows copied, and lane-steps advanced (lanes/step is
-// lane_steps/execs at query time).
+// register-file passes, instructions executed, and lane-steps advanced
+// (lanes/step is lane_steps/execs at query time).
 type CompiledMetrics struct {
-	Execs     *obs.Counter
-	Insts     *obs.Counter
-	Waves     *obs.Counter
+	Execs *obs.Counter
+	Insts *obs.Counter
+	// Deprecated: SpillRows has no effect and is always nil; a nil
+	// counter reads 0. Compiled programs run in one form that copies no
+	// spill rows. It remains only because the benchmark module reads it;
+	// it goes once the benchmark stops reading it.
 	SpillRows *obs.Counter
 	LaneSteps *obs.Counter
 }
@@ -39,18 +41,8 @@ func RegisterCompiledMetrics(r *obs.Registry) *CompiledMetrics {
 	m := &CompiledMetrics{
 		Execs:     r.Counter("dipe_compile_execs_total", "Compiled register-file passes executed."),
 		Insts:     r.Counter("dipe_compile_instructions_total", "Compiled word-level instructions executed."),
-		Waves:     r.Counter("dipe_compile_waves_total", "Blocked-execution waves dispatched."),
-		SpillRows: r.Counter("dipe_compile_spill_rows_total", "Scratch spill rows copied (loads + stores)."),
 		LaneSteps: r.Counter("dipe_compile_lane_steps_total", "Replication lane-steps advanced by compiled passes."),
 	}
 	compiledMet.Store(m)
 	return m
-}
-
-// execCost is a program's static per-pass cost, precomputed at session
-// build so the hot path adds constants instead of walking segments.
-type execCost struct {
-	insts  uint64
-	waves  uint64
-	spills uint64
 }

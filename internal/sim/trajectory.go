@@ -47,12 +47,9 @@ type Trajectory struct {
 	pins []uint64
 	q    []uint64
 
-	step    []uint64 // one-word Step register file
-	full    []uint64 // one-word Full register file: 64 lanes, one row per node
-	bStep   *compile.Blocked
-	bFull   *compile.Blocked
-	scratch []uint64
-	pinBuf  []bool
+	step   []uint64 // one-word Step register file
+	full   []uint64 // one-word Full register file: 64 lanes, one row per node
+	pinBuf []bool
 
 	// The settle batch under construction: pair j's old state in lane j,
 	// its new state in lane pairsPerSettle+j of these rows.
@@ -102,8 +99,6 @@ func NewTrajectory(c *netlist.Circuit, engine PowerEngine, src vectors.Source, w
 		batchPins: make([]uint64, len(c.Inputs)),
 		batchQ:    make([]uint64, len(c.Latches)),
 	}
-	t.bFull, t.bStep = u.OneWord()
-	t.scratch = make([]uint64, scratchSlots(t.bFull, t.bStep))
 	u.Step.InitConsts(t.step, 1)
 	u.Full.InitConsts(t.full, 1)
 	if engine != nil {
@@ -117,14 +112,6 @@ func NewTrajectory(c *netlist.Circuit, engine PowerEngine, src vectors.Source, w
 // Circuit returns the simulated circuit.
 func (t *Trajectory) Circuit() *netlist.Circuit { return t.c }
 
-// exec runs a program's one-word blocked form over vals; a nil form
-// belongs to a program with no instructions.
-func (t *Trajectory) exec(b *compile.Blocked, vals []uint64) {
-	if b != nil {
-		b.Exec(vals, t.scratch, 1)
-	}
-}
-
 // advance moves the current state one clock cycle: the next latch state
 // from the Step program, then the next input pattern from the source —
 // the same draw order as Session.
@@ -136,7 +123,7 @@ func (t *Trajectory) advance() {
 	for i, r := range p.Q {
 		t.step[r] = t.q[i]
 	}
-	t.exec(t.bStep, t.step)
+	p.Exec(t.step, 1)
 	for i, d := range p.D {
 		t.q[i] = t.step[d]
 	}
@@ -201,7 +188,7 @@ func (t *Trajectory) settle(dst, cov []float64, counts []uint64) ([]float64, []f
 		t.full[r] = t.batchQ[i]
 		t.batchQ[i] = 0
 	}
-	t.exec(t.bFull, t.full)
+	p.Exec(t.full, 1)
 	n := t.pairs
 	t.pairs = 0
 

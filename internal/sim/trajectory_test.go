@@ -195,9 +195,9 @@ func TestTrajectoryCollectContinues(t *testing.T) {
 }
 
 // TestTrajectoryConcurrent: trajectories over one circuit share its
-// compiled Unit and one-word blocked forms, which are built on first
-// use. Started together from several goroutines, they still match
-// twins run one after another on a separate copy of the circuit.
+// compiled Unit, which executes read-only. Started together from
+// several goroutines, they still match twins run one after another on a
+// separate copy of the circuit.
 func TestTrajectoryConcurrent(t *testing.T) {
 	const n = 4
 	collect := func(c *netlist.Circuit, g int) []float64 {

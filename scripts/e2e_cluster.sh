@@ -178,7 +178,7 @@ curl -sf "$BASE/metrics" | python3 -c "$prom_check" \
 echo "== /metrics scrapes cleanly on both workers"
 for waddr in "$W1_ADDR" "$W2_ADDR"; do
   curl -sf "http://$waddr/metrics" | python3 -c "$prom_check" \
-    dipe_compile_waves_total dipe_worker_streams_served_total \
+    dipe_compile_execs_total dipe_worker_streams_served_total \
     dipe_worker_blocks_emitted_total
 done
 
