@@ -49,8 +49,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		small    = fs.Bool("small", false, "restrict to circuits with < 700 gates")
 		runs     = fs.Int("runs", 100, "runs per circuit for Table 2 / ablations (paper: 1000)")
 		parallel = fs.Int("parallel", 0, "concurrent estimation runs in Table 2 (0 = serial)")
-		reps     = fs.Int("replications", 0, "Table 1: bit-parallel replications (0 = serial estimator)")
-		workers  = fs.Int("workers", 0, "goroutine pool for -replications (0 = GOMAXPROCS)")
 		modes    = fs.Bool("modes", false, "run the Table-1-style general-delay vs zero-delay mode comparison")
 		paper    = fs.Bool("paper", false, "use the paper's 1e6-cycle references")
 		seed     = fs.Int64("seed", 1997, "base seed for the whole campaign")
@@ -60,15 +58,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		csv      = fs.Bool("csv", false, "emit Figure 3 as CSV instead of ASCII")
 		quiet    = fs.Bool("q", false, "suppress progress logging")
 	)
+	cfg := experiments.DefaultConfig()
+	fs.IntVar(&cfg.Opts.Replications, "replications", cfg.Opts.Replications, "Table 1: bit-parallel replications (0 = serial estimator)")
+	fs.IntVar(&cfg.Opts.Workers, "workers", cfg.Opts.Workers, "goroutine pool for -replications (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	cfg := experiments.DefaultConfig()
 	cfg.Runs = *runs
 	cfg.Parallel = *parallel
-	cfg.Replications = *reps
-	cfg.Workers = *workers
 	cfg.BaseSeed = *seed
 	if !*quiet {
 		cfg.Log = stderr

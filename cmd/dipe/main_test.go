@@ -1,160 +1,79 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
-// runDefaults wraps run() with the flag defaults so each test overrides
-// only what it cares about.
-type runArgs struct {
-	circuit, bench, blif string
-	alpha                float64
-	seqLen               int
-	relErr, confidence   float64
-	criterion, test      string
-	powerMode            string
-	variance             string
-	inputProb, inputRho  float64
-	seed                 int64
-	fixed, reps, workers int
-	breakdown            bool
-	brkTop               int
-	ztrace, ztraceLen    int
-	refCycles            int
-	verbose              bool
-	topN, maxBudget      int
-	vcdPath              string
-	vcdCycles            int
-	progJSON             bool
-}
-
-func defaults() runArgs {
-	return runArgs{
-		alpha: 0.20, seqLen: 320, relErr: 0.05, confidence: 0.99,
-		criterion: "order-statistics", test: "runs", powerMode: "general-delay", variance: "none",
-		inputProb: 0.5, seed: 1, fixed: -1, brkTop: 20, ztrace: -1, ztraceLen: 1000,
-		vcdCycles: 8,
+// runDipe runs the command body on args and fails the test on error. It
+// returns what the command wrote to stdout and stderr.
+func runDipe(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	if err := run(args, &out, &errOut); err != nil {
+		t.Fatalf("run(%q): %v\nstderr:\n%s", args, err, errOut.String())
 	}
-}
-
-func (a runArgs) run() error {
-	return run(a.circuit, a.bench, a.blif, a.alpha, a.seqLen, a.relErr, a.confidence,
-		a.criterion, a.test, a.powerMode, a.variance, a.inputProb, a.inputRho, a.seed, a.fixed, a.reps, a.workers,
-		a.breakdown, a.brkTop, a.ztrace, a.ztraceLen, a.refCycles, a.verbose, a.topN, a.maxBudget, a.vcdPath, a.vcdCycles, a.progJSON)
+	return out.String(), errOut.String()
 }
 
 func TestRunEstimate(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.verbose = true
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-v")
 }
 
 func TestRunBreakdown(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.breakdown = true // reps left 0: -breakdown implies 64 replications
-	a.brkTop = 5
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	// -replications left 0: -breakdown implies 64 replications.
+	runDipe(t, "-circuit", "s27", "-breakdown", "-breakdown-top", "5")
 }
 
 func TestRunAllCriteriaAndTests(t *testing.T) {
+	// -err 0.10 keeps ks fast.
 	for _, crit := range []string{"normal", "ks", "order-statistics", "os"} {
-		a := defaults()
-		a.circuit = "s27"
-		a.criterion = crit
-		a.relErr = 0.10 // keep ks fast
-		if err := a.run(); err != nil {
-			t.Errorf("criterion %s: %v", crit, err)
-		}
+		runDipe(t, "-circuit", "s27", "-criterion", crit, "-err", "0.10")
 	}
 	for _, test := range []string{"runs", "updown", "vonneumann"} {
-		a := defaults()
-		a.circuit = "s27"
-		a.test = test
-		a.relErr = 0.10
-		if err := a.run(); err != nil {
-			t.Errorf("test %s: %v", test, err)
-		}
+		runDipe(t, "-circuit", "s27", "-test", test, "-err", "0.10")
 	}
 }
 
 func TestRunReferenceMode(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.refCycles = 2000
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-ref", "2000")
 }
 
 func TestRunZTraceMode(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.ztrace = 3
-	a.ztraceLen = 200
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-ztrace", "3", "-ztrace-len", "200")
 }
 
 func TestRunFixedInterval(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.fixed = 2
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-interval", "2")
 }
 
 func TestRunParallelReplications(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.reps = 16
-	a.workers = 2
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-replications", "16", "-workers", "2")
 	// Fixed interval + replications takes the parallel fixed path.
-	a.fixed = 2
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-replications", "16", "-workers", "2", "-interval", "2")
 }
 
 func TestRunTopConsumers(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.topN = 3
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-top", "3")
 }
 
 func TestRunMaxPower(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.maxBudget = 300
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-max", "300")
 }
 
 func TestRunVCD(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.vcdPath = filepath.Join(t.TempDir(), "wave.vcd")
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(a.vcdPath)
+	path := filepath.Join(t.TempDir(), "wave.vcd")
+	runDipe(t, "-circuit", "s27", "-vcd", path, "-vcd-cycles", "8")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,82 +88,93 @@ func TestRunBenchAndBLIFFiles(t *testing.T) {
 	if err := os.WriteFile(benchPath, []byte("INPUT(A)\nOUTPUT(Y)\nQ = DFF(Y)\nY = XOR(A, Q)\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a := defaults()
-	a.bench = benchPath
-	a.relErr = 0.10
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-bench", benchPath, "-err", "0.10")
 
 	blifPath := filepath.Join(dir, "t.blif")
 	blif := ".model t\n.inputs a\n.outputs q\n.latch d q 0\n.names a q d\n10 1\n01 1\n.end\n"
 	if err := os.WriteFile(blifPath, []byte(blif), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	b := defaults()
-	b.blif = blifPath
-	b.relErr = 0.10
-	if err := b.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-blif", blifPath, "-err", "0.10")
 }
 
 func TestRunCorrelatedInputs(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.inputRho = 0.5
-	a.relErr = 0.10
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
+	runDipe(t, "-circuit", "s27", "-rho", "0.5", "-err", "0.10")
 }
 
 func TestRunErrors(t *testing.T) {
-	cases := []func(*runArgs){
-		func(a *runArgs) {}, // no circuit at all
-		func(a *runArgs) { a.circuit = "s27"; a.bench = "x.bench" },
-		func(a *runArgs) { a.circuit = "sNOPE" },
-		func(a *runArgs) { a.circuit = "s27"; a.criterion = "bogus" },
-		func(a *runArgs) { a.circuit = "s27"; a.test = "bogus" },
-		func(a *runArgs) { a.bench = "/nonexistent.bench" },
-		func(a *runArgs) { a.blif = "/nonexistent.blif" },
+	cases := [][]string{
+		{}, // no circuit at all
+		{"-circuit", "s27", "-bench", "x.bench"},
+		{"-circuit", "sNOPE"},
+		{"-circuit", "s27", "-criterion", "bogus"},
+		{"-circuit", "s27", "-test", "bogus"},
+		{"-bench", "/nonexistent.bench"},
+		{"-blif", "/nonexistent.blif"},
+		{"-circuit", "s27", "-power-mode", "bogus"},
+		{"-bogus"},
 	}
-	for i, mutate := range cases {
-		a := defaults()
-		mutate(&a)
-		if err := a.run(); err == nil {
-			t.Errorf("case %d: run succeeded, want error", i)
+	for i, args := range cases {
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err == nil {
+			t.Errorf("case %d %q: run succeeded, want error", i, args)
 		}
+	}
+	// main maps these to the flag package's exit statuses: 2 for a
+	// rejected command line, 0 for -h.
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-bogus"}, &stdout, &stderr); !errors.Is(err, errUsage) {
+		t.Errorf("unknown flag: run = %v, want errUsage", err)
+	}
+	if err := run([]string{"-h"}, &stdout, &stderr); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: run = %v, want flag.ErrHelp", err)
 	}
 }
 
 func TestRunCompiledBackend(t *testing.T) {
 	// Replications + zero-delay take the compiled word-parallel path,
 	// at one lane word and at the full 512-lane session width.
-	a := defaults()
-	a.circuit = "s27"
-	a.powerMode = "zero-delay"
-	for _, reps := range []int{8, 512} {
-		a.reps = reps
-		if err := a.run(); err != nil {
-			t.Fatalf("%d replications: %v", reps, err)
-		}
+	for _, reps := range []string{"8", "512"} {
+		runDipe(t, "-circuit", "s27", "-power-mode", "zero-delay", "-replications", reps)
 	}
 }
 
 func TestRunZeroDelayMode(t *testing.T) {
-	a := defaults()
-	a.circuit = "s27"
-	a.powerMode = "zero" // alias of "zero-delay"
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
-	a.reps = 8
-	if err := a.run(); err != nil {
-		t.Fatal(err)
-	}
-	a.powerMode = "bogus"
-	if err := a.run(); err == nil {
+	runDipe(t, "-circuit", "s27", "-power-mode", "zero") // alias of "zero-delay"
+	runDipe(t, "-circuit", "s27", "-power-mode", "zero", "-replications", "8")
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-circuit", "s27", "-power-mode", "bogus", "-replications", "8"}, &stdout, &stderr); err == nil {
 		t.Fatal("bogus power mode accepted")
+	}
+}
+
+// TestRunProgressJSON: -progress-json writes one record per merged
+// round and a final snapshot, starting with round 1, whose half-width
+// is still unbounded and so reads -1.
+func TestRunProgressJSON(t *testing.T) {
+	_, stderr := runDipe(t, "-circuit", "s27", "-replications", "64", "-interval", "0", "-progress-json")
+	var recs []dipe.Progress
+	sc := bufio.NewScanner(strings.NewReader(stderr))
+	for sc.Scan() {
+		var p dipe.Progress
+		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+			t.Fatalf("bad record %q: %v", sc.Text(), err)
+		}
+		recs = append(recs, p)
+	}
+	const rounds = 35
+	if len(recs) != rounds+1 {
+		t.Fatalf("%d records, want %d (rounds 1-%d plus the final snapshot)", len(recs), rounds+1, rounds)
+	}
+	for i, p := range recs[:rounds] {
+		if p.Rounds != i+1 {
+			t.Fatalf("record %d is round %d, want %d", i, p.Rounds, i+1)
+		}
+	}
+	if last := recs[rounds]; last.Rounds != rounds || last.Samples != recs[rounds-1].Samples {
+		t.Errorf("final snapshot %+v does not repeat round %d", last, rounds)
+	}
+	if hw := recs[0].HalfWidth; hw != -1 {
+		t.Errorf("first record's half-width = %g, want -1 (unbounded)", hw)
 	}
 }

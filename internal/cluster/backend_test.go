@@ -53,7 +53,7 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord := newTestCoordinator(t, reg, tc.urls...)
-			got, err := coord.Estimate(context.Background(), tb, req, nil)
+			got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

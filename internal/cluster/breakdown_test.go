@@ -86,7 +86,7 @@ func TestClusterBreakdownBitIdentical(t *testing.T) {
 				label string
 				coord *Coordinator
 			}{{"one-worker", coordOne}, {"two-workers", coordTwo}} {
-				got, err := cl.coord.Estimate(context.Background(), tb, tc.req, nil)
+				got, err := cl.coord.Estimate(context.Background(), tb, tc.req, nil, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

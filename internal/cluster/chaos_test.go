@@ -73,7 +73,7 @@ func TestLeaseReassignmentBitIdentityMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := coord.Estimate(context.Background(), tb, req, nil)
+			got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestLeaseExpiryStealsStalledRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Estimate(context.Background(), tb, req, nil)
+	got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTransportFaultReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Estimate(context.Background(), tb, req, nil)
+	got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestRangePanicFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = coord.Estimate(context.Background(), tb, req, nil)
+	_, err = coord.Estimate(context.Background(), tb, req, nil, nil, nil)
 	if err == nil {
 		t.Fatal("Estimate succeeded through a panicking transport")
 	}

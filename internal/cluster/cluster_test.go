@@ -113,7 +113,7 @@ func TestClusterBitIdenticalOneWorker(t *testing.T) {
 	if wk.Circuits() != 0 {
 		t.Fatalf("worker starts with %d circuits, want 0", wk.Circuits())
 	}
-	got, err := coord.Estimate(context.Background(), tb, req, nil)
+	got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			var snapshots atomic.Int64
-			got, err := coord.Estimate(context.Background(), tb, tc.req, func(core.Progress) {
+			got, err := coord.Estimate(context.Background(), tb, tc.req, nil, nil, func(core.Progress) {
 				snapshots.Add(1)
 			})
 			if err != nil {
@@ -262,7 +262,7 @@ func TestClusterWorkerDeathReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Estimate(context.Background(), tb, req, nil)
+	got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestClusterNoWorkersFailsJob(t *testing.T) {
 	fixed := 2
 	req := service.JobRequest{Circuit: "s27", Seed: 1, Interval: &fixed,
 		Options: service.OptionsSpec{Replications: 8}}
-	_, err = coord.Estimate(context.Background(), tb, req, nil)
+	_, err = coord.Estimate(context.Background(), tb, req, nil, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("err = %v, want no-live-workers failure", err)
 	}
@@ -346,7 +346,7 @@ func TestClusterCancellation(t *testing.T) {
 	var once atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.Estimate(ctx, tb, req, func(core.Progress) {
+		_, err := coord.Estimate(ctx, tb, req, nil, nil, func(core.Progress) {
 			if once.CompareAndSwap(false, true) {
 				close(progressed)
 			}

@@ -410,25 +410,20 @@ func (c *Coordinator) aliveWorkers() []string {
 }
 
 // Estimate implements service.Dispatcher: the full DIPE flow with the
-// sampling phase sharded across the cluster. Phase 1 (independence-
-// interval selection) runs locally; phase 2 streams per-range sample
-// blocks from the workers and merges them into the pooled stopping
-// rule. The result is bit-identical to core.EstimateParallel(tb, ...,
-// req.Seed, opts) — mean, half-width, sample size and cycle counts —
-// for any worker count and any mid-job lease/reassignment history.
-func (c *Coordinator) Estimate(ctx context.Context, tb *core.Testbench, req service.JobRequest, progress func(core.Progress)) (core.Result, error) {
-	return c.EstimateResumable(ctx, tb, req, nil, nil, progress)
-}
-
-// EstimateResumable implements service.ResumableDispatcher: Estimate
-// with the pre-sampling/sampling checkpoint seam exposed. A nil ckpt
-// runs phase 1 and plan resolution locally (core.PreparePlanCtx — the
-// same code, seeds and order as the single-process estimator) and
-// reports the frozen outcome through save before any worker streams; a
-// non-nil ckpt resumes the sampling phase directly. Since the sampling
-// phase re-streams deterministically from replication seeds, a resumed
-// job's Result is bit-identical to the uninterrupted run's.
-func (c *Coordinator) EstimateResumable(ctx context.Context, tb *core.Testbench, req service.JobRequest, ckpt *service.Checkpoint, save func(service.Checkpoint), progress func(core.Progress)) (core.Result, error) {
+// sampling phase sharded across the cluster. The result is
+// bit-identical to core.EstimateParallel(tb, ..., req.Seed, opts) —
+// mean, half-width, sample size and cycle counts — for any worker count
+// and any mid-job lease/reassignment history.
+//
+// A nil ckpt runs phase 1 (independence-interval selection) and plan
+// resolution locally (core.PreparePlanCtx — the same code, seeds and
+// order as the single-process estimator) and reports the frozen outcome
+// through save before any worker streams; a non-nil ckpt resumes the
+// sampling phase directly. Phase 2 streams per-range sample blocks from
+// the workers and merges them into the pooled stopping rule. Since it
+// re-streams deterministically from replication seeds, a resumed job's
+// Result is bit-identical to the uninterrupted run's.
+func (c *Coordinator) Estimate(ctx context.Context, tb *core.Testbench, req service.JobRequest, ckpt *service.Checkpoint, save func(service.Checkpoint), progress func(core.Progress)) (core.Result, error) {
 	opts := req.Options.Options()
 	if err := opts.Validate(); err != nil {
 		return core.Result{}, err
@@ -443,7 +438,7 @@ func (c *Coordinator) EstimateResumable(ctx context.Context, tb *core.Testbench,
 
 	var rp core.ResumePoint
 	if ckpt != nil {
-		rp = ckpt.ResumePoint()
+		rp = *ckpt
 		if rp.Interval < 0 {
 			return core.Result{}, fmt.Errorf("cluster: negative interval %d", rp.Interval)
 		}
@@ -455,7 +450,7 @@ func (c *Coordinator) EstimateResumable(ctx context.Context, tb *core.Testbench,
 			return core.Result{}, err
 		}
 		if save != nil {
-			save(service.CheckpointOf(rp))
+			save(rp)
 		}
 	}
 
@@ -566,7 +561,7 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 		rg := &repRange{idx: i, lo: b[0], hi: b[1], ch: make(chan rangeMsg, 16)}
 		ranges[i] = rg
 		lanes[i] = b[1] - b[0]
-		go c.runLeasedRange(sctx, js, hash, src, req, opts, plan, interval, rounds, maxBlocks, budgetRounds, rg)
+		go c.runLeasedRange(sctx, js, hash, src, req, plan, interval, rounds, maxBlocks, budgetRounds, rg)
 	}
 
 	engineName, delayName := core.EngineLabels(tb, opts, plan)
@@ -682,7 +677,7 @@ var errPermanent = errors.New("cluster: request rejected")
 // reached); errLeaseExpired means the lease watchdog reclaimed the
 // stream (next block overdue while another worker was free); any error
 // leaves *delivered at the resume point for the next attempt.
-func (c *Coordinator) streamRange(ctx context.Context, js *jobScheduler, worker, hash string, req service.JobRequest, opts core.Options, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, delivered *int, rg *repRange) error {
+func (c *Coordinator) streamRange(ctx context.Context, js *jobScheduler, worker, hash string, req service.JobRequest, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, delivered *int, rg *repRange) error {
 	if *delivered >= maxBlocks {
 		return nil
 	}
@@ -692,7 +687,7 @@ func (c *Coordinator) streamRange(ctx context.Context, js *jobScheduler, worker,
 	defer cancel()
 	l := newBlockLease(js, worker, c.leaseTimeout, cancel)
 	defer l.stop()
-	err := c.streamBlocks(sctx, l, worker, hash, req, opts, plan, interval, rounds, maxBlocks, budgetRounds, delivered, rg)
+	err := c.streamBlocks(sctx, l, worker, hash, req, plan, interval, rounds, maxBlocks, budgetRounds, delivered, rg)
 	if err != nil && l.expired.Load() && ctx.Err() == nil {
 		return fmt.Errorf("%w: worker %s stalled before block %d", errLeaseExpired, worker, *delivered)
 	}
@@ -701,22 +696,19 @@ func (c *Coordinator) streamRange(ctx context.Context, js *jobScheduler, worker,
 
 // streamBlocks is the body of one stream attempt; ctx is the
 // lease-cancellable stream context.
-func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, hash string, req service.JobRequest, opts core.Options, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, delivered *int, rg *repRange) error {
+func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, hash string, req service.JobRequest, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, delivered *int, rg *repRange) error {
 	runReq := RunRequest{
 		Hash:         hash,
 		Source:       req.Source,
 		Seed:         req.Seed,
-		Mode:         string(opts.Mode),
+		Options:      req.Options,
 		VR:           plan,
-		Warmup:       opts.WarmupCycles,
 		Interval:     interval,
 		RepLo:        rg.lo,
 		RepHi:        rg.hi,
 		Rounds:       rounds,
 		SkipBlocks:   *delivered,
 		MaxBlocks:    maxBlocks,
-		Workers:      opts.Workers,
-		Breakdown:    opts.Breakdown,
 		BudgetRounds: budgetRounds,
 	}
 	body, err := json.Marshal(runReq)

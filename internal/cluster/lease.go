@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/vr"
@@ -267,7 +266,7 @@ func (l *blockLease) stop() { l.timer.Stop() }
 // A panic on this goroutine fails the job, not the process: it is
 // recovered here, the lease slot it held is freed, and the panic value
 // and stack reach the merge loop as the range's error.
-func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash string, src service.CircuitSource, req service.JobRequest, opts core.Options, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, rg *repRange) {
+func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash string, src service.CircuitSource, req service.JobRequest, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, rg *repRange) {
 	defer close(rg.ch)
 	held := "" // the worker whose lease slot this range holds
 	defer func() {
@@ -305,7 +304,7 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash
 		}
 		serr := func() error {
 			for {
-				err := c.streamRange(ctx, js, worker, hash, req, opts, plan, interval, rounds, maxBlocks, budgetRounds, &delivered, rg)
+				err := c.streamRange(ctx, js, worker, hash, req, plan, interval, rounds, maxBlocks, budgetRounds, &delivered, rg)
 				if errors.Is(err, errUnknownCircuit) && !uploaded[worker] {
 					// Propagate the circuit and retry the same worker under
 					// the same lease; an install failure falls through to

@@ -22,8 +22,11 @@ type RunRequest struct {
 	Source service.SourceSpec `json:"source"`
 	// Seed is the job's base seed.
 	Seed int64 `json:"seed"`
-	// Mode is the power-observation mode ("" = general-delay).
-	Mode string `json:"mode,omitempty"`
+	// Options is the job's option spec. The worker expands it with
+	// Options(), exactly as the coordinator does, so the two run the
+	// same power mode, warm-up, goroutine pool and breakdown setting.
+	// Counting for a breakdown never changes the samples.
+	Options service.OptionsSpec `json:"options"`
 	// VR is the resolved variance-reduction plan (zero value = plain
 	// estimation). The coordinator freezes it — including the
 	// regression-estimated control-variate coefficient and covariate
@@ -32,8 +35,6 @@ type RunRequest struct {
 	// encoding/json's shortest round-trip float rendering keeps the
 	// coefficients lossless on the wire.
 	VR vr.Plan `json:"vr,omitzero"`
-	// Warmup is the per-replication hidden warm-up cycle count.
-	Warmup int `json:"warmup"`
 	// Interval is the independence interval selected by the coordinator.
 	Interval int `json:"interval"`
 	// RepLo and RepHi bound the replication range (half-open).
@@ -50,18 +51,11 @@ type RunRequest struct {
 	// coordinator sets it from the job's sample budget so an orphaned
 	// stream can never run unbounded.
 	MaxBlocks int `json:"maxBlocks,omitempty"`
-	// Workers bounds the worker-process goroutine pool for this range
-	// (0 = GOMAXPROCS of the worker).
-	Workers int `json:"workers,omitempty"`
-	// Breakdown asks the worker to accumulate per-node transition counts
-	// and attach each block's count delta (StreamBlock.Counts). Counting
-	// never changes the samples, so a mixed run (some attempts with the
-	// flag, some without) still merges bit-identical estimates.
-	Breakdown bool `json:"breakdown,omitempty"`
 	// BudgetRounds is the merge side's total round budget under
-	// Breakdown ((MaxSamples - seeded samples) / PerRound; 0 =
-	// unbounded): the final block's count delta is clipped to it exactly
-	// as the coordinator's merger clips the rounds it consumes.
+	// options.breakdown ((MaxSamples - seeded samples) / PerRound; 0 =
+	// unbounded): the final block's count delta (StreamBlock.Counts) is
+	// clipped to it exactly as the coordinator's merger clips the rounds
+	// it consumes.
 	BudgetRounds int `json:"budgetRounds,omitempty"`
 }
 
@@ -70,8 +64,6 @@ func (r RunRequest) Validate() error {
 	switch {
 	case r.Hash == "":
 		return fmt.Errorf("cluster: run request missing circuit hash")
-	case r.Warmup < 0:
-		return fmt.Errorf("cluster: negative warmup %d", r.Warmup)
 	case r.Interval < 0:
 		return fmt.Errorf("cluster: negative interval %d", r.Interval)
 	case r.RepLo < 0 || r.RepHi <= r.RepLo:
@@ -82,10 +74,11 @@ func (r RunRequest) Validate() error {
 		return fmt.Errorf("cluster: negative skipBlocks %d", r.SkipBlocks)
 	case r.MaxBlocks < 0:
 		return fmt.Errorf("cluster: negative maxBlocks %d", r.MaxBlocks)
-	case r.Workers < 0:
-		return fmt.Errorf("cluster: negative workers %d", r.Workers)
 	case r.BudgetRounds < 0:
 		return fmt.Errorf("cluster: negative budgetRounds %d", r.BudgetRounds)
+	}
+	if err := r.Options.Options().Validate(); err != nil {
+		return err
 	}
 	return r.VR.Validate()
 }

@@ -63,12 +63,12 @@ func TestClusterVRModesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := coordOne.Estimate(context.Background(), tb, tc.req, nil)
+			one, err := coordOne.Estimate(context.Background(), tb, tc.req, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResult(t, one, want, tc.name+"/1-worker")
-			two, err := coordTwo.Estimate(context.Background(), tb, tc.req, nil)
+			two, err := coordTwo.Estimate(context.Background(), tb, tc.req, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

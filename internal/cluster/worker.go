@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/service"
 )
 
@@ -204,11 +203,6 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("cluster: unknown circuit %.12s...", req.Hash))
 		return
 	}
-	mode := power.PowerMode(req.Mode)
-	if err := mode.Validate(); err != nil {
-		writeError(rw, http.StatusBadRequest, err)
-		return
-	}
 	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
@@ -237,15 +231,10 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	}
 	flush()
 
-	opts := core.DefaultOptions()
-	opts.WarmupCycles = req.Warmup
-	opts.Mode = mode
-	opts.Workers = req.Workers
-	opts.Breakdown = req.Breakdown
 	// Errors terminate the stream; the client distinguishes a complete
 	// stream from a truncated one by block count, so nothing more is
 	// needed here. ctx errors are the normal convergence path.
-	_ = core.StreamReplications(r.Context(), tb, factory, req.Seed, opts,
+	_ = core.StreamReplications(r.Context(), tb, factory, req.Seed, req.Options.Options(),
 		req.VR, req.Interval, req.RepLo, req.RepHi, req.Rounds, req.SkipBlocks, req.MaxBlocks, req.BudgetRounds,
 		func(b core.ReplicationBlock) error {
 			if err := enc.Encode(StreamBlock{Index: b.Index, Samples: b.Samples, Counts: b.Toggles}); err != nil {

@@ -15,55 +15,62 @@ import (
 
 // Options collects the tunables of the estimation procedure. The zero
 // value is not usable; start from DefaultOptions.
+//
+// Options is the one definition of an estimator option; the service's
+// result-cache key and wire forms derive from it. Each field's JSON tag
+// classifies it: a named field can change a Result, so it keys the
+// cache, while `json:"-"` marks a knob that cannot (throughput,
+// callbacks) or a function-valued field, which keys by its Name().
+// TestOptionsFieldsClassified fails on an untagged field.
 type Options struct {
 	// Alpha is the significance level of the randomness test (Eq. 7).
 	// The paper's experiments use 0.20.
-	Alpha float64
+	Alpha float64 `json:"alpha"`
 	// SeqLen is the power sequence length fed to the randomness test at
 	// each trial interval. The paper chooses 320 ("the gain in
 	// statistical stability ... is marginal if it is any longer").
-	SeqLen int
+	SeqLen int `json:"seqLen"`
 	// MaxInterval caps the trial independence interval; selection stops
 	// there and marks the result Capped. A guard against non-mixing
 	// behaviour rather than an expected outcome (paper observes
 	// intervals of a few cycles).
-	MaxInterval int
+	MaxInterval int `json:"maxInterval"`
 	// Spec is the accuracy specification (paper: 5% error, 0.99
 	// confidence).
-	Spec stopping.Spec
+	Spec stopping.Spec `json:"spec"`
 	// NewCriterion builds the stopping criterion (paper default:
 	// order statistics, their ref [7]).
-	NewCriterion stopping.Factory
+	NewCriterion stopping.Factory `json:"-"`
 	// Test is the randomness test (paper: ordinary runs test).
-	Test randtest.Test
+	Test randtest.Test `json:"-"`
 	// CheckEvery is the stopping-criterion cadence in samples. Table 1
 	// sample sizes are all congruent to SeqLen modulo 32.
-	CheckEvery int
+	CheckEvery int `json:"checkEvery"`
 	// MaxSamples aborts estimation if convergence is not reached; a
 	// safety net, not a tuning knob.
-	MaxSamples int
+	MaxSamples int `json:"maxSamples"`
 	// WarmupCycles is the number of initial hidden (zero-delay) cycles
 	// before interval selection, letting the state process approach
 	// stationarity from reset. Zero-delay cycles are two to three orders
 	// of magnitude cheaper than sampled ones, so a generous default is
 	// nearly free; estimates on slowly-relaxing circuits are biased by
 	// the reset transient if this is too small.
-	WarmupCycles int
+	WarmupCycles int `json:"warmupCycles"`
 	// ReuseTestSamples feeds the accepted randomness-test sequence into
 	// the stopping criterion as its first SeqLen samples. Table 1's
 	// sample sizes (all = 320 + k*32) indicate the paper does this.
-	ReuseTestSamples bool
+	ReuseTestSamples bool `json:"reuseTestSamples"`
 	// Replications is the number of independent replications
 	// EstimateParallel runs concurrently, 64 lanes per machine word and
 	// up to sim.CompiledMaxLanes (512) per compiled session; more
 	// replications than that take more sessions. 0 means the default of
 	// 64 — one lane word. Ignored by the serial estimators.
-	Replications int
+	Replications int `json:"replications"`
 	// Workers bounds the goroutine pool of EstimateParallel. 0 means
 	// GOMAXPROCS. The estimate is independent of the worker count:
 	// replication seeds are fixed and samples are merged in replication
 	// order.
-	Workers int
+	Workers int `json:"-"`
 	// Mode selects the power-observation scenario for sampled cycles:
 	// general-delay (event-driven, glitches included — the paper's
 	// configuration and the zero-value default) or zero-delay (functional
@@ -71,7 +78,7 @@ type Options struct {
 	// honoured by the estimators that build their own sessions
 	// (EstimateParallel and friends); the session-based estimators follow
 	// the engine of the session they are handed (Testbench.NewSessionMode).
-	Mode power.PowerMode
+	Mode power.PowerMode `json:"mode"`
 	// Backend selects the lane-parallel simulation backend of the
 	// parallel estimators: the compiled word-level engine
 	// (sim.BackendCompiled, the zero-value default), which compiles the
@@ -82,22 +89,22 @@ type Options struct {
 	// seam through which tests reach the packed oracle; no wire format,
 	// flag or facade carries it. Ignored by the serial estimators (they
 	// are scalar).
-	Backend sim.Backend
+	Backend sim.Backend `json:"-"`
 	// Deprecated: SessionWorkers has no effect. Compiled sessions run
 	// their programs in the one form internal/compile emits, on one
 	// goroutine each; replication shards fill the cores. It remains only
 	// because the benchmark module still reads it.
-	SessionWorkers int
+	SessionWorkers int `json:"-"`
 	// Deprecated: CacheBudget has no effect, for the same reason as
 	// SessionWorkers, and remains for the same reason.
-	CacheBudget int
+	CacheBudget int `json:"-"`
 	// Variance selects a variance-reduction transform for the sampling
 	// phase (see internal/vr): antithetic replication pairing, or a
 	// control-variate correction by the same-cycle zero-delay toggle
 	// power. The zero value is the paper's plain estimator. Honoured by
 	// the parallel estimators only (the transforms are defined over the
 	// replication space); the serial estimators reject a non-plain mode.
-	Variance vr.Spec
+	Variance vr.Spec `json:"variance"`
 	// Breakdown enables per-node power attribution: the sampled phase
 	// accumulates per-node transition counts alongside the power samples
 	// and the Result carries a ranked dynamic+leakage report
@@ -107,20 +114,20 @@ type Options struct {
 	// estimators only (the serial ones have no power model in scope);
 	// costs one popcount per node word per sampled cycle when on, nothing
 	// when off.
-	Breakdown bool
+	Breakdown bool `json:"breakdown"`
 	// Progress, if non-nil, is called from the estimator goroutine after
 	// every merged block of samples (roughly every CheckEvery) with a
 	// running snapshot of the estimate. It must be cheap; it is never
 	// called concurrently with itself. Long-running callers (the
 	// dipe-server job manager) use it to surface live job status. It does
 	// not affect the estimate.
-	Progress func(Progress)
+	Progress func(Progress) `json:"-"`
 	// Metrics, if non-nil, receives convergence telemetry (rounds,
 	// samples, half-width, samples/s) from the Merger after every merged
 	// block — both the in-process sampling tail and the cluster
 	// coordinator's merge loop flow through it. Like Progress it never
 	// affects the estimate; nil costs one branch per block.
-	Metrics *Metrics
+	Metrics *Metrics `json:"-"`
 }
 
 // Progress is a point-in-time snapshot of a running estimation,
@@ -128,18 +135,20 @@ type Options struct {
 type Progress struct {
 	// Samples is the number of power samples consumed by the stopping
 	// criterion so far.
-	Samples int
+	Samples int `json:"samples"`
 	// Power is the running estimate in watts.
-	Power float64
-	// HalfWidth is the current confidence half-width in watts.
-	HalfWidth float64
+	Power float64 `json:"power"`
+	// HalfWidth is the current confidence half-width in watts (+Inf
+	// until the criterion can bound the estimate; encoding/json cannot
+	// render that, so JSON writers map it to -1 first).
+	HalfWidth float64 `json:"halfWidth"`
 	// Interval is the independence interval in use.
-	Interval int
+	Interval int `json:"interval"`
 	// Rounds is the number of replication rounds merged so far.
-	Rounds int
+	Rounds int `json:"rounds"`
 	// Elapsed is the wall-clock seconds since the sampling phase
 	// started (this process's share of it, under a resumed job).
-	Elapsed float64
+	Elapsed float64 `json:"elapsed"`
 }
 
 // DefaultOptions returns the paper's experimental configuration.

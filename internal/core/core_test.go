@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench89"
@@ -34,6 +35,38 @@ func TestOptionsValidate(t *testing.T) {
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
 			t.Errorf("bad options %d accepted", i)
+		}
+	}
+}
+
+// TestOptionsFieldsClassified pins the classification the service
+// derives its result-cache key from: every Options field carries a JSON
+// tag, a named field keys the cache, and only the fields listed here —
+// each with the reason it cannot key by value — are left out. A new
+// field fails until it is classified.
+func TestOptionsFieldsClassified(t *testing.T) {
+	unkeyed := map[string]string{
+		"NewCriterion":   "a function; the key carries its criterion's Name()",
+		"Test":           "a function; the key carries its Name()",
+		"Workers":        "result-invariant: replication seeds and merge order fix the result",
+		"Backend":        "result-invariant: the backends are observation-equivalent",
+		"SessionWorkers": "deprecated, no effect",
+		"CacheBudget":    "deprecated, no effect",
+		"Progress":       "a callback that never affects the estimate",
+		"Metrics":        "telemetry that never affects the estimate",
+	}
+	typ := reflect.TypeOf(Options{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		tag, ok := f.Tag.Lookup("json")
+		_, listed := unkeyed[f.Name]
+		switch {
+		case !ok:
+			t.Errorf("Options.%s has no json tag: name it if it can change a Result, tag it \"-\" and list it here if not", f.Name)
+		case tag == "-" && !listed:
+			t.Errorf("Options.%s is tagged \"-\" but is not a listed result-invariant or function-valued field", f.Name)
+		case tag != "-" && listed:
+			t.Errorf("Options.%s is listed as unkeyed (%s) but has JSON name %q", f.Name, unkeyed[f.Name], tag)
 		}
 	}
 }

@@ -52,8 +52,8 @@ type ResumePoint struct {
 	// Hidden and Sampled tally the simulation cycles the pre-sampling
 	// phases cost; a resumed Result restores them so cycle counters stay
 	// identical to the uninterrupted run.
-	Hidden  uint64 `json:"hidden,omitempty"`
-	Sampled uint64 `json:"sampled,omitempty"`
+	Hidden  uint64 `json:"hiddenCycles,omitempty"`
+	Sampled uint64 `json:"sampledCycles,omitempty"`
 }
 
 // PreparePlanCtx runs the pre-sampling phases of an EstimateParallel

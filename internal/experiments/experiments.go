@@ -28,7 +28,12 @@ type Config struct {
 	// Runs is the number of independent estimation runs per circuit for
 	// Table 2 and the ablations (paper: 1000).
 	Runs int
-	// Opts are the estimator options (paper defaults).
+	// Opts are the estimator options (paper defaults). A nonzero
+	// Opts.Replications switches Table1 to the lane-parallel estimator
+	// (core.EstimateParallel) with that many concurrent replication
+	// sequences; 0 keeps the serial single-sequence estimator.
+	// Opts.Workers bounds that estimator's goroutine pool and does not
+	// change the results.
 	Opts core.Options
 	// InputProb is the primary-input signal probability (paper: 0.5).
 	InputProb float64
@@ -39,14 +44,6 @@ type Config struct {
 	// Results are independent of the parallelism level: runs are seeded
 	// individually and aggregated in run order.
 	Parallel int
-	// Replications switches Table1 to the bit-parallel multi-replication
-	// estimator (core.EstimateParallel) with this many concurrent
-	// replication sequences. 0 keeps the serial single-sequence
-	// estimator.
-	Replications int
-	// Workers bounds the estimator's goroutine pool when Replications is
-	// set (0 = GOMAXPROCS). The results do not depend on it.
-	Workers int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
@@ -148,11 +145,8 @@ func Table1(cfg Config) ([]Table1Row, error) {
 
 		start := time.Now()
 		var res core.Result
-		if cfg.Replications > 0 {
-			opts := cfg.Opts
-			opts.Replications = cfg.Replications
-			opts.Workers = cfg.Workers
-			res, err = core.EstimateParallel(tb, cfg.factory(width), seed+1, opts)
+		if cfg.Opts.Replications > 0 {
+			res, err = core.EstimateParallel(tb, cfg.factory(width), seed+1, cfg.Opts)
 		} else {
 			res, err = core.Estimate(tb.NewSession(cfg.factory(width)(seed+1)), cfg.Opts)
 		}

@@ -30,8 +30,8 @@ type ModeRow struct {
 }
 
 // ModeComparison estimates every configured circuit under both power
-// modes with the bit-parallel estimator (cfg.Replications lanes; 64 if
-// the config leaves it at 0, matching EstimateParallel's default).
+// modes with the bit-parallel estimator (cfg.Opts.Replications lanes; 64
+// if the config leaves it at 0, matching EstimateParallel's default).
 // Both runs share a seed, so the comparison isolates the delay-model
 // axis.
 func ModeComparison(cfg Config) ([]ModeRow, error) {
@@ -48,12 +48,8 @@ func ModeComparison(cfg Config) ([]ModeRow, error) {
 		width := len(circ.Inputs)
 		seed := cfg.BaseSeed + 13_131_313 + int64(ci)*1_000_003
 
-		opts := cfg.Opts
-		opts.Replications = cfg.Replications
-		opts.Workers = cfg.Workers
-
 		run := func(mode power.PowerMode) (core.Result, float64, error) {
-			o := opts
+			o := cfg.Opts
 			o.Mode = mode
 			start := time.Now()
 			res, err := core.EstimateParallel(tb, cfg.factory(width), seed, o)

@@ -11,8 +11,8 @@ import (
 func TestModeComparison(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Circuits = []string{"s298"}
-	cfg.Replications = 32
-	cfg.Workers = 2
+	cfg.Opts.Replications = 32
+	cfg.Opts.Workers = 2
 	rows, err := ModeComparison(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -47,8 +47,8 @@ func TestTable1Parallel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Circuits = []string{"s27"}
 	cfg.RefCycles = func(int) int { return 5_000 }
-	cfg.Replications = 8
-	cfg.Workers = 2
+	cfg.Opts.Replications = 8
+	cfg.Opts.Workers = 2
 	rows, err := Table1(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,23 +7,18 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // The result cache exploits the estimator's end-to-end determinism:
-// identical (circuit content, input model, seed, canonicalized options)
-// always produce a bit-identical Result, so a repeated submission can
-// be answered instantly from the first run's result. The key hashes the
+// identical (circuit content, input model, seed, options) always
+// produce a bit-identical Result, so a repeated submission can be
+// answered instantly from the first run's result. The key hashes the
 // circuit's *provenance* (HashSource) rather than its registry name —
 // re-uploading the same netlist under the same name hits, replacing it
-// with different text misses — plus the request knobs with defaults
-// applied, so spelling a default explicitly still hits. Worker count is
-// excluded: results are worker-independent by construction. The
-// simulation backend is included even though estimates are
-// backend-independent too — the result's engine/backend labels report
-// what actually ran, and a cached compiled result must not answer a
-// packed request (or vice versa) with the wrong provenance.
+// with different text misses — plus the request with its defaults
+// applied, so spelling a default explicitly still hits.
 
 // HashSource content-addresses a circuit's provenance. Builtin circuits
 // hash their generator identity; uploads hash name, format and the full
@@ -46,84 +41,33 @@ func HashSource(src CircuitSource) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheKeySpec is the canonical form of everything a Result depends on.
-// Zero-valued request fields are expanded to their defaults before
-// hashing, so requests that differ only in how they spell a default
-// share a key. Options.Workers is deliberately absent: it tunes
-// throughput, never results.
-type cacheKeySpec struct {
-	Hash string `json:"hash"`
-	// Input model, normalized ("" kind means "iid", 0 probability means
-	// 0.5 — see SourceSpec.Factory).
-	Kind string  `json:"kind"`
-	P    float64 `json:"p"`
-	Rho  float64 `json:"rho,omitempty"`
-	Seed int64   `json:"seed"`
-	// Interval is the fixed independence interval, -1 when selection
-	// runs.
-	Interval int `json:"interval"`
-	// Estimation knobs with defaults applied.
-	RelErr        float64  `json:"relErr"`
-	Confidence    float64  `json:"confidence"`
-	Alpha         float64  `json:"alpha"`
-	SeqLen        int      `json:"seqLen"`
-	MaxInterval   int      `json:"maxInterval"`
-	CheckEvery    int      `json:"checkEvery"`
-	MaxSamples    int      `json:"maxSamples"`
-	Warmup        int      `json:"warmup"`
-	Replications  int      `json:"replications"`
-	Reuse         bool     `json:"reuse"`
-	Mode          string   `json:"mode"`
-	Variance      string   `json:"variance,omitempty"`
-	Beta          *float64 `json:"beta,omitempty"`
-	ControlCycles int      `json:"controlCycles,omitempty"`
-	// Breakdown widens the result (per-node attribution) without
-	// changing the estimate, so it must key the cache: a scalar-only
-	// result cannot answer a breakdown request. omitempty keeps every
-	// pre-existing key byte-identical for breakdown-less requests.
-	Breakdown bool `json:"breakdown,omitempty"`
-}
-
 // resultKey builds the cache key for a request whose circuit resolves
-// to the given provenance.
+// to the given provenance. The options enter as the expanded
+// core.Options, whose JSON tags name exactly the fields that can change
+// a Result: result-invariant knobs such as Workers are tagged "-" and so
+// stay out, and the two function-valued fields key by Name().
 func resultKey(src CircuitSource, req JobRequest) string {
 	opts := req.Options.Options()
-	spec := cacheKeySpec{
-		Hash:          HashSource(src),
-		Kind:          req.Source.Kind,
-		P:             req.Source.P,
-		Rho:           req.Source.Rho,
-		Seed:          req.Seed,
-		Interval:      -1,
-		RelErr:        opts.Spec.RelErr,
-		Confidence:    opts.Spec.Confidence,
-		Alpha:         opts.Alpha,
-		SeqLen:        opts.SeqLen,
-		MaxInterval:   opts.MaxInterval,
-		CheckEvery:    opts.CheckEvery,
-		MaxSamples:    opts.MaxSamples,
-		Warmup:        opts.WarmupCycles,
-		Replications:  opts.Replications,
-		Reuse:         opts.ReuseTestSamples,
-		Mode:          opts.Mode.String(),
-		Variance:      string(opts.Variance.Mode.Canonical()),
-		Beta:          opts.Variance.BetaOverride,
-		ControlCycles: opts.Variance.ControlCycles,
-		Breakdown:     opts.Breakdown,
+	source := req.Source
+	if source.Kind == "" {
+		source.Kind = "iid"
 	}
-	if spec.Kind == "" {
-		spec.Kind = "iid"
+	if source.P == 0 {
+		source.P = 0.5
 	}
-	if spec.P == 0 {
-		spec.P = 0.5
-	}
+	interval := -1
 	if req.Interval != nil {
-		spec.Interval = *req.Interval
+		interval = *req.Interval
 	}
-	if spec.Replications == 0 {
-		spec.Replications = sim.MaxLanes
-	}
-	blob, err := json.Marshal(spec)
+	blob, err := json.Marshal(struct {
+		Hash      string       `json:"hash"`
+		Source    SourceSpec   `json:"source"`
+		Seed      int64        `json:"seed"`
+		Interval  int          `json:"interval"`
+		Options   core.Options `json:"options"`
+		Criterion string       `json:"criterion"`
+		Test      string       `json:"test"`
+	}{HashSource(src), source, req.Seed, interval, opts, opts.NewCriterion(opts.Spec).Name(), opts.Test.Name()})
 	if err != nil {
 		return ""
 	}

@@ -9,7 +9,7 @@ import (
 
 // Dispatcher runs a validated job's estimation phase on a resolved
 // testbench. It is the seam between the job manager and the execution
-// substrate: the local dispatcher calls core.EstimateParallel in
+// substrate: the local dispatcher calls the parallel estimator in
 // process, the cluster dispatcher (internal/cluster.Coordinator) shards
 // the job's replications across dipe-worker processes and merges their
 // partial results into the same sequential stopping rule. Existing jobs
@@ -28,24 +28,16 @@ type Dispatcher interface {
 	// reporting running snapshots through progress (never concurrently
 	// with itself). On cancellation it returns the partial result with
 	// ctx's error, like core.EstimateParallelCtx.
-	Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, progress func(core.Progress)) (core.Result, error)
-}
-
-// ResumableDispatcher is the optional Dispatcher extension for
-// substrates that can checkpoint and resume the estimation flow at the
-// pre-sampling/sampling boundary. When the configured dispatcher
-// implements it and a job store is attached, the manager persists the
-// checkpoint the moment the plan freezes and ships it back on restart —
-// a resumed job skips interval selection and plan calibration and, by
-// the determinism contract, finishes with a Result bit-identical to the
-// uninterrupted run's.
-type ResumableDispatcher interface {
-	Dispatcher
-	// EstimateResumable is Estimate with the checkpoint seam exposed:
-	// a nil ckpt runs the pre-sampling phases and reports their frozen
-	// outcome through save (when non-nil) before sampling starts; a
-	// non-nil ckpt skips them and resumes sampling directly.
-	EstimateResumable(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error)
+	//
+	// The pre-sampling/sampling boundary is the checkpoint seam: a nil
+	// ckpt runs interval selection and plan resolution and reports their
+	// frozen outcome through save (when non-nil) before sampling starts;
+	// a non-nil ckpt skips them and resumes sampling directly. By the
+	// determinism contract a resumed job finishes with a Result
+	// bit-identical to the uninterrupted run's. The Result's Elapsed
+	// covers the whole call, so a resumed job reports this process's
+	// share.
+	Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error)
 }
 
 // WorkerRegistrar is the optional Dispatcher extension for substrates
@@ -114,21 +106,8 @@ func (localDispatcher) Name() string { return "local" }
 
 func (localDispatcher) Ready() error { return nil }
 
-func (d localDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, progress func(core.Progress)) (core.Result, error) {
-	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
-	if err != nil {
-		return core.Result{}, err
-	}
-	opts := req.Options.Options()
-	opts.Progress = progress
-	opts.Metrics = d.met
-	if req.Interval != nil {
-		return core.EstimateParallelWithIntervalCtx(ctx, tb, factory, req.Seed, opts, *req.Interval)
-	}
-	return core.EstimateParallelCtx(ctx, tb, factory, req.Seed, opts)
-}
-
-func (d localDispatcher) EstimateResumable(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
+func (d localDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
+	start := time.Now()
 	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
 	if err != nil {
 		return core.Result{}, err
@@ -138,14 +117,16 @@ func (d localDispatcher) EstimateResumable(ctx context.Context, tb *core.Testben
 	opts.Metrics = d.met
 	var rp core.ResumePoint
 	if ckpt != nil {
-		rp = ckpt.ResumePoint()
+		rp = *ckpt
 	} else {
 		if rp, err = core.PreparePlanCtx(ctx, tb, factory, req.Seed, opts, req.Interval); err != nil {
 			return core.Result{}, err
 		}
 		if save != nil {
-			save(CheckpointOf(rp))
+			save(rp)
 		}
 	}
-	return core.EstimateParallelResumeCtx(ctx, tb, factory, req.Seed, opts, rp)
+	res, err := core.EstimateParallelResumeCtx(ctx, tb, factory, req.Seed, opts, rp)
+	res.Elapsed = time.Since(start)
+	return res, err
 }

@@ -60,3 +60,56 @@ func FuzzJobRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzUpload feeds arbitrary bytes through the upload decoder into
+// Registry.Upload on a one-entry registry. No input may panic. An
+// accepted upload must keep the provenance of the body it came from,
+// and once a built-in circuit evicts it from the registry, rebuilding
+// it from that provenance must give a circuit with the same statistics.
+func FuzzUpload(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"t","text":"INPUT(A)\nOUTPUT(Y)\nQ = DFF(Y)\nY = XOR(A, Q)\n"}`,
+		`{"name":"t","format":"bench","text":"INPUT(A)\nINPUT(B)\nOUTPUT(Z)\nQ = DFF(Z)\nN = NAND(A, Q)\nZ = NOR(N, B)\n"}`,
+		`{"name":"t","format":"blif","text":".model t\n.inputs a\n.outputs q\n.latch d q 0\n.names a q d\n10 1\n01 1\n.end\n"}`,
+		`{"name":"s27","text":"INPUT(A)\nOUTPUT(A)\n"}`,
+		`{"name":"","text":""}`,
+		`{"name":"x","format":"verilog","text":"module x; endmodule"}`,
+		`{"name":"x","text":"OUTPUT(Y)\nY = AND(Y, Y)\n"}`,
+		`{"name":"x","text":"INPUT(A)\n","extra":1}`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req UploadRequest
+		if err := decodeJSON(bytes.NewReader(data), &req); err != nil {
+			return
+		}
+		reg := NewRegistry(1)
+		stats, err := reg.Upload(req.Name, req.Format, req.Text)
+		if err != nil {
+			return
+		}
+		src, err := reg.Source(req.Name)
+		if err != nil {
+			t.Fatalf("accepted upload %q has no provenance: %v", req.Name, err)
+		}
+		body := CircuitSource{Name: req.Name, Format: req.Format, Text: req.Text}
+		if HashSource(src) != HashSource(body) {
+			t.Fatalf("upload provenance %+v does not hash like its body %+v", src, body)
+		}
+		if _, err := reg.Testbench("s27"); err != nil {
+			t.Fatal(err)
+		}
+		if ev := reg.Stats().Evictions; ev != 1 {
+			t.Fatalf("s27 made %d evictions in a one-entry registry, want 1", ev)
+		}
+		tb, err := reg.Testbench(req.Name)
+		if err != nil {
+			t.Fatalf("rebuilding the evicted upload %q: %v", req.Name, err)
+		}
+		if got := tb.Circuit.ComputeStats(); got != stats {
+			t.Fatalf("rebuilt upload has stats %+v, want %+v", got, stats)
+		}
+	})
+}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
@@ -116,9 +117,12 @@ type OptionsSpec struct {
 	Breakdown bool `json:"breakdown,omitempty"`
 }
 
-// Options expands the spec over the paper defaults. Exported for
-// dispatchers, which derive the estimator configuration from the wire
-// spec.
+// Options expands the spec over the paper defaults into complete
+// options: the power mode comes back canonical and replications 0 as
+// the default of 64, so a request that spells out a default expands
+// (and keys the result cache) exactly like one that leaves it out.
+// Exported for dispatchers, which derive the estimator configuration
+// from the wire spec.
 func (o OptionsSpec) Options() core.Options {
 	opts := core.DefaultOptions()
 	if o.RelErr != 0 {
@@ -133,6 +137,7 @@ func (o OptionsSpec) Options() core.Options {
 	if o.SeqLen != 0 {
 		opts.SeqLen = o.SeqLen
 	}
+	opts.Replications = sim.MaxLanes
 	if o.Replications != 0 {
 		opts.Replications = o.Replications
 	}
@@ -142,7 +147,7 @@ func (o OptionsSpec) Options() core.Options {
 	if o.MaxSamples != 0 {
 		opts.MaxSamples = o.MaxSamples
 	}
-	opts.Mode = power.PowerMode(o.PowerMode)
+	opts.Mode = power.PowerMode(o.PowerMode).Canonical()
 	opts.Variance.Mode = vr.Mode(o.Variance).Canonical()
 	opts.Breakdown = o.Breakdown
 	return opts
@@ -841,25 +846,20 @@ func (m *Manager) run(j *job) {
 		}
 	}
 
-	var res core.Result
-	if rd, ok := m.dispatch.(ResumableDispatcher); ok {
+	m.mu.Lock()
+	ckpt := j.ckpt
+	m.mu.Unlock()
+	save := func(c Checkpoint) {
 		m.mu.Lock()
-		ckpt := j.ckpt
+		j.ckpt = &c
 		m.mu.Unlock()
-		save := func(c Checkpoint) {
-			m.mu.Lock()
-			j.ckpt = &c
-			m.mu.Unlock()
-			if m.store != nil {
-				// The spans so far ride along so a restart resumes the
-				// lifecycle trace, not just the sampling phase.
-				m.store.checkpoint(j.id, c, j.trace.Spans())
-			}
+		if m.store != nil {
+			// The spans so far ride along so a restart resumes the
+			// lifecycle trace, not just the sampling phase.
+			m.store.checkpoint(j.id, c, j.trace.Spans())
 		}
-		res, err = rd.EstimateResumable(ctx, tb, j.req, ckpt, save, progress)
-	} else {
-		res, err = m.dispatch.Estimate(ctx, tb, j.req, progress)
 	}
+	res, err := m.dispatch.Estimate(ctx, tb, j.req, ckpt, save, progress)
 	switch {
 	case errors.Is(err, context.Canceled):
 		m.finish(j, StateCancelled, nil, "cancelled")

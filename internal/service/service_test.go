@@ -588,3 +588,43 @@ func TestNonFiniteViewsEncode(t *testing.T) {
 		t.Fatalf("finite half-width altered: %+v", v)
 	}
 }
+
+// TestElapsedCoversWholeEstimate: a local job's elapsedMs times the
+// whole estimate, interval selection included, like the cluster
+// dispatcher's. Both it and the trace's select-interval span are
+// monotonic intervals and the span is nested in the timed call, so the
+// span can never be the longer one.
+func TestElapsedCoversWholeEstimate(t *testing.T) {
+	svc, _ := newTestService(t, Config{Workers: 1})
+	req := JobRequest{
+		Circuit: "s1494",
+		Seed:    1,
+		Options: OptionsSpec{Replications: 64, SeqLen: 4096, RelErr: 0.2},
+	}
+	id, err := svc.Jobs.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	v, err := svc.Jobs.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateDone || v.Result == nil {
+		t.Fatalf("job did not finish: %+v", v)
+	}
+	tr, _ := svc.Jobs.Trace(id)
+	selMS := -1.0
+	for _, sp := range tr.Spans {
+		if sp.Name == "select-interval" && sp.EndMS != nil {
+			selMS = *sp.EndMS - sp.T
+		}
+	}
+	if selMS < 0 {
+		t.Fatalf("trace has no closed select-interval span: %+v", tr.Spans)
+	}
+	if v.Result.ElapsedMS < selMS {
+		t.Fatalf("elapsedMs %.3f is shorter than the select-interval span %.3f ms it contains", v.Result.ElapsedMS, selMS)
+	}
+}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/vr"
 )
 
 // This file is the durability layer of the job manager: an append-only
@@ -27,60 +26,15 @@ import (
 // resumed job's final Result is identical to what the uninterrupted run
 // would have produced.
 
-// Checkpoint is the persisted form of core.ResumePoint: everything the
-// sampling phase needs to restart without repeating the pre-sampling
-// phases. It is written to the journal as soon as the plan is frozen
-// and shipped back into the dispatcher on resume.
-type Checkpoint struct {
-	// Interval is the selected (or fixed) independence interval.
-	Interval int `json:"interval"`
-	// Capped marks a selection that hit Options.MaxInterval.
-	Capped bool `json:"capped,omitempty"`
-	// SeedSeq is the accepted phase-1 sequence that seeds the stopping
-	// criterion under ReuseTestSamples; JSON renders float64 in shortest
-	// round-trip form, so persistence is lossless.
-	SeedSeq []float64 `json:"seedSeq,omitempty"`
-	// SeedToggles is the accepted phase-1 sequence's per-node transition
-	// counts (Options.Breakdown runs only); integers below 2^53 survive
-	// JSON exactly, so a resumed breakdown folds the same seed counts the
-	// uninterrupted run would have.
-	SeedToggles []uint64 `json:"seedToggles,omitempty"`
-	// Plan is the frozen variance-reduction plan.
-	Plan vr.Plan `json:"plan,omitzero"`
-	// HiddenCycles and SampledCycles are the pre-sampling phase costs,
-	// restored into the final Result's counters.
-	HiddenCycles  uint64 `json:"hiddenCycles,omitempty"`
-	SampledCycles uint64 `json:"sampledCycles,omitempty"`
-}
-
-// ResumePoint converts the persisted checkpoint back to the core seam.
-func (c Checkpoint) ResumePoint() core.ResumePoint {
-	return core.ResumePoint{
-		Interval:    c.Interval,
-		Capped:      c.Capped,
-		SeedSeq:     c.SeedSeq,
-		SeedToggles: c.SeedToggles,
-		Plan:        c.Plan,
-		Hidden:      c.HiddenCycles,
-		Sampled:     c.SampledCycles,
-	}
-}
-
-// CheckpointOf freezes a core.ResumePoint into its persisted form.
-// (Selection trial diagnostics are deliberately dropped: they document
-// the selection procedure, not the sampling phase, and never surface in
-// a ResultView.)
-func CheckpointOf(rp core.ResumePoint) Checkpoint {
-	return Checkpoint{
-		Interval:      rp.Interval,
-		Capped:        rp.Capped,
-		SeedSeq:       rp.SeedSeq,
-		SeedToggles:   rp.SeedToggles,
-		Plan:          rp.Plan,
-		HiddenCycles:  rp.Hidden,
-		SampledCycles: rp.Sampled,
-	}
-}
+// Checkpoint is the journaled core.ResumePoint: everything the sampling
+// phase needs to restart without repeating the pre-sampling phases. It
+// is written to the journal as soon as the plan is frozen and shipped
+// back into the dispatcher on resume. JSON renders float64 in shortest
+// round-trip form and the toggle counts stay below 2^53, so persistence
+// is lossless; selection trials are not persisted (they document the
+// selection procedure, not the sampling phase, and never surface in a
+// ResultView).
+type Checkpoint = core.ResumePoint
 
 // storeRecord is one journal line. Kind selects which optional fields
 // are meaningful.

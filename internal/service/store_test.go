@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/vr"
 )
 
 // stallDispatcher is the local dispatcher with a crash stand-in: the
@@ -22,7 +23,7 @@ import (
 // and progress only fires during sampling) and BEFORE it can finish, so
 // a restart test never races the estimator.
 type stallDispatcher struct {
-	inner   ResumableDispatcher
+	inner   Dispatcher
 	running chan struct{}
 	once    sync.Once
 }
@@ -35,11 +36,7 @@ func (d *stallDispatcher) Name() string { return d.inner.Name() }
 
 func (d *stallDispatcher) Ready() error { return d.inner.Ready() }
 
-func (d *stallDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, progress func(core.Progress)) (core.Result, error) {
-	return d.inner.Estimate(ctx, tb, req, progress)
-}
-
-func (d *stallDispatcher) EstimateResumable(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
+func (d *stallDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
 	wrapped := func(p core.Progress) {
 		if progress != nil {
 			progress(p)
@@ -47,7 +44,7 @@ func (d *stallDispatcher) EstimateResumable(ctx context.Context, tb *core.Testbe
 		d.once.Do(func() { close(d.running) })
 		<-ctx.Done()
 	}
-	return d.inner.EstimateResumable(ctx, tb, req, ckpt, save, wrapped)
+	return d.inner.Estimate(ctx, tb, req, ckpt, save, wrapped)
 }
 
 // sameResultView compares two result views bit for bit, ignoring the
@@ -295,7 +292,9 @@ func TestJournalWithRemovedFieldsRestores(t *testing.T) {
 
 // TestCheckpointRoundTrip: the persisted checkpoint reproduces the core
 // resume point exactly, including the float64 seed sequence (JSON's
-// shortest round-trip rendering is lossless).
+// shortest round-trip rendering is lossless), and a checkpoint line in
+// the journal format of earlier releases (cycle counters under
+// hiddenCycles/sampledCycles) restores to the same resume point.
 func TestCheckpointRoundTrip(t *testing.T) {
 	rp := core.ResumePoint{
 		Interval: 7,
@@ -304,7 +303,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Hidden:   1234,
 		Sampled:  5678,
 	}
-	b, err := json.Marshal(CheckpointOf(rp))
+	b, err := json.Marshal(Checkpoint(rp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,8 +311,31 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if got := back.ResumePoint(); !reflect.DeepEqual(got, rp) {
+	if got := core.ResumePoint(back); !reflect.DeepEqual(got, rp) {
 		t.Errorf("checkpoint round trip changed the resume point\n got %+v\nwant %+v", got, rp)
+	}
+
+	line := `{"kind":"checkpoint","id":"job-000003","checkpoint":{"interval":2,` +
+		`"seedSeq":[0.0015625,0.000030517578125],"seedToggles":[0,17,4503599627370495],` +
+		`"plan":{"mode":"control-variate","beta":0.8125,"controlMean":0.000244140625},` +
+		`"hiddenCycles":9000,"sampledCycles":640},"spans":[{"name":"submit","tMs":0}]}`
+	want := core.ResumePoint{
+		Interval:    2,
+		SeedSeq:     []float64{0.0015625, 3.0517578125e-05},
+		SeedToggles: []uint64{0, 17, 1<<52 - 1},
+		Plan:        vr.Plan{Mode: vr.ModeControlVariate, Beta: 0.8125, ControlMean: 0x1p-12},
+		Hidden:      9000,
+		Sampled:     640,
+	}
+	var rec storeRecord
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Checkpoint == nil {
+		t.Fatal("journal line decoded without its checkpoint")
+	}
+	if got := core.ResumePoint(*rec.Checkpoint); !reflect.DeepEqual(got, want) {
+		t.Errorf("journaled checkpoint restored as\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -322,7 +344,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // after the run, seed 3 parks in its first progress report until it is
 // cancelled, any other seed finishes.
 type endingDispatcher struct {
-	inner  ResumableDispatcher
+	inner  Dispatcher
 	parked chan struct{}
 	mu     sync.Mutex
 	saves  map[int64]int
@@ -330,11 +352,7 @@ type endingDispatcher struct {
 
 func (d *endingDispatcher) Name() string { return d.inner.Name() }
 func (d *endingDispatcher) Ready() error { return d.inner.Ready() }
-func (d *endingDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, progress func(core.Progress)) (core.Result, error) {
-	return d.inner.Estimate(ctx, tb, req, progress)
-}
-
-func (d *endingDispatcher) EstimateResumable(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
+func (d *endingDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
 	counted := func(c Checkpoint) {
 		d.mu.Lock()
 		d.saves[req.Seed]++
@@ -353,7 +371,7 @@ func (d *endingDispatcher) EstimateResumable(ctx context.Context, tb *core.Testb
 			<-ctx.Done()
 		}
 	}
-	res, err := d.inner.EstimateResumable(ctx, tb, req, ckpt, counted, wrapped)
+	res, err := d.inner.Estimate(ctx, tb, req, ckpt, counted, wrapped)
 	if req.Seed == 2 && err == nil {
 		return core.Result{}, errors.New("injected failure after the checkpoint")
 	}
