@@ -108,9 +108,9 @@ type workerState struct {
 // (one compiled trajectory — small against the sampling phase), the
 // replication space is partitioned into contiguous ranges, one
 // streaming /v1/run per range is opened on the live workers, and the
-// per-range sample blocks are merged through core.Merger in the
-// canonical order, making the pooled sequential stopping decision
-// bit-identical to core.EstimateParallel with the same seeds. Worker
+// per-range sample blocks are fed to core.Tail, the merge loop
+// core.EstimateParallel runs, in the canonical order, making the pooled
+// sequential stopping decision bit-identical to it with the same seeds. Worker
 // death mid-stream triggers reassignment: another worker re-runs the
 // range with SkipBlocks set to the already-merged prefix, which the
 // deterministic seeding reproduces exactly.
@@ -439,9 +439,6 @@ func (c *Coordinator) Estimate(ctx context.Context, tb *core.Testbench, req serv
 	var rp core.ResumePoint
 	if ckpt != nil {
 		rp = *ckpt
-		if rp.Interval < 0 {
-			return core.Result{}, fmt.Errorf("cluster: negative interval %d", rp.Interval)
-		}
 	} else {
 		// The up-front local validation (instead of bouncing a bad fixed
 		// interval off every worker as a 400) happens inside
@@ -454,18 +451,14 @@ func (c *Coordinator) Estimate(ctx context.Context, tb *core.Testbench, req serv
 		}
 	}
 
-	res, err := c.sampledPhase(ctx, tb, req, opts, rp.Plan, rp.Interval, rp.SeedSeq, rp.SeedToggles)
-	res.Trials = rp.Trials
-	res.IntervalCapped = rp.Capped
-	res.HiddenCycles += rp.Hidden
-	res.SampledCycles += rp.Sampled
+	res, err := c.sampledPhase(ctx, tb, req, opts, rp)
 	res.Elapsed = time.Since(start)
 	return res, err
 }
 
 // rangeMsg is one delivery from a range stream to the merge loop.
 type rangeMsg struct {
-	block StreamBlock
+	block core.ReplicationBlock
 	err   error
 }
 
@@ -476,34 +469,16 @@ type repRange struct {
 	ch     chan rangeMsg
 }
 
-// sampledPhase is the distributed analogue of parallelTail: it streams
-// sample blocks from one worker per replication range and merges them
-// through core.Merger under the job's sequential stopping rule.
-func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req service.JobRequest, opts core.Options, plan vr.Plan, interval int, seedSeq []float64, seedToggles []uint64) (core.Result, error) {
-	m, err := core.NewMerger(opts)
+// sampledPhase is the distributed block producer of core.Tail: it
+// streams sample blocks from one worker per replication range and feeds
+// them to the job's merge loop, which makes the stopping decision and
+// builds the Result exactly as the in-process estimator does.
+func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req service.JobRequest, opts core.Options, rp core.ResumePoint) (core.Result, error) {
+	t, err := core.NewTail(tb, opts, rp)
 	if err != nil {
 		return core.Result{}, err
 	}
-	if opts.ReuseTestSamples {
-		m.Seed(seedSeq)
-	}
-	reps, rounds := m.Reps(), m.Rounds()
-	// Per-node attribution state: the merged blocks' count deltas fold
-	// into one accumulator, and the workers are told the merge loop's
-	// round budget so the final (possibly clipped) block's delta covers
-	// exactly the rounds merged here — the bit-identity contract with
-	// the in-process estimator.
-	var counts []uint64
-	budgetRounds := 0
-	if opts.Breakdown {
-		counts = make([]uint64, tb.Circuit.NumNodes())
-		budgetRounds = (opts.MaxSamples - m.N()) / m.PerRound()
-	}
-	// Budget ceiling for orphaned streams: strictly more blocks than the
-	// merge loop can consume before its own MaxSamples cutoff fires
-	// (PerRound, not reps: antithetic pairing halves the criterion
-	// samples a round yields, doubling the blocks the budget can fund).
-	maxBlocks := opts.MaxSamples/(m.PerRound()*rounds) + 2
+	reps, rounds := t.Reps(), t.Rounds()
 
 	src, err := c.resolveSource(req.Circuit)
 	if err != nil {
@@ -545,14 +520,13 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 	bounds := core.SplitRangeAligned(0, reps, k, align)
 	ranges := make([]*repRange, k)
 	lanes := make([]int, k)
-	blocks := make([][]float64, k)
 
 	tr := obs.TraceFrom(ctx)
 	tr.Event("shard",
 		"ranges", strconv.Itoa(k),
 		"workers", strconv.Itoa(len(alive)),
 		"replications", strconv.Itoa(reps),
-		"interval", strconv.Itoa(interval))
+		"interval", strconv.Itoa(rp.Interval))
 
 	js := newJobScheduler(c)
 	sctx, cancel := context.WithCancel(ctx)
@@ -561,94 +535,30 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 		rg := &repRange{idx: i, lo: b[0], hi: b[1], ch: make(chan rangeMsg, 16)}
 		ranges[i] = rg
 		lanes[i] = b[1] - b[0]
-		go c.runLeasedRange(sctx, js, hash, src, req, plan, interval, rounds, maxBlocks, budgetRounds, rg)
+		go c.runLeasedRange(sctx, js, hash, src, req, rp.Plan, rp.Interval, rounds, t.MaxBlocks(), t.BudgetRounds(), rg)
 	}
 
-	engineName, delayName := core.EngineLabels(tb, opts, plan)
-	result := func(converged bool) core.Result {
-		// Cycle counters follow from the merged prefix alone — warm-up
-		// plus interval hidden cycles and one sampled cycle per merged
-		// round per replication — which matches the single-process
-		// estimator's counters exactly and is independent of how far
-		// ahead workers streamed before cancellation.
-		merged := uint64(m.MergedRounds())
-		if opts.Progress != nil {
-			opts.Progress(m.Progress(interval))
-		}
-		res := core.Result{
-			Power:         m.Estimate(),
-			Interval:      interval,
-			SampleSize:    m.N(),
-			HalfWidth:     m.HalfWidth(),
-			HiddenCycles:  uint64(reps)*uint64(opts.WarmupCycles) + merged*uint64(interval)*uint64(reps),
-			SampledCycles: merged * uint64(reps),
-			Criterion:     m.CriterionName(),
-			Engine:        engineName,
-			Backend:       string(opts.Backend.Canonical()),
-			DelayModel:    delayName,
-			Variance:      plan.Label(),
-			CVBeta:        plan.Beta,
-			Converged:     converged,
-		}
-		if opts.Breakdown {
-			// Only merged blocks folded their deltas, so the counts cover
-			// exactly the merged prefix — like the cycle counters, the
-			// report is independent of how far ahead workers streamed.
-			res.Breakdown = core.FinishBreakdown(tb, opts, m, len(seedSeq), seedToggles, counts)
-			if opts.Metrics != nil {
-				opts.Metrics.Power.Observe(res.Breakdown)
-			}
-		}
-		return res
-	}
-
-	for b := 0; !m.Done(); b++ {
-		if err := ctx.Err(); err != nil {
-			return result(false), err
-		}
-		n := m.NextRounds()
-		if n < 1 {
-			return result(false), nil
-		}
+	blocks := make([]core.ReplicationBlock, k)
+	return t.Run(ctx, lanes, func(b, _ int) ([]core.ReplicationBlock, error) {
 		// Barrier: block b from every range, in replication order.
 		for i, rg := range ranges {
 			select {
 			case <-ctx.Done():
-				return result(false), ctx.Err()
+				return nil, ctx.Err()
 			case msg, ok := <-rg.ch:
 				switch {
 				case !ok:
-					return result(false), fmt.Errorf("cluster: range [%d,%d) stream ended before block %d", rg.lo, rg.hi, b)
+					return nil, fmt.Errorf("cluster: range [%d,%d) stream ended before block %d", rg.lo, rg.hi, b)
 				case msg.err != nil:
-					return result(false), fmt.Errorf("cluster: range [%d,%d): %w", rg.lo, rg.hi, msg.err)
+					return nil, fmt.Errorf("cluster: range [%d,%d): %w", rg.lo, rg.hi, msg.err)
 				case msg.block.Index != b:
-					return result(false), fmt.Errorf("cluster: range [%d,%d) delivered block %d, want %d", rg.lo, rg.hi, msg.block.Index, b)
-				case opts.Breakdown && len(msg.block.Counts) != len(counts):
-					return result(false), fmt.Errorf("cluster: range [%d,%d) block %d carries %d node counts, want %d",
-						rg.lo, rg.hi, b, len(msg.block.Counts), len(counts))
+					return nil, fmt.Errorf("cluster: range [%d,%d) delivered block %d, want %d", rg.lo, rg.hi, msg.block.Index, b)
 				}
-				blocks[i] = msg.block.Samples
-				if opts.Breakdown {
-					// Fold the delta as the block is merged; discarded
-					// (post-convergence) blocks never reach this point.
-					for j, d := range msg.block.Counts {
-						counts[j] += d
-					}
-				}
+				blocks[i] = msg.block
 			}
 		}
-		if err := m.MergeBlock(blocks, lanes, n); err != nil {
-			return result(false), err
-		}
-		tr.Event("merge-round",
-			"rounds", strconv.Itoa(m.MergedRounds()),
-			"samples", strconv.Itoa(m.N()),
-			"halfWidth", strconv.FormatFloat(m.HalfWidth(), 'g', 6, 64))
-		if opts.Progress != nil {
-			opts.Progress(m.Progress(interval))
-		}
-	}
-	return result(true), nil
+		return blocks, nil
+	})
 }
 
 // resolveSource finds the provenance for a job circuit.
@@ -764,7 +674,7 @@ func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, h
 	}
 	want := rounds * (rg.hi - rg.lo)
 	for sc.Scan() {
-		var blk StreamBlock
+		var blk core.ReplicationBlock
 		if err := json.Unmarshal(sc.Bytes(), &blk); err != nil {
 			return fmt.Errorf("cluster: worker %s: bad block: %w", worker, err)
 		}

@@ -1,10 +1,12 @@
 // Package cluster shards the paper's estimation procedure across
 // processes: a Coordinator partitions a job's independent replications
 // into contiguous seed ranges, streams their power samples back from
-// stateless dipe-worker processes over HTTP, and merges the partial
-// results into one pooled sequential stopping rule (core.Merger) — so
+// stateless dipe-worker processes over HTTP, and feeds them to the
+// same merge loop the single-process estimator runs (core.Tail) — so
 // the two-phase stopping decision of the paper is made globally, on
 // merged statistics, exactly as the single-process estimator makes it.
+// A worker's stream is the single-process estimator's block producer
+// (core.StreamReplications) pushed onto the wire.
 //
 // Determinism is the load-bearing property. Replication r is seeded
 // baseSeed+1+r no matter which worker runs it, a replication's sample
@@ -24,8 +26,10 @@
 //	POST /v1/run       stream one replication range's sample blocks
 //
 // /v1/run responds with newline-delimited JSON: a StreamHeader line,
-// then one StreamBlock line per round-block until MaxBlocks or client
-// disconnect. Circuits are content-addressed by provenance hash; a run
+// then one core.ReplicationBlock line per round-block until MaxBlocks or
+// client disconnect. A worker refuses, with 400, a request whose range
+// or block cadence the job's own options do not allow, or whose options
+// exceed the submit bounds (RunRequest.Validate). Circuits are content-addressed by provenance hash; a run
 // for an unknown hash fails with 404 and the coordinator uploads the
 // provenance (builtin benchmark name, or the original netlist text)
 // before retrying — workers rebuild the exact frozen circuit the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/service"
@@ -52,14 +53,21 @@ type RunRequest struct {
 	// stream can never run unbounded.
 	MaxBlocks int `json:"maxBlocks,omitempty"`
 	// BudgetRounds is the merge side's total round budget under
-	// options.breakdown ((MaxSamples - seeded samples) / PerRound; 0 =
-	// unbounded): the final block's count delta (StreamBlock.Counts) is
+	// options.breakdown (core.Tail.BudgetRounds; 0 = unbounded): the
+	// final block's toggle delta (core.ReplicationBlock.Toggles) is
 	// clipped to it exactly as the coordinator's merger clips the rounds
 	// it consumes.
 	BudgetRounds int `json:"budgetRounds,omitempty"`
 }
 
-// Validate rejects requests a worker could not run.
+// Validate rejects requests a worker could not run, and streams whose
+// shape the job's own options do not allow: the replication range must
+// lie inside the job's replication space and the block cadence must not
+// exceed the one the coordinator derives from the options
+// (max(1, CheckEvery/Replications), as core.Merger does). A worker
+// allocates the range's sessions and rounds × lanes samples before the
+// first block, so these bounds, with the job's own size limits, are
+// what keep one request from exhausting its memory.
 func (r RunRequest) Validate() error {
 	switch {
 	case r.Hash == "":
@@ -77,8 +85,15 @@ func (r RunRequest) Validate() error {
 	case r.BudgetRounds < 0:
 		return fmt.Errorf("cluster: negative budgetRounds %d", r.BudgetRounds)
 	}
-	if err := r.Options.Options().Validate(); err != nil {
+	if err := r.Options.Validate(); err != nil {
 		return err
+	}
+	opts := r.Options.Options()
+	if r.RepHi > opts.Replications {
+		return fmt.Errorf("cluster: replication range [%d, %d) outside the job's %d replications", r.RepLo, r.RepHi, opts.Replications)
+	}
+	if cadence := max(1, opts.CheckEvery/opts.Replications); r.Rounds > cadence {
+		return fmt.Errorf("cluster: block rounds %d above the job's cadence of %d", r.Rounds, cadence)
 	}
 	return r.VR.Validate()
 }
@@ -88,21 +103,6 @@ func (r RunRequest) Validate() error {
 type StreamHeader struct {
 	Lanes  int `json:"lanes"`
 	Rounds int `json:"rounds"`
-}
-
-// StreamBlock is one round-block of samples: Rounds rounds, round-major
-// with replications ascending within a round. encoding/json renders
-// float64 in shortest round-trip form, so the wire format is lossless
-// and the merged estimate stays bit-identical to a local run.
-type StreamBlock struct {
-	Index   int       `json:"b"`
-	Samples []float64 `json:"s"`
-	// Counts is the block's per-node transition-count delta (indexed by
-	// NodeID, summed over the range's replications), present only when
-	// the run requested a breakdown. Integers survive JSON exactly below
-	// 2^53 — a bound no single block can reach — so folding the merged
-	// blocks' deltas reproduces the in-process accumulator bit for bit.
-	Counts []uint64 `json:"c,omitempty"`
 }
 
 // InstallRequest propagates a circuit to a worker that missed its hash.
@@ -151,11 +151,16 @@ func writeError(w http.ResponseWriter, status int, err error) {
 const maxBodyBytes = 8 << 20
 
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
+}
+
+// decodeJSON decodes one request body, rejecting unknown fields.
+func decodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }

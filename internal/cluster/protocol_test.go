@@ -10,7 +10,9 @@ import (
 
 // TestRunRequestValidate: a worker rejects every run request it could
 // not run with a 400 before any stream starts, including one whose
-// option spec expands to invalid estimator options. A request without
+// option spec expands to invalid estimator options or exceeds the job
+// size limits, and one whose range or block cadence the job's options
+// do not allow. A request without
 // an options block expands to the paper defaults and is accepted; the
 // worker then answers 404 because it has never seen the hash.
 func TestRunRequestValidate(t *testing.T) {
@@ -27,6 +29,11 @@ func TestRunRequestValidate(t *testing.T) {
 		{"bogus power mode", `{` + valid + `,"options":{"powerMode":"bogus"}}`, false},
 		{"negative replications", `{` + valid + `,"options":{"replications":-1}}`, false},
 		{"negative workers", `{` + valid + `,"options":{"workers":-1}}`, false},
+		{"rounds 2^33", `{"hash":"deadbeef","seed":1,"interval":1,"repLo":0,"repHi":64,"rounds":8589934592,"maxBlocks":1}`, false},
+		{"rounds above the cadence", `{"hash":"deadbeef","seed":1,"interval":1,"repLo":0,"repHi":64,"rounds":2,"options":{"replications":64}}`, false},
+		{"range past the replications", `{"hash":"deadbeef","seed":1,"interval":1,"repLo":0,"repHi":65,"rounds":1,"options":{"replications":64}}`, false},
+		{"replications above the limit", `{` + valid + `,"options":{"replications":4097}}`, false},
+		{"sample budget above the limit", `{` + valid + `,"options":{"maxSamples":16777217}}`, false},
 	}
 	srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
 	defer srv.Close()

@@ -183,11 +183,12 @@ func (w *Worker) lookup(hash string) *core.Testbench {
 }
 
 // handleRun streams a replication range's sample blocks as NDJSON: one
-// StreamHeader line, then StreamBlock lines until MaxBlocks is reached
-// or the client disconnects (the coordinator cancels the request when
-// the pooled criterion converges). All validation happens before the
-// 200 header goes out; once streaming starts the only failure modes are
-// connection loss, which the coordinator treats as a worker death.
+// StreamHeader line, then core.ReplicationBlock lines until MaxBlocks is
+// reached or the client disconnects (the coordinator cancels the
+// request when the pooled criterion converges). All validation happens
+// before the 200 header goes out; once streaming starts the only
+// failure modes are connection loss, which the coordinator treats as a
+// worker death.
 func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	var req RunRequest
 	if !readJSON(rw, r, &req) {
@@ -237,7 +238,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	_ = core.StreamReplications(r.Context(), tb, factory, req.Seed, req.Options.Options(),
 		req.VR, req.Interval, req.RepLo, req.RepHi, req.Rounds, req.SkipBlocks, req.MaxBlocks, req.BudgetRounds,
 		func(b core.ReplicationBlock) error {
-			if err := enc.Encode(StreamBlock{Index: b.Index, Samples: b.Samples, Counts: b.Toggles}); err != nil {
+			if err := enc.Encode(b); err != nil {
 				return err
 			}
 			w.blocks.Add(1)

@@ -122,11 +122,11 @@ type Options struct {
 	// dipe-server job manager) use it to surface live job status. It does
 	// not affect the estimate.
 	Progress func(Progress) `json:"-"`
-	// Metrics, if non-nil, receives convergence telemetry (rounds,
-	// samples, half-width, samples/s) from the Merger after every merged
-	// block — both the in-process sampling tail and the cluster
-	// coordinator's merge loop flow through it. Like Progress it never
-	// affects the estimate; nil costs one branch per block.
+	// Metrics, if non-nil, receives process-wide telemetry (runs,
+	// rounds, samples) from the Merger after every merged block — both
+	// the in-process sampling tail and the cluster coordinator's merge
+	// loop flow through it. Like Progress it never affects the estimate;
+	// nil costs one branch per block.
 	Metrics *Metrics `json:"-"`
 }
 

@@ -17,7 +17,12 @@
 // procedure over the runs test); the sampling/stopping phase implements
 // Section IV. EstimateParallel runs the same flow with many independent
 // replications advanced concurrently on the lane-parallel simulators,
-// with deterministic seeding and merge order. Its phase 1 (warm-up and
+// with deterministic seeding and merge order. Its sampling phase has one
+// block producer, which steps a replication range through rounds of
+// hidden and sampled cycles, and one merge loop (Tail), which owns the
+// stopping rule and builds the Result; the cluster coordinator feeds
+// the same loop from worker streams of the same producer
+// (StreamReplications). Its phase 1 (warm-up and
 // Fig. 2) runs on a compiled sim.Trajectory rather than a scalar
 // session: SelectInterval accepts either through the Collector
 // interface, and both give bit-identical samples. The Ctx variants add

@@ -3,9 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"strconv"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stopping"
@@ -13,20 +14,22 @@ import (
 	"repro/internal/vr"
 )
 
-// This file is the partial-result layer of the parallel estimator,
-// exported so the distributed coordinator (internal/cluster) can shard
-// the replication space across processes while keeping the paper's
+// This file is the sampling tail of the parallel estimator, exported so
+// the distributed coordinator (internal/cluster) can shard the
+// replication space across processes while keeping the paper's
 // sequential stopping rule statistically — and bit-for-bit — intact:
 //
 //   - Merger owns the pooled stopping criterion and merges blocks of
 //     per-replication samples in the canonical order (round-major,
-//     ascending replication index), exactly as parallelTail does
-//     in-process. parallelTail itself is built on it, so a remote merge
-//     that feeds the same sample values cannot diverge from the local
-//     estimator.
-//   - StreamReplications runs a contiguous sub-range of the replication
-//     space at a fixed interval and emits its samples in round-blocks —
-//     the worker side of the coordinator/worker protocol.
+//     ascending replication index).
+//   - Tail is the one merge loop around it: the budget rule, progress,
+//     the trace's merge-round events, the breakdown fold and the
+//     Result. The in-process estimator feeds it blocks from one
+//     replicationRun over every replication; the coordinator feeds it
+//     the blocks its worker streams deliver.
+//   - StreamReplications is the worker side: one replicationRun over a
+//     contiguous sub-range of the replication space, emitting its
+//     samples in round-blocks.
 //
 // Determinism contract: replication r is always seeded baseSeed+1+r, a
 // replication's sample stream depends only on its own seed (packed
@@ -57,7 +60,7 @@ type Merger struct {
 	pairs    []float64 // scratch: one round's pair means
 
 	met   *Metrics  // convergence telemetry sink (nil = off)
-	start time.Time // sampling-phase start, for samples/s
+	start time.Time // sampling-phase start, for Progress.Elapsed
 }
 
 // NewMerger builds the pooled stopping state for an EstimateParallel-
@@ -177,15 +180,9 @@ func (m *Merger) MergeBlock(ranges [][]float64, lanes []int, n int) error {
 	}
 	m.merged += n
 	if m.met != nil {
-		// One telemetry update per merged block: the convergence
-		// trajectory of the sequential stopping rule, live.
+		// One telemetry update per merged block.
 		m.met.Rounds.Add(uint64(n))
 		m.met.Samples.Add(uint64(n * m.perRound))
-		m.met.Mean.Set(m.crit.Estimate())
-		m.met.HalfWidth.Set(m.crit.HalfWidth())
-		if elapsed := time.Since(m.start).Seconds(); elapsed > 0 {
-			m.met.Rate.Set(float64(m.crit.N()) / elapsed)
-		}
 	}
 	return nil
 }
@@ -219,17 +216,15 @@ func (m *Merger) Progress(interval int) Progress {
 	}
 }
 
-// FinishBreakdown builds the per-node attribution report for a sampling
+// finishBreakdown builds the per-node attribution report for a sampling
 // phase whose merged samples produced the given transition counts. It
 // folds the phase-1 seed toggles into total in place — exactly when the
 // seed sequence also seeded the criterion (opts.ReuseTestSamples), so
 // counts and samples stay in lockstep — computes the observation
 // denominator (seeded samples plus one sample per replication per
 // merged round), and ranks the report against the testbench's power
-// model. Both the in-process tail and the cluster coordinator finish
-// through here, which is what makes an N-worker breakdown bit-identical
-// to the local one.
-func FinishBreakdown(tb *Testbench, opts Options, m *Merger, seedLen int, seedToggles, total []uint64) *power.BreakdownReport {
+// model.
+func finishBreakdown(tb *Testbench, opts Options, m *Merger, seedLen int, seedToggles, total []uint64) *power.BreakdownReport {
 	observed := uint64(m.MergedRounds()) * uint64(m.Reps())
 	if opts.ReuseTestSamples && len(seedToggles) == len(total) {
 		for i, n := range seedToggles {
@@ -242,10 +237,9 @@ func FinishBreakdown(tb *Testbench, opts Options, m *Merger, seedLen int, seedTo
 
 // SplitRange partitions [lo, hi) into k contiguous sub-ranges whose
 // sizes differ by at most one, in ascending order. It is THE partition
-// rule of the replication space: parallelTail's goroutine shards,
-// StreamReplications' packed sessions and the cluster coordinator's
-// worker ranges all use it, which is what keeps every layout merging
-// the same samples at the same boundaries.
+// rule of the replication space: replicationRun's goroutine shards and
+// the cluster coordinator's worker ranges both use it, which is what
+// keeps every layout merging the same samples at the same boundaries.
 func SplitRange(lo, hi, k int) [][2]int {
 	out := make([][2]int, 0, k)
 	next := lo
@@ -286,34 +280,35 @@ func SplitRangeAligned(lo, hi, k, align int) [][2]int {
 	return out
 }
 
-// ReplicationBlock is one round-block emitted by StreamReplications:
-// Rounds rounds of samples from a contiguous replication range, round-
-// major with replications ascending within a round.
+// ReplicationBlock is one round-block of samples from a contiguous
+// replication range, round-major with replications ascending within a
+// round. It is also the block line of a cluster worker's stream:
+// encoding/json renders float64 in shortest round-trip form, so the wire
+// format is lossless and a merged estimate stays bit-identical to a
+// local run.
 type ReplicationBlock struct {
 	// Index is the block's position in the stream (0-based, counting
 	// skipped blocks).
-	Index int
-	// Rounds is the number of rounds in the block.
-	Rounds int
-	// Samples holds Rounds*lanes power samples, round-major.
-	Samples []float64
+	Index int `json:"b"`
+	// Samples holds the block's rounds × lanes power samples, round-major.
+	Samples []float64 `json:"s"`
 	// Toggles holds the block's per-node transition-count delta (indexed
-	// by NodeID, summed over the range's replications), emitted only
+	// by NodeID, summed over the range's replications), present only
 	// under Options.Breakdown. The delta covers exactly the rounds of
-	// this block the merge side will consume — the block cadence, clipped
-	// by the budgetRounds schedule — so folding the deltas of the merged
-	// blocks reproduces the in-process accumulator bit for bit.
-	Toggles []uint64
+	// this block the merge side consumes — the block cadence, clipped by
+	// the sample budget — so folding the deltas of the merged blocks
+	// reproduces the in-process accumulator bit for bit. Integers survive
+	// JSON exactly below 2^53, a bound no single block can reach.
+	Toggles []uint64 `json:"c,omitempty"`
 }
 
 // StreamReplications runs replications [lo, hi) of an EstimateParallel-
 // shaped run at a fixed independence interval and emits their power
-// samples in blocks of `rounds` rounds. Replication r is seeded
-// baseSeed+1+r — the same mapping parallelTail uses, including the
-// plan's antithetic mirroring of odd replications — so the emitted
-// samples are bit-identical to the corresponding lanes of a single-
-// process run, regardless of how [lo, hi) is packed into 64-lane words
-// or spread over opts.Workers goroutines.
+// samples in blocks of `rounds` rounds. It is the in-process
+// estimator's block producer over a sub-range, so the emitted samples
+// are bit-identical to the corresponding lanes of a single-process run,
+// regardless of how [lo, hi) is packed into lane words or spread over
+// opts.Workers goroutines.
 //
 // plan is the resolved variance-reduction plan (ResolvePlan): under the
 // control-variate mode each emitted sample is already transformed
@@ -330,11 +325,11 @@ type ReplicationBlock struct {
 //
 // Under opts.Breakdown each block additionally carries its per-node
 // transition-count delta. budgetRounds is the merge side's total round
-// budget ((MaxSamples - seeded samples) / PerRound; 0 = unbounded): the
-// merger clips its final block to it, so block b's delta covers
-// min(rounds, budgetRounds - b*rounds) rounds even though the block
-// always carries the full `rounds` rounds of samples. Outside breakdown
-// runs budgetRounds is ignored.
+// budget (Tail.BudgetRounds; 0 = unbounded): the merger clips its final
+// block to it, so block b's delta covers min(rounds, budgetRounds -
+// b*rounds) rounds even though the block always carries the full
+// `rounds` rounds of samples. Outside breakdown runs budgetRounds is
+// ignored.
 //
 // opts contributes WarmupCycles, Mode, Workers and Breakdown; the
 // stopping criterion is not consulted — stopping is the merger's job.
@@ -357,54 +352,11 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 	case opts.WarmupCycles < 0:
 		return fmt.Errorf("core: negative WarmupCycles %d", opts.WarmupCycles)
 	}
-	n := hi - lo
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	useCov := plan.NeedsCovariate()
-	packedSampled := wordSampled(tb, opts, plan)
-
-	// The same shard layout as parallelTail (newShards), over the
-	// sub-range: contiguous ascending so block assembly is
-	// replication-ordered.
-	shards, err := newShards(tb, src, baseSeed, opts, plan, lo, hi, workers, packedSampled, useCov)
+	run, err := newReplicationRun(tb, src, baseSeed, opts, plan, interval, lo, hi, rounds)
 	if err != nil {
 		return err
 	}
-	// Per-node attribution: each shard counts into a private accumulator
-	// and keeps a per-block snapshot (`snap`) taken after the rounds the
-	// merge side will actually consume, so the emitted deltas track the
-	// merger's clipped final block instead of the full block the stream
-	// always carries.
-	var prev []uint64
-	if opts.Breakdown {
-		prev = make([]uint64, tb.Circuit.NumNodes())
-	}
-	for _, sh := range shards {
-		sh.powers = make([]float64, rounds*sh.lanes)
-		if opts.Breakdown {
-			sh.counts = make([]uint64, tb.Circuit.NumNodes())
-			sh.snap = make([]uint64, tb.Circuit.NumNodes())
-			sh.ps.AccumulateToggles(sh.counts)
-		}
-	}
-
-	runShards(shards, workers, func(sh *shard) {
-		sh.ps.StepHiddenN(opts.WarmupCycles)
-	})
-	if skip > 0 {
-		// Power observation does not influence the state trajectory, so
-		// skipped blocks replay as pure hidden cycles: interval hidden
-		// cycles plus the would-be sampled cycle, per round.
-		runShards(shards, workers, func(sh *shard) {
-			sh.ps.StepHiddenN(skip * rounds * (interval + 1))
-		})
-	}
-	weights := tb.Weights()
+	run.warm(skip * rounds)
 	for b := skip; maxBlocks == 0 || b < maxBlocks; b++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -412,56 +364,174 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 		// The rounds of this block the merge side will consume: the block
 		// cadence, clipped by the remaining round budget (mirrors
 		// Merger.NextRounds with merged == b*rounds).
-		countRounds := rounds
+		clip := rounds
 		if budgetRounds > 0 {
-			if cr := budgetRounds - b*rounds; cr < countRounds {
-				countRounds = cr
-			}
-			if countRounds < 0 {
-				countRounds = 0
-			}
+			clip = max(0, min(rounds, budgetRounds-b*rounds))
 		}
-		runShards(shards, workers, func(sh *shard) {
-			for t := 0; t < rounds; t++ {
-				sh.ps.StepHiddenN(interval)
-				block := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
-				switch {
-				case useCov:
-					sh.ps.StepSampledBoth(sh.engine, weights, block, sh.cov)
-					for k, x := range block {
-						block[k] = plan.Apply(x, sh.cov[k])
-					}
-				case packedSampled:
-					sh.ps.StepSampled(weights, block)
-				default:
-					sh.ps.StepSampledWith(sh.engine, weights, block)
-				}
-				if sh.snap != nil && t+1 == countRounds {
-					copy(sh.snap, sh.counts)
-				}
-			}
-		})
-		samples := make([]float64, 0, rounds*n)
-		for t := 0; t < rounds; t++ {
-			for _, sh := range shards {
-				samples = append(samples, sh.powers[t*sh.lanes:(t+1)*sh.lanes]...)
-			}
-		}
-		var toggles []uint64
-		if opts.Breakdown {
-			toggles = make([]uint64, len(prev))
-			for _, sh := range shards {
-				for i, c := range sh.snap {
-					toggles[i] += c
-				}
-			}
-			for i := range toggles {
-				toggles[i], prev[i] = toggles[i]-prev[i], toggles[i]
-			}
-		}
-		if err := emit(ReplicationBlock{Index: b, Rounds: rounds, Samples: samples, Toggles: toggles}); err != nil {
+		if err := emit(run.block(b, rounds, clip)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Tail is the one merge loop of the sampling phase. It owns the pooled
+// stopping criterion, the budget rule, progress reports, the trace's
+// merge-round events, the breakdown fold and the Result, whoever
+// produces the blocks: the in-process estimator pulls them from one
+// replicationRun, the cluster coordinator from its worker streams.
+type Tail struct {
+	tb     *Testbench
+	opts   Options
+	rp     ResumePoint
+	m      *Merger
+	budget int // BudgetRounds
+}
+
+// NewTail builds the merge loop of a sampling phase that starts from
+// rp: a Merger for opts, seeded with rp.SeedSeq under
+// Options.ReuseTestSamples. opts must validate and rp.Interval must not
+// be negative.
+func NewTail(tb *Testbench, opts Options, rp ResumePoint) (*Tail, error) {
+	if rp.Interval < 0 {
+		return nil, fmt.Errorf("core: negative interval %d", rp.Interval)
+	}
+	m, err := NewMerger(opts)
+	if err != nil {
+		return nil, err
+	}
+	if opts.ReuseTestSamples {
+		m.Seed(rp.SeedSeq)
+	}
+	t := &Tail{tb: tb, opts: opts, rp: rp, m: m}
+	if opts.Breakdown {
+		t.budget = (opts.MaxSamples - m.N()) / m.PerRound()
+	}
+	return t, nil
+}
+
+// Reps returns the width of the replication space.
+func (t *Tail) Reps() int { return t.m.Reps() }
+
+// Rounds returns the block cadence: the number of rounds a full block
+// carries.
+func (t *Tail) Rounds() int { return t.m.Rounds() }
+
+// MaxBlocks bounds a block stream: strictly more blocks than Run can
+// merge before the sample budget stops it (PerRound, not Reps:
+// antithetic pairing halves the criterion samples a round yields,
+// doubling the blocks the budget funds). It caps orphaned worker
+// streams.
+func (t *Tail) MaxBlocks() int {
+	return t.opts.MaxSamples/(t.m.PerRound()*t.m.Rounds()) + 2
+}
+
+// BudgetRounds returns the total number of rounds the sample budget
+// lets Run merge under Options.Breakdown, and 0 outside breakdown runs.
+// A block producer clips each block's toggle delta to it (see
+// StreamReplications).
+func (t *Tail) BudgetRounds() int { return t.budget }
+
+// Run merges blocks into the pooled criterion until it converges, the
+// sample budget cannot fund another round, ctx ends, next fails or a
+// block is malformed. lanes are the widths of the contiguous ranges
+// that tile the replication space in ascending order. next(b, n)
+// returns block b of every range, in that order, each with at least n
+// rounds of samples and, under Options.Breakdown, the toggle delta of
+// exactly its first n rounds.
+//
+// Every exit reports a final progress snapshot and returns the Result
+// of the merged prefix: cycle counters, breakdown and all are
+// independent of how far ahead a producer ran. A Tail runs once.
+func (t *Tail) Run(ctx context.Context, lanes []int, next func(b, n int) ([]ReplicationBlock, error)) (Result, error) {
+	var counts []uint64
+	if t.opts.Breakdown {
+		counts = make([]uint64, t.tb.Circuit.NumNodes())
+	}
+	tr := obs.TraceFrom(ctx)
+	samples := make([][]float64, len(lanes))
+	for b := 0; !t.m.Done(); b++ {
+		if err := ctx.Err(); err != nil {
+			return t.result(false, counts), err
+		}
+		// Merge as many whole rounds as the sample budget allows (one
+		// round is the reps-sample granularity of the parallel scheme);
+		// give up unconverged only when not even one more round fits.
+		n := t.m.NextRounds()
+		if n < 1 {
+			return t.result(false, counts), nil
+		}
+		blocks, err := next(b, n)
+		if err != nil {
+			return t.result(false, counts), err
+		}
+		if len(blocks) != len(lanes) {
+			return t.result(false, counts), fmt.Errorf("core: block %d: %d ranges delivered, want %d", b, len(blocks), len(lanes))
+		}
+		for i, blk := range blocks {
+			if len(blk.Toggles) != len(counts) {
+				return t.result(false, counts), fmt.Errorf("core: block %d of range %d carries %d toggle counts, want %d", b, i, len(blk.Toggles), len(counts))
+			}
+			samples[i] = blk.Samples
+		}
+		if err := t.m.MergeBlock(samples, lanes, n); err != nil {
+			return t.result(false, counts), err
+		}
+		// Fold the deltas once their samples are merged, so the counts
+		// always cover exactly the merged prefix.
+		for _, blk := range blocks {
+			for j, d := range blk.Toggles {
+				counts[j] += d
+			}
+		}
+		tr.Event("merge-round",
+			"rounds", strconv.Itoa(t.m.MergedRounds()),
+			"samples", strconv.Itoa(t.m.N()),
+			"power", strconv.FormatFloat(t.m.Estimate(), 'g', 6, 64),
+			"halfWidth", strconv.FormatFloat(t.m.HalfWidth(), 'g', 6, 64))
+		if t.opts.Progress != nil {
+			t.opts.Progress(t.m.Progress(t.rp.Interval))
+		}
+	}
+	return t.result(true, counts), nil
+}
+
+// result reports the final progress snapshot and builds the Result of
+// the merged prefix. Cycle counters are the resume point's plus the
+// warm-up and, per merged round and replication, interval hidden
+// cycles and one sampled cycle.
+func (t *Tail) result(converged bool, counts []uint64) Result {
+	m, opts, rp := t.m, t.opts, t.rp
+	// The final snapshot keeps long-running callers (the dipe-server job
+	// manager) from showing a stale last block after convergence, budget
+	// exhaustion or cancellation.
+	if opts.Progress != nil {
+		opts.Progress(m.Progress(rp.Interval))
+	}
+	reps, merged := uint64(m.Reps()), uint64(m.MergedRounds())
+	engine, delayModel := engineLabels(t.tb, opts, rp.Plan)
+	res := Result{
+		Power:          m.Estimate(),
+		Interval:       rp.Interval,
+		IntervalCapped: rp.Capped,
+		Trials:         rp.Trials,
+		SampleSize:     m.N(),
+		HalfWidth:      m.HalfWidth(),
+		HiddenCycles:   rp.Hidden + reps*uint64(opts.WarmupCycles) + merged*uint64(rp.Interval)*reps,
+		SampledCycles:  rp.Sampled + merged*reps,
+		Criterion:      m.CriterionName(),
+		Engine:         engine,
+		Backend:        string(opts.Backend.Canonical()),
+		DelayModel:     delayModel,
+		Variance:       rp.Plan.Label(),
+		CVBeta:         rp.Plan.Beta,
+		Converged:      converged,
+	}
+	if opts.Breakdown {
+		res.Breakdown = finishBreakdown(t.tb, opts, m, len(rp.SeedSeq), rp.SeedToggles, counts)
+		if opts.Metrics != nil {
+			opts.Metrics.Power.Observe(res.Breakdown)
+		}
+	}
+	return res
 }

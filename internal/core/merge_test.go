@@ -2,92 +2,180 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench89"
+	"repro/internal/power"
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
 
 // TestMergerStreamedRangesMatchParallel is the merge-path contract in
 // miniature, with no transport in the loop: running the replication
-// space as two StreamReplications ranges and merging their blocks
-// through a Merger reproduces EstimateParallelWithInterval bit for bit
-// — the exact mechanism the cluster coordinator is built on.
+// space as two uneven StreamReplications ranges and merging their
+// blocks through Tail.Run reproduces EstimateParallelResumeCtx from the
+// same ResumePoint in every Result field — the exact mechanism the
+// cluster coordinator is built on. The table covers every mode whose
+// samples or counts the producer shapes: both power modes, both
+// variance-reduction transforms (the odd range boundary splits an
+// antithetic pair), and breakdown, once converged and once stopped by a
+// sample budget that ends mid-block, so the final block's toggle delta
+// is clipped.
 func TestMergerStreamedRangesMatchParallel(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
-	opts := DefaultOptions()
-	opts.Replications = 24
-	opts.Workers = 2
-	// A tighter budget keeps the eagerly-streamed queues (maxBlocks
-	// blocks each) test-sized; s298 converges well under it.
-	opts.MaxSamples = 1 << 16
-	const (
-		seed     = int64(99)
-		interval = 3
-	)
+	const seed = int64(99)
+	cases := []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"general-delay", func(*Options) {}},
+		{"zero-delay", func(o *Options) { o.Mode = power.ModeZeroDelay }},
+		{"control-variate", func(o *Options) { o.Variance.Mode = vr.ModeControlVariate }},
+		{"antithetic", func(o *Options) { o.Variance.Mode = vr.ModeAntithetic }},
+		{"breakdown", func(o *Options) { o.Breakdown = true }},
+		{"breakdown clipped", func(o *Options) {
+			// 16 replications make a block two rounds; the budget funds
+			// (432 - 320 seeded) / 16 = 7 rounds, so the fourth block is
+			// merged for one of its two rounds.
+			o.Breakdown = true
+			o.Replications = 16
+			o.MaxSamples = 432
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Replications = 24
+			opts.Workers = 2
+			// A tighter budget keeps the eagerly-streamed queues (MaxBlocks
+			// blocks each) test-sized; s298 converges well under it.
+			opts.MaxSamples = 1 << 16
+			tc.set(&opts)
+			ctx := context.Background()
+			rp, err := PreparePlanCtx(ctx, tb, factory, seed, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := EstimateParallelResumeCtx(ctx, tb, factory, seed, opts, rp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail, err := NewTail(tb, opts, rp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opts.Breakdown && opts.MaxSamples < 1<<16 {
+				if want.Converged || tail.BudgetRounds()%tail.Rounds() == 0 {
+					t.Fatalf("budget of %d rounds at %d rounds a block (converged %v) does not end mid-block",
+						tail.BudgetRounds(), tail.Rounds(), want.Converged)
+				}
+			} else if !want.Converged {
+				t.Fatal("reference run did not converge")
+			}
 
-	want, err := EstimateParallelWithInterval(tb, factory, seed, opts, interval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Converged {
-		t.Fatal("reference run did not converge")
-	}
-
-	m, err := NewMerger(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps, rounds := m.Reps(), m.Rounds()
-	if reps != 24 {
-		t.Fatalf("merger reps = %d", reps)
-	}
-
-	// Two uneven contiguous ranges, streamed eagerly into block queues
-	// (like worker streams read ahead of the merge loop).
-	bounds := [][2]int{{0, 10}, {10, 24}}
-	maxBlocks := opts.MaxSamples/(reps*rounds) + 2
-	queues := make([][][]float64, len(bounds))
-	for i, b := range bounds {
-		i, b := i, b
-		err := StreamReplications(context.Background(), tb, factory, seed, opts,
-			vr.Plan{}, interval, b[0], b[1], rounds, 0, maxBlocks, 0, func(blk ReplicationBlock) error {
-				queues[i] = append(queues[i], blk.Samples)
-				return nil
+			// Two uneven contiguous ranges, streamed eagerly into block
+			// queues (like worker streams read ahead of the merge loop).
+			reps := tail.Reps()
+			bounds := [][2]int{{0, 11}, {11, reps}}
+			queues := make([][]ReplicationBlock, len(bounds))
+			for i, b := range bounds {
+				err := StreamReplications(ctx, tb, factory, seed, opts, rp.Plan, rp.Interval, b[0], b[1],
+					tail.Rounds(), 0, tail.MaxBlocks(), tail.BudgetRounds(), func(blk ReplicationBlock) error {
+						queues[i] = append(queues[i], blk)
+						return nil
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := tail.Run(ctx, []int{11, reps - 11}, func(b, n int) ([]ReplicationBlock, error) {
+				return []ReplicationBlock{queues[0][b], queues[1][b]}, nil
 			})
-		if err != nil {
-			t.Fatal(err)
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Elapsed, want.Elapsed = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("merged streams:\n%+v\nwant\n%+v", got, want)
+			}
+			if opts.Breakdown && !reflect.DeepEqual(got.Breakdown, want.Breakdown) {
+				t.Errorf("merged breakdown:\n%+v\nwant\n%+v", got.Breakdown, want.Breakdown)
+			}
+		})
 	}
+}
 
-	lanes := []int{10, 14}
-	for b := 0; !m.Done(); b++ {
-		n := m.NextRounds()
-		if n < 1 {
-			t.Fatalf("budget exhausted before convergence at block %d", b)
-		}
-		if err := m.MergeBlock([][]float64{queues[0][b], queues[1][b]}, lanes, n); err != nil {
-			t.Fatal(err)
-		}
+// TestTailRunMalformedBlocks: a malformed block ends Tail.Run with an
+// error and the Result of the prefix merged before it — never a panic,
+// and never a silently ignored field.
+func TestTailRunMalformedBlocks(t *testing.T) {
+	c := bench89.MustGet("s27")
+	tb := DefaultTestbench(c)
+	nodes := c.NumNodes()
+	const reps = 8
+	seedSeq := make([]float64, 320)
+	for i := range seedSeq {
+		seedSeq[i] = float64(i%7) + 1
 	}
-	if m.Estimate() != want.Power {
-		t.Errorf("merged estimate %v, want %v", m.Estimate(), want.Power)
+	cases := []struct {
+		name      string
+		breakdown bool
+		bad       func(good ReplicationBlock) []ReplicationBlock
+	}{
+		{"toggles without breakdown", false, func(g ReplicationBlock) []ReplicationBlock {
+			g.Toggles = make([]uint64, nodes)
+			return []ReplicationBlock{g}
+		}},
+		{"wrong toggle length", true, func(g ReplicationBlock) []ReplicationBlock {
+			g.Toggles = g.Toggles[:nodes-1]
+			return []ReplicationBlock{g}
+		}},
+		{"wrong number of blocks", false, func(g ReplicationBlock) []ReplicationBlock {
+			return []ReplicationBlock{g, g}
+		}},
+		{"too few samples", false, func(g ReplicationBlock) []ReplicationBlock {
+			g.Samples = g.Samples[:len(g.Samples)-1]
+			return []ReplicationBlock{g}
+		}},
 	}
-	if m.HalfWidth() != want.HalfWidth {
-		t.Errorf("merged half-width %v, want %v", m.HalfWidth(), want.HalfWidth)
-	}
-	if m.N() != want.SampleSize {
-		t.Errorf("merged sample count %d, want %d", m.N(), want.SampleSize)
-	}
-	merged := m.MergedRounds()
-	if hidden := uint64(reps)*uint64(opts.WarmupCycles) + uint64(merged)*uint64(interval)*uint64(reps); hidden != want.HiddenCycles {
-		t.Errorf("derived hidden cycles %d, want %d", hidden, want.HiddenCycles)
-	}
-	if sampled := uint64(merged) * uint64(reps); sampled != want.SampledCycles {
-		t.Errorf("derived sampled cycles %d, want %d", sampled, want.SampledCycles)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Replications = reps
+			opts.Breakdown = tc.breakdown
+			opts.Spec.RelErr = 1e-4 // never converges on these samples
+			tail, err := NewTail(tb, opts, ResumePoint{Interval: 2, SeedSeq: seedSeq})
+			if err != nil {
+				t.Fatal(err)
+			}
+			merged := 0
+			res, err := tail.Run(context.Background(), []int{reps}, func(b, n int) ([]ReplicationBlock, error) {
+				good := ReplicationBlock{Index: b, Samples: make([]float64, n*reps)}
+				for i := range good.Samples {
+					good.Samples[i] = float64(i%5) + 1
+				}
+				if tc.breakdown {
+					good.Toggles = make([]uint64, nodes)
+				}
+				if b == 0 {
+					merged = n
+					return []ReplicationBlock{good}, nil
+				}
+				return tc.bad(good), nil
+			})
+			if err == nil {
+				t.Fatal("malformed block accepted")
+			}
+			if res.Converged || res.SampleSize != len(seedSeq)+merged*reps || res.SampledCycles != uint64(merged*reps) {
+				t.Errorf("partial result %+v, want the %d seeded samples plus one merged block of %d rounds", res, len(seedSeq), merged)
+			}
+			if (res.Breakdown != nil) != tc.breakdown {
+				t.Errorf("breakdown report %v on a run with breakdown %v", res.Breakdown, tc.breakdown)
+			}
+		})
 	}
 }
 

@@ -5,12 +5,11 @@ import (
 	"repro/internal/power"
 )
 
-// Metrics is the convergence telemetry of the sampling/stopping phase:
-// the live trajectory of the paper's sequential stopping rule, updated
-// by the Merger after every merged block. One Metrics is shared by all
-// runs in a process (the registry aggregates across jobs); the gauges
-// track the most recently merged block, which is what a scrape wants —
-// "where is the estimate right now".
+// Metrics is the process-wide telemetry of the sampling/stopping phase,
+// updated by the Merger after every merged block. One Metrics is shared
+// by all runs in a process, so it holds only counters that aggregate
+// across jobs; a job's own estimate and half-width live on its
+// progress, its trace's merge-round events and its Result.
 //
 // A nil *Metrics (the default, e.g. CLI runs without -progress-json
 // consumers) is skipped with a single branch per merged block.
@@ -22,12 +21,6 @@ type Metrics struct {
 	Rounds *obs.Counter
 	// Samples counts criterion samples consumed across all runs.
 	Samples *obs.Counter
-	// Mean is the current pooled point estimate (watts).
-	Mean *obs.Gauge
-	// HalfWidth is the current pooled confidence half-width (watts).
-	HalfWidth *obs.Gauge
-	// Rate is the current criterion-samples-per-second throughput.
-	Rate *obs.Gauge
 	// Power is the attribution telemetry (dipe_power_*), fed one report
 	// per finished breakdown run. Nil when the registry was nil.
 	Power *power.Metrics
@@ -40,12 +33,9 @@ func NewCoreMetrics(r *obs.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		Runs:      r.Counter("dipe_core_runs_total", "Sampling phases started."),
-		Rounds:    r.Counter("dipe_core_rounds_total", "Replication rounds merged into the stopping criterion."),
-		Samples:   r.Counter("dipe_core_samples_total", "Samples consumed by the stopping criterion."),
-		Mean:      r.Gauge("dipe_core_mean_power_watts", "Current pooled power estimate of the most recent merge."),
-		HalfWidth: r.Gauge("dipe_core_half_width", "Current confidence half-width of the most recent merge."),
-		Rate:      r.Gauge("dipe_core_samples_per_second", "Criterion samples per second of the running estimation."),
-		Power:     power.NewMetrics(r),
+		Runs:    r.Counter("dipe_core_runs_total", "Sampling phases started."),
+		Rounds:  r.Counter("dipe_core_rounds_total", "Replication rounds merged into the stopping criterion."),
+		Samples: r.Counter("dipe_core_samples_total", "Samples consumed by the stopping criterion."),
+		Power:   power.NewMetrics(r),
 	}
 }

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/delay"
-	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/vectors"
 	"repro/internal/vr"
@@ -30,26 +27,56 @@ type shard struct {
 	lanes  int
 	powers []float64 // per-block lane powers, round-major: [round*lanes + lane]
 	cov    []float64 // per-round covariate scratch (control-variate runs only)
-	counts []uint64  // per-node toggle accumulator (breakdown streams only)
-	snap   []uint64  // counts snapshot at the block's merge-consumed round
+	counts []uint64  // per-node toggle accumulator (breakdown runs only)
+	snap   []uint64  // counts snapshot after the block's merge-consumed rounds
 }
 
-// newShards builds the canonical shard layout over replications
-// [lo, hi): SplitRange into at least `workers` shards (so the pool is
-// saturated) and enough that none exceeds the backend's lane width.
-// Replication r keeps its globally fixed seed baseSeed+1+r regardless
-// of the layout, and lane counts differ by at most one. Both
-// parallelTail and StreamReplications build their shards here, so
-// in-process and cluster runs cannot drift apart.
-func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, lo, hi, workers int, packedSampled, useCov bool) ([]*shard, error) {
+// replicationRun is the one block producer of the sampling phase: it
+// steps replications [lo, hi) of an EstimateParallel-shaped run through
+// the warm-up and then through rounds of interval hidden cycles and one
+// sampled cycle, and hands out their samples one block at a time. The
+// in-process estimator runs one over every replication; a cluster
+// worker runs one over its leased range (StreamReplications).
+type replicationRun struct {
+	shards   []*shard
+	workers  int
+	lanes    int
+	warmup   int
+	interval int
+	weights  []float64
+	plan     vr.Plan
+	prev     []uint64 // toggle totals of the blocks handed out (breakdown runs only)
+}
+
+// newReplicationRun builds the canonical shard layout over replications
+// [lo, hi): SplitRange into at least as many shards as the goroutine
+// pool is wide (so the pool is saturated) and enough that none exceeds
+// the backend's lane width. Replication r keeps its globally fixed seed
+// baseSeed+1+r regardless of the layout, and lane counts differ by at
+// most one. Each shard's sample buffer holds `rounds` rounds, the
+// longest block the run will be asked for.
+func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, interval, lo, hi, rounds int) (*replicationRun, error) {
 	backend := opts.Backend.Canonical()
 	n := hi - lo
-	nShards := workers
-	if min := (n + sim.MaxLanesFor(backend) - 1) / sim.MaxLanesFor(backend); nShards < min {
-		nShards = min
+	workers := opts.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := make([]*shard, 0, nShards)
-	for _, b := range SplitRange(lo, hi, nShards) {
+	workers = min(workers, n)
+	width := sim.MaxLanesFor(backend)
+	packed := wordSampled(tb, opts, plan)
+	r := &replicationRun{
+		workers:  workers,
+		lanes:    n,
+		warmup:   opts.WarmupCycles,
+		interval: interval,
+		weights:  tb.Weights(),
+		plan:     plan,
+	}
+	if opts.Breakdown {
+		r.prev = make([]uint64, tb.Circuit.NumNodes())
+	}
+	for _, b := range SplitRange(lo, hi, max(workers, (n+width-1)/width)) {
 		lanes := b[1] - b[0]
 		srcs := make([]vectors.Source, lanes)
 		for k := range srcs {
@@ -58,16 +85,85 @@ func newShards(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options,
 				return nil, err
 			}
 		}
-		sh := &shard{ps: sim.NewLaneSession(backend, tb.Circuit, srcs), lanes: lanes}
-		if !packedSampled {
+		sh := &shard{
+			ps:     sim.NewLaneSession(backend, tb.Circuit, srcs),
+			lanes:  lanes,
+			powers: make([]float64, rounds*lanes),
+		}
+		if !packed {
 			sh.engine = sim.NewEventDriven(tb.Circuit, tb.Delays)
 		}
-		if useCov {
+		if plan.NeedsCovariate() {
 			sh.cov = make([]float64, lanes)
 		}
-		shards = append(shards, sh)
+		if opts.Breakdown {
+			// Each shard counts into a private accumulator (no write
+			// contention); integer addition is associative, so the
+			// folded totals are independent of the shard layout.
+			sh.counts = make([]uint64, len(r.prev))
+			sh.snap = make([]uint64, len(r.prev))
+			sh.ps.AccumulateToggles(sh.counts)
+		}
+		r.shards = append(r.shards, sh)
 	}
-	return shards, nil
+	return r, nil
+}
+
+// warm runs every replication through the warm-up from reset, followed
+// by skipRounds already-merged rounds. Power observation does not
+// influence the state trajectory, so replayed rounds run as pure hidden
+// cycles: interval hidden cycles plus the would-be sampled cycle each.
+func (r *replicationRun) warm(skipRounds int) {
+	runShards(r.shards, r.workers, func(sh *shard) {
+		sh.ps.StepHiddenN(r.warmup + skipRounds*(r.interval+1))
+	})
+}
+
+// block steps n rounds and returns them as block b: n rounds of
+// samples, round-major with replications ascending within a round.
+// Under a control-variate plan each sample is already transformed.
+// Under Options.Breakdown the block carries the per-node toggle delta
+// of its first `count` rounds (count <= n) — the rounds the merge side
+// will consume, which its sample budget may clip below n.
+func (r *replicationRun) block(b, n, count int) ReplicationBlock {
+	runShards(r.shards, r.workers, func(sh *shard) {
+		for t := 0; t < n; t++ {
+			sh.ps.StepHiddenN(r.interval)
+			powers := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
+			switch {
+			case sh.cov != nil:
+				sh.ps.StepSampledBoth(sh.engine, r.weights, powers, sh.cov)
+				for k, x := range powers {
+					powers[k] = r.plan.Apply(x, sh.cov[k])
+				}
+			case sh.engine == nil:
+				sh.ps.StepSampled(r.weights, powers)
+			default:
+				sh.ps.StepSampledWith(sh.engine, r.weights, powers)
+			}
+			if sh.snap != nil && t+1 == count {
+				copy(sh.snap, sh.counts)
+			}
+		}
+	})
+	blk := ReplicationBlock{Index: b, Samples: make([]float64, 0, n*r.lanes)}
+	for t := 0; t < n; t++ {
+		for _, sh := range r.shards {
+			blk.Samples = append(blk.Samples, sh.powers[t*sh.lanes:(t+1)*sh.lanes]...)
+		}
+	}
+	if r.prev != nil {
+		blk.Toggles = make([]uint64, len(r.prev))
+		for _, sh := range r.shards {
+			for i, c := range sh.snap {
+				blk.Toggles[i] += c
+			}
+		}
+		for i := range blk.Toggles {
+			blk.Toggles[i], r.prev[i] = blk.Toggles[i]-r.prev[i], blk.Toggles[i]
+		}
+	}
+	return blk
 }
 
 // EstimateParallel runs the DIPE flow with many independent replications
@@ -144,15 +240,19 @@ func wordSampled(tb *Testbench, opts Options, plan vr.Plan) bool {
 	return (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !plan.NeedsCovariate()
 }
 
-// EngineLabels names the engine and delay model that observe a parallel
-// run's sampled cycles, as Result.Engine and Result.DelayModel report
-// them. It tracks both the word-parallel upgrade (wordSampled) and the
-// backend that observes the words: a compiled run whose sampled phase
-// stays word-parallel reports the compiled zero-delay engine, not the
-// packed interpreter. The in-process tail and the cluster coordinator
-// both label their results here, so a cluster result is
-// indistinguishable from a local one.
-func EngineLabels(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel string) {
+// engineLabels names the engine and delay model that observe a
+// parallel run's sampled cycles, as Result.Engine and Result.DelayModel
+// report them. It tracks both the word-parallel upgrade (wordSampled)
+// and the backend that observes the words: a compiled run whose sampled
+// phase stays word-parallel reports the compiled zero-delay engine, not
+// the packed interpreter.
+//
+// A general-delay run whose delay table is all-zero is upgraded to the
+// word-parallel path: the transition sets are identical (see
+// delay.Table.AllZero), though power sums may differ from per-lane
+// event-driven simulation in the last ulp because the summation order
+// changes.
+func engineLabels(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel string) {
 	switch {
 	case !wordSampled(tb, opts, plan):
 		return sim.EngineEventDriven, tb.Delays.ModelName
@@ -160,182 +260,6 @@ func EngineLabels(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel
 		return sim.EngineCompiledZeroDelay, delay.Zero{}.Name()
 	}
 	return sim.EnginePackedZeroDelay, delay.Zero{}.Name()
-}
-
-// parallelTail runs the parallel sampling/stopping phase at a fixed
-// interval, optionally seeded with an already-collected random sequence
-// (consumed only when opts.ReuseTestSamples is set, as in estimateTail).
-// On cancellation it returns the partial result together with ctx.Err().
-//
-// Engine selection: under zero-delay mode sampled cycles run entirely
-// word-parallel (the lane session's StepSampled: CompiledSession by
-// default, PackedSession when a test selects the packed oracle) and no
-// scalar simulator is built at all; under general-delay mode each shard
-// owns a scalar event-driven engine and lanes are extracted per sampled
-// cycle. A general-delay run whose delay table is all-zero is upgraded
-// to the word-parallel path too — the transition sets are identical
-// (see delay.Table.AllZero), though power sums may differ from per-lane
-// event-driven simulation in the last ulp because the summation order
-// changes. EngineLabels names the result accordingly.
-func parallelTail(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, interval int, seed []float64, seedToggles []uint64, plan vr.Plan) (Result, error) {
-	reps := opts.Replications
-	if reps == 0 {
-		reps = sim.MaxLanes
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > reps {
-		workers = reps
-	}
-	useCov := plan.NeedsCovariate()
-	packedSampled := wordSampled(tb, opts, plan)
-	engineName, delayName := EngineLabels(tb, opts, plan)
-
-	shards, err := newShards(tb, src, baseSeed, opts, plan, 0, reps, workers, packedSampled, useCov)
-	if err != nil {
-		return Result{}, err
-	}
-	tr := obs.TraceFrom(ctx)
-	tr.Event("shard",
-		"shards", strconv.Itoa(len(shards)),
-		"workers", strconv.Itoa(workers),
-		"replications", strconv.Itoa(reps),
-		"interval", strconv.Itoa(interval))
-
-	// Warm every replication up from reset in parallel.
-	runShards(shards, workers, func(sh *shard) {
-		sh.ps.StepHiddenN(opts.WarmupCycles)
-	})
-
-	// The pooled stopping state is the exported Merger — the same code
-	// the distributed coordinator merges remote partial results through —
-	// so in-process and cluster runs share one merge order and one budget
-	// rule by construction.
-	m, err := NewMerger(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.ReuseTestSamples {
-		m.Seed(seed)
-	}
-
-	// Sampling proceeds in blocks of `rounds` rounds; one round yields
-	// one sample per replication. Workers fill their shard's power
-	// buffers concurrently; the merge into the criterion is single-
-	// threaded and ordered (round-major, replication order).
-	rounds := m.Rounds()
-	shardPowers := make([][]float64, len(shards))
-	shardLanes := make([]int, len(shards))
-	for i, sh := range shards {
-		sh.powers = make([]float64, rounds*sh.lanes)
-		shardPowers[i] = sh.powers
-		shardLanes[i] = sh.lanes
-	}
-	// Per-node attribution rides on the sessions' own accumulators: each
-	// shard counts into a private array (no write contention) and the
-	// arrays are summed once at the end. Integer addition is associative,
-	// so the totals are independent of the shard layout. The block loop
-	// steps exactly the rounds the merger consumes, so at any exit the
-	// accumulated counts cover exactly the merged samples.
-	var shardCounts [][]uint64
-	if opts.Breakdown {
-		shardCounts = make([][]uint64, len(shards))
-		for i, sh := range shards {
-			shardCounts[i] = make([]uint64, tb.Circuit.NumNodes())
-			sh.ps.AccumulateToggles(shardCounts[i])
-		}
-	}
-	weights := tb.Weights()
-	result := func(converged bool) Result {
-		var hidden, sampled uint64
-		for _, sh := range shards {
-			h, s := sh.ps.CycleCounts()
-			hidden += h
-			sampled += s
-		}
-		// Every exit fires a final Progress snapshot so long-running
-		// callers (the dipe-server job manager) never show a stale last
-		// block after convergence, budget exhaustion or cancellation.
-		if opts.Progress != nil {
-			opts.Progress(m.Progress(interval))
-		}
-		res := Result{
-			Power:         m.Estimate(),
-			Interval:      interval,
-			SampleSize:    m.N(),
-			HalfWidth:     m.HalfWidth(),
-			HiddenCycles:  hidden,
-			SampledCycles: sampled,
-			Criterion:     m.CriterionName(),
-			Engine:        engineName,
-			Backend:       string(opts.Backend.Canonical()),
-			DelayModel:    delayName,
-			Variance:      plan.Label(),
-			CVBeta:        plan.Beta,
-			Converged:     converged,
-		}
-		if opts.Breakdown {
-			res.Breakdown = foldBreakdown(tb, opts, m, seed, seedToggles, shardCounts)
-			if opts.Metrics != nil {
-				opts.Metrics.Power.Observe(res.Breakdown)
-			}
-		}
-		return res
-	}
-	for !m.Done() {
-		if err := ctx.Err(); err != nil {
-			return result(false), err
-		}
-		// Run as many whole rounds as the sample budget allows (one round
-		// is the reps-sample granularity of the parallel scheme); give up
-		// unconverged only when not even one more round fits.
-		n := m.NextRounds()
-		if n < 1 {
-			return result(false), nil
-		}
-		runShards(shards, workers, func(sh *shard) {
-			for t := 0; t < n; t++ {
-				sh.ps.StepHiddenN(interval)
-				block := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
-				switch {
-				case useCov:
-					sh.ps.StepSampledBoth(sh.engine, weights, block, sh.cov)
-					for k, x := range block {
-						block[k] = plan.Apply(x, sh.cov[k])
-					}
-				case packedSampled:
-					sh.ps.StepSampled(weights, block)
-				default:
-					sh.ps.StepSampledWith(sh.engine, weights, block)
-				}
-			}
-		})
-		if err := m.MergeBlock(shardPowers, shardLanes, n); err != nil {
-			return result(false), err
-		}
-		tr.Event("merge-round",
-			"rounds", strconv.Itoa(m.MergedRounds()),
-			"samples", strconv.Itoa(m.N()),
-			"halfWidth", strconv.FormatFloat(m.HalfWidth(), 'g', 6, 64))
-		if opts.Progress != nil {
-			opts.Progress(m.Progress(interval))
-		}
-	}
-	return result(true), nil
-}
-
-// foldBreakdown sums the per-shard accumulators and finishes the
-// attribution report through the shared FinishBreakdown seam.
-func foldBreakdown(tb *Testbench, opts Options, m *Merger, seed []float64, seedToggles []uint64, shardCounts [][]uint64) *power.BreakdownReport {
-	total := make([]uint64, tb.Circuit.NumNodes())
-	for _, cnt := range shardCounts {
-		for i, n := range cnt {
-			total[i] += n
-		}
-	}
-	return FinishBreakdown(tb, opts, m, len(seed), seedToggles, total)
 }
 
 // runShards applies fn to every shard with at most `workers` goroutines

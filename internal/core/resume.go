@@ -122,18 +122,27 @@ func EstimateParallelResume(tb *Testbench, src vectors.Factory, baseSeed int64, 
 // plan calibration, and determinism guarantees the resumed Result is
 // bit-identical to the uninterrupted one.
 func EstimateParallelResumeCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, rp ResumePoint) (Result, error) {
-	if err := opts.Validate(); err != nil {
+	start := time.Now()
+	t, err := NewTail(tb, opts, rp)
+	if err != nil {
 		return Result{}, err
 	}
-	if rp.Interval < 0 {
-		return Result{}, fmt.Errorf("core: negative interval %d", rp.Interval)
+	reps := t.Reps()
+	run, err := newReplicationRun(tb, src, baseSeed, opts, rp.Plan, rp.Interval, 0, reps, t.Rounds())
+	if err != nil {
+		return Result{}, err
 	}
-	start := time.Now()
-	res, err := parallelTail(ctx, tb, src, baseSeed, opts, rp.Interval, rp.SeedSeq, rp.SeedToggles, rp.Plan)
-	res.Trials = rp.Trials
-	res.IntervalCapped = rp.Capped
-	res.HiddenCycles += rp.Hidden
-	res.SampledCycles += rp.Sampled
+	obs.TraceFrom(ctx).Event("shard",
+		"shards", strconv.Itoa(len(run.shards)),
+		"workers", strconv.Itoa(run.workers),
+		"replications", strconv.Itoa(reps),
+		"interval", strconv.Itoa(rp.Interval))
+	run.warm(0)
+	// The producer runs in lockstep with the merge loop, so it simulates
+	// exactly the rounds the merger consumes.
+	res, err := t.Run(ctx, []int{reps}, func(b, n int) ([]ReplicationBlock, error) {
+		return []ReplicationBlock{run.block(b, n, n)}, nil
+	})
 	res.Elapsed = time.Since(start)
 	return res, err
 }

@@ -171,16 +171,29 @@ type JobRequest struct {
 	Interval *int `json:"interval,omitempty"`
 }
 
-// Upper bounds on the sizes a submitted job may ask for. They limit
-// outside input and are not options: both sit far above every real use
-// (the defaults are 64 replications and 2^21 samples), and they keep
-// one request from exhausting the server's memory — phase 1 allocates
-// SeqLen samples up front (SeqLen is at most MaxSamples), and the tail
-// builds one session per 512 replications.
+// Upper bounds on the sizes a job may ask for. They limit outside
+// input and are not options: both sit far above every real use (the
+// defaults are 64 replications and 2^21 samples), and they keep one
+// request from exhausting a server's or a worker's memory — phase 1
+// allocates SeqLen samples up front (SeqLen is at most MaxSamples), and
+// the tail builds one session per 512 replications.
 const (
 	maxReplications = 4096
 	maxSampleBudget = 1 << 24
 )
+
+// Validate rejects specs that expand to invalid options, and specs
+// larger than a server or worker accepts.
+func (o OptionsSpec) Validate() error {
+	opts := o.Options()
+	if opts.Replications > maxReplications {
+		return fmt.Errorf("service: %d replications above the limit of %d", opts.Replications, maxReplications)
+	}
+	if opts.MaxSamples > maxSampleBudget {
+		return fmt.Errorf("service: sample budget %d above the limit of %d", opts.MaxSamples, maxSampleBudget)
+	}
+	return opts.Validate()
+}
 
 // Validate rejects requests the pool would fail on anyway, and requests
 // larger than the server accepts.
@@ -194,14 +207,7 @@ func (r JobRequest) Validate() error {
 	if _, err := r.Source.Factory(1); err != nil {
 		return err
 	}
-	opts := r.Options.Options()
-	if opts.Replications > maxReplications {
-		return fmt.Errorf("service: %d replications above the limit of %d", opts.Replications, maxReplications)
-	}
-	if opts.MaxSamples > maxSampleBudget {
-		return fmt.Errorf("service: sample budget %d above the limit of %d", opts.MaxSamples, maxSampleBudget)
-	}
-	return opts.Validate()
+	return r.Options.Validate()
 }
 
 // jsonFinite maps non-finite values to -1 for JSON transport: a

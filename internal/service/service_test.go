@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -626,5 +627,43 @@ func TestElapsedCoversWholeEstimate(t *testing.T) {
 	}
 	if v.Result.ElapsedMS < selMS {
 		t.Fatalf("elapsedMs %.3f is shorter than the select-interval span %.3f ms it contains", v.Result.ElapsedMS, selMS)
+	}
+}
+
+// TestMergeRoundCarriesJobValues: a job's convergence values belong to
+// the job. Its trace's last merge-round event carries the power and
+// half-width the job's result reports, in the event's 'g', 6 rendering.
+func TestMergeRoundCarriesJobValues(t *testing.T) {
+	svc, _ := newTestService(t, Config{Workers: 1})
+	id, err := svc.Jobs.Submit(fastRequest(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	v, err := svc.Jobs.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != StateDone || v.Result == nil {
+		t.Fatalf("job did not finish: %+v", v)
+	}
+	tr, _ := svc.Jobs.Trace(id)
+	var last map[string]string
+	for _, sp := range tr.Spans {
+		if sp.Name == "merge-round" {
+			last = make(map[string]string)
+			for i := 0; i+1 < len(sp.Attrs); i += 2 {
+				last[sp.Attrs[i]] = sp.Attrs[i+1]
+			}
+		}
+	}
+	if last == nil {
+		t.Fatalf("trace has no merge-round event: %+v", tr.Spans)
+	}
+	for key, want := range map[string]float64{"power": v.Result.Power, "halfWidth": v.Result.HalfWidth} {
+		if got, want := last[key], strconv.FormatFloat(want, 'g', 6, 64); got != want {
+			t.Errorf("last merge-round %s = %q, result's %q", key, got, want)
+		}
 	}
 }

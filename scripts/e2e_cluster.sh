@@ -2,7 +2,10 @@
 # e2e_cluster.sh — boot a real estimation cluster on loopback and drive
 # a batch through it: one dipe-server coordinator + two dipe-worker
 # processes, worker self-registration, readiness transition, batch
-# submission over the cluster dispatcher, and completion checks.
+# submission over the cluster dispatcher, and completion checks: a
+# finished job's trace must run from its shard event through merge
+# rounds ending at its result, and a worker must refuse an oversized
+# /v1/run with 400 and keep serving.
 #
 # With --chaos the script instead runs the fault-tolerance gate on real
 # processes: a worker is SIGKILLed mid-batch (jobs must still finish), a
@@ -161,6 +164,32 @@ for id in $ids; do
   curl -sf "$BASE/v1/jobs/$id/wait?timeout=120s" | python3 -c "$check_job" "$id"
 done
 
+echo "== a cluster job's trace: shard, then merge rounds ending at the result"
+# bench/target.go derives its cluster split from these events.
+first_id=$(echo "$ids" | head -n1)
+curl -sf "$BASE/v1/jobs/$first_id" >"$LOGS/job.json"
+curl -sf "$BASE/v1/jobs/$first_id/trace" | python3 -c '
+import json, sys
+spans = json.load(sys.stdin)["spans"]
+job = json.load(open(sys.argv[1]))["result"]
+names = [s["name"] for s in spans]
+merges = [s for s in spans if s["name"] == "merge-round"]
+assert "shard" in names and merges, f"trace lacks shard or merge-round events: {names}"
+assert names.index("shard") < names.index("merge-round"), f"merge-round before shard: {names}"
+attrs = merges[-1].get("attrs", [])
+last = dict(zip(attrs[::2], attrs[1::2]))
+for key in ("power", "halfWidth"):
+    want = float("%.6g" % job[key])
+    assert float(last.get(key, "nan")) == want, f"last merge-round {key}={last.get(key)!r}, result {job[key]!r}"
+print("  shard + %d merge rounds; last power=%s halfWidth=%s" % (len(merges), last["power"], last["halfWidth"]))
+' "$LOGS/job.json"
+
+echo "== a worker answers an oversized /v1/run with 400 and keeps serving"
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$W1_ADDR/v1/run" -H 'Content-Type: application/json' \
+  -d '{"hash":"deadbeef","seed":1,"interval":2,"repLo":0,"repHi":64,"rounds":8589934592,"maxBlocks":1}')
+[ "$code" = 400 ] || { echo "oversized /v1/run answered $code, want 400"; exit 1; }
+curl -sf "http://$W1_ADDR/healthz" >/dev/null || { echo "worker 1 stopped serving"; exit 1; }
+
 echo "== stats name the cluster dispatcher"
 curl -s "$BASE/v1/stats" | python3 -c '
 import json, sys
@@ -171,7 +200,7 @@ assert st["pool"]["done"] >= 5, st["pool"]
 
 echo "== /metrics scrapes cleanly on the coordinator"
 curl -sf "$BASE/metrics" | python3 -c "$prom_check" \
-  dipe_core_rounds_total dipe_core_half_width \
+  dipe_core_rounds_total dipe_core_samples_total \
   dipe_cluster_lease_grants_total dipe_cluster_workers_alive \
   dipe_service_jobs_submitted_total dipe_service_jobs_done
 
