@@ -158,13 +158,15 @@ func BenchmarkAblationInputs(b *testing.B) {
 // --- engine micro-benchmarks ---------------------------------------------
 
 // BenchmarkEventDrivenCycle measures one sampled (general-delay) clock
-// cycle across circuit sizes — the dominant cost of estimation.
+// cycle of the scalar event-driven engine across circuit sizes — the
+// dominant cost of estimation — through the ScalarSession that drives
+// it cycle by cycle.
 func BenchmarkEventDrivenCycle(b *testing.B) {
 	for _, name := range []string{"s298", "s1494", "s5378", "s15850"} {
 		c := bench89.MustGet(name)
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
-			s := tb.NewSession(dipe.NewIIDSource(len(c.Inputs), 0.5, 1))
+			s := sim.NewScalarSession(c, sim.NewEventDriven(c, tb.Delays), dipe.NewIIDSource(len(c.Inputs), 0.5, 1), tb.Weights())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepSampled(nil)
@@ -174,14 +176,16 @@ func BenchmarkEventDrivenCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkZeroDelayCycle measures one hidden (zero-delay) cycle — the
-// cost of advancing through the independence interval.
+// BenchmarkZeroDelayCycle measures one hidden cycle of the scalar
+// zero-delay simulator (ScalarSession.StepHidden), the interpreted
+// reference for the compiled Step program that advances a Session
+// through the independence interval.
 func BenchmarkZeroDelayCycle(b *testing.B) {
 	for _, name := range []string{"s298", "s832", "s1494", "s5378", "s15850"} {
 		c := bench89.MustGet(name)
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
-			s := tb.NewSession(dipe.NewIIDSource(len(c.Inputs), 0.5, 1))
+			s := sim.NewScalarSession(c, sim.NewZeroDelayToggle(c), dipe.NewIIDSource(len(c.Inputs), 0.5, 1), tb.Weights())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepHidden()
@@ -346,20 +350,20 @@ func BenchmarkIntervalSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkPhase1 measures phase 1 of the parallel estimators — warm-up
-// plus the Fig. 2 interval selection — on s1494, once on the scalar
-// session and once on the compiled trajectory PreparePlanCtx runs it
-// on. Both select the same interval from bit-identical samples;
-// cycles/sec counts hidden plus sampled cycles.
+// BenchmarkPhase1 measures phase 1 of every estimator — warm-up plus
+// the Fig. 2 interval selection — on s1494, once on the ScalarSession
+// oracle and once on the compiled Session the estimators run it on.
+// Both select the same interval from bit-identical samples; cycles/sec
+// counts hidden plus sampled cycles.
 func BenchmarkPhase1(b *testing.B) {
 	c := bench89.MustGet("s1494")
 	tb := dipe.NewTestbench(c)
 	opts := dipe.DefaultOptions()
 	for _, mode := range []dipe.PowerMode{dipe.ZeroDelayMode, dipe.GeneralDelayMode} {
 		for _, compiled := range []bool{false, true} {
-			name := mode.String() + "/session"
+			name := mode.String() + "/scalar"
 			if compiled {
-				name = mode.String() + "/trajectory"
+				name = mode.String() + "/compiled"
 			}
 			b.Run(name, func(b *testing.B) {
 				var cycles uint64
@@ -368,11 +372,11 @@ func BenchmarkPhase1(b *testing.B) {
 					var col core.Collector
 					var count func() uint64
 					if compiled {
-						t := tb.NewTrajectoryMode(src, mode)
-						t.StepHiddenN(opts.WarmupCycles)
-						col, count = t, func() uint64 { return t.HiddenCycles + t.SampledCycles }
-					} else {
 						s := tb.NewSessionMode(src, mode)
+						s.StepHiddenN(opts.WarmupCycles)
+						col, count = s, func() uint64 { return s.HiddenCycles + s.SampledCycles }
+					} else {
+						s := sim.NewScalarSession(c, tb.Engine(mode), src, tb.Weights())
 						s.StepHiddenN(opts.WarmupCycles)
 						col, count = s, func() uint64 { return s.HiddenCycles + s.SampledCycles }
 					}

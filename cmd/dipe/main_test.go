@@ -8,11 +8,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
 
 // runDipe runs the command body on args and fails the test on error. It
 // returns what the command wrote to stdout and stderr.
@@ -25,8 +28,45 @@ func runDipe(t *testing.T, args ...string) (stdout, stderr string) {
 	return out.String(), errOut.String()
 }
 
+// wallTime matches the parts of a report that vary run to run: the
+// estimate's wall-time line and a reference run's elapsed time.
+var wallTime = regexp.MustCompile(`(?m)^(wall time +: |reference: .* in )\S+$`)
+
+// checkGolden compares got, with its wall times blanked, against
+// testdata/name.golden; -update rewrites the file instead.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	got = wallTime.ReplaceAllString(got, "${1}<elapsed>")
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s:\n--- got\n%s--- want\n%s", name, path, got, want)
+	}
+}
+
+// runGolden runs the command on args and compares its stdout against
+// testdata/name.golden.
+func runGolden(t *testing.T, name string, args ...string) {
+	t.Helper()
+	stdout, _ := runDipe(t, args...)
+	checkGolden(t, name, stdout)
+}
+
+// TestRunEstimate pins the serial estimator's reports byte for byte
+// (apart from wall times): a change to the session it runs on must not
+// move them. The other serial modes below are pinned the same way.
 func TestRunEstimate(t *testing.T) {
-	runDipe(t, "-circuit", "s27", "-v")
+	runGolden(t, "s298", "-circuit", "s298")
+	runGolden(t, "s298-v", "-circuit", "s298", "-v")
 }
 
 func TestRunBreakdown(t *testing.T) {
@@ -45,15 +85,15 @@ func TestRunAllCriteriaAndTests(t *testing.T) {
 }
 
 func TestRunReferenceMode(t *testing.T) {
-	runDipe(t, "-circuit", "s27", "-ref", "2000")
+	runGolden(t, "s298-ref", "-circuit", "s298", "-ref", "5000")
 }
 
 func TestRunZTraceMode(t *testing.T) {
-	runDipe(t, "-circuit", "s27", "-ztrace", "3", "-ztrace-len", "200")
+	runGolden(t, "s298-ztrace", "-circuit", "s298", "-ztrace", "3", "-ztrace-len", "320")
 }
 
 func TestRunFixedInterval(t *testing.T) {
-	runDipe(t, "-circuit", "s27", "-interval", "2")
+	runGolden(t, "s298-interval", "-circuit", "s298", "-interval", "2")
 }
 
 func TestRunParallelReplications(t *testing.T) {
@@ -63,23 +103,24 @@ func TestRunParallelReplications(t *testing.T) {
 }
 
 func TestRunTopConsumers(t *testing.T) {
-	runDipe(t, "-circuit", "s27", "-top", "3")
+	runGolden(t, "s298-top", "-circuit", "s298", "-top", "5")
 }
 
 func TestRunMaxPower(t *testing.T) {
 	runDipe(t, "-circuit", "s27", "-max", "300")
 }
 
+// TestRunVCD pins the waveform file apart from its $date line.
 func TestRunVCD(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wave.vcd")
-	runDipe(t, "-circuit", "s27", "-vcd", path, "-vcd-cycles", "8")
+	stdout, _ := runDipe(t, "-circuit", "s298", "-vcd", path)
+	checkGolden(t, "s298-vcd-stdout", strings.ReplaceAll(stdout, path, "wave.vcd"))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "$enddefinitions") {
-		t.Fatal("VCD file missing declarations")
-	}
+	date := regexp.MustCompile(`(?m)^\$date .*\n`)
+	checkGolden(t, "s298-vcd", date.ReplaceAllString(string(data), ""))
 }
 
 func TestRunBenchAndBLIFFiles(t *testing.T) {
@@ -140,6 +181,7 @@ func TestRunCompiledBackend(t *testing.T) {
 }
 
 func TestRunZeroDelayMode(t *testing.T) {
+	runGolden(t, "s298-zero-delay", "-circuit", "s298", "-power-mode", "zero-delay")
 	runDipe(t, "-circuit", "s27", "-power-mode", "zero") // alias of "zero-delay"
 	runDipe(t, "-circuit", "s27", "-power-mode", "zero", "-replications", "8")
 	var stdout, stderr bytes.Buffer

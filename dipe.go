@@ -37,7 +37,10 @@ type Result = core.Result
 // Testbench bundles a circuit with timing and power models.
 type Testbench = core.Testbench
 
-// Session drives a circuit through clock cycles (two-phase simulation).
+// Session drives a circuit through clock cycles (two-phase simulation):
+// zero-delay hidden cycles and sampled cycles observed by the session's
+// power engine, on the circuit's compiled word-level programs. Every
+// estimator runs on it.
 type Session = sim.Session
 
 // Source produces primary-input patterns, one per clock cycle.

@@ -33,9 +33,10 @@
 //
 //   - internal/netlist, internal/logic — circuit substrate: gate-level
 //     representation, .bench/BLIF I/O, frozen CSR view
-//   - internal/sim — Section IV's two-phase simulation: scalar
-//     zero-delay, compiled word-level lane sessions (the default; the
-//     packed 64-lane interpreter is their test oracle), and event-driven
+//   - internal/sim — Section IV's two-phase simulation: the compiled
+//     serial Session every estimator runs and compiled word-level lane
+//     sessions (the interpreted ScalarSession and packed 64-lane
+//     interpreter are their test oracles), and event-driven
 //     general-delay simulators
 //   - internal/compile — the netlist compiler behind the compiled
 //     sessions: straight-line word-level programs, one execution form

@@ -535,7 +535,7 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 		rg := &repRange{idx: i, lo: b[0], hi: b[1], ch: make(chan rangeMsg, 16)}
 		ranges[i] = rg
 		lanes[i] = b[1] - b[0]
-		go c.runLeasedRange(sctx, js, hash, src, req, rp.Plan, rp.Interval, rounds, t.MaxBlocks(), t.BudgetRounds(), rg)
+		go c.runLeasedRange(sctx, js, hash, src, req, rp.Plan, rp.Interval, rounds, core.MaxBlocks(opts), t.BudgetRounds(), rg)
 	}
 
 	blocks := make([]core.ReplicationBlock, k)

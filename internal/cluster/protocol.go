@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/vr"
 )
@@ -67,13 +68,19 @@ type RunRequest struct {
 // (max(1, CheckEvery/Replications), as core.Merger does). A worker
 // allocates the range's sessions and rounds × lanes samples before the
 // first block, so these bounds, with the job's own size limits, are
-// what keep one request from exhausting its memory.
+// what keep one request from exhausting its memory. The interval must
+// not exceed service.MaxFixedInterval, and neither skipBlocks nor
+// maxBlocks may exceed the job's block budget (core.MaxBlocks, the cap
+// the coordinator sends), nor skipBlocks a nonzero maxBlocks: together
+// they bound the cycles a worker fast-forwards before its first block.
 func (r RunRequest) Validate() error {
 	switch {
 	case r.Hash == "":
 		return fmt.Errorf("cluster: run request missing circuit hash")
 	case r.Interval < 0:
 		return fmt.Errorf("cluster: negative interval %d", r.Interval)
+	case r.Interval > service.MaxFixedInterval:
+		return fmt.Errorf("cluster: interval %d above the limit of %d", r.Interval, service.MaxFixedInterval)
 	case r.RepLo < 0 || r.RepHi <= r.RepLo:
 		return fmt.Errorf("cluster: bad replication range [%d, %d)", r.RepLo, r.RepHi)
 	case r.Rounds < 1:
@@ -94,6 +101,12 @@ func (r RunRequest) Validate() error {
 	}
 	if cadence := max(1, opts.CheckEvery/opts.Replications); r.Rounds > cadence {
 		return fmt.Errorf("cluster: block rounds %d above the job's cadence of %d", r.Rounds, cadence)
+	}
+	switch budget := core.MaxBlocks(opts); {
+	case r.SkipBlocks > budget || r.MaxBlocks > budget:
+		return fmt.Errorf("cluster: skipBlocks %d / maxBlocks %d above the job's budget of %d blocks", r.SkipBlocks, r.MaxBlocks, budget)
+	case r.MaxBlocks > 0 && r.SkipBlocks > r.MaxBlocks:
+		return fmt.Errorf("cluster: skipBlocks %d past maxBlocks %d", r.SkipBlocks, r.MaxBlocks)
 	}
 	return r.VR.Validate()
 }

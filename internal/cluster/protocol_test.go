@@ -11,12 +11,14 @@ import (
 // TestRunRequestValidate: a worker rejects every run request it could
 // not run with a 400 before any stream starts, including one whose
 // option spec expands to invalid estimator options or exceeds the job
-// size limits, and one whose range or block cadence the job's options
-// do not allow. A request without
+// size limits, one whose range or block cadence the job's options do
+// not allow, and one whose interval or block counts would have it
+// fast-forward past the job's block budget. A request without
 // an options block expands to the paper defaults and is accepted; the
 // worker then answers 404 because it has never seen the hash.
 func TestRunRequestValidate(t *testing.T) {
 	const valid = `"hash":"deadbeef","seed":1,"interval":1,"repLo":0,"repHi":8,"rounds":1`
+	const budget = `"hash":"deadbeef","seed":1,"interval":1,"repLo":0,"repHi":64,"rounds":1,"options":{"replications":64,"maxSamples":6400}`
 	cases := []struct {
 		name string
 		body string
@@ -34,6 +36,14 @@ func TestRunRequestValidate(t *testing.T) {
 		{"range past the replications", `{"hash":"deadbeef","seed":1,"interval":1,"repLo":0,"repHi":65,"rounds":1,"options":{"replications":64}}`, false},
 		{"replications above the limit", `{` + valid + `,"options":{"replications":4097}}`, false},
 		{"sample budget above the limit", `{` + valid + `,"options":{"maxSamples":16777217}}`, false},
+		{"interval at the limit", `{"hash":"deadbeef","seed":1,"interval":65536,"repLo":0,"repHi":8,"rounds":1}`, true},
+		{"interval above the limit", `{"hash":"deadbeef","seed":1,"interval":65537,"repLo":0,"repHi":8,"rounds":1}`, false},
+		// 64 replications, one round per block and 6400 samples: a
+		// budget of 6400/64 + 2 = 102 blocks.
+		{"skip and max blocks at the budget", `{` + budget + `,"skipBlocks":102,"maxBlocks":102}`, true},
+		{"skipBlocks above the budget", `{` + budget + `,"skipBlocks":103}`, false},
+		{"maxBlocks above the budget", `{` + budget + `,"maxBlocks":103}`, false},
+		{"skipBlocks past maxBlocks", `{` + budget + `,"skipBlocks":5,"maxBlocks":4}`, false},
 	}
 	srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
 	defer srv.Close()

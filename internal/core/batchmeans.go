@@ -38,6 +38,7 @@ func EstimateBatchMeans(s *sim.Session, opts Options, batch int) (Result, error)
 
 	crit := opts.NewCriterion(opts.Spec)
 	name := fmt.Sprintf("batch-means-%d/%s", batch, crit.Name())
+	var buf []float64
 	for !crit.Done() {
 		if (crit.N()+1)*batch > opts.MaxSamples {
 			return Result{
@@ -51,9 +52,10 @@ func EstimateBatchMeans(s *sim.Session, opts Options, batch int) (Result, error)
 				Converged:     false,
 			}, nil
 		}
+		buf, _ = s.Collect(0, batch, buf[:0], nil, nil)
 		sum := 0.0
-		for i := 0; i < batch; i++ {
-			sum += s.StepSampled(nil)
+		for _, p := range buf {
+			sum += p
 		}
 		crit.Add(sum / float64(batch))
 	}

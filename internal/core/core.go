@@ -247,7 +247,8 @@ func DefaultTestbench(c *netlist.Circuit) *Testbench {
 
 // NewSession creates a simulation session over the testbench with the
 // given input source and the default general-delay (event-driven) power
-// engine.
+// engine. Every estimator runs on this compiled session; tests compare
+// it against sim.ScalarSession.
 func (tb *Testbench) NewSession(src vectors.Source) *sim.Session {
 	return sim.NewSession(tb.Circuit, tb.Delays, src, tb.weights)
 }
@@ -267,13 +268,6 @@ func (tb *Testbench) Engine(mode power.PowerMode) sim.PowerEngine {
 // NewSession's general-delay behaviour.
 func (tb *Testbench) NewSessionMode(src vectors.Source, mode power.PowerMode) *sim.Session {
 	return sim.NewSessionEngine(tb.Circuit, tb.Engine(mode), src, tb.weights)
-}
-
-// NewTrajectoryMode creates the compiled phase-1 trajectory whose
-// samples are observed under the given power mode: bit-identical, call
-// for call, to Collect on NewSessionMode's session over the same source.
-func (tb *Testbench) NewTrajectoryMode(src vectors.Source, mode power.PowerMode) *sim.Trajectory {
-	return sim.NewTrajectory(tb.Circuit, tb.Engine(mode), src, tb.weights)
 }
 
 // Weights exposes the per-transition power weights (watts per

@@ -9,7 +9,8 @@
 //     built on a randomness test (Fig. 2; SelectInterval).
 //  3. Generate a random power sample two-phase: m zero-delay cycles
 //     between sampled cycles, each sampled cycle simulated with the
-//     event-driven general-delay simulator (sim.Session).
+//     event-driven general-delay simulator. A sim.Session drives the
+//     trajectory on the circuit's compiled programs.
 //  4. Feed samples to a distribution-independent stopping criterion and
 //     stop when the accuracy specification is met (Estimate).
 //
@@ -22,10 +23,11 @@
 // hidden and sampled cycles, and one merge loop (Tail), which owns the
 // stopping rule and builds the Result; the cluster coordinator feeds
 // the same loop from worker streams of the same producer
-// (StreamReplications). Its phase 1 (warm-up and
-// Fig. 2) runs on a compiled sim.Trajectory rather than a scalar
-// session: SelectInterval accepts either through the Collector
-// interface, and both give bit-identical samples. The Ctx variants add
+// (StreamReplications). Every estimator runs phase 1 (warm-up and
+// Fig. 2), and the serial estimators also their sampling phase, on one
+// compiled sim.Session. SelectInterval takes any Collector, so tests
+// can run it on the interpreted sim.ScalarSession oracle, which gives
+// bit-identical samples. The Ctx variants add
 // cooperative cancellation (covering interval selection too, via
 // SelectIntervalCtx), and Options.Progress streams running snapshots
 // with a guaranteed terminal snapshot — the hooks the dipe-server job

@@ -179,6 +179,7 @@ func estimateTail(ctx context.Context, s *sim.Session, opts Options, interval in
 			Converged:     converged,
 		}
 	}
+	var buf []float64
 	for !crit.Done() {
 		if err := ctx.Err(); err != nil {
 			return result(false), err
@@ -186,9 +187,9 @@ func estimateTail(ctx context.Context, s *sim.Session, opts Options, interval in
 		if crit.N()+opts.CheckEvery > opts.MaxSamples {
 			return result(false), nil
 		}
-		for i := 0; i < opts.CheckEvery; i++ {
-			s.StepHiddenN(interval)
-			crit.Add(s.StepSampled(nil))
+		buf, _ = s.Collect(interval, opts.CheckEvery, buf[:0], nil, nil)
+		for _, p := range buf {
+			crit.Add(p)
 		}
 		if opts.Progress != nil {
 			opts.Progress(Progress{

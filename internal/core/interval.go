@@ -48,9 +48,9 @@ type IntervalSelection struct {
 }
 
 // Collector is a single trajectory that phase 1 collects power
-// sequences from. *sim.Trajectory (the compiled engine, which the
-// parallel estimators use) and *sim.Session (the scalar simulators)
-// both satisfy it with bit-identical samples.
+// sequences from. *sim.Session (the compiled engine every estimator
+// runs) and *sim.ScalarSession (its test oracle) both satisfy it with
+// bit-identical samples.
 type Collector interface {
 	// Circuit returns the simulated circuit.
 	Circuit() *netlist.Circuit

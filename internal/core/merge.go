@@ -72,21 +72,14 @@ func NewMerger(opts Options) (*Merger, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	reps := opts.Replications
-	if reps == 0 {
-		reps = sim.MaxLanes
-	}
-	rounds := opts.CheckEvery / reps
-	if rounds < 1 {
-		rounds = 1
-	}
+	reps, rounds, perRound := blockShape(opts)
 	m := &Merger{
 		crit:       opts.NewCriterion(opts.Spec),
 		reps:       reps,
 		rounds:     rounds,
 		maxSamples: opts.MaxSamples,
 		pairing:    opts.Variance.Mode.Canonical() == vr.ModeAntithetic,
-		perRound:   reps,
+		perRound:   perRound,
 		met:        opts.Metrics,
 		start:      time.Now(),
 	}
@@ -94,11 +87,36 @@ func NewMerger(opts Options) (*Merger, error) {
 		m.met.Runs.Inc()
 	}
 	if m.pairing {
-		m.perRound = reps / 2
 		m.round = make([]float64, 0, reps)
 		m.pairs = make([]float64, 0, m.perRound)
 	}
 	return m, nil
+}
+
+// blockShape returns the replication-space width, the block cadence
+// and the criterion samples per merged round of a run under opts.
+func blockShape(opts Options) (reps, rounds, perRound int) {
+	reps = opts.Replications
+	if reps == 0 {
+		reps = sim.MaxLanes
+	}
+	rounds = max(1, opts.CheckEvery/reps)
+	perRound = reps
+	if opts.Variance.Mode.Canonical() == vr.ModeAntithetic {
+		perRound = reps / 2
+	}
+	return reps, rounds, perRound
+}
+
+// MaxBlocks bounds a block stream of a run under opts (which must
+// validate): strictly more blocks than Tail.Run can merge before the
+// sample budget stops it (per criterion sample, not per replication:
+// antithetic pairing halves the criterion samples a round yields,
+// doubling the blocks the budget funds). It caps orphaned worker
+// streams, and a worker refuses to skip or stream past it.
+func MaxBlocks(opts Options) int {
+	_, rounds, perRound := blockShape(opts)
+	return opts.MaxSamples/(perRound*rounds) + 2
 }
 
 // Seed feeds an already-collected sample sequence (the accepted
@@ -356,7 +374,7 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 	if err != nil {
 		return err
 	}
-	run.warm(skip * rounds)
+	run.warm(ctx, skip*rounds)
 	for b := skip; maxBlocks == 0 || b < maxBlocks; b++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -416,15 +434,6 @@ func (t *Tail) Reps() int { return t.m.Reps() }
 // Rounds returns the block cadence: the number of rounds a full block
 // carries.
 func (t *Tail) Rounds() int { return t.m.Rounds() }
-
-// MaxBlocks bounds a block stream: strictly more blocks than Run can
-// merge before the sample budget stops it (PerRound, not Reps:
-// antithetic pairing halves the criterion samples a round yields,
-// doubling the blocks the budget funds). It caps orphaned worker
-// streams.
-func (t *Tail) MaxBlocks() int {
-	return t.opts.MaxSamples/(t.m.PerRound()*t.m.Rounds()) + 2
-}
 
 // BudgetRounds returns the total number of rounds the sample budget
 // lets Run merge under Options.Breakdown, and 0 outside breakdown runs.

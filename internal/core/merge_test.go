@@ -83,7 +83,7 @@ func TestMergerStreamedRangesMatchParallel(t *testing.T) {
 			queues := make([][]ReplicationBlock, len(bounds))
 			for i, b := range bounds {
 				err := StreamReplications(ctx, tb, factory, seed, opts, rp.Plan, rp.Interval, b[0], b[1],
-					tail.Rounds(), 0, tail.MaxBlocks(), tail.BudgetRounds(), func(blk ReplicationBlock) error {
+					tail.Rounds(), 0, MaxBlocks(opts), tail.BudgetRounds(), func(blk ReplicationBlock) error {
 						queues[i] = append(queues[i], blk)
 						return nil
 					})

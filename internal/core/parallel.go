@@ -109,14 +109,21 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 	return r, nil
 }
 
+// warmChunk is how many hidden cycles warm steps between polls of its
+// context. The default 512-cycle warm-up runs as one chunk.
+const warmChunk = 1024
+
 // warm runs every replication through the warm-up from reset, followed
 // by skipRounds already-merged rounds. Power observation does not
 // influence the state trajectory, so replayed rounds run as pure hidden
 // cycles: interval hidden cycles plus the would-be sampled cycle each.
-func (r *replicationRun) warm(skipRounds int) {
-	runShards(r.shards, r.workers, func(sh *shard) {
-		sh.ps.StepHiddenN(r.warmup + skipRounds*(r.interval+1))
-	})
+// It polls ctx before every warmChunk cycles and stops early once ctx
+// ends; both callers check ctx before their first block.
+func (r *replicationRun) warm(ctx context.Context, skipRounds int) {
+	for left := r.warmup + skipRounds*(r.interval+1); left > 0 && ctx.Err() == nil; left -= warmChunk {
+		n := min(left, warmChunk)
+		runShards(r.shards, r.workers, func(sh *shard) { sh.ps.StepHiddenN(n) })
+	}
 }
 
 // block steps n rounds and returns them as block b: n rounds of
@@ -168,8 +175,7 @@ func (r *replicationRun) block(b, n, count int) ReplicationBlock {
 
 // EstimateParallel runs the DIPE flow with many independent replications
 // advanced concurrently. Warm-up and interval selection run once on a
-// compiled trajectory seeded baseSeed, whose samples are bit-identical
-// to Estimate's scalar session; sampling then shards
+// session seeded baseSeed, exactly as in Estimate; sampling then shards
 // opts.Replications independent sequences — replication r is seeded
 // baseSeed+1+r, a fixed lane→seed mapping — across a goroutine worker
 // pool. Each worker drives a lane session (the compiled backend by

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/bench89"
 	"repro/internal/stopping"
 	"repro/internal/vectors"
+	"repro/internal/vr"
 )
 
 // TestEstimateParallelDeterministic: the same seeds give the same result,
@@ -195,6 +197,57 @@ func TestRunShardsPanicReachesCaller(t *testing.T) {
 	for i, ok := range ran {
 		if i != 2 && !ok {
 			t.Fatalf("shard %d never ran", i)
+		}
+	}
+}
+
+// pollBudget is a context that reports context.Canceled once Err has
+// been polled a fixed number of times.
+type pollBudget struct {
+	context.Context
+	polls int
+}
+
+func (p *pollBudget) Err() error {
+	if p.polls == 0 {
+		return context.Canceled
+	}
+	p.polls--
+	return nil
+}
+
+// TestWarmStopsOnCancel: a context that ends while a worker
+// fast-forwards (a retry skipping merged blocks at a long interval)
+// stops the warm-up at the next chunk boundary. The cycles every
+// replication ran are the judge, not the wall clock.
+func TestWarmStopsOnCancel(t *testing.T) {
+	c := bench89.S27()
+	tb := DefaultTestbench(c)
+	opts := DefaultOptions()
+	opts.Replications = 8
+	opts.Workers = 2
+	const interval, skipRounds = 100, 1000
+	cycles := func(ctx context.Context) []uint64 {
+		run, err := newReplicationRun(tb, vectors.IIDFactory(len(c.Inputs), 0.5), 1, opts, vr.Plan{}, interval, 0, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run.warm(ctx, skipRounds)
+		var out []uint64
+		for _, sh := range run.shards {
+			hidden, _ := sh.ps.CycleCounts() // summed over the shard's lanes
+			out = append(out, hidden/uint64(sh.lanes))
+		}
+		return out
+	}
+	for _, h := range cycles(context.Background()) {
+		if want := uint64(opts.WarmupCycles + skipRounds*(interval+1)); h != want {
+			t.Fatalf("uncancelled fast-forward ran %d cycles, want %d", h, want)
+		}
+	}
+	for _, h := range cycles(&pollBudget{Context: context.Background(), polls: 2}) {
+		if h != 2*warmChunk {
+			t.Fatalf("fast-forward cancelled after two polls ran %d cycles, want %d", h, 2*warmChunk)
 		}
 	}
 }

@@ -13,18 +13,18 @@ import (
 	"repro/internal/vr"
 )
 
-// scalarResumePoint replays the pre-sampling phases on a scalar
-// session: NewSessionMode plus StepHiddenN(WarmupCycles), then
+// scalarResumePoint replays the pre-sampling phases on the
+// sim.ScalarSession oracle: StepHiddenN(WarmupCycles), then
 // SelectIntervalCtx and ResolvePlan. A fixed-interval control-variate
 // run's calibration sequence is collected on the scalar session too and
 // handed to ResolvePlan as the coefficient, so no phase-1 sample of the
-// replay comes from the compiled trajectory.
+// replay comes from the compiled session.
 func scalarResumePoint(t *testing.T, tb *Testbench, factory vectors.Factory, seed int64, opts Options, fixed *int) ResumePoint {
 	t.Helper()
 	ctx := context.Background()
 	var rp ResumePoint
 	var sel *IntervalSelection
-	s := tb.NewSessionMode(factory(seed), opts.Mode)
+	s := sim.NewScalarSession(tb.Circuit, tb.Engine(opts.Mode), factory(seed), tb.Weights())
 	if fixed != nil {
 		rp.Interval = *fixed
 		if opts.Variance.Mode.Canonical() == vr.ModeControlVariate && opts.Variance.BetaOverride == nil {
@@ -67,7 +67,7 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestPreparePlanMatchesScalarSequence: PreparePlanCtx, whose phase 1
-// runs on the compiled trajectory, freezes the same ResumePoint as the
+// runs on the compiled session, freezes the same ResumePoint as the
 // scalar-session sequence the bench decomposition replays, in every
 // estimator mode that reaches phase 1 or the calibration.
 func TestPreparePlanMatchesScalarSequence(t *testing.T) {
@@ -138,7 +138,7 @@ func TestPreparePlanMatchesScalarSequence(t *testing.T) {
 }
 
 // TestPreparePlanCancelled: a cancelled context stops phase 1 on the
-// trajectory with context.Canceled.
+// session with context.Canceled.
 func TestPreparePlanCancelled(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)

@@ -58,14 +58,13 @@ type ResumePoint struct {
 
 // PreparePlanCtx runs the pre-sampling phases of an EstimateParallel
 // run and freezes them into a ResumePoint. With fixed == nil, phase 1
-// (warm-up and Fig. 2 interval selection) runs on a compiled trajectory
-// seeded baseSeed (Testbench.NewTrajectoryMode), whose samples and cycle
-// counts are bit-identical to a scalar session's;
-// a non-nil fixed skips selection and pins the interval, exactly like
-// EstimateParallelWithInterval. Plan resolution (ResolvePlan) follows
-// in either case. Two calls with the same inputs produce bit-identical
-// points — the determinism that makes persisted checkpoints safe to
-// resume from.
+// (warm-up and Fig. 2 interval selection) runs on a session seeded
+// baseSeed (Testbench.NewSessionMode), the same phase 1 the serial
+// estimators run; a non-nil fixed skips selection and pins the
+// interval, exactly like EstimateParallelWithInterval. Plan resolution
+// (ResolvePlan) follows in either case. Two calls with the same inputs
+// produce bit-identical points — the determinism that makes persisted
+// checkpoints safe to resume from.
 func PreparePlanCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, fixed *int) (ResumePoint, error) {
 	if err := opts.Validate(); err != nil {
 		return ResumePoint{}, err
@@ -82,7 +81,7 @@ func PreparePlanCtx(ctx context.Context, tb *Testbench, src vectors.Factory, bas
 		rp.Interval = *fixed
 	} else {
 		endSel := tr.Begin("select-interval")
-		sel0 := tb.NewTrajectoryMode(src(baseSeed), opts.Mode)
+		sel0 := tb.NewSessionMode(src(baseSeed), opts.Mode)
 		sel0.StepHiddenN(opts.WarmupCycles)
 		s, err := SelectIntervalCtx(ctx, sel0, opts)
 		if err != nil {
@@ -137,7 +136,7 @@ func EstimateParallelResumeCtx(ctx context.Context, tb *Testbench, src vectors.F
 		"workers", strconv.Itoa(run.workers),
 		"replications", strconv.Itoa(reps),
 		"interval", strconv.Itoa(rp.Interval))
-	run.warm(0)
+	run.warm(ctx, 0)
 	// The producer runs in lockstep with the merge loop, so it simulates
 	// exactly the rounds the merger consumes.
 	res, err := t.Run(ctx, []int{reps}, func(b, n int) ([]ReplicationBlock, error) {

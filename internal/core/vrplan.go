@@ -82,7 +82,7 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 				// Fixed-interval run: no phase-1 data exists, so collect a
 				// dedicated calibration sequence shaped like one selection
 				// trial at the sampling interval.
-				s := tb.NewTrajectoryMode(src(baseSeed), opts.Mode)
+				s := tb.NewSessionMode(src(baseSeed), opts.Mode)
 				s.StepHiddenN(opts.WarmupCycles)
 				var err error
 				xs, cs, err = collectSequencePairs(ctx, s, interval, opts.SeqLen,

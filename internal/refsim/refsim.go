@@ -35,6 +35,10 @@ func (r Result) String() string {
 		r.Power, r.Cycles, 100*r.RelStdErr())
 }
 
+// collectChunk is how many consecutive samples Run collects per
+// Session.Collect call: whole settle batches, in a buffer it reuses.
+const collectChunk = 1024
+
 // Run simulates warmup hidden cycles followed by `cycles` consecutive
 // sampled (general-delay) cycles on the session and returns the mean
 // power. The session is advanced in place; callers wanting a fresh state
@@ -55,15 +59,18 @@ func Run(s *sim.Session, warmup, cycles int) Result {
 	var all, cur stats.Accumulator
 	var batches stats.Accumulator
 	inBatch := 0
-	for i := 0; i < cycles; i++ {
-		p := s.StepSampled(nil)
-		all.Add(p)
-		cur.Add(p)
-		inBatch++
-		if inBatch == batch {
-			batches.Add(cur.Mean())
-			cur.Reset()
-			inBatch = 0
+	var buf []float64
+	for done := 0; done < cycles; done += len(buf) {
+		buf, _ = s.Collect(0, min(cycles-done, collectChunk), buf[:0], nil, nil)
+		for _, p := range buf {
+			all.Add(p)
+			cur.Add(p)
+			inBatch++
+			if inBatch == batch {
+				batches.Add(cur.Mean())
+				cur.Reset()
+				inBatch = 0
+			}
 		}
 	}
 	res := Result{

@@ -172,14 +172,18 @@ type JobRequest struct {
 }
 
 // Upper bounds on the sizes a job may ask for. They limit outside
-// input and are not options: both sit far above every real use (the
-// defaults are 64 replications and 2^21 samples), and they keep one
-// request from exhausting a server's or a worker's memory — phase 1
-// allocates SeqLen samples up front (SeqLen is at most MaxSamples), and
-// the tail builds one session per 512 replications.
+// input and are not options: each sits far above every real use (the
+// defaults are 64 replications and 2^21 samples, and interval selection
+// stops at 64 cycles). The first two keep one request from exhausting a
+// server's or a worker's memory — phase 1 allocates SeqLen samples up
+// front (SeqLen is at most MaxSamples), and the tail builds one session
+// per 512 replications. MaxFixedInterval bounds the hidden cycles one
+// sample may cost, and with them the CPU time of a worker's
+// fast-forward; a worker's run request shares it.
 const (
-	maxReplications = 4096
-	maxSampleBudget = 1 << 24
+	maxReplications  = 4096
+	maxSampleBudget  = 1 << 24
+	MaxFixedInterval = 1 << 16
 )
 
 // Validate rejects specs that expand to invalid options, and specs
@@ -203,6 +207,9 @@ func (r JobRequest) Validate() error {
 	}
 	if r.Interval != nil && *r.Interval < 0 {
 		return fmt.Errorf("service: negative interval %d", *r.Interval)
+	}
+	if r.Interval != nil && *r.Interval > MaxFixedInterval {
+		return fmt.Errorf("service: interval %d above the limit of %d", *r.Interval, MaxFixedInterval)
 	}
 	if _, err := r.Source.Factory(1); err != nil {
 		return err

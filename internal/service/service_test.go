@@ -198,8 +198,9 @@ func TestSubmitRejectsRemovedFields(t *testing.T) {
 
 // TestSubmitSizeBounds: a request may not ask for more replications or
 // a larger sample budget than the server accepts, since either could
-// exhaust its memory before any recover could help; every request the
-// repository's own scripts and benchmark send stays within the bounds.
+// exhaust its memory before any recover could help, nor a fixed
+// interval above MaxFixedInterval; every request the repository's own
+// scripts and benchmark send stays within the bounds.
 func TestSubmitSizeBounds(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 1})
 	tooBig := []OptionsSpec{
@@ -219,7 +220,16 @@ func TestSubmitSizeBounds(t *testing.T) {
 			t.Errorf("%+v: submit status %d, want 400", o, code)
 		}
 	}
-	atLimit := JobRequest{Circuit: "s27", Options: OptionsSpec{Replications: maxReplications, MaxSamples: maxSampleBudget}}
+	tooLong := MaxFixedInterval + 1
+	req := JobRequest{Circuit: "s27", Interval: &tooLong}
+	if err := req.Validate(); err == nil {
+		t.Fatalf("interval %d accepted", tooLong)
+	}
+	if code := postJSON(t, ts.URL+"/v1/jobs", req, nil); code != http.StatusBadRequest {
+		t.Errorf("interval %d: submit status %d, want 400", tooLong, code)
+	}
+	maxInterval := MaxFixedInterval
+	atLimit := JobRequest{Circuit: "s27", Interval: &maxInterval, Options: OptionsSpec{Replications: maxReplications, MaxSamples: maxSampleBudget}}
 	if err := atLimit.Validate(); err != nil {
 		t.Errorf("request at the limits rejected: %v", err)
 	}

@@ -97,7 +97,7 @@ type LaneSession interface {
 // NewLaneSession builds a session of the given backend over the
 // per-lane sources. The packed backend accepts up to MaxLanes sources,
 // the compiled backend up to CompiledMaxLanes; lane k of either is
-// bit-identical to a scalar Session seeded from srcs[k].
+// bit-identical to a ScalarSession seeded from srcs[k].
 func NewLaneSession(b Backend, c *netlist.Circuit, srcs []vectors.Source) LaneSession {
 	if b.Canonical() == BackendCompiled {
 		return NewCompiledSession(c, srcs)

@@ -52,7 +52,7 @@ func TestToggleCountsThreeWayDifferential(t *testing.T) {
 			// accumulating into a shared count buffer.
 			want := make([]uint64, c.NumNodes())
 			for k := 0; k < lanes; k++ {
-				s := NewSessionEngine(c, NewZeroDelayToggle(c),
+				s := NewScalarSession(c, NewZeroDelayToggle(c),
 					vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
 				s.StepHiddenN(hidden)
 				for i := 0; i < sampled; i++ {
@@ -99,7 +99,7 @@ func TestToggleCountsGeneralDelayMatchScalar(t *testing.T) {
 	for _, both := range []bool{false, true} {
 		want := make([]uint64, c.NumNodes())
 		for k := 0; k < lanes; k++ {
-			s := NewSessionEngine(c, NewZeroDelayToggle(c),
+			s := NewScalarSession(c, NewZeroDelayToggle(c),
 				vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
 			s.StepHiddenN(4)
 			for i := 0; i < 12; i++ {

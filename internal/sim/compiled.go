@@ -19,7 +19,7 @@ const CompiledMaxLanes = 8 * 64
 // replications through clock cycles with the compiled word-level
 // programs of internal/compile, instead of interpreting the CSR netlist
 // gate-by-gate. It implements LaneSession with per-lane observations
-// bit-identical to PackedSession (and hence to scalar sessions):
+// bit-identical to PackedSession (and hence to ScalarSession):
 //
 //   - Hidden cycles execute the Step program, which computes only the
 //     next latch state — dead fanout, BUF chains and fused gate chains
@@ -66,7 +66,7 @@ type CompiledSession struct {
 	counts []uint64
 
 	// HiddenCycles and SampledCycles count per-replication cycles, the
-	// same accounting as PackedSession and the scalar Session.
+	// same accounting as PackedSession and the serial sessions.
 	HiddenCycles  uint64
 	SampledCycles uint64
 }
@@ -75,7 +75,7 @@ type CompiledSession struct {
 // per-lane sources, compiling the circuit on first use (the Unit is
 // cached on the circuit). Every lane starts in the all-zero latch state
 // with an all-zero input pattern, settled — the same reset state as the
-// packed and scalar sessions.
+// packed and serial sessions.
 func NewCompiledSession(c *netlist.Circuit, srcs []vectors.Source) *CompiledSession {
 	if len(srcs) == 0 || len(srcs) > CompiledMaxLanes {
 		panic(fmt.Sprintf("sim: NewCompiledSession needs 1..%d sources, got %d", CompiledMaxLanes, len(srcs)))

@@ -47,27 +47,31 @@
 // packed sweep plus an XOR diff pass over the value words (each set bit
 // routes its node's weight to its lane's sum) — a sampled cycle then
 // costs the same order as a hidden one. Lane k of a packed sampled step
-// is bit-identical, float summation order included, to a scalar
-// ZeroDelayToggle session over the same source; the property tests
+// is bit-identical, float summation order included, to a
+// ZeroDelayToggle ScalarSession over the same source; the property tests
 // assert this for every lane. PackedSession.StepSampledWith keeps the
 // general-delay path: each lane is extracted into a scalar engine for
 // exact glitch accounting.
 //
-// Trajectory is the compiled engine's single-trajectory form, used for
-// the estimators' serial phase 1 (warm-up and interval selection). Each
+// Session is the one serial trajectory every estimator runs: phase 1
+// (warm-up and interval selection) of all of them, and the sampling
+// phase of the paper's serial estimator, the reference run, batch means
+// and the FSM-analysis estimator. It runs on the compiled engine. Each
 // cycle advances the latch state with the one-lane Step program; each
-// sampled cycle records its old and new (pins, q), and 32 such pairs
-// are settled together in one 64-lane Full pass. Zero-delay samples are
-// the pairs' lane diffs, summed in node-index order like
-// ZeroDelayToggle; general-delay samples hand the settled old lane to
-// the event-driven engine. Samples, counts and cycle counters are
-// bit-identical to a scalar Session's; Session stays the reference and
-// drives the serial estimators.
+// sampled cycle records its old and new (pins, q), and Collect settles
+// 32 such pairs together in one 64-lane Full pass (StepSampled settles
+// its one pair at once). Zero-delay samples are the pairs' lane diffs,
+// summed in node-index order like ZeroDelayToggle; general-delay
+// samples hand the settled old lane to the event-driven engine.
+// ScalarSession interprets the same trajectory cycle by cycle with the
+// scalar simulators. It is the oracle: samples, counts, cycle counters,
+// settled values and observer streams of the two are bit-identical, and
+// only tests use it.
 //
 // The scalar simulators operate on the same dense value array, so a
-// session can interleave them cycle by cycle; the packed simulator keeps
-// one uint64 word per node and can extract any single lane into the
-// scalar representation. All inner loops run over the circuit's frozen
-// CSR view (netlist.CSR): flat kind/level/fanin/fanout arrays instead of
-// per-Node slice chasing.
+// ScalarSession can interleave them cycle by cycle; the packed
+// simulator keeps one uint64 word per node and can extract any single
+// lane into the scalar representation. All inner loops run over the
+// circuit's frozen CSR view (netlist.CSR): flat kind/level/fanin/fanout
+// arrays instead of per-Node slice chasing.
 package sim

@@ -19,9 +19,10 @@ import (
 // latches, unused inputs. The width byte picks the session's lane count
 // from 1 to CompiledMaxLanes, so every row width from one word to the
 // run-batched eight is fuzzed; above 64 lanes packed sessions tile the
-// reference. It then collects two short trials with a compiled
-// Trajectory and a scalar Session, zero-delay and general-delay with
-// covariates, and requires the same sample bits.
+// reference. It then collects two short trials with a compiled Session
+// and a ScalarSession, zero-delay and general-delay with covariates,
+// forces an all-one latch state and an alternating input pattern and
+// takes one StepSampled, and requires the same sample bits.
 func FuzzCompile(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(a, a)\n", byte(0))
 	f.Add("INPUT(a)\nOUTPUT(z)\nq = DFF(d)\nd = NOT(q)\nz = OR(a, q)\n", byte(1))
@@ -54,8 +55,8 @@ func FuzzCompile(f *testing.F) {
 				return NewZeroDelayToggle(c)
 			}
 			src := func() vectors.Source { return vectors.NewIID(len(c.Inputs), 0.5, 7) }
-			s := NewSessionEngine(c, engine(), src(), weights)
-			tr := NewTrajectory(c, engine(), src(), weights)
+			s := NewScalarSession(c, engine(), src(), weights)
+			tr := NewSessionEngine(c, engine(), src(), weights)
 			for trial, k := range []int{0, 2} {
 				var sCov, tCov []float64
 				if gd {
@@ -65,14 +66,29 @@ func FuzzCompile(f *testing.F) {
 				tx, tc := tr.Collect(k, 5, nil, tCov, nil)
 				for i := range sx {
 					if math.Float64bits(sx[i]) != math.Float64bits(tx[i]) {
-						t.Fatalf("gd=%v trial %d sample %d: trajectory %v, session %v", gd, trial, i, tx[i], sx[i])
+						t.Fatalf("gd=%v trial %d sample %d: compiled %v, scalar %v", gd, trial, i, tx[i], sx[i])
 					}
 				}
 				for i := range sc {
 					if math.Float64bits(sc[i]) != math.Float64bits(tc[i]) {
-						t.Fatalf("gd=%v trial %d covariate %d: trajectory %v, session %v", gd, trial, i, tc[i], sc[i])
+						t.Fatalf("gd=%v trial %d covariate %d: compiled %v, scalar %v", gd, trial, i, tc[i], sc[i])
 					}
 				}
+			}
+			q := make([]bool, len(c.Latches))
+			for i := range q {
+				q[i] = true
+			}
+			pins := make([]bool, len(c.Inputs))
+			for i := range pins {
+				pins[i] = i%2 == 0
+			}
+			s.SetState(q)
+			s.SetPins(pins)
+			tr.SetState(q)
+			tr.SetPins(pins)
+			if x, want := tr.StepSampled(nil), s.StepSampled(nil); math.Float64bits(x) != math.Float64bits(want) {
+				t.Fatalf("gd=%v after SetState: StepSampled %v, scalar %v", gd, x, want)
 			}
 		}
 	})

@@ -81,14 +81,14 @@ func (z *PackedZeroDelay) Outputs(vals []uint64, out []uint64) {
 // circuit through clock cycles in lock-step, one replication per word
 // lane. Each lane has its own input source (fixed lane→source mapping,
 // so results are reproducible and lane k is bit-for-bit identical to a
-// scalar Session over the same source). Hidden cycles advance all lanes
+// ScalarSession over the same source). Hidden cycles advance all lanes
 // with one packed sweep. Sampled cycles come in two flavours:
 // StepSampled observes all 64 lanes at once with word-level zero-delay
 // transition counting (as cheap as a hidden cycle plus one diff pass),
 // and StepSampledWith hands each lane to a scalar power engine for
 // general-delay (glitch-accurate) accounting.
 //
-// The class invariant mirrors Session's: vals always holds the packed
+// The class invariant mirrors ScalarSession's: vals always holds the packed
 // settled node values for the current (pins, q) pair.
 type PackedSession struct {
 	c     *netlist.Circuit
@@ -118,7 +118,7 @@ type PackedSession struct {
 
 	// HiddenCycles and SampledCycles count per-replication cycles (one
 	// StepHidden over L lanes adds L), so they are directly comparable
-	// with the scalar Session's cost counters.
+	// with the serial sessions' cost counters.
 	HiddenCycles  uint64
 	SampledCycles uint64
 }
@@ -126,7 +126,7 @@ type PackedSession struct {
 // NewPackedSession builds a packed session over 1..64 per-lane sources.
 // Each source must have width len(c.Inputs). Every lane starts in the
 // all-zero latch state with an all-zero input pattern, settled — the
-// same reset state as a scalar Session.
+// same reset state as a ScalarSession.
 func NewPackedSession(c *netlist.Circuit, srcs []vectors.Source) *PackedSession {
 	if len(srcs) == 0 || len(srcs) > MaxLanes {
 		panic(fmt.Sprintf("sim: NewPackedSession needs 1..%d sources, got %d", MaxLanes, len(srcs)))
@@ -231,7 +231,7 @@ func (s *PackedSession) StepHiddenN(n int) {
 // to its lane's sum. powers[k] receives lane k's weighted functional
 // transition sum (len(powers) >= Lanes()); glitches are excluded by
 // construction. Lane k is bit-identical — including float summation
-// order — to a scalar session with the ZeroDelayToggle engine over the
+// order — to a ScalarSession with the ZeroDelayToggle engine over the
 // same source, which the sim property tests assert for all 64 lanes.
 //
 // This makes a sampled cycle cost one packed sweep plus one diff pass,
@@ -299,7 +299,7 @@ func (s *PackedSession) toggleDiff(weights, powers []float64, counts []uint64) {
 // general-delay mode. powers[k] receives lane k's weighted transition
 // sum (len(powers) >= Lanes()). The packed state is advanced by a
 // zero-delay settle — every engine agrees with zero-delay simulation on
-// settled values, so lane equivalence with scalar sessions is exact.
+// settled values, so lane equivalence with ScalarSession is exact.
 func (s *PackedSession) StepSampledWith(engine PowerEngine, weights []float64, powers []float64) {
 	if len(powers) < s.lanes {
 		panic(fmt.Sprintf("sim: packed StepSampledWith powers length %d, want >= %d", len(powers), s.lanes))

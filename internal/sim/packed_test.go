@@ -37,10 +37,10 @@ func TestPropertyPackedMatchesScalar(t *testing.T) {
 		base := int64(seed)*1000 + 1
 		ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, base))
 		w := make([]float64, c.NumNodes())
-		scalar := make([]*Session, lanes)
+		scalar := make([]*ScalarSession, lanes)
 		dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 		for k := range scalar {
-			scalar[k] = NewSession(c, dt, vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
+			scalar[k] = NewScalarSession(c, NewEventDriven(c, dt), vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
 		}
 		vals := make([]bool, c.NumNodes())
 		for cycle := 0; cycle < 12; cycle++ {
@@ -86,9 +86,9 @@ func TestPropertyPackedSampledMatchesScalar(t *testing.T) {
 		}
 		dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 		ed := NewEventDriven(c, dt)
-		scalar := make([]*Session, lanes)
+		scalar := make([]*ScalarSession, lanes)
 		for k := range scalar {
-			scalar[k] = NewSession(c, dt, vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
+			scalar[k] = NewScalarSession(c, NewEventDriven(c, dt), vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
 		}
 		rng := rand.New(rand.NewSource(int64(seed) + 3))
 		powers := make([]float64, lanes)
@@ -171,9 +171,9 @@ func TestPackedFewerLanes(t *testing.T) {
 	ps := NewPackedSession(c, laneSources(len(c.Inputs), lanes, base))
 	w := make([]float64, c.NumNodes())
 	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
-	scalar := make([]*Session, lanes)
+	scalar := make([]*ScalarSession, lanes)
 	for k := range scalar {
-		scalar[k] = NewSession(c, dt, vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
+		scalar[k] = NewScalarSession(c, NewEventDriven(c, dt), vectors.NewIID(len(c.Inputs), 0.5, base+int64(k)), w)
 	}
 	vals := make([]bool, c.NumNodes())
 	pins := make([]bool, len(c.Inputs))

@@ -80,8 +80,8 @@ func TestSessionStepSampledPair(t *testing.T) {
 	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 	weights := power.NewModel(c, power.DefaultCapModel(), power.DefaultSupply()).Weights()
 
-	mk := func(engine PowerEngine) *Session {
-		return NewSessionEngine(c, engine, vectors.NewIID(len(c.Inputs), 0.5, 77), weights)
+	mk := func(engine PowerEngine) *ScalarSession {
+		return NewScalarSession(c, engine, vectors.NewIID(len(c.Inputs), 0.5, 77), weights)
 	}
 	paired := mk(NewEventDriven(c, dt))
 	plain := mk(NewEventDriven(c, dt))

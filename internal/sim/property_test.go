@@ -81,7 +81,7 @@ func TestPropertyPowerNonNegativeAndBounded(t *testing.T) {
 			w[i] = 1
 			totalW++
 		}
-		s := NewSession(c, delay.BuildTable(c, delay.DefaultFanoutLoaded()),
+		s := NewScalarSession(c, NewEventDriven(c, delay.BuildTable(c, delay.DefaultFanoutLoaded())),
 			vectors.NewIID(len(c.Inputs), 0.5, int64(seed)), w)
 		for cycle := 0; cycle < 50; cycle++ {
 			p := s.StepSampled(nil)
@@ -135,8 +135,8 @@ func TestPropertyStateTrajectoryIndependentOfSimulator(t *testing.T) {
 		}
 		w := make([]float64, c.NumNodes())
 		dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
-		a := NewSession(c, dt, vectors.NewIID(len(c.Inputs), 0.5, int64(seed)), w)
-		b := NewSession(c, dt, vectors.NewIID(len(c.Inputs), 0.5, int64(seed)), w)
+		a := NewScalarSession(c, NewEventDriven(c, dt), vectors.NewIID(len(c.Inputs), 0.5, int64(seed)), w)
+		b := NewScalarSession(c, NewEventDriven(c, dt), vectors.NewIID(len(c.Inputs), 0.5, int64(seed)), w)
 		qa := make([]bool, len(c.Latches))
 		qb := make([]bool, len(c.Latches))
 		rng := rand.New(rand.NewSource(int64(seed) + 9))
@@ -168,7 +168,7 @@ func TestPropertyCycleCountsAdditive(t *testing.T) {
 	check := func(h, s uint8) bool {
 		c := bench89.S27()
 		w := make([]float64, c.NumNodes())
-		sess := NewSession(c, delay.BuildTable(c, delay.Unit{}),
+		sess := NewScalarSession(c, NewEventDriven(c, delay.BuildTable(c, delay.Unit{})),
 			vectors.NewIID(4, 0.5, 5), w)
 		sess.StepHiddenN(int(h))
 		for i := 0; i < int(s); i++ {

@@ -2,41 +2,76 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
+	"repro/internal/compile"
 	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
 
-// Session drives a sequential circuit through clock cycles, maintaining
-// the (input pattern, latch state, settled node values) triple between
-// cycles. It is the substrate for the paper's two-phase sampling:
+// pairsPerSettle is the number of sampled cycles a Session settles in
+// one 64-lane Full pass: each pair takes two lanes, its old state in lane
+// j and its new state in lane pairsPerSettle+j.
+const pairsPerSettle = 32
+
+// Session is one serial sequential-circuit trajectory — the substrate of
+// the paper's two-phase sampling — driven through the compiled programs
+// of internal/compile. Hidden cycles advance the circuit inside the
+// independence interval without observing power; sampled cycles return
+// the weighted transition sum of Eq. 1 as observed by the session's
+// power engine. Every sample, per-node count and cycle counter is
+// bit-identical to a ScalarSession built with the same circuit, engine,
+// source and weights.
 //
-//   - StepHidden advances one cycle with the zero-delay simulator only
-//     (used inside the independence interval, no power observation);
-//   - StepSampled advances one cycle with the session's power engine and
-//     returns the weighted transition sum of Eq. 1. The default engine
-//     is the event-driven general-delay simulator; NewSessionEngine
-//     installs any PowerEngine (e.g. ZeroDelayToggle for the zero-delay
-//     mode).
+// Only the latch state is truly serial, and settled node values are a
+// pure function of (pins, q). So every cycle advances with the Step
+// program (the latch-D cone only, one lane), and a sampled cycle merely
+// records its old and new (pins, q). Recorded pairs are settled
+// pairsPerSettle at a time in one 64-lane Full pass:
 //
-// The class invariant is that vals always holds settled node values for
-// the current (pins, q) pair, so the two step kinds can be interleaved
-// freely — every engine leaves vals settled for the new (pins, q).
+//   - Zero-delay samples (a *ZeroDelayToggle engine) are each pair's
+//     weighted lane diff, summed in node-index order — ZeroDelayToggle's
+//     own summation order.
+//   - Any other engine (the event-driven general-delay simulator) gets
+//     the pair's settled old lane plus its new (pins, q), exactly the
+//     arguments a ScalarSession hands it.
+//   - Covariates are the lane diff alongside the engine's sample, which
+//     is what ScalarSession.StepSampledPair computes.
+//
+// Collect settles a whole batch per pass; StepSampled settles its one
+// pair at once, for callers that act between cycles (state jumps,
+// waveform observers).
 type Session struct {
-	c      *netlist.Circuit
-	zd     *ZeroDelay
-	engine PowerEngine
-	src    vectors.Source
+	c        *netlist.Circuit
+	unit     *compile.Unit
+	engine   PowerEngine // as built; reported by Engine
+	observer PowerEngine // nil: zero-delay samples from the lane-pair diff
+	src      vectors.Source
+	weights  []float64
 
-	weights []float64
+	// The current state, one word per input and latch; every bit of a
+	// word holds the same value, so the Step program's output words are
+	// all-zero or all-one too.
+	pins []uint64
+	q    []uint64
 
-	vals    []bool
-	pins    []bool
-	q       []bool
-	nextQ   []bool
-	buf     []bool
-	oldVals []bool // lazily allocated by StepSampledPair
+	step   []uint64 // one-word Step register file
+	full   []uint64 // one-word Full register file: 64 lanes, one row per node
+	pinBuf []bool
+
+	// The settle batch under construction: pair j's old state in lane j,
+	// its new state in lane pairsPerSettle+j of these rows.
+	batchPins []uint64
+	batchQ    []uint64
+	pairs     int
+
+	// scratch for engine observation: one lane, scalar form.
+	svals []bool
+	spins []bool
+	sq    []bool
+
+	sample [1]float64 // StepSampled's settle destination
 
 	// HiddenCycles and SampledCycles count the work done since the last
 	// ResetCounters; they are the paper's simulation-cost metrics.
@@ -48,14 +83,14 @@ type Session struct {
 // general-delay power engine over the given delay table. weights[i] is
 // the per-transition power contribution of node i (see power
 // Model.Weights); src must have width len(c.Inputs). The circuit starts
-// in the all-zero latch state with an all-zero input pattern, settled.
+// in the all-zero latch state with an all-zero input pattern.
 func NewSession(c *netlist.Circuit, dt *delay.Table, src vectors.Source, weights []float64) *Session {
 	return NewSessionEngine(c, NewEventDriven(c, dt), src, weights)
 }
 
-// NewSessionEngine builds a session whose sampled cycles are observed by
-// the given power engine (the engine must have been built for the same
-// circuit). Hidden cycles always run on the zero-delay simulator.
+// NewSessionEngine builds a session over the circuit's cached compiled
+// Unit whose sampled cycles are observed by the given power engine (the
+// engine must have been built for the same circuit).
 func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source, weights []float64) *Session {
 	if src.Width() != len(c.Inputs) {
 		panic(fmt.Sprintf("sim: source width %d, circuit has %d inputs", src.Width(), len(c.Inputs)))
@@ -66,39 +101,43 @@ func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source
 	if engine == nil {
 		panic("sim: NewSessionEngine requires a power engine")
 	}
+	u := compile.For(c)
 	s := &Session{
-		c:       c,
-		zd:      NewZeroDelay(c),
-		engine:  engine,
-		src:     src,
-		weights: weights,
-		vals:    make([]bool, len(c.Nodes)),
-		pins:    make([]bool, len(c.Inputs)),
-		q:       make([]bool, len(c.Latches)),
-		nextQ:   make([]bool, len(c.Latches)),
-		buf:     make([]bool, len(c.Inputs)),
+		c:         c,
+		unit:      u,
+		engine:    engine,
+		observer:  engine,
+		src:       src,
+		weights:   weights,
+		pins:      make([]uint64, len(c.Inputs)),
+		q:         make([]uint64, len(c.Latches)),
+		step:      make([]uint64, u.Step.Slots),
+		full:      make([]uint64, u.Full.Slots),
+		pinBuf:    make([]bool, len(c.Inputs)),
+		batchPins: make([]uint64, len(c.Inputs)),
+		batchQ:    make([]uint64, len(c.Latches)),
 	}
-	s.zd.Settle(s.vals, s.pins, s.q)
+	u.Step.InitConsts(s.step, 1)
+	u.Full.InitConsts(s.full, 1)
+	if _, zd := engine.(*ZeroDelayToggle); zd {
+		s.observer = nil
+	} else {
+		s.svals = make([]bool, c.NumNodes())
+		s.spins = make([]bool, len(c.Inputs))
+		s.sq = make([]bool, len(c.Latches))
+	}
 	return s
 }
 
 // Circuit returns the simulated circuit.
 func (s *Session) Circuit() *netlist.Circuit { return s.c }
 
-// Source returns the session's input pattern source.
-func (s *Session) Source() vectors.Source { return s.src }
-
-// Reset returns the circuit to the all-zero reset state and re-settles.
-// Cycle counters are preserved; use ResetCounters to clear them.
-func (s *Session) Reset() {
-	for i := range s.pins {
-		s.pins[i] = false
-	}
-	for i := range s.q {
-		s.q[i] = false
-	}
-	s.zd.Settle(s.vals, s.pins, s.q)
-}
+// Engine returns the power engine the session was built with. A
+// zero-delay session reports its ZeroDelayToggle even though its
+// samples come from the lane diff; an event-driven engine is the one
+// that observes every sampled cycle, so its observer (see
+// EventDriven.SetObserver) sees each sampled cycle's transitions.
+func (s *Session) Engine() PowerEngine { return s.engine }
 
 // ResetCounters zeroes the cycle-cost counters.
 func (s *Session) ResetCounters() {
@@ -106,149 +145,184 @@ func (s *Session) ResetCounters() {
 	s.SampledCycles = 0
 }
 
-// advance computes the next latch state from the current settled values
-// and draws the next input pattern; it returns them without applying.
+// SetState forces the latch state (len = #latches). Used by the
+// FSM-analysis estimator, which samples states from a stationary
+// distribution.
+func (s *Session) SetState(q []bool) {
+	for i, v := range q {
+		s.q[i] = -b2u(v)
+	}
+}
+
+// SetPins forces the current input pattern.
+func (s *Session) SetPins(pins []bool) {
+	for i, v := range pins {
+		s.pins[i] = -b2u(v)
+	}
+}
+
+// Values returns the settled node values of the current state, in a
+// new slice indexed by NodeID.
+func (s *Session) Values() []bool {
+	p := s.unit.Full
+	for i, r := range p.In {
+		s.full[r] = s.pins[i]
+	}
+	for i, r := range p.Q {
+		s.full[r] = s.q[i]
+	}
+	p.Exec(s.full, 1)
+	vals := make([]bool, s.c.NumNodes())
+	for i := range vals {
+		vals[i] = s.full[i]&1 != 0
+	}
+	return vals
+}
+
+// advance moves the current state one clock cycle: the next latch state
+// from the Step program, then the next input pattern from the source —
+// the same draw order as ScalarSession.
 func (s *Session) advance() {
-	s.zd.NextState(s.vals, s.nextQ)
-	s.src.Next(s.buf)
+	p := s.unit.Step
+	for i, r := range p.In {
+		s.step[r] = s.pins[i]
+	}
+	for i, r := range p.Q {
+		s.step[r] = s.q[i]
+	}
+	p.Exec(s.step, 1)
+	for i, d := range p.D {
+		s.q[i] = s.step[d]
+	}
+	s.src.Next(s.pinBuf)
+	for i, v := range s.pinBuf {
+		s.pins[i] = -b2u(v)
+	}
 }
 
-// StepHidden advances one clock cycle using the zero-delay simulator.
-// No transitions are counted.
-func (s *Session) StepHidden() {
-	s.advance()
-	s.q, s.nextQ = s.nextQ, s.q
-	s.pins, s.buf = s.buf, s.pins
-	s.zd.Settle(s.vals, s.pins, s.q)
-	s.HiddenCycles++
-}
-
-// StepHiddenN advances n cycles with StepHidden.
+// StepHiddenN advances n cycles without observing power.
 func (s *Session) StepHiddenN(n int) {
 	for i := 0; i < n; i++ {
-		s.StepHidden()
+		s.advance()
+	}
+	s.HiddenCycles += uint64(n)
+}
+
+// record copies the current state into one lane of the settle batch.
+func (s *Session) record(lane int) {
+	bit := uint64(1) << uint(lane)
+	for i, v := range s.pins {
+		s.batchPins[i] |= v & bit
+	}
+	for i, v := range s.q {
+		s.batchQ[i] |= v & bit
 	}
 }
 
-// StepSampled advances one clock cycle using the session's power engine
-// and returns the weighted transition sum for the cycle: sum_i w_i * n_i,
+// recordPair advances one sampled cycle, recording its old and new
+// state as the next pair of the settle batch.
+func (s *Session) recordPair() {
+	s.record(s.pairs)
+	s.advance()
+	s.record(pairsPerSettle + s.pairs)
+	s.pairs++
+	s.SampledCycles++
+}
+
+// StepSampled advances one clock cycle, observes it with the session's
+// power engine and returns the weighted transition sum: sum_i w_i * n_i,
 // which equals the cycle's average power when the weights are built as
-// C_i * VDD^2 / (2T) (see power Model.Weights). If counts is non-nil, the
-// per-node transition counts are accumulated into it.
+// C_i * VDD^2 / (2T) (see power Model.Weights). If counts is non-nil,
+// the per-node transition counts are accumulated into it. The cycle is
+// settled before StepSampled returns, so an engine observer has seen
+// its transitions; Collect is the batched form for runs of samples.
 func (s *Session) StepSampled(counts []uint64) float64 {
-	s.advance()
-	s.q, s.nextQ = s.nextQ, s.q
-	s.pins, s.buf = s.buf, s.pins
-	p := s.engine.CyclePower(s.vals, s.pins, s.q, s.weights, counts)
-	s.SampledCycles++
-	return p
-}
-
-// StepSampledPair advances one clock cycle like StepSampled, returning
-// both the engine's weighted transition sum x and the same cycle's
-// zero-delay toggle power c (the weights of every node whose settled
-// value changed, summed in node-index order). Every engine leaves vals
-// zero-delay settled, so c is bit-identical to what the ZeroDelayToggle
-// engine — and lane-for-lane the packed sampled step — would report for
-// the cycle, and the session trajectory and x are bit-identical to a
-// plain StepSampled. The pair is the calibration substrate of the
-// control-variate transform (internal/vr): x is the sample, c the
-// covariate. If counts is non-nil the engine's per-node transition
-// counts are accumulated into it, exactly as in StepSampled.
-func (s *Session) StepSampledPair(counts []uint64) (x, c float64) {
-	if s.oldVals == nil {
-		s.oldVals = make([]bool, len(s.vals))
-	}
-	copy(s.oldVals, s.vals)
-	s.advance()
-	s.q, s.nextQ = s.nextQ, s.q
-	s.pins, s.buf = s.buf, s.pins
-	x = s.engine.CyclePower(s.vals, s.pins, s.q, s.weights, counts)
-	for i, v := range s.vals {
-		if v != s.oldVals[i] {
-			c += s.weights[i]
-		}
-	}
-	s.SampledCycles++
-	return x, c
+	s.recordPair()
+	x, _ := s.settle(s.sample[:0], nil, counts)
+	return x[0]
 }
 
 // Collect appends n power samples to dst, each taken after k hidden
-// cycles (StepHiddenN then StepSampled), and returns the extended slice.
-// A non-nil cov switches the sampled step to StepSampledPair and also
-// receives each cycle's zero-delay toggle power; counts is passed to
-// the sampled step. Trajectory.Collect is the compiled counterpart.
+// cycles, and returns the extended slice. A non-nil cov also receives
+// each sampled cycle's zero-delay toggle power, and a non-nil counts
+// (len NumNodes) accumulates the engine's per-node transition counts —
+// ScalarSession.StepSampledPair and StepSampled semantics. The
+// trajectory continues across calls exactly as one longer call would.
 func (s *Session) Collect(k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64) {
 	for i := 0; i < n; i++ {
 		s.StepHiddenN(k)
+		s.recordPair()
+		if s.pairs == pairsPerSettle {
+			dst, cov = s.settle(dst, cov, counts)
+		}
+	}
+	if s.pairs > 0 {
+		dst, cov = s.settle(dst, cov, counts)
+	}
+	return dst, cov
+}
+
+// settle runs the Full program over the recorded pairs and appends
+// their samples in recording order, emptying the batch.
+func (s *Session) settle(dst, cov []float64, counts []uint64) ([]float64, []float64) {
+	p := s.unit.Full
+	for i, r := range p.In {
+		s.full[r] = s.batchPins[i]
+		s.batchPins[i] = 0
+	}
+	for i, r := range p.Q {
+		s.full[r] = s.batchQ[i]
+		s.batchQ[i] = 0
+	}
+	p.Exec(s.full, 1)
+	n := s.pairs
+	s.pairs = 0
+
+	var diff [pairsPerSettle]float64
+	if s.observer == nil || cov != nil {
+		// Engine-observed cycles take their counts from the engine.
+		diffCounts := counts
+		if s.observer != nil {
+			diffCounts = nil
+		}
+		s.toggleDiff(n, &diff, diffCounts)
+	}
+	for j := 0; j < n; j++ {
+		x := diff[j]
+		if s.observer != nil {
+			for i, v := range s.full {
+				s.svals[i] = v>>uint(j)&1 != 0
+			}
+			lane := uint(pairsPerSettle + j)
+			for i, r := range p.In {
+				s.spins[i] = s.full[r]>>lane&1 != 0
+			}
+			for i, r := range p.Q {
+				s.sq[i] = s.full[r]>>lane&1 != 0
+			}
+			x = s.observer.CyclePower(s.svals, s.spins, s.sq, s.weights, counts)
+		}
+		dst = append(dst, x)
 		if cov != nil {
-			x, c := s.StepSampledPair(counts)
-			dst = append(dst, x)
-			cov = append(cov, c)
-		} else {
-			dst = append(dst, s.StepSampled(counts))
+			cov = append(cov, diff[j])
 		}
 	}
 	return dst, cov
 }
 
-// Engine returns the session's power engine.
-func (s *Session) Engine() PowerEngine { return s.engine }
-
-// eventDriven returns the underlying event-driven simulator if that is
-// the session's engine, else nil.
-func (s *Session) eventDriven() *EventDriven {
-	ed, _ := s.engine.(*EventDriven)
-	return ed
-}
-
-// SettleTime returns the simulated settling time of the most recent
-// sampled cycle (0 unless the engine is event-driven).
-func (s *Session) SettleTime() delay.Picoseconds {
-	if ed := s.eventDriven(); ed != nil {
-		return ed.LastSettleTime
+// toggleDiff sums each of the first n pairs' toggle weights into sums,
+// in node-index order, and adds each node's toggling pairs to counts
+// when it is non-nil.
+func (s *Session) toggleDiff(n int, sums *[pairsPerSettle]float64, counts []uint64) {
+	mask := uint64(1)<<uint(n) - 1
+	for i, wt := range s.weights {
+		v := s.full[i]
+		d := (v ^ v>>pairsPerSettle) & mask
+		if counts != nil {
+			counts[i] += uint64(bits.OnesCount64(d))
+		}
+		for ; d != 0; d &= d - 1 {
+			sums[bits.TrailingZeros64(d)&(pairsPerSettle-1)] += wt
+		}
 	}
-	return 0
-}
-
-// Events returns the applied event count of the most recent sampled
-// cycle (0 unless the engine is event-driven).
-func (s *Session) Events() uint64 {
-	if ed := s.eventDriven(); ed != nil {
-		return ed.LastEvents
-	}
-	return 0
-}
-
-// State copies the current latch state into dst (len = #latches).
-func (s *Session) State(dst []bool) { copy(dst, s.q) }
-
-// SetState forces the latch state (len = #latches) and re-settles with
-// the current input pattern. Used by the FSM-analysis estimator, which
-// samples states from a stationary distribution.
-func (s *Session) SetState(q []bool) {
-	copy(s.q, q)
-	s.zd.Settle(s.vals, s.pins, s.q)
-}
-
-// SetPins forces the current input pattern and re-settles.
-func (s *Session) SetPins(pins []bool) {
-	copy(s.pins, pins)
-	s.zd.Settle(s.vals, s.pins, s.q)
-}
-
-// Values returns the settled value array (live; callers must not modify).
-func (s *Session) Values() []bool { return s.vals }
-
-// SetObserver installs a per-transition callback on the underlying
-// event-driven simulator (see EventDriven.SetObserver). Only sampled
-// cycles produce observations; hidden cycles are functional. It panics
-// if the session's engine is not event-driven — waveform observation is
-// a timed-simulation feature.
-func (s *Session) SetObserver(fn func(id netlist.NodeID, t delay.Picoseconds, v bool)) {
-	ed := s.eventDriven()
-	if ed == nil {
-		panic(fmt.Sprintf("sim: SetObserver requires the event-driven engine, session uses %q", s.engine.Name()))
-	}
-	ed.SetObserver(fn)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 	"repro/internal/vectors"
 )
 
-// trajMode is one observation mode of the trajectory battery.
+// trajMode is one observation mode of the session battery.
 type trajMode struct {
 	name      string
 	zeroDelay bool // ZeroDelayToggle engine; else event-driven
@@ -31,9 +32,9 @@ var trajModes = []trajMode{
 	{name: "cov-counts", cov: true, counts: true},
 }
 
-// trajPair builds a scalar Session and a Trajectory over twin sources
-// and twin engines of the given mode.
-func trajPair(c *netlist.Circuit, m trajMode, seed int64) (*Session, *Trajectory) {
+// trajPair builds a ScalarSession and a compiled Session over twin
+// sources and twin engines of the given mode.
+func trajPair(c *netlist.Circuit, m trajMode, seed int64) (*ScalarSession, *Session) {
 	weights := power.NewModel(c, power.DefaultCapModel(), power.DefaultSupply()).Weights()
 	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 	engine := func() PowerEngine {
@@ -43,18 +44,43 @@ func trajPair(c *netlist.Circuit, m trajMode, seed int64) (*Session, *Trajectory
 		return NewEventDriven(c, dt)
 	}
 	src := func() vectors.Source { return vectors.NewIID(len(c.Inputs), 0.5, seed) }
-	return NewSessionEngine(c, engine(), src(), weights), NewTrajectory(c, engine(), src(), weights)
+	return NewScalarSession(c, engine(), src(), weights), NewSessionEngine(c, engine(), src(), weights)
+}
+
+// transitionHash folds an event-driven observer's transition stream —
+// node, time within the cycle, new value — into a running hash.
+type transitionHash struct {
+	h uint64
+	n int
+}
+
+// observe installs the hash as the observer of an event-driven engine;
+// other engines have no transitions to observe.
+func (th *transitionHash) observe(e PowerEngine) {
+	if ed, ok := e.(*EventDriven); ok {
+		ed.SetObserver(func(id netlist.NodeID, at delay.Picoseconds, v bool) {
+			th.h = (th.h ^ uint64(id)<<32 ^ uint64(at)<<1 ^ b2u(v)) * 1099511628211
+			th.n++
+		})
+	}
 }
 
 // trajStep is one Collect call of the battery.
 type trajStep struct{ k, n int }
 
-// diffTrajectory drives a Session and a Trajectory through the same
-// warm-up and Collect calls and requires bit-identical samples,
-// covariates, per-node counts and cycle counters after every call.
+// diffTrajectory drives a ScalarSession and a compiled Session through
+// the same warm-up and Collect calls, each followed by one StepSampled
+// and a hidden run, then through a few SetState+SetPins jumps each
+// observed by StepSampled (the FSM-analysis estimator's cycle). It
+// requires bit-identical samples, covariates, per-node counts, cycle
+// counters, settled values after the hidden runs and, under the
+// event-driven engine, the same observer transition stream.
 func diffTrajectory(t *testing.T, c *netlist.Circuit, m trajMode, seed int64, warmup int, steps []trajStep) {
 	t.Helper()
 	s, tr := trajPair(c, m, seed)
+	var sObs, tObs transitionHash
+	sObs.observe(s.Engine())
+	tObs.observe(tr.Engine())
 	s.StepHiddenN(warmup)
 	tr.StepHiddenN(warmup)
 	var sCov, tCov []float64
@@ -62,6 +88,28 @@ func diffTrajectory(t *testing.T, c *netlist.Circuit, m trajMode, seed int64, wa
 	if m.counts {
 		sCnt = make([]uint64, c.NumNodes())
 		tCnt = make([]uint64, c.NumNodes())
+	}
+	check := func(where string) {
+		t.Helper()
+		for i := range sCnt {
+			if sCnt[i] != tCnt[i] {
+				t.Fatalf("%s: node %s count %d, scalar %d", where, c.Nodes[i].Name, tCnt[i], sCnt[i])
+			}
+		}
+		if s.HiddenCycles != tr.HiddenCycles || s.SampledCycles != tr.SampledCycles {
+			t.Fatalf("%s: cycles (%d, %d), scalar (%d, %d)", where,
+				tr.HiddenCycles, tr.SampledCycles, s.HiddenCycles, s.SampledCycles)
+		}
+		if sObs != tObs {
+			t.Fatalf("%s: observed %d transitions (hash %x), scalar %d (hash %x)", where, tObs.n, tObs.h, sObs.n, sObs.h)
+		}
+	}
+	stepSampled := func(where string) {
+		t.Helper()
+		if x, want := tr.StepSampled(tCnt), s.StepSampled(sCnt); math.Float64bits(x) != math.Float64bits(want) {
+			t.Fatalf("%s: StepSampled %v, scalar %v", where, x, want)
+		}
+		check(where)
 	}
 	for call, st := range steps {
 		if m.cov {
@@ -71,34 +119,51 @@ func diffTrajectory(t *testing.T, c *netlist.Circuit, m trajMode, seed int64, wa
 		tx, tc := tr.Collect(st.k, st.n, nil, tCov, tCnt)
 		where := fmt.Sprintf("call %d (k=%d, n=%d)", call, st.k, st.n)
 		if len(sx) != st.n || len(tx) != st.n {
-			t.Fatalf("%s: %d session samples, %d trajectory samples", where, len(sx), len(tx))
+			t.Fatalf("%s: %d scalar samples, %d compiled samples", where, len(sx), len(tx))
 		}
 		for i := range sx {
 			if math.Float64bits(sx[i]) != math.Float64bits(tx[i]) {
-				t.Fatalf("%s sample %d: trajectory %v, session %v", where, i, tx[i], sx[i])
+				t.Fatalf("%s sample %d: compiled %v, scalar %v", where, i, tx[i], sx[i])
 			}
 		}
 		if m.cov {
 			if len(sc) != st.n || len(tc) != st.n {
-				t.Fatalf("%s: %d session covariates, %d trajectory covariates", where, len(sc), len(tc))
+				t.Fatalf("%s: %d scalar covariates, %d compiled covariates", where, len(sc), len(tc))
 			}
 			for i := range sc {
 				if math.Float64bits(sc[i]) != math.Float64bits(tc[i]) {
-					t.Fatalf("%s covariate %d: trajectory %v, session %v", where, i, tc[i], sc[i])
+					t.Fatalf("%s covariate %d: compiled %v, scalar %v", where, i, tc[i], sc[i])
 				}
 			}
 		} else if tc != nil {
-			t.Fatalf("%s: trajectory returned covariates it was not asked for", where)
+			t.Fatalf("%s: compiled session returned covariates it was not asked for", where)
 		}
-		for i := range sCnt {
-			if sCnt[i] != tCnt[i] {
-				t.Fatalf("%s: node %s count %d, session %d", where, c.Nodes[i].Name, tCnt[i], sCnt[i])
+		check(where)
+		stepSampled(where + " then StepSampled")
+		s.StepHiddenN(st.k)
+		tr.StepHiddenN(st.k)
+		sv, tv := s.Values(), tr.Values()
+		for i := range sv {
+			if sv[i] != tv[i] {
+				t.Fatalf("%s then %d hidden: node %s settles to %v, scalar %v", where, st.k, c.Nodes[i].Name, tv[i], sv[i])
 			}
 		}
-		if s.HiddenCycles != tr.HiddenCycles || s.SampledCycles != tr.SampledCycles {
-			t.Fatalf("%s: cycles (%d, %d), session (%d, %d)", where,
-				tr.HiddenCycles, tr.SampledCycles, s.HiddenCycles, s.SampledCycles)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	q := make([]bool, len(c.Latches))
+	pins := make([]bool, len(c.Inputs))
+	for jump := 0; jump < 3; jump++ {
+		for i := range q {
+			q[i] = rng.Intn(2) == 1
 		}
+		for i := range pins {
+			pins[i] = rng.Intn(2) == 1
+		}
+		s.SetState(q)
+		s.SetPins(pins)
+		tr.SetState(q)
+		tr.SetPins(pins)
+		stepSampled(fmt.Sprintf("jump %d", jump))
 	}
 }
 
@@ -115,9 +180,10 @@ func trajGrid() []trajStep {
 	return out
 }
 
-// TestTrajectoryMatchesSessionBench89 is the trajectory's differential
-// battery: on every bench89 circuit, in every observation mode, the
-// compiled trajectory and the scalar session produce the same bits.
+// TestTrajectoryMatchesSessionBench89 is the compiled session's
+// differential battery: on every bench89 circuit, in every observation
+// mode, the compiled Session and the ScalarSession oracle produce the
+// same bits.
 // Circuits past a thousand nodes run a diagonal of the grid that still
 // covers every k and every n; past ten thousand nodes the full
 // 320-sample trial is left out.
@@ -194,7 +260,7 @@ func TestTrajectoryCollectContinues(t *testing.T) {
 	}
 }
 
-// TestTrajectoryConcurrent: trajectories over one circuit share its
+// TestTrajectoryConcurrent: sessions over one circuit share its
 // compiled Unit, which executes read-only. Started together from
 // several goroutines, they still match twins run one after another on a
 // separate copy of the circuit.
@@ -227,6 +293,22 @@ func TestTrajectoryConcurrent(t *testing.T) {
 			if math.Float64bits(got[g][i]) != math.Float64bits(want[g][i]) {
 				t.Fatalf("goroutine %d sample %d: %v, serial %v", g, i, got[g][i], want[g][i])
 			}
+		}
+	}
+}
+
+// TestSessionStepSampledNoAlloc: StepSampled settles its one pair into
+// a buffer the session owns, under either engine. A warm-up lets the
+// event-driven engine grow its event storage first.
+func TestSessionStepSampledNoAlloc(t *testing.T) {
+	c := bench89.MustGet("s298")
+	for _, m := range []trajMode{trajModes[0], trajModes[2]} {
+		_, tr := trajPair(c, m, 3)
+		for i := 0; i < 1000; i++ {
+			tr.StepSampled(nil)
+		}
+		if n := testing.AllocsPerRun(100, func() { tr.StepSampled(nil) }); n != 0 {
+			t.Errorf("%s: StepSampled allocates %v times per call", m.name, n)
 		}
 	}
 }

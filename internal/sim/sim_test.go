@@ -212,7 +212,7 @@ func TestEventDrivenWeightedSumMatchesCounts(t *testing.T) {
 func TestEventDrivenDeterministic(t *testing.T) {
 	c := bench89.MustGet("s344")
 	run := func() float64 {
-		s := NewSession(c, delay.BuildTable(c, delay.DefaultFanoutLoaded()),
+		s := NewScalarSession(c, NewEventDriven(c, delay.BuildTable(c, delay.DefaultFanoutLoaded())),
 			vectors.NewIID(len(c.Inputs), 0.5, 77), unitWeights(c))
 		total := 0.0
 		for i := 0; i < 200; i++ {
@@ -233,8 +233,8 @@ func TestSessionInterleavingInvariant(t *testing.T) {
 	tab := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 	w := unitWeights(c)
 
-	sA := NewSession(c, tab, vectors.NewIID(len(c.Inputs), 0.5, 123), w)
-	sB := NewSession(c, tab, vectors.NewIID(len(c.Inputs), 0.5, 123), w)
+	sA := NewScalarSession(c, NewEventDriven(c, tab), vectors.NewIID(len(c.Inputs), 0.5, 123), w)
+	sB := NewScalarSession(c, NewEventDriven(c, tab), vectors.NewIID(len(c.Inputs), 0.5, 123), w)
 
 	qA := make([]bool, len(c.Latches))
 	qB := make([]bool, len(c.Latches))
@@ -273,7 +273,7 @@ func TestSessionCycleCounters(t *testing.T) {
 
 func TestSessionReset(t *testing.T) {
 	c := bench89.MustGet("s298")
-	s := NewSession(c, delay.BuildTable(c, delay.DefaultFanoutLoaded()),
+	s := NewScalarSession(c, NewEventDriven(c, delay.BuildTable(c, delay.DefaultFanoutLoaded())),
 		vectors.NewIID(len(c.Inputs), 0.5, 5), unitWeights(c))
 	s.StepHiddenN(50)
 	s.Reset()
@@ -288,7 +288,7 @@ func TestSessionReset(t *testing.T) {
 
 func TestSessionSetState(t *testing.T) {
 	c := bench89.S27()
-	s := NewSession(c, delay.BuildTable(c, delay.DefaultFanoutLoaded()),
+	s := NewScalarSession(c, NewEventDriven(c, delay.BuildTable(c, delay.DefaultFanoutLoaded())),
 		vectors.NewIID(4, 0.5, 1), unitWeights(c))
 	want := []bool{true, false, true}
 	s.SetState(want)
@@ -306,7 +306,7 @@ func TestSettleTimeWithinClock(t *testing.T) {
 	// under the default delay model.
 	for _, name := range []string{"s27", "s298", "s1494"} {
 		c := bench89.MustGet(name)
-		s := NewSession(c, delay.BuildTable(c, delay.DefaultFanoutLoaded()),
+		s := NewScalarSession(c, NewEventDriven(c, delay.BuildTable(c, delay.DefaultFanoutLoaded())),
 			vectors.NewIID(len(c.Inputs), 0.5, 3), unitWeights(c))
 		var worst delay.Picoseconds
 		for i := 0; i < 100; i++ {
@@ -323,13 +323,20 @@ func TestSettleTimeWithinClock(t *testing.T) {
 
 func TestSessionPanicsOnWidthMismatch(t *testing.T) {
 	c := bench89.S27()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for mismatched source width")
-		}
-	}()
-	NewSession(c, delay.BuildTable(c, delay.DefaultFanoutLoaded()),
-		vectors.NewIID(3, 0.5, 1), unitWeights(c)) // s27 has 4 inputs
+	mustPanic := func(name string, build func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: no panic for mismatched source width", name)
+			}
+		}()
+		build()
+	}
+	src := func() vectors.Source { return vectors.NewIID(3, 0.5, 1) } // s27 has 4 inputs
+	mustPanic("Session", func() {
+		NewSession(c, delay.BuildTable(c, delay.DefaultFanoutLoaded()), src(), unitWeights(c))
+	})
+	mustPanic("ScalarSession", func() { NewScalarSession(c, NewZeroDelayToggle(c), src(), unitWeights(c)) })
 }
 
 func TestConstantNodesNeverTransition(t *testing.T) {

@@ -2,10 +2,10 @@
 // event-driven simulator, so sampled clock cycles — including glitches —
 // can be inspected in any standard waveform viewer (GTKWave etc.).
 //
-// The writer subscribes to a simulation Session as a transition observer
-// and assigns each simulated cycle a fixed time slot of one clock
-// period, with the intra-cycle event times (picoseconds) offset inside
-// the slot.
+// The writer subscribes to a simulation Session's event-driven engine
+// as a transition observer and assigns each simulated cycle a fixed
+// time slot of one clock period, with the intra-cycle event times
+// (picoseconds) offset inside the slot.
 //
 // Not part of the paper's method — debugging/visualization tooling for
 // the event-driven sampled cycles of Section IV, whose glitch activity

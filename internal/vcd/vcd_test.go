@@ -181,3 +181,17 @@ type alternating struct{ v bool }
 func (a *alternating) Next(dst []bool) { a.v = !a.v; dst[0] = a.v }
 func (a *alternating) Width() int      { return 1 }
 func (a *alternating) Name() string    { return "alternating" }
+
+// TestAttachRequiresEventDriven: waveform observation is a
+// timed-simulation feature, so a zero-delay session has nothing to
+// attach to.
+func TestAttachRequiresEventDriven(t *testing.T) {
+	c := bench89.S27()
+	s := sim.NewSessionEngine(c, sim.NewZeroDelayToggle(c), vectors.NewIID(len(c.Inputs), 0.5, 1), make([]float64, c.NumNodes()))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Attach on a zero-delay session did not panic")
+		}
+	}()
+	New(&strings.Builder{}, c, nil, 50_000).Attach(s)
+}
