@@ -60,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	cfg := experiments.DefaultConfig()
 	fs.IntVar(&cfg.Opts.Replications, "replications", cfg.Opts.Replications, "Table 1: bit-parallel replications (0 = serial estimator)")
-	fs.IntVar(&cfg.Opts.Workers, "workers", cfg.Opts.Workers, "goroutine pool for -replications (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

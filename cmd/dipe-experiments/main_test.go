@@ -25,7 +25,7 @@ func TestRunTable1Smoke(t *testing.T) {
 }
 
 func TestRunTable1ParallelSmoke(t *testing.T) {
-	out := smoke(t, "-table1", "-circuits", "s27", "-replications", "16", "-workers", "2")
+	out := smoke(t, "-table1", "-circuits", "s27", "-replications", "16")
 	if !strings.Contains(out, "s27") {
 		t.Fatalf("parallel Table 1 output missing circuit row:\n%s", out)
 	}
@@ -69,7 +69,7 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestRunModesSmoke(t *testing.T) {
-	out := smoke(t, "-modes", "-circuits", "s27", "-replications", "16", "-workers", "2")
+	out := smoke(t, "-modes", "-circuits", "s27", "-replications", "16")
 	if !strings.Contains(out, "s27") || !strings.Contains(out, "glitch") {
 		t.Fatalf("modes output missing content:\n%s", out)
 	}

@@ -56,7 +56,7 @@ func TestServeEstimateRoundTrip(t *testing.T) {
 		t.Fatalf("healthz status = %d", resp.StatusCode)
 	}
 
-	body := `{"circuit":"s27","seed":11,"options":{"replications":16,"workers":2}}`
+	body := `{"circuit":"s27","seed":11,"options":{"replications":16}}`
 	resp, err = http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestClusterModeEndToEnd(t *testing.T) {
 		t.Fatalf("readyz after registration = %d, want 200", resp.StatusCode)
 	}
 
-	body := `{"circuit":"s27","seed":11,"options":{"replications":16,"workers":1}}`
+	body := `{"circuit":"s27","seed":11,"options":{"replications":16}}`
 	resp, err = http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -128,7 +128,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Float64Var(&opts.Spec.RelErr, "err", opts.Spec.RelErr, "maximum relative error")
 	fs.Float64Var(&opts.Spec.Confidence, "conf", opts.Spec.Confidence, "confidence level")
 	fs.IntVar(&opts.Replications, "replications", opts.Replications, "parallel replications on the compiled engine (64 lanes per word, up to 512 per session; 0 = serial estimator)")
-	fs.IntVar(&opts.Workers, "workers", opts.Workers, "goroutine pool for -replications (0 = GOMAXPROCS)")
 	fs.BoolVar(&opts.Breakdown, "breakdown", opts.Breakdown, "report ranked per-node dynamic+leakage power (implies -replications; the dynamic column sums to the estimate in plain mode)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -331,16 +330,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if reps > 0 {
-		// Mirror the estimator's effective pool size: GOMAXPROCS when
-		// unset, never more workers than replications.
-		w := opts.Workers
-		if w == 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if w > reps {
-			w = reps
-		}
-		fmt.Fprintf(stdout, "replications      : %d (%s backend, %d workers)\n", reps, res.Backend, w)
+		fmt.Fprintf(stdout, "replications      : %d (%s backend)\n", reps, res.Backend)
 	}
 	if *verbose {
 		// Post-hoc audit: a fresh sequence at the selected interval run

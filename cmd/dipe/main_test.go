@@ -97,9 +97,13 @@ func TestRunFixedInterval(t *testing.T) {
 }
 
 func TestRunParallelReplications(t *testing.T) {
-	runDipe(t, "-circuit", "s27", "-replications", "16", "-workers", "2")
+	out, _ := runDipe(t, "-circuit", "s27", "-replications", "16")
+	// The layout is the estimator's choice, so the report names none.
+	if !strings.Contains(out, "replications      : 16 (compiled backend)\n") {
+		t.Errorf("report lacks the replications line:\n%s", out)
+	}
 	// Fixed interval + replications takes the parallel fixed path.
-	runDipe(t, "-circuit", "s27", "-replications", "16", "-workers", "2", "-interval", "2")
+	runDipe(t, "-circuit", "s27", "-replications", "16", "-interval", "2")
 }
 
 func TestRunTopConsumers(t *testing.T) {

@@ -23,7 +23,7 @@ func ExampleNewServer() {
 	defer ts.Close()
 
 	// Submit an estimation job for the genuine s27 benchmark.
-	body := `{"circuit":"s27","seed":42,"options":{"replications":16,"workers":2}}`
+	body := `{"circuit":"s27","seed":42,"options":{"replications":16}}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		log.Fatal(err)

@@ -24,7 +24,7 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 	reg := service.NewRegistry(0)
 	req := service.JobRequest{
 		Circuit: "s298", Seed: 404,
-		Options: service.OptionsSpec{Replications: 96, Workers: 2, PowerMode: "zero-delay"},
+		Options: service.OptionsSpec{Replications: 96, PowerMode: "zero-delay"},
 	}
 	tb, err := reg.Testbench(req.Circuit)
 	if err != nil {

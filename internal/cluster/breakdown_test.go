@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -37,7 +36,9 @@ func sameBreakdown(t *testing.T, got, want *power.BreakdownReport, label string)
 // golden: per-node toggle counts folded from worker stream deltas must
 // reproduce the local accumulator bit for bit — same rows, same watts —
 // with one worker and with the replication space split across two. The
-// clipped-budget case ends mid-block at the sample cap, exercising the
+// zero-delay job spans three word rows, the last one partial, so it
+// runs as several word-row ranges. The clipped-budget case ends
+// mid-block at the sample cap, exercising the
 // BudgetRounds snapshot that keeps the final block's count delta
 // aligned with the rounds the merger actually consumes.
 func TestClusterBreakdownBitIdentical(t *testing.T) {
@@ -57,15 +58,15 @@ func TestClusterBreakdownBitIdentical(t *testing.T) {
 	}{
 		{"converged", service.JobRequest{
 			Circuit: "s298", Seed: 42,
-			Options: service.OptionsSpec{Replications: 16, Workers: 2, Breakdown: true},
+			Options: service.OptionsSpec{Replications: 16, Breakdown: true},
 		}},
 		{"zero-delay", service.JobRequest{
 			Circuit: "s298", Seed: 1997,
-			Options: service.OptionsSpec{Replications: 32, Workers: 2, PowerMode: "zero-delay", Breakdown: true},
+			Options: service.OptionsSpec{Replications: 130, PowerMode: "zero-delay", Breakdown: true},
 		}},
 		{"clipped-budget", service.JobRequest{
 			Circuit: "s298", Seed: 7,
-			Options: service.OptionsSpec{Replications: 16, Workers: 2, Breakdown: true,
+			Options: service.OptionsSpec{Replications: 16, Breakdown: true,
 				RelErr: 0.005, MaxSamples: 1000},
 		}},
 	}
@@ -86,12 +87,12 @@ func TestClusterBreakdownBitIdentical(t *testing.T) {
 				label string
 				coord *Coordinator
 			}{{"one-worker", coordOne}, {"two-workers", coordTwo}} {
-				got, err := cl.coord.Estimate(context.Background(), tb, tc.req, nil, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got, ranges := estimateRanges(t, cl.coord, tb, tc.req, nil)
 				sameResult(t, got, want, tc.name+"/"+cl.label)
 				sameBreakdown(t, got.Breakdown, want.Breakdown, tc.name+"/"+cl.label)
+				if ranges < 2 {
+					t.Errorf("%s/%s: %d replication range ran, want the job split", tc.name, cl.label, ranges)
+				}
 			}
 		})
 	}

@@ -25,21 +25,24 @@ import (
 // prefix via SkipBlocks, so the only acceptable outcome is bit
 // identity.
 func TestLeaseReassignmentBitIdentityMatrix(t *testing.T) {
+	// The zero-delay jobs span three word rows, so they too run as
+	// several ranges.
 	cases := []struct {
 		name     string
 		mode     string
 		variance string
 		relErr   float64
+		reps     int
 	}{
-		{"general-delay/plain", "", "", 0.02},
-		{"general-delay/antithetic", "", "antithetic", 0.02},
+		{"general-delay/plain", "", "", 0.02, 16},
+		{"general-delay/antithetic", "", "antithetic", 0.02, 16},
 		// The control variate cuts variance so hard that a 2% spec
 		// converges on each range's very first block — the kill would land
 		// after the coordinator already hung up. A tighter spec keeps
 		// blocks flowing long enough for the crash to be observed.
-		{"general-delay/control-variate", "", "control-variate", 0.004},
-		{"zero-delay/plain", "zero-delay", "", 0.02},
-		{"zero-delay/antithetic", "zero-delay", "antithetic", 0.02},
+		{"general-delay/control-variate", "", "control-variate", 0.004, 16},
+		{"zero-delay/plain", "zero-delay", "", 0.02, 130},
+		{"zero-delay/antithetic", "zero-delay", "antithetic", 0.02, 130},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -64,8 +67,7 @@ func TestLeaseReassignmentBitIdentityMatrix(t *testing.T) {
 				Seed:    23,
 				Options: service.OptionsSpec{
 					RelErr: tc.relErr, Confidence: 0.95,
-					Replications: 16, Workers: 1,
-					PowerMode: tc.mode, Variance: tc.variance,
+					Replications: tc.reps, PowerMode: tc.mode, Variance: tc.variance,
 				},
 			}
 			want := reference(t, reg, req)
@@ -73,11 +75,11 @@ func TestLeaseReassignmentBitIdentityMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, ranges := estimateRanges(t, coord, tb, req, nil)
 			sameResult(t, got, want, tc.name)
+			if ranges < 2 {
+				t.Errorf("%d replication range ran, want the job split", ranges)
+			}
 
 			var killed bool
 			for _, w := range coord.Workers() {
@@ -121,7 +123,7 @@ func TestLeaseExpiryStealsStalledRange(t *testing.T) {
 		Seed:    31,
 		Options: service.OptionsSpec{
 			RelErr: 0.02, Confidence: 0.95,
-			Replications: 16, Workers: 1, PowerMode: "zero-delay",
+			Replications: 130, PowerMode: "zero-delay",
 		},
 	}
 	want := reference(t, reg, req)
@@ -129,11 +131,11 @@ func TestLeaseExpiryStealsStalledRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, ranges := estimateRanges(t, coord, tb, req, nil)
 	sameResult(t, got, want, "after lease expiry")
+	if ranges < 2 {
+		t.Errorf("%d replication range ran, want the job split", ranges)
+	}
 
 	var expiries, reassignments uint64
 	for _, w := range coord.Workers() {
@@ -184,7 +186,7 @@ func TestTransportFaultReassignment(t *testing.T) {
 		Seed:    47,
 		Options: service.OptionsSpec{
 			RelErr: 0.02, Confidence: 0.95,
-			Replications: 16, Workers: 1, PowerMode: "zero-delay",
+			Replications: 130, PowerMode: "zero-delay",
 		},
 	}
 	want := reference(t, reg, req)
@@ -192,11 +194,11 @@ func TestTransportFaultReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, ranges := estimateRanges(t, coord, tb, req, nil)
 	sameResult(t, got, want, "after transport faults")
+	if ranges < 2 {
+		t.Errorf("%d replication range ran, want the job split", ranges)
+	}
 
 	var retries uint64
 	var lastErr string
@@ -245,7 +247,7 @@ func TestRangePanicFailsJob(t *testing.T) {
 
 	req := service.JobRequest{
 		Circuit: "s27", Seed: 3,
-		Options: service.OptionsSpec{Replications: 16, Workers: 1, PowerMode: "zero-delay"},
+		Options: service.OptionsSpec{Replications: 130, PowerMode: "zero-delay"},
 	}
 	tb, err := reg.Testbench(req.Circuit)
 	if err != nil {

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -65,6 +67,31 @@ func sameResult(t *testing.T, got, want core.Result, label string) {
 	}
 }
 
+// estimateRanges runs req on coord under a job trace and returns the
+// result with the number of replication ranges the job's shard event
+// reports.
+func estimateRanges(t *testing.T, coord *Coordinator, tb *core.Testbench, req service.JobRequest, progress func(core.Progress)) (core.Result, int) {
+	t.Helper()
+	tr := obs.NewTrace()
+	res, err := coord.Estimate(obs.ContextWithTrace(context.Background(), tr), tb, req, nil, nil, progress)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range tr.Spans() {
+		for i := 0; s.Name == "shard" && i+1 < len(s.Attrs); i += 2 {
+			if s.Attrs[i] == "ranges" {
+				n, err := strconv.Atoi(s.Attrs[i+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, n
+			}
+		}
+	}
+	t.Fatal("the job's trace has no shard event with a range count")
+	return res, 0
+}
+
 // reference runs the single-process estimator for a job request.
 func reference(t *testing.T, reg *service.Registry, req service.JobRequest) core.Result {
 	t.Helper()
@@ -103,7 +130,7 @@ func TestClusterBitIdenticalOneWorker(t *testing.T) {
 	req := service.JobRequest{
 		Circuit: "s298",
 		Seed:    42,
-		Options: service.OptionsSpec{Replications: 16, Workers: 2},
+		Options: service.OptionsSpec{Replications: 16},
 	}
 	want := reference(t, reg, req)
 	tb, err := reg.Testbench(req.Circuit)
@@ -131,6 +158,8 @@ func TestClusterBitIdenticalOneWorker(t *testing.T) {
 // TestClusterBitIdenticalTwoWorkersAndModes: two workers (so the
 // replication space really is split across processes) under both power
 // modes and the fixed-interval path, with progress delivery checked.
+// The zero-delay job spans three word rows, the last one partial, so
+// its word-row ranges merge across workers too.
 func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 	w1, w2 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
 	s1 := httptest.NewServer(w1.Handler())
@@ -148,15 +177,15 @@ func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 	}{
 		{"general-delay", service.JobRequest{
 			Circuit: "s298", Seed: 42,
-			Options: service.OptionsSpec{Replications: 16, Workers: 2},
+			Options: service.OptionsSpec{Replications: 16},
 		}},
 		{"zero-delay", service.JobRequest{
 			Circuit: "s298", Seed: 1997,
-			Options: service.OptionsSpec{Replications: 32, Workers: 2, PowerMode: "zero-delay"},
+			Options: service.OptionsSpec{Replications: 130, PowerMode: "zero-delay"},
 		}},
 		{"fixed-interval", service.JobRequest{
 			Circuit: "s298", Seed: 7,
-			Options:  service.OptionsSpec{Replications: 16, Workers: 1},
+			Options:  service.OptionsSpec{Replications: 16},
 			Interval: &fixed,
 		}},
 	}
@@ -168,15 +197,15 @@ func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			var snapshots atomic.Int64
-			got, err := coord.Estimate(context.Background(), tb, tc.req, nil, nil, func(core.Progress) {
+			got, ranges := estimateRanges(t, coord, tb, tc.req, func(core.Progress) {
 				snapshots.Add(1)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			sameResult(t, got, want, tc.name)
 			if snapshots.Load() == 0 {
 				t.Error("no progress snapshots delivered")
+			}
+			if ranges < 2 {
+				t.Errorf("%d replication range ran, want the job split", ranges)
 			}
 		})
 	}
@@ -255,7 +284,7 @@ func TestClusterWorkerDeathReassignment(t *testing.T) {
 	req := service.JobRequest{
 		Circuit: "s298",
 		Seed:    11,
-		Options: service.OptionsSpec{RelErr: 0.01, Confidence: 0.99, Replications: 16, Workers: 1},
+		Options: service.OptionsSpec{RelErr: 0.01, Confidence: 0.99, Replications: 16},
 	}
 	want := reference(t, reg, req)
 	tb, err := reg.Testbench(req.Circuit)

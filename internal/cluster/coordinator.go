@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/vr"
 )
 
@@ -44,11 +43,6 @@ type CoordinatorConfig struct {
 	// replay. The first block of a stream is allowed leaseStartupFactor
 	// timeouts (setup + warm-up + replay).
 	LeaseTimeout time.Duration
-	// LeaseSplit is how many replication ranges the scheduler creates
-	// per live worker at job start (default 4, capped by the replication
-	// count). More ranges than workers is what gives fast workers a tail
-	// to steal; 1 reproduces the old static one-range-per-worker layout.
-	LeaseSplit int
 	// WorkerWait is how long a job waits for at least one live worker
 	// before failing with "no live workers" (default 0: fail fast). A
 	// restarted durable server re-runs its journaled jobs immediately —
@@ -125,7 +119,6 @@ type Coordinator struct {
 	hbTimeout    time.Duration
 	maxAttempts  int
 	leaseTimeout time.Duration
-	leaseSplit   int
 	workerWait   time.Duration
 	hbTick       <-chan time.Time // injected heartbeat clock (tests)
 	hbProbed     chan<- struct{}  // per-round completion notification (tests)
@@ -161,9 +154,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 15 * time.Second
 	}
-	if cfg.LeaseSplit <= 0 {
-		cfg.LeaseSplit = 4
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{} // streams must not carry an overall timeout
@@ -182,7 +172,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		hbTimeout:    cfg.HeartbeatTimeout,
 		maxAttempts:  cfg.MaxAttempts,
 		leaseTimeout: cfg.LeaseTimeout,
-		leaseSplit:   cfg.LeaseSplit,
 		workerWait:   cfg.WorkerWait,
 		hbTick:       cfg.tick,
 		hbProbed:     cfg.probed,
@@ -456,6 +445,11 @@ func (c *Coordinator) Estimate(ctx context.Context, tb *core.Testbench, req serv
 	return res, err
 }
 
+// rangesPerWorker is how many replication ranges a job asks core.Ranges
+// for per live worker. More ranges than workers give fast workers a
+// tail to steal; a word-parallel job with fewer word rows gets fewer.
+const rangesPerWorker = 4
+
 // rangeMsg is one delivery from a range stream to the merge loop.
 type rangeMsg struct {
 	block core.ReplicationBlock
@@ -500,24 +494,12 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 	if len(alive) == 0 {
 		return core.Result{}, errors.New("cluster: no live workers")
 	}
-	// LeaseSplit ranges per live worker: over-partitioning is what gives
-	// fast workers a tail of leases to steal from slow ones. The range
-	// *boundaries* come from core.SplitRangeAligned — the one partition
-	// rule shared with the in-process shard layout, rounded to the
-	// compiled session width the workers run so leases pack whole word
-	// rows — and the merge order is unchanged, so neither the range count nor
-	// the alignment shows in the merged result. Jobs too small for
-	// full-width leases halve the alignment until every lease keeps at
-	// least one aligned block, preserving the stealable tail.
-	k := len(alive) * c.leaseSplit
-	if k > reps {
-		k = reps
-	}
-	align := sim.CompiledMaxLanes
-	for align > 1 && reps < k*align {
-		align >>= 1
-	}
-	bounds := core.SplitRangeAligned(0, reps, k, align)
+	// core.Ranges, the layout rule of the in-process shards, cuts the
+	// ranges: at most rangesPerWorker per live worker, so a fast worker
+	// has a tail of leases to steal, and never below a word row of a
+	// word-parallel job. No layout shows in the merged result.
+	bounds := core.Ranges(tb, opts, rp.Plan, 0, reps, len(alive)*rangesPerWorker)
+	k := len(bounds)
 	ranges := make([]*repRange, k)
 	lanes := make([]int, k)
 

@@ -1,6 +1,8 @@
 // Package cluster shards the paper's estimation procedure across
 // processes: a Coordinator partitions a job's independent replications
-// into contiguous seed ranges, streams their power samples back from
+// into contiguous seed ranges by core.Ranges, the in-process shard
+// layout rule (never below a word row of a word-parallel job, at most
+// four ranges per live worker), streams their power samples back from
 // stateless dipe-worker processes over HTTP, and feeds them to the
 // same merge loop the single-process estimator runs (core.Tail) — so
 // the two-phase stopping decision of the paper is made globally, on

@@ -92,8 +92,8 @@ func TestServiceOverCluster(t *testing.T) {
 
 	// A batch across the cluster dispatcher completes.
 	jobs := []service.JobRequest{
-		{Circuit: "s27", Seed: 5, Options: service.OptionsSpec{Replications: 8, Workers: 1}},
-		{Circuit: "s298", Seed: 9, Options: service.OptionsSpec{Replications: 16, Workers: 1}},
+		{Circuit: "s27", Seed: 5, Options: service.OptionsSpec{Replications: 8}},
+		{Circuit: "s298", Seed: 9, Options: service.OptionsSpec{Replications: 16}},
 	}
 	var batch service.BatchResponse
 	if code := postJSON("/v1/batch", service.BatchRequest{Jobs: jobs}, &batch); code != http.StatusAccepted {

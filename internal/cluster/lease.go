@@ -23,10 +23,10 @@ import (
 // just slow while a faster worker sits idle — has its lease reclaimed
 // and the range reassigned; the replacement stream replays the merged
 // prefix via SkipBlocks, which deterministic seeding reproduces
-// exactly, so stealing is invisible in the merged result. The job is
-// partitioned into more ranges than workers (CoordinatorConfig
-// LeaseSplit) precisely so there is a tail of ranges for fast workers
-// to steal.
+// exactly, so stealing is invisible in the merged result. A job asks
+// for more ranges than workers (rangesPerWorker per live worker)
+// precisely so there is a tail of ranges for fast workers to steal;
+// a word-parallel job gets no more ranges than it has word rows.
 //
 // Scheduling is least-loaded with memory: each (worker, range) pair
 // that burns a lease to expiry is penalized for that range, so a

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -16,7 +15,9 @@ import (
 // run with 1 worker and with 2 workers must reproduce
 // core.EstimateParallel bit for bit — mean, half-width, sample size and
 // cycle counts — under both the dynamic-selection and fixed-interval
-// paths. The plan (including the regression-estimated coefficient and
+// paths. The antithetic zero-delay job spans three word rows, so its
+// pairs merge from several word-row ranges. The plan (including the
+// regression-estimated coefficient and
 // covariate mean) is resolved at the coordinator and shipped on the
 // wire, so any divergence would surface here.
 func TestClusterVRModesBitIdentical(t *testing.T) {
@@ -37,19 +38,19 @@ func TestClusterVRModesBitIdentical(t *testing.T) {
 	}{
 		{"antithetic", service.JobRequest{
 			Circuit: "s298", Seed: 42,
-			Options: service.OptionsSpec{Replications: 16, Workers: 1, Variance: "antithetic"},
+			Options: service.OptionsSpec{Replications: 16, Variance: "antithetic"},
 		}},
 		{"antithetic-zero-delay", service.JobRequest{
 			Circuit: "s298", Seed: 19,
-			Options: service.OptionsSpec{Replications: 32, Workers: 1, Variance: "antithetic", PowerMode: "zero-delay"},
+			Options: service.OptionsSpec{Replications: 130, Variance: "antithetic", PowerMode: "zero-delay"},
 		}},
 		{"control-variate", service.JobRequest{
 			Circuit: "s298", Seed: 1997,
-			Options: service.OptionsSpec{Replications: 16, Workers: 1, Variance: "control-variate"},
+			Options: service.OptionsSpec{Replications: 16, Variance: "control-variate"},
 		}},
 		{"control-variate-fixed-interval", service.JobRequest{
 			Circuit: "s298", Seed: 7,
-			Options:  service.OptionsSpec{Replications: 16, Workers: 1, Variance: "control-variate"},
+			Options:  service.OptionsSpec{Replications: 16, Variance: "control-variate"},
 			Interval: &fixed,
 		}},
 	}
@@ -63,18 +64,15 @@ func TestClusterVRModesBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := coordOne.Estimate(context.Background(), tb, tc.req, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			one, _ := estimateRanges(t, coordOne, tb, tc.req, nil)
 			sameResult(t, one, want, tc.name+"/1-worker")
-			two, err := coordTwo.Estimate(context.Background(), tb, tc.req, nil, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			two, ranges := estimateRanges(t, coordTwo, tb, tc.req, nil)
 			sameResult(t, two, want, tc.name+"/2-workers")
 			if !two.Converged {
 				t.Error("cluster VR run did not converge")
+			}
+			if ranges < 2 {
+				t.Errorf("%d replication range ran on two workers, want the job split", ranges)
 			}
 		})
 	}

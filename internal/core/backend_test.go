@@ -79,14 +79,14 @@ func TestCompiledBackendGoldenParallel(t *testing.T) {
 			opts.Mode = tc.mode
 			opts.Variance.Mode = tc.variance
 			opts.Replications = tc.reps
-			opts.Workers = 2
+			opts.pool = 2
 			opts.Backend = sim.BackendPacked
 			packed, err := EstimateParallel(tb, factory, 33, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.Backend = sim.BackendCompiled
-			opts.Workers = 3 // a different pool must not matter either
+			opts.pool = 3 // a different pool must not matter either
 			compiled, err := EstimateParallel(tb, factory, 33, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -147,11 +147,11 @@ func TestCompiledBackendGoldenStreamed(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
-	collect := func(backend sim.Backend, workers int) [][]float64 {
+	collect := func(backend sim.Backend, pool int) [][]float64 {
 		opts := DefaultOptions()
 		opts.Mode = power.ModeZeroDelay
 		opts.Backend = backend
-		opts.Workers = workers
+		opts.pool = pool
 		var blocks [][]float64
 		err := StreamReplications(t.Context(), tb, factory, 21, opts, vr.Plan{},
 			2, 0, 96, 4, 0, 3, 0, func(b ReplicationBlock) error {
@@ -187,32 +187,32 @@ func TestCompiledBackendGoldenStreamed(t *testing.T) {
 // on s38417, zero-delay with 512 replications, must produce results
 // bit-identical to the packed oracle (eight 64-lane interpreted
 // sessions) whether the compiled engine runs them as one 512-lane
-// session (Workers 1: 8-word rows, the run-batched dispatcher) or as
-// two 256-lane sessions (Workers 2). A fixed interval, a short warm-up
+// session (pool 1: 8-word rows, the run-batched dispatcher) or as
+// two 256-lane sessions (pool 2). A fixed interval, a short warm-up
 // and a loose accuracy spec keep the run test-sized; the contract is
 // exact equality, not statistics.
 func TestWideSessionGoldenS38417(t *testing.T) {
 	c := bench89.MustGet("s38417")
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
-	run := func(backend sim.Backend, workers int) Result {
+	run := func(backend sim.Backend, pool int) Result {
 		opts := DefaultOptions()
 		opts.Mode = power.ModeZeroDelay
 		opts.Backend = backend
 		opts.Replications = 512
-		opts.Workers = workers
+		opts.pool = pool
 		opts.WarmupCycles = 64
 		opts.Spec.RelErr = 0.5
 		res, err := EstimateParallelWithInterval(tb, factory, 7, opts, 2)
 		if err != nil {
-			t.Fatalf("%s backend, %d workers: %v", backend, workers, err)
+			t.Fatalf("%s backend, pool %d: %v", backend, pool, err)
 		}
 		return res
 	}
 	packed := run(sim.BackendPacked, 2)
-	for _, workers := range []int{1, 2} {
-		compiled := run(sim.BackendCompiled, workers)
-		requireGolden(t, fmt.Sprintf("workers %d", workers), packed, compiled)
+	for _, pool := range []int{1, 2} {
+		compiled := run(sim.BackendCompiled, pool)
+		requireGolden(t, fmt.Sprintf("pool %d", pool), packed, compiled)
 		if compiled.Engine != sim.EngineCompiledZeroDelay || packed.Engine != sim.EnginePackedZeroDelay {
 			t.Errorf("engines (%q, %q)", compiled.Engine, packed.Engine)
 		}

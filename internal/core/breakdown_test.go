@@ -57,7 +57,7 @@ func TestBreakdownSumsToEstimate(t *testing.T) {
 
 // TestBreakdownDeterministic: toggle counts are integer sums, so the
 // report must be identical — toggles exactly, watts bit-for-bit —
-// across worker counts and across the packed and compiled backends.
+// across shard layouts and across the packed and compiled backends.
 func TestBreakdownDeterministic(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
@@ -67,9 +67,9 @@ func TestBreakdownDeterministic(t *testing.T) {
 	opts.Breakdown = true
 	var ref *power.BreakdownReport
 	for _, backend := range sim.Backends() {
-		for _, workers := range []int{1, 2, 7} {
+		for _, pool := range []int{1, 2, 7} {
 			opts.Backend = backend
-			opts.Workers = workers
+			opts.pool = pool
 			res, err := EstimateParallel(tb, factory, 11, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -81,12 +81,12 @@ func TestBreakdownDeterministic(t *testing.T) {
 			got := res.Breakdown
 			if got.Observations != ref.Observations || got.Dynamic != ref.Dynamic ||
 				got.Leakage != ref.Leakage || len(got.Rows) != len(ref.Rows) {
-				t.Fatalf("%s workers=%d: report header differs", backend, workers)
+				t.Fatalf("%s pool=%d: report header differs", backend, pool)
 			}
 			for i := range got.Rows {
 				if got.Rows[i] != ref.Rows[i] {
-					t.Fatalf("%s workers=%d: row %d = %+v, want %+v",
-						backend, workers, i, got.Rows[i], ref.Rows[i])
+					t.Fatalf("%s pool=%d: row %d = %+v, want %+v",
+						backend, pool, i, got.Rows[i], ref.Rows[i])
 				}
 			}
 		}

@@ -66,10 +66,11 @@ type Options struct {
 	// replications than that take more sessions. 0 means the default of
 	// 64 — one lane word. Ignored by the serial estimators.
 	Replications int `json:"replications"`
-	// Workers bounds the goroutine pool of EstimateParallel. 0 means
-	// GOMAXPROCS. The estimate is independent of the worker count:
-	// replication seeds are fixed and samples are merged in replication
-	// order.
+	// Deprecated: Workers has no effect. The parallel estimators cut
+	// replications by Ranges and run the shards on GOMAXPROCS
+	// goroutines, which the GOMAXPROCS environment variable bounds. It
+	// remains only because the benchmark module still sets it; Validate
+	// still rejects a negative value.
 	Workers int `json:"-"`
 	// Mode selects the power-observation scenario for sampled cycles:
 	// general-delay (event-driven, glitches included — the paper's
@@ -128,6 +129,11 @@ type Options struct {
 	// loop flow through it. Like Progress it never affects the estimate;
 	// nil costs one branch per block.
 	Metrics *Metrics `json:"-"`
+
+	// pool, when positive, stands in for GOMAXPROCS in the shard layout
+	// and the goroutine pool of newReplicationRun. Only tests in this
+	// package set it, to vary the layout.
+	pool int `json:"-"`
 }
 
 // Progress is a point-in-time snapshot of a running estimation,

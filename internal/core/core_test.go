@@ -48,12 +48,13 @@ func TestOptionsFieldsClassified(t *testing.T) {
 	unkeyed := map[string]string{
 		"NewCriterion":   "a function; the key carries its criterion's Name()",
 		"Test":           "a function; the key carries its Name()",
-		"Workers":        "result-invariant: replication seeds and merge order fix the result",
+		"Workers":        "deprecated, no effect",
 		"Backend":        "result-invariant: the backends are observation-equivalent",
 		"SessionWorkers": "deprecated, no effect",
 		"CacheBudget":    "deprecated, no effect",
 		"Progress":       "a callback that never affects the estimate",
 		"Metrics":        "telemetry that never affects the estimate",
+		"pool":           "test seam of the shard layout, which never changes a result",
 	}
 	typ := reflect.TypeOf(Options{})
 	for i := range typ.NumField() {

@@ -68,7 +68,7 @@ func TestCICoverageConformance(t *testing.T) {
 				opts.Spec.RelErr = 0.05
 				opts.Spec.Confidence = confidence
 				opts.Replications = 32
-				opts.Workers = 2
+				opts.pool = 2
 				opts.Variance.Mode = tc.mode
 				opts.Variance.ControlCycles = 1024 // cheap covariate mean; error still negligible
 				seed := int64(1_000_000 + r*7919)  // disjoint from the reference seed

@@ -23,9 +23,13 @@
 // hidden and sampled cycles, and one merge loop (Tail), which owns the
 // stopping rule and builds the Result; the cluster coordinator feeds
 // the same loop from worker streams of the same producer
-// (StreamReplications). Every estimator runs phase 1 (warm-up and
-// Fig. 2), and the serial estimators also their sampling phase, on one
-// compiled sim.Session. SelectInterval takes any Collector, so tests
+// (StreamReplications). One rule, Ranges, lays the replications out in
+// shards and cluster ranges: the unit of work is a word row of 64
+// lanes when sampled cycles are observed word-parallel, since a
+// compiled pass costs per row, and one lane otherwise. GOMAXPROCS
+// goroutines step the shards; no layout changes a result. Every
+// estimator runs phase 1 (warm-up and Fig. 2), and the serial
+// estimators also their sampling phase, on one compiled sim.Session. SelectInterval takes any Collector, so tests
 // can run it on the interpreted sim.ScalarSession oracle, which gives
 // bit-identical samples. The Ctx variants add
 // cooperative cancellation (covering interval selection too, via

@@ -254,10 +254,11 @@ func finishBreakdown(tb *Testbench, opts Options, m *Merger, seedLen int, seedTo
 }
 
 // SplitRange partitions [lo, hi) into k contiguous sub-ranges whose
-// sizes differ by at most one, in ascending order. It is THE partition
-// rule of the replication space: replicationRun's goroutine shards and
-// the cluster coordinator's worker ranges both use it, which is what
-// keeps every layout merging the same samples at the same boundaries.
+// sizes differ by at most one, in ascending order. Replication r keeps
+// its seed in any contiguous partition and blocks merge in replication
+// order, so every partition merges the same samples in the same order:
+// the layout of a job never changes its result. Ranges builds the
+// layouts the estimator and the cluster run on it.
 func SplitRange(lo, hi, k int) [][2]int {
 	out := make([][2]int, 0, k)
 	next := lo
@@ -269,31 +270,28 @@ func SplitRange(lo, hi, k int) [][2]int {
 	return out
 }
 
-// SplitRangeAligned partitions [lo, hi) into k contiguous ascending
-// sub-ranges whose boundaries are multiples of align relative to lo,
-// with the final range absorbing the remainder. Alignment matters to
-// the cluster's lease sizing: a lease that is a whole number of
-// compiled-session widths (512 lanes) packs its replications into full
-// word rows instead of leaving partial words at every lease boundary.
-// The ranges still cover [lo, hi) exactly in ascending order — the
-// merge rule is unchanged, so alignment can never change a result, only
-// how the work is cut. align <= 1 (or a span smaller than k*align,
-// which would force empty ranges) degrades gracefully toward
-// SplitRange's unaligned cuts.
-func SplitRangeAligned(lo, hi, k, align int) [][2]int {
-	if align <= 1 {
-		return SplitRange(lo, hi, k)
+// Ranges is the one layout rule of the replication space. It cuts
+// replications [lo, hi) into the shards of an in-process run or of a
+// cluster worker's range, and into the coordinator's cluster ranges.
+// Its unit of work is a word row of sim.MaxLanes replications when the
+// job observes its sampled cycles word-parallel (wordSampled), because
+// a compiled pass costs the same for one lane of a row as for all of
+// them; otherwise it is one replication, since each lane's sampled
+// cycles run on an event-driven engine of their own. It returns
+// min(want, ceil((hi-lo)/unit)) ascending ranges balanced in whole
+// units, the partial unit last, so no range is empty and none splits a
+// word row of a word-parallel job. want must be at least 1.
+func Ranges(tb *Testbench, opts Options, plan vr.Plan, lo, hi, want int) [][2]int {
+	unit := 1
+	if wordSampled(tb, opts, plan) {
+		unit = sim.MaxLanes
 	}
-	units := (hi - lo) / align
-	out := make([][2]int, 0, k)
-	next := lo
-	for i, b := range SplitRange(0, units, k) {
-		width := (b[1] - b[0]) * align
-		if i == k-1 {
-			width = hi - next
-		}
-		out = append(out, [2]int{next, next + width})
-		next += width
+	// SplitRange over the whole and partial units of [lo, hi), so the
+	// interior cuts fall on multiples of unit counted from lo.
+	units := (hi - lo + unit - 1) / unit
+	out := SplitRange(0, units, min(want, units))
+	for i, b := range out {
+		out[i] = [2]int{lo + b[0]*unit, min(lo+b[1]*unit, hi)}
 	}
 	return out
 }
@@ -325,8 +323,8 @@ type ReplicationBlock struct {
 // samples in blocks of `rounds` rounds. It is the in-process
 // estimator's block producer over a sub-range, so the emitted samples
 // are bit-identical to the corresponding lanes of a single-process run,
-// regardless of how [lo, hi) is packed into lane words or spread over
-// opts.Workers goroutines.
+// regardless of how Ranges cuts [lo, hi) into shards or how many
+// goroutines run them.
 //
 // plan is the resolved variance-reduction plan (ResolvePlan): under the
 // control-variate mode each emitted sample is already transformed
@@ -349,8 +347,8 @@ type ReplicationBlock struct {
 // `rounds` rounds of samples. Outside breakdown runs budgetRounds is
 // ignored.
 //
-// opts contributes WarmupCycles, Mode, Workers and Breakdown; the
-// stopping criterion is not consulted — stopping is the merger's job.
+// opts contributes WarmupCycles, Mode and Breakdown; the stopping
+// criterion is not consulted — stopping is the merger's job.
 func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, interval, lo, hi, rounds, skip, maxBlocks, budgetRounds int, emit func(ReplicationBlock) error) error {
 	if err := opts.Mode.Validate(); err != nil {
 		return err

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/bench89"
+	"repro/internal/delay"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
@@ -49,7 +51,7 @@ func TestMergerStreamedRangesMatchParallel(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Replications = 24
-			opts.Workers = 2
+			opts.pool = 2
 			// A tighter budget keeps the eagerly-streamed queues (MaxBlocks
 			// blocks each) test-sized; s298 converges well under it.
 			opts.MaxSamples = 1 << 16
@@ -187,7 +189,7 @@ func TestStreamReplicationsSkipFastForward(t *testing.T) {
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
 	opts := DefaultOptions()
-	opts.Workers = 1
+	opts.pool = 1
 	const (
 		seed     = int64(5)
 		interval = 2
@@ -224,48 +226,114 @@ func TestStreamReplicationsSkipFastForward(t *testing.T) {
 	}
 }
 
-// TestSplitRangeAligned checks the aligned partition rule: exact
-// coverage of [lo, hi) in ascending order, all interior boundaries at
-// multiples of align (relative to lo), the remainder absorbed by the
-// last range, and graceful degradation to SplitRange when the span is
-// too small to align or align <= 1.
-func TestSplitRangeAligned(t *testing.T) {
+// TestRangesLayouts pins the layouts the rule gives the jobs whose
+// layout it changed or kept, and the inputs on which the aligned split
+// it replaced returned empty ranges. The unit follows wordSampled: a
+// word row under zero-delay sampling or an all-zero delay table, one
+// replication under event-driven sampling or a control variate.
+func TestRangesLayouts(t *testing.T) {
+	c := bench89.S27()
+	gd := DefaultTestbench(c)
+	allZero := NewTestbench(c, delay.Zero{}, power.DefaultCapModel(), power.DefaultSupply())
+	plain := DefaultOptions()
+	zd := DefaultOptions()
+	zd.Mode = power.ModeZeroDelay
+	cv := vr.Plan{Mode: vr.ModeControlVariate, Beta: 0.5}
 	cases := []struct {
-		lo, hi, k, align int
+		name   string
+		tb     *Testbench
+		opts   Options
+		plan   vr.Plan
+		lo, hi int
+		want   int
+		bounds [][2]int
 	}{
-		{0, 4096, 4, 512}, // exact multiple: equal aligned quarters
-		{0, 4100, 4, 512}, // remainder rides on the last range
-		{0, 1536, 4, 512}, // fewer aligned units than ranges
-		{0, 100, 3, 512},  // span smaller than one unit
-		{0, 100, 3, 1},    // align disabled
-		{7, 4103, 4, 512}, // non-zero lo: alignment is relative to lo
-		{0, 513, 2, 512},  // one unit plus remainder
-		{0, 64, 64, 8},    // many ranges, few units
+		{"64 zero-delay in process, 2 cores", gd, zd, vr.Plan{}, 0, 64, 2, [][2]int{{0, 64}}},
+		{"64 general-delay in process, 2 cores", gd, plain, vr.Plan{}, 0, 64, 2, [][2]int{{0, 32}, {32, 64}}},
+		{"512 zero-delay in process, 2 cores", gd, zd, vr.Plan{}, 0, 512, 2, [][2]int{{0, 256}, {256, 512}}},
+		{"64 zero-delay cluster, 2 workers", gd, zd, vr.Plan{}, 0, 64, 8, [][2]int{{0, 64}}},
+		{"64 general-delay cluster, 2 workers", gd, plain, vr.Plan{}, 0, 64, 8,
+			[][2]int{{0, 8}, {8, 16}, {16, 24}, {24, 32}, {32, 40}, {40, 48}, {48, 56}, {56, 64}}},
+		{"130 zero-delay cluster, 2 workers", gd, zd, vr.Plan{}, 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
+		{"all-zero delays sample word-parallel", allZero, plain, vr.Plan{}, 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
+		{"a control variate samples per lane", allZero, plain, cv, 0, 6, 8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}},
+		{"one row asked for 3 ranges", gd, zd, vr.Plan{}, 0, 64, 3, [][2]int{{0, 64}}},
+		{"16 lanes asked for 8 ranges", gd, zd, vr.Plan{}, 0, 16, 8, [][2]int{{0, 16}}},
+		{"a worker's range off lo", gd, zd, vr.Plan{}, 7, 4103, 4, [][2]int{{7, 1031}, {1031, 2055}, {2055, 3079}, {3079, 4103}}},
+		{"partial row rides last", gd, zd, vr.Plan{}, 0, 4100, 4, [][2]int{{0, 1088}, {1088, 2112}, {2112, 3136}, {3136, 4100}}},
 	}
 	for _, tc := range cases {
-		got := SplitRangeAligned(tc.lo, tc.hi, tc.k, tc.align)
-		if len(got) != tc.k {
-			t.Fatalf("SplitRangeAligned(%d,%d,%d,%d): %d ranges, want %d", tc.lo, tc.hi, tc.k, tc.align, len(got), tc.k)
+		got := Ranges(tc.tb, tc.opts, tc.plan, tc.lo, tc.hi, tc.want)
+		if !reflect.DeepEqual(got, tc.bounds) {
+			t.Errorf("%s: Ranges(%d, %d, want %d) = %v, want %v", tc.name, tc.lo, tc.hi, tc.want, got, tc.bounds)
 		}
-		next := tc.lo
-		for i, b := range got {
-			if b[0] != next || b[1] < b[0] {
-				t.Fatalf("SplitRangeAligned(%d,%d,%d,%d): range %d = %v breaks coverage at %d", tc.lo, tc.hi, tc.k, tc.align, i, b, next)
+		for _, b := range got {
+			if b[1] <= b[0] {
+				t.Errorf("%s: empty range %v", tc.name, b)
 			}
-			if tc.align > 1 && i < tc.k-1 && (b[1]-tc.lo)%tc.align != 0 && b[1] != tc.hi {
-				t.Fatalf("SplitRangeAligned(%d,%d,%d,%d): interior boundary %d not aligned", tc.lo, tc.hi, tc.k, tc.align, b[1])
-			}
-			next = b[1]
-		}
-		if next != tc.hi {
-			t.Fatalf("SplitRangeAligned(%d,%d,%d,%d): covers up to %d, want %d", tc.lo, tc.hi, tc.k, tc.align, next, tc.hi)
 		}
 	}
-	// align <= 1 must be SplitRange exactly.
-	a, b := SplitRangeAligned(3, 77, 5, 1), SplitRange(3, 77, 5)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("align=1: range %d = %v, SplitRange %v", i, a[i], b[i])
+}
+
+// TestRangesSweep checks the rule's contract over every span up to 600
+// replications and a few around the 512-lane session width: exact
+// ascending coverage, no empty range, min(want, ceil(n/unit)) ranges,
+// interior cuts on unit multiples counted from lo, sizes balanced in
+// whole units with the partial unit last, and no range wider than a
+// session once want covers ceil(n/width) as newReplicationRun asks.
+func TestRangesSweep(t *testing.T) {
+	tb := DefaultTestbench(bench89.S27())
+	zd := DefaultOptions()
+	zd.Mode = power.ModeZeroDelay
+	units := []struct {
+		unit int
+		opts Options
+	}{{1, DefaultOptions()}, {64, zd}}
+	spans := []int{1023, 1025, 4095, 4096, 4160}
+	for n := 1; n <= 600; n++ {
+		spans = append(spans, n)
+	}
+	check := func(u, lo, n, want int, got [][2]int) {
+		t.Helper()
+		k := min(want, (n+u-1)/u)
+		if len(got) != k {
+			t.Fatalf("unit %d, [%d, %d), want %d: %d ranges, want %d", u, lo, lo+n, want, len(got), k)
+		}
+		next, minUnits, maxUnits := lo, n, 0
+		for i, b := range got {
+			if b[0] != next || b[1] <= b[0] {
+				t.Fatalf("unit %d, [%d, %d), want %d: range %d = %v after %d", u, lo, lo+n, want, i, b, next)
+			}
+			size := b[1] - b[0]
+			if i < len(got)-1 && size%u != 0 {
+				t.Fatalf("unit %d, [%d, %d), want %d: interior cut %d splits a unit", u, lo, lo+n, want, b[1])
+			}
+			c := (size + u - 1) / u
+			minUnits, maxUnits = min(minUnits, c), max(maxUnits, c)
+			next = b[1]
+		}
+		if next != lo+n {
+			t.Fatalf("unit %d, [%d, %d), want %d: covers up to %d", u, lo, lo+n, want, next)
+		}
+		if maxUnits-minUnits > 1 {
+			t.Fatalf("unit %d, [%d, %d), want %d: unbalanced %v", u, lo, lo+n, want, got)
+		}
+	}
+	for _, un := range units {
+		for _, lo := range []int{0, 7} {
+			for _, n := range spans {
+				for _, want := range []int{1, 2, 3, 8, 16} {
+					check(un.unit, lo, n, want, Ranges(tb, un.opts, vr.Plan{}, lo, lo+n, want))
+					for _, width := range []int{sim.MaxLanes, sim.CompiledMaxLanes} {
+						got := Ranges(tb, un.opts, vr.Plan{}, lo, lo+n, max(want, (n+width-1)/width))
+						for _, b := range got {
+							if b[1]-b[0] > width {
+								t.Fatalf("unit %d, [%d, %d), want %d: range %v wider than a %d-lane session", un.unit, lo, lo+n, want, b, width)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -39,7 +39,7 @@ type shard struct {
 // worker runs one over its leased range (StreamReplications).
 type replicationRun struct {
 	shards   []*shard
-	workers  int
+	pool     int // goroutines that step the shards
 	lanes    int
 	warmup   int
 	interval int
@@ -48,26 +48,25 @@ type replicationRun struct {
 	prev     []uint64 // toggle totals of the blocks handed out (breakdown runs only)
 }
 
-// newReplicationRun builds the canonical shard layout over replications
-// [lo, hi): SplitRange into at least as many shards as the goroutine
-// pool is wide (so the pool is saturated) and enough that none exceeds
-// the backend's lane width. Replication r keeps its globally fixed seed
-// baseSeed+1+r regardless of the layout, and lane counts differ by at
-// most one. Each shard's sample buffer holds `rounds` rounds, the
-// longest block the run will be asked for.
+// newReplicationRun lays replications [lo, hi) out in shards by
+// Ranges, asking for as many shards as the goroutine pool is wide
+// (GOMAXPROCS) and for enough that none exceeds the backend's session
+// width. A word-parallel job therefore cuts only at word rows, and a
+// 64-replication one is a single shard. Replication r keeps its
+// globally fixed seed baseSeed+1+r regardless of the layout. Each
+// shard's sample buffer holds `rounds` rounds, the longest block the
+// run will be asked for.
 func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, interval, lo, hi, rounds int) (*replicationRun, error) {
 	backend := opts.Backend.Canonical()
-	n := hi - lo
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
+	pool := opts.pool
+	if pool == 0 {
+		pool = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, n)
 	width := sim.MaxLanesFor(backend)
 	packed := wordSampled(tb, opts, plan)
 	r := &replicationRun{
-		workers:  workers,
-		lanes:    n,
+		pool:     pool,
+		lanes:    hi - lo,
 		warmup:   opts.WarmupCycles,
 		interval: interval,
 		weights:  tb.Weights(),
@@ -76,7 +75,7 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 	if opts.Breakdown {
 		r.prev = make([]uint64, tb.Circuit.NumNodes())
 	}
-	for _, b := range SplitRange(lo, hi, max(workers, (n+width-1)/width)) {
+	for _, b := range Ranges(tb, opts, plan, lo, hi, max(pool, (hi-lo+width-1)/width)) {
 		lanes := b[1] - b[0]
 		srcs := make([]vectors.Source, lanes)
 		for k := range srcs {
@@ -122,7 +121,7 @@ const warmChunk = 1024
 func (r *replicationRun) warm(ctx context.Context, skipRounds int) {
 	for left := r.warmup + skipRounds*(r.interval+1); left > 0 && ctx.Err() == nil; left -= warmChunk {
 		n := min(left, warmChunk)
-		runShards(r.shards, r.workers, func(sh *shard) { sh.ps.StepHiddenN(n) })
+		runShards(r.shards, r.pool, func(sh *shard) { sh.ps.StepHiddenN(n) })
 	}
 }
 
@@ -133,7 +132,7 @@ func (r *replicationRun) warm(ctx context.Context, skipRounds int) {
 // of its first `count` rounds (count <= n) — the rounds the merge side
 // will consume, which its sample budget may clip below n.
 func (r *replicationRun) block(b, n, count int) ReplicationBlock {
-	runShards(r.shards, r.workers, func(sh *shard) {
+	runShards(r.shards, r.pool, func(sh *shard) {
 		for t := 0; t < n; t++ {
 			sh.ps.StepHiddenN(r.interval)
 			powers := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
@@ -177,16 +176,17 @@ func (r *replicationRun) block(b, n, count int) ReplicationBlock {
 // advanced concurrently. Warm-up and interval selection run once on a
 // session seeded baseSeed, exactly as in Estimate; sampling then shards
 // opts.Replications independent sequences — replication r is seeded
-// baseSeed+1+r, a fixed lane→seed mapping — across a goroutine worker
-// pool. Each worker drives a lane session (the compiled backend by
-// default, up to sim.CompiledMaxLanes = 512 replications per session;
-// the packed interpreter takes 64) through the hidden cycles of the
-// independence interval. On sampled cycles a general-delay run hands
-// each lane to the shard's scalar event-driven simulator; a zero-delay
-// run observes every lane word-parallel. Samples are merged into the
+// baseSeed+1+r, a fixed lane→seed mapping — into the shards Ranges
+// lays out, stepped by GOMAXPROCS goroutines. Each shard drives a lane
+// session (the compiled backend by default, up to sim.CompiledMaxLanes
+// = 512 replications per session; the packed interpreter takes 64)
+// through the hidden cycles of the independence interval. On sampled
+// cycles a general-delay run hands each lane to the shard's scalar
+// event-driven simulator; a zero-delay run observes every lane
+// word-parallel. Samples are merged into the
 // stopping criterion deterministically (round-major, in replication
-// order), so the result is reproducible and independent of
-// opts.Workers and of goroutine scheduling.
+// order), so the result is reproducible and independent of the shard
+// layout and of goroutine scheduling.
 //
 // Compared to Estimate, the power samples come from Replications
 // parallel sequences instead of one long sequence; samples remain

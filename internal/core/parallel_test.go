@@ -13,7 +13,7 @@ import (
 )
 
 // TestEstimateParallelDeterministic: the same seeds give the same result,
-// bit for bit, regardless of the worker count — the fixed lane→seed
+// bit for bit, regardless of the shard layout — the fixed lane→seed
 // mapping plus ordered merge make scheduling invisible.
 func TestEstimateParallelDeterministic(t *testing.T) {
 	c := bench89.MustGet("s298")
@@ -22,8 +22,8 @@ func TestEstimateParallelDeterministic(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Replications = 16
 	var ref Result
-	for i, workers := range []int{1, 2, 7} {
-		opts.Workers = workers
+	for i, pool := range []int{1, 2, 7} {
+		opts.pool = pool
 		res, err := EstimateParallel(tb, factory, 42, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestEstimateParallelDeterministic(t *testing.T) {
 		}
 		if res.Power != ref.Power || res.SampleSize != ref.SampleSize ||
 			res.Interval != ref.Interval || res.HalfWidth != ref.HalfWidth {
-			t.Fatalf("workers=%d: result %v differs from workers=1 result %v", workers, res, ref)
+			t.Fatalf("pool=%d: result %v differs from pool=1 result %v", pool, res, ref)
 		}
 	}
 	if ref.Power <= 0 {
@@ -78,7 +78,7 @@ func TestEstimateParallelMatchesSerial(t *testing.T) {
 }
 
 // TestEstimateParallelReplicationSharding: replication counts that do
-// not divide evenly across workers or exceed one word still work and
+// not divide evenly across shards or exceed one word still work and
 // stay deterministic.
 func TestEstimateParallelReplicationSharding(t *testing.T) {
 	c := bench89.MustGet("s27")
@@ -87,12 +87,12 @@ func TestEstimateParallelReplicationSharding(t *testing.T) {
 	for _, reps := range []int{1, 3, 64, 130} {
 		opts := DefaultOptions()
 		opts.Replications = reps
-		opts.Workers = 3
+		opts.pool = 3
 		a, err := EstimateParallel(tb, factory, 11, opts)
 		if err != nil {
 			t.Fatalf("reps=%d: %v", reps, err)
 		}
-		opts.Workers = 5
+		opts.pool = 5
 		b, err := EstimateParallel(tb, factory, 11, opts)
 		if err != nil {
 			t.Fatalf("reps=%d: %v", reps, err)
@@ -225,7 +225,7 @@ func TestWarmStopsOnCancel(t *testing.T) {
 	tb := DefaultTestbench(c)
 	opts := DefaultOptions()
 	opts.Replications = 8
-	opts.Workers = 2
+	opts.pool = 2
 	const interval, skipRounds = 100, 1000
 	cycles := func(ctx context.Context) []uint64 {
 		run, err := newReplicationRun(tb, vectors.IIDFactory(len(c.Inputs), 0.5), 1, opts, vr.Plan{}, interval, 0, 8, 1)

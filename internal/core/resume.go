@@ -133,7 +133,7 @@ func EstimateParallelResumeCtx(ctx context.Context, tb *Testbench, src vectors.F
 	}
 	obs.TraceFrom(ctx).Event("shard",
 		"shards", strconv.Itoa(len(run.shards)),
-		"workers", strconv.Itoa(run.workers),
+		"workers", strconv.Itoa(run.pool),
 		"replications", strconv.Itoa(reps),
 		"interval", strconv.Itoa(rp.Interval))
 	run.warm(ctx, 0)

@@ -16,7 +16,7 @@ import (
 func vrTestOptions() Options {
 	opts := DefaultOptions()
 	opts.Replications = 32
-	opts.Workers = 2
+	opts.pool = 2
 	return opts
 }
 
@@ -90,12 +90,12 @@ func TestVRDeterminismAndWorkerInvariance(t *testing.T) {
 	for _, mode := range []vr.Mode{vr.ModeAntithetic, vr.ModeControlVariate} {
 		opts := vrTestOptions()
 		opts.Variance.Mode = mode
-		opts.Workers = 1
+		opts.pool = 1
 		a, err := EstimateParallel(tb, factory, 7, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
-		opts.Workers = 4
+		opts.pool = 4
 		b, err := EstimateParallel(tb, factory, 7, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)

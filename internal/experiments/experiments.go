@@ -32,8 +32,6 @@ type Config struct {
 	// Opts.Replications switches Table1 to the lane-parallel estimator
 	// (core.EstimateParallel) with that many concurrent replication
 	// sequences; 0 keeps the serial single-sequence estimator.
-	// Opts.Workers bounds that estimator's goroutine pool and does not
-	// change the results.
 	Opts core.Options
 	// InputProb is the primary-input signal probability (paper: 0.5).
 	InputProb float64

@@ -12,7 +12,6 @@ func TestModeComparison(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Circuits = []string{"s298"}
 	cfg.Opts.Replications = 32
-	cfg.Opts.Workers = 2
 	rows, err := ModeComparison(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,6 @@ func TestTable1Parallel(t *testing.T) {
 	cfg.Circuits = []string{"s27"}
 	cfg.RefCycles = func(int) int { return 5_000 }
 	cfg.Opts.Replications = 8
-	cfg.Opts.Workers = 2
 	rows, err := Table1(cfg)
 	if err != nil {
 		t.Fatal(err)

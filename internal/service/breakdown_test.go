@@ -89,7 +89,7 @@ func TestServerRestartResumesBreakdownJob(t *testing.T) {
 		Seed:    61,
 		Options: OptionsSpec{
 			RelErr: 0.02, Confidence: 0.95,
-			Replications: 16, Workers: 1, PowerMode: "zero-delay",
+			Replications: 16, PowerMode: "zero-delay",
 			Breakdown: true,
 		},
 	}

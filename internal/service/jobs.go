@@ -77,7 +77,9 @@ func (s SourceSpec) Factory(width int) (vectors.Factory, error) {
 
 // OptionsSpec is the client-settable subset of core.Options. Zero
 // fields keep the paper defaults (DefaultOptions), so an empty object
-// is a valid request.
+// is a valid request. How a job is laid out over goroutines and
+// cluster workers is the system's choice (core.Ranges); no field sets
+// it.
 type OptionsSpec struct {
 	// RelErr and Confidence override the accuracy specification
 	// (defaults 0.05 and 0.99).
@@ -91,7 +93,10 @@ type OptionsSpec struct {
 	// compiled engine 64 lanes per machine word and up to 512 per session
 	// (default 64, one lane word; at most maxReplications).
 	Replications int `json:"replications,omitempty"`
-	// Workers bounds the per-job goroutine pool (default GOMAXPROCS).
+	// Deprecated: Workers has no effect; the estimator lays out
+	// replications by core.Ranges on GOMAXPROCS goroutines. The field
+	// remains only because the benchmark module still sets it, and
+	// Validate still rejects a negative value.
 	Workers int `json:"workers,omitempty"`
 	// MaxSamples caps the sample budget (default 2^21; at most
 	// maxSampleBudget).
@@ -141,9 +146,6 @@ func (o OptionsSpec) Options() core.Options {
 	if o.Replications != 0 {
 		opts.Replications = o.Replications
 	}
-	if o.Workers != 0 {
-		opts.Workers = o.Workers
-	}
 	if o.MaxSamples != 0 {
 		opts.MaxSamples = o.MaxSamples
 	}
@@ -189,6 +191,9 @@ const (
 // Validate rejects specs that expand to invalid options, and specs
 // larger than a server or worker accepts.
 func (o OptionsSpec) Validate() error {
+	if o.Workers < 0 {
+		return fmt.Errorf("service: negative workers %d", o.Workers)
+	}
 	opts := o.Options()
 	if opts.Replications > maxReplications {
 		return fmt.Errorf("service: %d replications above the limit of %d", opts.Replications, maxReplications)
@@ -446,8 +451,8 @@ type Manager struct {
 // non-positive) consuming a queue of up to queueCap pending jobs
 // (default 64), executing each job through the dispatcher (the local
 // in-process dispatcher if nil). Each job may itself fan out over
-// Options.Workers simulation goroutines (or cluster workers), so the
-// pool size bounds concurrent *jobs*, not goroutines.
+// GOMAXPROCS simulation goroutines (or cluster workers), so the pool
+// size bounds concurrent *jobs*, not goroutines.
 //
 // A non-nil store makes the manager durable: the journal replayed at
 // store open is folded back in before the pool starts — terminal jobs

@@ -16,8 +16,8 @@ type Config struct {
 	// DefaultCacheSize).
 	CacheSize int
 	// Workers is the number of concurrently running estimation jobs
-	// (default 2). Each job additionally fans out over its own
-	// Options.Workers simulation goroutines.
+	// (default 2). Each job additionally steps its replication shards
+	// on up to GOMAXPROCS simulation goroutines.
 	Workers int
 	// QueueSize bounds pending (queued, not yet running) jobs
 	// (default 64); Submit beyond it returns ErrQueueFull.

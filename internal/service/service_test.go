@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func fastRequest(seed int64) JobRequest {
 	return JobRequest{
 		Circuit: "s27",
 		Seed:    seed,
-		Options: OptionsSpec{Replications: 16, Workers: 2},
+		Options: OptionsSpec{Replications: 16},
 	}
 }
 
@@ -83,35 +84,28 @@ func TestSubmitPollLifecycle(t *testing.T) {
 		t.Fatalf("submit view = %+v, want live job with ID", submitted)
 	}
 
-	// Poll until terminal.
-	deadline := time.Now().Add(30 * time.Second)
-	var view JobView
-	for {
-		if code := getJSON(t, ts.URL+"/v1/jobs/"+submitted.ID, &view); code != http.StatusOK {
-			t.Fatalf("poll status = %d", code)
-		}
-		if view.State.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in state %s", view.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if view.State != StateDone || view.Result == nil {
-		t.Fatalf("final view = %+v, want done with result", view)
-	}
-	if view.Result.Power <= 0 || !view.Result.Converged {
-		t.Fatalf("result = %+v, want positive converged power", view.Result)
-	}
-
-	// The wait endpoint returns the same terminal snapshot.
+	// Block until terminal; the 30 s timeout only guards against a hang.
 	var waited JobView
-	if code := getJSON(t, ts.URL+"/v1/jobs/"+submitted.ID+"/wait?timeout=5s", &waited); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+submitted.ID+"/wait?timeout=30s", &waited); code != http.StatusOK {
 		t.Fatalf("wait status = %d", code)
 	}
-	if waited.Result == nil || waited.Result.Power != view.Result.Power {
-		t.Fatalf("wait result %+v != poll result %+v", waited.Result, view.Result)
+	if !waited.State.Terminal() {
+		t.Fatalf("job stuck in state %s", waited.State)
+	}
+	if waited.State != StateDone || waited.Result == nil {
+		t.Fatalf("final view = %+v, want done with result", waited)
+	}
+	if waited.Result.Power <= 0 || !waited.Result.Converged {
+		t.Fatalf("result = %+v, want positive converged power", waited.Result)
+	}
+
+	// A plain GET returns the same terminal snapshot.
+	var view JobView
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+submitted.ID, &view); code != http.StatusOK {
+		t.Fatalf("poll status = %d", code)
+	}
+	if view.State != waited.State || view.Result == nil || view.Result.Power != waited.Result.Power {
+		t.Fatalf("poll view %+v != wait view %+v", view, waited)
 	}
 
 	// Job listing includes it.
@@ -239,11 +233,11 @@ func TestSubmitSizeBounds(t *testing.T) {
 	// intervals) must keep validating.
 	interval := 8
 	valid := []string{
-		`{"circuit":"s27",  "seed":5, "options":{"replications":16,"workers":1}}`,
-		`{"circuit":"s298", "seed":8, "options":{"replications":16,"workers":1,"variance":"control-variate"}}`,
-		`{"circuit":"s1494","seed":11,"options":{"relErr":0.03,"replications":64,"workers":1}}`,
-		`{"circuit":"s1494","seed":77,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":64,"workers":1,"maxSamples":262144}}`,
-		`{"circuit":"s1494","seed":21,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":128,"workers":2,"maxSamples":262144}}`,
+		`{"circuit":"s27",  "seed":5, "options":{"replications":16}}`,
+		`{"circuit":"s298", "seed":8, "options":{"replications":16,"variance":"control-variate"}}`,
+		`{"circuit":"s1494","seed":11,"options":{"relErr":0.03,"replications":64}}`,
+		`{"circuit":"s1494","seed":77,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":64,"maxSamples":262144}}`,
+		`{"circuit":"s1494","seed":21,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":128,"maxSamples":262144}}`,
 	}
 	for _, body := range valid {
 		var req JobRequest
@@ -259,7 +253,7 @@ func TestSubmitSizeBounds(t *testing.T) {
 		{Replications: 64, Variance: "control-variate"},
 		{Replications: 64, Variance: "antithetic"},
 		{Replications: 64, Breakdown: true},
-		{Replications: 64, Workers: 1, RelErr: 0.02},
+		{Replications: 64, RelErr: 0.02},
 		{Replications: 64, RelErr: 0.25},
 	} {
 		req := JobRequest{Circuit: "s38417", Seed: 1 << 47, Options: o, Interval: &interval}
@@ -278,7 +272,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	slow := JobRequest{
 		Circuit: "s298",
 		Seed:    1,
-		Options: OptionsSpec{RelErr: 0.004, Confidence: 0.999, Replications: 32, Workers: 1},
+		Options: OptionsSpec{RelErr: 0.004, Confidence: 0.999, Replications: 32},
 	}
 	blocker, err := svc.Jobs.Submit(slow)
 	if err != nil {
@@ -302,33 +296,46 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// startSignal wraps a dispatcher and closes started when its first
+// Estimate begins, by which time the job is in StateRunning.
+type startSignal struct {
+	Dispatcher
+	once    sync.Once
+	started chan struct{}
+}
+
+func (d *startSignal) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
+	d.once.Do(func() { close(d.started) })
+	return d.Dispatcher.Estimate(ctx, tb, req, ckpt, save, progress)
+}
+
 func TestCancelRunningJob(t *testing.T) {
-	_, ts := newTestService(t, Config{Workers: 1})
+	d := &startSignal{Dispatcher: NewLocalDispatcher(), started: make(chan struct{})}
+	_, ts := newTestService(t, Config{Workers: 1, Dispatcher: d})
 
 	slow := JobRequest{
 		Circuit: "s298",
 		Seed:    3,
-		Options: OptionsSpec{RelErr: 0.004, Confidence: 0.999, Replications: 32, Workers: 1},
+		Options: OptionsSpec{RelErr: 0.004, Confidence: 0.999, Replications: 32},
 	}
 	var v JobView
 	if code := postJSON(t, ts.URL+"/v1/jobs", slow, &v); code != http.StatusAccepted {
 		t.Fatalf("submit status = %d", code)
 	}
-	// Wait until it is actually running.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		var cur JobView
-		getJSON(t, ts.URL+"/v1/jobs/"+v.ID, &cur)
-		if cur.State == StateRunning {
-			break
-		}
-		if cur.State.Terminal() {
-			t.Fatalf("slow job finished early: %+v", cur)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Wait until it is actually running; the 30 s timer only guards
+	// against a hang.
+	select {
+	case <-d.started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never started running")
+	}
+	var cur JobView
+	getJSON(t, ts.URL+"/v1/jobs/"+v.ID, &cur)
+	if cur.State.Terminal() {
+		t.Fatalf("slow job finished early: %+v", cur)
+	}
+	if cur.State != StateRunning {
+		t.Fatalf("state after Estimate began = %s, want running", cur.State)
 	}
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
@@ -505,7 +512,7 @@ func TestQueueFull(t *testing.T) {
 	slow := JobRequest{
 		Circuit: "s298",
 		Seed:    1,
-		Options: OptionsSpec{RelErr: 0.004, Confidence: 0.999, Replications: 32, Workers: 1},
+		Options: OptionsSpec{RelErr: 0.004, Confidence: 0.999, Replications: 32},
 	}
 	var ids []string
 	var sawFull bool

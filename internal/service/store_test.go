@@ -77,7 +77,7 @@ func TestServerRestartResumesInterruptedJob(t *testing.T) {
 		Seed:    61,
 		Options: OptionsSpec{
 			RelErr: 0.02, Confidence: 0.95,
-			Replications: 16, Workers: 1, PowerMode: "zero-delay",
+			Replications: 16, PowerMode: "zero-delay",
 		},
 	}
 
@@ -165,7 +165,7 @@ func TestResumedJobTraceSplicesPreRestartSpans(t *testing.T) {
 		Seed:    71,
 		Options: OptionsSpec{
 			RelErr: 0.02, Confidence: 0.95,
-			Replications: 16, Workers: 1, PowerMode: "zero-delay",
+			Replications: 16, PowerMode: "zero-delay",
 		},
 	}
 

@@ -4,8 +4,9 @@
 # processes, worker self-registration, readiness transition, batch
 # submission over the cluster dispatcher, and completion checks: a
 # finished job's trace must run from its shard event through merge
-# rounds ending at its result, and a worker must refuse an oversized
-# /v1/run with 400 and keep serving.
+# rounds ending at its result, zero-delay jobs must be cut at word rows
+# (64 replications as one range, 130 as three), and a worker must
+# refuse an oversized /v1/run with 400 and keep serving.
 #
 # With --chaos the script instead runs the fault-tolerance gate on real
 # processes: a worker is SIGKILLed mid-batch (jobs must still finish), a
@@ -139,11 +140,13 @@ if [ "$CHAOS" = 0 ]; then
 echo "== submit a batch over the cluster dispatcher (incl. variance-reduction modes)"
 ids=$(curl -sf -X POST "$BASE/v1/batch" -H 'Content-Type: application/json' -d '{
   "jobs": [
-    {"circuit":"s27",  "seed":5, "options":{"replications":16,"workers":1}},
-    {"circuit":"s298", "seed":9, "options":{"replications":32,"workers":1}},
-    {"circuit":"s1494","seed":3, "options":{"replications":64,"workers":1}},
-    {"circuit":"s298", "seed":4, "options":{"replications":16,"workers":1,"variance":"antithetic"}},
-    {"circuit":"s298", "seed":8, "options":{"replications":16,"workers":1,"variance":"control-variate"}}
+    {"circuit":"s27",  "seed":5, "options":{"replications":16}},
+    {"circuit":"s298", "seed":9, "options":{"replications":32}},
+    {"circuit":"s1494","seed":3, "options":{"replications":64}},
+    {"circuit":"s298", "seed":4, "options":{"replications":16,"variance":"antithetic"}},
+    {"circuit":"s298", "seed":8, "options":{"replications":16,"variance":"control-variate"}},
+    {"circuit":"s298", "seed":6, "options":{"replications":64,"powerMode":"zero-delay"}},
+    {"circuit":"s298", "seed":7, "options":{"replications":130,"powerMode":"zero-delay"}}
   ]}' | python3 -c 'import json,sys; print("\n".join(json.load(sys.stdin)["ids"]))')
 
 echo "== wait for completion"
@@ -184,6 +187,21 @@ for key in ("power", "halfWidth"):
 print("  shard + %d merge rounds; last power=%s halfWidth=%s" % (len(merges), last["power"], last["halfWidth"]))
 ' "$LOGS/job.json"
 
+echo "== zero-delay jobs are cut at word rows: 64 replications run as 1 range, 130 as 3"
+zd_ids=($(echo "$ids" | tail -n2))
+for spec in "${zd_ids[0]}:1" "${zd_ids[1]}:3"; do
+  curl -sf "$BASE/v1/jobs/${spec%%:*}/trace" | python3 -c '
+import json, sys
+jid, want = sys.argv[1], sys.argv[2]
+shards = [s for s in json.load(sys.stdin)["spans"] if s["name"] == "shard"]
+assert shards, f"{jid}: trace lacks a shard event"
+attrs = shards[0].get("attrs", [])
+got = dict(zip(attrs[::2], attrs[1::2])).get("ranges")
+assert got == want, f"{jid}: shard event reports ranges={got}, want {want}"
+print(f"  {jid}: {got} range(s)")
+' "${spec%%:*}" "${spec##*:}"
+done
+
 echo "== a worker answers an oversized /v1/run with 400 and keeps serving"
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$W1_ADDR/v1/run" -H 'Content-Type: application/json' \
   -d '{"hash":"deadbeef","seed":1,"interval":2,"repLo":0,"repHi":64,"rounds":8589934592,"maxBlocks":1}')
@@ -195,7 +213,7 @@ curl -s "$BASE/v1/stats" | python3 -c '
 import json, sys
 st = json.load(sys.stdin)
 assert st["dispatcher"] == "cluster", st["dispatcher"]
-assert st["pool"]["done"] >= 5, st["pool"]
+assert st["pool"]["done"] >= 7, st["pool"]
 '
 
 echo "== /metrics scrapes cleanly on the coordinator"
@@ -232,9 +250,9 @@ print("%s: %s P=%.4g n=%d" % (jid, v["request"]["circuit"], r["power"], r["sampl
 echo "== chaos 1: SIGKILL a worker mid-batch; jobs must still finish"
 ids=$(curl -sf -X POST "$BASE/v1/batch" -H 'Content-Type: application/json' -d '{
   "jobs": [
-    {"circuit":"s1494","seed":11,"options":{"relErr":0.03,"replications":64,"workers":1}},
-    {"circuit":"s1494","seed":12,"options":{"relErr":0.03,"replications":64,"workers":1}},
-    {"circuit":"s1494","seed":13,"options":{"relErr":0.03,"replications":64,"workers":1}}
+    {"circuit":"s1494","seed":11,"options":{"relErr":0.03,"replications":64}},
+    {"circuit":"s1494","seed":12,"options":{"relErr":0.03,"replications":64}},
+    {"circuit":"s1494","seed":13,"options":{"relErr":0.03,"replications":64}}
   ]}' | python3 -c 'import json,sys; print("\n".join(json.load(sys.stdin)["ids"]))')
 sleep 0.3
 kill -9 "$W1_PID" 2>/dev/null || true
@@ -267,7 +285,7 @@ print(sum(1 for w in json.load(sys.stdin)["workers"] if w["alive"]))')
 done
 [ "$alive" -ge 2 ] || { echo "replacement worker never became alive"; exit 1; }
 curl -sf -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' \
-  -d '{"circuit":"s298","seed":14,"options":{"replications":32,"workers":1}}' |
+  -d '{"circuit":"s298","seed":14,"options":{"replications":32}}' |
   python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])' | while read -r id; do
     curl -sf "$BASE/v1/jobs/$id/wait?timeout=120s" | python3 -c "$check_done" "$id"
   done
@@ -275,7 +293,7 @@ curl -sf -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' \
 echo "== chaos 2: SIGTERM the server mid-job; restart must resume it"
 # Budget-bound spec (unreachably tight accuracy): the job cannot finish
 # early, so the SIGTERM below always lands mid-run.
-resume_req='{"circuit":"s1494","seed":77,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":64,"workers":1,"maxSamples":262144}}'
+resume_req='{"circuit":"s1494","seed":77,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":64,"maxSamples":262144}}'
 RESUME_ID=$(curl -sf -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' -d "$resume_req" |
   python3 -c 'import json,sys; print(json.load(sys.stdin)["id"])')
 for i in $(seq 1 200); do
@@ -335,7 +353,7 @@ done
 [ "$alive" -ge 2 ] || { echo "fleet never re-registered 2 workers"; exit 1; }
 
 # Unreachably tight accuracy again: the job must outlive the stall.
-stall_req='{"circuit":"s1494","seed":21,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":128,"workers":2,"maxSamples":262144}}'
+stall_req='{"circuit":"s1494","seed":21,"interval":4,"options":{"relErr":0.0001,"confidence":0.9999,"replications":128,"maxSamples":262144}}'
 curl -sf -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' -d "$stall_req" >/dev/null
 
 echo "== find the lease holder"
