@@ -279,7 +279,7 @@ func NewServer(cfg ServerConfig) *Server { return service.New(cfg) }
 func DefaultServerConfig() ServerConfig { return service.DefaultConfig() }
 
 // ClusterConfig configures a distributed-estimation coordinator:
-// initial worker URLs, heartbeat cadence, retry bound.
+// initial worker URLs, heartbeat cadence, lease deadline.
 type ClusterConfig = cluster.CoordinatorConfig
 
 // ClusterCoordinator shards estimation jobs across dipe-worker

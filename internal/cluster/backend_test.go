@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"net/http/httptest"
 	"testing"
 
@@ -26,7 +25,7 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 		Circuit: "s298", Seed: 404,
 		Options: service.OptionsSpec{Replications: 96, PowerMode: "zero-delay"},
 	}
-	tb, err := reg.Testbench(req.Circuit)
+	tb, _, err := reg.Resolve(req.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +51,8 @@ func TestClusterCompiledBackendGolden(t *testing.T) {
 		{"two-workers", []string{s1.URL, s2.URL}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			coord := newTestCoordinator(t, reg, tc.urls...)
-			got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
+			coord := newTestCoordinator(t, tc.urls...)
+			got, err := estimate(t, coord, reg, req)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,8 +49,8 @@ func TestClusterBreakdownBitIdentical(t *testing.T) {
 	defer s2.Close()
 
 	reg := service.NewRegistry(0)
-	coordOne := newTestCoordinator(t, reg, s1.URL)
-	coordTwo := newTestCoordinator(t, reg, s1.URL, s2.URL)
+	coordOne := newTestCoordinator(t, s1.URL)
+	coordTwo := newTestCoordinator(t, s1.URL, s2.URL)
 
 	cases := []struct {
 		name string
@@ -79,15 +79,11 @@ func TestClusterBreakdownBitIdentical(t *testing.T) {
 			if tc.name == "clipped-budget" && want.Converged {
 				t.Fatal("clipped-budget case converged; raise RelErr pressure so the cap bites")
 			}
-			tb, err := reg.Testbench(tc.req.Circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, cl := range []struct {
 				label string
 				coord *Coordinator
 			}{{"one-worker", coordOne}, {"two-workers", coordTwo}} {
-				got, ranges := estimateRanges(t, cl.coord, tb, tc.req, nil)
+				got, ranges := estimateRanges(t, cl.coord, reg, tc.req, nil)
 				sameResult(t, got, want, tc.name+"/"+cl.label)
 				sameBreakdown(t, got.Breakdown, want.Breakdown, tc.name+"/"+cl.label)
 				if ranges < 2 {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -60,7 +59,7 @@ func TestLeaseReassignmentBitIdentityMatrix(t *testing.T) {
 
 			reg := service.NewRegistry(0)
 			// Flaky first, so it holds ranges when its streams die.
-			coord := newTestCoordinator(t, reg, flaky.URL, healthy.URL)
+			coord := newTestCoordinator(t, flaky.URL, healthy.URL)
 
 			req := service.JobRequest{
 				Circuit: "s298",
@@ -71,11 +70,7 @@ func TestLeaseReassignmentBitIdentityMatrix(t *testing.T) {
 				},
 			}
 			want := reference(t, reg, req)
-			tb, err := reg.Testbench(req.Circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ranges := estimateRanges(t, coord, tb, req, nil)
+			got, ranges := estimateRanges(t, coord, reg, req, nil)
 			sameResult(t, got, want, tc.name)
 			if ranges < 2 {
 				t.Errorf("%d replication range ran, want the job split", ranges)
@@ -115,7 +110,6 @@ func TestLeaseExpiryStealsStalledRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.SetRegistry(reg)
 	t.Cleanup(coord.Close)
 
 	req := service.JobRequest{
@@ -127,11 +121,7 @@ func TestLeaseExpiryStealsStalledRange(t *testing.T) {
 		},
 	}
 	want := reference(t, reg, req)
-	tb, err := reg.Testbench(req.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ranges := estimateRanges(t, coord, tb, req, nil)
+	got, ranges := estimateRanges(t, coord, reg, req, nil)
 	sameResult(t, got, want, "after lease expiry")
 	if ranges < 2 {
 		t.Errorf("%d replication range ran, want the job split", ranges)
@@ -178,7 +168,6 @@ func TestTransportFaultReassignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.SetRegistry(reg)
 	t.Cleanup(coord.Close)
 
 	req := service.JobRequest{
@@ -190,11 +179,7 @@ func TestTransportFaultReassignment(t *testing.T) {
 		},
 	}
 	want := reference(t, reg, req)
-	tb, err := reg.Testbench(req.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ranges := estimateRanges(t, coord, tb, req, nil)
+	got, ranges := estimateRanges(t, coord, reg, req, nil)
 	sameResult(t, got, want, "after transport faults")
 	if ranges < 2 {
 		t.Errorf("%d replication range ran, want the job split", ranges)
@@ -242,20 +227,15 @@ func TestRangePanicFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.SetRegistry(reg)
 	t.Cleanup(coord.Close)
 
 	req := service.JobRequest{
 		Circuit: "s27", Seed: 3,
 		Options: service.OptionsSpec{Replications: 130, PowerMode: "zero-delay"},
 	}
-	tb, err := reg.Testbench(req.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = coord.Estimate(context.Background(), tb, req, nil, nil, nil)
+	_, err = estimate(t, coord, reg, req)
 	if err == nil {
-		t.Fatal("Estimate succeeded through a panicking transport")
+		t.Fatal("Sample succeeded through a panicking transport")
 	}
 	if !strings.Contains(err.Error(), "injected run panic") {
 		t.Fatalf("error does not carry the panic value: %v", err)

@@ -17,9 +17,8 @@ import (
 )
 
 // newTestCoordinator builds a coordinator over the given worker URLs
-// with a registry resolver, on a slow heartbeat so tests control
-// liveness transitions themselves.
-func newTestCoordinator(t *testing.T, reg *service.Registry, urls ...string) *Coordinator {
+// on a slow heartbeat so tests control liveness transitions themselves.
+func newTestCoordinator(t *testing.T, urls ...string) *Coordinator {
 	t.Helper()
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Workers:   urls,
@@ -28,9 +27,35 @@ func newTestCoordinator(t *testing.T, reg *service.Registry, urls ...string) *Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord.SetRegistry(reg)
 	t.Cleanup(coord.Close)
 	return coord
+}
+
+// prepare does for a test what the job manager does for a job before
+// it reaches a dispatcher: it resolves the circuit's testbench and
+// provenance from one registry entry and runs the pre-sampling phases.
+func prepare(t *testing.T, reg *service.Registry, req service.JobRequest) (*core.Testbench, service.CircuitSource, core.ResumePoint) {
+	t.Helper()
+	tb, src, err := reg.Resolve(req.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := core.PreparePlanCtx(context.Background(), tb, factory, req.Seed, req.Options.Options(), req.Interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb, src, rp
+}
+
+// estimate prepares req from reg and samples it on coord.
+func estimate(t *testing.T, coord *Coordinator, reg *service.Registry, req service.JobRequest) (core.Result, error) {
+	t.Helper()
+	tb, src, rp := prepare(t, reg, req)
+	return coord.Sample(context.Background(), tb, src, req, rp, nil)
 }
 
 func sameResult(t *testing.T, got, want core.Result, label string) {
@@ -67,13 +92,14 @@ func sameResult(t *testing.T, got, want core.Result, label string) {
 	}
 }
 
-// estimateRanges runs req on coord under a job trace and returns the
-// result with the number of replication ranges the job's shard event
-// reports.
-func estimateRanges(t *testing.T, coord *Coordinator, tb *core.Testbench, req service.JobRequest, progress func(core.Progress)) (core.Result, int) {
+// estimateRanges prepares req from reg, samples it on coord under a job
+// trace and returns the result with the number of replication ranges
+// the job's shard event reports.
+func estimateRanges(t *testing.T, coord *Coordinator, reg *service.Registry, req service.JobRequest, progress func(core.Progress)) (core.Result, int) {
 	t.Helper()
+	tb, src, rp := prepare(t, reg, req)
 	tr := obs.NewTrace()
-	res, err := coord.Estimate(obs.ContextWithTrace(context.Background(), tr), tb, req, nil, nil, progress)
+	res, err := coord.Sample(obs.ContextWithTrace(context.Background(), tr), tb, src, req, rp, progress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +121,7 @@ func estimateRanges(t *testing.T, coord *Coordinator, tb *core.Testbench, req se
 // reference runs the single-process estimator for a job request.
 func reference(t *testing.T, reg *service.Registry, req service.JobRequest) core.Result {
 	t.Helper()
-	tb, err := reg.Testbench(req.Circuit)
+	tb, _, err := reg.Resolve(req.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +151,7 @@ func TestClusterBitIdenticalOneWorker(t *testing.T) {
 	defer srv.Close()
 
 	reg := service.NewRegistry(0)
-	coord := newTestCoordinator(t, reg, srv.URL)
+	coord := newTestCoordinator(t, srv.URL)
 
 	req := service.JobRequest{
 		Circuit: "s298",
@@ -133,14 +159,10 @@ func TestClusterBitIdenticalOneWorker(t *testing.T) {
 		Options: service.OptionsSpec{Replications: 16},
 	}
 	want := reference(t, reg, req)
-	tb, err := reg.Testbench(req.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if wk.Circuits() != 0 {
 		t.Fatalf("worker starts with %d circuits, want 0", wk.Circuits())
 	}
-	got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
+	got, err := estimate(t, coord, reg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +190,7 @@ func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 	defer s2.Close()
 
 	reg := service.NewRegistry(0)
-	coord := newTestCoordinator(t, reg, s1.URL, s2.URL)
+	coord := newTestCoordinator(t, s1.URL, s2.URL)
 
 	fixed := 3
 	cases := []struct {
@@ -192,12 +214,8 @@ func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := reference(t, reg, tc.req)
-			tb, err := reg.Testbench(tc.req.Circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var snapshots atomic.Int64
-			got, ranges := estimateRanges(t, coord, tb, tc.req, func(core.Progress) {
+			got, ranges := estimateRanges(t, coord, reg, tc.req, func(core.Progress) {
 				snapshots.Add(1)
 			})
 			sameResult(t, got, want, tc.name)
@@ -277,7 +295,7 @@ func TestClusterWorkerDeathReassignment(t *testing.T) {
 
 	reg := service.NewRegistry(0)
 	// Flaky worker registered first so it owns range 0 of the partition.
-	coord := newTestCoordinator(t, reg, sFlaky.URL, sHealthy.URL)
+	coord := newTestCoordinator(t, sFlaky.URL, sHealthy.URL)
 
 	// A tight spec keeps the run long enough (many blocks) that the
 	// crash happens mid-stream, not after convergence.
@@ -287,11 +305,7 @@ func TestClusterWorkerDeathReassignment(t *testing.T) {
 		Options: service.OptionsSpec{RelErr: 0.01, Confidence: 0.99, Replications: 16},
 	}
 	want := reference(t, reg, req)
-	tb, err := reg.Testbench(req.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord.Estimate(context.Background(), tb, req, nil, nil, nil)
+	got, err := estimate(t, coord, reg, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,19 +349,15 @@ func TestCoordinatorReady(t *testing.T) {
 	}
 }
 
-// TestClusterNoWorkersFailsJob: with no live workers, Estimate fails
+// TestClusterNoWorkersFailsJob: with no live workers, Sample fails
 // cleanly instead of hanging.
 func TestClusterNoWorkersFailsJob(t *testing.T) {
 	reg := service.NewRegistry(0)
-	coord := newTestCoordinator(t, reg)
-	tb, err := reg.Testbench("s27")
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newTestCoordinator(t)
 	fixed := 2
 	req := service.JobRequest{Circuit: "s27", Seed: 1, Interval: &fixed,
 		Options: service.OptionsSpec{Replications: 8}}
-	_, err = coord.Estimate(context.Background(), tb, req, nil, nil, nil)
+	_, err := estimate(t, coord, reg, req)
 	if err == nil || !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("err = %v, want no-live-workers failure", err)
 	}
@@ -359,11 +369,7 @@ func TestClusterCancellation(t *testing.T) {
 	wk := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
 	defer wk.Close()
 	reg := service.NewRegistry(0)
-	coord := newTestCoordinator(t, reg, wk.URL)
-	tb, err := reg.Testbench("s298")
-	if err != nil {
-		t.Fatal(err)
-	}
+	coord := newTestCoordinator(t, wk.URL)
 	ctx, cancel := context.WithCancel(context.Background())
 	fixed := 4
 	req := service.JobRequest{
@@ -371,11 +377,12 @@ func TestClusterCancellation(t *testing.T) {
 		// An unreachable accuracy spec: the run can only end by cancel.
 		Options: service.OptionsSpec{RelErr: 0.0005, Confidence: 0.9999, Replications: 16},
 	}
+	tb, src, rp := prepare(t, reg, req)
 	progressed := make(chan struct{})
 	var once atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.Estimate(ctx, tb, req, nil, nil, func(core.Progress) {
+		_, err := coord.Sample(ctx, tb, src, req, rp, func(core.Progress) {
 			if once.CompareAndSwap(false, true) {
 				close(progressed)
 			}

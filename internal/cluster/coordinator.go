@@ -29,13 +29,6 @@ type CoordinatorConfig struct {
 	Workers []string
 	// Heartbeat is the health-poll period (default 2s).
 	Heartbeat time.Duration
-	// HeartbeatTimeout bounds one health probe (default 1s).
-	HeartbeatTimeout time.Duration
-	// MaxAttempts bounds stream (re)starts per replication range per
-	// job, counting only failed attempts (default 8). Determinism makes
-	// retries safe, so the bound exists only to fail jobs on a dead
-	// cluster instead of spinning.
-	MaxAttempts int
 	// LeaseTimeout is the per-block delivery deadline of a range lease
 	// (default 15s): a worker that goes this long without producing the
 	// next block — while another live worker is free to take over — has
@@ -72,6 +65,14 @@ type CoordinatorConfig struct {
 	probed chan<- struct{}
 }
 
+// probeTimeout bounds one health probe.
+const probeTimeout = time.Second
+
+// maxAttempts bounds stream (re)starts per replication range per job,
+// counting only failed attempts. Determinism makes retries safe, so the
+// bound exists only to fail jobs on a dead cluster instead of spinning.
+const maxAttempts = 8
+
 // workerState is one registered worker, guarded by the coordinator's
 // mutex. The degradation counters are registry instruments (labeled by
 // worker URL), so the JSON status view and the /metrics scrape read the
@@ -94,30 +95,26 @@ type workerState struct {
 
 // Coordinator shards estimation jobs across dipe-worker processes. It
 // implements service.Dispatcher (so dipe-server jobs run on it
-// transparently), service.WorkerRegistrar (runtime worker
-// registration) and service.RegistryAware (circuit provenance lookup
-// for propagation).
+// transparently) and service.WorkerRegistrar (runtime worker
+// registration).
 //
-// Estimation flow: interval selection runs locally on the coordinator
-// (one compiled trajectory — small against the sampling phase), the
-// replication space is partitioned into contiguous ranges, one
-// streaming /v1/run per range is opened on the live workers, and the
-// per-range sample blocks are fed to core.Tail, the merge loop
-// core.EstimateParallel runs, in the canonical order, making the pooled
-// sequential stopping decision bit-identical to it with the same seeds. Worker
-// death mid-stream triggers reassignment: another worker re-runs the
-// range with SkipBlocks set to the already-merged prefix, which the
+// Sampling flow: the job manager has already run interval selection
+// and plan resolution in process; the coordinator partitions the
+// replication space into contiguous ranges, opens one streaming
+// /v1/run per range on the live workers, and feeds the per-range
+// sample blocks to core.Tail, the merge loop core.EstimateParallel
+// runs, in the canonical order, making the pooled sequential stopping
+// decision bit-identical to it with the same seeds. Worker death
+// mid-stream triggers reassignment: another worker re-runs the range
+// with SkipBlocks set to the already-merged prefix, which the
 // deterministic seeding reproduces exactly.
 type Coordinator struct {
 	mu      sync.Mutex
 	workers map[string]*workerState
 	order   []string // registration order: deterministic assignment
-	sources sourceResolver
 
 	client       *http.Client
 	hb           time.Duration
-	hbTimeout    time.Duration
-	maxAttempts  int
 	leaseTimeout time.Duration
 	workerWait   time.Duration
 	hbTick       <-chan time.Time // injected heartbeat clock (tests)
@@ -132,24 +129,12 @@ type Coordinator struct {
 	hbWG     sync.WaitGroup
 }
 
-// sourceResolver is what the coordinator needs from the service
-// registry: circuit-name → provenance.
-type sourceResolver interface {
-	Source(name string) (service.CircuitSource, error)
-}
-
 // NewCoordinator builds the dispatcher, probes the initial workers
 // synchronously (so Ready is meaningful immediately) and starts the
 // heartbeat loop. Close it when done.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 2 * time.Second
-	}
-	if cfg.HeartbeatTimeout <= 0 {
-		cfg.HeartbeatTimeout = time.Second
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 8
 	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 15 * time.Second
@@ -169,8 +154,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		log:          cfg.Log.With("component", "cluster"),
 		client:       client,
 		hb:           cfg.Heartbeat,
-		hbTimeout:    cfg.HeartbeatTimeout,
-		maxAttempts:  cfg.MaxAttempts,
 		leaseTimeout: cfg.LeaseTimeout,
 		workerWait:   cfg.WorkerWait,
 		hbTick:       cfg.tick,
@@ -199,13 +182,6 @@ func (c *Coordinator) Close() {
 
 // Name implements service.Dispatcher.
 func (c *Coordinator) Name() string { return "cluster" }
-
-// SetRegistry implements service.RegistryAware.
-func (c *Coordinator) SetRegistry(r *service.Registry) {
-	c.mu.Lock()
-	c.sources = r
-	c.mu.Unlock()
-}
 
 // Ready implements service.Dispatcher: the cluster can run jobs once at
 // least one worker answers its heartbeat.
@@ -329,7 +305,7 @@ func (c *Coordinator) heartbeatLoop() {
 
 // probe pings one worker's /healthz and updates its state.
 func (c *Coordinator) probe(workerURL string) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.hbTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, workerURL+"/healthz", nil)
 	if err != nil {
@@ -398,53 +374,6 @@ func (c *Coordinator) aliveWorkers() []string {
 	return out
 }
 
-// Estimate implements service.Dispatcher: the full DIPE flow with the
-// sampling phase sharded across the cluster. The result is
-// bit-identical to core.EstimateParallel(tb, ..., req.Seed, opts) —
-// mean, half-width, sample size and cycle counts — for any worker count
-// and any mid-job lease/reassignment history.
-//
-// A nil ckpt runs phase 1 (independence-interval selection) and plan
-// resolution locally (core.PreparePlanCtx — the same code, seeds and
-// order as the single-process estimator) and reports the frozen outcome
-// through save before any worker streams; a non-nil ckpt resumes the
-// sampling phase directly. Phase 2 streams per-range sample blocks from
-// the workers and merges them into the pooled stopping rule. Since it
-// re-streams deterministically from replication seeds, a resumed job's
-// Result is bit-identical to the uninterrupted run's.
-func (c *Coordinator) Estimate(ctx context.Context, tb *core.Testbench, req service.JobRequest, ckpt *service.Checkpoint, save func(service.Checkpoint), progress func(core.Progress)) (core.Result, error) {
-	opts := req.Options.Options()
-	if err := opts.Validate(); err != nil {
-		return core.Result{}, err
-	}
-	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
-	if err != nil {
-		return core.Result{}, err
-	}
-	opts.Progress = progress
-	opts.Metrics = c.coreMet
-	start := time.Now()
-
-	var rp core.ResumePoint
-	if ckpt != nil {
-		rp = *ckpt
-	} else {
-		// The up-front local validation (instead of bouncing a bad fixed
-		// interval off every worker as a 400) happens inside
-		// PreparePlanCtx.
-		if rp, err = core.PreparePlanCtx(ctx, tb, factory, req.Seed, opts, req.Interval); err != nil {
-			return core.Result{}, err
-		}
-		if save != nil {
-			save(rp)
-		}
-	}
-
-	res, err := c.sampledPhase(ctx, tb, req, opts, rp)
-	res.Elapsed = time.Since(start)
-	return res, err
-}
-
 // rangesPerWorker is how many replication ranges a job asks core.Ranges
 // for per live worker. More ranges than workers give fast workers a
 // tail to steal; a word-parallel job with fewer word rows gets fewer.
@@ -463,22 +392,26 @@ type repRange struct {
 	ch     chan rangeMsg
 }
 
-// sampledPhase is the distributed block producer of core.Tail: it
-// streams sample blocks from one worker per replication range and feeds
-// them to the job's merge loop, which makes the stopping decision and
-// builds the Result exactly as the in-process estimator does.
-func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req service.JobRequest, opts core.Options, rp core.ResumePoint) (core.Result, error) {
+// Sample implements service.Dispatcher: the sampling phase sharded
+// across the cluster, as the distributed block producer of core.Tail.
+// It streams sample blocks from one worker per replication range and
+// feeds them to the job's merge loop, which makes the stopping decision
+// and builds the Result exactly as the in-process estimator does. The
+// result is bit-identical to core.EstimateParallel(tb, ..., req.Seed,
+// opts) — mean, half-width, sample size and cycle counts — for any
+// worker count and any mid-job lease/reassignment history. Workers that
+// miss the circuit are sent src, the provenance tb was built from, so
+// they sample the circuit phase 1 ran on.
+func (c *Coordinator) Sample(ctx context.Context, tb *core.Testbench, src service.CircuitSource, req service.JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
+	opts := req.Options.Options()
+	opts.Progress = progress
+	opts.Metrics = c.coreMet
 	t, err := core.NewTail(tb, opts, rp)
 	if err != nil {
 		return core.Result{}, err
 	}
 	reps, rounds := t.Reps(), t.Rounds()
-
-	src, err := c.resolveSource(req.Circuit)
-	if err != nil {
-		return core.Result{}, err
-	}
-	hash := SourceHash(src)
+	hash := service.HashSource(src)
 
 	alive := c.aliveWorkers()
 	if len(alive) == 0 && c.workerWait > 0 {
@@ -541,17 +474,6 @@ func (c *Coordinator) sampledPhase(ctx context.Context, tb *core.Testbench, req 
 		}
 		return blocks, nil
 	})
-}
-
-// resolveSource finds the provenance for a job circuit.
-func (c *Coordinator) resolveSource(name string) (service.CircuitSource, error) {
-	c.mu.Lock()
-	res := c.sources
-	c.mu.Unlock()
-	if res == nil {
-		return service.CircuitSource{}, errors.New("cluster: no circuit source resolver configured (SetRegistry)")
-	}
-	return res.Source(name)
 }
 
 // errUnknownCircuit marks a 404 from /v1/run: the worker misses the

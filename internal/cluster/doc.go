@@ -1,12 +1,15 @@
-// Package cluster shards the paper's estimation procedure across
-// processes: a Coordinator partitions a job's independent replications
-// into contiguous seed ranges by core.Ranges, the in-process shard
-// layout rule (never below a word row of a word-parallel job, at most
-// four ranges per live worker), streams their power samples back from
-// stateless dipe-worker processes over HTTP, and feeds them to the
-// same merge loop the single-process estimator runs (core.Tail) — so
-// the two-phase stopping decision of the paper is made globally, on
-// merged statistics, exactly as the single-process estimator makes it.
+// Package cluster shards the sampling phase of the paper's estimation
+// procedure across processes. The service's job manager resolves the
+// job's circuit and runs phase 1 (interval selection and plan
+// resolution) in process; a Coordinator, the cluster dispatcher, then
+// partitions the job's independent replications into contiguous seed
+// ranges by core.Ranges, the in-process shard layout rule (never below
+// a word row of a word-parallel job, at most four ranges per live
+// worker), streams their power samples back from stateless dipe-worker
+// processes over HTTP, and feeds them to the same merge loop the
+// single-process estimator runs (core.Tail) — so the two-phase
+// stopping decision of the paper is made globally, on merged
+// statistics, exactly as the single-process estimator makes it.
 // A worker's stream is the single-process estimator's block producer
 // (core.StreamReplications) pushed onto the wire.
 //
@@ -31,10 +34,12 @@
 // then one core.ReplicationBlock line per round-block until MaxBlocks or
 // client disconnect. A worker refuses, with 400, a request whose range
 // or block cadence the job's own options do not allow, or whose options
-// exceed the submit bounds (RunRequest.Validate). Circuits are content-addressed by provenance hash; a run
-// for an unknown hash fails with 404 and the coordinator uploads the
-// provenance (builtin benchmark name, or the original netlist text)
-// before retrying — workers rebuild the exact frozen circuit the
-// coordinator's registry holds, so no re-serialization can perturb node
-// order or float summation.
+// exceed the submit bounds (RunRequest.Validate). Circuits are
+// content-addressed by provenance hash (service.HashSource); a run for
+// an unknown hash fails with 404 and the coordinator uploads the
+// provenance it was handed with the job (builtin benchmark name, or the
+// original netlist text) before retrying. Workers rebuild it with the
+// registry's own builder (service.CircuitSource.Testbench), so they hold
+// the exact frozen circuit phase 1 ran on, and no re-serialization can
+// perturb node order or float summation.
 package cluster

@@ -16,7 +16,7 @@ import (
 // worker allocates before its first block), and survive an
 // encode/decode round trip unchanged.
 func FuzzRunRequest(f *testing.F) {
-	hash := SourceHash(service.CircuitSource{Builtin: "s27"})
+	hash := service.HashSource(service.CircuitSource{Builtin: "s27"})
 	for _, seed := range []string{
 		// A rounds value that once made the worker allocate 2^33 x 64
 		// samples and die out of memory.

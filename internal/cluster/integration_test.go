@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -153,5 +155,80 @@ func TestServiceOverCluster(t *testing.T) {
 			cl.HiddenCycles != lo.HiddenCycles || cl.SampledCycles != lo.SampledCycles {
 			t.Errorf("%s: cluster result %+v differs from local %+v", jr.Circuit, cl, lo)
 		}
+	}
+}
+
+// Two texts of one upload name: the same interface, one gate apart.
+const (
+	toyA = `
+INPUT(A)
+INPUT(B)
+OUTPUT(Y)
+Q1 = DFF(D1)
+Q2 = DFF(D2)
+D1 = XOR(A, Q2)
+D2 = AND(B, Q1)
+Y = NAND(Q1, Q2)
+`
+	toyB = `
+INPUT(A)
+INPUT(B)
+OUTPUT(Y)
+Q1 = DFF(D1)
+Q2 = DFF(D2)
+D1 = XOR(A, Q2)
+D2 = OR(B, Q1)
+Y = NAND(Q1, Q2)
+`
+)
+
+// reuploadBeforeSampling is a coordinator that replaces an upload's
+// text between a job's phase 1 and its sampling.
+type reuploadBeforeSampling struct {
+	*Coordinator
+	reg        *service.Registry
+	name, text string
+}
+
+func (d reuploadBeforeSampling) Sample(ctx context.Context, tb *core.Testbench, src service.CircuitSource, req service.JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
+	if _, err := d.reg.Upload(d.name, "bench", d.text); err != nil {
+		return core.Result{}, err
+	}
+	return d.Coordinator.Sample(ctx, tb, src, req, rp, progress)
+}
+
+// TestReuploadAfterPhase1KeepsJobOnOneCircuit: a re-upload that lands
+// between a cluster job's phase 1 and its sampling does not reach the
+// job's workers. The job samples the circuit phase 1 ran on, so its
+// result stays bit-identical to core.EstimateParallel on that
+// testbench.
+func TestReuploadAfterPhase1KeepsJobOnOneCircuit(t *testing.T) {
+	wk := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+	defer wk.Close()
+	reg := service.NewRegistry(0)
+	if _, err := reg.Upload("toy", "bench", toyA); err != nil {
+		t.Fatal(err)
+	}
+	req := service.JobRequest{Circuit: "toy", Seed: 5, Options: service.OptionsSpec{Replications: 16}}
+	want := reference(t, reg, req)
+
+	d := reuploadBeforeSampling{Coordinator: newTestCoordinator(t, wk.URL), reg: reg, name: "toy", text: toyB}
+	m := service.NewManager(reg, d, 1, 0, nil)
+	defer m.Close()
+	id, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := m.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != service.StateDone || v.Result == nil {
+		t.Fatalf("job %s: state %s error %q", id, v.State, v.Error)
+	}
+	got := v.Result
+	if got.Power != want.Power || got.HalfWidth != want.HalfWidth || got.SampleSize != want.SampleSize ||
+		got.Interval != want.Interval || got.HiddenCycles != want.HiddenCycles || got.SampledCycles != want.SampledCycles {
+		t.Errorf("cluster result %+v differs from core.EstimateParallel on the phase-1 circuit %+v", got, want)
 	}
 }

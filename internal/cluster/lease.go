@@ -333,7 +333,7 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash
 			return
 		}
 		attempts++
-		if attempts >= c.maxAttempts {
+		if attempts >= maxAttempts {
 			select {
 			case rg.ch <- rangeMsg{err: fmt.Errorf("giving up after %d attempts (last worker %s): %w", attempts, worker, serr)}:
 			case <-ctx.Done():

@@ -14,10 +14,10 @@ import (
 // RunRequest asks a worker to simulate replications [RepLo, RepHi) of a
 // job and stream back their power samples. It carries everything the
 // sampling phase needs and nothing it does not: interval selection has
-// already happened at the coordinator, and the stopping decision will
-// happen there too.
+// already happened in the coordinator's process, and the stopping
+// decision will happen there too.
 type RunRequest struct {
-	// Hash is the provenance hash of the circuit (SourceHash).
+	// Hash is the provenance hash of the circuit (service.HashSource).
 	Hash string `json:"hash"`
 	// Source is the primary-input model; replication r draws from an
 	// independent source seeded Seed+1+r.
@@ -64,15 +64,15 @@ type RunRequest struct {
 // Validate rejects requests a worker could not run, and streams whose
 // shape the job's own options do not allow: the replication range must
 // lie inside the job's replication space and the block cadence must not
-// exceed the one the coordinator derives from the options
-// (max(1, CheckEvery/Replications), as core.Merger does). A worker
-// allocates the range's sessions and rounds × lanes samples before the
-// first block, so these bounds, with the job's own size limits, are
-// what keep one request from exhausting its memory. The interval must
-// not exceed service.MaxFixedInterval, and neither skipBlocks nor
-// maxBlocks may exceed the job's block budget (core.MaxBlocks, the cap
-// the coordinator sends), nor skipBlocks a nonzero maxBlocks: together
-// they bound the cycles a worker fast-forwards before its first block.
+// exceed the one the coordinator's merger sends (core.BlockRounds). A
+// worker allocates the range's sessions and rounds × lanes samples
+// before the first block, so these bounds, with the job's own size
+// limits, are what keep one request from exhausting its memory. The
+// interval must not exceed service.MaxFixedInterval, and neither
+// skipBlocks nor maxBlocks may exceed the job's block budget
+// (core.MaxBlocks, the cap the coordinator sends), nor skipBlocks a
+// nonzero maxBlocks: together they bound the cycles a worker
+// fast-forwards before its first block.
 func (r RunRequest) Validate() error {
 	switch {
 	case r.Hash == "":
@@ -99,7 +99,7 @@ func (r RunRequest) Validate() error {
 	if r.RepHi > opts.Replications {
 		return fmt.Errorf("cluster: replication range [%d, %d) outside the job's %d replications", r.RepLo, r.RepHi, opts.Replications)
 	}
-	if cadence := max(1, opts.CheckEvery/opts.Replications); r.Rounds > cadence {
+	if cadence := core.BlockRounds(opts); r.Rounds > cadence {
 		return fmt.Errorf("cluster: block rounds %d above the job's cadence of %d", r.Rounds, cadence)
 	}
 	switch budget := core.MaxBlocks(opts); {
@@ -128,17 +128,6 @@ type InstallRequest struct {
 type InstallResponse struct {
 	Hash  string `json:"hash"`
 	Gates int    `json:"gates"`
-}
-
-// SourceHash content-addresses a circuit's provenance. Builtin circuits
-// hash their generator identity; uploads hash name, format and the full
-// netlist text. Workers recompute the hash over the propagated
-// provenance and refuse mismatches, so a hash uniquely names one frozen
-// circuit across the whole cluster. The definition lives in the service
-// package (service.HashSource) so the result cache shares the same
-// circuit identity without importing this package.
-func SourceHash(src service.CircuitSource) string {
-	return service.HashSource(src)
 }
 
 // errorBody is the uniform JSON error shape, mirroring the service API.

@@ -28,8 +28,8 @@ func TestClusterVRModesBitIdentical(t *testing.T) {
 	defer s2.Close()
 
 	reg := service.NewRegistry(0)
-	coordOne := newTestCoordinator(t, reg, s1.URL)
-	coordTwo := newTestCoordinator(t, reg, s1.URL, s2.URL)
+	coordOne := newTestCoordinator(t, s1.URL)
+	coordTwo := newTestCoordinator(t, s1.URL, s2.URL)
 
 	fixed := 3
 	cases := []struct {
@@ -60,13 +60,9 @@ func TestClusterVRModesBitIdentical(t *testing.T) {
 			if want.Variance == "" {
 				t.Fatalf("reference run carries no variance mode")
 			}
-			tb, err := reg.Testbench(tc.req.Circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			one, _ := estimateRanges(t, coordOne, tb, tc.req, nil)
+			one, _ := estimateRanges(t, coordOne, reg, tc.req, nil)
 			sameResult(t, one, want, tc.name+"/1-worker")
-			two, ranges := estimateRanges(t, coordTwo, tb, tc.req, nil)
+			two, ranges := estimateRanges(t, coordTwo, reg, tc.req, nil)
 			sameResult(t, two, want, tc.name+"/2-workers")
 			if !two.Converged {
 				t.Error("cluster VR run did not converge")

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bench89"
 	"repro/internal/core"
-	"repro/internal/netlist"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -35,7 +33,8 @@ type WorkerConfig struct {
 // job state, only a content-addressed table of frozen circuits, and
 // answers /v1/run by streaming a replication range's samples until told
 // to stop. Everything statistical — interval selection, the pooled
-// stopping rule, retry bookkeeping — lives at the coordinator.
+// stopping rule, retry bookkeeping — lives in the coordinator's
+// process.
 type Worker struct {
 	mu    sync.Mutex
 	tbs   map[string]*core.Testbench
@@ -117,12 +116,12 @@ func (w *Worker) handleInstall(rw http.ResponseWriter, r *http.Request) {
 	if !readJSON(rw, r, &req) {
 		return
 	}
-	if got := SourceHash(req.Source); got != req.Hash {
+	if got := service.HashSource(req.Source); got != req.Hash {
 		writeError(rw, http.StatusBadRequest,
 			fmt.Errorf("cluster: provenance hashes to %.12s..., claimed %.12s...", got, req.Hash))
 		return
 	}
-	tb, err := buildTestbench(req.Source)
+	tb, err := req.Source.Testbench()
 	if err != nil {
 		writeError(rw, http.StatusBadRequest, err)
 		return
@@ -133,32 +132,6 @@ func (w *Worker) handleInstall(rw http.ResponseWriter, r *http.Request) {
 		Hash:  req.Hash,
 		Gates: tb.Circuit.NumGates(),
 	})
-}
-
-// buildTestbench rebuilds the frozen testbench a provenance describes —
-// bit-identically to the coordinator registry's copy: builtins come
-// from the same deterministic generator, uploads are re-parsed from the
-// original text with the original name, so node IDs and hence every
-// float summation order match.
-func buildTestbench(src service.CircuitSource) (*core.Testbench, error) {
-	var (
-		c   *netlist.Circuit
-		err error
-	)
-	switch {
-	case src.Builtin != "":
-		c, err = bench89.Get(src.Builtin)
-	case src.Format == "" || src.Format == "bench":
-		c, err = netlist.ParseBenchString(src.Name, src.Text)
-	case src.Format == "blif":
-		c, err = netlist.ParseBLIFString(src.Name, src.Text)
-	default:
-		err = fmt.Errorf("cluster: unknown netlist format %q", src.Format)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return core.DefaultTestbench(c), nil
 }
 
 // install puts a testbench in the table, evicting the oldest entry

@@ -108,6 +108,15 @@ func blockShape(opts Options) (reps, rounds, perRound int) {
 	return reps, rounds, perRound
 }
 
+// BlockRounds returns the block cadence of a run under opts (which must
+// validate): the rounds one full block carries, max(1,
+// CheckEvery/Replications). A worker refuses a stream at a coarser
+// cadence than the merger sends.
+func BlockRounds(opts Options) int {
+	_, rounds, _ := blockShape(opts)
+	return rounds
+}
+
 // MaxBlocks bounds a block stream of a run under opts (which must
 // validate): strictly more blocks than Tail.Run can merge before the
 // sample budget stops it (per criterion sample, not per replication:

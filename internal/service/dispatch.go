@@ -7,15 +7,16 @@ import (
 	"repro/internal/core"
 )
 
-// Dispatcher runs a validated job's estimation phase on a resolved
-// testbench. It is the seam between the job manager and the execution
-// substrate: the local dispatcher calls the parallel estimator in
-// process, the cluster dispatcher (internal/cluster.Coordinator) shards
-// the job's replications across dipe-worker processes and merges their
-// partial results into the same sequential stopping rule. Existing jobs
-// run transparently on either — both substrates use the identical
-// replication seeding (baseSeed+1+r) and merge order, so the choice is
-// invisible in the Result.
+// Dispatcher runs the sampling phase of a job whose circuit the job
+// manager has resolved and whose pre-sampling phases (warm-up, interval
+// selection, plan resolution) it has run or restored from the journal.
+// It is the seam between the job manager and the execution substrate:
+// the local dispatcher samples in process, the cluster dispatcher
+// (internal/cluster.Coordinator) shards the job's replications across
+// dipe-worker processes and merges their blocks into the same sequential
+// stopping rule. Existing jobs run transparently on either — both
+// substrates use the identical replication seeding (baseSeed+1+r) and
+// merge order, so the choice is invisible in the Result.
 type Dispatcher interface {
 	// Name labels the dispatch strategy in statistics ("local",
 	// "cluster").
@@ -24,20 +25,16 @@ type Dispatcher interface {
 	// /readyz probe surfaces its error. The local dispatcher is always
 	// ready; the cluster dispatcher requires at least one live worker.
 	Ready() error
-	// Estimate runs one job to completion (or ctx cancellation),
-	// reporting running snapshots through progress (never concurrently
-	// with itself). On cancellation it returns the partial result with
-	// ctx's error, like core.EstimateParallelCtx.
-	//
-	// The pre-sampling/sampling boundary is the checkpoint seam: a nil
-	// ckpt runs interval selection and plan resolution and reports their
-	// frozen outcome through save (when non-nil) before sampling starts;
-	// a non-nil ckpt skips them and resumes sampling directly. By the
-	// determinism contract a resumed job finishes with a Result
-	// bit-identical to the uninterrupted run's. The Result's Elapsed
-	// covers the whole call, so a resumed job reports this process's
-	// share.
-	Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error)
+	// Sample runs the sampling tail of one job from its resume point
+	// to completion (or ctx cancellation), reporting running snapshots
+	// through progress (never concurrently with itself). tb and src
+	// come from one registry entry: src is the provenance tb was built
+	// from, which the cluster ships to workers. On cancellation it
+	// returns the partial result with ctx's error, like
+	// core.EstimateParallelResumeCtx. By the determinism contract the
+	// Result is bit-identical to core.EstimateParallel's for any resume
+	// point core.PreparePlanCtx produced for the same job.
+	Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error)
 }
 
 // WorkerRegistrar is the optional Dispatcher extension for substrates
@@ -49,14 +46,6 @@ type WorkerRegistrar interface {
 	AddWorker(url string) error
 	// Workers snapshots the registered workers.
 	Workers() []WorkerStatus
-}
-
-// RegistryAware is the optional Dispatcher extension for substrates
-// that must propagate circuits to remote processes: New hands the
-// service registry to the dispatcher so it can look up a job circuit's
-// provenance (Registry.Source) and ship it to workers that miss it.
-type RegistryAware interface {
-	SetRegistry(*Registry)
 }
 
 // WorkerStatus is one registered worker's health and degradation
@@ -92,9 +81,10 @@ type WorkerStatus struct {
 	LastError string `json:"lastError,omitempty"`
 }
 
-// localDispatcher runs jobs in-process over the goroutine-parallel
-// estimator — the single-node default. met, when non-nil, feeds the
-// estimator's per-round convergence telemetry (dipe_core_*).
+// localDispatcher samples jobs in process on the goroutine-parallel
+// tail (core.EstimateParallelResumeCtx) — the single-node default.
+// met, when non-nil, feeds the estimator's per-round convergence
+// telemetry (dipe_core_*).
 type localDispatcher struct {
 	met *core.Metrics
 }
@@ -106,8 +96,7 @@ func (localDispatcher) Name() string { return "local" }
 
 func (localDispatcher) Ready() error { return nil }
 
-func (d localDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
-	start := time.Now()
+func (d localDispatcher) Sample(ctx context.Context, tb *core.Testbench, _ CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
 	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
 	if err != nil {
 		return core.Result{}, err
@@ -115,18 +104,5 @@ func (d localDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req J
 	opts := req.Options.Options()
 	opts.Progress = progress
 	opts.Metrics = d.met
-	var rp core.ResumePoint
-	if ckpt != nil {
-		rp = *ckpt
-	} else {
-		if rp, err = core.PreparePlanCtx(ctx, tb, factory, req.Seed, opts, req.Interval); err != nil {
-			return core.Result{}, err
-		}
-		if save != nil {
-			save(rp)
-		}
-	}
-	res, err := core.EstimateParallelResumeCtx(ctx, tb, factory, req.Seed, opts, rp)
-	res.Elapsed = time.Since(start)
-	return res, err
+	return core.EstimateParallelResumeCtx(ctx, tb, factory, req.Seed, opts, rp)
 }

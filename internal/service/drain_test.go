@@ -85,7 +85,7 @@ type slowDispatcher struct {
 
 func (d *slowDispatcher) Name() string { return "slow" }
 func (d *slowDispatcher) Ready() error { return nil }
-func (d *slowDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
+func (d *slowDispatcher) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
 	close(d.started)
 	<-ctx.Done()
 	close(d.cancelled)

@@ -98,13 +98,13 @@ func FuzzUpload(f *testing.F) {
 		if HashSource(src) != HashSource(body) {
 			t.Fatalf("upload provenance %+v does not hash like its body %+v", src, body)
 		}
-		if _, err := reg.Testbench("s27"); err != nil {
+		if _, _, err := reg.Resolve("s27"); err != nil {
 			t.Fatal(err)
 		}
 		if ev := reg.Stats().Evictions; ev != 1 {
 			t.Fatalf("s27 made %d evictions in a one-entry registry, want 1", ev)
 		}
-		tb, err := reg.Testbench(req.Name)
+		tb, _, err := reg.Resolve(req.Name)
 		if err != nil {
 			t.Fatalf("rebuilding the evicted upload %q: %v", req.Name, err)
 		}

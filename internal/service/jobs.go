@@ -381,12 +381,12 @@ type job struct {
 	err      string
 	cancel   context.CancelFunc
 	done     chan struct{} // closed on terminal state
-	// ckpt is the frozen pre-sampling outcome: set by the running
-	// dispatcher once the plan freezes, or restored from the journal for
-	// a resumed job.
+	// ckpt is the frozen pre-sampling outcome: set by run once the plan
+	// freezes, or restored from the journal for a resumed job.
 	ckpt *Checkpoint
 	// cacheKey addresses the job's slot in the result cache ("" when the
-	// circuit provenance could not be resolved at submit time).
+	// circuit provenance could not be resolved at submit time). run
+	// re-keys it by the provenance the job actually runs on.
 	cacheKey string
 	// userCancel distinguishes an explicit Cancel (terminal, journaled)
 	// from a shutdown-drain cancellation (not journaled, so the job
@@ -396,8 +396,9 @@ type job struct {
 	// record (throttle state).
 	progSamples int
 	// trace is the job's lifecycle span list (submit → … → stop),
-	// threaded into the dispatcher through the job context. For a
-	// resumed job the journaled pre-restart spans are imported first.
+	// threaded into phase 1 and the dispatcher through the job context.
+	// For a resumed job the journaled pre-restart spans are imported
+	// first.
 	trace *obs.Trace
 }
 
@@ -818,9 +819,14 @@ func (m *Manager) worker() {
 	}
 }
 
-// run executes one job end to end. A panic anywhere in the estimation
-// stack fails the job instead of killing the pool worker (and with it
-// the whole server).
+// run executes one job end to end. It is the job's one front end: it
+// resolves the circuit's testbench and provenance together, keys the
+// result cache by that provenance, runs the pre-sampling phases (or
+// takes them from the journal) and journals their checkpoint, and only
+// then hands the prepared run to the dispatcher, so phase 1, sampling
+// and the cached result all belong to one circuit. A panic anywhere in
+// the estimation stack fails the job instead of killing the pool worker
+// (and with it the whole server).
 func (m *Manager) run(j *job) {
 	ctx, cancel := context.WithCancel(m.ctx)
 	defer cancel()
@@ -842,11 +848,17 @@ func (m *Manager) run(j *job) {
 	m.log.Debug("job running", "job", j.id, "circuit", j.req.Circuit)
 	ctx = obs.ContextWithTrace(ctx, j.trace)
 
-	tb, err := m.reg.Testbench(j.req.Circuit)
+	tb, src, err := m.reg.Resolve(j.req.Circuit)
 	if err != nil {
 		m.finish(j, StateFailed, nil, err.Error())
 		return
 	}
+	start := time.Now()
+	m.mu.Lock()
+	// The job runs on the circuit its name resolves to now, which a
+	// re-upload since submission may have changed.
+	j.cacheKey = resultKey(src, j.req)
+	m.mu.Unlock()
 	progress := func(p core.Progress) {
 		m.mu.Lock()
 		j.progress = viewProgress(p)
@@ -863,21 +875,14 @@ func (m *Manager) run(j *job) {
 			m.store.progress(j.id, *viewProgress(p))
 		}
 	}
-
-	m.mu.Lock()
-	ckpt := j.ckpt
-	m.mu.Unlock()
-	save := func(c Checkpoint) {
-		m.mu.Lock()
-		j.ckpt = &c
-		m.mu.Unlock()
-		if m.store != nil {
-			// The spans so far ride along so a restart resumes the
-			// lifecycle trace, not just the sampling phase.
-			m.store.checkpoint(j.id, c, j.trace.Spans())
-		}
+	var res core.Result
+	rp, err := m.prepare(ctx, j, tb)
+	if err == nil {
+		res, err = m.dispatch.Sample(ctx, tb, src, j.req, rp, progress)
+		// Elapsed covers the pre-sampling phases too; a resumed job
+		// reports this process's share.
+		res.Elapsed = time.Since(start)
 	}
-	res, err := m.dispatch.Estimate(ctx, tb, j.req, ckpt, save, progress)
 	switch {
 	case errors.Is(err, context.Canceled):
 		m.finish(j, StateCancelled, nil, "cancelled")
@@ -886,6 +891,37 @@ func (m *Manager) run(j *job) {
 	default:
 		m.finish(j, StateDone, viewResult(res), "")
 	}
+}
+
+// prepare returns the job's frozen pre-sampling outcome: the journaled
+// checkpoint of a resumed job, or else the outcome of running the
+// pre-sampling phases (warm-up, interval selection and plan resolution)
+// on the job's traced context, journaled before any sample is drawn so
+// a restart resumes from it instead of repeating them.
+func (m *Manager) prepare(ctx context.Context, j *job, tb *core.Testbench) (Checkpoint, error) {
+	m.mu.Lock()
+	ckpt := j.ckpt
+	m.mu.Unlock()
+	if ckpt != nil {
+		return *ckpt, nil
+	}
+	factory, err := j.req.Source.Factory(len(tb.Circuit.Inputs))
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	rp, err := core.PreparePlanCtx(ctx, tb, factory, j.req.Seed, j.req.Options.Options(), j.req.Interval)
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	m.mu.Lock()
+	j.ckpt = &rp
+	m.mu.Unlock()
+	if m.store != nil {
+		// The spans so far ride along so a restart resumes the
+		// lifecycle trace, not just the sampling phase.
+		m.store.checkpoint(j.id, rp, j.trace.Spans())
+	}
+	return rp, nil
 }
 
 func (m *Manager) finish(j *job, state JobState, res *ResultView, msg string) {

@@ -33,17 +33,12 @@ type RegistryStats struct {
 	Uploaded int `json:"uploaded"`
 }
 
-// uploadEntry retains the source text of an uploaded netlist so the
-// circuit can be re-frozen after an LRU eviction.
-type uploadEntry struct {
-	format string // "bench" or "blif"
-	text   string
-}
-
 // cacheEntry is one LRU slot: a circuit name bound to its instrumented
-// testbench (frozen circuit + delay table + power model).
+// testbench (frozen circuit + delay table + power model) and the
+// provenance it was built from.
 type cacheEntry struct {
 	name string
+	src  CircuitSource
 	tb   *core.Testbench
 }
 
@@ -53,15 +48,15 @@ type cacheEntry struct {
 // the parse/freeze/instrument cost is paid once per design, not per
 // request. All methods are safe for concurrent use.
 //
-// A testbench is built under the registry lock, so concurrent first
-// requests for distinct circuits serialize; benchmark-scale circuits
-// freeze in milliseconds, which keeps this simple policy adequate.
+// Each cache entry holds a testbench with the provenance it was built
+// from, and builds happen outside the registry lock, so concurrent
+// first requests for distinct circuits do not serialize.
 type Registry struct {
 	mu        sync.Mutex
 	cap       int
 	order     *list.List               // front = most recently used
 	cache     map[string]*list.Element // name -> element holding *cacheEntry
-	uploads   map[string]uploadEntry
+	uploads   map[string]CircuitSource
 	hits      uint64
 	misses    uint64
 	evictions uint64
@@ -77,7 +72,7 @@ func NewRegistry(capacity int) *Registry {
 		cap:     capacity,
 		order:   list.New(),
 		cache:   make(map[string]*list.Element),
-		uploads: make(map[string]uploadEntry),
+		uploads: make(map[string]CircuitSource),
 	}
 }
 
@@ -93,65 +88,62 @@ func (r *Registry) Upload(name, format, text string) (netlist.Stats, error) {
 	if builtin(name) {
 		return netlist.Stats{}, fmt.Errorf("service: %q is a built-in benchmark name", name)
 	}
-	c, err := parseNetlist(name, format, text)
+	src := CircuitSource{Name: name, Format: format, Text: text}
+	tb, err := src.Testbench()
 	if err != nil {
 		return netlist.Stats{}, err
 	}
-	tb := core.DefaultTestbench(c)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.uploads[name] = uploadEntry{format: format, text: text}
-	r.install(name, tb)
-	return c.ComputeStats(), nil
+	r.uploads[name] = src
+	r.install(name, src, tb)
+	return tb.Circuit.ComputeStats(), nil
 }
 
-// Testbench resolves a circuit name to its instrumented testbench,
-// from cache when possible. The returned testbench is shared and
-// read-only; sessions are created per job.
-func (r *Registry) Testbench(name string) (*core.Testbench, error) {
+// Resolve returns the testbench a circuit name resolves to together
+// with the provenance it was built from. The pair comes from one cache
+// entry, or on a miss from one read of the name's provenance, so a
+// re-upload of the name can never pair one circuit's testbench with
+// another's provenance. The testbench is shared and read-only;
+// sessions are created per job.
+func (r *Registry) Resolve(name string) (*core.Testbench, CircuitSource, error) {
 	r.mu.Lock()
 	if el, ok := r.cache[name]; ok {
 		r.order.MoveToFront(el)
 		r.hits++
-		tb := el.Value.(*cacheEntry).tb
+		ent := el.Value.(*cacheEntry)
 		r.mu.Unlock()
-		return tb, nil
+		return ent.tb, ent.src, nil
 	}
 	r.misses++
-	up, uploaded := r.uploads[name]
+	src := r.sourceLocked(name)
 	r.mu.Unlock()
 
-	// Build outside the hot path bookkeeping but re-lock to install;
-	// a concurrent duplicate build is harmless (last writer wins, both
-	// testbenches are equivalent and deterministic).
-	var (
-		c   *netlist.Circuit
-		err error
-	)
-	if uploaded {
-		c, err = parseNetlist(name, up.format, up.text)
-	} else {
-		c, err = bench89.Get(name)
-	}
+	// Build outside the lock. The build serves this lookup either way,
+	// but it is installed only while the name still has the provenance
+	// it was built from: an upload that landed meanwhile owns the entry.
+	tb, err := src.Testbench()
 	if err != nil {
-		return nil, err
+		return nil, CircuitSource{}, err
 	}
-	tb := core.DefaultTestbench(c)
 	r.mu.Lock()
-	r.install(name, tb)
+	if r.sourceLocked(name) == src {
+		r.install(name, src, tb)
+	}
 	r.mu.Unlock()
-	return tb, nil
+	return tb, src, nil
 }
 
-// install puts (name, tb) at the front of the LRU, evicting from the
-// back if over capacity. Caller holds r.mu.
-func (r *Registry) install(name string, tb *core.Testbench) {
+// install puts (name, src, tb) at the front of the LRU, evicting from
+// the back if over capacity. Caller holds r.mu.
+func (r *Registry) install(name string, src CircuitSource, tb *core.Testbench) {
+	ent := &cacheEntry{name: name, src: src, tb: tb}
 	if el, ok := r.cache[name]; ok {
-		el.Value.(*cacheEntry).tb = tb
+		el.Value = ent
 		r.order.MoveToFront(el)
 		return
 	}
-	r.cache[name] = r.order.PushFront(&cacheEntry{name: name, tb: tb})
+	r.cache[name] = r.order.PushFront(ent)
 	for r.order.Len() > r.cap {
 		back := r.order.Back()
 		ent := back.Value.(*cacheEntry)
@@ -179,18 +171,50 @@ type CircuitSource struct {
 	Text   string `json:"text,omitempty"`
 }
 
+// Testbench builds the frozen testbench the provenance describes. It is
+// the one builder: the registry's upload and miss paths and a cluster
+// worker's install all call it, so the coordinator's copy and every
+// worker's match by construction.
+func (s CircuitSource) Testbench() (*core.Testbench, error) {
+	var (
+		c   *netlist.Circuit
+		err error
+	)
+	switch {
+	case s.Builtin != "":
+		c, err = bench89.Get(s.Builtin)
+	case s.Format == "" || s.Format == "bench":
+		c, err = netlist.ParseBenchString(s.Name, s.Text)
+	case s.Format == "blif":
+		c, err = netlist.ParseBLIFString(s.Name, s.Text)
+	default:
+		err = fmt.Errorf("service: unknown netlist format %q (want \"bench\" or \"blif\")", s.Format)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return core.DefaultTestbench(c), nil
+}
+
 // Source returns the provenance of a resolvable circuit name.
 func (r *Registry) Source(name string) (CircuitSource, error) {
-	if builtin(name) {
-		return CircuitSource{Builtin: name}, nil
-	}
 	r.mu.Lock()
-	up, ok := r.uploads[name]
+	src := r.sourceLocked(name)
 	r.mu.Unlock()
-	if !ok {
+	if src.Builtin != "" && !builtin(name) {
 		return CircuitSource{}, fmt.Errorf("service: unknown circuit %q", name)
 	}
-	return CircuitSource{Name: name, Format: up.format, Text: up.text}, nil
+	return src, nil
+}
+
+// sourceLocked returns the provenance name resolves to now: its upload,
+// or else the built-in benchmark of that name (which fails to build if
+// there is none). Caller holds r.mu.
+func (r *Registry) sourceLocked(name string) CircuitSource {
+	if src, ok := r.uploads[name]; ok {
+		return src
+	}
+	return CircuitSource{Builtin: name}
 }
 
 // Names lists every resolvable circuit name: the built-in benchmark set
@@ -226,17 +250,4 @@ func builtin(name string) bool {
 	}
 	_, ok := bench89.Lookup(name)
 	return ok
-}
-
-// parseNetlist parses netlist text in the given format and returns the
-// frozen circuit.
-func parseNetlist(name, format, text string) (*netlist.Circuit, error) {
-	switch format {
-	case "", "bench":
-		return netlist.ParseBenchString(name, text)
-	case "blif":
-		return netlist.ParseBLIFString(name, text)
-	default:
-		return nil, fmt.Errorf("service: unknown netlist format %q (want \"bench\" or \"blif\")", format)
-	}
 }

@@ -26,11 +26,11 @@ const toyBLIF = `
 
 func TestRegistryHitMiss(t *testing.T) {
 	r := NewRegistry(4)
-	tb1, err := r.Testbench("s27")
+	tb1, _, err := r.Resolve("s27")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb2, err := r.Testbench("s27")
+	tb2, _, err := r.Resolve("s27")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRegistryHitMiss(t *testing.T) {
 func TestRegistryLRUEviction(t *testing.T) {
 	r := NewRegistry(2)
 	for _, name := range []string{"s27", "s298", "s386"} {
-		if _, err := r.Testbench(name); err != nil {
+		if _, _, err := r.Resolve(name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 eviction / 2 cached", st)
 	}
 	// s27 was evicted (least recently used): resolving it again is a miss.
-	if _, err := r.Testbench("s27"); err != nil {
+	if _, _, err := r.Resolve("s27"); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Stats().Misses; got != 4 {
@@ -63,7 +63,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 	}
 	// s386 stayed resident: a hit.
 	hits := r.Stats().Hits
-	if _, err := r.Testbench("s386"); err != nil {
+	if _, _, err := r.Resolve("s386"); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Stats().Hits; got != hits+1 {
@@ -83,8 +83,8 @@ func TestRegistryUpload(t *testing.T) {
 	if _, err := r.Upload("toyblif", "blif", toyBLIF); err != nil {
 		t.Fatal(err)
 	}
-	// Upload installs into the cache, so the first Testbench is a hit.
-	if _, err := r.Testbench("toy"); err != nil {
+	// Upload installs into the cache, so the first Resolve is a hit.
+	if _, _, err := r.Resolve("toy"); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.Hits != 1 || st.Uploaded != 2 {
@@ -92,13 +92,13 @@ func TestRegistryUpload(t *testing.T) {
 	}
 	// Evict "toy" by touching two other designs, then resolve it again:
 	// the retained source text must re-freeze transparently.
-	if _, err := r.Testbench("s27"); err != nil {
+	if _, _, err := r.Resolve("s27"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Testbench("s298"); err != nil {
+	if _, _, err := r.Resolve("s298"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Testbench("toy"); err != nil {
+	if _, _, err := r.Resolve("toy"); err != nil {
 		t.Fatalf("re-freezing evicted upload: %v", err)
 	}
 
@@ -126,7 +126,7 @@ func TestRegistryUploadErrors(t *testing.T) {
 			t.Errorf("Upload(%q, %q) succeeded, want error", c.name, c.format)
 		}
 	}
-	if _, err := r.Testbench("sNOPE"); err == nil {
-		t.Error("Testbench(sNOPE) succeeded, want error")
+	if _, _, err := r.Resolve("sNOPE"); err == nil {
+		t.Error("Resolve(sNOPE) succeeded, want error")
 	}
 }

@@ -64,9 +64,6 @@ func New(cfg Config) *Service {
 		dispatch = localDispatcher{met: core.NewCoreMetrics(cfg.Obs)}
 	}
 	s := &Service{Registry: NewRegistry(cfg.CacheSize), dispatch: dispatch}
-	if ra, ok := dispatch.(RegistryAware); ok {
-		ra.SetRegistry(s.Registry)
-	}
 	s.Jobs = NewManagerObs(s.Registry, dispatch, cfg.Workers, cfg.QueueSize, cfg.Store, cfg.Obs, cfg.Log)
 	s.mux = s.routes()
 	return s

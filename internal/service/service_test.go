@@ -297,16 +297,25 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 // startSignal wraps a dispatcher and closes started when its first
-// Estimate begins, by which time the job is in StateRunning.
+// Sample begins, by which time the job is in StateRunning. A non-nil
+// gate then holds that first call until the gate is closed.
 type startSignal struct {
 	Dispatcher
 	once    sync.Once
 	started chan struct{}
+	gate    chan struct{}
 }
 
-func (d *startSignal) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
-	d.once.Do(func() { close(d.started) })
-	return d.Dispatcher.Estimate(ctx, tb, req, ckpt, save, progress)
+func (d *startSignal) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
+	first := false
+	d.once.Do(func() {
+		first = true
+		close(d.started)
+	})
+	if first && d.gate != nil {
+		<-d.gate
+	}
+	return d.Dispatcher.Sample(ctx, tb, src, req, rp, progress)
 }
 
 func TestCancelRunningJob(t *testing.T) {
@@ -335,7 +344,7 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatalf("slow job finished early: %+v", cur)
 	}
 	if cur.State != StateRunning {
-		t.Fatalf("state after Estimate began = %s, want running", cur.State)
+		t.Fatalf("state after Sample began = %s, want running", cur.State)
 	}
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+v.ID, nil)
@@ -427,6 +436,96 @@ func TestUploadAndEstimateUploaded(t *testing.T) {
 	if out.State != StateDone || out.Result.Power <= 0 {
 		t.Fatalf("uploaded-circuit job = %+v", out)
 	}
+}
+
+// Two texts of one upload name: the same interface, one gate apart.
+const (
+	toyA = `
+INPUT(A)
+INPUT(B)
+OUTPUT(Y)
+Q1 = DFF(D1)
+Q2 = DFF(D2)
+D1 = XOR(A, Q2)
+D2 = AND(B, Q1)
+Y = NAND(Q1, Q2)
+`
+	toyB = `
+INPUT(A)
+INPUT(B)
+OUTPUT(Y)
+Q1 = DFF(D1)
+Q2 = DFF(D2)
+D1 = XOR(A, Q2)
+D2 = OR(B, Q1)
+Y = NAND(Q1, Q2)
+`
+)
+
+// TestReuploadBeforeStartKeysCacheByRunCircuit: a job queued on one text
+// of an upload, which is replaced before the job starts, runs on the
+// replacement and caches its result under the replacement's provenance.
+// Once the first text is uploaded again, the same request gives what a
+// fresh run on that text gives, not the replacement's result.
+func TestReuploadBeforeStartKeysCacheByRunCircuit(t *testing.T) {
+	req := JobRequest{Circuit: "toy", Seed: 5, Options: OptionsSpec{Replications: 16}}
+	upload := func(reg *Registry, text string) {
+		t.Helper()
+		if _, err := reg.Upload("toy", "bench", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wait := func(m *Manager, id string) JobView {
+		t.Helper()
+		v, err := m.Wait(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.State != StateDone {
+			t.Fatalf("job %s finished %s (%s)", id, v.State, v.Error)
+		}
+		return v
+	}
+	run := func(m *Manager) JobView {
+		t.Helper()
+		id, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wait(m, id)
+	}
+
+	// Fresh runs on each text.
+	ref := New(Config{Workers: 1})
+	defer ref.Close()
+	upload(ref.Registry, toyA)
+	wantA := run(ref.Jobs)
+	upload(ref.Registry, toyB)
+	wantB := run(ref.Jobs)
+	if wantA.Result.Power == wantB.Result.Power {
+		t.Fatal("the two texts estimate the same power; the test cannot tell them apart")
+	}
+
+	// The pool's only worker is held by a first job, so the request
+	// queues on text A and starts after text B replaced it.
+	d := &startSignal{Dispatcher: NewLocalDispatcher(), started: make(chan struct{}), gate: make(chan struct{})}
+	svc := New(Config{Workers: 1, Dispatcher: d})
+	defer svc.Close()
+	upload(svc.Registry, toyA)
+	if _, err := svc.Jobs.Submit(fastRequest(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-d.started
+	queued, err := svc.Jobs.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload(svc.Registry, toyB)
+	close(d.gate)
+	sameResultView(t, wait(svc.Jobs, queued).Result, wantB.Result, "job queued on text A, started on text B")
+
+	upload(svc.Registry, toyA)
+	sameResultView(t, run(svc.Jobs).Result, wantA.Result, "resubmission on text A")
 }
 
 func TestHTTPErrors(t *testing.T) {

@@ -36,7 +36,7 @@ func (d *stallDispatcher) Name() string { return d.inner.Name() }
 
 func (d *stallDispatcher) Ready() error { return d.inner.Ready() }
 
-func (d *stallDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
+func (d *stallDispatcher) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
 	wrapped := func(p core.Progress) {
 		if progress != nil {
 			progress(p)
@@ -44,7 +44,7 @@ func (d *stallDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req 
 		d.once.Do(func() { close(d.running) })
 		<-ctx.Done()
 	}
-	return d.inner.Estimate(ctx, tb, req, ckpt, save, wrapped)
+	return d.inner.Sample(ctx, tb, src, req, rp, wrapped)
 }
 
 // sameResultView compares two result views bit for bit, ignoring the
@@ -339,25 +339,32 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// endingDispatcher wraps the local dispatcher so every job freezes and
-// saves its checkpoint, then ends the way its seed says: seed 2 fails
-// after the run, seed 3 parks in its first progress report until it is
-// cancelled, any other seed finishes.
+// endingDispatcher wraps the local dispatcher so every job, when its
+// sampling begins, counts the checkpoint records its journal already
+// holds, then ends the way its seed says: seed 2 fails after the run,
+// seed 3 parks in its first progress report until it is cancelled, any
+// other seed finishes.
 type endingDispatcher struct {
-	inner  Dispatcher
-	parked chan struct{}
-	mu     sync.Mutex
-	saves  map[int64]int
+	inner   Dispatcher
+	journal string // the job store's journal file
+	parked  chan struct{}
+	mu      sync.Mutex
+	saves   map[int64]int
 }
 
 func (d *endingDispatcher) Name() string { return d.inner.Name() }
 func (d *endingDispatcher) Ready() error { return d.inner.Ready() }
-func (d *endingDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req JobRequest, ckpt *Checkpoint, save func(Checkpoint), progress func(core.Progress)) (core.Result, error) {
-	counted := func(c Checkpoint) {
-		d.mu.Lock()
-		d.saves[req.Seed]++
-		d.mu.Unlock()
-		save(c)
+func (d *endingDispatcher) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
+	restored, err := replayJournal(d.journal)
+	if err != nil {
+		return core.Result{}, err
+	}
+	for _, r := range restored {
+		if r.Req.Seed == req.Seed && r.Checkpoint != nil {
+			d.mu.Lock()
+			d.saves[req.Seed]++
+			d.mu.Unlock()
+		}
 	}
 	wrapped := progress
 	if req.Seed == 3 {
@@ -371,7 +378,7 @@ func (d *endingDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req
 			<-ctx.Done()
 		}
 	}
-	res, err := d.inner.Estimate(ctx, tb, req, ckpt, counted, wrapped)
+	res, err := d.inner.Sample(ctx, tb, src, req, rp, wrapped)
 	if req.Seed == 2 && err == nil {
 		return core.Result{}, errors.New("injected failure after the checkpoint")
 	}
@@ -379,10 +386,10 @@ func (d *endingDispatcher) Estimate(ctx context.Context, tb *core.Testbench, req
 }
 
 // TestFinishedJobsDropCheckpoint: a done, a failed and a cancelled job
-// each froze a checkpoint while running; once finished, the job record
-// holds neither the checkpoint nor the cancel func, live and after a
-// restart from the journal, and the view, trace and breakdown still
-// answer.
+// each journaled a checkpoint before sampling began; once finished, the
+// job record holds neither the checkpoint nor the cancel func, live and
+// after a restart from the journal, and the view, trace and breakdown
+// still answer.
 func TestFinishedJobsDropCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	reg := NewRegistry(0)
@@ -390,7 +397,7 @@ func TestFinishedJobsDropCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &endingDispatcher{inner: localDispatcher{}, parked: make(chan struct{}), saves: map[int64]int{}}
+	d := &endingDispatcher{inner: localDispatcher{}, journal: store.Stats().Path, parked: make(chan struct{}), saves: map[int64]int{}}
 	m := NewManager(reg, d, 2, 0, store)
 	want := map[string]JobState{}
 	ids := map[int64]string{}
@@ -416,7 +423,7 @@ func TestFinishedJobsDropCheckpoint(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		if d.saves[seed] == 0 {
-			t.Fatalf("seed %d job never saved a checkpoint", seed)
+			t.Fatalf("seed %d job began sampling with no checkpoint journaled", seed)
 		}
 	}
 

@@ -3,8 +3,9 @@
 # a batch through it: one dipe-server coordinator + two dipe-worker
 # processes, worker self-registration, readiness transition, batch
 # submission over the cluster dispatcher, and completion checks: a
-# finished job's trace must run from its shard event through merge
-# rounds ending at its result, zero-delay jobs must be cut at word rows
+# finished job's trace must run from its closed select-interval and
+# plan-resolve spans through its shard event and merge rounds ending at
+# its result, zero-delay jobs must be cut at word rows
 # (64 replications as one range, 130 as three), and a worker must
 # refuse an oversized /v1/run with 400 and keep serving.
 #
@@ -167,8 +168,10 @@ for id in $ids; do
   curl -sf "$BASE/v1/jobs/$id/wait?timeout=120s" | python3 -c "$check_job" "$id"
 done
 
-echo "== a cluster job's trace: shard, then merge rounds ending at the result"
-# bench/target.go derives its cluster split from these events.
+echo "== a cluster job's trace: phase 1, shard, then merge rounds ending at the result"
+# bench/target.go derives its cluster split from these events; it reads
+# the select-interval and plan-resolve spans, which the job manager
+# records for either dispatcher, as service.select and service.plan.
 first_id=$(echo "$ids" | head -n1)
 curl -sf "$BASE/v1/jobs/$first_id" >"$LOGS/job.json"
 curl -sf "$BASE/v1/jobs/$first_id/trace" | python3 -c '
@@ -179,12 +182,19 @@ names = [s["name"] for s in spans]
 merges = [s for s in spans if s["name"] == "merge-round"]
 assert "shard" in names and merges, f"trace lacks shard or merge-round events: {names}"
 assert names.index("shard") < names.index("merge-round"), f"merge-round before shard: {names}"
+shard = spans[names.index("shard")]
+for phase in ("select-interval", "plan-resolve"):
+    assert phase in names, f"trace lacks a {phase} span: {names}"
+    sp = spans[names.index(phase)]
+    assert sp.get("endMs") is not None, f"{phase} span never ended: {sp}"
+    assert names.index(phase) < names.index("shard") and sp["endMs"] <= shard["tMs"], \
+        f"{phase} ends at {sp['endMs']} ms, not before the shard event at {shard['tMs']} ms"
 attrs = merges[-1].get("attrs", [])
 last = dict(zip(attrs[::2], attrs[1::2]))
 for key in ("power", "halfWidth"):
     want = float("%.6g" % job[key])
     assert float(last.get(key, "nan")) == want, f"last merge-round {key}={last.get(key)!r}, result {job[key]!r}"
-print("  shard + %d merge rounds; last power=%s halfWidth=%s" % (len(merges), last["power"], last["halfWidth"]))
+print("  select-interval + plan-resolve, shard + %d merge rounds; last power=%s halfWidth=%s" % (len(merges), last["power"], last["halfWidth"]))
 ' "$LOGS/job.json"
 
 echo "== zero-delay jobs are cut at word rows: 64 replications run as 1 range, 130 as 3"
