@@ -208,7 +208,10 @@ func Estimate(s *Session, opts Options) (Result, error) { return core.Estimate(s
 
 // SourceFactory builds an independent input source for a given seed;
 // estimators that run many replications use it to give every
-// replication fresh, reproducible randomness.
+// replication fresh, reproducible randomness. The estimators call it
+// only on their caller's goroutine, but may step the sources it returns
+// on different goroutines at once, so those sources must not share
+// mutable state.
 type SourceFactory = vectors.Factory
 
 // NewIIDSourceFactory returns a factory of i.i.d. Bernoulli(p) sources.

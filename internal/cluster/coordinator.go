@@ -431,7 +431,7 @@ func (c *Coordinator) Sample(ctx context.Context, tb *core.Testbench, src servic
 	// ranges: at most rangesPerWorker per live worker, so a fast worker
 	// has a tail of leases to steal, and never below a word row of a
 	// word-parallel job. No layout shows in the merged result.
-	bounds := core.Ranges(tb, opts, rp.Plan, 0, reps, len(alive)*rangesPerWorker)
+	bounds := core.Ranges(tb, opts, 0, reps, len(alive)*rangesPerWorker)
 	k := len(bounds)
 	ranges := make([]*repRange, k)
 	lanes := make([]int, k)

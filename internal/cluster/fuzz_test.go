@@ -25,6 +25,9 @@ func FuzzRunRequest(f *testing.F) {
 		`{"hash":"` + hash + `","seed":4,"interval":1,"repLo":8,"repHi":16,"rounds":2,"skipBlocks":3,"options":{"replications":16,"variance":"antithetic"}}`,
 		`{"hash":"` + hash + `","seed":8,"interval":3,"repLo":0,"repHi":8,"rounds":1,"options":{"replications":16,"variance":"control-variate"},"vr":{"mode":"control-variate","beta":0.5,"controlMean":0.25}}`,
 		`{"hash":"` + hash + `","seed":9,"interval":1,"repLo":0,"repHi":32,"rounds":1,"budgetRounds":7,"options":{"powerMode":"zero-delay","breakdown":true,"replications":32}}`,
+		// A control-variate plan under plain zero-delay options: shards
+		// laid out from the options have no engine for the covariate.
+		`{"hash":"` + hash + `","seed":3,"interval":1,"repLo":0,"repHi":64,"rounds":1,"options":{"powerMode":"zero-delay","replications":64},"vr":{"mode":"control-variate","beta":0.5,"controlMean":0.25}}`,
 		`{"hash":"` + hash + `","seed":1,"interval":1,"repLo":0,"repHi":100000000,"rounds":1}`,
 		`{"hash":"` + hash + `","repLo":0,"repHi":8,"rounds":1,"options":{"replications":4097}}`,
 		`{"hash":"x","repLo":-1,"repHi":8,"rounds":1}`,
@@ -47,6 +50,9 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if req.RepHi > opts.Replications {
 			t.Fatalf("accepted range [%d, %d) outside %d replications", req.RepLo, req.RepHi, opts.Replications)
+		}
+		if req.VR.Mode.Canonical() != opts.Variance.Mode.Canonical() {
+			t.Fatalf("accepted plan mode %q under variance mode %q", req.VR.Mode, opts.Variance.Mode)
 		}
 		if n := (req.RepHi - req.RepLo) * req.Rounds; n > 4096 {
 			t.Fatalf("accepted stream of %d lanes x %d rounds = %d samples per block", req.RepHi-req.RepLo, req.Rounds, n)

@@ -72,7 +72,11 @@ type RunRequest struct {
 // skipBlocks nor maxBlocks may exceed the job's block budget
 // (core.MaxBlocks, the cap the coordinator sends), nor skipBlocks a
 // nonzero maxBlocks: together they bound the cycles a worker
-// fast-forwards before its first block.
+// fast-forwards before its first block. The plan's mode must be the
+// one options.variance asks for, as the coordinator always sends: a
+// worker lays its shards out from the options, so a control-variate
+// plan under plain zero-delay options would reach shards that have no
+// event-driven engine to observe the covariate with.
 func (r RunRequest) Validate() error {
 	switch {
 	case r.Hash == "":
@@ -108,7 +112,13 @@ func (r RunRequest) Validate() error {
 	case r.MaxBlocks > 0 && r.SkipBlocks > r.MaxBlocks:
 		return fmt.Errorf("cluster: skipBlocks %d past maxBlocks %d", r.SkipBlocks, r.MaxBlocks)
 	}
-	return r.VR.Validate()
+	if err := r.VR.Validate(); err != nil {
+		return err
+	}
+	if got, want := r.VR.Mode.Canonical(), opts.Variance.Mode.Canonical(); got != want {
+		return fmt.Errorf("cluster: plan mode %q differs from the job's variance mode %q", got, want)
+	}
+	return nil
 }
 
 // StreamHeader is the first line of a /v1/run response; the client

@@ -13,7 +13,8 @@ import (
 // option spec expands to invalid estimator options or exceeds the job
 // size limits, one whose range or block cadence the job's options do
 // not allow, and one whose interval or block counts would have it
-// fast-forward past the job's block budget. A request without
+// fast-forward past the job's block budget, or whose plan's mode is not
+// the variance mode its options ask for. A request without
 // an options block expands to the paper defaults and is accepted; the
 // worker then answers 404 because it has never seen the hash.
 func TestRunRequestValidate(t *testing.T) {
@@ -44,6 +45,10 @@ func TestRunRequestValidate(t *testing.T) {
 		{"skipBlocks above the budget", `{` + budget + `,"skipBlocks":103}`, false},
 		{"maxBlocks above the budget", `{` + budget + `,"maxBlocks":103}`, false},
 		{"skipBlocks past maxBlocks", `{` + budget + `,"skipBlocks":5,"maxBlocks":4}`, false},
+		{"plan matching the variance mode", `{` + valid + `,"options":{"replications":8,"variance":"control-variate"},"vr":{"mode":"control-variate","beta":0.5,"controlMean":0.25}}`, true},
+		{"control-variate plan under plain zero-delay options", `{` + valid + `,"options":{"powerMode":"zero-delay","replications":8},"vr":{"mode":"control-variate","beta":0.5,"controlMean":0.25}}`, false},
+		{"antithetic plan under plain options", `{` + valid + `,"options":{"replications":8},"vr":{"mode":"antithetic"}}`, false},
+		{"plain plan under antithetic options", `{` + valid + `,"options":{"replications":8,"variance":"antithetic"}}`, false},
 	}
 	srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
 	defer srv.Close()

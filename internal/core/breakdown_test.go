@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench89"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/vectors"
+	"repro/internal/vr"
 )
 
 // TestBreakdownSumsToEstimate: in plain estimation mode the per-node
@@ -93,41 +96,71 @@ func TestBreakdownDeterministic(t *testing.T) {
 	}
 }
 
-// TestBreakdownResumeSplice: a run resumed from a ResumePoint (with the
-// phase-1 seed toggles carried through) produces the same report as the
-// uninterrupted run — the seed counts are not lost and not
+// TestBreakdownResumeSplice: EstimateParallelCtx, which warms the tail
+// beside phase 1, equals PreparePlanCtx followed by
+// EstimateParallelResumeCtx in every Result field — power, half-width,
+// sample size, interval, cycle counters, coefficient and breakdown
+// rows — in each power mode, variance mode, breakdown setting and
+// interval source, at one and two pool goroutines. The phase-1 seed
+// toggles a breakdown resume point carries are neither lost nor
 // double-counted.
 func TestBreakdownResumeSplice(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
-	opts := DefaultOptions()
-	opts.Replications = 16
-	opts.Breakdown = true
-
-	direct, err := EstimateParallel(tb, factory, 42, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := PreparePlanCtx(context.Background(), tb, factory, 42, opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rp.SeedToggles) != c.NumNodes() {
-		t.Fatalf("resume point carries %d seed toggles, want %d", len(rp.SeedToggles), c.NumNodes())
-	}
-	resumed, err := EstimateParallelResume(tb, factory, 42, opts, rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dr, rr := direct.Breakdown, resumed.Breakdown
-	if dr.Observations != rr.Observations || dr.Dynamic != rr.Dynamic {
-		t.Fatalf("resumed report (obs %d, dyn %g) differs from direct (obs %d, dyn %g)",
-			rr.Observations, rr.Dynamic, dr.Observations, dr.Dynamic)
-	}
-	for i := range dr.Rows {
-		if dr.Rows[i] != rr.Rows[i] {
-			t.Fatalf("row %d: resumed %+v, direct %+v", i, rr.Rows[i], dr.Rows[i])
+	fixed := 3
+	for _, mode := range []power.PowerMode{power.ModeGeneralDelay, power.ModeZeroDelay} {
+		for _, variance := range vr.Modes() {
+			if mode.IsZeroDelay() && variance == vr.ModeControlVariate {
+				continue // the covariate would equal the sample
+			}
+			for _, breakdown := range []bool{false, true} {
+				for _, interval := range []*int{nil, &fixed} {
+					for _, pool := range []int{1, 2} {
+						opts := DefaultOptions()
+						opts.Replications = 16
+						opts.Mode = mode
+						opts.Variance.Mode = variance
+						opts.Breakdown = breakdown
+						opts.pool = pool
+						label := fmt.Sprintf("%s/%s/breakdown=%v/fixed=%v/pool=%d", mode, variance, breakdown, interval != nil, pool)
+						ctx := context.Background()
+						var (
+							direct Result
+							err    error
+						)
+						if interval == nil {
+							direct, err = EstimateParallelCtx(ctx, tb, factory, 42, opts)
+						} else {
+							direct, err = EstimateParallelWithIntervalCtx(ctx, tb, factory, 42, opts, *interval)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						rp, err := PreparePlanCtx(ctx, tb, factory, 42, opts, interval)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if breakdown && interval == nil && len(rp.SeedToggles) != c.NumNodes() {
+							t.Fatalf("%s: resume point carries %d seed toggles, want %d", label, len(rp.SeedToggles), c.NumNodes())
+						}
+						resumed, err := EstimateParallelResumeCtx(ctx, tb, factory, 42, opts, rp)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if variance == vr.ModeControlVariate && direct.CVBeta == 0 {
+							t.Fatalf("%s: zero coefficient, so the covariate-mean pre-run never ran", label)
+						}
+						if breakdown && direct.Breakdown == nil {
+							t.Fatalf("%s: no breakdown report", label)
+						}
+						direct.Elapsed, resumed.Elapsed = 0, 0
+						if !reflect.DeepEqual(direct, resumed) {
+							t.Errorf("%s: direct and prepare+resume differ\n direct %+v\nresumed %+v", label, direct, resumed)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -24,14 +24,19 @@
 // stopping rule and builds the Result; the cluster coordinator feeds
 // the same loop from worker streams of the same producer
 // (StreamReplications). One rule, Ranges, lays the replications out in
-// shards and cluster ranges: the unit of work is a word row of 64
-// lanes when sampled cycles are observed word-parallel, since a
-// compiled pass costs per row, and one lane otherwise. GOMAXPROCS
-// goroutines step the shards; no layout changes a result. Every
+// shards and cluster ranges from the options alone: the unit of work is
+// a word row of 64 lanes when sampled cycles are observed word-parallel,
+// since a compiled pass costs per row, and one lane otherwise.
+// GOMAXPROCS goroutines step the shards; no layout changes a result.
+// Because neither the layout nor the replications' warm-up from reset
+// depends on the interval phase 1 selects, EstimateParallel builds its
+// shards first, warms them on a goroutine of its own beside phase 1,
+// and binds the interval and plan once they are frozen. Every
 // estimator runs phase 1 (warm-up and Fig. 2), and the serial
-// estimators also their sampling phase, on one compiled sim.Session. SelectInterval takes any Collector, so tests
-// can run it on the interpreted sim.ScalarSession oracle, which gives
-// bit-identical samples. The Ctx variants add
+// estimators also their sampling phase, on one compiled sim.Session.
+// SelectInterval takes any Collector, so tests can run it on the
+// interpreted sim.ScalarSession oracle, which gives bit-identical
+// samples. The Ctx variants add
 // cooperative cancellation (covering interval selection too, via
 // SelectIntervalCtx), and Options.Progress streams running snapshots
 // with a guaranteed terminal snapshot — the hooks the dipe-server job

@@ -289,10 +289,12 @@ func SplitRange(lo, hi, k int) [][2]int {
 // cycles run on an event-driven engine of their own. It returns
 // min(want, ceil((hi-lo)/unit)) ascending ranges balanced in whole
 // units, the partial unit last, so no range is empty and none splits a
-// word row of a word-parallel job. want must be at least 1.
-func Ranges(tb *Testbench, opts Options, plan vr.Plan, lo, hi, want int) [][2]int {
+// word row of a word-parallel job. want must be at least 1. The layout
+// depends on the options alone, not on the resolved plan, so it is
+// known before the pre-sampling phases end.
+func Ranges(tb *Testbench, opts Options, lo, hi, want int) [][2]int {
 	unit := 1
-	if wordSampled(tb, opts, plan) {
+	if wordSampled(tb, opts) {
 		unit = sim.MaxLanes
 	}
 	// SplitRange over the whole and partial units of [lo, hi), so the
@@ -377,8 +379,11 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 	case opts.WarmupCycles < 0:
 		return fmt.Errorf("core: negative WarmupCycles %d", opts.WarmupCycles)
 	}
-	run, err := newReplicationRun(tb, src, baseSeed, opts, plan, interval, lo, hi, rounds)
+	run, err := newReplicationRun(tb, src, baseSeed, opts, lo, hi, rounds)
 	if err != nil {
+		return err
+	}
+	if err := run.bind(interval, plan); err != nil {
 		return err
 	}
 	run.warm(ctx, skip*rounds)
@@ -525,7 +530,7 @@ func (t *Tail) result(converged bool, counts []uint64) Result {
 		opts.Progress(m.Progress(rp.Interval))
 	}
 	reps, merged := uint64(m.Reps()), uint64(m.MergedRounds())
-	engine, delayModel := engineLabels(t.tb, opts, rp.Plan)
+	engine, delayModel := engineLabels(t.tb, opts)
 	res := Result{
 		Power:          m.Estimate(),
 		Interval:       rp.Interval,

@@ -230,7 +230,8 @@ func TestStreamReplicationsSkipFastForward(t *testing.T) {
 // layout it changed or kept, and the inputs on which the aligned split
 // it replaced returned empty ranges. The unit follows wordSampled: a
 // word row under zero-delay sampling or an all-zero delay table, one
-// replication under event-driven sampling or a control variate.
+// replication under event-driven sampling, which a control variate
+// always has.
 func TestRangesLayouts(t *testing.T) {
 	c := bench89.S27()
 	gd := DefaultTestbench(c)
@@ -238,32 +239,32 @@ func TestRangesLayouts(t *testing.T) {
 	plain := DefaultOptions()
 	zd := DefaultOptions()
 	zd.Mode = power.ModeZeroDelay
-	cv := vr.Plan{Mode: vr.ModeControlVariate, Beta: 0.5}
+	cv := DefaultOptions()
+	cv.Variance = vr.Spec{Mode: vr.ModeControlVariate}
 	cases := []struct {
 		name   string
 		tb     *Testbench
 		opts   Options
-		plan   vr.Plan
 		lo, hi int
 		want   int
 		bounds [][2]int
 	}{
-		{"64 zero-delay in process, 2 cores", gd, zd, vr.Plan{}, 0, 64, 2, [][2]int{{0, 64}}},
-		{"64 general-delay in process, 2 cores", gd, plain, vr.Plan{}, 0, 64, 2, [][2]int{{0, 32}, {32, 64}}},
-		{"512 zero-delay in process, 2 cores", gd, zd, vr.Plan{}, 0, 512, 2, [][2]int{{0, 256}, {256, 512}}},
-		{"64 zero-delay cluster, 2 workers", gd, zd, vr.Plan{}, 0, 64, 8, [][2]int{{0, 64}}},
-		{"64 general-delay cluster, 2 workers", gd, plain, vr.Plan{}, 0, 64, 8,
+		{"64 zero-delay in process, 2 cores", gd, zd, 0, 64, 2, [][2]int{{0, 64}}},
+		{"64 general-delay in process, 2 cores", gd, plain, 0, 64, 2, [][2]int{{0, 32}, {32, 64}}},
+		{"512 zero-delay in process, 2 cores", gd, zd, 0, 512, 2, [][2]int{{0, 256}, {256, 512}}},
+		{"64 zero-delay cluster, 2 workers", gd, zd, 0, 64, 8, [][2]int{{0, 64}}},
+		{"64 general-delay cluster, 2 workers", gd, plain, 0, 64, 8,
 			[][2]int{{0, 8}, {8, 16}, {16, 24}, {24, 32}, {32, 40}, {40, 48}, {48, 56}, {56, 64}}},
-		{"130 zero-delay cluster, 2 workers", gd, zd, vr.Plan{}, 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
-		{"all-zero delays sample word-parallel", allZero, plain, vr.Plan{}, 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
-		{"a control variate samples per lane", allZero, plain, cv, 0, 6, 8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}},
-		{"one row asked for 3 ranges", gd, zd, vr.Plan{}, 0, 64, 3, [][2]int{{0, 64}}},
-		{"16 lanes asked for 8 ranges", gd, zd, vr.Plan{}, 0, 16, 8, [][2]int{{0, 16}}},
-		{"a worker's range off lo", gd, zd, vr.Plan{}, 7, 4103, 4, [][2]int{{7, 1031}, {1031, 2055}, {2055, 3079}, {3079, 4103}}},
-		{"partial row rides last", gd, zd, vr.Plan{}, 0, 4100, 4, [][2]int{{0, 1088}, {1088, 2112}, {2112, 3136}, {3136, 4100}}},
+		{"130 zero-delay cluster, 2 workers", gd, zd, 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
+		{"all-zero delays sample word-parallel", allZero, plain, 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
+		{"a control variate samples per lane", gd, cv, 0, 6, 8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}},
+		{"one row asked for 3 ranges", gd, zd, 0, 64, 3, [][2]int{{0, 64}}},
+		{"16 lanes asked for 8 ranges", gd, zd, 0, 16, 8, [][2]int{{0, 16}}},
+		{"a worker's range off lo", gd, zd, 7, 4103, 4, [][2]int{{7, 1031}, {1031, 2055}, {2055, 3079}, {3079, 4103}}},
+		{"partial row rides last", gd, zd, 0, 4100, 4, [][2]int{{0, 1088}, {1088, 2112}, {2112, 3136}, {3136, 4100}}},
 	}
 	for _, tc := range cases {
-		got := Ranges(tc.tb, tc.opts, tc.plan, tc.lo, tc.hi, tc.want)
+		got := Ranges(tc.tb, tc.opts, tc.lo, tc.hi, tc.want)
 		if !reflect.DeepEqual(got, tc.bounds) {
 			t.Errorf("%s: Ranges(%d, %d, want %d) = %v, want %v", tc.name, tc.lo, tc.hi, tc.want, got, tc.bounds)
 		}
@@ -323,9 +324,9 @@ func TestRangesSweep(t *testing.T) {
 		for _, lo := range []int{0, 7} {
 			for _, n := range spans {
 				for _, want := range []int{1, 2, 3, 8, 16} {
-					check(un.unit, lo, n, want, Ranges(tb, un.opts, vr.Plan{}, lo, lo+n, want))
+					check(un.unit, lo, n, want, Ranges(tb, un.opts, lo, lo+n, want))
 					for _, width := range []int{sim.MaxLanes, sim.CompiledMaxLanes} {
-						got := Ranges(tb, un.opts, vr.Plan{}, lo, lo+n, max(want, (n+width-1)/width))
+						got := Ranges(tb, un.opts, lo, lo+n, max(want, (n+width-1)/width))
 						for _, b := range got {
 							if b[1]-b[0] > width {
 								t.Fatalf("unit %d, [%d, %d), want %d: range %v wider than a %d-lane session", un.unit, lo, lo+n, want, b, width)

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/delay"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vectors"
 	"repro/internal/vr"
@@ -56,31 +58,35 @@ type replicationRun struct {
 // globally fixed seed baseSeed+1+r regardless of the layout. Each
 // shard's sample buffer holds `rounds` rounds, the longest block the
 // run will be asked for.
-func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, interval, lo, hi, rounds int) (*replicationRun, error) {
+//
+// The layout, the sources and the warm-up depend on the options alone,
+// never on the interval or the plan the pre-sampling phases resolve, so
+// a run can be built before those phases and warmed while they run;
+// bind then sets the two before the first block.
+func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, lo, hi, rounds int) (*replicationRun, error) {
 	backend := opts.Backend.Canonical()
 	pool := opts.pool
 	if pool == 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
 	width := sim.MaxLanesFor(backend)
-	packed := wordSampled(tb, opts, plan)
+	packed := wordSampled(tb, opts)
+	pairing := opts.Variance.Mode.Canonical() == vr.ModeAntithetic
 	r := &replicationRun{
-		pool:     pool,
-		lanes:    hi - lo,
-		warmup:   opts.WarmupCycles,
-		interval: interval,
-		weights:  tb.Weights(),
-		plan:     plan,
+		pool:    pool,
+		lanes:   hi - lo,
+		warmup:  opts.WarmupCycles,
+		weights: tb.Weights(),
 	}
 	if opts.Breakdown {
 		r.prev = make([]uint64, tb.Circuit.NumNodes())
 	}
-	for _, b := range Ranges(tb, opts, plan, lo, hi, max(pool, (hi-lo+width-1)/width)) {
+	for _, b := range Ranges(tb, opts, lo, hi, max(pool, (hi-lo+width-1)/width)) {
 		lanes := b[1] - b[0]
 		srcs := make([]vectors.Source, lanes)
 		for k := range srcs {
 			var err error
-			if srcs[k], err = replicationSource(src, baseSeed, b[0]+k, plan); err != nil {
+			if srcs[k], err = replicationSource(src, baseSeed, b[0]+k, pairing); err != nil {
 				return nil, err
 			}
 		}
@@ -91,9 +97,6 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 		}
 		if !packed {
 			sh.engine = sim.NewEventDriven(tb.Circuit, tb.Delays)
-		}
-		if plan.NeedsCovariate() {
-			sh.cov = make([]float64, lanes)
 		}
 		if opts.Breakdown {
 			// Each shard counts into a private accumulator (no write
@@ -108,6 +111,25 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 	return r, nil
 }
 
+// bind sets the independence interval and the resolved plan the run
+// samples at. A plan that observes a covariate gets per-shard covariate
+// scratch; it needs the per-lane engine that only event-driven sampling
+// has, which ResolvePlan guarantees by rejecting control variates on
+// zero-delay runs and all-zero delay tables.
+func (r *replicationRun) bind(interval int, plan vr.Plan) error {
+	r.interval, r.plan = interval, plan
+	if !plan.NeedsCovariate() {
+		return nil
+	}
+	for _, sh := range r.shards {
+		if sh.engine == nil {
+			return fmt.Errorf("core: a control-variate plan needs event-driven sampling (general-delay mode, non-zero delays)")
+		}
+		sh.cov = make([]float64, sh.lanes)
+	}
+	return nil
+}
+
 // warmChunk is how many hidden cycles warm steps between polls of its
 // context. The default 512-cycle warm-up runs as one chunk.
 const warmChunk = 1024
@@ -115,9 +137,10 @@ const warmChunk = 1024
 // warm runs every replication through the warm-up from reset, followed
 // by skipRounds already-merged rounds. Power observation does not
 // influence the state trajectory, so replayed rounds run as pure hidden
-// cycles: interval hidden cycles plus the would-be sampled cycle each.
-// It polls ctx before every warmChunk cycles and stops early once ctx
-// ends; both callers check ctx before their first block.
+// cycles: interval hidden cycles plus the would-be sampled cycle each,
+// at the interval bind set (skipRounds is 0 before bind). It polls ctx
+// before every warmChunk cycles and stops early once ctx ends; both
+// callers check ctx before their first block.
 func (r *replicationRun) warm(ctx context.Context, skipRounds int) {
 	for left := r.warmup + skipRounds*(r.interval+1); left > 0 && ctx.Err() == nil; left -= warmChunk {
 		n := min(left, warmChunk)
@@ -200,21 +223,19 @@ func EstimateParallel(tb *Testbench, src vectors.Factory, baseSeed int64, opts O
 // sampling loop checks ctx between merged blocks and returns the partial
 // (unconverged) result together with ctx.Err() when the context is
 // cancelled. The dipe-server job manager uses this to abort jobs.
+//
+// Phase 1 and plan resolution (PreparePlanCtx) freeze a ResumePoint,
+// the checkpoint seam the durable job store persists across server
+// restarts, and the sampling tail runs from it. The tail's shards warm
+// up from reset on a goroutine of their own while PreparePlanCtx runs,
+// since the warm-up does not depend on what it resolves (see
+// estimateParallel). The Result is bit-identical to PreparePlanCtx
+// followed by EstimateParallelResumeCtx, so a resumed run cannot
+// diverge from an uninterrupted one.
 func EstimateParallelCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (Result, error) {
-	// Phase 1 (interval selection on a compiled trajectory seeded
-	// baseSeed) and plan resolution freeze into a ResumePoint; the
-	// sampling tail runs from it. The split is the checkpoint seam the durable job
-	// store persists across server restarts — the uninterrupted path
-	// here is literally prepare-then-resume, so a resumed run cannot
-	// diverge from it.
-	start := time.Now()
-	rp, err := PreparePlanCtx(ctx, tb, src, baseSeed, opts, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := EstimateParallelResumeCtx(ctx, tb, src, baseSeed, opts, rp)
-	res.Elapsed = time.Since(start)
-	return res, err
+	return estimateParallel(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) {
+		return PreparePlanCtx(ctx, tb, src, baseSeed, opts, nil)
+	})
 }
 
 // EstimateParallelWithInterval is the fixed-interval variant of
@@ -227,12 +248,64 @@ func EstimateParallelWithInterval(tb *Testbench, src vectors.Factory, baseSeed i
 // EstimateParallelWithIntervalCtx is EstimateParallelWithInterval with
 // cancellation (see EstimateParallelCtx).
 func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, interval int) (Result, error) {
+	return estimateParallel(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) {
+		return PreparePlanCtx(ctx, tb, src, baseSeed, opts, &interval)
+	})
+}
+
+// estimateParallel is the one sampling path of the in-process
+// estimator. It builds the run's shards on the caller's goroutine, so
+// the source factory is only ever called there, and warms them from
+// reset on a goroutine of its own while prepare freezes the
+// pre-sampling phases into a ResumePoint: phase 1 and plan resolution
+// (PreparePlanCtx) for a fresh run, the journaled point for a resumed
+// one. The warm-up reads neither the interval nor the plan, so it runs
+// beside phase 1 instead of after it. The run is then bound to
+// prepare's point and sampled by one Tail. Every sample, cycle counter
+// and Result is what running the phases one after another gives:
+// PreparePlanCtx followed by EstimateParallelResumeCtx is exactly
+// EstimateParallelCtx, which is what makes a durable job's resume
+// bit-identical.
+//
+// The warm-up goroutine never outlives the call. It is joined before
+// the first block; on an error, a cancellation or a panic on the
+// caller's goroutine it is cancelled and joined, as if it had not
+// started. A panic on it is raised again on the caller's goroutine as a
+// *shardPanic.
+func estimateParallel(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, prepare func() (ResumePoint, error)) (Result, error) {
 	start := time.Now()
-	rp, err := PreparePlanCtx(ctx, tb, src, baseSeed, opts, &interval)
+	if err := opts.Validate(); err != nil {
+		return Result{}, err
+	}
+	reps, rounds, _ := blockShape(opts)
+	run, err := newReplicationRun(tb, src, baseSeed, opts, 0, reps, rounds)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := EstimateParallelResumeCtx(ctx, tb, src, baseSeed, opts, rp)
+	warm := goSide(ctx, func(ctx context.Context) { run.warm(ctx, 0) })
+	defer warm.stop()
+	rp, err := prepare()
+	if err != nil {
+		return Result{}, err
+	}
+	t, err := NewTail(tb, opts, rp)
+	if err != nil {
+		return Result{}, err
+	}
+	obs.TraceFrom(ctx).Event("shard",
+		"shards", strconv.Itoa(len(run.shards)),
+		"workers", strconv.Itoa(run.pool),
+		"replications", strconv.Itoa(reps),
+		"interval", strconv.Itoa(rp.Interval))
+	warm.wait()
+	if err := run.bind(rp.Interval, rp.Plan); err != nil {
+		return Result{}, err
+	}
+	// The producer runs in lockstep with the merge loop, so it simulates
+	// exactly the rounds the merger consumes.
+	res, err := t.Run(ctx, []int{reps}, func(b, n int) ([]ReplicationBlock, error) {
+		return []ReplicationBlock{run.block(b, n, n)}, nil
+	})
 	res.Elapsed = time.Since(start)
 	return res, err
 }
@@ -240,10 +313,12 @@ func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vec
 // wordSampled reports whether a parallel run observes its sampled
 // cycles word-parallel on the lane session (StepSampled) instead of per
 // lane on a scalar engine: zero-delay mode, or a general-delay run whose
-// delay table is all-zero (see delay.Table.AllZero), unless a control
-// variate needs the scalar engine's sample next to the covariate.
-func wordSampled(tb *Testbench, opts Options, plan vr.Plan) bool {
-	return (opts.Mode.IsZeroDelay() || tb.Delays.AllZero()) && !plan.NeedsCovariate()
+// delay table is all-zero (see delay.Table.AllZero). A control variate,
+// which needs the scalar engine's sample next to the covariate, never
+// meets either condition: Options.Validate rejects it under zero-delay
+// and ResolvePlan on an all-zero table.
+func wordSampled(tb *Testbench, opts Options) bool {
+	return opts.Mode.IsZeroDelay() || tb.Delays.AllZero()
 }
 
 // engineLabels names the engine and delay model that observe a
@@ -258,9 +333,9 @@ func wordSampled(tb *Testbench, opts Options, plan vr.Plan) bool {
 // delay.Table.AllZero), though power sums may differ from per-lane
 // event-driven simulation in the last ulp because the summation order
 // changes.
-func engineLabels(tb *Testbench, opts Options, plan vr.Plan) (engine, delayModel string) {
+func engineLabels(tb *Testbench, opts Options) (engine, delayModel string) {
 	switch {
-	case !wordSampled(tb, opts, plan):
+	case !wordSampled(tb, opts):
 		return sim.EngineEventDriven, tb.Delays.ModelName
 	case opts.Backend.Canonical() == sim.BackendCompiled:
 		return sim.EngineCompiledZeroDelay, delay.Zero{}.Name()
@@ -305,9 +380,58 @@ func runShards(shards []*shard, workers int, fn func(*shard)) {
 	}
 }
 
-// shardPanic is a panic raised on a shard goroutine, carried to the
-// goroutine that ran the shards together with the stack it was raised
-// on.
+// side is work started on a goroutine of its own beside the caller's
+// (goSide): the tail's warm-up beside the pre-sampling phases.
+type side struct {
+	cancel context.CancelFunc
+	done   chan struct{} // closed when fn has returned or panicked
+	panic  *shardPanic
+}
+
+// goSide starts fn on a goroutine of its own under a child of ctx. The
+// caller joins it with wait where it first needs fn's work, and defers
+// stop, so the goroutine never outlives the caller on any exit.
+func goSide(ctx context.Context, fn func(context.Context)) *side {
+	ctx, cancel := context.WithCancel(ctx)
+	s := &side{cancel: cancel, done: make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		defer func() {
+			if r := recover(); r != nil {
+				p, ok := r.(*shardPanic) // already carried off a shard goroutine
+				if !ok {
+					p = &shardPanic{value: r, stack: debug.Stack()}
+				}
+				s.panic = p
+			}
+		}()
+		fn(ctx)
+	}()
+	return s
+}
+
+// wait joins the side goroutine. A panic in fn is raised again here, on
+// the caller's goroutine, as a *shardPanic, so the caller's recover
+// (the service fails just that job) sees it.
+func (s *side) wait() {
+	<-s.done
+	s.cancel()
+	if s.panic != nil {
+		panic(s.panic)
+	}
+}
+
+// stop cancels the side goroutine and joins it, dropping a panic on it:
+// the caller is returning without its work (an error, a cancellation or
+// a panic of its own), as if it had never started. fn must return
+// promptly once its context ends. stop after wait is a no-op.
+func (s *side) stop() {
+	s.cancel()
+	<-s.done
+}
+
+// shardPanic is a panic raised on a shard or side goroutine, carried to
+// the goroutine that ran it together with the stack it was raised on.
 type shardPanic struct {
 	value any
 	stack []byte

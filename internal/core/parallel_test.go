@@ -2,11 +2,18 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench89"
+	"repro/internal/netlist"
+	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/stopping"
 	"repro/internal/vectors"
 	"repro/internal/vr"
@@ -228,8 +235,11 @@ func TestWarmStopsOnCancel(t *testing.T) {
 	opts.pool = 2
 	const interval, skipRounds = 100, 1000
 	cycles := func(ctx context.Context) []uint64 {
-		run, err := newReplicationRun(tb, vectors.IIDFactory(len(c.Inputs), 0.5), 1, opts, vr.Plan{}, interval, 0, 8, 1)
+		run, err := newReplicationRun(tb, vectors.IIDFactory(len(c.Inputs), 0.5), 1, opts, 0, 8, 1)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := run.bind(interval, vr.Plan{}); err != nil {
 			t.Fatal(err)
 		}
 		run.warm(ctx, skipRounds)
@@ -249,5 +259,257 @@ func TestWarmStopsOnCancel(t *testing.T) {
 		if h != 2*warmChunk {
 			t.Fatalf("fast-forward cancelled after two polls ran %d cycles, want %d", h, 2*warmChunk)
 		}
+	}
+}
+
+// hookSource is a source that calls hook with the count of patterns it
+// has drawn before drawing each one.
+type hookSource struct {
+	vectors.Source
+	n    int
+	hook func(n int)
+}
+
+func (s *hookSource) Next(dst []bool) {
+	s.hook(s.n)
+	s.n++
+	s.Source.Next(dst)
+}
+
+// TestCancelDuringPhase1StopsSideWarmup: a context cancelled while
+// phase 1 runs ends EstimateParallelCtx with context.Canceled, and the
+// tail's warm-up beside it stops at the next chunk boundary. Replication
+// 0's source parks the warm-up inside its second chunk until phase 1's
+// source cancels the context, so the patterns it drew — one per cycle —
+// are the judge, not the wall clock.
+func TestCancelDuringPhase1StopsSideWarmup(t *testing.T) {
+	c := bench89.S27()
+	tb := DefaultTestbench(c)
+	iid := vectors.IIDFactory(len(c.Inputs), 0.5)
+	built := drawnAtBuild(c)
+
+	for _, pool := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Replications = 8
+		opts.pool = pool
+		opts.WarmupCycles = 8 * warmChunk
+		const seed = 1
+		ctx, cancel := context.WithCancel(context.Background())
+		reached := make(chan struct{})
+		var rep0 *hookSource
+		factory := func(s int64) vectors.Source {
+			switch s {
+			case seed: // phase 1, on the caller's goroutine
+				return &hookSource{Source: iid(s), hook: func(n int) {
+					if n != 0 {
+						return
+					}
+					select {
+					case <-reached:
+					case <-time.After(time.Minute): // a hang guard
+						t.Error("the tail warm-up never reached its second chunk")
+					}
+					cancel()
+				}}
+			case seed + 1: // replication 0, drawn on the warm-up's goroutine
+				rep0 = &hookSource{Source: iid(s), hook: func(n int) {
+					if n == built+warmChunk+1 {
+						close(reached)
+						<-ctx.Done()
+					}
+				}}
+				return rep0
+			}
+			return iid(s)
+		}
+		_, err := EstimateParallelCtx(ctx, tb, factory, seed, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("pool=%d: error %v, want context.Canceled", pool, err)
+		}
+		if got, want := rep0.n-built, 2*warmChunk; got != want {
+			t.Fatalf("pool=%d: cancelled warm-up ran %d cycles, want %d", pool, got, want)
+		}
+	}
+}
+
+// drawnAtBuild counts the patterns a lane session draws from a source
+// of circuit c when it is built, before its first cycle.
+func drawnAtBuild(c *netlist.Circuit) int {
+	probe := &hookSource{Source: vectors.NewIID(len(c.Inputs), 0.5, 0), hook: func(int) {}}
+	sim.NewLaneSession(sim.BackendCompiled, c, []vectors.Source{probe})
+	return probe.n
+}
+
+// TestSidePanicReachesCaller: a panic on the goroutine that warms the
+// tail beside the pre-sampling phases is raised again on the caller's
+// goroutine as a *shardPanic, where the service's recover fails just
+// that job. Replication 0's source panics on its first warm-up draw,
+// under both estimators and a resume, with the warm-up on one goroutine
+// and on two shards.
+func TestSidePanicReachesCaller(t *testing.T) {
+	c := bench89.MustGet("s832")
+	tb := DefaultTestbench(c)
+	iid := vectors.IIDFactory(len(c.Inputs), 0.5)
+	built := drawnAtBuild(c)
+	const seed = 5
+	factory := func(s int64) vectors.Source {
+		if s != seed+1 {
+			return iid(s)
+		}
+		return &hookSource{Source: iid(s), hook: func(n int) {
+			if n == built {
+				panic("warm-up draw")
+			}
+		}}
+	}
+	recovered := func(f func()) (p any) {
+		defer func() { p = recover() }()
+		f()
+		return nil
+	}
+	for _, pool := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Replications = 16
+		opts.pool = pool
+		rp, err := PreparePlanCtx(context.Background(), tb, iid, seed, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, run := range map[string]func(){
+			"selected": func() { EstimateParallelCtx(context.Background(), tb, factory, seed, opts) },
+			"fixed":    func() { EstimateParallelWithIntervalCtx(context.Background(), tb, factory, seed, opts, 2) },
+			"resume":   func() { EstimateParallelResumeCtx(context.Background(), tb, factory, seed, opts, rp) },
+		} {
+			got := recovered(run)
+			if p, ok := got.(*shardPanic); !ok || p.value != "warm-up draw" {
+				t.Fatalf("%s, pool=%d: recovered %#v, want a *shardPanic of the warm-up draw", name, pool, got)
+			}
+		}
+	}
+}
+
+// TestShardEventBeforeWarmupJoin: the shard trace event fires once the
+// pre-sampling phases end and before the tail's warm-up is joined, so a
+// trace charges the warm-up to the sampling tail, as it did when the
+// warm-up ran after the event. Replication 0's source holds the warm-up
+// at its first draw until the trace shows the event, under a fresh run
+// and a resume; the fresh run's trace keeps the order select-interval,
+// plan-resolve, shard.
+func TestShardEventBeforeWarmupJoin(t *testing.T) {
+	c := bench89.S27()
+	tb := DefaultTestbench(c)
+	iid := vectors.IIDFactory(len(c.Inputs), 0.5)
+	built := drawnAtBuild(c)
+	opts := DefaultOptions()
+	opts.Replications = 8
+	const seed = 1
+	rp, err := PreparePlanCtx(context.Background(), tb, iid, seed, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, vectors.Factory) error
+		want []string
+	}{
+		{"selected", func(ctx context.Context, f vectors.Factory) error {
+			_, err := EstimateParallelCtx(ctx, tb, f, seed, opts)
+			return err
+		}, []string{"select-interval", "plan-resolve", "shard"}},
+		{"resume", func(ctx context.Context, f vectors.Factory) error {
+			_, err := EstimateParallelResumeCtx(ctx, tb, f, seed, opts, rp)
+			return err
+		}, []string{"shard"}},
+	} {
+		tr := obs.NewTrace()
+		phases := func() []string {
+			var out []string
+			for _, sp := range tr.Spans() {
+				switch sp.Name {
+				case "select-interval", "plan-resolve", "shard":
+					out = append(out, sp.Name)
+				}
+			}
+			return out
+		}
+		factory := func(s int64) vectors.Source {
+			if s != seed+1 {
+				return iid(s)
+			}
+			return &hookSource{Source: iid(s), hook: func(n int) {
+				if n != built {
+					return
+				}
+				deadline := time.Now().Add(30 * time.Second) // a hang guard
+				for !slices.Contains(phases(), "shard") {
+					if time.Now().After(deadline) {
+						t.Errorf("%s: no shard event while the warm-up ran", tc.name)
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}}
+		}
+		if err := tc.run(obs.ContextWithTrace(context.Background(), tr), factory); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := phases(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: trace phases %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's id, read from the header
+// of its stack trace.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestFactoryCalledOnCallerGoroutine: the parallel estimators call the
+// source factory only on the caller's goroutine, even though the tail
+// warms up on another, so a factory need not be safe for concurrent
+// use. Covered: selected and fixed intervals, a resume, the
+// control-variate pre-run and antithetic mirroring, at one and two pool
+// goroutines.
+func TestFactoryCalledOnCallerGoroutine(t *testing.T) {
+	c := bench89.MustGet("s298")
+	tb := DefaultTestbench(c)
+	iid := vectors.IIDFactory(len(c.Inputs), 0.5)
+	caller := goroutineID()
+	var calls int
+	factory := func(s int64) vectors.Source {
+		calls++
+		if id := goroutineID(); id != caller {
+			t.Errorf("factory(%d) called on goroutine %s, the caller is %s", s, id, caller)
+		}
+		return iid(s)
+	}
+	for _, variance := range vr.Modes() {
+		for _, pool := range []int{1, 2} {
+			opts := DefaultOptions()
+			opts.Replications = 16
+			opts.Variance.Mode = variance
+			opts.pool = pool
+			ctx := context.Background()
+			if _, err := EstimateParallelCtx(ctx, tb, factory, 3, opts); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := EstimateParallelWithIntervalCtx(ctx, tb, factory, 3, opts, 2); err != nil {
+				t.Fatal(err)
+			}
+			rp, err := PreparePlanCtx(ctx, tb, factory, 3, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := EstimateParallelResumeCtx(ctx, tb, factory, 3, opts, rp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if calls == 0 {
+		t.Fatal("the factory was never called")
 	}
 }

@@ -193,3 +193,33 @@ func TestControlMeanMatchesPacked(t *testing.T) {
 		}
 	}
 }
+
+// TestControlMeanStopsOnCancel: a job cancelled or drained during plan
+// resolution stops the covariate-mean pre-run at the next chunk
+// boundary instead of running all of its cycles. The cycles the pre-run
+// reports are the judge, not the wall clock.
+func TestControlMeanStopsOnCancel(t *testing.T) {
+	c := bench89.MustGet("s298")
+	tb := DefaultTestbench(c)
+	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
+	opts := DefaultOptions()
+	opts.WarmupCycles = warmChunk + warmChunk/2
+	opts.Variance = vr.Spec{Mode: vr.ModeControlVariate, ControlCycles: 4 * warmChunk}
+	lanes := uint64(sim.MaxLanes)
+	_, cost, err := controlMean(context.Background(), tb, factory, 1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lanes * uint64(opts.WarmupCycles+opts.Variance.ControlCycles); cost.Hidden != want {
+		t.Fatalf("uncancelled pre-run ran %d lane cycles, want %d", cost.Hidden, want)
+	}
+	for polls, cycles := range map[int]int{0: 0, 1: warmChunk, 2: opts.WarmupCycles, 3: opts.WarmupCycles + warmChunk} {
+		_, cost, err := controlMean(&pollBudget{Context: context.Background(), polls: polls}, tb, factory, 1, opts)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d polls: error %v, want context.Canceled", polls, err)
+		}
+		if want := lanes * uint64(cycles); cost.Hidden != want {
+			t.Fatalf("pre-run cancelled after %d polls ran %d lane cycles, want %d", polls, cost.Hidden, want)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/vectors"
@@ -22,6 +21,12 @@ import (
 // ResumePoint with the same seeds reproduces the interrupted run's
 // samples bit for bit, so a resumed job's Result equals the Result the
 // uninterrupted run would have produced.
+//
+// The uninterrupted run is not literally prepare-then-resume: the
+// tail's warm-up from reset depends only on the seed and the options,
+// so estimateParallel runs it beside phase 1 on a goroutine of its own
+// and joins it before the first block. The overlap moves no bit of the
+// Result, and the resumed run still equals the uninterrupted one.
 
 // ResumePoint is the frozen outcome of the pre-sampling phases of an
 // EstimateParallel-shaped run: the selected (or fixed) independence
@@ -115,33 +120,13 @@ func EstimateParallelResume(tb *Testbench, src vectors.Factory, baseSeed int64, 
 
 // EstimateParallelResumeCtx runs the sampling/stopping phase at rp's
 // interval under rp's plan, restoring rp's cycle counters into the
-// Result. PreparePlanCtx followed by EstimateParallelResumeCtx is
-// exactly EstimateParallelCtx — the pair is how a durable job store
-// resumes an interrupted run without repeating interval selection or
-// plan calibration, and determinism guarantees the resumed Result is
-// bit-identical to the uninterrupted one.
+// Result: it builds the run, warms it and samples it, on the one
+// sampling path EstimateParallelCtx takes. PreparePlanCtx followed by
+// EstimateParallelResumeCtx is exactly EstimateParallelCtx — the pair
+// is how a durable job store resumes an interrupted run without
+// repeating interval selection or plan calibration, and determinism
+// guarantees the resumed Result is bit-identical to the uninterrupted
+// one.
 func EstimateParallelResumeCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, rp ResumePoint) (Result, error) {
-	start := time.Now()
-	t, err := NewTail(tb, opts, rp)
-	if err != nil {
-		return Result{}, err
-	}
-	reps := t.Reps()
-	run, err := newReplicationRun(tb, src, baseSeed, opts, rp.Plan, rp.Interval, 0, reps, t.Rounds())
-	if err != nil {
-		return Result{}, err
-	}
-	obs.TraceFrom(ctx).Event("shard",
-		"shards", strconv.Itoa(len(run.shards)),
-		"workers", strconv.Itoa(run.pool),
-		"replications", strconv.Itoa(reps),
-		"interval", strconv.Itoa(rp.Interval))
-	run.warm(ctx, 0)
-	// The producer runs in lockstep with the merge loop, so it simulates
-	// exactly the rounds the merger consumes.
-	res, err := t.Run(ctx, []int{reps}, func(b, n int) ([]ReplicationBlock, error) {
-		return []ReplicationBlock{run.block(b, n, n)}, nil
-	})
-	res.Elapsed = time.Since(start)
-	return res, err
+	return estimateParallel(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) { return rp, nil })
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench89"
@@ -325,7 +326,9 @@ func TestAntitheticZeroDelayMode(t *testing.T) {
 
 // TestControlVariateRejectsZeroDelayTable: an all-zero delay table
 // makes the covariate identical to the sample; resolution refuses the
-// degenerate setup.
+// degenerate setup. A control-variate plan that did not come from
+// resolution (a crafted checkpoint or worker request) is refused too:
+// the run's word-parallel shards have no engine for the covariate.
 func TestControlVariateRejectsZeroDelayTable(t *testing.T) {
 	c := bench89.MustGet("s27")
 	tb := NewTestbench(c, delay.Zero{}, power.DefaultCapModel(), power.DefaultSupply())
@@ -335,5 +338,14 @@ func TestControlVariateRejectsZeroDelayTable(t *testing.T) {
 	opts.Variance.Mode = vr.ModeControlVariate
 	if _, err := EstimateParallelWithInterval(tb, factory, 1, opts, 2); err == nil {
 		t.Error("control variates accepted over an all-zero delay table")
+	}
+	plan := vr.Plan{Mode: vr.ModeControlVariate, Beta: 0.5}
+	if _, err := EstimateParallelResume(tb, factory, 1, opts, ResumePoint{Interval: 2, Plan: plan}); err == nil {
+		t.Error("a resume point's control-variate plan accepted over an all-zero delay table")
+	}
+	err := StreamReplications(context.Background(), tb, factory, 1, opts, plan, 2, 0, 16, 1, 0, 1, 0,
+		func(ReplicationBlock) error { return nil })
+	if err == nil {
+		t.Error("a streamed control-variate plan accepted over an all-zero delay table")
 	}
 }

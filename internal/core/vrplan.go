@@ -96,7 +96,10 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 			plan.Beta = vr.EstimateBeta(xs, cs)
 		}
 		if plan.Beta != 0 {
-			mean, c := controlMean(tb, src, baseSeed, opts)
+			mean, c, err := controlMean(ctx, tb, src, baseSeed, opts)
+			if err != nil {
+				return vr.Plan{}, nil, CalCost{}, err
+			}
 			plan.ControlMean = mean
 			cost.Hidden += c.Hidden
 			cost.Sampled += c.Sampled
@@ -125,8 +128,9 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 // over dedicated seeds. Lane powers are bit-identical to the packed
 // interpreter's and are summed in lane order. The run costs hidden-cycle
 // rates (one Full pass plus a diff pass per cycle) and is tallied
-// entirely as hidden cycles.
-func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (float64, CalCost) {
+// entirely as hidden cycles. It polls ctx before every warmChunk cycles
+// and, once ctx ends, returns its error with the cycles run so far.
+func controlMean(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (float64, CalCost, error) {
 	cycles := opts.Variance.ControlCycles
 	if cycles == 0 {
 		cycles = vr.DefaultControlCycles
@@ -136,29 +140,42 @@ func controlMean(tb *Testbench, src vectors.Factory, baseSeed int64, opts Option
 		srcs[k] = src(baseSeed + controlSeedOffset + int64(k))
 	}
 	ps := sim.NewLaneSession(sim.BackendCompiled, tb.Circuit, srcs)
-	ps.StepHiddenN(opts.WarmupCycles)
+	cost := func() CalCost {
+		hidden, sampled := ps.CycleCounts()
+		return CalCost{Hidden: hidden + sampled}
+	}
+	for left := opts.WarmupCycles; left > 0; left -= warmChunk {
+		if err := ctx.Err(); err != nil {
+			return 0, cost(), err
+		}
+		ps.StepHiddenN(min(left, warmChunk))
+	}
 	weights := tb.Weights()
 	powers := make([]float64, sim.MaxLanes)
 	var sum float64
 	for i := 0; i < cycles; i++ {
+		if i%warmChunk == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, cost(), err
+			}
+		}
 		ps.StepSampled(weights, powers)
 		for _, p := range powers {
 			sum += p
 		}
 	}
-	hidden, sampled := ps.CycleCounts()
-	return sum / float64(cycles*sim.MaxLanes), CalCost{Hidden: hidden + sampled}
+	return sum / float64(cycles*sim.MaxLanes), cost(), nil
 }
 
-// replicationSource builds replication r's input source under a plan:
-// the fixed seeding factory(baseSeed+1+r), except that antithetic
-// pairing gives every odd replication the mirrored twin of its even
-// partner's source. The mapping depends only on the global replication
-// index, so any partition of the replication space — goroutine shards,
-// worker processes, a reassignment after a worker death — reproduces
-// the same per-replication streams.
-func replicationSource(src vectors.Factory, baseSeed int64, r int, plan vr.Plan) (vectors.Source, error) {
-	if plan.Pairing() && r%2 == 1 {
+// replicationSource builds replication r's input source: the fixed
+// seeding factory(baseSeed+1+r), except that antithetic pairing gives
+// every odd replication the mirrored twin of its even partner's source.
+// The mapping depends only on the global replication index, so any
+// partition of the replication space — goroutine shards, worker
+// processes, a reassignment after a worker death — reproduces the same
+// per-replication streams.
+func replicationSource(src vectors.Factory, baseSeed int64, r int, pairing bool) (vectors.Source, error) {
+	if pairing && r%2 == 1 {
 		return vectors.Antithetic(src(baseSeed + int64(r))) // the r-1 partner's seed
 	}
 	return src(baseSeed + 1 + int64(r)), nil

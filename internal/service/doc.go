@@ -21,8 +21,10 @@
 //     The manager is each job's one front end: it resolves the job's
 //     testbench and provenance from one registry entry, keys the result
 //     cache by that provenance, runs the pre-sampling phases
-//     (core.PreparePlanCtx) and journals their checkpoint, and only then
-//     hands the job to a dispatcher.
+//     (core.PreparePlanCtx) and journals their checkpoint with that
+//     provenance, and only then hands the job to a dispatcher. A job
+//     resumed from its checkpoint after a restart runs on the journaled
+//     provenance, whatever its name resolves to by then.
 //
 //   - HTTP API (handlers.go, server.go): submit/poll/wait/cancel job
 //     endpoints, a batch endpoint that fans a list of jobs across the

@@ -384,6 +384,10 @@ type job struct {
 	// ckpt is the frozen pre-sampling outcome: set by run once the plan
 	// freezes, or restored from the journal for a resumed job.
 	ckpt *Checkpoint
+	// src is the journaled provenance of the circuit a restored
+	// checkpoint was prepared on (nil otherwise). It is set before the
+	// pool starts and never changes.
+	src *CircuitSource
 	// cacheKey addresses the job's slot in the result cache ("" when the
 	// circuit provenance could not be resolved at submit time). run
 	// re-keys it by the provenance the job actually runs on.
@@ -535,7 +539,9 @@ func (m *Manager) restore(restored []RestoredJob) {
 		// Spans journaled before the restart splice in ahead of anything
 		// the resumed run records, keeping one monotonic lifecycle.
 		j.trace.Import(r.Spans)
-		if src, err := m.reg.Source(r.Req.Circuit); err == nil {
+		if r.Source != nil {
+			j.cacheKey = resultKey(*r.Source, r.Req)
+		} else if src, err := m.reg.Source(r.Req.Circuit); err == nil {
 			j.cacheKey = resultKey(src, r.Req)
 		}
 		if j.state.Terminal() {
@@ -545,7 +551,7 @@ func (m *Manager) restore(restored []RestoredJob) {
 			}
 		} else {
 			j.state = StateQueued
-			j.ckpt = r.Checkpoint
+			j.ckpt, j.src = r.Checkpoint, r.Source
 			j.trace.Event("restore")
 			m.queue <- j // capacity >= len(restored) by construction
 			m.log.Info("job resumed from journal", "job", j.id, "circuit", j.req.Circuit)
@@ -848,7 +854,7 @@ func (m *Manager) run(j *job) {
 	m.log.Debug("job running", "job", j.id, "circuit", j.req.Circuit)
 	ctx = obs.ContextWithTrace(ctx, j.trace)
 
-	tb, src, err := m.reg.Resolve(j.req.Circuit)
+	tb, src, err := m.resolve(j)
 	if err != nil {
 		m.finish(j, StateFailed, nil, err.Error())
 		return
@@ -876,7 +882,7 @@ func (m *Manager) run(j *job) {
 		}
 	}
 	var res core.Result
-	rp, err := m.prepare(ctx, j, tb)
+	rp, err := m.prepare(ctx, j, tb, src)
 	if err == nil {
 		res, err = m.dispatch.Sample(ctx, tb, src, j.req, rp, progress)
 		// Elapsed covers the pre-sampling phases too; a resumed job
@@ -893,12 +899,28 @@ func (m *Manager) run(j *job) {
 	}
 }
 
+// resolve returns the testbench and provenance a job runs on: for a job
+// resumed from a checkpoint that journaled its circuit, that circuit,
+// rebuilt from its provenance when the name no longer resolves to it
+// (uploads live in memory only, and the name may have been re-uploaded
+// with other text since); otherwise whatever the job's circuit name
+// resolves to now.
+func (m *Manager) resolve(j *job) (*core.Testbench, CircuitSource, error) {
+	tb, src, err := m.reg.Resolve(j.req.Circuit)
+	if j.src == nil || (err == nil && src == *j.src) {
+		return tb, src, err
+	}
+	tb, err = j.src.Testbench()
+	return tb, *j.src, err
+}
+
 // prepare returns the job's frozen pre-sampling outcome: the journaled
 // checkpoint of a resumed job, or else the outcome of running the
 // pre-sampling phases (warm-up, interval selection and plan resolution)
-// on the job's traced context, journaled before any sample is drawn so
-// a restart resumes from it instead of repeating them.
-func (m *Manager) prepare(ctx context.Context, j *job, tb *core.Testbench) (Checkpoint, error) {
+// on the job's traced context, journaled with the provenance of the
+// circuit src they ran on before any sample is drawn, so a restart
+// resumes from it on that circuit instead of repeating them.
+func (m *Manager) prepare(ctx context.Context, j *job, tb *core.Testbench, src CircuitSource) (Checkpoint, error) {
 	m.mu.Lock()
 	ckpt := j.ckpt
 	m.mu.Unlock()
@@ -919,7 +941,7 @@ func (m *Manager) prepare(ctx context.Context, j *job, tb *core.Testbench) (Chec
 	if m.store != nil {
 		// The spans so far ride along so a restart resumes the
 		// lifecycle trace, not just the sampling phase.
-		m.store.checkpoint(j.id, rp, j.trace.Spans())
+		m.store.checkpoint(j.id, rp, src, j.trace.Spans())
 	}
 	return rp, nil
 }

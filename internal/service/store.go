@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -44,11 +45,15 @@ type storeRecord struct {
 	ID   string `json:"id"`
 	// Req accompanies "submit".
 	Req *JobRequest `json:"req,omitempty"`
-	// Checkpoint accompanies "checkpoint"; Spans carries the job's
-	// lifecycle trace up to the checkpoint, so a restarted server can
-	// splice the pre-restart spans ahead of the resumed run's.
-	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
-	Spans      []obs.Span  `json:"spans,omitempty"`
+	// Checkpoint accompanies "checkpoint"; Source is the provenance of
+	// the circuit it was prepared on, so a restarted server resumes on
+	// that circuit even if the name is gone or names other text; Spans
+	// carries the job's lifecycle trace up to the checkpoint, so a
+	// restarted server can splice the pre-restart spans ahead of the
+	// resumed run's.
+	Checkpoint *Checkpoint    `json:"checkpoint,omitempty"`
+	Source     *CircuitSource `json:"source,omitempty"`
+	Spans      []obs.Span     `json:"spans,omitempty"`
 	// Progress accompanies "progress" (throttled merged-round snapshots).
 	Progress *ProgressView `json:"progress,omitempty"`
 	// State, Result and Error accompany "state" (terminal states only).
@@ -64,6 +69,10 @@ type RestoredJob struct {
 	// Checkpoint is the frozen pre-sampling outcome, if the job got that
 	// far before the interruption.
 	Checkpoint *Checkpoint
+	// Source is the provenance of the circuit the checkpoint was
+	// prepared on (nil without a checkpoint, and in journals written
+	// before checkpoints recorded it).
+	Source *CircuitSource
 	// Spans is the lifecycle trace journaled with the checkpoint.
 	Spans []obs.Span
 	// Progress is the last journaled merged-round snapshot; surfaced as
@@ -104,21 +113,29 @@ type JobStore struct {
 }
 
 // OpenJobStore opens (creating if needed) the job journal under dir,
-// replaying any existing records first. A trailing line truncated by a
-// crash mid-write is tolerated and dropped; anything before it replays
-// normally.
+// replaying any existing records first. A line torn by a crash
+// mid-append is skipped, and a torn final line is ended before anything
+// is appended, so the records that follow it replay normally.
 func OpenJobStore(dir string) (*JobStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: state dir: %w", err)
 	}
 	path := filepath.Join(dir, "jobs.jsonl")
-	restored, err := replayJournal(path)
+	restored, torn, err := replayJournal(path)
 	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("service: job journal: %w", err)
+	}
+	if torn {
+		// Without its newline the torn line would swallow the next
+		// record into one malformed line.
+		if _, err := f.WriteString("\n"); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("service: job journal: %w", err)
+		}
 	}
 	resumed := 0
 	for _, r := range restored {
@@ -136,38 +153,51 @@ func OpenJobStore(dir string) (*JobStore, error) {
 }
 
 // replayJournal folds the journal into per-job restored records,
-// preserving submission order.
-func replayJournal(path string) ([]RestoredJob, error) {
+// preserving submission order, and reports whether its final line is
+// torn (not ended by a newline).
+func replayJournal(path string) (restored []RestoredJob, torn bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, false, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("service: job journal: %w", err)
+		return nil, false, fmt.Errorf("service: job journal: %w", err)
 	}
 	defer f.Close()
 
 	jobs := make(map[string]*RestoredJob)
 	var order []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), maxBodyBytes)
-	for sc.Scan() {
+	// Lines are read whole, however long: a checkpoint line carries the
+	// text of an uploaded netlist, which JSON escaping can make several
+	// times longer than the upload's request body.
+	rd := bufio.NewReader(f)
+	for !torn {
+		line, err := rd.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return nil, false, fmt.Errorf("service: job journal: %w", err)
+		}
+		if err == io.EOF {
+			if len(line) == 0 {
+				break
+			}
+			torn = true
+		}
 		var rec storeRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			// A crash can truncate the final append; everything after the
-			// first malformed line is untrusted, so stop folding there.
-			break
+		if json.Unmarshal(line, &rec) != nil {
+			// A crash tore this append; the records around it are whole,
+			// so skip just this line.
+			continue
 		}
 		switch rec.Kind {
 		case "submit":
-			if rec.Req == nil || jobs[rec.ID] != nil {
-				continue
+			if rec.Req != nil && jobs[rec.ID] == nil {
+				jobs[rec.ID] = &RestoredJob{ID: rec.ID, Req: *rec.Req, State: StateQueued}
+				order = append(order, rec.ID)
 			}
-			jobs[rec.ID] = &RestoredJob{ID: rec.ID, Req: *rec.Req, State: StateQueued}
-			order = append(order, rec.ID)
 		case "checkpoint":
 			if j := jobs[rec.ID]; j != nil && rec.Checkpoint != nil {
 				j.Checkpoint = rec.Checkpoint
+				j.Source = rec.Source
 				j.Spans = rec.Spans
 			}
 		case "progress":
@@ -180,11 +210,11 @@ func replayJournal(path string) ([]RestoredJob, error) {
 			}
 		}
 	}
-	out := make([]RestoredJob, 0, len(order))
+	restored = make([]RestoredJob, 0, len(order))
 	for _, id := range order {
-		out = append(out, *jobs[id])
+		restored = append(restored, *jobs[id])
 	}
-	return out, nil
+	return restored, torn, nil
 }
 
 // Restored returns the jobs folded out of the journal at open, in
@@ -218,8 +248,8 @@ func (s *JobStore) submit(id string, req JobRequest) {
 	s.append(storeRecord{Kind: "submit", ID: id, Req: &req}, true)
 }
 
-func (s *JobStore) checkpoint(id string, c Checkpoint, spans []obs.Span) {
-	s.append(storeRecord{Kind: "checkpoint", ID: id, Checkpoint: &c, Spans: spans}, true)
+func (s *JobStore) checkpoint(id string, c Checkpoint, src CircuitSource, spans []obs.Span) {
+	s.append(storeRecord{Kind: "checkpoint", ID: id, Checkpoint: &c, Source: &src, Spans: spans}, true)
 }
 
 func (s *JobStore) progress(id string, p ProgressView) {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -153,6 +154,171 @@ func TestServerRestartResumesInterruptedJob(t *testing.T) {
 	sameResultView(t, v2.Result, want, "cached after restart")
 }
 
+// TestRestartResumesOnJournaledCircuit: a job drained mid-sampling on
+// an uploaded circuit resumes on the text its phase 1 ran on, which the
+// checkpoint journals — after a restart whose registry never saw the
+// upload (uploads live in memory only), and after one where the name
+// was first re-uploaded with other text. Either way the job ends done,
+// bit-identical to an uninterrupted run on the original text.
+func TestRestartResumesOnJournaledCircuit(t *testing.T) {
+	req := JobRequest{Circuit: "toy", Seed: 5, Options: OptionsSpec{Replications: 16}}
+	upload := func(reg *Registry, text string) {
+		t.Helper()
+		if _, err := reg.Upload("toy", "bench", text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refReg := NewRegistry(0)
+	upload(refReg, toyA)
+	ref := NewManager(refReg, nil, 1, 0, nil)
+	refID, err := ref.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refView, err := ref.Wait(context.Background(), refID)
+	ref.Close()
+	if err != nil || refView.State != StateDone {
+		t.Fatalf("reference run: state %v err %v (%s)", refView.State, err, refView.Error)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		reupload string // text "toy" names at the restart ("" = unknown)
+	}{
+		{"restart without the upload", ""},
+		{"restart after a re-upload with other text", toyB},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			reg := NewRegistry(0)
+			upload(reg, toyA)
+			store1, err := OpenJobStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := newStallDispatcher()
+			m1 := NewManager(reg, d, 1, 0, store1)
+			id, err := m1.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-d.running:
+			case <-time.After(30 * time.Second):
+				t.Fatal("job never started sampling")
+			}
+			m1.Close()
+
+			reg2 := NewRegistry(0)
+			if tc.reupload != "" {
+				upload(reg2, tc.reupload)
+			}
+			store2, err := OpenJobStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2 := NewManager(reg2, nil, 1, 0, store2)
+			got, err := m2.Wait(context.Background(), id)
+			m2.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.State != StateDone {
+				t.Fatalf("resumed job %s (%s)", got.State, got.Error)
+			}
+			sameResultView(t, got.Result, refView.Result, "resumed job")
+		})
+	}
+}
+
+// TestRestartReplaysLongCheckpointLine: a checkpoint line is as long as
+// the upload it journals after JSON escaping, which writes each '<' of a
+// netlist comment as six bytes, so an upload of 6 MiB of comments
+// (under the 8 MiB request limit) makes a line of about 36 MiB. The replay reads it whole and
+// folds every record after it: a queued job's submit and a cancelled
+// job's terminal state. The long line's job resumes on its journaled
+// text and ends bit-identical to an uninterrupted run.
+func TestRestartReplaysLongCheckpointLine(t *testing.T) {
+	text := toyA + strings.Repeat("# "+strings.Repeat("<", 1022)+"\n", 6<<10)
+	req := JobRequest{Circuit: "toy", Seed: 5, Options: OptionsSpec{Replications: 16}}
+	later := JobRequest{Circuit: "s27", Seed: 7, Options: OptionsSpec{Replications: 16}}
+
+	refReg := NewRegistry(0)
+	if _, err := refReg.Upload("toy", "bench", text); err != nil {
+		t.Fatal(err)
+	}
+	ref := NewManager(refReg, nil, 1, 0, nil)
+	refID, err := ref.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refView, err := ref.Wait(context.Background(), refID)
+	ref.Close()
+	if err != nil || refView.State != StateDone {
+		t.Fatalf("reference run: state %v err %v (%s)", refView.State, err, refView.Error)
+	}
+
+	dir := t.TempDir()
+	reg := NewRegistry(0)
+	if _, err := reg.Upload("toy", "bench", text); err != nil {
+		t.Fatal(err)
+	}
+	store1, err := OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := newStallDispatcher()
+	m1 := NewManager(reg, d, 1, 0, store1)
+	id, err := m1.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.running: // the long checkpoint line is journaled
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never started sampling")
+	}
+	queued, err := m1.Submit(later)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, err := m1.Submit(JobRequest{Circuit: "s27", Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := m1.Cancel(cancelled); v.State != StateCancelled {
+		t.Fatalf("queued job cancelled into state %s", v.State)
+	}
+	m1.Close()
+
+	store2, err := OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := store2.Restored()
+	if len(restored) != 3 {
+		store2.Close()
+		t.Fatalf("restored %d jobs, want 3", len(restored))
+	}
+	if r := restored[0]; r.Checkpoint == nil || r.Source == nil || r.Source.Text != text {
+		store2.Close()
+		t.Fatalf("long checkpoint line restored without its checkpoint or text")
+	}
+	if r := restored[2]; r.ID != cancelled || r.State != StateCancelled {
+		t.Errorf("cancelled job restored as %s in state %s", r.ID, r.State)
+	}
+	m2 := NewManager(NewRegistry(0), nil, 1, 0, store2)
+	defer m2.Close()
+	got, err := m2.Wait(context.Background(), id)
+	if err != nil || got.State != StateDone {
+		t.Fatalf("resumed job: state %v err %v (%s)", got.State, err, got.Error)
+	}
+	sameResultView(t, got.Result, refView.Result, "resumed job")
+	if v, err := m2.Wait(context.Background(), queued); err != nil || v.State != StateDone {
+		t.Errorf("job queued after the long line: state %v err %v (%s)", v.State, err, v.Error)
+	}
+}
+
 // TestResumedJobTraceSplicesPreRestartSpans: a job resumed from the
 // journal keeps its pre-restart lifecycle — the spans journaled with
 // the checkpoint are spliced ahead of the "restore" marker, and the
@@ -261,6 +427,43 @@ func TestJournalTruncatedTailTolerated(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornTail: the records a restarted server
+// appends after a torn final line replay at the next restart, and so
+// does a whole record that follows a torn line.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.jsonl")
+	journal := `{"kind":"submit","id":"job-000001","req":{"circuit":"s298","seed":1}}` + "\n" +
+		`{"kind":"state","id":"job-0000` // torn mid-write
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.submit("job-000002", JobRequest{Circuit: "s27", Seed: 2})
+	store.terminal("job-000001", StateCancelled, nil, "cancelled before start")
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store, err = OpenJobStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	restored := store.Restored()
+	if len(restored) != 2 {
+		t.Fatalf("restored %d jobs, want 2", len(restored))
+	}
+	if r := restored[0]; r.ID != "job-000001" || r.State != StateCancelled {
+		t.Errorf("first job restored as %s in state %s, want job-000001 cancelled", r.ID, r.State)
+	}
+	if r := restored[1]; r.ID != "job-000002" || r.State != StateQueued || r.Req.Circuit != "s27" {
+		t.Errorf("second job restored as %+v, want job-000002 queued on s27", r)
+	}
+}
+
 // TestJournalWithRemovedFieldsRestores: a journal written when requests
 // and results still carried a backend and the compiled-session tuning
 // options replays. The journal decoder ignores fields it no longer
@@ -294,7 +497,8 @@ func TestJournalWithRemovedFieldsRestores(t *testing.T) {
 // resume point exactly, including the float64 seed sequence (JSON's
 // shortest round-trip rendering is lossless), and a checkpoint line in
 // the journal format of earlier releases (cycle counters under
-// hiddenCycles/sampledCycles) restores to the same resume point.
+// hiddenCycles/sampledCycles, no circuit source) restores to the same
+// resume point, to be resumed on the circuit its name resolves to.
 func TestCheckpointRoundTrip(t *testing.T) {
 	rp := core.ResumePoint{
 		Interval: 7,
@@ -334,6 +538,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if rec.Checkpoint == nil {
 		t.Fatal("journal line decoded without its checkpoint")
 	}
+	if rec.Source != nil {
+		t.Errorf("a checkpoint line without a source decoded with source %+v", *rec.Source)
+	}
 	if got := core.ResumePoint(*rec.Checkpoint); !reflect.DeepEqual(got, want) {
 		t.Errorf("journaled checkpoint restored as\n got %+v\nwant %+v", got, want)
 	}
@@ -355,7 +562,7 @@ type endingDispatcher struct {
 func (d *endingDispatcher) Name() string { return d.inner.Name() }
 func (d *endingDispatcher) Ready() error { return d.inner.Ready() }
 func (d *endingDispatcher) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
-	restored, err := replayJournal(d.journal)
+	restored, _, err := replayJournal(d.journal)
 	if err != nil {
 		return core.Result{}, err
 	}

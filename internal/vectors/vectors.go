@@ -273,6 +273,12 @@ func (t *Trace) Len() int { return len(t.patterns) }
 // procedures that perform many independent runs (Table 2) require fresh
 // randomness per run while staying reproducible; a Factory captures the
 // source configuration and defers seeding.
+//
+// The parallel estimators call a Factory only on their caller's
+// goroutine, but step the Sources it returns on several goroutines at
+// once, each Source on one goroutine at a time: replication shards run
+// in parallel, and the replications warm up while phase 1 runs. So
+// Sources from one Factory must not share mutable state.
 type Factory func(seed int64) Source
 
 // IIDFactory returns a Factory of i.i.d. Bernoulli(p) sources, the

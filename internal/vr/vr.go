@@ -147,10 +147,6 @@ func (p Plan) NeedsCovariate() bool {
 	return p.Mode.Canonical() == ModeControlVariate && p.Beta != 0
 }
 
-// Pairing reports whether the merge layer must average replication
-// pairs before feeding the stopping criterion.
-func (p Plan) Pairing() bool { return p.Mode.Canonical() == ModeAntithetic }
-
 // Validate rejects plans no estimator could run.
 func (p Plan) Validate() error { return p.Mode.Validate() }
 

@@ -77,9 +77,6 @@ func TestPlanApplyDegeneracy(t *testing.T) {
 	if !(Plan{Mode: ModeControlVariate, Beta: 0.5}).NeedsCovariate() {
 		t.Error("live control-variate plan claims no covariate")
 	}
-	if !anti.Pairing() || cv0.Pairing() {
-		t.Error("Pairing mode detection broken")
-	}
 }
 
 // TestPlanApplyCentred: the correction vanishes in expectation — with
