@@ -54,7 +54,7 @@ func TestWorkerServesHealthAndRejectsUnknownCircuit(t *testing.T) {
 	}
 	// A run for a hash the worker never saw is a 404 — the trigger for
 	// coordinator-side circuit propagation.
-	body := `{"hash":"deadbeef","seed":1,"interval":1,"repLo":0,"repHi":8,"rounds":1}`
+	body := `{"hash":"deadbeef","seed":1,"interval":1,"repLo":0,"repHi":8}`
 	resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/vr"
 )
 
 // CoordinatorConfig configures the cluster dispatcher. The zero value
@@ -385,11 +384,10 @@ type rangeMsg struct {
 	err   error
 }
 
-// repRange is one contiguous replication range and its stream channel.
+// repRange is one contiguous replication range's delivery channel.
 type repRange struct {
-	idx    int // position in the job's range list (scheduler penalty key)
-	lo, hi int
-	ch     chan rangeMsg
+	idx int // position in the job's range list (scheduler penalty key)
+	ch  chan rangeMsg
 }
 
 // Sample implements service.Dispatcher: the sampling phase sharded
@@ -410,7 +408,7 @@ func (c *Coordinator) Sample(ctx context.Context, tb *core.Testbench, src servic
 	if err != nil {
 		return core.Result{}, err
 	}
-	reps, rounds := t.Reps(), t.Rounds()
+	reps := t.Reps()
 	hash := service.HashSource(src)
 
 	alive := c.aliveWorkers()
@@ -447,27 +445,29 @@ func (c *Coordinator) Sample(ctx context.Context, tb *core.Testbench, src servic
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel() // stops every worker stream once stopping is decided
 	for i, b := range bounds {
-		rg := &repRange{idx: i, lo: b[0], hi: b[1], ch: make(chan rangeMsg, 16)}
+		rg := &repRange{idx: i, ch: make(chan rangeMsg, 16)}
 		ranges[i] = rg
 		lanes[i] = b[1] - b[0]
-		go c.runLeasedRange(sctx, js, hash, src, req, rp.Plan, rp.Interval, rounds, core.MaxBlocks(opts), t.BudgetRounds(), rg)
+		run := &RunRequest{Hash: hash, Source: req.Source, Seed: req.Seed, Options: req.Options, Stream: t.Stream(b[0], b[1])}
+		go c.runLeasedRange(sctx, js, src, run, rg)
 	}
 
 	blocks := make([]core.ReplicationBlock, k)
 	return t.Run(ctx, lanes, func(b, _ int) ([]core.ReplicationBlock, error) {
 		// Barrier: block b from every range, in replication order.
 		for i, rg := range ranges {
+			lo, hi := bounds[i][0], bounds[i][1]
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			case msg, ok := <-rg.ch:
 				switch {
 				case !ok:
-					return nil, fmt.Errorf("cluster: range [%d,%d) stream ended before block %d", rg.lo, rg.hi, b)
+					return nil, fmt.Errorf("cluster: range [%d,%d) stream ended before block %d", lo, hi, b)
 				case msg.err != nil:
-					return nil, fmt.Errorf("cluster: range [%d,%d): %w", rg.lo, rg.hi, msg.err)
+					return nil, fmt.Errorf("cluster: range [%d,%d): %w", lo, hi, msg.err)
 				case msg.block.Index != b:
-					return nil, fmt.Errorf("cluster: range [%d,%d) delivered block %d, want %d", rg.lo, rg.hi, msg.block.Index, b)
+					return nil, fmt.Errorf("cluster: range [%d,%d) delivered block %d, want %d", lo, hi, msg.block.Index, b)
 				}
 				blocks[i] = msg.block
 			}
@@ -485,47 +485,34 @@ var errUnknownCircuit = errors.New("cluster: worker misses circuit")
 // dead or burning retry budget across a healthy fleet.
 var errPermanent = errors.New("cluster: request rejected")
 
-// streamRange opens one /v1/run stream under a block lease and
-// forwards its blocks, starting at *delivered and bumping it per
-// delivered block. A nil return means the stream completed (maxBlocks
-// reached); errLeaseExpired means the lease watchdog reclaimed the
-// stream (next block overdue while another worker was free); any error
-// leaves *delivered at the resume point for the next attempt.
-func (c *Coordinator) streamRange(ctx context.Context, js *jobScheduler, worker, hash string, req service.JobRequest, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, delivered *int, rg *repRange) error {
-	if *delivered >= maxBlocks {
-		return nil
-	}
+// streamRange opens one /v1/run stream of run under a block lease and
+// forwards its blocks, starting at run.SkipBlocks and bumping it per
+// delivered block. A nil return means the stream completed (the job's
+// block budget, core.MaxBlocks, reached); errLeaseExpired means the
+// lease watchdog reclaimed the stream (next block overdue while another
+// worker was free); any error leaves run.SkipBlocks at the resume point
+// for the next attempt.
+func (c *Coordinator) streamRange(ctx context.Context, js *jobScheduler, worker string, run *RunRequest, rg *repRange) error {
 	// The lease deadline enforces block delivery by cancelling the
 	// stream's own context; the parent ctx (merge loop) is untouched.
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	l := newBlockLease(js, worker, c.leaseTimeout, cancel)
 	defer l.stop()
-	err := c.streamBlocks(sctx, l, worker, hash, req, plan, interval, rounds, maxBlocks, budgetRounds, delivered, rg)
+	err := c.streamBlocks(sctx, l, worker, run, rg)
 	if err != nil && l.expired.Load() && ctx.Err() == nil {
-		return fmt.Errorf("%w: worker %s stalled before block %d", errLeaseExpired, worker, *delivered)
+		return fmt.Errorf("%w: worker %s stalled before block %d", errLeaseExpired, worker, run.SkipBlocks)
 	}
 	return err
 }
 
 // streamBlocks is the body of one stream attempt; ctx is the
-// lease-cancellable stream context.
-func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, hash string, req service.JobRequest, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, delivered *int, rg *repRange) error {
-	runReq := RunRequest{
-		Hash:         hash,
-		Source:       req.Source,
-		Seed:         req.Seed,
-		Options:      req.Options,
-		VR:           plan,
-		Interval:     interval,
-		RepLo:        rg.lo,
-		RepHi:        rg.hi,
-		Rounds:       rounds,
-		SkipBlocks:   *delivered,
-		MaxBlocks:    maxBlocks,
-		BudgetRounds: budgetRounds,
-	}
-	body, err := json.Marshal(runReq)
+// lease-cancellable stream context. The block cadence and budget it
+// expects are the ones the worker derives from the same options.
+func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker string, run *RunRequest, rg *repRange) error {
+	opts := run.Options.Options()
+	rounds, maxBlocks, lanes := core.BlockRounds(opts), core.MaxBlocks(opts), run.RepHi-run.RepLo
+	body, err := json.Marshal(run)
 	if err != nil {
 		return err
 	}
@@ -546,13 +533,7 @@ func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, h
 		return fmt.Errorf("%w (%s)", errUnknownCircuit, worker)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-		err := fmt.Errorf("cluster: worker %s: status %d: %s", worker, resp.StatusCode, eb.Error)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			err = fmt.Errorf("%w: %w", errPermanent, err)
-		}
-		return err
+		return responseError(resp, "worker "+worker)
 	}
 
 	c.mu.Lock()
@@ -572,18 +553,20 @@ func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, h
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		return fmt.Errorf("cluster: worker %s: bad stream header: %w", worker, err)
 	}
-	if hdr.Lanes != rg.hi-rg.lo || hdr.Rounds != rounds {
+	if hdr.Lanes != lanes || hdr.Rounds != rounds {
+		// The worker derives its cadence as the merger does; a mismatch
+		// means the two run different versions of that rule.
 		return fmt.Errorf("cluster: worker %s: header (lanes=%d rounds=%d), want (%d, %d)",
-			worker, hdr.Lanes, hdr.Rounds, rg.hi-rg.lo, rounds)
+			worker, hdr.Lanes, hdr.Rounds, lanes, rounds)
 	}
-	want := rounds * (rg.hi - rg.lo)
+	want := rounds * lanes
 	for sc.Scan() {
 		var blk core.ReplicationBlock
 		if err := json.Unmarshal(sc.Bytes(), &blk); err != nil {
 			return fmt.Errorf("cluster: worker %s: bad block: %w", worker, err)
 		}
-		if blk.Index != *delivered {
-			return fmt.Errorf("cluster: worker %s: block %d out of order (want %d)", worker, blk.Index, *delivered)
+		if blk.Index != run.SkipBlocks {
+			return fmt.Errorf("cluster: worker %s: block %d out of order (want %d)", worker, blk.Index, run.SkipBlocks)
 		}
 		if len(blk.Samples) != want {
 			return fmt.Errorf("cluster: worker %s: block %d carries %d samples, want %d", worker, blk.Index, len(blk.Samples), want)
@@ -597,9 +580,9 @@ func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, h
 		case <-ctx.Done():
 			return ctx.Err()
 		case rg.ch <- rangeMsg{block: blk}:
-			*delivered++
+			run.SkipBlocks++
 		}
-		if *delivered >= maxBlocks {
+		if run.SkipBlocks >= maxBlocks {
 			return nil
 		}
 		l.arm()
@@ -609,9 +592,22 @@ func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker, h
 		lastBlock = time.Now()
 	}
 	if err := scanErr(sc); err != nil {
-		return fmt.Errorf("cluster: worker %s: stream broke at block %d: %w", worker, *delivered, err)
+		return fmt.Errorf("cluster: worker %s: stream broke at block %d: %w", worker, run.SkipBlocks, err)
 	}
-	return fmt.Errorf("cluster: worker %s: stream ended early at block %d of %d", worker, *delivered, maxBlocks)
+	return fmt.Errorf("cluster: worker %s: stream ended early at block %d of %d", worker, run.SkipBlocks, maxBlocks)
+}
+
+// responseError reads a worker's error answer. A 4xx is errPermanent:
+// the worker refused the request itself, so the job must fail with the
+// worker's message instead of retrying it on a healthy fleet.
+func responseError(resp *http.Response, what string) error {
+	var eb errorBody
+	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
+	err := fmt.Errorf("cluster: %s: status %d: %s", what, resp.StatusCode, eb.Error)
+	if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+		err = fmt.Errorf("%w: %w", errPermanent, err)
+	}
+	return err
 }
 
 func scanErr(sc *bufio.Scanner) error {
@@ -624,6 +620,7 @@ func scanErr(sc *bufio.Scanner) error {
 // installCircuit propagates a circuit's provenance to one worker. The
 // call is bounded by its own timeout (an install is one bounded upload,
 // unlike a stream) so a black-holed worker cannot stall the retry loop.
+// A worker's 4xx refusal comes back as errPermanent (responseError).
 func (c *Coordinator) installCircuit(ctx context.Context, worker, hash string, src service.CircuitSource) error {
 	ctx, cancel := context.WithTimeout(ctx, c.leaseTimeout)
 	defer cancel()
@@ -642,9 +639,7 @@ func (c *Coordinator) installCircuit(ctx context.Context, worker, hash string, s
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
-		var eb errorBody
-		_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
-		return fmt.Errorf("cluster: install on %s: status %d: %s", worker, resp.StatusCode, eb.Error)
+		return responseError(resp, "install on "+worker)
 	}
 	io.Copy(io.Discard, resp.Body)
 	return nil

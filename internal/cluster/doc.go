@@ -11,7 +11,11 @@
 // stopping decision of the paper is made globally, on merged
 // statistics, exactly as the single-process estimator makes it.
 // A worker's stream is the single-process estimator's block producer
-// (core.StreamReplications) pushed onto the wire.
+// (core.StreamReplications) pushed onto the wire: a RunRequest is the
+// job (circuit hash, input source, seed, option spec) plus one
+// core.Stream (plan, interval, replication range, skipped blocks,
+// breakdown round budget), and the worker derives the block cadence
+// and budget from the options as the coordinator's merger does.
 //
 // Determinism is the load-bearing property. Replication r is seeded
 // baseSeed+1+r no matter which worker runs it, a replication's sample
@@ -30,16 +34,23 @@
 //	POST /v1/circuits  install a circuit by provenance {hash, source}
 //	POST /v1/run       stream one replication range's sample blocks
 //
-// /v1/run responds with newline-delimited JSON: a StreamHeader line,
-// then one core.ReplicationBlock line per round-block until MaxBlocks or
-// client disconnect. A worker refuses, with 400, a request whose range
-// or block cadence the job's own options do not allow, or whose options
-// exceed the submit bounds (RunRequest.Validate). Circuits are
+// /v1/run responds with newline-delimited JSON: a StreamHeader line
+// carrying the derived cadence, which the coordinator checks against
+// its merger's, then one core.ReplicationBlock line per round-block
+// until the job's block budget (core.MaxBlocks) or client disconnect.
+// A worker refuses, with 400, a request whose stream the job's own
+// options do not allow (core.Stream.Validate), whose options exceed the
+// submit bounds, or whose body carries a key the protocol does not
+// have (RunRequest.Validate, decodeJSON). Circuits are
 // content-addressed by provenance hash (service.HashSource); a run for
 // an unknown hash fails with 404 and the coordinator uploads the
 // provenance it was handed with the job (builtin benchmark name, or the
 // original netlist text) before retrying. Workers rebuild it with the
 // registry's own builder (service.CircuitSource.Testbench), so they hold
 // the exact frozen circuit phase 1 ran on, and no re-serialization can
-// perturb node order or float summation.
+// perturb node order or float summation. A worker accepts an install
+// body up to six times the service's upload bound, the worst growth of
+// the coordinator's re-encoding, so every accepted upload installs; a
+// worker that refuses an install (a 4xx) fails the job with its
+// message, and stays in rotation.
 package cluster

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -230,5 +232,112 @@ func TestReuploadAfterPhase1KeepsJobOnOneCircuit(t *testing.T) {
 	if got.Power != want.Power || got.HalfWidth != want.HalfWidth || got.SampleSize != want.SampleSize ||
 		got.Interval != want.Interval || got.HiddenCycles != want.HiddenCycles || got.SampledCycles != want.SampledCycles {
 		t.Errorf("cluster result %+v differs from core.EstimateParallel on the phase-1 circuit %+v", got, want)
+	}
+}
+
+// newFastCoordinator builds a coordinator whose heartbeat revives a
+// worker within 200 ms, so a fleet wrongly marked dead keeps retrying
+// until maxAttempts fails the job instead of waiting on a probe.
+func newFastCoordinator(t *testing.T, urls ...string) *Coordinator {
+	t.Helper()
+	coord, err := NewCoordinator(CoordinatorConfig{Workers: urls, Heartbeat: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	return coord
+}
+
+// TestEscapedUploadInstallsOnWorkers: every upload the service accepts
+// installs on its workers. This one carries a 2 MiB comment of '<',
+// which fits the service's body bound as the client sends it, but
+// which the coordinator's encoding/json writes as six bytes a
+// character, so the install body is about six times the upload. The job
+// still runs to done on two workers, bit-identical to
+// core.EstimateParallel, and both workers hold the circuit.
+func TestEscapedUploadInstallsOnWorkers(t *testing.T) {
+	w1, w2 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
+	s1 := httptest.NewServer(w1.Handler())
+	defer s1.Close()
+	s2 := httptest.NewServer(w2.Handler())
+	defer s2.Close()
+	reg := service.NewRegistry(0)
+	text := toyA + strings.Repeat("# "+strings.Repeat("<", 1022)+"\n", 2<<10)
+	body, err := json.Marshal(service.UploadRequest{Name: "toy", Format: "bench", Text: text})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(text) >= service.MaxBodyBytes || len(body) <= service.MaxBodyBytes {
+		t.Fatalf("text of %d bytes, %d encoded: want it inside the service's body bound of %d and its encoding past it",
+			len(text), len(body), service.MaxBodyBytes)
+	}
+	if _, err := reg.Upload("toy", "bench", text); err != nil {
+		t.Fatal(err)
+	}
+	req := service.JobRequest{Circuit: "toy", Seed: 5, Options: service.OptionsSpec{Replications: 16}}
+	want := reference(t, reg, req)
+
+	m := service.NewManager(reg, newFastCoordinator(t, s1.URL, s2.URL), 1, 0, nil)
+	defer m.Close()
+	id, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute) // a hang guard
+	defer cancel()
+	v, err := m.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.State != service.StateDone || v.Result == nil {
+		t.Fatalf("job %s: state %s error %q", id, v.State, v.Error)
+	}
+	got := v.Result
+	if got.Power != want.Power || got.HalfWidth != want.HalfWidth || got.SampleSize != want.SampleSize ||
+		got.Interval != want.Interval || got.HiddenCycles != want.HiddenCycles || got.SampledCycles != want.SampledCycles {
+		t.Errorf("cluster result %+v differs from core.EstimateParallel %+v", got, want)
+	}
+	if w1.Circuits() != 1 || w2.Circuits() != 1 {
+		t.Errorf("workers hold %d and %d circuits, want the upload on both", w1.Circuits(), w2.Circuits())
+	}
+}
+
+// refuseInstall is a worker whose /v1/circuits refuses every install
+// with a 400 of its own.
+type refuseInstall struct{ http.Handler }
+
+const installRefusal = "install refused: this worker takes no uploads"
+
+func (h refuseInstall) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/v1/circuits" {
+		writeError(w, http.StatusBadRequest, errors.New(installRefusal))
+		return
+	}
+	h.Handler.ServeHTTP(w, r)
+}
+
+// TestRefusedInstallFailsJob: a worker that refuses a circuit install
+// with a 4xx fails the job with its message, as a refused run does, and
+// is charged no failure: the worker is healthy, and retrying the
+// install elsewhere or later cannot change its answer.
+func TestRefusedInstallFailsJob(t *testing.T) {
+	srv := httptest.NewServer(refuseInstall{NewWorker(WorkerConfig{}).Handler()})
+	defer srv.Close()
+	reg := service.NewRegistry(0)
+	coord := newFastCoordinator(t, srv.URL)
+	fixed := 2
+	req := service.JobRequest{Circuit: "s27", Seed: 1, Interval: &fixed,
+		Options: service.OptionsSpec{Replications: 8}}
+	tb, src, rp := prepare(t, reg, req)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute) // a hang guard
+	defer cancel()
+	_, err := coord.Sample(ctx, tb, src, req, rp, nil)
+	if err == nil || !strings.Contains(err.Error(), installRefusal) {
+		t.Fatalf("job error %v, want the worker's refusal %q", err, installRefusal)
+	}
+	for _, w := range coord.Workers() {
+		if w.Failures != 0 || w.Retries != 0 || !w.Alive {
+			t.Errorf("worker %s: %d failures, %d retries, alive %v; a refusal charges none", w.URL, w.Failures, w.Retries, w.Alive)
+		}
 	}
 }

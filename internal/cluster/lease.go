@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/vr"
 )
 
 // This file is the work-stealing half of the coordinator: replication
@@ -82,7 +81,7 @@ func (b *retryBackoff) sleep(ctx context.Context) error {
 // jobScheduler arbitrates one job's leases: which worker streams each
 // replication range right now, how loaded every worker is, and which
 // (worker, range) pairs have burned a lease to expiry. One exists per
-// sampledPhase call; worker liveness and the global per-worker counters
+// Sample call; worker liveness and the global per-worker counters
 // live on the Coordinator it wraps.
 //
 // Lock order: js.mu before c.mu, always.
@@ -254,19 +253,20 @@ func (l *blockLease) arm() {
 // stop retires the watchdog at the end of a stream attempt.
 func (l *blockLease) stop() { l.timer.Stop() }
 
-// runLeasedRange owns one replication range for the duration of a job:
-// it repeatedly leases the range to a worker and streams blocks into
-// rg.ch until the range's block budget is delivered. Stream failures
-// mark the worker dead and move on; lease expiries penalize the
-// (worker, range) pair and move on; SkipBlocks replay makes every
-// handover invisible in the merged result. The error budget
-// (maxAttempts) fails the job on a cluster that keeps breaking rather
-// than spinning forever.
+// runLeasedRange owns one replication range's stream request run for
+// the duration of a job: it repeatedly leases the range to a worker and
+// streams blocks into rg.ch until the range's block budget is
+// delivered, counting them in run.SkipBlocks. Workers that miss the
+// circuit are sent src. Stream failures mark the worker dead and move
+// on; lease expiries penalize the (worker, range) pair and move on;
+// SkipBlocks replay makes every handover invisible in the merged
+// result. The error budget (maxAttempts) fails the job on a cluster
+// that keeps breaking rather than spinning forever.
 //
 // A panic on this goroutine fails the job, not the process: it is
 // recovered here, the lease slot it held is freed, and the panic value
 // and stack reach the merge loop as the range's error.
-func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash string, src service.CircuitSource, req service.JobRequest, plan vr.Plan, interval, rounds, maxBlocks, budgetRounds int, rg *repRange) {
+func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, src service.CircuitSource, run *RunRequest, rg *repRange) {
 	defer close(rg.ch)
 	held := "" // the worker whose lease slot this range holds
 	defer func() {
@@ -283,7 +283,6 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash
 		case <-ctx.Done():
 		}
 	}()
-	delivered := 0
 	attempts := 0
 	uploaded := make(map[string]bool)
 	prev := ""
@@ -291,7 +290,7 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash
 	tr := obs.TraceFrom(ctx)
 	bo := newRetryBackoff(50*time.Millisecond, c.hb)
 	for {
-		worker, err := js.acquire(ctx, rg.idx, prev, delivered, expired)
+		worker, err := js.acquire(ctx, rg.idx, prev, run.SkipBlocks, expired)
 		if err != nil {
 			return // job context ended while waiting for a live worker
 		}
@@ -300,18 +299,24 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash
 			tr.Event("steal", "range", strconv.Itoa(rg.idx), "worker", worker, "from", prev)
 		} else {
 			tr.Event("lease", "range", strconv.Itoa(rg.idx), "worker", worker,
-				"skipBlocks", strconv.Itoa(delivered))
+				"skipBlocks", strconv.Itoa(run.SkipBlocks))
 		}
 		serr := func() error {
 			for {
-				err := c.streamRange(ctx, js, worker, hash, req, plan, interval, rounds, maxBlocks, budgetRounds, &delivered, rg)
+				err := c.streamRange(ctx, js, worker, run, rg)
 				if errors.Is(err, errUnknownCircuit) && !uploaded[worker] {
 					// Propagate the circuit and retry the same worker under
-					// the same lease; an install failure falls through to
-					// normal failure handling.
-					if uerr := c.installCircuit(ctx, worker, hash, src); uerr == nil {
+					// the same lease. A worker that refuses the install
+					// fails the job, as a refused run does; any other
+					// install failure falls through to normal failure
+					// handling.
+					uerr := c.installCircuit(ctx, worker, run.Hash, src)
+					if uerr == nil {
 						uploaded[worker] = true
 						continue
+					}
+					if errors.Is(uerr, errPermanent) {
+						return uerr
 					}
 				}
 				return err
@@ -346,7 +351,7 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, hash
 			// immediately — the whole point is that someone faster is free.
 			js.expire(worker, rg.idx)
 			tr.Event("lease-expired", "range", strconv.Itoa(rg.idx), "worker", worker,
-				"delivered", strconv.Itoa(delivered))
+				"delivered", strconv.Itoa(run.SkipBlocks))
 		} else {
 			c.markFailed(worker, serr)
 			if bo.sleep(ctx) != nil {

@@ -113,7 +113,7 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
 // name.
 func (w *Worker) handleInstall(rw http.ResponseWriter, r *http.Request) {
 	var req InstallRequest
-	if !readJSON(rw, r, &req) {
+	if !readJSON(rw, r, maxInstallBytes, &req) {
 		return
 	}
 	if got := service.HashSource(req.Source); got != req.Hash {
@@ -156,15 +156,16 @@ func (w *Worker) lookup(hash string) *core.Testbench {
 }
 
 // handleRun streams a replication range's sample blocks as NDJSON: one
-// StreamHeader line, then core.ReplicationBlock lines until MaxBlocks is
-// reached or the client disconnects (the coordinator cancels the
-// request when the pooled criterion converges). All validation happens
-// before the 200 header goes out; once streaming starts the only
-// failure modes are connection loss, which the coordinator treats as a
-// worker death.
+// StreamHeader line with the block cadence the worker derived from the
+// job's options, then core.ReplicationBlock lines until the job's block
+// budget (core.MaxBlocks) is reached or the client disconnects (the
+// coordinator cancels the request when the pooled criterion
+// converges). All validation happens before the 200 header goes out;
+// once streaming starts the only failure modes are connection loss,
+// which the coordinator treats as a worker death.
 func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if !readJSON(rw, r, &req) {
+	if !readJSON(rw, r, maxRunBytes, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
@@ -182,6 +183,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusBadRequest, err)
 		return
 	}
+	opts := req.Options.Options()
 
 	w.streams.Add(1)
 	w.served.Add(1)
@@ -200,7 +202,7 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	rw.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(rw)
-	if err := enc.Encode(StreamHeader{Lanes: req.RepHi - req.RepLo, Rounds: req.Rounds}); err != nil {
+	if err := enc.Encode(StreamHeader{Lanes: req.RepHi - req.RepLo, Rounds: core.BlockRounds(opts)}); err != nil {
 		return
 	}
 	flush()
@@ -208,14 +210,12 @@ func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	// Errors terminate the stream; the client distinguishes a complete
 	// stream from a truncated one by block count, so nothing more is
 	// needed here. ctx errors are the normal convergence path.
-	_ = core.StreamReplications(r.Context(), tb, factory, req.Seed, req.Options.Options(),
-		req.VR, req.Interval, req.RepLo, req.RepHi, req.Rounds, req.SkipBlocks, req.MaxBlocks, req.BudgetRounds,
-		func(b core.ReplicationBlock) error {
-			if err := enc.Encode(b); err != nil {
-				return err
-			}
-			w.blocks.Add(1)
-			flush()
-			return nil
-		})
+	_ = core.StreamReplications(r.Context(), tb, factory, req.Seed, opts, req.Stream, func(b core.ReplicationBlock) error {
+		if err := enc.Encode(b); err != nil {
+			return err
+		}
+		w.blocks.Add(1)
+		flush()
+		return nil
+	})
 }

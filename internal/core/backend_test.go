@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -152,15 +153,20 @@ func TestCompiledBackendGoldenStreamed(t *testing.T) {
 		opts.Mode = power.ModeZeroDelay
 		opts.Backend = backend
 		opts.pool = pool
+		opts.Replications = 96
+		opts.CheckEvery = 4 * 96 // four rounds a block
 		var blocks [][]float64
-		err := StreamReplications(t.Context(), tb, factory, 21, opts, vr.Plan{},
-			2, 0, 96, 4, 0, 3, 0, func(b ReplicationBlock) error {
+		err := StreamReplications(t.Context(), tb, factory, 21, opts, Stream{Interval: 2, RepLo: 0, RepHi: 96},
+			func(b ReplicationBlock) error {
 				s := make([]float64, len(b.Samples))
 				copy(s, b.Samples)
 				blocks = append(blocks, s)
+				if len(blocks) == 3 {
+					return errStopStream
+				}
 				return nil
 			})
-		if err != nil {
+		if !errors.Is(err, errStopStream) {
 			t.Fatal(err)
 		}
 		return blocks

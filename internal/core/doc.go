@@ -23,7 +23,12 @@
 // hidden and sampled cycles, and one merge loop (Tail), which owns the
 // stopping rule and builds the Result; the cluster coordinator feeds
 // the same loop from worker streams of the same producer
-// (StreamReplications). One rule, Ranges, lays the replications out in
+// (StreamReplications). A Stream is one replication range of that
+// phase; Tail.Stream hands them out, and one Validate decides which
+// streams a job's options allow, for a worker's request and the
+// in-process run alike, while the block cadence (BlockRounds) and
+// budget (MaxBlocks) derive from the options wherever they are needed.
+// One rule, Ranges, lays the replications out in
 // shards and cluster ranges from the options alone: the unit of work is
 // a word row of 64 lanes when sampled cycles are observed word-parallel,
 // since a compiled pass costs per row, and one lane otherwise.
@@ -37,8 +42,9 @@
 // SelectInterval takes any Collector, so tests can run it on the
 // interpreted sim.ScalarSession oracle, which gives bit-identical
 // samples. The Ctx variants add
-// cooperative cancellation (covering interval selection too, via
-// SelectIntervalCtx), and Options.Progress streams running snapshots
+// cooperative cancellation (covering the warm-ups and interval
+// selection too: every bulk warm-up polls its context every 1024
+// cycles), and Options.Progress streams running snapshots
 // with a guaranteed terminal snapshot — the hooks the dipe-server job
 // manager is built on.
 //

@@ -86,11 +86,11 @@ func Estimate(s *sim.Session, opts Options) (Result, error) {
 	return EstimateCtx(context.Background(), s, opts)
 }
 
-// EstimateCtx is Estimate with cancellation: both interval selection
-// (via SelectIntervalCtx) and the sampling loop poll ctx. Cancellation
-// during selection returns ctx.Err() with an empty result; cancellation
-// during sampling returns the partial (unconverged) result together
-// with ctx.Err().
+// EstimateCtx is Estimate with cancellation: the warm-up (stepHidden),
+// interval selection (SelectIntervalCtx) and the sampling loop poll
+// ctx. Cancellation during the warm-up or selection returns ctx.Err()
+// with an empty result; cancellation during sampling returns the
+// partial (unconverged) result together with ctx.Err().
 func EstimateCtx(ctx context.Context, s *sim.Session, opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -100,7 +100,9 @@ func EstimateCtx(ctx context.Context, s *sim.Session, opts Options) (Result, err
 	}
 	start := time.Now()
 	s.ResetCounters()
-	s.StepHiddenN(opts.WarmupCycles)
+	if err := stepHidden(ctx, opts.WarmupCycles, s.StepHiddenN); err != nil {
+		return Result{}, err
+	}
 
 	sel, err := SelectIntervalCtx(ctx, s, opts)
 	if err != nil {
@@ -136,7 +138,9 @@ func EstimateWithIntervalCtx(ctx context.Context, s *sim.Session, opts Options, 
 	}
 	start := time.Now()
 	s.ResetCounters()
-	s.StepHiddenN(opts.WarmupCycles)
+	if err := stepHidden(ctx, opts.WarmupCycles, s.StepHiddenN); err != nil {
+		return Result{}, err
+	}
 	res, err := estimateTail(ctx, s, opts, interval, nil)
 	res.Elapsed = time.Since(start)
 	return res, err

@@ -27,9 +27,16 @@ import (
 //     Result. The in-process estimator feeds it blocks from one
 //     replicationRun over every replication; the coordinator feeds it
 //     the blocks its worker streams deliver.
-//   - StreamReplications is the worker side: one replicationRun over a
-//     contiguous sub-range of the replication space, emitting its
-//     samples in round-blocks.
+//   - Stream is one contiguous sub-range's block stream (range, plan,
+//     interval, skip, breakdown round budget), handed out by
+//     Tail.Stream and checked by one Validate against the job's
+//     options. StreamReplications is the worker side: one
+//     replicationRun over that range, emitting its samples in
+//     round-blocks.
+//   - The block cadence (BlockRounds) and the block budget (MaxBlocks)
+//     are functions of the job's options, so the merger, the
+//     coordinator and every worker compute them alike; no stream
+//     carries them.
 //
 // Determinism contract: replication r is always seeded baseSeed+1+r, a
 // replication's sample stream depends only on its own seed (packed
@@ -110,8 +117,8 @@ func blockShape(opts Options) (reps, rounds, perRound int) {
 
 // BlockRounds returns the block cadence of a run under opts (which must
 // validate): the rounds one full block carries, max(1,
-// CheckEvery/Replications). A worker refuses a stream at a coarser
-// cadence than the merger sends.
+// CheckEvery/Replications). The merger merges at it and a stream's
+// producer emits at it.
 func BlockRounds(opts Options) int {
 	_, rounds, _ := blockShape(opts)
 	return rounds
@@ -121,8 +128,9 @@ func BlockRounds(opts Options) int {
 // validate): strictly more blocks than Tail.Run can merge before the
 // sample budget stops it (per criterion sample, not per replication:
 // antithetic pairing halves the criterion samples a round yields,
-// doubling the blocks the budget funds). It caps orphaned worker
-// streams, and a worker refuses to skip or stream past it.
+// doubling the blocks the budget funds). A stream ends there, so an
+// orphaned worker stream stays finite, and Stream.Validate refuses to
+// skip past it.
 func MaxBlocks(opts Options) int {
 	_, rounds, perRound := blockShape(opts)
 	return opts.MaxSamples/(perRound*rounds) + 2
@@ -329,65 +337,100 @@ type ReplicationBlock struct {
 	Toggles []uint64 `json:"c,omitempty"`
 }
 
-// StreamReplications runs replications [lo, hi) of an EstimateParallel-
-// shaped run at a fixed independence interval and emits their power
-// samples in blocks of `rounds` rounds. It is the in-process
-// estimator's block producer over a sub-range, so the emitted samples
-// are bit-identical to the corresponding lanes of a single-process run,
-// regardless of how Ranges cuts [lo, hi) into shards or how many
-// goroutines run them.
-//
-// plan is the resolved variance-reduction plan (ResolvePlan): under the
-// control-variate mode each emitted sample is already transformed
-// (Y = X - beta (C - mu_C)); under antithetic pairing samples stream
-// raw and the Merger reduces assembled rounds to pair means, so pairs
-// may span worker boundaries.
-//
-// skip fast-forwards the first `skip` blocks without observing power:
-// the state trajectory of a sampled cycle equals a hidden cycle's, so a
-// retried worker can reproduce a dead worker's remaining blocks exactly
-// without re-transmitting (or re-weighing) the ones already merged.
-// maxBlocks bounds the stream (0 = unbounded); emitting stops early
-// when ctx is cancelled or emit returns an error.
-//
-// Under opts.Breakdown each block additionally carries its per-node
-// transition-count delta. budgetRounds is the merge side's total round
-// budget (Tail.BudgetRounds; 0 = unbounded): the merger clips its final
-// block to it, so block b's delta covers min(rounds, budgetRounds -
-// b*rounds) rounds even though the block always carries the full
-// `rounds` rounds of samples. Outside breakdown runs budgetRounds is
-// ignored.
-//
-// opts contributes WarmupCycles, Mode and Breakdown; the stopping
-// criterion is not consulted — stopping is the merger's job.
-func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, plan vr.Plan, interval, lo, hi, rounds, skip, maxBlocks, budgetRounds int, emit func(ReplicationBlock) error) error {
-	if err := opts.Mode.Validate(); err != nil {
-		return err
-	}
-	if err := plan.Validate(); err != nil {
-		return err
-	}
+// Stream is one replication range's block stream of a sampling phase:
+// what a producer needs, beside the job's testbench, source, seed and
+// options, to emit the blocks the merge loop consumes. Tail.Stream
+// hands one out per range; a cluster worker receives it inside its run
+// request, whose wire keys are these JSON tags. The block cadence
+// (BlockRounds) and the block budget (MaxBlocks) are not part of it:
+// every party derives both from the job's options, as the merger does.
+type Stream struct {
+	// Plan is the resolved variance-reduction plan (ResolvePlan; zero
+	// value = plain estimation). Under the control-variate mode each
+	// emitted sample is already transformed (Y = X - beta (C - mu_C));
+	// under antithetic pairing samples stream raw and the Merger
+	// reduces assembled rounds to pair means, so pairs may span range
+	// boundaries. encoding/json's shortest round-trip float rendering
+	// keeps the coefficients lossless on the wire.
+	Plan vr.Plan `json:"vr,omitzero"`
+	// Interval is the independence interval the phase samples at.
+	Interval int `json:"interval"`
+	// RepLo and RepHi bound the replication range (half-open).
+	RepLo int `json:"repLo"`
+	RepHi int `json:"repHi"`
+	// SkipBlocks fast-forwards the first blocks without observing power:
+	// the state trajectory of a sampled cycle equals a hidden cycle's,
+	// so a retried range reproduces a lost stream's remaining blocks
+	// exactly without re-sending the ones already merged.
+	SkipBlocks int `json:"skipBlocks,omitempty"`
+	// BudgetRounds is the merge side's total round budget under
+	// Options.Breakdown (0 = unbounded; outside breakdown runs it is
+	// ignored). The merger clips its final block to it, so block b's
+	// toggle delta covers min(rounds, BudgetRounds - b*rounds) rounds
+	// even though the block always carries the full cadence of samples.
+	BudgetRounds int `json:"budgetRounds,omitempty"`
+}
+
+// Validate rejects a stream the job's options do not allow, before a
+// producer allocates anything: the range must lie inside the job's
+// replication space, the skip inside its block budget (MaxBlocks), and
+// the plan's mode must be the one Options.Variance asks for, because a
+// producer lays its shards out from the options: a control-variate plan
+// under plain zero-delay options would reach shards that have no
+// event-driven engine to observe the covariate with. opts must
+// validate.
+func (s Stream) Validate(opts Options) error {
+	reps, _, _ := blockShape(opts)
+	budget := MaxBlocks(opts)
 	switch {
-	case interval < 0:
-		return fmt.Errorf("core: negative interval %d", interval)
-	case lo < 0 || hi <= lo:
-		return fmt.Errorf("core: bad replication range [%d, %d)", lo, hi)
-	case rounds < 1:
-		return fmt.Errorf("core: block rounds %d must be >= 1", rounds)
-	case skip < 0:
-		return fmt.Errorf("core: negative skip %d", skip)
-	case opts.WarmupCycles < 0:
-		return fmt.Errorf("core: negative WarmupCycles %d", opts.WarmupCycles)
+	case s.Interval < 0:
+		return fmt.Errorf("core: negative interval %d", s.Interval)
+	case s.RepLo < 0 || s.RepHi <= s.RepLo:
+		return fmt.Errorf("core: bad replication range [%d, %d)", s.RepLo, s.RepHi)
+	case s.RepHi > reps:
+		return fmt.Errorf("core: replication range [%d, %d) outside the job's %d replications", s.RepLo, s.RepHi, reps)
+	case s.SkipBlocks < 0 || s.SkipBlocks > budget:
+		return fmt.Errorf("core: skip of %d blocks outside the job's budget of %d blocks", s.SkipBlocks, budget)
+	case s.BudgetRounds < 0:
+		return fmt.Errorf("core: negative round budget %d", s.BudgetRounds)
 	}
-	run, err := newReplicationRun(tb, src, baseSeed, opts, lo, hi, rounds)
+	if err := s.Plan.Validate(); err != nil {
+		return err
+	}
+	if got, want := s.Plan.Mode.Canonical(), opts.Variance.Mode.Canonical(); got != want {
+		return fmt.Errorf("core: plan mode %q differs from the job's variance mode %q", got, want)
+	}
+	return nil
+}
+
+// StreamReplications runs stream s of an EstimateParallel-shaped run
+// under opts and emits its power samples, one block of BlockRounds(opts)
+// rounds at a time, from block s.SkipBlocks up to MaxBlocks(opts). It is
+// the in-process estimator's block producer over a sub-range, so the
+// emitted samples are bit-identical to the corresponding lanes of a
+// single-process run, regardless of how Ranges cuts the range into
+// shards or how many goroutines run them. Emitting stops early when ctx
+// is cancelled or emit returns an error. Under opts.Breakdown each
+// block additionally carries its per-node transition-count delta,
+// clipped to s.BudgetRounds. The stopping criterion is not consulted:
+// stopping is the merger's job.
+func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, s Stream, emit func(ReplicationBlock) error) error {
+	if err := opts.Validate(); err != nil {
+		return err
+	}
+	if err := s.Validate(opts); err != nil {
+		return err
+	}
+	run, err := newReplicationRun(tb, src, baseSeed, opts, s.RepLo, s.RepHi)
 	if err != nil {
 		return err
 	}
-	if err := run.bind(interval, plan); err != nil {
+	if err := run.bind(s.Interval, s.Plan); err != nil {
 		return err
 	}
-	run.warm(ctx, skip*rounds)
-	for b := skip; maxBlocks == 0 || b < maxBlocks; b++ {
+	rounds := BlockRounds(opts)
+	run.warm(ctx, s.SkipBlocks*rounds)
+	for b := s.SkipBlocks; b < MaxBlocks(opts); b++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -395,8 +438,8 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 		// cadence, clipped by the remaining round budget (mirrors
 		// Merger.NextRounds with merged == b*rounds).
 		clip := rounds
-		if budgetRounds > 0 {
-			clip = max(0, min(rounds, budgetRounds-b*rounds))
+		if s.BudgetRounds > 0 {
+			clip = max(0, min(rounds, s.BudgetRounds-b*rounds))
 		}
 		if err := emit(run.block(b, rounds, clip)); err != nil {
 			return err
@@ -415,7 +458,7 @@ type Tail struct {
 	opts   Options
 	rp     ResumePoint
 	m      *Merger
-	budget int // BudgetRounds
+	budget int // Stream.BudgetRounds
 }
 
 // NewTail builds the merge loop of a sampling phase that starts from
@@ -443,15 +486,13 @@ func NewTail(tb *Testbench, opts Options, rp ResumePoint) (*Tail, error) {
 // Reps returns the width of the replication space.
 func (t *Tail) Reps() int { return t.m.Reps() }
 
-// Rounds returns the block cadence: the number of rounds a full block
-// carries.
-func (t *Tail) Rounds() int { return t.m.Rounds() }
-
-// BudgetRounds returns the total number of rounds the sample budget
-// lets Run merge under Options.Breakdown, and 0 outside breakdown runs.
-// A block producer clips each block's toggle delta to it (see
-// StreamReplications).
-func (t *Tail) BudgetRounds() int { return t.budget }
+// Stream returns the stream of replications [lo, hi) that feeds Run:
+// the resume point's interval and plan, and under Options.Breakdown the
+// total number of rounds the sample budget lets Run merge, to which a
+// producer clips each block's toggle delta.
+func (t *Tail) Stream(lo, hi int) Stream {
+	return Stream{Plan: t.rp.Plan, Interval: t.rp.Interval, RepLo: lo, RepHi: hi, BudgetRounds: t.budget}
+}
 
 // Run merges blocks into the pooled criterion until it converges, the
 // sample budget cannot fund another round, ctx ends, next fails or a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -12,6 +13,10 @@ import (
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
+
+// errStopStream is what a test's emit returns to end a stream after the
+// blocks it wants.
+var errStopStream = errors.New("enough blocks")
 
 // TestMergerStreamedRangesMatchParallel is the merge-path contract in
 // miniature, with no transport in the loop: running the replication
@@ -70,9 +75,9 @@ func TestMergerStreamedRangesMatchParallel(t *testing.T) {
 				t.Fatal(err)
 			}
 			if opts.Breakdown && opts.MaxSamples < 1<<16 {
-				if want.Converged || tail.BudgetRounds()%tail.Rounds() == 0 {
+				if budget := tail.Stream(0, tail.Reps()).BudgetRounds; want.Converged || budget%BlockRounds(opts) == 0 {
 					t.Fatalf("budget of %d rounds at %d rounds a block (converged %v) does not end mid-block",
-						tail.BudgetRounds(), tail.Rounds(), want.Converged)
+						budget, BlockRounds(opts), want.Converged)
 				}
 			} else if !want.Converged {
 				t.Fatal("reference run did not converge")
@@ -84,11 +89,10 @@ func TestMergerStreamedRangesMatchParallel(t *testing.T) {
 			bounds := [][2]int{{0, 11}, {11, reps}}
 			queues := make([][]ReplicationBlock, len(bounds))
 			for i, b := range bounds {
-				err := StreamReplications(ctx, tb, factory, seed, opts, rp.Plan, rp.Interval, b[0], b[1],
-					tail.Rounds(), 0, MaxBlocks(opts), tail.BudgetRounds(), func(blk ReplicationBlock) error {
-						queues[i] = append(queues[i], blk)
-						return nil
-					})
+				err := StreamReplications(ctx, tb, factory, seed, opts, tail.Stream(b[0], b[1]), func(blk ReplicationBlock) error {
+					queues[i] = append(queues[i], blk)
+					return nil
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,6 +194,7 @@ func TestStreamReplicationsSkipFastForward(t *testing.T) {
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
 	opts := DefaultOptions()
 	opts.pool = 1
+	opts.Replications = 8 // CheckEvery 32 over 8 replications: rounds = 4
 	const (
 		seed     = int64(5)
 		interval = 2
@@ -197,16 +202,22 @@ func TestStreamReplicationsSkipFastForward(t *testing.T) {
 		total    = 6
 		skip     = 3
 	)
+	if got := BlockRounds(opts); got != rounds {
+		t.Fatalf("block cadence %d, want %d", got, rounds)
+	}
 
 	collect := func(skipBlocks int) [][]float64 {
 		var out [][]float64
-		err := StreamReplications(context.Background(), tb, factory, seed, opts,
-			vr.Plan{}, interval, 0, 8, rounds, skipBlocks, total, 0, func(blk ReplicationBlock) error {
-				s := append([]float64(nil), blk.Samples...)
-				out = append(out, s)
-				return nil
-			})
-		if err != nil {
+		st := Stream{Interval: interval, RepLo: 0, RepHi: 8, SkipBlocks: skipBlocks}
+		err := StreamReplications(context.Background(), tb, factory, seed, opts, st, func(blk ReplicationBlock) error {
+			s := append([]float64(nil), blk.Samples...)
+			out = append(out, s)
+			if blk.Index == total-1 {
+				return errStopStream
+			}
+			return nil
+		})
+		if !errors.Is(err, errStopStream) {
 			t.Fatal(err)
 		}
 		return out

@@ -56,15 +56,16 @@ type replicationRun struct {
 // width. A word-parallel job therefore cuts only at word rows, and a
 // 64-replication one is a single shard. Replication r keeps its
 // globally fixed seed baseSeed+1+r regardless of the layout. Each
-// shard's sample buffer holds `rounds` rounds, the longest block the
-// run will be asked for.
+// shard's sample buffer holds BlockRounds(opts) rounds, the longest
+// block the run will be asked for.
 //
 // The layout, the sources and the warm-up depend on the options alone,
 // never on the interval or the plan the pre-sampling phases resolve, so
 // a run can be built before those phases and warmed while they run;
 // bind then sets the two before the first block.
-func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, lo, hi, rounds int) (*replicationRun, error) {
+func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, lo, hi int) (*replicationRun, error) {
 	backend := opts.Backend.Canonical()
+	rounds := BlockRounds(opts)
 	pool := opts.pool
 	if pool == 0 {
 		pool = runtime.GOMAXPROCS(0)
@@ -130,22 +131,36 @@ func (r *replicationRun) bind(interval int, plan vr.Plan) error {
 	return nil
 }
 
-// warmChunk is how many hidden cycles warm steps between polls of its
-// context. The default 512-cycle warm-up runs as one chunk.
+// warmChunk is how many hidden cycles stepHidden runs between polls of
+// its context. The default 512-cycle warm-up runs as one chunk.
 const warmChunk = 1024
+
+// stepHidden is the one bulk warm-up loop: it advances n hidden cycles
+// through step, at most warmChunk at a time, and polls ctx before every
+// chunk. Once ctx ends it returns ctx's error and steps no further.
+// Polling never touches the trajectory, so a run that is not cancelled
+// steps exactly as one StepHiddenN(n) would.
+func stepHidden(ctx context.Context, n int, step func(int)) error {
+	for left := n; left > 0; left -= warmChunk {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		step(min(left, warmChunk))
+	}
+	return nil
+}
 
 // warm runs every replication through the warm-up from reset, followed
 // by skipRounds already-merged rounds. Power observation does not
 // influence the state trajectory, so replayed rounds run as pure hidden
 // cycles: interval hidden cycles plus the would-be sampled cycle each,
-// at the interval bind set (skipRounds is 0 before bind). It polls ctx
-// before every warmChunk cycles and stops early once ctx ends; both
+// at the interval bind set (skipRounds is 0 before bind). It stops
+// early once ctx ends (stepHidden) and drops the error, because both
 // callers check ctx before their first block.
 func (r *replicationRun) warm(ctx context.Context, skipRounds int) {
-	for left := r.warmup + skipRounds*(r.interval+1); left > 0 && ctx.Err() == nil; left -= warmChunk {
-		n := min(left, warmChunk)
+	_ = stepHidden(ctx, r.warmup+skipRounds*(r.interval+1), func(n int) {
 		runShards(r.shards, r.pool, func(sh *shard) { sh.ps.StepHiddenN(n) })
-	}
+	})
 }
 
 // block steps n rounds and returns them as block b: n rounds of
@@ -277,8 +292,8 @@ func estimateParallel(ctx context.Context, tb *Testbench, src vectors.Factory, b
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	reps, rounds, _ := blockShape(opts)
-	run, err := newReplicationRun(tb, src, baseSeed, opts, 0, reps, rounds)
+	reps, _, _ := blockShape(opts)
+	run, err := newReplicationRun(tb, src, baseSeed, opts, 0, reps)
 	if err != nil {
 		return Result{}, err
 	}
@@ -292,13 +307,17 @@ func estimateParallel(ctx context.Context, tb *Testbench, src vectors.Factory, b
 	if err != nil {
 		return Result{}, err
 	}
+	s := t.Stream(0, reps)
+	if err := s.Validate(opts); err != nil {
+		return Result{}, err
+	}
 	obs.TraceFrom(ctx).Event("shard",
 		"shards", strconv.Itoa(len(run.shards)),
 		"workers", strconv.Itoa(run.pool),
 		"replications", strconv.Itoa(reps),
 		"interval", strconv.Itoa(rp.Interval))
 	warm.wait()
-	if err := run.bind(rp.Interval, rp.Plan); err != nil {
+	if err := run.bind(s.Interval, s.Plan); err != nil {
 		return Result{}, err
 	}
 	// The producer runs in lockstep with the merge loop, so it simulates

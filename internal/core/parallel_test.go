@@ -235,7 +235,7 @@ func TestWarmStopsOnCancel(t *testing.T) {
 	opts.pool = 2
 	const interval, skipRounds = 100, 1000
 	cycles := func(ctx context.Context) []uint64 {
-		run, err := newReplicationRun(tb, vectors.IIDFactory(len(c.Inputs), 0.5), 1, opts, 0, 8, 1)
+		run, err := newReplicationRun(tb, vectors.IIDFactory(len(c.Inputs), 0.5), 1, opts, 0, 8)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -223,3 +223,64 @@ func TestControlMeanStopsOnCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestPhase1WarmupStopsOnCancel: phase 1's bulk warm-ups, on the
+// selection session, the fixed-interval calibration session and the
+// serial estimators' session, poll their context every warmChunk
+// cycles, as the tail's warm-up does. A context that ends after two
+// polls stops an 8-chunk warm-up after two chunks with
+// context.Canceled. The phase-1 source counts the patterns it draws,
+// one per cycle, so the draws are the judge, not the wall clock.
+func TestPhase1WarmupStopsOnCancel(t *testing.T) {
+	c := bench89.S27()
+	tb := DefaultTestbench(c)
+	iid := vectors.IIDFactory(len(c.Inputs), 0.5)
+	opts := DefaultOptions()
+	opts.Replications = 8
+	opts.WarmupCycles = 8 * warmChunk
+	cv := opts
+	cv.Variance.Mode = vr.ModeControlVariate
+	fixed := 2
+	const seed = 1
+	cases := []struct {
+		name string
+		run  func(context.Context, vectors.Factory) error
+	}{
+		{"PreparePlanCtx", func(ctx context.Context, f vectors.Factory) error {
+			_, err := PreparePlanCtx(ctx, tb, f, seed, opts, nil)
+			return err
+		}},
+		{"fixed-interval calibration", func(ctx context.Context, f vectors.Factory) error {
+			_, err := PreparePlanCtx(ctx, tb, f, seed, cv, &fixed)
+			return err
+		}},
+		{"EstimateCtx", func(ctx context.Context, f vectors.Factory) error {
+			_, err := EstimateCtx(ctx, tb.NewSessionMode(f(seed), opts.Mode), opts)
+			return err
+		}},
+		{"EstimateWithIntervalCtx", func(ctx context.Context, f vectors.Factory) error {
+			_, err := EstimateWithIntervalCtx(ctx, tb.NewSessionMode(f(seed), opts.Mode), opts, fixed)
+			return err
+		}},
+	}
+	probe := &hookSource{Source: iid(seed), hook: func(int) {}}
+	tb.NewSessionMode(probe, opts.Mode)
+	built := probe.n // patterns a session draws when it is built
+	for _, tc := range cases {
+		var phase1 *hookSource
+		factory := func(s int64) vectors.Source {
+			src := &hookSource{Source: iid(s), hook: func(int) {}}
+			if s == seed {
+				phase1 = src
+			}
+			return src
+		}
+		err := tc.run(&pollBudget{Context: context.Background(), polls: 2}, factory)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: error %v, want context.Canceled", tc.name, err)
+		}
+		if got, want := phase1.n-built, 2*warmChunk; got != want {
+			t.Errorf("%s: cancelled warm-up drew %d patterns, want %d", tc.name, got, want)
+		}
+	}
+}

@@ -87,7 +87,9 @@ func PreparePlanCtx(ctx context.Context, tb *Testbench, src vectors.Factory, bas
 	} else {
 		endSel := tr.Begin("select-interval")
 		sel0 := tb.NewSessionMode(src(baseSeed), opts.Mode)
-		sel0.StepHiddenN(opts.WarmupCycles)
+		if err := stepHidden(ctx, opts.WarmupCycles, sel0.StepHiddenN); err != nil {
+			return ResumePoint{}, err
+		}
 		s, err := SelectIntervalCtx(ctx, sel0, opts)
 		if err != nil {
 			return ResumePoint{}, err

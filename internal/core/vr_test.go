@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/bench89"
@@ -343,9 +344,40 @@ func TestControlVariateRejectsZeroDelayTable(t *testing.T) {
 	if _, err := EstimateParallelResume(tb, factory, 1, opts, ResumePoint{Interval: 2, Plan: plan}); err == nil {
 		t.Error("a resume point's control-variate plan accepted over an all-zero delay table")
 	}
-	err := StreamReplications(context.Background(), tb, factory, 1, opts, plan, 2, 0, 16, 1, 0, 1, 0,
-		func(ReplicationBlock) error { return nil })
-	if err == nil {
+	err := StreamReplications(context.Background(), tb, factory, 1, opts, Stream{Plan: plan, Interval: 2, RepLo: 0, RepHi: 16},
+		func(ReplicationBlock) error { return errStopStream })
+	if err == nil || errors.Is(err, errStopStream) {
 		t.Error("a streamed control-variate plan accepted over an all-zero delay table")
+	}
+}
+
+// TestResumeRefusesPlanOfAnotherMode: a resume point whose plan's mode
+// is not the variance mode its options ask for fails the run, as the
+// same mismatch in a worker's run request does (Stream.Validate),
+// instead of sampling under the options' mode and labelling the result
+// with the plan's.
+func TestResumeRefusesPlanOfAnotherMode(t *testing.T) {
+	c := bench89.MustGet("s27")
+	tb := DefaultTestbench(c)
+	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
+	plain := DefaultOptions()
+	plain.Replications = 16
+	anti := plain
+	anti.Variance.Mode = vr.ModeAntithetic
+	cases := []struct {
+		name string
+		opts Options
+		plan vr.Plan
+	}{
+		{"antithetic plan under plain options", plain, vr.Plan{Mode: vr.ModeAntithetic}},
+		{"plain plan under antithetic options", anti, vr.Plan{}},
+		{"control-variate plan under plain options", plain, vr.Plan{Mode: vr.ModeControlVariate, Beta: 0.5, ControlMean: 0.25}},
+	}
+	for _, tc := range cases {
+		rp := ResumePoint{Interval: 2, Plan: tc.plan}
+		res, err := EstimateParallelResumeCtx(context.Background(), tb, factory, 1, tc.opts, rp)
+		if err == nil {
+			t.Errorf("%s: resumed to power %v under variance %q", tc.name, res.Power, res.Variance)
+		}
 	}
 }

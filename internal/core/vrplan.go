@@ -83,10 +83,11 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 				// dedicated calibration sequence shaped like one selection
 				// trial at the sampling interval.
 				s := tb.NewSessionMode(src(baseSeed), opts.Mode)
-				s.StepHiddenN(opts.WarmupCycles)
-				var err error
-				xs, cs, err = collectSequencePairs(ctx, s, interval, opts.SeqLen,
-					make([]float64, 0, opts.SeqLen), make([]float64, 0, opts.SeqLen), nil)
+				err := stepHidden(ctx, opts.WarmupCycles, s.StepHiddenN)
+				if err == nil {
+					xs, cs, err = collectSequencePairs(ctx, s, interval, opts.SeqLen,
+						make([]float64, 0, opts.SeqLen), make([]float64, 0, opts.SeqLen), nil)
+				}
 				if err != nil {
 					return vr.Plan{}, nil, CalCost{}, err
 				}
@@ -128,8 +129,9 @@ func ResolvePlan(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 // over dedicated seeds. Lane powers are bit-identical to the packed
 // interpreter's and are summed in lane order. The run costs hidden-cycle
 // rates (one Full pass plus a diff pass per cycle) and is tallied
-// entirely as hidden cycles. It polls ctx before every warmChunk cycles
-// and, once ctx ends, returns its error with the cycles run so far.
+// entirely as hidden cycles. Its warm-up steps through stepHidden and
+// its sampled cycles poll ctx every warmChunk cycles too; once ctx
+// ends it returns its error with the cycles run so far.
 func controlMean(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (float64, CalCost, error) {
 	cycles := opts.Variance.ControlCycles
 	if cycles == 0 {
@@ -144,11 +146,8 @@ func controlMean(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 		hidden, sampled := ps.CycleCounts()
 		return CalCost{Hidden: hidden + sampled}
 	}
-	for left := opts.WarmupCycles; left > 0; left -= warmChunk {
-		if err := ctx.Err(); err != nil {
-			return 0, cost(), err
-		}
-		ps.StepHiddenN(min(left, warmChunk))
+	if err := stepHidden(ctx, opts.WarmupCycles, ps.StepHiddenN); err != nil {
+		return 0, cost(), err
 	}
 	weights := tb.Weights()
 	powers := make([]float64, sim.MaxLanes)

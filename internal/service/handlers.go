@@ -332,7 +332,7 @@ func submitStatus(err error) int {
 // readJSON decodes the request body into v, writing a 400 and returning
 // false on malformed input.
 func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
@@ -348,9 +348,11 @@ func decodeJSON(r io.Reader, v any) error {
 	return dec.Decode(v)
 }
 
-// maxBodyBytes bounds request bodies (netlist uploads dominate; the
-// largest ISCAS89 .bench is well under 1 MiB).
-const maxBodyBytes = 8 << 20
+// MaxBodyBytes bounds request bodies (netlist uploads dominate; the
+// largest ISCAS89 .bench is well under 1 MiB). A cluster worker sizes
+// its circuit-install bound from it, so every upload the service
+// accepts installs on its workers.
+const MaxBodyBytes = 8 << 20
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -212,9 +212,9 @@ print(f"  {jid}: {got} range(s)")
 ' "${spec%%:*}" "${spec##*:}"
 done
 
-echo "== a worker answers an oversized /v1/run with 400 and keeps serving"
+echo "== a worker answers an oversized /v1/run (2^33 replications) with 400 and keeps serving"
 code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$W1_ADDR/v1/run" -H 'Content-Type: application/json' \
-  -d '{"hash":"deadbeef","seed":1,"interval":2,"repLo":0,"repHi":64,"rounds":8589934592,"maxBlocks":1}')
+  -d '{"hash":"deadbeef","seed":1,"interval":2,"repLo":0,"repHi":8589934592,"options":{"replications":8589934592}}')
 [ "$code" = 400 ] || { echo "oversized /v1/run answered $code, want 400"; exit 1; }
 curl -sf "http://$W1_ADDR/healthz" >/dev/null || { echo "worker 1 stopped serving"; exit 1; }
 
