@@ -33,8 +33,10 @@ func newTestCoordinator(t *testing.T, urls ...string) *Coordinator {
 
 // prepare does for a test what the job manager does for a job before
 // it reaches a dispatcher: it resolves the circuit's testbench and
-// provenance from one registry entry and runs the pre-sampling phases.
-func prepare(t *testing.T, reg *service.Registry, req service.JobRequest) (*core.Testbench, service.CircuitSource, core.ResumePoint) {
+// provenance from one registry entry, and returns them with the job's
+// prepare hook, which runs the pre-sampling phases as the manager's
+// hook does for a fresh job.
+func prepare(t *testing.T, reg *service.Registry, req service.JobRequest) (*core.Testbench, service.CircuitSource, func() (core.ResumePoint, error)) {
 	t.Helper()
 	tb, src, err := reg.Resolve(req.Circuit)
 	if err != nil {
@@ -44,18 +46,16 @@ func prepare(t *testing.T, reg *service.Registry, req service.JobRequest) (*core
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := core.PreparePlanCtx(context.Background(), tb, factory, req.Seed, req.Options.Options(), req.Interval)
-	if err != nil {
-		t.Fatal(err)
+	return tb, src, func() (core.ResumePoint, error) {
+		return core.PreparePlanCtx(context.Background(), tb, factory, req.Seed, req.Options.Options(), req.Interval)
 	}
-	return tb, src, rp
 }
 
 // estimate prepares req from reg and samples it on coord.
 func estimate(t *testing.T, coord *Coordinator, reg *service.Registry, req service.JobRequest) (core.Result, error) {
 	t.Helper()
-	tb, src, rp := prepare(t, reg, req)
-	return coord.Sample(context.Background(), tb, src, req, rp, nil)
+	tb, src, hook := prepare(t, reg, req)
+	return coord.Sample(context.Background(), tb, src, req, hook, nil)
 }
 
 func sameResult(t *testing.T, got, want core.Result, label string) {
@@ -97,9 +97,9 @@ func sameResult(t *testing.T, got, want core.Result, label string) {
 // the job's shard event reports.
 func estimateRanges(t *testing.T, coord *Coordinator, reg *service.Registry, req service.JobRequest, progress func(core.Progress)) (core.Result, int) {
 	t.Helper()
-	tb, src, rp := prepare(t, reg, req)
+	tb, src, hook := prepare(t, reg, req)
 	tr := obs.NewTrace()
-	res, err := coord.Sample(obs.ContextWithTrace(context.Background(), tr), tb, src, req, rp, progress)
+	res, err := coord.Sample(obs.ContextWithTrace(context.Background(), tr), tb, src, req, hook, progress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,12 +377,12 @@ func TestClusterCancellation(t *testing.T) {
 		// An unreachable accuracy spec: the run can only end by cancel.
 		Options: service.OptionsSpec{RelErr: 0.0005, Confidence: 0.9999, Replications: 16},
 	}
-	tb, src, rp := prepare(t, reg, req)
+	tb, src, hook := prepare(t, reg, req)
 	progressed := make(chan struct{})
 	var once atomic.Bool
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.Sample(ctx, tb, src, req, rp, func(core.Progress) {
+		_, err := coord.Sample(ctx, tb, src, req, hook, func(core.Progress) {
 			if once.CompareAndSwap(false, true) {
 				close(progressed)
 			}

@@ -392,15 +392,21 @@ type repRange struct {
 
 // Sample implements service.Dispatcher: the sampling phase sharded
 // across the cluster, as the distributed block producer of core.Tail.
-// It streams sample blocks from one worker per replication range and
-// feeds them to the job's merge loop, which makes the stopping decision
-// and builds the Result exactly as the in-process estimator does. The
-// result is bit-identical to core.EstimateParallel(tb, ..., req.Seed,
-// opts) — mean, half-width, sample size and cycle counts — for any
-// worker count and any mid-job lease/reassignment history. Workers that
-// miss the circuit are sent src, the provenance tb was built from, so
-// they sample the circuit phase 1 ran on.
-func (c *Coordinator) Sample(ctx context.Context, tb *core.Testbench, src service.CircuitSource, req service.JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
+// It first calls prepare for the job's frozen point; workers warm their
+// own ranges, so there is nothing to run beside it. It then streams
+// sample blocks from one worker per replication range and feeds them to
+// the job's merge loop, which makes the stopping decision and builds
+// the Result exactly as the in-process estimator does. The result is
+// bit-identical to core.EstimateParallel(tb, ..., req.Seed, opts) —
+// mean, half-width, sample size and cycle counts — for any worker count
+// and any mid-job lease/reassignment history. Workers that miss the
+// circuit are sent src, the provenance tb was built from, so they
+// sample the circuit phase 1 ran on.
+func (c *Coordinator) Sample(ctx context.Context, tb *core.Testbench, src service.CircuitSource, req service.JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error) {
+	rp, err := prepare()
+	if err != nil {
+		return core.Result{}, err
+	}
 	opts := req.Options.Options()
 	opts.Progress = progress
 	opts.Metrics = c.coreMet

@@ -1,13 +1,15 @@
 // Package cluster shards the sampling phase of the paper's estimation
 // procedure across processes. The service's job manager resolves the
-// job's circuit and runs phase 1 (interval selection and plan
-// resolution) in process; a Coordinator, the cluster dispatcher, then
-// partitions the job's independent replications into contiguous seed
-// ranges by core.Ranges, the in-process shard layout rule (never below
-// a word row of a word-parallel job, at most four ranges per live
-// worker), streams their power samples back from stateless dipe-worker
-// processes over HTTP, and feeds them to the same merge loop the
-// single-process estimator runs (core.Tail) — so the two-phase
+// job's circuit and hands a Coordinator, the cluster dispatcher, the
+// job's prepare hook, which runs phase 1 (interval selection and plan
+// resolution) in process and journals its checkpoint. The Coordinator
+// calls the hook first, then partitions the job's independent
+// replications into contiguous seed ranges by core.Ranges, the
+// in-process shard layout rule (never below a word row of a
+// word-parallel job, at most four ranges per live worker), streams
+// their power samples back from stateless dipe-worker processes over
+// HTTP, and feeds them to the same merge loop the single-process
+// estimator runs (core.Tail) — so the two-phase
 // stopping decision of the paper is made globally, on merged
 // statistics, exactly as the single-process estimator makes it.
 // A worker's stream is the single-process estimator's block producer
@@ -45,9 +47,11 @@
 // content-addressed by provenance hash (service.HashSource); a run for
 // an unknown hash fails with 404 and the coordinator uploads the
 // provenance it was handed with the job (builtin benchmark name, or the
-// original netlist text) before retrying. Workers rebuild it with the
-// registry's own builder (service.CircuitSource.Testbench), so they hold
-// the exact frozen circuit phase 1 ran on, and no re-serialization can
+// original netlist text) before retrying, once per job and worker: the
+// job's other ranges that miss it wait for that install. Workers
+// rebuild it with the registry's own builder
+// (service.CircuitSource.Testbench), so they hold the exact frozen
+// circuit phase 1 ran on, and no re-serialization can
 // perturb node order or float summation. A worker accepts an install
 // body up to six times the service's upload bound, the worst growth of
 // the coordinator's re-encoding, so every accepted upload installs; a

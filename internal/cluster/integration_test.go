@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,18 +186,23 @@ Y = NAND(Q1, Q2)
 )
 
 // reuploadBeforeSampling is a coordinator that replaces an upload's
-// text between a job's phase 1 and its sampling.
+// text between a job's phase 1 and its sampling: once the job's prepare
+// hook returns.
 type reuploadBeforeSampling struct {
 	*Coordinator
 	reg        *service.Registry
 	name, text string
 }
 
-func (d reuploadBeforeSampling) Sample(ctx context.Context, tb *core.Testbench, src service.CircuitSource, req service.JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
-	if _, err := d.reg.Upload(d.name, "bench", d.text); err != nil {
-		return core.Result{}, err
-	}
-	return d.Coordinator.Sample(ctx, tb, src, req, rp, progress)
+func (d reuploadBeforeSampling) Sample(ctx context.Context, tb *core.Testbench, src service.CircuitSource, req service.JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error) {
+	return d.Coordinator.Sample(ctx, tb, src, req, func() (core.ResumePoint, error) {
+		rp, err := prepare()
+		if err != nil {
+			return rp, err
+		}
+		_, err = d.reg.Upload(d.name, "bench", d.text)
+		return rp, err
+	}, progress)
 }
 
 // TestReuploadAfterPhase1KeepsJobOnOneCircuit: a re-upload that lands
@@ -328,10 +334,10 @@ func TestRefusedInstallFailsJob(t *testing.T) {
 	fixed := 2
 	req := service.JobRequest{Circuit: "s27", Seed: 1, Interval: &fixed,
 		Options: service.OptionsSpec{Replications: 8}}
-	tb, src, rp := prepare(t, reg, req)
+	tb, src, hook := prepare(t, reg, req)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute) // a hang guard
 	defer cancel()
-	_, err := coord.Sample(ctx, tb, src, req, rp, nil)
+	_, err := coord.Sample(ctx, tb, src, req, hook, nil)
 	if err == nil || !strings.Contains(err.Error(), installRefusal) {
 		t.Fatalf("job error %v, want the worker's refusal %q", err, installRefusal)
 	}
@@ -339,5 +345,53 @@ func TestRefusedInstallFailsJob(t *testing.T) {
 		if w.Failures != 0 || w.Retries != 0 || !w.Alive {
 			t.Errorf("worker %s: %d failures, %d retries, alive %v; a refusal charges none", w.URL, w.Failures, w.Retries, w.Alive)
 		}
+	}
+}
+
+// heldInstall is a worker that counts the circuit installs it receives
+// and holds each until the job's ranges have all sent their first
+// /v1/run, so every range misses the circuit before it lands.
+type heldInstall struct {
+	http.Handler
+	ranges   int64
+	runs     atomic.Int64
+	installs atomic.Int64
+	allRan   chan struct{}
+}
+
+func (h *heldInstall) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch r.URL.Path {
+	case "/v1/run":
+		if h.runs.Add(1) == h.ranges {
+			close(h.allRan)
+		}
+	case "/v1/circuits":
+		h.installs.Add(1)
+		select {
+		case <-h.allRan:
+		case <-time.After(30 * time.Second): // a hang guard
+		}
+	}
+	h.Handler.ServeHTTP(w, r)
+}
+
+// TestOneInstallPerJobAndWorker: a job's ranges share one circuit
+// install per worker. One worker runs a 16-replication s298 job as 4
+// ranges and holds its install until each range has sent its first
+// /v1/run, so all 4 miss the circuit; the worker still receives exactly
+// one install, and the result is bit-identical to core.EstimateParallel.
+func TestOneInstallPerJobAndWorker(t *testing.T) {
+	h := &heldInstall{Handler: NewWorker(WorkerConfig{}).Handler(), ranges: 4, allRan: make(chan struct{})}
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	reg := service.NewRegistry(0)
+	req := service.JobRequest{Circuit: "s298", Seed: 3, Options: service.OptionsSpec{Replications: 16}}
+	got, ranges := estimateRanges(t, newTestCoordinator(t, srv.URL), reg, req, nil)
+	if ranges != 4 {
+		t.Fatalf("the job ran as %d ranges, want 4", ranges)
+	}
+	sameResult(t, got, reference(t, reg, req), "ranges sharing one install")
+	if n := h.installs.Load(); n != 1 {
+		t.Errorf("the worker received %d installs for one job, want 1", n)
 	}
 }

@@ -91,10 +91,49 @@ type jobScheduler struct {
 	// penalty[worker][rangeIdx] counts leases that worker burned to
 	// expiry on that range.
 	penalty map[string]map[int]int
+	// installs[worker] is the job's circuit install on that worker,
+	// sent or being sent (see install).
+	installs map[string]*circuitInstall
+}
+
+// circuitInstall is one install of a job's circuit on one worker; err
+// is set before done is closed.
+type circuitInstall struct {
+	done chan struct{}
+	err  error
 }
 
 func newJobScheduler(c *Coordinator) *jobScheduler {
-	return &jobScheduler{c: c, penalty: make(map[string]map[int]int)}
+	return &jobScheduler{c: c, penalty: make(map[string]map[int]int), installs: make(map[string]*circuitInstall)}
+}
+
+// install gets the job's circuit onto worker with at most one send at a
+// time: the first of the job's ranges to miss the circuit there sends
+// it, the others wait for that outcome instead of sending their own,
+// and once one succeeded a later ask returns at once. A failed install
+// is forgotten, so the next range to miss the circuit sends it again.
+func (s *jobScheduler) install(ctx context.Context, worker string, send func() error) error {
+	s.mu.Lock()
+	in := s.installs[worker]
+	if in == nil {
+		in = &circuitInstall{done: make(chan struct{})}
+		s.installs[worker] = in
+		s.mu.Unlock()
+		if in.err = send(); in.err != nil {
+			s.mu.Lock()
+			delete(s.installs, worker)
+			s.mu.Unlock()
+		}
+		close(in.done)
+		return in.err
+	}
+	s.mu.Unlock()
+	select {
+	case <-in.done:
+		return in.err
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // acquire leases rangeIdx to a live worker, blocking (with backoff)
@@ -284,6 +323,9 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, src 
 		}
 	}()
 	attempts := 0
+	// uploaded marks the workers this range has retried on after the
+	// job's install there succeeded; a miss on one of them again is a
+	// failure, not another install.
 	uploaded := make(map[string]bool)
 	prev := ""
 	expired := false
@@ -305,12 +347,14 @@ func (c *Coordinator) runLeasedRange(ctx context.Context, js *jobScheduler, src 
 			for {
 				err := c.streamRange(ctx, js, worker, run, rg)
 				if errors.Is(err, errUnknownCircuit) && !uploaded[worker] {
-					// Propagate the circuit and retry the same worker under
-					// the same lease. A worker that refuses the install
-					// fails the job, as a refused run does; any other
-					// install failure falls through to normal failure
-					// handling.
-					uerr := c.installCircuit(ctx, worker, run.Hash, src)
+					// Propagate the circuit, once per job and worker, and
+					// retry the same worker under the same lease. A worker
+					// that refuses the install fails the job, as a refused
+					// run does; any other install failure falls through to
+					// normal failure handling.
+					uerr := js.install(ctx, worker, func() error {
+						return c.installCircuit(ctx, worker, run.Hash, src)
+					})
 					if uerr == nil {
 						uploaded[worker] = true
 						continue

@@ -34,9 +34,12 @@
 // since a compiled pass costs per row, and one lane otherwise.
 // GOMAXPROCS goroutines step the shards; no layout changes a result.
 // Because neither the layout nor the replications' warm-up from reset
-// depends on the interval phase 1 selects, EstimateParallel builds its
-// shards first, warms them on a goroutine of its own beside phase 1,
-// and binds the interval and plan once they are frozen. Every
+// depends on the interval phase 1 selects, every in-process parallel
+// estimate runs one lifecycle, EstimateParallelFrom: build the shards,
+// warm them on a goroutine of its own beside a prepare hook that runs
+// (or restores) phase 1, and bind the interval and plan once they are
+// frozen; the service's job manager journals its checkpoint inside
+// that hook. Every
 // estimator runs phase 1 (warm-up and Fig. 2), and the serial
 // estimators also their sampling phase, on one compiled sim.Session.
 // SelectInterval takes any Collector, so tests can run it on the

@@ -239,16 +239,14 @@ func EstimateParallel(tb *Testbench, src vectors.Factory, baseSeed int64, opts O
 // (unconverged) result together with ctx.Err() when the context is
 // cancelled. The dipe-server job manager uses this to abort jobs.
 //
-// Phase 1 and plan resolution (PreparePlanCtx) freeze a ResumePoint,
-// the checkpoint seam the durable job store persists across server
-// restarts, and the sampling tail runs from it. The tail's shards warm
-// up from reset on a goroutine of their own while PreparePlanCtx runs,
-// since the warm-up does not depend on what it resolves (see
-// estimateParallel). The Result is bit-identical to PreparePlanCtx
-// followed by EstimateParallelResumeCtx, so a resumed run cannot
-// diverge from an uninterrupted one.
+// It is EstimateParallelFrom with PreparePlanCtx as the prepare hook:
+// phase 1 and plan resolution freeze a ResumePoint, the checkpoint seam
+// the durable job store persists across server restarts, while the
+// tail's shards warm up from reset beside them. The Result is
+// bit-identical to PreparePlanCtx followed by EstimateParallelResumeCtx,
+// so a resumed run cannot diverge from an uninterrupted one.
 func EstimateParallelCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options) (Result, error) {
-	return estimateParallel(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) {
+	return EstimateParallelFrom(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) {
 		return PreparePlanCtx(ctx, tb, src, baseSeed, opts, nil)
 	})
 }
@@ -263,15 +261,16 @@ func EstimateParallelWithInterval(tb *Testbench, src vectors.Factory, baseSeed i
 // EstimateParallelWithIntervalCtx is EstimateParallelWithInterval with
 // cancellation (see EstimateParallelCtx).
 func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, interval int) (Result, error) {
-	return estimateParallel(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) {
+	return EstimateParallelFrom(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) {
 		return PreparePlanCtx(ctx, tb, src, baseSeed, opts, &interval)
 	})
 }
 
-// estimateParallel is the one sampling path of the in-process
-// estimator. It builds the run's shards on the caller's goroutine, so
-// the source factory is only ever called there, and warms them from
-// reset on a goroutine of its own while prepare freezes the
+// EstimateParallelFrom is the one lifecycle of the in-process
+// estimator: build → (warm ∥ prepare) → bind → sample. It builds the
+// run's shards on the caller's goroutine, so the source factory is only
+// ever called there, and warms them from reset on a goroutine of its
+// own while prepare, on the caller's goroutine, freezes the
 // pre-sampling phases into a ResumePoint: phase 1 and plan resolution
 // (PreparePlanCtx) for a fresh run, the journaled point for a resumed
 // one. The warm-up reads neither the interval nor the plan, so it runs
@@ -280,14 +279,16 @@ func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vec
 // and Result is what running the phases one after another gives:
 // PreparePlanCtx followed by EstimateParallelResumeCtx is exactly
 // EstimateParallelCtx, which is what makes a durable job's resume
-// bit-identical.
+// bit-identical. The service's local dispatcher passes the job
+// manager's hook, which journals the job's checkpoint before it
+// returns, so the checkpoint is durable before the first block.
 //
 // The warm-up goroutine never outlives the call. It is joined before
 // the first block; on an error, a cancellation or a panic on the
-// caller's goroutine it is cancelled and joined, as if it had not
-// started. A panic on it is raised again on the caller's goroutine as a
-// *shardPanic.
-func estimateParallel(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, prepare func() (ResumePoint, error)) (Result, error) {
+// caller's goroutine (prepare's included) it is cancelled and joined,
+// as if it had not started. A panic on it is raised again on the
+// caller's goroutine as a *shardPanic.
+func EstimateParallelFrom(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, prepare func() (ResumePoint, error)) (Result, error) {
 	start := time.Now()
 	if err := opts.Validate(); err != nil {
 		return Result{}, err

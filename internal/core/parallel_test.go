@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -457,6 +458,64 @@ func TestShardEventBeforeWarmupJoin(t *testing.T) {
 		if got := phases(); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: trace phases %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestPrepareRunsBesideWarmup: EstimateParallelFrom calls its prepare
+// hook on the caller's goroutine while the tail's warm-up is in flight.
+// Replication 0's source parks the warm-up at its first draw until
+// prepare is entered, and prepare waits for that park, so a lifecycle
+// that ran the two one after the other trips a hang guard. The result
+// is EstimateParallelCtx's, at one and two pool goroutines.
+func TestPrepareRunsBesideWarmup(t *testing.T) {
+	c := bench89.S27()
+	tb := DefaultTestbench(c)
+	iid := vectors.IIDFactory(len(c.Inputs), 0.5)
+	built := drawnAtBuild(c)
+	const seed = 1
+	ctx := context.Background()
+	for _, pool := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Replications = 8
+		opts.pool = pool
+		want, err := EstimateParallelCtx(ctx, tb, iid, seed, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked, entered := make(chan struct{}), make(chan struct{})
+		factory := func(s int64) vectors.Source {
+			if s != seed+1 {
+				return iid(s)
+			}
+			return &hookSource{Source: iid(s), hook: func(n int) {
+				if n != built {
+					return
+				}
+				close(parked)
+				select {
+				case <-entered:
+				case <-time.After(time.Minute): // a hang guard
+					t.Errorf("pool=%d: the warm-up waited for a prepare that never began", pool)
+				}
+			}}
+		}
+		caller := goroutineID()
+		got, err := EstimateParallelFrom(ctx, tb, factory, seed, opts, func() (ResumePoint, error) {
+			if id := goroutineID(); id != caller {
+				t.Errorf("pool=%d: prepare ran on goroutine %s, the caller is %s", pool, id, caller)
+			}
+			close(entered)
+			select {
+			case <-parked:
+			case <-time.After(time.Minute): // a hang guard
+				t.Errorf("pool=%d: prepare ran with no warm-up in flight", pool)
+			}
+			return PreparePlanCtx(ctx, tb, iid, seed, opts, nil)
+		})
+		if err != nil {
+			t.Fatalf("pool=%d: %v", pool, err)
+		}
+		sameEstimate(t, got, want, "pool="+strconv.Itoa(pool))
 	}
 }
 

@@ -14,19 +14,20 @@ import (
 // boundary: everything that happens before the first phase-2 sample —
 // interval selection and variance-reduction plan resolution — is frozen
 // into a ResumePoint, and the sampling/stopping tail can be (re)started
-// from one. The split is what makes estimation jobs durable: a job
-// store can persist the ResumePoint once the pre-sampling phases have
-// run, and a restarted server re-enters the sampling phase directly.
-// Determinism does the rest — replaying the tail from the same
-// ResumePoint with the same seeds reproduces the interrupted run's
-// samples bit for bit, so a resumed job's Result equals the Result the
-// uninterrupted run would have produced.
+// from one. The split is what makes estimation jobs durable: the
+// prepare hook of EstimateParallelFrom returns the point, a job store
+// journals it inside that hook, before the first block, and a restarted
+// server's hook returns the journaled point, so it re-enters the
+// sampling phase directly. Determinism does the rest — replaying the
+// tail from the same ResumePoint with the same seeds reproduces the
+// interrupted run's samples bit for bit, so a resumed job's Result
+// equals the Result the uninterrupted run would have produced.
 //
-// The uninterrupted run is not literally prepare-then-resume: the
-// tail's warm-up from reset depends only on the seed and the options,
-// so estimateParallel runs it beside phase 1 on a goroutine of its own
-// and joins it before the first block. The overlap moves no bit of the
-// Result, and the resumed run still equals the uninterrupted one.
+// Neither run is literally prepare-then-sample: the tail's warm-up from
+// reset depends only on the seed and the options, so
+// EstimateParallelFrom runs it beside the hook on a goroutine of its
+// own and joins it before the first block. The overlap moves no bit of
+// the Result, and the resumed run still equals the uninterrupted one.
 
 // ResumePoint is the frozen outcome of the pre-sampling phases of an
 // EstimateParallel-shaped run: the selected (or fixed) independence
@@ -113,22 +114,14 @@ func PreparePlanCtx(ctx context.Context, tb *Testbench, src vectors.Factory, bas
 	return rp, nil
 }
 
-// EstimateParallelResume runs the sampling/stopping tail of an
-// EstimateParallel run from a frozen ResumePoint (see
-// EstimateParallelResumeCtx).
-func EstimateParallelResume(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, rp ResumePoint) (Result, error) {
-	return EstimateParallelResumeCtx(context.Background(), tb, src, baseSeed, opts, rp)
-}
-
-// EstimateParallelResumeCtx runs the sampling/stopping phase at rp's
-// interval under rp's plan, restoring rp's cycle counters into the
-// Result: it builds the run, warms it and samples it, on the one
-// sampling path EstimateParallelCtx takes. PreparePlanCtx followed by
-// EstimateParallelResumeCtx is exactly EstimateParallelCtx — the pair
-// is how a durable job store resumes an interrupted run without
-// repeating interval selection or plan calibration, and determinism
-// guarantees the resumed Result is bit-identical to the uninterrupted
-// one.
+// EstimateParallelResumeCtx is EstimateParallelFrom with a hook that
+// returns rp: it samples at rp's interval under rp's plan and restores
+// rp's cycle counters into the Result. PreparePlanCtx followed by
+// EstimateParallelResumeCtx is exactly EstimateParallelCtx, and
+// determinism makes the resumed Result bit-identical to the
+// uninterrupted one. The service resumes a journaled job through
+// EstimateParallelFrom with a hook of its own; this form is for
+// callers that already hold a point.
 func EstimateParallelResumeCtx(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, rp ResumePoint) (Result, error) {
-	return estimateParallel(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) { return rp, nil })
+	return EstimateParallelFrom(ctx, tb, src, baseSeed, opts, func() (ResumePoint, error) { return rp, nil })
 }

@@ -341,7 +341,7 @@ func TestControlVariateRejectsZeroDelayTable(t *testing.T) {
 		t.Error("control variates accepted over an all-zero delay table")
 	}
 	plan := vr.Plan{Mode: vr.ModeControlVariate, Beta: 0.5}
-	if _, err := EstimateParallelResume(tb, factory, 1, opts, ResumePoint{Interval: 2, Plan: plan}); err == nil {
+	if _, err := EstimateParallelResumeCtx(context.Background(), tb, factory, 1, opts, ResumePoint{Interval: 2, Plan: plan}); err == nil {
 		t.Error("a resume point's control-variate plan accepted over an all-zero delay table")
 	}
 	err := StreamReplications(context.Background(), tb, factory, 1, opts, Stream{Plan: plan, Interval: 2, RepLo: 0, RepHi: 16},

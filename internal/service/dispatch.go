@@ -7,16 +7,15 @@ import (
 	"repro/internal/core"
 )
 
-// Dispatcher runs the sampling phase of a job whose circuit the job
-// manager has resolved and whose pre-sampling phases (warm-up, interval
-// selection, plan resolution) it has run or restored from the journal.
-// It is the seam between the job manager and the execution substrate:
-// the local dispatcher samples in process, the cluster dispatcher
-// (internal/cluster.Coordinator) shards the job's replications across
-// dipe-worker processes and merges their blocks into the same sequential
-// stopping rule. Existing jobs run transparently on either — both
-// substrates use the identical replication seeding (baseSeed+1+r) and
-// merge order, so the choice is invisible in the Result.
+// Dispatcher runs the estimate of a job whose circuit the job manager
+// has resolved. It is the seam between the job manager and the
+// execution substrate: the local dispatcher estimates in process, the
+// cluster dispatcher (internal/cluster.Coordinator) shards the job's
+// replications across dipe-worker processes and merges their blocks
+// into the same sequential stopping rule. Existing jobs run
+// transparently on either — both substrates use the identical
+// replication seeding (baseSeed+1+r) and merge order, so the choice is
+// invisible in the Result.
 type Dispatcher interface {
 	// Name labels the dispatch strategy in statistics ("local",
 	// "cluster").
@@ -25,16 +24,20 @@ type Dispatcher interface {
 	// /readyz probe surfaces its error. The local dispatcher is always
 	// ready; the cluster dispatcher requires at least one live worker.
 	Ready() error
-	// Sample runs the sampling tail of one job from its resume point
-	// to completion (or ctx cancellation), reporting running snapshots
-	// through progress (never concurrently with itself). tb and src
-	// come from one registry entry: src is the provenance tb was built
-	// from, which the cluster ships to workers. On cancellation it
-	// returns the partial result with ctx's error, like
-	// core.EstimateParallelResumeCtx. By the determinism contract the
-	// Result is bit-identical to core.EstimateParallel's for any resume
-	// point core.PreparePlanCtx produced for the same job.
-	Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error)
+	// Sample runs one job's estimate to completion (or ctx
+	// cancellation), reporting running snapshots through progress
+	// (never concurrently with itself). It calls prepare once, on its
+	// caller's goroutine and before it merges any block, for the job's
+	// frozen pre-sampling point: the manager's hook runs phase 1 and
+	// plan resolution and journals the checkpoint, or returns the
+	// journaled one of a resumed job. tb and src come from one registry
+	// entry: src is the provenance tb was built from, which the cluster
+	// ships to workers. On cancellation it returns the partial result
+	// with ctx's error, like core.EstimateParallelFrom. By the
+	// determinism contract the Result is bit-identical to
+	// core.EstimateParallel's for any point core.PreparePlanCtx produced
+	// for the same job.
+	Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error)
 }
 
 // WorkerRegistrar is the optional Dispatcher extension for substrates
@@ -81,10 +84,11 @@ type WorkerStatus struct {
 	LastError string `json:"lastError,omitempty"`
 }
 
-// localDispatcher samples jobs in process on the goroutine-parallel
-// tail (core.EstimateParallelResumeCtx) — the single-node default.
-// met, when non-nil, feeds the estimator's per-round convergence
-// telemetry (dipe_core_*).
+// localDispatcher runs jobs in process on the estimator's one
+// lifecycle (core.EstimateParallelFrom), so the tail warms up beside
+// the manager's prepare hook — the single-node default. met, when
+// non-nil, feeds the estimator's per-round convergence telemetry
+// (dipe_core_*).
 type localDispatcher struct {
 	met *core.Metrics
 }
@@ -96,7 +100,7 @@ func (localDispatcher) Name() string { return "local" }
 
 func (localDispatcher) Ready() error { return nil }
 
-func (d localDispatcher) Sample(ctx context.Context, tb *core.Testbench, _ CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
+func (d localDispatcher) Sample(ctx context.Context, tb *core.Testbench, _ CircuitSource, req JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error) {
 	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
 	if err != nil {
 		return core.Result{}, err
@@ -104,5 +108,5 @@ func (d localDispatcher) Sample(ctx context.Context, tb *core.Testbench, _ Circu
 	opts := req.Options.Options()
 	opts.Progress = progress
 	opts.Metrics = d.met
-	return core.EstimateParallelResumeCtx(ctx, tb, factory, req.Seed, opts, rp)
+	return core.EstimateParallelFrom(ctx, tb, factory, req.Seed, opts, prepare)
 }

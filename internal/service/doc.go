@@ -20,22 +20,25 @@
 //     requests return bit-identical estimates regardless of pool load.
 //     The manager is each job's one front end: it resolves the job's
 //     testbench and provenance from one registry entry, keys the result
-//     cache by that provenance, runs the pre-sampling phases
+//     cache by that provenance, and hands the job to a dispatcher with
+//     its prepare hook, which runs the pre-sampling phases
 //     (core.PreparePlanCtx) and journals their checkpoint with that
-//     provenance, and only then hands the job to a dispatcher. A job
-//     resumed from its checkpoint after a restart runs on the journaled
-//     provenance, whatever its name resolves to by then.
+//     provenance before it returns. A job resumed from its checkpoint
+//     after a restart runs on the journaled provenance, whatever its
+//     name resolves to by then, and its hook returns the checkpoint.
 //
 //   - HTTP API (handlers.go, server.go): submit/poll/wait/cancel job
 //     endpoints, a batch endpoint that fans a list of jobs across the
 //     pool, circuit upload/list, registry/pool statistics, and the
 //     liveness/readiness split (/healthz vs /readyz).
 //
-// Sampling goes through the Dispatcher seam (dispatch.go): the local
-// dispatcher runs core.EstimateParallelResumeCtx in-process, while
-// internal/cluster's Coordinator shards the same sampling tail across
-// dipe-worker processes — transparently and bit-identically, because
-// both use the same replication seeding and merge order. Shutdown
+// Estimation goes through the Dispatcher seam (dispatch.go), which
+// calls the job's prepare hook before it merges any block: the local
+// dispatcher runs core.EstimateParallelFrom in-process, so the tail
+// warms up beside the hook's phase 1, while internal/cluster's
+// Coordinator calls the hook and then shards the same sampling tail
+// across dipe-worker processes — transparently and bit-identically,
+// because both use the same replication seeding and merge order. Shutdown
 // drains: Close cancels live jobs, rejects new submissions (ErrClosed)
 // and waits for the pool, so no estimation goroutine outlives the
 // service.

@@ -3,7 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -110,6 +114,118 @@ func FuzzUpload(f *testing.F) {
 		}
 		if got := tb.Circuit.ComputeStats(); got != stats {
 			t.Fatalf("rebuilt upload has stats %+v, want %+v", got, stats)
+		}
+	})
+}
+
+// FuzzReplayJournal feeds arbitrary bytes to the journal replay as a
+// journal file: torn, over-long, duplicated and reordered records. The
+// replay never panics and never fails on a line's content. Every job it
+// restores has a submit record, and jobs come back in first-submit
+// order; a terminal state comes only from a state record that follows
+// its job's submit. After an open, one append and a reopen, every job
+// the first open restored is still there, followed by the appended one.
+func FuzzReplayJournal(f *testing.F) {
+	line := func(rec storeRecord) string {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	long := line(storeRecord{Kind: "submit", ID: "job-000001", Req: &JobRequest{Circuit: "toy", Seed: 5}}) +
+		line(storeRecord{Kind: "checkpoint", ID: "job-000001", Checkpoint: &Checkpoint{Interval: 3},
+			Source: &CircuitSource{Name: "toy", Format: "bench", Text: toyA + strings.Repeat("# "+strings.Repeat("<", 1022)+"\n", 16)}}) +
+		line(storeRecord{Kind: "submit", ID: "job-000002", Req: &JobRequest{Circuit: "s27", Seed: 7}}) +
+		line(storeRecord{Kind: "state", ID: "job-000002", State: StateCancelled, Error: "cancelled before start"})
+	submit := line(storeRecord{Kind: "submit", ID: "job-000001", Req: &JobRequest{Circuit: "s27", Seed: 1}})
+	done := line(storeRecord{Kind: "state", ID: "job-000001", State: StateDone, Result: &ResultView{Power: 0.5}})
+	for _, seed := range []string{
+		tornJournal,
+		removedFieldsJournal,
+		long,
+		long[:len(long)/2], // torn inside the long line
+		submit + submit + done + done,
+		done + `{"kind":"checkpoint","id":"job-000001","checkpoint":{"interval":2}}` + "\n" + submit +
+			`{"kind":"state","id":"job-000001","state":"running"}` + "\n",
+		"",
+		"\n\n{}\nnull\n[]\n" + submit,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "jobs.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		restored, _, err := replayJournal(path)
+		if err != nil {
+			t.Fatalf("replay failed on the journal's content: %v", err)
+		}
+
+		// The records as the replay reads them: one a line, the zero
+		// record where a line does not decode.
+		var recs []storeRecord
+		firstSubmit := map[string]int{}
+		for i, l := range bytes.Split(data, []byte("\n")) {
+			var rec storeRecord
+			if json.Unmarshal(l, &rec) != nil {
+				rec = storeRecord{}
+			}
+			recs = append(recs, rec)
+			if _, seen := firstSubmit[rec.ID]; rec.Kind == "submit" && rec.Req != nil && !seen {
+				firstSubmit[rec.ID] = i
+			}
+		}
+		if len(restored) != len(firstSubmit) {
+			t.Fatalf("restored %d jobs, the journal submits %d", len(restored), len(firstSubmit))
+		}
+		prev := -1
+		for _, r := range restored {
+			at, ok := firstSubmit[r.ID]
+			if !ok {
+				t.Fatalf("job %q restored without a submit record", r.ID)
+			}
+			if at <= prev {
+				t.Fatalf("job %q restored out of first-submit order", r.ID)
+			}
+			prev = at
+			if !r.State.Terminal() {
+				if r.State != StateQueued {
+					t.Fatalf("job %q restored in state %q", r.ID, r.State)
+				}
+				continue
+			}
+			if !slices.ContainsFunc(recs[at+1:], func(rec storeRecord) bool {
+				return rec.Kind == "state" && rec.ID == r.ID && rec.State == r.State
+			}) {
+				t.Fatalf("job %q restored %s with no such state record after its submit", r.ID, r.State)
+			}
+		}
+
+		const id = "job-appended"
+		store, err := OpenJobStore(dir)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		want := store.Restored()
+		err = store.append(storeRecord{Kind: "submit", ID: id, Req: &JobRequest{Circuit: "s27"}})
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("append: %v", err)
+		}
+		if _, had := firstSubmit[id]; !had {
+			want = append(want, RestoredJob{ID: id, Req: JobRequest{Circuit: "s27"}, State: StateQueued})
+		}
+		if store, err = OpenJobStore(dir); err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer store.Close()
+		if got := store.Restored(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reopen after one append restored\n%+v\nwant\n%+v", got, want)
 		}
 	})
 }

@@ -381,8 +381,8 @@ type job struct {
 	err      string
 	cancel   context.CancelFunc
 	done     chan struct{} // closed on terminal state
-	// ckpt is the frozen pre-sampling outcome: set by run once the plan
-	// freezes, or restored from the journal for a resumed job.
+	// ckpt is the frozen pre-sampling outcome restored from the journal
+	// for a resumed job (nil otherwise).
 	ckpt *Checkpoint
 	// src is the journaled provenance of the circuit a restored
 	// checkpoint was prepared on (nil otherwise). It is set before the
@@ -601,9 +601,7 @@ func (m *Manager) Submit(req JobRequest) (string, error) {
 			m.seq++
 			m.jobs[j.id] = j
 			m.order = append(m.order, j.id)
-			if m.store != nil {
-				m.store.submit(j.id, req)
-			}
+			m.journal(storeRecord{Kind: "submit", ID: j.id, Req: &req})
 			j.trace.Event("cache-hit")
 			m.met.submitted.Inc()
 			m.finishLocked(j, StateDone, rv, "")
@@ -618,9 +616,7 @@ func (m *Manager) Submit(req JobRequest) (string, error) {
 	m.seq++
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	if m.store != nil {
-		m.store.submit(j.id, req)
-	}
+	m.journal(storeRecord{Kind: "submit", ID: j.id, Req: &req})
 	m.met.submitted.Inc()
 	m.log.Info("job submitted", "job", j.id, "circuit", req.Circuit)
 	return j.id, nil
@@ -808,7 +804,9 @@ func (m *Manager) Close() {
 	if m.store != nil {
 		// Flush after the pool retires so every record of the drain —
 		// including checkpoints written moments ago — reaches disk.
-		m.store.Close()
+		if err := m.store.Close(); err != nil {
+			m.log.Error("journal close failed", "err", err)
+		}
 	}
 }
 
@@ -827,12 +825,12 @@ func (m *Manager) worker() {
 
 // run executes one job end to end. It is the job's one front end: it
 // resolves the circuit's testbench and provenance together, keys the
-// result cache by that provenance, runs the pre-sampling phases (or
-// takes them from the journal) and journals their checkpoint, and only
-// then hands the prepared run to the dispatcher, so phase 1, sampling
-// and the cached result all belong to one circuit. A panic anywhere in
-// the estimation stack fails the job instead of killing the pool worker
-// (and with it the whole server).
+// result cache by that provenance, and hands the dispatcher the job's
+// prepare hook, which runs the pre-sampling phases (or takes them from
+// the journal) and journals their checkpoint, so phase 1, sampling and
+// the cached result all belong to one circuit. A panic anywhere in the
+// estimation stack, the hook's included, fails the job instead of
+// killing the pool worker (and with it the whole server).
 func (m *Manager) run(j *job) {
 	ctx, cancel := context.WithCancel(m.ctx)
 	defer cancel()
@@ -868,8 +866,8 @@ func (m *Manager) run(j *job) {
 	progress := func(p core.Progress) {
 		m.mu.Lock()
 		j.progress = viewProgress(p)
-		journal := m.store != nil && p.Samples-j.progSamples >= progressJournalEvery
-		if journal {
+		due := m.store != nil && p.Samples-j.progSamples >= progressJournalEvery
+		if due {
 			j.progSamples = p.Samples
 		}
 		m.mu.Unlock()
@@ -877,18 +875,16 @@ func (m *Manager) run(j *job) {
 		// resumed job's last known progress; they are cosmetic for
 		// correctness (the resume replays from the checkpoint), so they
 		// are journaled without fsync.
-		if journal {
-			m.store.progress(j.id, *viewProgress(p))
+		if due {
+			m.journal(storeRecord{Kind: "progress", ID: j.id, Progress: viewProgress(p)})
 		}
 	}
-	var res core.Result
-	rp, err := m.prepare(ctx, j, tb, src)
-	if err == nil {
-		res, err = m.dispatch.Sample(ctx, tb, src, j.req, rp, progress)
-		// Elapsed covers the pre-sampling phases too; a resumed job
-		// reports this process's share.
-		res.Elapsed = time.Since(start)
-	}
+	res, err := m.dispatch.Sample(ctx, tb, src, j.req, func() (core.ResumePoint, error) {
+		return m.prepare(ctx, j, tb, src)
+	}, progress)
+	// Elapsed covers the pre-sampling phases too; a resumed job reports
+	// this process's share.
+	res.Elapsed = time.Since(start)
 	switch {
 	case errors.Is(err, context.Canceled):
 		m.finish(j, StateCancelled, nil, "cancelled")
@@ -914,12 +910,14 @@ func (m *Manager) resolve(j *job) (*core.Testbench, CircuitSource, error) {
 	return tb, *j.src, err
 }
 
-// prepare returns the job's frozen pre-sampling outcome: the journaled
-// checkpoint of a resumed job, or else the outcome of running the
-// pre-sampling phases (warm-up, interval selection and plan resolution)
-// on the job's traced context, journaled with the provenance of the
-// circuit src they ran on before any sample is drawn, so a restart
-// resumes from it on that circuit instead of repeating them.
+// prepare is the job's prepare hook, which the dispatcher calls before
+// it merges any block. It returns the job's frozen pre-sampling
+// outcome: the journaled checkpoint of a resumed job, or else the
+// outcome of running the pre-sampling phases (warm-up, interval
+// selection and plan resolution) on the job's traced context, journaled
+// with the provenance of the circuit src they ran on before it returns,
+// so a restart resumes from it on that circuit instead of repeating
+// them.
 func (m *Manager) prepare(ctx context.Context, j *job, tb *core.Testbench, src CircuitSource) (Checkpoint, error) {
 	m.mu.Lock()
 	ckpt := j.ckpt
@@ -935,14 +933,9 @@ func (m *Manager) prepare(ctx context.Context, j *job, tb *core.Testbench, src C
 	if err != nil {
 		return Checkpoint{}, err
 	}
-	m.mu.Lock()
-	j.ckpt = &rp
-	m.mu.Unlock()
-	if m.store != nil {
-		// The spans so far ride along so a restart resumes the
-		// lifecycle trace, not just the sampling phase.
-		m.store.checkpoint(j.id, rp, src, j.trace.Spans())
-	}
+	// The spans so far ride along so a restart resumes the lifecycle
+	// trace, not just the sampling phase.
+	m.journal(storeRecord{Kind: "checkpoint", ID: j.id, Checkpoint: &rp, Source: &src, Spans: j.trace.Spans()})
 	return rp, nil
 }
 
@@ -989,11 +982,21 @@ func (m *Manager) finishLocked(j *job, state JobState, res *ResultView, msg stri
 	} else {
 		m.log.Info("job finished", "job", j.id, "state", string(state))
 	}
-	if m.store != nil {
-		if state == StateCancelled && m.closed && !j.userCancel {
-			return // shutdown drain: resume after restart instead
-		}
-		m.store.terminal(j.id, state, res, msg)
+	if state == StateCancelled && m.closed && !j.userCancel {
+		return // shutdown drain: resume after restart instead
+	}
+	m.journal(storeRecord{Kind: "state", ID: j.id, State: state, Result: res, Error: msg})
+}
+
+// journal appends rec to the job store, if there is one, and logs a
+// failed append with its job and record kind; the store counts the
+// failure in StoreStats.
+func (m *Manager) journal(rec storeRecord) {
+	if m.store == nil {
+		return
+	}
+	if err := m.store.append(rec); err != nil {
+		m.log.Error("journal append failed", "job", rec.ID, "kind", rec.Kind, "err", err)
 	}
 }
 

@@ -306,7 +306,7 @@ type startSignal struct {
 	gate    chan struct{}
 }
 
-func (d *startSignal) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
+func (d *startSignal) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error) {
 	first := false
 	d.once.Do(func() {
 		first = true
@@ -315,7 +315,46 @@ func (d *startSignal) Sample(ctx context.Context, tb *core.Testbench, src Circui
 	if first && d.gate != nil {
 		<-d.gate
 	}
-	return d.Dispatcher.Sample(ctx, tb, src, req, rp, progress)
+	return d.Dispatcher.Sample(ctx, tb, src, req, prepare, progress)
+}
+
+// panicInPrepare wraps a dispatcher so its first job's prepare hook
+// panics once phase 1 has run, while the tail warms up beside it.
+type panicInPrepare struct {
+	Dispatcher
+	once sync.Once
+}
+
+func (d *panicInPrepare) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error) {
+	hook := prepare
+	d.once.Do(func() {
+		hook = func() (core.ResumePoint, error) {
+			prepare()
+			panic("prepare hook failed")
+		}
+	})
+	return d.Dispatcher.Sample(ctx, tb, src, req, hook, progress)
+}
+
+// TestPanicInPrepareFailsOnlyThatJob: a panic in a job's prepare hook
+// fails that job with an internal-panic error; the pool's one worker
+// survives and runs the next job to done.
+func TestPanicInPrepareFailsOnlyThatJob(t *testing.T) {
+	m := NewManager(NewRegistry(0), &panicInPrepare{Dispatcher: NewLocalDispatcher()}, 1, 0, nil)
+	defer m.Close()
+	for seed, want := range []JobState{StateFailed, StateDone} {
+		id, err := m.Submit(fastRequest(int64(seed + 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := m.Wait(context.Background(), id)
+		if err != nil || v.State != want {
+			t.Fatalf("job %d: state %v err %v (%s), want %s", seed+1, v.State, err, v.Error, want)
+		}
+		if want == StateFailed && !strings.Contains(v.Error, "internal panic: prepare hook failed") {
+			t.Errorf("failed job's error %q, want the hook's panic", v.Error)
+		}
+	}
 }
 
 func TestCancelRunningJob(t *testing.T) {

@@ -89,8 +89,14 @@ type RestoredJob struct {
 type StoreStats struct {
 	// Path is the journal file.
 	Path string `json:"path"`
-	// Records counts journal lines appended this process lifetime.
+	// Records counts journal lines appended this process lifetime:
+	// written, and synced where the record needs it.
 	Records uint64 `json:"records"`
+	// Failures counts appends that failed this process lifetime, whose
+	// records a restart may not replay; LastError is the latest one's
+	// error.
+	Failures  uint64 `json:"failures,omitempty"`
+	LastError string `json:"lastError,omitempty"`
 	// Restored counts jobs folded out of the journal at open (terminal
 	// and resumable alike); Resumed counts the non-terminal subset that
 	// was re-enqueued.
@@ -108,6 +114,8 @@ type JobStore struct {
 	w        *bufio.Writer
 	path     string
 	records  uint64
+	failures uint64
+	lastErr  string
 	restored []RestoredJob
 	resumed  int
 }
@@ -221,43 +229,43 @@ func replayJournal(path string) (restored []RestoredJob, torn bool, err error) {
 // submission order.
 func (s *JobStore) Restored() []RestoredJob { return s.restored }
 
-// append writes one record; sync forces it to stable storage (used for
-// every record that changes what a replay reconstructs — submits,
-// checkpoints and terminal states — while throttled progress snapshots
-// ride along on the next sync).
-func (s *JobStore) append(rec storeRecord, sync bool) {
+// append writes one record and counts it once it is written. Every
+// record but a progress snapshot changes what a replay reconstructs
+// (submits, checkpoints and terminal states), so it is also flushed and
+// synced to stable storage before it counts; throttled progress
+// snapshots ride along on the next sync. A failed append is counted in
+// Failures, keeps its error as LastError, and is returned.
+func (s *JobStore) append(rec storeRecord) error {
 	line, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err == nil {
+		err = s.write(line, rec.Kind != "progress")
+	}
+	if err != nil {
+		err = fmt.Errorf("service: job journal: %s record: %w", rec.Kind, err)
+		s.failures++
+		s.lastErr = err.Error()
+		return err
+	}
+	s.records++
+	return nil
+}
+
+// write appends one line, flushing and syncing it if sync is set.
+// Caller holds s.mu.
+func (s *JobStore) write(line []byte, sync bool) error {
 	if s.f == nil {
-		return
+		return os.ErrClosed
 	}
 	s.w.Write(line)
-	s.w.WriteByte('\n')
-	s.records++
-	if sync {
-		s.w.Flush()
-		s.f.Sync()
+	if err := s.w.WriteByte('\n'); err != nil || !sync {
+		return err // a bufio.Writer keeps its first error, so this is Write's too
 	}
-}
-
-func (s *JobStore) submit(id string, req JobRequest) {
-	s.append(storeRecord{Kind: "submit", ID: id, Req: &req}, true)
-}
-
-func (s *JobStore) checkpoint(id string, c Checkpoint, src CircuitSource, spans []obs.Span) {
-	s.append(storeRecord{Kind: "checkpoint", ID: id, Checkpoint: &c, Source: &src, Spans: spans}, true)
-}
-
-func (s *JobStore) progress(id string, p ProgressView) {
-	s.append(storeRecord{Kind: "progress", ID: id, Progress: &p}, false)
-}
-
-func (s *JobStore) terminal(id string, state JobState, res *ResultView, msg string) {
-	s.append(storeRecord{Kind: "state", ID: id, State: state, Result: res, Error: msg}, true)
+	if err := s.w.Flush(); err != nil {
+		return err
+	}
+	return s.f.Sync()
 }
 
 // Stats snapshots the journal counters.
@@ -265,22 +273,26 @@ func (s *JobStore) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return StoreStats{
-		Path:     s.path,
-		Records:  s.records,
-		Restored: len(s.restored),
-		Resumed:  s.resumed,
+		Path:      s.path,
+		Records:   s.records,
+		Failures:  s.failures,
+		LastError: s.lastErr,
+		Restored:  len(s.restored),
+		Resumed:   s.resumed,
 	}
 }
 
-// Close flushes and closes the journal. Further appends are dropped.
+// Close flushes and closes the journal. Further appends fail.
 func (s *JobStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return nil
 	}
-	s.w.Flush()
-	err := s.f.Sync()
+	err := s.w.Flush()
+	if serr := s.f.Sync(); err == nil {
+		err = serr
+	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}

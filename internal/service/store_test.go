@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,7 +38,7 @@ func (d *stallDispatcher) Name() string { return d.inner.Name() }
 
 func (d *stallDispatcher) Ready() error { return d.inner.Ready() }
 
-func (d *stallDispatcher) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
+func (d *stallDispatcher) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error) {
 	wrapped := func(p core.Progress) {
 		if progress != nil {
 			progress(p)
@@ -45,7 +46,7 @@ func (d *stallDispatcher) Sample(ctx context.Context, tb *core.Testbench, src Ci
 		d.once.Do(func() { close(d.running) })
 		<-ctx.Done()
 	}
-	return d.inner.Sample(ctx, tb, src, req, rp, wrapped)
+	return d.inner.Sample(ctx, tb, src, req, prepare, wrapped)
 }
 
 // sameResultView compares two result views bit for bit, ignoring the
@@ -387,6 +388,13 @@ func TestResumedJobTraceSplicesPreRestartSpans(t *testing.T) {
 			t.Errorf("span %q at %d not before restore at %d (spans %v)", pre, i, restore, names(tr.Spans))
 		}
 	}
+	// The resumed job's prepare hook returns the journaled checkpoint,
+	// so no phase 1 runs after the restore marker.
+	for _, sp := range tr.Spans[restore:] {
+		if sp.Name == "select-interval" || sp.Name == "plan-resolve" {
+			t.Errorf("span %q follows restore: the resumed job ran phase 1 again (spans %v)", sp.Name, names(tr.Spans))
+		}
+	}
 	stop, ok := idx["stop"]
 	if !ok || stop <= restore {
 		t.Errorf("stop span at %d not after restore at %d (spans %v)", stop, restore, names(tr.Spans))
@@ -404,13 +412,15 @@ func names(spans []obs.Span) []string {
 	return out
 }
 
+// tornJournal ends in a record a crash cut mid-write.
+const tornJournal = `{"kind":"submit","id":"job-000001","req":{"circuit":"s298","seed":1}}` + "\n" +
+	`{"kind":"state","id":"job-0000`
+
 // TestJournalTruncatedTailTolerated: a crash can cut the final journal
 // append mid-line; everything before the torn line must still replay.
 func TestJournalTruncatedTailTolerated(t *testing.T) {
 	dir := t.TempDir()
-	journal := `{"kind":"submit","id":"job-000001","req":{"circuit":"s298","seed":1}}` + "\n" +
-		`{"kind":"state","id":"job-0000` // torn mid-write
-	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(journal), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(tornJournal), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store, err := OpenJobStore(dir)
@@ -433,17 +443,21 @@ func TestJournalTruncatedTailTolerated(t *testing.T) {
 func TestJournalAppendAfterTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "jobs.jsonl")
-	journal := `{"kind":"submit","id":"job-000001","req":{"circuit":"s298","seed":1}}` + "\n" +
-		`{"kind":"state","id":"job-0000` // torn mid-write
-	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(tornJournal), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store, err := OpenJobStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.submit("job-000002", JobRequest{Circuit: "s27", Seed: 2})
-	store.terminal("job-000001", StateCancelled, nil, "cancelled before start")
+	for _, rec := range []storeRecord{
+		{Kind: "submit", ID: "job-000002", Req: &JobRequest{Circuit: "s27", Seed: 2}},
+		{Kind: "state", ID: "job-000001", State: StateCancelled, Error: "cancelled before start"},
+	} {
+		if err := store.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -464,16 +478,19 @@ func TestJournalAppendAfterTornTail(t *testing.T) {
 	}
 }
 
+// removedFieldsJournal was written when requests and results still
+// carried a backend and the compiled-session tuning options.
+const removedFieldsJournal = `{"kind":"submit","id":"job-000001","req":{"circuit":"s298","seed":1,"options":{"replications":64,"backend":"packed","sessionWorkers":2,"cacheBudget":4096}}}` + "\n" +
+	`{"kind":"submit","id":"job-000002","req":{"circuit":"s27","seed":2,"options":{"backend":"compiled"}}}` + "\n" +
+	`{"kind":"state","id":"job-000002","state":"done","result":{"power":0.5,"engine":"compiled-zero-delay","backend":"compiled","converged":true}}` + "\n"
+
 // TestJournalWithRemovedFieldsRestores: a journal written when requests
 // and results still carried a backend and the compiled-session tuning
 // options replays. The journal decoder ignores fields it no longer
 // knows, so such a job restores with everything else intact.
 func TestJournalWithRemovedFieldsRestores(t *testing.T) {
 	dir := t.TempDir()
-	journal := `{"kind":"submit","id":"job-000001","req":{"circuit":"s298","seed":1,"options":{"replications":64,"backend":"packed","sessionWorkers":2,"cacheBudget":4096}}}` + "\n" +
-		`{"kind":"submit","id":"job-000002","req":{"circuit":"s27","seed":2,"options":{"backend":"compiled"}}}` + "\n" +
-		`{"kind":"state","id":"job-000002","state":"done","result":{"power":0.5,"engine":"compiled-zero-delay","backend":"compiled","converged":true}}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(journal), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(removedFieldsJournal), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	store, err := OpenJobStore(dir)
@@ -546,11 +563,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// endingDispatcher wraps the local dispatcher so every job, when its
-// sampling begins, counts the checkpoint records its journal already
-// holds, then ends the way its seed says: seed 2 fails after the run,
-// seed 3 parks in its first progress report until it is cancelled, any
-// other seed finishes.
+// endingDispatcher wraps the local dispatcher so every job, once its
+// prepare hook returns and before its sampling begins, counts the
+// checkpoint records its journal already holds, then ends the way its
+// seed says: seed 2 fails after the run, seed 3 parks in its first
+// progress report until it is cancelled, any other seed finishes.
 type endingDispatcher struct {
 	inner   Dispatcher
 	journal string // the job store's journal file
@@ -561,17 +578,24 @@ type endingDispatcher struct {
 
 func (d *endingDispatcher) Name() string { return d.inner.Name() }
 func (d *endingDispatcher) Ready() error { return d.inner.Ready() }
-func (d *endingDispatcher) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, rp core.ResumePoint, progress func(core.Progress)) (core.Result, error) {
-	restored, _, err := replayJournal(d.journal)
-	if err != nil {
-		return core.Result{}, err
-	}
-	for _, r := range restored {
-		if r.Req.Seed == req.Seed && r.Checkpoint != nil {
-			d.mu.Lock()
-			d.saves[req.Seed]++
-			d.mu.Unlock()
+func (d *endingDispatcher) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error) {
+	counted := func() (core.ResumePoint, error) {
+		rp, err := prepare()
+		if err != nil {
+			return rp, err
 		}
+		restored, _, err := replayJournal(d.journal)
+		if err != nil {
+			return rp, err
+		}
+		for _, r := range restored {
+			if r.Req.Seed == req.Seed && r.Checkpoint != nil {
+				d.mu.Lock()
+				d.saves[req.Seed]++
+				d.mu.Unlock()
+			}
+		}
+		return rp, nil
 	}
 	wrapped := progress
 	if req.Seed == 3 {
@@ -585,7 +609,7 @@ func (d *endingDispatcher) Sample(ctx context.Context, tb *core.Testbench, src C
 			<-ctx.Done()
 		}
 	}
-	res, err := d.inner.Sample(ctx, tb, src, req, rp, wrapped)
+	res, err := d.inner.Sample(ctx, tb, src, req, counted, wrapped)
 	if req.Seed == 2 && err == nil {
 		return core.Result{}, errors.New("injected failure after the checkpoint")
 	}
@@ -677,4 +701,114 @@ func TestFinishedJobsDropCheckpoint(t *testing.T) {
 	m2 := NewManager(reg, nil, 1, 0, store2)
 	defer m2.Close()
 	check(m2, "restored")
+}
+
+// checkpointProbe wraps the local dispatcher and reads the journal when
+// Sample is entered and again at the job's first progress report,
+// noting each time whether the job's checkpoint is journaled.
+type checkpointProbe struct {
+	inner                 Dispatcher
+	journal               string
+	atEntry, atFirstBlock bool
+	once                  sync.Once
+}
+
+func (d *checkpointProbe) Name() string { return d.inner.Name() }
+func (d *checkpointProbe) Ready() error { return d.inner.Ready() }
+func (d *checkpointProbe) Sample(ctx context.Context, tb *core.Testbench, src CircuitSource, req JobRequest, prepare func() (core.ResumePoint, error), progress func(core.Progress)) (core.Result, error) {
+	journaled := func() bool {
+		restored, _, err := replayJournal(d.journal)
+		return err == nil && len(restored) == 1 && restored[0].Checkpoint != nil
+	}
+	d.atEntry = journaled()
+	return d.inner.Sample(ctx, tb, src, req, prepare, func(p core.Progress) {
+		d.once.Do(func() { d.atFirstBlock = journaled() })
+		progress(p)
+	})
+}
+
+// TestFreshJobJournalsCheckpointInPrepare: a fresh local job runs its
+// phase 1 inside the dispatcher, through the prepare hook, which
+// journals the checkpoint before the first block merges. The journal
+// holds no checkpoint for the job when Sample is entered, and holds it
+// by the first progress report.
+func TestFreshJobJournalsCheckpointInPrepare(t *testing.T) {
+	store, err := OpenJobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &checkpointProbe{inner: localDispatcher{}, journal: store.Stats().Path}
+	m := NewManager(NewRegistry(0), d, 1, 0, store)
+	defer m.Close()
+	id, err := m.Submit(fastRequest(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Wait(context.Background(), id); err != nil || v.State != StateDone {
+		t.Fatalf("job: state %v err %v (%s)", v.State, err, v.Error)
+	}
+	if d.atEntry {
+		t.Error("the checkpoint was journaled before Sample was entered: phase 1 ran outside the dispatcher")
+	}
+	if !d.atFirstBlock {
+		t.Error("no checkpoint journaled by the first progress report")
+	}
+}
+
+// TestJournalWriteFailureShows: writes that cannot reach the journal
+// show. The journal's file is closed underneath an open store; a job
+// still runs to done, but none of its records count as written, each
+// failed append is counted in StoreStats with the last error, and the
+// manager logs each with its job and record kind, and the failed close
+// of its drain.
+func TestJournalWriteFailureShows(t *testing.T) {
+	store, err := OpenJobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.f.Close()
+	var log bytes.Buffer
+	m := NewManagerObs(NewRegistry(0), nil, 1, 0, store, nil, obs.NewLogger(&log, obs.LevelInfo, obs.FormatJSON))
+	id, err := m.Submit(fastRequest(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := m.Wait(context.Background(), id); err != nil || v.State != StateDone {
+		t.Fatalf("job: state %v err %v (%s)", v.State, err, v.Error)
+	}
+	m.Close() // the pool retires, so every append has happened
+	st := m.StoreStats()
+
+	kinds := map[string]int{}
+	failed, closed := 0, false
+	for _, line := range strings.Split(strings.TrimSpace(log.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		closed = closed || rec["msg"] == "journal close failed"
+		if rec["msg"] != "journal append failed" {
+			continue
+		}
+		failed++
+		if rec["job"] != id {
+			t.Errorf("failed append logged for job %v, want %s", rec["job"], id)
+		}
+		kind, _ := rec["kind"].(string)
+		kinds[kind]++
+	}
+	for _, kind := range []string{"submit", "checkpoint", "state"} {
+		if kinds[kind] != 1 {
+			t.Errorf("%d failed %s appends logged, want 1 (logged kinds %v)", kinds[kind], kind, kinds)
+		}
+	}
+	if st.Records != 0 || st.Failures < 3 || st.Failures != uint64(failed) {
+		t.Errorf("store stats: %d records, %d failures, want 0 records and the %d logged failures (at least 3)", st.Records, st.Failures, failed)
+	}
+	if !strings.Contains(st.LastError, "state record") {
+		t.Errorf("last error %q, want the terminal state record's", st.LastError)
+	}
+	if !closed {
+		t.Error("the manager's drain closed the journal without logging its failure")
+	}
 }
