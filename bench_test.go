@@ -195,19 +195,16 @@ func BenchmarkZeroDelayCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedHidden measures one packed hidden cycle: 64
+// BenchmarkCompiledHidden measures one hidden cycle of a 64-lane
+// compiled session, the lane engine every parallel estimate runs: 64
 // replications advance per iteration, so the cycles/sec metric counts
 // per-replication clock cycles and is directly comparable with
 // BenchmarkZeroDelayCycle's.
-func BenchmarkPackedHidden(b *testing.B) {
+func BenchmarkCompiledHidden(b *testing.B) {
 	for _, name := range []string{"s298", "s832", "s1494", "s5378"} {
 		c := bench89.MustGet(name)
 		b.Run(name, func(b *testing.B) {
-			srcs := make([]vectors.Source, sim.MaxLanes)
-			for k := range srcs {
-				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
-			}
-			s := sim.NewPackedSession(c, srcs)
+			s := sim.NewCompiledSession(c, laneSources(c))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepHidden()
@@ -217,18 +214,15 @@ func BenchmarkPackedHidden(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedSampled measures one packed sampled cycle (64 lanes
-// through the scalar event-driven observer — the general-delay mode).
-func BenchmarkPackedSampled(b *testing.B) {
+// BenchmarkCompiledSampled measures one sampled cycle of a 64-lane
+// compiled session, each lane observed by the scalar event-driven
+// engine (the general-delay mode).
+func BenchmarkCompiledSampled(b *testing.B) {
 	for _, name := range []string{"s298", "s1494"} {
 		c := bench89.MustGet(name)
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
-			srcs := make([]vectors.Source, sim.MaxLanes)
-			for k := range srcs {
-				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
-			}
-			s := sim.NewPackedSession(c, srcs)
+			s := sim.NewCompiledSession(c, laneSources(c))
 			ed := sim.NewEventDriven(c, tb.Delays)
 			powers := make([]float64, sim.MaxLanes)
 			b.ResetTimer()
@@ -240,19 +234,15 @@ func BenchmarkPackedSampled(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedSampledZeroDelay measures one packed zero-delay
-// sampled cycle: all 64 lanes observed by word-level transition
-// counting, no scalar extraction at all.
-func BenchmarkPackedSampledZeroDelay(b *testing.B) {
+// BenchmarkCompiledSampledZeroDelay measures one zero-delay sampled
+// cycle of a 64-lane compiled session: all 64 lanes observed by
+// word-level transition counting, no scalar extraction at all.
+func BenchmarkCompiledSampledZeroDelay(b *testing.B) {
 	for _, name := range []string{"s298", "s1494"} {
 		c := bench89.MustGet(name)
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
-			srcs := make([]vectors.Source, sim.MaxLanes)
-			for k := range srcs {
-				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
-			}
-			s := sim.NewPackedSession(c, srcs)
+			s := sim.NewCompiledSession(c, laneSources(c))
 			powers := make([]float64, sim.MaxLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -261,6 +251,16 @@ func BenchmarkPackedSampledZeroDelay(b *testing.B) {
 			b.ReportMetric(float64(b.N*sim.MaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
 		})
 	}
+}
+
+// laneSources returns one word of IID lane sources for circuit c, lane
+// k seeded k+1.
+func laneSources(c *netlist.Circuit) []vectors.Source {
+	srcs := make([]vectors.Source, sim.MaxLanes)
+	for k := range srcs {
+		srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
+	}
+	return srcs
 }
 
 // BenchmarkEstimateParallel measures one full bit-parallel estimation
@@ -512,11 +512,7 @@ func BenchmarkCompiledObsOverhead(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			sim.RegisterCompiledMetrics(mode.reg)
 			defer sim.RegisterCompiledMetrics(nil)
-			srcs := make([]vectors.Source, sim.MaxLanes)
-			for k := range srcs {
-				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
-			}
-			s := sim.NewCompiledSession(c, srcs)
+			s := sim.NewCompiledSession(c, laneSources(c))
 			powers := make([]float64, sim.MaxLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -542,11 +538,7 @@ func BenchmarkBreakdownOverhead(b *testing.B) {
 		counting bool
 	}{{"disabled", false}, {"enabled", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			srcs := make([]vectors.Source, sim.MaxLanes)
-			for k := range srcs {
-				srcs[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
-			}
-			s := sim.NewCompiledSession(c, srcs)
+			s := sim.NewCompiledSession(c, laneSources(c))
 			if mode.counting {
 				s.AccumulateToggles(make([]uint64, c.NumNodes()))
 			}

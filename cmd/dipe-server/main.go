@@ -89,7 +89,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 
 	// One process-wide registry backs /metrics; every subsystem
 	// (service jobs, local estimator, cluster coordinator, compiled
-	// backend) registers its instruments on it.
+	// lane engine) registers its instruments on it.
 	reg := obs.NewRegistry()
 	sim.RegisterCompiledMetrics(reg)
 	log := obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel), obs.ParseFormat(*logFormat))
@@ -150,7 +150,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 		return err
 	}
 	// /metrics lives outside the service mux: the registry belongs to
-	// the process (compiled-backend and cluster metrics register on it
+	// the process (compiled-engine and cluster metrics register on it
 	// too), not to the service.
 	mux := http.NewServeMux()
 	mux.Handle("/", svc.Handler())

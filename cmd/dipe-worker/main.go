@@ -64,7 +64,7 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	}
 
 	// The worker mounts reg.Handler() at /metrics itself; the compiled
-	// backend's wave/instruction counters register on the same registry
+	// engine's wave/instruction counters register on the same registry
 	// so sampling throughput is scrapable per node.
 	reg := obs.NewRegistry()
 	sim.RegisterCompiledMetrics(reg)

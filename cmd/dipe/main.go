@@ -330,7 +330,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if reps > 0 {
-		fmt.Fprintf(stdout, "replications      : %d (%s backend)\n", reps, res.Backend)
+		fmt.Fprintf(stdout, "replications      : %d\n", reps)
 	}
 	if *verbose {
 		// Post-hoc audit: a fresh sequence at the selected interval run

@@ -99,7 +99,7 @@ func TestRunFixedInterval(t *testing.T) {
 func TestRunParallelReplications(t *testing.T) {
 	out, _ := runDipe(t, "-circuit", "s27", "-replications", "16")
 	// The layout is the estimator's choice, so the report names none.
-	if !strings.Contains(out, "replications      : 16 (compiled backend)\n") {
+	if !strings.Contains(out, "replications      : 16\n") {
 		t.Errorf("report lacks the replications line:\n%s", out)
 	}
 	// Fixed interval + replications takes the parallel fixed path.

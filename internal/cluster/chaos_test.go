@@ -240,22 +240,9 @@ func TestRangePanicFailsJob(t *testing.T) {
 	if !strings.Contains(err.Error(), "injected run panic") {
 		t.Fatalf("error does not carry the panic value: %v", err)
 	}
-	// The other ranges stop once the job fails; every lease slot must
-	// come back.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		active := 0
-		for _, w := range coord.Workers() {
-			active += w.ActiveLeases
-		}
-		if active == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d lease slots still held after the job failed", active)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	// The other ranges stop once the job fails, and Sample waits for
+	// them: every lease slot is back by the time it returns.
+	requireJoined(t, coord, "failed job")
 }
 
 func hostOf(t *testing.T, rawURL string) string {

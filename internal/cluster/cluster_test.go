@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -361,6 +362,93 @@ func TestClusterNoWorkersFailsJob(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no live workers") {
 		t.Fatalf("err = %v, want no-live-workers failure", err)
 	}
+}
+
+// requireJoined fails unless, right now, no goroutine runs
+// runLeasedRange and every lease slot of coord is free. It neither
+// polls nor waits: it is called the moment Sample returns, which must
+// already have joined every range goroutine the job started. Tests in
+// this package that sample run one at a time, so any range goroutine
+// found belongs to the job just finished.
+func requireJoined(t *testing.T, coord *Coordinator, label string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	if n := strings.Count(string(buf), ".runLeasedRange("); n != 0 {
+		t.Errorf("%s: %d range goroutines still running after Sample returned", label, n)
+	}
+	for _, w := range coord.Workers() {
+		if w.ActiveLeases != 0 {
+			t.Errorf("%s: worker %s still holds %d lease slots after Sample returned", label, w.URL, w.ActiveLeases)
+		}
+	}
+}
+
+// TestSampleJoinsRangeGoroutines: Sample returns only after every range
+// goroutine it started has ended and freed its lease slot, whether the
+// job converged, failed or was cancelled. Otherwise /v1/cluster/workers
+// shows a finished job's leases, the next job's scheduler balances on
+// them, and a service's Close leaves estimation goroutines behind.
+// Several converged jobs run because a range goroutine left behind by a
+// converged job is a race its teardown often wins.
+func TestSampleJoinsRangeGoroutines(t *testing.T) {
+	w1 := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+	defer w1.Close()
+	w2 := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+	defer w2.Close()
+	reg := service.NewRegistry(0)
+	fixed := 2
+	req := service.JobRequest{Circuit: "s298", Interval: &fixed, Options: service.OptionsSpec{Replications: 16}}
+
+	coord := newTestCoordinator(t, w1.URL, w2.URL)
+	for seed := int64(1); seed <= 8; seed++ {
+		req.Seed = seed
+		res, err := estimate(t, coord, reg, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged {
+			t.Fatalf("seed %d: job did not converge", seed)
+		}
+		requireJoined(t, coord, "converged job, seed "+strconv.FormatInt(seed, 10))
+	}
+
+	// Cancelled from the merge loop's own progress callback, after the
+	// first merged round: the ranges are mid-stream.
+	req.Seed = 9
+	req.Options.RelErr = 0.0005 // unreachable: the job ends by cancel only
+	tb, src, hook := prepare(t, reg, req)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := coord.Sample(ctx, tb, src, req, hook, func(core.Progress) { cancel() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled job: err = %v, want context.Canceled", err)
+	}
+	requireJoined(t, coord, "cancelled job")
+
+	// Failed: every /v1/run panics on its range goroutine, and the
+	// first panic fails the job while the other ranges are in flight.
+	failing, err := NewCoordinator(CoordinatorConfig{
+		Workers:   []string{w1.URL, w2.URL},
+		Heartbeat: time.Hour,
+		Client:    &http.Client{Transport: panicOnRun{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failing.Close)
+	req.Options.RelErr = 0
+	if _, err := estimate(t, failing, reg, req); err == nil || !strings.Contains(err.Error(), "injected run panic") {
+		t.Fatalf("failed job: err = %v, want the injected panic", err)
+	}
+	requireJoined(t, failing, "failed job")
 }
 
 // TestClusterCancellation: cancelling the job context aborts the

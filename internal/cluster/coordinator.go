@@ -449,13 +449,26 @@ func (c *Coordinator) Sample(ctx context.Context, tb *core.Testbench, src servic
 
 	js := newJobScheduler(c)
 	sctx, cancel := context.WithCancel(ctx)
-	defer cancel() // stops every worker stream once stopping is decided
+	// On every exit, stop every worker stream and then wait for the
+	// range goroutines: none outlives the job, so the next job's
+	// scheduler and /v1/cluster/workers see only live leases. Every
+	// blocking point of a range goroutine honours sctx, so the wait
+	// ends promptly.
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
 	for i, b := range bounds {
 		rg := &repRange{idx: i, ch: make(chan rangeMsg, 16)}
 		ranges[i] = rg
 		lanes[i] = b[1] - b[0]
 		run := &RunRequest{Hash: hash, Source: req.Source, Seed: req.Seed, Options: req.Options, Stream: t.Stream(b[0], b[1])}
-		go c.runLeasedRange(sctx, js, src, run, rg)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.runLeasedRange(sctx, js, src, run, rg)
+		}()
 	}
 
 	blocks := make([]core.ReplicationBlock, k)

@@ -8,13 +8,13 @@
 //
 //   - Full computes the settled value of every node (one register slot
 //     per node). It is observation-exact: slot i holds exactly what the
-//     interpreted sweep (sim.PackedZeroDelay.Settle) computes for node
-//     i, so weighted toggle diffs over the register file are
-//     bit-identical to the interpreter's. Its only liberties are ones
-//     that cannot change any node value: gates whose value is invariant
-//     (constant cones) are hoisted into init data, and identity
-//     operands (AND with a known-1 input, XOR with a known-0 input, …)
-//     are elided with the gate's polarity adjusted.
+//     interpreted sweep of the test oracle (sim.PackedZeroDelay.Settle)
+//     computes for node i, so weighted toggle diffs over the register
+//     file are bit-identical to the interpreter's. Its only liberties
+//     are ones that cannot change any node value: gates whose value is
+//     invariant (constant cones) are hoisted into init data, and
+//     identity operands (AND with a known-1 input, XOR with a known-0
+//     input, …) are elided with the gate's polarity adjusted.
 //   - Step computes only the next latch state (the D-pin values). It is
 //     free to restructure: gates outside the transitive fanin cone of
 //     the latches are eliminated (dead fanout with respect to state
@@ -44,9 +44,10 @@
 // circuit itself (netlist.(*Circuit).SetArtifact), so every
 // sim.CompiledSession over the same circuit shares one Unit.
 //
-// Every pass above must be observation-equivalent to the interpreter;
-// the differential battery in internal/sim (property tests over all
-// bench89 circuits and randomized netlists, FuzzCompile, and the golden
-// end-to-end tests in internal/core) asserts bit-identical next-state
-// words, per-lane toggle powers and estimation results.
+// Every pass above must be observation-equivalent to the interpreter,
+// which only tests run: the differential battery in internal/sim
+// (property tests over all bench89 circuits and randomized netlists,
+// and FuzzCompile) asserts bit-identical next-state words and per-lane
+// toggle powers, and the estimator goldens in internal/core, recorded
+// from whole estimates on the interpreter, pin the estimation results.
 package compile

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bench89"
 	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
@@ -60,7 +59,8 @@ func TestBreakdownSumsToEstimate(t *testing.T) {
 
 // TestBreakdownDeterministic: toggle counts are integer sums, so the
 // report must be identical — toggles exactly, watts bit-for-bit —
-// across shard layouts and across the packed and compiled backends.
+// across shard layouts. That the packed oracle counts the same per lane
+// is internal/sim's three-way differential.
 func TestBreakdownDeterministic(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
@@ -69,28 +69,24 @@ func TestBreakdownDeterministic(t *testing.T) {
 	opts.Replications = 24
 	opts.Breakdown = true
 	var ref *power.BreakdownReport
-	for _, backend := range sim.Backends() {
-		for _, pool := range []int{1, 2, 7} {
-			opts.Backend = backend
-			opts.pool = pool
-			res, err := EstimateParallel(tb, factory, 11, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = res.Breakdown
-				continue
-			}
-			got := res.Breakdown
-			if got.Observations != ref.Observations || got.Dynamic != ref.Dynamic ||
-				got.Leakage != ref.Leakage || len(got.Rows) != len(ref.Rows) {
-				t.Fatalf("%s pool=%d: report header differs", backend, pool)
-			}
-			for i := range got.Rows {
-				if got.Rows[i] != ref.Rows[i] {
-					t.Fatalf("%s pool=%d: row %d = %+v, want %+v",
-						backend, pool, i, got.Rows[i], ref.Rows[i])
-				}
+	for _, pool := range []int{1, 2, 7} {
+		opts.pool = pool
+		res, err := EstimateParallel(tb, factory, 11, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res.Breakdown
+			continue
+		}
+		got := res.Breakdown
+		if got.Observations != ref.Observations || got.Dynamic != ref.Dynamic ||
+			got.Leakage != ref.Leakage || len(got.Rows) != len(ref.Rows) {
+			t.Fatalf("pool=%d: report header differs", pool)
+		}
+		for i := range got.Rows {
+			if got.Rows[i] != ref.Rows[i] {
+				t.Fatalf("pool=%d: row %d = %+v, want %+v", pool, i, got.Rows[i], ref.Rows[i])
 			}
 		}
 	}

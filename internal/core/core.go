@@ -80,16 +80,9 @@ type Options struct {
 	// (EstimateParallel and friends); the session-based estimators follow
 	// the engine of the session they are handed (Testbench.NewSessionMode).
 	Mode power.PowerMode `json:"mode"`
-	// Backend selects the lane-parallel simulation backend of the
-	// parallel estimators: the compiled word-level engine
-	// (sim.BackendCompiled, the zero-value default), which compiles the
-	// circuit once at first use and replays it, or the interpreted
-	// packed sweep (sim.BackendPacked). The backends are
-	// observation-equivalent — per-lane samples are bit-identical — so
-	// this switch changes throughput, never results. It is an in-process
-	// seam through which tests reach the packed oracle; no wire format,
-	// flag or facade carries it. Ignored by the serial estimators (they
-	// are scalar).
+	// Deprecated: Backend has no effect. Every parallel estimate runs
+	// on the compiled lane engine (sim.CompiledSession). It remains only
+	// because the benchmark module still reads it.
 	Backend sim.Backend `json:"-"`
 	// Deprecated: SessionWorkers has no effect. Compiled sessions run
 	// their programs in the one form internal/compile emits, on one
@@ -110,8 +103,8 @@ type Options struct {
 	// accumulates per-node transition counts alongside the power samples
 	// and the Result carries a ranked dynamic+leakage report
 	// (power.BreakdownReport). Counts are integers merged by addition, so
-	// the report is bit-identical across backends, worker counts and any
-	// partition of the replication space. Honoured by the parallel
+	// the report is bit-identical across shard layouts, worker counts and
+	// any partition of the replication space. Honoured by the parallel
 	// estimators only (the serial ones have no power model in scope);
 	// costs one popcount per node word per sampled cycle when on, nothing
 	// when off.
@@ -209,9 +202,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: negative Workers %d", o.Workers)
 	}
 	if err := o.Mode.Validate(); err != nil {
-		return err
-	}
-	if err := o.Backend.Validate(); err != nil {
 		return err
 	}
 	reps := o.Replications

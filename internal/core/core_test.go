@@ -49,7 +49,7 @@ func TestOptionsFieldsClassified(t *testing.T) {
 		"NewCriterion":   "a function; the key carries its criterion's Name()",
 		"Test":           "a function; the key carries its Name()",
 		"Workers":        "deprecated, no effect",
-		"Backend":        "result-invariant: the backends are observation-equivalent",
+		"Backend":        "deprecated, no effect",
 		"SessionWorkers": "deprecated, no effect",
 		"CacheBudget":    "deprecated, no effect",
 		"Progress":       "a callback that never affects the estimate",

@@ -53,8 +53,10 @@
 //
 // Options.Mode selects the power-observation scenario (power.PowerMode):
 // the default general-delay mode observes sampled cycles with per-lane
-// event-driven simulation, the zero-delay mode with word-parallel packed
-// transition counting, making sampled cycles as cheap as hidden ones.
+// event-driven simulation, the zero-delay mode with word-parallel
+// transition counting on the compiled lane engine (sim.CompiledSession,
+// the one lane engine every parallel estimate runs), making sampled
+// cycles as cheap as hidden ones.
 // Result.Engine and Result.DelayModel record what a run actually used.
 //
 // Options.Variance selects a variance-reduction transform (vr.Spec):

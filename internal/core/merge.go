@@ -39,8 +39,8 @@ import (
 //     carries them.
 //
 // Determinism contract: replication r is always seeded baseSeed+1+r, a
-// replication's sample stream depends only on its own seed (packed
-// lanes are independent), and the merge order is a pure function of
+// replication's sample stream depends only on its own seed (lanes are
+// independent), and the merge order is a pure function of
 // (reps, rounds). Any partition of [0,reps) into contiguous ranges —
 // goroutine shards, worker processes, or a retried reassignment after a
 // worker death — therefore reproduces the single-process estimate
@@ -583,7 +583,6 @@ func (t *Tail) result(converged bool, counts []uint64) Result {
 		SampledCycles:  rp.Sampled + merged*reps,
 		Criterion:      m.CriterionName(),
 		Engine:         engine,
-		Backend:        string(opts.Backend.Canonical()),
 		DelayModel:     delayModel,
 		Variance:       rp.Plan.Label(),
 		CVBeta:         rp.Plan.Beta,

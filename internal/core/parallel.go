@@ -17,14 +17,13 @@ import (
 )
 
 // shard is one worker's slice of the replication space: a contiguous
-// range of replication indices driven by a single lane-parallel session
-// (at most sim.MaxLanes lanes interpreted, sim.CompiledMaxLanes
-// compiled). Under the general-delay engine each shard additionally
-// owns a private scalar power engine for the sampled cycles; under the
-// word-parallel zero-delay engines sampled cycles stay packed and
-// engine is nil.
+// range of replication indices driven by a single compiled lane session
+// of at most sim.CompiledMaxLanes lanes. Under the general-delay engine
+// each shard additionally owns a private scalar power engine for the
+// sampled cycles; under word-parallel zero-delay sampling the sampled
+// cycles stay on the lane words and engine is nil.
 type shard struct {
-	ps     sim.LaneSession
+	ps     *sim.CompiledSession
 	engine sim.PowerEngine
 	lanes  int
 	powers []float64 // per-block lane powers, round-major: [round*lanes + lane]
@@ -52,7 +51,7 @@ type replicationRun struct {
 
 // newReplicationRun lays replications [lo, hi) out in shards by
 // Ranges, asking for as many shards as the goroutine pool is wide
-// (GOMAXPROCS) and for enough that none exceeds the backend's session
+// (GOMAXPROCS) and for enough that none exceeds the compiled session
 // width. A word-parallel job therefore cuts only at word rows, and a
 // 64-replication one is a single shard. Replication r keeps its
 // globally fixed seed baseSeed+1+r regardless of the layout. Each
@@ -64,13 +63,12 @@ type replicationRun struct {
 // a run can be built before those phases and warmed while they run;
 // bind then sets the two before the first block.
 func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, lo, hi int) (*replicationRun, error) {
-	backend := opts.Backend.Canonical()
 	rounds := BlockRounds(opts)
 	pool := opts.pool
 	if pool == 0 {
 		pool = runtime.GOMAXPROCS(0)
 	}
-	width := sim.MaxLanesFor(backend)
+	width := sim.CompiledMaxLanes
 	packed := wordSampled(tb, opts)
 	pairing := opts.Variance.Mode.Canonical() == vr.ModeAntithetic
 	r := &replicationRun{
@@ -92,7 +90,7 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 			}
 		}
 		sh := &shard{
-			ps:     sim.NewLaneSession(backend, tb.Circuit, srcs),
+			ps:     sim.NewCompiledSession(tb.Circuit, srcs),
 			lanes:  lanes,
 			powers: make([]float64, rounds*lanes),
 		}
@@ -215,11 +213,11 @@ func (r *replicationRun) block(b, n, count int) ReplicationBlock {
 // session seeded baseSeed, exactly as in Estimate; sampling then shards
 // opts.Replications independent sequences — replication r is seeded
 // baseSeed+1+r, a fixed lane→seed mapping — into the shards Ranges
-// lays out, stepped by GOMAXPROCS goroutines. Each shard drives a lane
-// session (the compiled backend by default, up to sim.CompiledMaxLanes
-// = 512 replications per session; the packed interpreter takes 64)
-// through the hidden cycles of the independence interval. On sampled
-// cycles a general-delay run hands each lane to the shard's scalar
+// lays out, stepped by GOMAXPROCS goroutines. Each shard drives a
+// compiled lane session (sim.CompiledSession, up to
+// sim.CompiledMaxLanes = 512 replications per session) through the
+// hidden cycles of the independence interval. On sampled cycles a
+// general-delay run hands each lane to the shard's scalar
 // event-driven simulator; a zero-delay run observes every lane
 // word-parallel. Samples are merged into the
 // stopping criterion deterministically (round-major, in replication
@@ -343,10 +341,8 @@ func wordSampled(tb *Testbench, opts Options) bool {
 
 // engineLabels names the engine and delay model that observe a
 // parallel run's sampled cycles, as Result.Engine and Result.DelayModel
-// report them. It tracks both the word-parallel upgrade (wordSampled)
-// and the backend that observes the words: a compiled run whose sampled
-// phase stays word-parallel reports the compiled zero-delay engine, not
-// the packed interpreter.
+// report them: the compiled zero-delay engine when sampling is
+// word-parallel (wordSampled), the event-driven engine otherwise.
 //
 // A general-delay run whose delay table is all-zero is upgraded to the
 // word-parallel path: the transition sets are identical (see
@@ -354,13 +350,10 @@ func wordSampled(tb *Testbench, opts Options) bool {
 // event-driven simulation in the last ulp because the summation order
 // changes.
 func engineLabels(tb *Testbench, opts Options) (engine, delayModel string) {
-	switch {
-	case !wordSampled(tb, opts):
+	if !wordSampled(tb, opts) {
 		return sim.EngineEventDriven, tb.Delays.ModelName
-	case opts.Backend.Canonical() == sim.BackendCompiled:
-		return sim.EngineCompiledZeroDelay, delay.Zero{}.Name()
 	}
-	return sim.EnginePackedZeroDelay, delay.Zero{}.Name()
+	return sim.EngineCompiledZeroDelay, delay.Zero{}.Name()
 }
 
 // runShards applies fn to every shard with at most `workers` goroutines

@@ -5,8 +5,31 @@ import (
 	"testing"
 
 	"repro/internal/bench89"
+	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
+
+// laneSession is what the toggle-count tests drive on both lane
+// engines: the compiled session every estimate runs and its packed
+// oracle.
+type laneSession interface {
+	AccumulateToggles(dst []uint64)
+	StepHiddenN(n int)
+	StepSampled(weights, powers []float64)
+}
+
+// laneEngine opens a lane session of one engine, at most width lanes.
+type laneEngine struct {
+	name  string
+	width int
+	open  func(c *netlist.Circuit, srcs []vectors.Source) laneSession
+}
+
+// laneEngines names the packed oracle and the compiled engine.
+var laneEngines = []laneEngine{
+	{"packed", MaxLanes, func(c *netlist.Circuit, srcs []vectors.Source) laneSession { return NewPackedSession(c, srcs) }},
+	{"compiled", CompiledMaxLanes, func(c *netlist.Circuit, srcs []vectors.Source) laneSession { return NewCompiledSession(c, srcs) }},
+}
 
 // iidSources builds lane sources for global lanes [lo, hi): lane k is
 // seeded base+k, the same mapping the parallel estimator uses, so any
@@ -22,12 +45,13 @@ func iidSources(width, lo, hi int, base int64) []vectors.Source {
 // TestToggleCountsThreeWayDifferential pins the per-node transition
 // counts three ways over every bench89 circuit: the scalar
 // ZeroDelayToggle engine (one session per lane), the packed
-// interpreter's popcounted toggle diff, and the compiled backend's
-// scatter — at lane widths crossing every word-partition boundary (one
-// lane, a partial word, one word plus one, and eight full words). The
-// counts are integer sums, so all three must agree exactly, not within
-// tolerance: this is the invariant that makes breakdown reports
-// backend- and shard-independent.
+// oracle's popcounted toggle diff (one session per lane word), and the
+// compiled engine's scatter (one session over every lane) — at lane
+// widths crossing every word-partition boundary (one lane, a partial
+// word, one word plus one, and eight full words). The counts are
+// integer sums, so all three must agree exactly, not within tolerance:
+// this is the invariant that makes breakdown reports engine- and
+// shard-independent.
 func TestToggleCountsThreeWayDifferential(t *testing.T) {
 	const (
 		hidden  = 6
@@ -59,11 +83,11 @@ func TestToggleCountsThreeWayDifferential(t *testing.T) {
 					s.StepSampled(want)
 				}
 			}
-			for _, backend := range Backends() {
+			for _, eng := range laneEngines {
 				got := make([]uint64, c.NumNodes())
-				for lo := 0; lo < lanes; lo += MaxLanes {
-					hi := min(lo+MaxLanes, lanes)
-					ls := NewLaneSession(backend, c, iidSources(len(c.Inputs), lo, hi, base))
+				for lo := 0; lo < lanes; lo += eng.width {
+					hi := min(lo+eng.width, lanes)
+					ls := eng.open(c, iidSources(len(c.Inputs), lo, hi, base))
 					ls.AccumulateToggles(got)
 					powers := make([]float64, hi-lo)
 					ls.StepHiddenN(hidden)
@@ -74,7 +98,7 @@ func TestToggleCountsThreeWayDifferential(t *testing.T) {
 				for i := range got {
 					if got[i] != want[i] {
 						t.Errorf("%s lanes=%d %s: node %s counts %d, scalar %d",
-							name, lanes, backend, c.Nodes[i].Name, got[i], want[i])
+							name, lanes, eng.name, c.Nodes[i].Name, got[i], want[i])
 						break
 					}
 				}
@@ -137,12 +161,12 @@ func TestToggleCountsGeneralDelayMatchScalar(t *testing.T) {
 func TestToggleCountsNoOverflowAt32Bits(t *testing.T) {
 	c := bench89.MustGet("s298")
 	w := make([]float64, c.NumNodes())
-	for _, backend := range Backends() {
+	for _, eng := range laneEngines {
 		counts := make([]uint64, c.NumNodes())
 		for i := range counts {
 			counts[i] = math.MaxUint32 - 8
 		}
-		ls := NewLaneSession(backend, c, iidSources(len(c.Inputs), 0, MaxLanes, 5))
+		ls := eng.open(c, iidSources(len(c.Inputs), 0, MaxLanes, 5))
 		ls.AccumulateToggles(counts)
 		powers := make([]float64, MaxLanes)
 		ls.StepHiddenN(4)
@@ -152,14 +176,14 @@ func TestToggleCountsNoOverflowAt32Bits(t *testing.T) {
 		crossed := false
 		for _, n := range counts {
 			if n < math.MaxUint32-8 {
-				t.Fatalf("%s: count wrapped to %d", backend, n)
+				t.Fatalf("%s: count wrapped to %d", eng.name, n)
 			}
 			if n > math.MaxUint32 {
 				crossed = true
 			}
 		}
 		if !crossed {
-			t.Fatalf("%s: no node crossed the 32-bit boundary; the regression test lost its teeth", backend)
+			t.Fatalf("%s: no node crossed the 32-bit boundary; the regression test lost its teeth", eng.name)
 		}
 	}
 }

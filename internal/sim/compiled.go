@@ -9,17 +9,25 @@ import (
 	"repro/internal/vectors"
 )
 
+// MaxLanes is the width of one lane word: the 64 replications a uint64
+// holds, one per bit. It is the unit of the lane layout: core.Ranges
+// cuts word-parallel jobs at rows of MaxLanes lanes, and a job's
+// default replication count and the control-mean pre-run are one word
+// wide. It is also the widest PackedSession.
+const MaxLanes = 64
+
 // CompiledMaxLanes is the widest compiled session: 8 words of lanes per
 // register row, so one pass over the program advances up to 512
 // replications. Wider rows amortize the per-instruction dispatch cost
 // over more lanes while keeping an s1494-sized register file inside L2.
-const CompiledMaxLanes = 8 * 64
+const CompiledMaxLanes = 8 * MaxLanes
 
 // CompiledSession drives up to CompiledMaxLanes independent
 // replications through clock cycles with the compiled word-level
 // programs of internal/compile, instead of interpreting the CSR netlist
-// gate-by-gate. It implements LaneSession with per-lane observations
-// bit-identical to PackedSession (and hence to ScalarSession):
+// gate-by-gate. It is the one lane engine every parallel estimate runs
+// on, and its per-lane observations are bit-identical to those of its
+// oracle PackedSession (and hence to ScalarSession):
 //
 //   - Hidden cycles execute the Step program, which computes only the
 //     next latch state — dead fanout, BUF chains and fused gate chains
@@ -139,18 +147,6 @@ func (s *CompiledSession) execProgram(p *compile.Program, vals []uint64) {
 	}
 }
 
-// Circuit returns the simulated circuit.
-func (s *CompiledSession) Circuit() *netlist.Circuit { return s.c }
-
-// Lanes returns the number of active replication lanes.
-func (s *CompiledSession) Lanes() int { return s.lanes }
-
-// ResetCounters zeroes the cycle-cost counters.
-func (s *CompiledSession) ResetCounters() {
-	s.HiddenCycles = 0
-	s.SampledCycles = 0
-}
-
 // AccumulateToggles installs dst (len NumNodes, or nil to disable) as
 // the per-node transition-count accumulator, with the same semantics as
 // PackedSession.AccumulateToggles: zero-delay sampled steps count from
@@ -165,7 +161,8 @@ func (s *CompiledSession) AccumulateToggles(dst []uint64) {
 	s.counts = dst
 }
 
-// CycleCounts returns the cost counters, satisfying LaneSession.
+// CycleCounts returns the per-replication hidden and sampled cycle
+// counts accumulated so far.
 func (s *CompiledSession) CycleCounts() (hidden, sampled uint64) {
 	return s.HiddenCycles, s.SampledCycles
 }

@@ -6,8 +6,10 @@
 //   - lane-parallel variants of it that advance 64 independent
 //     replications per machine word: CompiledSession, which replays the
 //     word-level programs of internal/compile at up to 512 lanes per
-//     session and runs every estimate, and the interpreted
-//     PackedZeroDelay/PackedSession, kept as its test oracle, and
+//     session and is the one lane engine every parallel estimate runs,
+//     and the interpreted PackedZeroDelay/PackedSession, kept in
+//     packed.go as its per-lane test oracle (only tests run them;
+//     scripts/check_scalar_oracle.sh enforces it), and
 //   - an event-driven general-delay simulator with inertial gate delays,
 //     used on sampled cycles to observe every transition (including
 //     glitches) for the power computation of Eq. 1.
@@ -43,13 +45,14 @@
 // (NewSessionEngine) and default to event-driven (NewSession).
 //
 // The sampled phase is bit-parallel in the zero-delay scenario:
-// PackedSession.StepSampled computes all 64 lanes' powers from one
-// packed sweep plus an XOR diff pass over the value words (each set bit
-// routes its node's weight to its lane's sum) — a sampled cycle then
-// costs the same order as a hidden one. Lane k of a packed sampled step
-// is bit-identical, float summation order included, to a
-// ZeroDelayToggle ScalarSession over the same source; the property tests
-// assert this for every lane. PackedSession.StepSampledWith keeps the
+// CompiledSession.StepSampled computes every lane's power from one
+// settle of the register file plus an XOR diff pass over the value words
+// (each set bit routes its node's weight to its lane's sum) — a sampled
+// cycle then costs the same order as a hidden one. Lane k of a compiled
+// sampled step is bit-identical, float summation order included, to
+// lane k of the packed oracle's, and that in turn to a ZeroDelayToggle
+// ScalarSession over the same source; the differential battery and the
+// property tests assert this for every lane. StepSampledWith keeps the
 // general-delay path: each lane is extracted into a scalar engine for
 // exact glitch accounting.
 //

@@ -16,8 +16,8 @@ import (
 //
 // Two engines ship with the package: *EventDriven (general-delay,
 // glitches included — the paper's configuration) and *ZeroDelayToggle
-// (functional transitions only). PackedSession.StepSampled is the
-// bit-parallel 64-lane counterpart of the zero-delay engine.
+// (functional transitions only). CompiledSession.StepSampled is the
+// word-parallel counterpart of the zero-delay engine.
 //
 // The engine contract mirrors EventDriven.Cycle: on entry vals holds
 // the settled values of the previous (pattern, state) pair; on return
@@ -41,16 +41,13 @@ type PowerEngine interface {
 }
 
 // EngineEventDriven and EngineZeroDelay are the engine names reported
-// by the built-in scalar engines; EnginePackedZeroDelay is reported by
-// estimators that observe sampled cycles with the bit-parallel
-// PackedSession.StepSampled instead of a scalar engine.
+// by the built-in scalar engines.
 const (
-	EngineEventDriven     = "event-driven"
-	EngineZeroDelay       = "zero-delay"
-	EnginePackedZeroDelay = "packed-zero-delay"
+	EngineEventDriven = "event-driven"
+	EngineZeroDelay   = "zero-delay"
 	// EngineCompiledZeroDelay is reported when sampled cycles are
-	// observed word-parallel by the compiled backend
-	// (CompiledSession.StepSampled).
+	// observed word-parallel by the compiled lane engine
+	// (CompiledSession.StepSampled) instead of a scalar engine.
 	EngineCompiledZeroDelay = "compiled-zero-delay"
 )
 
@@ -59,8 +56,9 @@ const (
 // previous settled values. Every node contributes at most one
 // transition per cycle — the functional transition count, with glitch
 // power excluded by construction. It is the scalar reference semantics
-// for PackedSession.StepSampled: lane k of a packed sampled step is
-// bit-identical (including float summation order) to this engine.
+// for the lane sessions' StepSampled: lane k of a compiled (or packed
+// oracle) sampled step is bit-identical, float summation order
+// included, to this engine.
 type ZeroDelayToggle struct {
 	zd      *ZeroDelay
 	scratch []bool
@@ -77,8 +75,8 @@ func NewZeroDelayToggle(c *netlist.Circuit) *ZeroDelayToggle {
 
 // CyclePower implements PowerEngine: settle (newPins, newQ) and sum the
 // weights of every node whose settled value changed. The sum runs in
-// node-index order — the same order the packed sampled step uses, so
-// the two agree bit-for-bit.
+// node-index order — the same order the lane sessions' sampled steps
+// use, so they agree bit-for-bit.
 func (e *ZeroDelayToggle) CyclePower(vals []bool, newPins, newQ []bool, weights []float64, counts []uint64) float64 {
 	if len(vals) != len(e.scratch) {
 		panic(fmt.Sprintf("sim: ZeroDelayToggle vals length %d, want %d", len(vals), len(e.scratch)))

@@ -8,17 +8,14 @@ import (
 	"repro/internal/vectors"
 )
 
-// MaxLanes is the number of independent replications a packed simulator
-// advances concurrently: one per bit of a machine word.
-const MaxLanes = 64
-
 // PackedZeroDelay is the bit-parallel counterpart of ZeroDelay: every
 // node value is a 64-bit word whose bit k holds the node's value in
 // replication lane k, so one levelized sweep settles 64 independent
 // copies of the circuit at once. Gate evaluation is pure bitwise logic
 // (AND/OR/XOR/NOT and their n-ary reductions over the CSR fanin rows),
 // which is the software analogue of evaluating many patterns per gate
-// concurrently in hardware-accelerated power estimation.
+// concurrently in hardware-accelerated power estimation. Like
+// PackedSession, it is a test oracle: no estimator runs it.
 type PackedZeroDelay struct {
 	csr *netlist.CSR
 }
@@ -87,6 +84,12 @@ func (z *PackedZeroDelay) Outputs(vals []uint64, out []uint64) {
 // transition counting (as cheap as a hidden cycle plus one diff pass),
 // and StepSampledWith hands each lane to a scalar power engine for
 // general-delay (glitch-accurate) accounting.
+//
+// PackedSession is the per-lane oracle of CompiledSession, which runs
+// every estimate: the differential battery checks that lane k of the
+// compiled engine observes exactly what lane k of this interpreter
+// does, and this interpreter in turn matches ScalarSession. Only tests
+// use it (scripts/check_scalar_oracle.sh enforces that).
 //
 // The class invariant mirrors ScalarSession's: vals always holds the packed
 // settled node values for the current (pins, q) pair.
@@ -172,6 +175,12 @@ func (s *PackedSession) Lanes() int { return s.lanes }
 func (s *PackedSession) ResetCounters() {
 	s.HiddenCycles = 0
 	s.SampledCycles = 0
+}
+
+// CycleCounts returns the cost counters, as CompiledSession.CycleCounts
+// does.
+func (s *PackedSession) CycleCounts() (hidden, sampled uint64) {
+	return s.HiddenCycles, s.SampledCycles
 }
 
 // AccumulateToggles installs dst (len NumNodes, or nil to disable) as
