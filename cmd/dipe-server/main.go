@@ -86,17 +86,19 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	log, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	if err != nil {
+		return err
+	}
 
 	// One process-wide registry backs /metrics; every subsystem
 	// (service jobs, local estimator, cluster coordinator, compiled
 	// lane engine) registers its instruments on it.
 	reg := obs.NewRegistry()
 	sim.RegisterCompiledMetrics(reg)
-	log := obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel), obs.ParseFormat(*logFormat))
 
 	var store *service.JobStore
 	if *stateDir != "" {
-		var err error
 		if store, err = service.OpenJobStore(*stateDir); err != nil {
 			return err
 		}

@@ -103,6 +103,19 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-addr", "256.256.256.256:99999"}, &out, nil, nil); err == nil {
 		t.Fatal("unlistenable address accepted")
 	}
+	// A bad log level or format is refused before the server listens;
+	// the closed stop channel returns a server that did listen at once.
+	stop := make(chan struct{})
+	close(stop)
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-log-level", "bogus", "debug, info, warn or error"},
+		{"-log-format", "xml", "logfmt or json"},
+	} {
+		err := run([]string{"-addr", "127.0.0.1:0", tc.flag, tc.value}, &out, nil, stop)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: err %v, want a refusal naming %s", tc.flag, tc.value, err, tc.want)
+		}
+	}
 }
 
 // TestClusterModeEndToEnd boots the server with the cluster dispatcher

@@ -62,13 +62,16 @@ func run(args []string, out io.Writer, ready chan<- string, stop <-chan struct{}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	log, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat)
+	if err != nil {
+		return err
+	}
 
 	// The worker mounts reg.Handler() at /metrics itself; the compiled
 	// engine's wave/instruction counters register on the same registry
 	// so sampling throughput is scrapable per node.
 	reg := obs.NewRegistry()
 	sim.RegisterCompiledMetrics(reg)
-	log := obs.NewLogger(os.Stderr, obs.ParseLevel(*logLevel), obs.ParseFormat(*logFormat))
 	wk := cluster.NewWorker(cluster.WorkerConfig{CircuitCap: *circuits, Obs: reg, Log: log})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -73,4 +73,17 @@ func TestWorkerBadFlags(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}, &out, nil, nil); err == nil {
 		t.Fatal("bad flags accepted")
 	}
+	// A bad log level or format is refused before the worker listens;
+	// the closed stop channel returns a worker that did listen at once.
+	stop := make(chan struct{})
+	close(stop)
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-log-level", "bogus", "debug, info, warn or error"},
+		{"-log-format", "xml", "logfmt or json"},
+	} {
+		err := run([]string{"-addr", "127.0.0.1:0", tc.flag, tc.value}, &out, nil, stop)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %s: err %v, want a refusal naming %s", tc.flag, tc.value, err, tc.want)
+		}
+	}
 }

@@ -9,8 +9,9 @@
 //
 //   - Handler wrappers (KillAfterBlocks, StallAfterBlocks) wrap a
 //     worker's http.Handler and misbehave on the server side — a
-//     crashing process, a wedged stream. They act on the NDJSON stream
-//     endpoint and pass everything else through.
+//     crashing process, a wedged stream. They act on the NDJSON streams
+//     the stream endpoint answers with 200 and pass everything else,
+//     error answers included, through.
 //   - Transport wraps the coordinator's http.RoundTripper and
 //     misbehaves on the network side — connections refused, added
 //     latency, responses cut off mid-body — scripted per worker host.
@@ -76,13 +77,17 @@ func StallAfterBlocks(inner http.Handler, blocks int) http.Handler {
 // writes and flushes, and counts completed NDJSON lines (line 1 is the
 // stream header, so block b ends at line b+1).
 type respWriter struct {
-	w     http.ResponseWriter
-	lines int
+	w      http.ResponseWriter
+	lines  int
+	status int
 }
 
 func (rw *respWriter) Header() http.Header { return rw.w.Header() }
 
-func (rw *respWriter) WriteHeader(status int) { rw.w.WriteHeader(status) }
+func (rw *respWriter) WriteHeader(status int) {
+	rw.status = status
+	rw.w.WriteHeader(status)
+}
 
 func (rw *respWriter) Flush() {
 	if f, ok := rw.w.(http.Flusher); ok {
@@ -91,8 +96,13 @@ func (rw *respWriter) Flush() {
 }
 
 // blockEnds returns the offsets just past each newline in b that
-// completes a *block* line (i.e. excluding the header line).
+// completes a *block* line (i.e. excluding the header line). An error
+// answer (a status other than 200) is not a stream and has no block
+// lines; a handler that never calls WriteHeader answers 200.
 func (rw *respWriter) blockEnds(b []byte) []int {
+	if rw.status != 0 && rw.status != http.StatusOK {
+		return nil
+	}
 	var ends []int
 	for i, c := range b {
 		if c == '\n' {
@@ -162,10 +172,10 @@ type Rule struct {
 	Drop bool
 	// Delay is added before each request is forwarded.
 	Delay time.Duration
-	// CutAfterBlocks severs each stream response after that many block
-	// lines have been read (0 = never). Unlike the handler-side kill,
-	// the cut happens on the coordinator's side of the wire, so the
-	// worker keeps writing into a dead connection for a while — the
+	// CutAfterBlocks severs each stream (a 200 answer) after that many
+	// block lines have been read (0 = never). Unlike the handler-side
+	// kill, the cut happens on the coordinator's side of the wire, so
+	// the worker keeps writing into a dead connection for a while — the
 	// "half-open stream" failure mode.
 	CutAfterBlocks int
 	// DropN, when positive, bounds Drop to the first DropN requests —
@@ -255,7 +265,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.CutAfterBlocks > 0 && req.URL.Path == StreamPath {
+	if r.CutAfterBlocks > 0 && req.URL.Path == StreamPath && resp.StatusCode == http.StatusOK {
 		resp.Body = &cutReader{rc: resp.Body, blocks: r.CutAfterBlocks}
 	}
 	return resp, nil

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -52,7 +53,7 @@ type CoordinatorConfig struct {
 	Obs *obs.Registry
 	// Log, when non-nil, receives structured worker-liveness and lease
 	// lifecycle events. A nil logger discards them.
-	Log *obs.Logger
+	Log *slog.Logger
 
 	// tick and probed are test seams (settable from same-package tests
 	// only): a non-nil tick replaces the heartbeat ticker with an
@@ -121,7 +122,7 @@ type Coordinator struct {
 
 	met     *clusterMetrics
 	coreMet *core.Metrics // convergence telemetry of the merge loop
-	log     *obs.Logger
+	log     *slog.Logger
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -145,6 +146,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry() // internal: counters stay real, just unscraped
+	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
 	}
 	c := &Coordinator{
 		workers:      make(map[string]*workerState),
@@ -620,7 +624,9 @@ func (c *Coordinator) streamBlocks(ctx context.Context, l *blockLease, worker st
 // the worker refused the request itself, so the job must fail with the
 // worker's message instead of retrying it on a healthy fleet.
 func responseError(resp *http.Response, what string) error {
-	var eb errorBody
+	var eb struct {
+		Error string `json:"error"`
+	}
 	_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&eb)
 	err := fmt.Errorf("cluster: %s: status %d: %s", what, resp.StatusCode, eb.Error)
 	if resp.StatusCode >= 400 && resp.StatusCode < 500 {

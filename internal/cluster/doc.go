@@ -43,7 +43,7 @@
 // A worker refuses, with 400, a request whose stream the job's own
 // options do not allow (core.Stream.Validate), whose options exceed the
 // submit bounds, or whose body carries a key the protocol does not
-// have (RunRequest.Validate, decodeJSON). Circuits are
+// have (RunRequest.Validate, service.DecodeJSON). Circuits are
 // content-addressed by provenance hash (service.HashSource); a run for
 // an unknown hash fails with 404 and the coordinator uploads the
 // provenance it was handed with the job (builtin benchmark name, or the

@@ -41,7 +41,7 @@ func FuzzRunRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req RunRequest
-		if err := decodeJSON(bytes.NewReader(data), &req); err != nil {
+		if err := service.DecodeJSON(bytes.NewReader(data), &req); err != nil {
 			return
 		}
 		if err := req.Validate(); err != nil {
@@ -66,7 +66,7 @@ func FuzzRunRequest(f *testing.F) {
 			t.Fatalf("re-encoding an accepted request: %v", err)
 		}
 		var back RunRequest
-		if err := decodeJSON(bytes.NewReader(enc), &back); err != nil {
+		if err := service.DecodeJSON(bytes.NewReader(enc), &back); err != nil {
 			t.Fatalf("decoding the re-encoded request %s: %v", enc, err)
 		}
 		if !reflect.DeepEqual(req, back) {

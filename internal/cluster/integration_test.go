@@ -316,7 +316,7 @@ const installRefusal = "install refused: this worker takes no uploads"
 
 func (h refuseInstall) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path == "/v1/circuits" {
-		writeError(w, http.StatusBadRequest, errors.New(installRefusal))
+		service.WriteError(w, http.StatusBadRequest, errors.New(installRefusal))
 		return
 	}
 	h.Handler.ServeHTTP(w, r)

@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 
 	"repro/internal/core"
 	"repro/internal/service"
@@ -76,24 +73,6 @@ type InstallResponse struct {
 	Gates int    `json:"gates"`
 }
 
-// errorBody is the uniform JSON error shape, mirroring the service API.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// writeJSON and readJSON mirror the service package's helpers (which
-// are unexported there).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
 // maxRunBytes bounds a /v1/run body, which carries no netlist.
 const maxRunBytes = 8 << 20
 
@@ -103,20 +82,3 @@ const maxRunBytes = 8 << 20
 // bytes (\u003c): six bytes per accepted byte is the worst growth of
 // re-encoding, so every upload the service accepts installs.
 const maxInstallBytes = 6 * service.MaxBodyBytes
-
-// readJSON decodes a request body of at most limit bytes into v,
-// writing a 400 and returning false on malformed or oversized input.
-func readJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-// decodeJSON decodes one request body, rejecting unknown fields.
-func decodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -26,7 +27,7 @@ type WorkerConfig struct {
 	// worker mux at GET /metrics.
 	Obs *obs.Registry
 	// Log, when non-nil, receives structured request-lifecycle events.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // Worker is the stateless sampling slave of the cluster: it holds no
@@ -45,7 +46,7 @@ type Worker struct {
 	served  atomic.Int64 // total /v1/run streams accepted
 	blocks  atomic.Int64 // total sample blocks emitted across streams
 
-	log *obs.Logger
+	log *slog.Logger
 	mux *http.ServeMux
 }
 
@@ -53,6 +54,9 @@ type Worker struct {
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.CircuitCap <= 0 {
 		cfg.CircuitCap = DefaultCircuitCap
+	}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
 	}
 	w := &Worker{
 		tbs: make(map[string]*core.Testbench),
@@ -100,7 +104,7 @@ func (w *Worker) Circuits() int {
 // probes coincide here — unlike the coordinator, whose readiness
 // depends on this endpoint.
 func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
-	writeJSON(rw, http.StatusOK, map[string]any{
+	service.WriteJSON(rw, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"circuits": w.Circuits(),
 		"streams":  w.streams.Load(),
@@ -113,22 +117,22 @@ func (w *Worker) handleHealth(rw http.ResponseWriter, r *http.Request) {
 // name.
 func (w *Worker) handleInstall(rw http.ResponseWriter, r *http.Request) {
 	var req InstallRequest
-	if !readJSON(rw, r, maxInstallBytes, &req) {
+	if !service.ReadJSON(rw, r, maxInstallBytes, &req) {
 		return
 	}
 	if got := service.HashSource(req.Source); got != req.Hash {
-		writeError(rw, http.StatusBadRequest,
+		service.WriteError(rw, http.StatusBadRequest,
 			fmt.Errorf("cluster: provenance hashes to %.12s..., claimed %.12s...", got, req.Hash))
 		return
 	}
 	tb, err := req.Source.Testbench()
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		service.WriteError(rw, http.StatusBadRequest, err)
 		return
 	}
 	w.install(req.Hash, tb)
 	w.log.Info("circuit installed", "hash", req.Hash[:min(12, len(req.Hash))], "gates", tb.Circuit.NumGates())
-	writeJSON(rw, http.StatusCreated, InstallResponse{
+	service.WriteJSON(rw, http.StatusCreated, InstallResponse{
 		Hash:  req.Hash,
 		Gates: tb.Circuit.NumGates(),
 	})
@@ -165,22 +169,22 @@ func (w *Worker) lookup(hash string) *core.Testbench {
 // which the coordinator treats as a worker death.
 func (w *Worker) handleRun(rw http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if !readJSON(rw, r, maxRunBytes, &req) {
+	if !service.ReadJSON(rw, r, maxRunBytes, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		service.WriteError(rw, http.StatusBadRequest, err)
 		return
 	}
 	tb := w.lookup(req.Hash)
 	if tb == nil {
-		writeError(rw, http.StatusNotFound,
+		service.WriteError(rw, http.StatusNotFound,
 			fmt.Errorf("cluster: unknown circuit %.12s...", req.Hash))
 		return
 	}
 	factory, err := req.Source.Factory(len(tb.Circuit.Inputs))
 	if err != nil {
-		writeError(rw, http.StatusBadRequest, err)
+		service.WriteError(rw, http.StatusBadRequest, err)
 		return
 	}
 	opts := req.Options.Options()

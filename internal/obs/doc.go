@@ -1,17 +1,19 @@
 // Package obs is the dependency-free observability substrate shared by
 // every layer of the system: a metrics registry with Prometheus
-// text-format exposition, a leveled structured logger (JSON or logfmt),
-// and a per-job trace recorder.
+// text-format exposition, the constructor of its log/slog loggers
+// (JSON or logfmt), and a per-job trace recorder.
 //
 // # Metrics
 //
-// A Registry hands out Counter, Gauge and Histogram instruments keyed
-// by metric name, plus labeled variants (CounterVec, GaugeVec,
-// HistogramVec) and scrape-time callback metrics (CounterFunc,
-// GaugeFunc). Hot-path updates are single atomic operations on
-// pre-resolved instrument handles; label resolution (the map lookup)
-// happens once at setup, never per increment. Every instrument is safe
-// for concurrent use.
+// A Registry hands out Counter and Histogram instruments keyed by
+// metric name, plus labeled variants (CounterVec, HistogramVec) and
+// scrape-time callback metrics (CounterFunc, GaugeFunc). There is no
+// settable gauge: a value that belongs to one job lives on that job,
+// not in a process-wide cell the last job to write overwrites.
+// Hot-path updates are single atomic operations on pre-resolved
+// instrument handles; label resolution (the map lookup) happens once
+// at setup, never per increment. Every instrument is safe for
+// concurrent use.
 //
 // All instrument methods are nil-receiver safe, and a nil *Registry
 // hands out nil instruments, so "observability disabled" is spelled by
@@ -28,10 +30,11 @@
 //
 // # Logging
 //
-// Logger writes leveled structured records — logfmt by default, JSON
-// when constructed with FormatJSON — with constant base fields attached
-// via With. A nil *Logger discards everything, so components accept a
-// logger without guarding call sites.
+// Logging is the standard library's log/slog. NewLogger builds a
+// *slog.Logger on slog's text (logfmt) or JSON handler whose records
+// open with ts, the time in RFC 3339 UTC with nanoseconds, and a
+// lowercase level, and it refuses a level or format it does not know.
+// A component handed a nil logger logs to slog.New(slog.DiscardHandler).
 //
 // # Tracing
 //

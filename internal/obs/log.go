@@ -1,187 +1,54 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
 	"time"
 )
 
-// Level is a log severity. Records below the logger's level are
-// dropped before formatting.
-type Level int32
-
-// Severities, lowest first.
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	default:
-		return "error"
-	}
-}
-
-// ParseLevel maps a level name to its Level (defaulting to info).
-func ParseLevel(s string) Level {
-	switch strings.ToLower(s) {
+// NewLogger returns a structured logger that writes one line per
+// record at or above level (debug, info, warn or error) to w, encoded
+// as logfmt or json. Each record opens with its time under ts, in
+// RFC 3339 UTC with nanoseconds, then a lowercase level and msg.
+func NewLogger(w io.Writer, level, format string) (*slog.Logger, error) {
+	var lv slog.Level
+	switch strings.ToLower(level) {
 	case "debug":
-		return LevelDebug
+		lv = slog.LevelDebug
+	case "info":
+		lv = slog.LevelInfo
 	case "warn", "warning":
-		return LevelWarn
+		lv = slog.LevelWarn
 	case "error":
-		return LevelError
+		lv = slog.LevelError
 	default:
-		return LevelInfo
+		return nil, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", level)
 	}
-}
-
-// Format selects the record encoding.
-type Format int
-
-// Supported encodings.
-const (
-	FormatLogfmt Format = iota
-	FormatJSON
-)
-
-// ParseFormat maps a format name to its Format (defaulting to logfmt).
-func ParseFormat(s string) Format {
-	if strings.EqualFold(s, "json") {
-		return FormatJSON
+	opts := &slog.HandlerOptions{Level: lv, ReplaceAttr: recordFormat}
+	switch strings.ToLower(format) {
+	case "logfmt":
+		return slog.New(slog.NewTextHandler(w, opts)), nil
+	case "json":
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
-	return FormatLogfmt
+	return nil, fmt.Errorf("unknown log format %q (want logfmt or json)", format)
 }
 
-// Logger writes leveled structured records. Records are one line each,
-// serialized under a mutex shared by all derived (With) loggers so
-// concurrent components never interleave output. A nil *Logger
-// discards everything — components take a logger without guarding.
-type Logger struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	level  Level
-	format Format
-	base   []any // alternating key, value
-	now    func() time.Time
-}
-
-// NewLogger returns a logger writing records at or above level to w.
-func NewLogger(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level, format: format, now: time.Now}
-}
-
-// With returns a logger that attaches the given key/value pairs to
-// every record (in addition to the receiver's own base fields).
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
+// recordFormat rewrites slog's built-in time and level attributes into
+// the repository's record format.
+func recordFormat(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) > 0 {
+		return a
 	}
-	nl := *l
-	nl.base = append(append([]any(nil), l.base...), kv...)
-	return &nl
-}
-
-// Debug logs at debug level.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at info level.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at warn level.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at error level.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(level Level, msg string, kv []any) {
-	if l == nil || level < l.level {
-		return
-	}
-	ts := l.now().UTC().Format(time.RFC3339Nano)
-	fields := make([]any, 0, len(l.base)+len(kv))
-	fields = append(fields, l.base...)
-	fields = append(fields, kv...)
-	var line []byte
-	if l.format == FormatJSON {
-		line = jsonLine(ts, level, msg, fields)
-	} else {
-		line = logfmtLine(ts, level, msg, fields)
-	}
-	l.mu.Lock()
-	l.w.Write(line)
-	l.mu.Unlock()
-}
-
-func fieldValue(v any) string {
-	switch t := v.(type) {
-	case string:
-		return t
-	case error:
-		return t.Error()
-	case fmt.Stringer:
-		return t.String()
-	default:
-		return fmt.Sprint(t)
-	}
-}
-
-func jsonLine(ts string, level Level, msg string, fields []any) []byte {
-	rec := make(map[string]any, 3+len(fields)/2)
-	rec["ts"] = ts
-	rec["level"] = level.String()
-	rec["msg"] = msg
-	for i := 0; i+1 < len(fields); i += 2 {
-		key := fieldValue(fields[i])
-		switch v := fields[i+1].(type) {
-		case string, bool, int, int64, uint64, float64, json.Marshaler:
-			rec[key] = v
-		default:
-			rec[key] = fieldValue(v)
+	switch {
+	case a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+		return slog.String("ts", a.Value.Time().UTC().Format(time.RFC3339Nano))
+	case a.Key == slog.LevelKey:
+		if lv, ok := a.Value.Any().(slog.Level); ok {
+			return slog.String(slog.LevelKey, strings.ToLower(lv.String()))
 		}
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		line, _ = json.Marshal(map[string]any{"ts": ts, "level": level.String(), "msg": msg})
-	}
-	return append(line, '\n')
-}
-
-func logfmtLine(ts string, level Level, msg string, fields []any) []byte {
-	var b strings.Builder
-	b.WriteString("ts=")
-	b.WriteString(ts)
-	b.WriteString(" level=")
-	b.WriteString(level.String())
-	b.WriteString(" msg=")
-	b.WriteString(logfmtValue(msg))
-	for i := 0; i+1 < len(fields); i += 2 {
-		b.WriteByte(' ')
-		b.WriteString(fieldValue(fields[i]))
-		b.WriteByte('=')
-		b.WriteString(logfmtValue(fieldValue(fields[i+1])))
-	}
-	b.WriteByte('\n')
-	return []byte(b.String())
-}
-
-func logfmtValue(s string) string {
-	if s == "" || strings.ContainsAny(s, " \t\n\"=") {
-		return strconv.Quote(s)
-	}
-	return s
+	return a
 }

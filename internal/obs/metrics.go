@@ -42,40 +42,6 @@ func (c *Counter) Value() uint64 {
 	return c.n.Load()
 }
 
-// Gauge is a settable float64 stored as atomic bits.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
-// Add increments the gauge by d (CAS loop; gauges are not hot-path).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram counts observations into cumulative buckets with fixed
 // upper bounds (an implicit +Inf bucket is always present). Observe is
 // one atomic add on the owning bucket plus a CAS on the running sum.
@@ -153,19 +119,18 @@ type family struct {
 	keys    []string // label keys; nil for unlabeled
 	bounds  []float64
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	cfn     func() uint64
 	gfn     func() float64
 
 	mu       sync.Mutex
-	children map[string]any // joined label values -> *Counter/*Gauge/*Histogram
+	children map[string]any // joined label values -> *Counter/*Histogram
 	order    []string
 }
 
 // Registry owns metric families and renders them in Prometheus text
-// format. A nil Registry hands out nil instruments: every Counter /
-// Gauge / Histogram method is nil-safe, so call sites never branch.
+// format. A nil Registry hands out nil instruments: every Counter and
+// Histogram method is nil-safe, so call sites never branch.
 // Registration is idempotent — asking for an existing name returns the
 // prior instrument — but panics when the same name is reused with a
 // different type or label set, since that is always a programming bug.
@@ -210,18 +175,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		f.counter = &Counter{}
 	}
 	return f.counter
-}
-
-// Gauge registers (or returns) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	f := r.family(name, help, typeGauge, nil)
-	if f.gauge == nil && f.gfn == nil {
-		f.gauge = &Gauge{}
-	}
-	return f.gauge
 }
 
 // Histogram registers (or returns) an unlabeled histogram with the
@@ -271,9 +224,6 @@ func newHistogram(bounds []float64) *Histogram {
 // counter per label-value tuple; resolve once, increment many.
 type CounterVec struct{ f *family }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
@@ -283,14 +233,6 @@ func (r *Registry) CounterVec(name, help string, keys ...string) *CounterVec {
 		return nil
 	}
 	return &CounterVec{f: r.family(name, help, typeCounter, keys)}
-}
-
-// GaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, keys ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.family(name, help, typeGauge, keys)}
 }
 
 // HistogramVec registers (or returns) a labeled histogram family.
@@ -327,14 +269,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return nil
 	}
 	return v.f.child(values, func() any { return &Counter{} }).(*Counter)
-}
-
-// With returns the child gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // With returns the child histogram for the given label values.
@@ -424,8 +358,6 @@ func (r *Registry) WriteProm(w io.Writer) {
 				fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gfn()))
 			case f.counter != nil:
 				fmt.Fprintf(w, "%s %d\n", f.name, f.counter.Value())
-			case f.gauge != nil:
-				fmt.Fprintf(w, "%s %s\n", f.name, formatFloat(f.gauge.Value()))
 			case f.hist != nil:
 				writeHist(w, f.name, "", nil, nil, f.hist)
 			}
@@ -449,8 +381,6 @@ func (r *Registry) WriteProm(w io.Writer) {
 			switch c := children[i].(type) {
 			case *Counter:
 				fmt.Fprintf(w, "%s%s %d\n", f.name, labels, c.Value())
-			case *Gauge:
-				fmt.Fprintf(w, "%s%s %s\n", f.name, labels, formatFloat(c.Value()))
 			case *Histogram:
 				writeHist(w, f.name, labels, f.keys, values, c)
 			}

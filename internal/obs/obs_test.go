@@ -10,14 +10,12 @@ import (
 	"time"
 )
 
-// TestConcurrentIncrements hammers one counter, one gauge, one
-// histogram and one labeled counter from many goroutines; run under
-// -race this is the data-race gate, and the final counts prove no
-// increment was lost.
+// TestConcurrentIncrements hammers one counter, one histogram and one
+// labeled counter from many goroutines; run under -race this is the
+// data-race gate, and the final counts prove no increment was lost.
 func TestConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("dipe_test_ops_total", "ops")
-	g := r.Gauge("dipe_test_level", "level")
 	h := r.Histogram("dipe_test_latency_seconds", "latency", []float64{0.5})
 	v := r.CounterVec("dipe_test_labeled_total", "labeled", "worker")
 	const goroutines, per = 8, 10_000
@@ -29,7 +27,6 @@ func TestConcurrentIncrements(t *testing.T) {
 			child := v.With("w" + string(rune('0'+id)))
 			for j := 0; j < per; j++ {
 				c.Inc()
-				g.Set(float64(j))
 				h.Observe(float64(j%2) + 0.25) // alternates buckets
 				child.Inc()
 			}
@@ -83,7 +80,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dipe_test_ops_total", "Operations started.").Add(3)
-	r.Gauge("dipe_test_half_width", "Current half-width.").Set(0.125)
+	r.GaugeFunc("dipe_test_half_width", "Current half-width.", func() float64 { return 0.125 })
 	h := r.Histogram("dipe_test_latency_seconds", "Stream latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -136,7 +133,7 @@ func TestRegistryIdempotent(t *testing.T) {
 	}
 	var nilReg *Registry
 	nilReg.Counter("dipe_test_y_total", "y").Inc()
-	nilReg.Gauge("dipe_test_z", "z").Set(1)
+	nilReg.GaugeFunc("dipe_test_z", "z", func() float64 { return 1 })
 	nilReg.Histogram("dipe_test_h", "h", nil).Observe(1)
 	nilReg.CounterVec("dipe_test_v_total", "v", "k").With("a").Inc()
 	nilReg.WriteProm(&bytes.Buffer{})
@@ -146,37 +143,58 @@ func TestRegistryIdempotent(t *testing.T) {
 			t.Fatal("type conflict did not panic")
 		}
 	}()
-	r.Gauge("dipe_test_x_total", "x")
+	r.GaugeFunc("dipe_test_x_total", "x", func() float64 { return 0 })
 }
 
-// TestLoggerFormats checks level filtering and both encodings.
+// TestLoggerFormats checks level filtering, both encodings, the ts
+// stamp in RFC 3339 UTC, and the level and format names NewLogger
+// refuses.
 func TestLoggerFormats(t *testing.T) {
+	checkTS := func(ts string) {
+		t.Helper()
+		if _, err := time.Parse(time.RFC3339Nano, ts); err != nil || !strings.HasSuffix(ts, "Z") {
+			t.Fatalf("ts %q is not an RFC 3339 UTC time (%v)", ts, err)
+		}
+	}
+
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo, FormatLogfmt)
-	l.now = func() time.Time { return time.Unix(0, 0).UTC() }
+	l, err := NewLogger(&buf, "info", "logfmt")
+	if err != nil {
+		t.Fatal(err)
+	}
 	l = l.With("job", "j1")
 	l.Debug("dropped")
 	l.Info("job started", "worker", "http://a:1", "n", 3)
 	line := buf.String()
-	want := "ts=1970-01-01T00:00:00Z level=info msg=\"job started\" job=j1 worker=http://a:1 n=3\n"
-	if line != want {
-		t.Fatalf("logfmt: got %q want %q", line, want)
+	ts, rest, _ := strings.Cut(strings.TrimPrefix(line, "ts="), " ")
+	want := "level=info msg=\"job started\" job=j1 worker=http://a:1 n=3\n"
+	if !strings.HasPrefix(line, "ts=") || rest != want {
+		t.Fatalf("logfmt: got %q want ts=<time> %q", line, want)
 	}
+	checkTS(ts)
 
 	buf.Reset()
-	j := NewLogger(&buf, LevelWarn, FormatJSON)
+	j, err := NewLogger(&buf, "warn", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	j.Info("dropped")
 	j.Warn("lease expired", "range", "[0,8)", "attempt", 2)
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("json decode: %v (%q)", err, buf.String())
 	}
-	if rec["level"] != "warn" || rec["msg"] != "lease expired" || rec["range"] != "[0,8)" {
+	if len(rec) != 5 || rec["level"] != "warn" || rec["msg"] != "lease expired" || rec["range"] != "[0,8)" || rec["attempt"] != 2.0 {
 		t.Fatalf("json record mismatch: %v", rec)
 	}
-	var nilLog *Logger
-	nilLog.Info("safe")
-	nilLog.With("k", "v").Error("safe")
+	ts, _ = rec["ts"].(string)
+	checkTS(ts)
+
+	for _, bad := range [][2]string{{"bogus", "logfmt"}, {"info", "xml"}} {
+		if _, err := NewLogger(&buf, bad[0], bad[1]); err == nil {
+			t.Errorf("NewLogger(%q, %q) accepted", bad[0], bad[1])
+		}
+	}
 }
 
 // TestTraceOrderingAndImport checks spans stay ordered, Begin/End

@@ -200,10 +200,4 @@ func TestMetricsObserve(t *testing.T) {
 	if got := m.Toggles.Value(); got != 20 {
 		t.Fatalf("toggles counter = %d, want 20 (2 reports x 10)", got)
 	}
-	if got := m.Dynamic.Value(); got != rep.Dynamic {
-		t.Fatalf("dynamic gauge = %g, want %g", got, rep.Dynamic)
-	}
-	if got := m.Leakage.Value(); got != rep.Leakage {
-		t.Fatalf("leakage gauge = %g, want %g", got, rep.Leakage)
-	}
 }

@@ -3,19 +3,16 @@ package power
 import "repro/internal/obs"
 
 // Metrics is the attribution telemetry: how many breakdown reports were
-// built, how many raw transitions they covered, and the most recent
-// dynamic/leakage split. Like every obs consumer, a nil *Metrics is
-// skipped with one branch per report — breakdown-off runs never touch
-// an instrument.
+// built and how many raw transitions they covered. A report's
+// dynamic/leakage split belongs to its job (Result.Breakdown), not to a
+// process-wide gauge that the last job to finish overwrites. Like every
+// obs consumer, a nil *Metrics is skipped with one branch per report —
+// breakdown-off runs never touch an instrument.
 type Metrics struct {
 	// Breakdowns counts attribution reports built.
 	Breakdowns *obs.Counter
 	// Toggles counts raw per-node transitions folded into reports.
 	Toggles *obs.Counter
-	// Dynamic is the dynamic power total of the most recent report.
-	Dynamic *obs.Gauge
-	// Leakage is the static power total of the most recent report.
-	Leakage *obs.Gauge
 }
 
 // NewMetrics registers the attribution metrics on r (nil r gives a nil
@@ -27,8 +24,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	return &Metrics{
 		Breakdowns: r.Counter("dipe_power_breakdowns_total", "Per-node power attribution reports built."),
 		Toggles:    r.Counter("dipe_power_breakdown_toggles_total", "Raw node transitions folded into attribution reports."),
-		Dynamic:    r.Gauge("dipe_power_dynamic_watts", "Dynamic power total of the most recent attribution report."),
-		Leakage:    r.Gauge("dipe_power_leakage_watts", "Static (leakage) power total of the most recent attribution report."),
 	}
 }
 
@@ -43,6 +38,4 @@ func (m *Metrics) Observe(rep *BreakdownReport) {
 	}
 	m.Breakdowns.Inc()
 	m.Toggles.Add(toggles)
-	m.Dynamic.Set(rep.Dynamic)
-	m.Leakage.Set(rep.Leakage)
 }

@@ -34,7 +34,7 @@ func FuzzJobRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req JobRequest
-		if err := decodeJSON(bytes.NewReader(data), &req); err != nil {
+		if err := DecodeJSON(bytes.NewReader(data), &req); err != nil {
 			return
 		}
 		if err := req.Validate(); err != nil {
@@ -53,7 +53,7 @@ func FuzzJobRequest(f *testing.F) {
 			t.Fatalf("re-encoding an accepted request: %v", err)
 		}
 		var back JobRequest
-		if err := decodeJSON(bytes.NewReader(enc), &back); err != nil {
+		if err := DecodeJSON(bytes.NewReader(enc), &back); err != nil {
 			t.Fatalf("decoding the re-encoded request %s: %v", enc, err)
 		}
 		if !reflect.DeepEqual(req, back) {
@@ -86,7 +86,7 @@ func FuzzUpload(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req UploadRequest
-		if err := decodeJSON(bytes.NewReader(data), &req); err != nil {
+		if err := DecodeJSON(bytes.NewReader(data), &req); err != nil {
 			return
 		}
 		reg := NewRegistry(1)

@@ -90,7 +90,7 @@ type errorResponse struct {
 func (s *Service) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
 	mux.HandleFunc("GET /v1/cluster/workers", s.handleListWorkers)
@@ -115,13 +115,13 @@ func (s *Service) routes() *http.ServeMux {
 // instead of crash-looping.
 func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 	if err := s.Ready(); err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"status": "not-ready",
 			"error":  err.Error(),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // handleListWorkers reports the cluster dispatcher's worker table; in
@@ -129,10 +129,10 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 	reg, ok := s.dispatch.(WorkerRegistrar)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("dispatcher %q has no worker registry", s.dispatch.Name()))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("dispatcher %q has no worker registry", s.dispatch.Name()))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string][]WorkerStatus{"workers": reg.Workers()})
+	WriteJSON(w, http.StatusOK, map[string][]WorkerStatus{"workers": reg.Workers()})
 }
 
 // handleRegisterWorker lets a dipe-worker (or an operator) register a
@@ -141,35 +141,35 @@ func (s *Service) handleListWorkers(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	reg, ok := s.dispatch.(WorkerRegistrar)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("dispatcher %q has no worker registry", s.dispatch.Name()))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("dispatcher %q has no worker registry", s.dispatch.Name()))
 		return
 	}
 	var req RegisterWorkerRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	if err := reg.AddWorker(req.URL); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string][]WorkerStatus{"workers": reg.Workers()})
+	WriteJSON(w, http.StatusCreated, map[string][]WorkerStatus{"workers": reg.Workers()})
 }
 
 func (s *Service) handleListCircuits(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"circuits": s.Registry.Names()})
+	WriteJSON(w, http.StatusOK, map[string][]string{"circuits": s.Registry.Names()})
 }
 
 func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req UploadRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	stats, err := s.Registry.Upload(req.Name, req.Format, req.Text)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, UploadResponse{
+	WriteJSON(w, http.StatusCreated, UploadResponse{
 		Name:    req.Name,
 		Stats:   stats.String(),
 		Inputs:  stats.Inputs,
@@ -180,29 +180,29 @@ func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	id, err := s.Jobs.Submit(req)
 	if err != nil {
-		writeError(w, submitStatus(err), err)
+		WriteError(w, submitStatus(err), err)
 		return
 	}
 	view, _ := s.Jobs.Get(id)
-	writeJSON(w, http.StatusAccepted, view)
+	WriteJSON(w, http.StatusAccepted, view)
 }
 
 func (s *Service) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]JobView{"jobs": s.Jobs.List()})
+	WriteJSON(w, http.StatusOK, map[string][]JobView{"jobs": s.Jobs.List()})
 }
 
 func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.Jobs.Get(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *Service) handleWaitJob(w http.ResponseWriter, r *http.Request) {
@@ -210,7 +210,7 @@ func (s *Service) handleWaitJob(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("timeout"); q != "" {
 		d, err := time.ParseDuration(q)
 		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q", q))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q", q))
 			return
 		}
 		timeout = d
@@ -224,14 +224,14 @@ func (s *Service) handleWaitJob(w http.ResponseWriter, r *http.Request) {
 		// clients can keep polling.
 		view, ok := s.Jobs.Get(r.PathValue("id"))
 		if !ok {
-			writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+			WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 			return
 		}
-		writeJSON(w, http.StatusAccepted, view)
+		WriteJSON(w, http.StatusAccepted, view)
 	case err != nil:
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 	default:
-		writeJSON(w, http.StatusOK, view)
+		WriteJSON(w, http.StatusOK, view)
 	}
 }
 
@@ -241,10 +241,10 @@ func (s *Service) handleWaitJob(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	tr, ok := s.Jobs.Trace(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, tr)
+	WriteJSON(w, http.StatusOK, tr)
 }
 
 // handleJobBreakdown serves the full per-node power attribution of a
@@ -253,40 +253,40 @@ func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleJobBreakdown(w http.ResponseWriter, r *http.Request) {
 	bd, ok := s.Jobs.Breakdown(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
 	if bd.Report == nil {
-		writeError(w, http.StatusNotFound,
+		WriteError(w, http.StatusNotFound,
 			fmt.Errorf("job %q has no breakdown (submit with options.breakdown=true and wait for completion)", bd.ID))
 		return
 	}
-	writeJSON(w, http.StatusOK, bd)
+	WriteJSON(w, http.StatusOK, bd)
 }
 
 func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	view, ok := s.Jobs.Cancel(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, view)
+	WriteJSON(w, http.StatusOK, view)
 }
 
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if !readJSON(w, r, &req) {
+	if !ReadJSON(w, r, MaxBodyBytes, &req) {
 		return
 	}
 	if len(req.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("empty batch"))
+		WriteError(w, http.StatusBadRequest, errors.New("empty batch"))
 		return
 	}
 	// Validate everything first so a batch is all-or-nothing at the
 	// request level; a full queue mid-batch still cancels the remainder.
 	for i, jr := range req.Jobs {
 		if err := jr.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("job %d: %w", i, err))
 			return
 		}
 	}
@@ -297,12 +297,12 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			for _, prev := range ids {
 				s.Jobs.Cancel(prev)
 			}
-			writeError(w, submitStatus(err), fmt.Errorf("job %d: %w", i, err))
+			WriteError(w, submitStatus(err), fmt.Errorf("job %d: %w", i, err))
 			return
 		}
 		ids = append(ids, id)
 	}
-	writeJSON(w, http.StatusAccepted, BatchResponse{IDs: ids})
+	WriteJSON(w, http.StatusAccepted, BatchResponse{IDs: ids})
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -316,7 +316,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	if reg, ok := s.dispatch.(WorkerRegistrar); ok {
 		resp.Workers = reg.Workers()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // submitStatus maps Submit errors to HTTP statuses: a full queue and a
@@ -329,20 +329,20 @@ func submitStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// readJSON decodes the request body into v, writing a 400 and returning
-// false on malformed input.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeJSON(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+// ReadJSON decodes a request body of at most limit bytes into v,
+// writing a 400 and returning false on malformed or oversized input.
+func ReadJSON(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if err := DecodeJSON(http.MaxBytesReader(w, r.Body, limit), v); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
 }
 
-// decodeJSON decodes one JSON value from r into v. Unknown fields fail
+// DecodeJSON decodes one JSON value from r into v. Unknown fields fail
 // the decode, so a misspelled field, or one this server no longer
 // accepts, is a 400 instead of being silently ignored.
-func decodeJSON(r io.Reader, v any) error {
+func DecodeJSON(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
@@ -354,7 +354,8 @@ func decodeJSON(r io.Reader, v any) error {
 // accepts installs on its workers.
 const MaxBodyBytes = 8 << 20
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with status and v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -362,6 +363,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+// WriteError answers with status and the uniform error body,
+// {"error": err.Error()}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, errorResponse{Error: err.Error()})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"sync"
 	"time"
@@ -443,7 +444,7 @@ type Manager struct {
 	wg    sync.WaitGroup
 
 	met *serviceMetrics
-	log *obs.Logger
+	log *slog.Logger
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -472,7 +473,7 @@ func NewManager(reg *Registry, dispatch Dispatcher, workers, queueCap int, store
 // metrics register on obsReg (an internal registry backs the same cells
 // when nil, so /v1/stats counters are always real) and structured
 // lifecycle events go to log (nil discards).
-func NewManagerObs(reg *Registry, dispatch Dispatcher, workers, queueCap int, store *JobStore, obsReg *obs.Registry, log *obs.Logger) *Manager {
+func NewManagerObs(reg *Registry, dispatch Dispatcher, workers, queueCap int, store *JobStore, obsReg *obs.Registry, log *slog.Logger) *Manager {
 	if dispatch == nil {
 		dispatch = NewLocalDispatcher()
 	}
@@ -493,6 +494,9 @@ func NewManagerObs(reg *Registry, dispatch Dispatcher, workers, queueCap int, st
 	}
 	if obsReg == nil {
 		obsReg = obs.NewRegistry() // internal: counters stay real, just unscraped
+	}
+	if log == nil {
+		log = slog.New(slog.DiscardHandler)
 	}
 	met := newServiceMetrics(obsReg)
 	ctx, stop := context.WithCancel(context.Background())

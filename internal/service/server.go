@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"log/slog"
 	"net/http"
 	"sync"
 
@@ -38,7 +39,7 @@ type Config struct {
 	// visible — an internal registry keeps /v1/stats counters real.
 	Obs *obs.Registry
 	// Log, when non-nil, receives structured job-lifecycle events.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // DefaultConfig returns the default sizing.

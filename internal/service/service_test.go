@@ -241,7 +241,7 @@ func TestSubmitSizeBounds(t *testing.T) {
 	}
 	for _, body := range valid {
 		var req JobRequest
-		if err := decodeJSON(strings.NewReader(body), &req); err != nil {
+		if err := DecodeJSON(strings.NewReader(body), &req); err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
 		if err := req.Validate(); err != nil {

@@ -768,7 +768,11 @@ func TestJournalWriteFailureShows(t *testing.T) {
 	}
 	store.f.Close()
 	var log bytes.Buffer
-	m := NewManagerObs(NewRegistry(0), nil, 1, 0, store, nil, obs.NewLogger(&log, obs.LevelInfo, obs.FormatJSON))
+	logger, err := obs.NewLogger(&log, "info", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManagerObs(NewRegistry(0), nil, 1, 0, store, nil, logger)
 	id, err := m.Submit(fastRequest(1))
 	if err != nil {
 		t.Fatal(err)

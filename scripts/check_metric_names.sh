@@ -4,7 +4,7 @@
 # itself (whose tests use a reserved dipe_test_* subsystem):
 #
 #   dipe_<subsystem>_<name>    subsystem ∈ core | compile | cluster |
-#                                          service | worker
+#                                          power | service | worker
 #   counters end in _total; gauges and histograms never do.
 #
 # Names assembled from a literal prefix plus a runtime suffix (e.g.

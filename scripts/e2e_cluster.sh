@@ -6,8 +6,10 @@
 # finished job's trace must run from its closed select-interval and
 # plan-resolve spans through its shard event and merge rounds ending at
 # its result, zero-delay jobs must be cut at word rows
-# (64 replications as one range, 130 as three), and a worker must
-# refuse an oversized /v1/run with 400 and keep serving.
+# (64 replications as one range, 130 as three), a worker must
+# refuse an oversized /v1/run with 400 and keep serving, and both log
+# encodings must hold their record format: worker 2 logs JSON at debug
+# level, the server logfmt at info.
 #
 # With --chaos the script instead runs the fault-tolerance gate on real
 # processes: a worker is SIGKILLed mid-batch (jobs must still finish), a
@@ -113,7 +115,7 @@ echo "== start two workers with self-registration"
 "$BIN/dipe-worker" -addr "127.0.0.1:0" -register "$BASE" >"$LOGS/w1.log" 2>&1 &
 W1_PID=$!
 PIDS+=($W1_PID)
-"$BIN/dipe-worker" -addr "127.0.0.1:0" -register "$BASE" >"$LOGS/w2.log" 2>&1 &
+"$BIN/dipe-worker" -addr "127.0.0.1:0" -register "$BASE" -log-level debug -log-format json >"$LOGS/w2.log" 2>&1 &
 W2_PID=$!
 PIDS+=($W2_PID)
 W1_ADDR=$(bound_addr "$LOGS/w1.log") || { echo "worker 1 never reported its address"; exit 1; }
@@ -238,6 +240,24 @@ for waddr in "$W1_ADDR" "$W2_ADDR"; do
     dipe_compile_execs_total dipe_worker_streams_served_total \
     dipe_worker_blocks_emitted_total
 done
+
+echo "== worker 2 logs JSON records at debug level, the server logfmt lines"
+python3 -c '
+import json, re, sys
+recs = []
+for ln in open(sys.argv[1]):
+    if ln.startswith("{"):
+        rec = json.loads(ln)
+        assert all(isinstance(rec.get(k), str) for k in ("ts", "level", "msg")), "record lacks a string ts, level or msg: %r" % ln
+        assert rec.get("component") == "worker", "record not tagged component=worker: %r" % ln
+        recs.append(rec)
+starts = sum(1 for r in recs if r["msg"] == "stream start")
+assert starts, "worker 2 logged no stream start among %d JSON records" % len(recs)
+line = re.compile(r"ts=\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?Z level=info msg=\"job finished\" component=jobs job=job-\d+ state=done")
+done = sum(1 for ln in open(sys.argv[2]) if line.fullmatch(ln.rstrip("\n")))
+assert done, "server.log has no logfmt job finished line"
+print("  worker 2: %d JSON records, %d stream start; server: %d job finished lines" % (len(recs), starts, done))
+' "$LOGS/w2.log" "$LOGS/server.log"
 
 echo "e2e cluster: OK"
 exit 0
