@@ -158,9 +158,10 @@ func BenchmarkAblationInputs(b *testing.B) {
 // --- engine micro-benchmarks ---------------------------------------------
 
 // BenchmarkEventDrivenCycle measures one sampled (general-delay) clock
-// cycle of the scalar event-driven engine across circuit sizes — the
-// dominant cost of estimation — through the ScalarSession that drives
-// it cycle by cycle.
+// cycle of the scalar event-driven engine across circuit sizes, through
+// the ScalarSession that drives it cycle by cycle. The scalar engine is
+// the oracle of the lane engine estimates run (EventLanes, timed by
+// BenchmarkCompiledSampled) and the engine of the max-power search.
 func BenchmarkEventDrivenCycle(b *testing.B) {
 	for _, name := range []string{"s298", "s1494", "s5378", "s15850"} {
 		c := bench89.MustGet(name)
@@ -214,20 +215,21 @@ func BenchmarkCompiledHidden(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledSampled measures one sampled cycle of a 64-lane
-// compiled session, each lane observed by the scalar event-driven
-// engine (the general-delay mode).
+// BenchmarkCompiledSampled measures one general-delay sampled cycle of
+// a 64-lane compiled session, the production path of a general-delay
+// estimate's tail: StepSampledWith observes all 64 lanes with one Cycle
+// of the event-driven lane engine (sim.EventLanes).
 func BenchmarkCompiledSampled(b *testing.B) {
 	for _, name := range []string{"s298", "s1494"} {
 		c := bench89.MustGet(name)
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
 			s := sim.NewCompiledSession(c, laneSources(c))
-			ed := sim.NewEventDriven(c, tb.Delays)
+			el := sim.NewEventLanes(c, tb.Delays)
 			powers := make([]float64, sim.MaxLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.StepSampledWith(ed, tb.Weights(), powers)
+				s.StepSampledWith(el, tb.Weights(), powers)
 			}
 			b.ReportMetric(float64(b.N*sim.MaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
 		})

@@ -229,8 +229,9 @@ func NewLagCorrelatedSourceFactory(width int, p, rho float64) SourceFactory {
 // independent replications advanced concurrently: hidden cycles run on
 // the compiled word-level zero-delay engine (up to 512 replications per
 // session, 64 per machine word) and sampled cycles on the engine
-// Options.Mode selects — per-shard event-driven simulators under the
-// default general-delay mode, or word-level transition counting on the
+// Options.Mode selects — a per-shard event-driven lane engine, 64
+// replications per pass, under the default general-delay mode, or
+// word-level transition counting on the
 // compiled register file under ZeroDelayMode (sampled cycles then cost
 // about the same as hidden ones). Replication r is seeded
 // baseSeed+1+r (interval selection uses baseSeed), and samples merge

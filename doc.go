@@ -37,7 +37,8 @@
 //     serial Session every estimator runs and compiled word-level lane
 //     sessions (the interpreted ScalarSession and packed 64-lane
 //     interpreter are their test oracles), and event-driven
-//     general-delay simulators
+//     general-delay simulators: the lane-word engine every estimate
+//     observes with, and the scalar one that is its oracle
 //   - internal/compile — the netlist compiler behind the compiled
 //     sessions: straight-line word-level programs, one execution form
 //   - internal/power, internal/delay — the power model of Eq. 1 and the

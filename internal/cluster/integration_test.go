@@ -223,7 +223,8 @@ func TestReuploadAfterPhase1KeepsJobOnOneCircuit(t *testing.T) {
 	d := reuploadBeforeSampling{Coordinator: newTestCoordinator(t, wk.URL), reg: reg, name: "toy", text: toyB}
 	m := service.NewManager(reg, d, 1, 0, nil)
 	defer m.Close()
-	id, err := m.Submit(req)
+	idView, err := m.Submit(req)
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,8 @@ func TestEscapedUploadInstallsOnWorkers(t *testing.T) {
 
 	m := service.NewManager(reg, newFastCoordinator(t, s1.URL, s2.URL), 1, 0, nil)
 	defer m.Close()
-	id, err := m.Submit(req)
+	idView, err := m.Submit(req)
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}

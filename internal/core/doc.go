@@ -52,11 +52,13 @@
 // manager is built on.
 //
 // Options.Mode selects the power-observation scenario (power.PowerMode):
-// the default general-delay mode observes sampled cycles with per-lane
-// event-driven simulation, the zero-delay mode with word-parallel
-// transition counting on the compiled lane engine (sim.CompiledSession,
-// the one lane engine every parallel estimate runs), making sampled
-// cycles as cheap as hidden ones.
+// the default general-delay mode observes sampled cycles with the
+// event-driven lane engine (sim.EventLanes, 64 replications or 32
+// phase-1 pairs per pass, each lane bit-identical to the scalar
+// sim.EventDriven), the zero-delay mode with word-parallel transition
+// counting on the compiled lane session (sim.CompiledSession, the one
+// lane session every parallel estimate runs), making sampled cycles as
+// cheap as hidden ones.
 // Result.Engine and Result.DelayModel record what a run actually used.
 //
 // Options.Variance selects a variance-reduction transform (vr.Spec):

@@ -35,9 +35,11 @@ type Result struct {
 	// Criterion names the stopping criterion used.
 	Criterion string
 	// Engine names the power engine that observed the sampled cycles:
-	// sim.EngineEventDriven or sim.EngineZeroDelay for a scalar engine,
-	// or sim.EngineCompiledZeroDelay when the parallel estimators
-	// observed them word-parallel on the compiled lane engine.
+	// sim.EngineEventDriven for general-delay observation (on the lane
+	// engine sim.EventLanes, bit-identical to sim.EventDriven per lane),
+	// sim.EngineZeroDelay for a serial zero-delay session, or
+	// sim.EngineCompiledZeroDelay when the parallel estimators observed
+	// them by the toggle diff of the compiled lane session.
 	Engine string
 	// DelayModel names the timing model the engine realized ("zero" for
 	// zero-delay observation).

@@ -291,10 +291,12 @@ func SplitRange(lo, hi, k int) [][2]int {
 // replications [lo, hi) into the shards of an in-process run or of a
 // cluster worker's range, and into the coordinator's cluster ranges.
 // Its unit of work is a word row of sim.MaxLanes replications when the
-// job observes its sampled cycles word-parallel (wordSampled), because
-// a compiled pass costs the same for one lane of a row as for all of
-// them; otherwise it is one replication, since each lane's sampled
-// cycles run on an event-driven engine of their own. It returns
+// job observes its sampled cycles by the toggle diff (wordSampled),
+// because a compiled pass costs the same for one lane of a row as for
+// all of them; otherwise it is one replication: a general-delay job's
+// sampled cycles run on the event-driven lane engine (sim.EventLanes),
+// whose cost follows the events its lanes commit, not the word, and a
+// word-row layout for those jobs has not been measured. It returns
 // min(want, ceil((hi-lo)/unit)) ascending ranges balanced in whole
 // units, the partial unit last, so no range is empty and none splits a
 // word row of a word-parallel job. want must be at least 1. The layout

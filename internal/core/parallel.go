@@ -19,12 +19,13 @@ import (
 // shard is one worker's slice of the replication space: a contiguous
 // range of replication indices driven by a single compiled lane session
 // of at most sim.CompiledMaxLanes lanes. Under the general-delay engine
-// each shard additionally owns a private scalar power engine for the
-// sampled cycles; under word-parallel zero-delay sampling the sampled
-// cycles stay on the lane words and engine is nil.
+// each shard additionally owns a private lane engine (sim.EventLanes)
+// that observes its sampled cycles one 64-lane word at a time; under
+// word-parallel zero-delay sampling the sampled cycles stay on the
+// lane words' toggle diff and engine is nil.
 type shard struct {
 	ps     *sim.CompiledSession
-	engine sim.PowerEngine
+	engine *sim.EventLanes
 	lanes  int
 	powers []float64 // per-block lane powers, round-major: [round*lanes + lane]
 	cov    []float64 // per-round covariate scratch (control-variate runs only)
@@ -53,7 +54,9 @@ type replicationRun struct {
 // Ranges, asking for as many shards as the goroutine pool is wide
 // (GOMAXPROCS) and for enough that none exceeds the compiled session
 // width. A word-parallel job therefore cuts only at word rows, and a
-// 64-replication one is a single shard. Replication r keeps its
+// 64-replication one is a single shard; a general-delay job cuts at
+// lanes, and each shard observes its sampled cycles with a lane engine
+// of its own, one Cycle per 64-lane word. Replication r keeps its
 // globally fixed seed baseSeed+1+r regardless of the layout. Each
 // shard's sample buffer holds BlockRounds(opts) rounds, the longest
 // block the run will be asked for.
@@ -95,7 +98,7 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 			powers: make([]float64, rounds*lanes),
 		}
 		if !packed {
-			sh.engine = sim.NewEventDriven(tb.Circuit, tb.Delays)
+			sh.engine = sim.NewEventLanes(tb.Circuit, tb.Delays)
 		}
 		if opts.Breakdown {
 			// Each shard counts into a private accumulator (no write
@@ -112,7 +115,7 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 
 // bind sets the independence interval and the resolved plan the run
 // samples at. A plan that observes a covariate gets per-shard covariate
-// scratch; it needs the per-lane engine that only event-driven sampling
+// scratch; it needs the lane engine that only event-driven sampling
 // has, which ResolvePlan guarantees by rejecting control variates on
 // zero-delay runs and all-zero delay tables.
 func (r *replicationRun) bind(interval int, plan vr.Plan) error {
@@ -217,9 +220,9 @@ func (r *replicationRun) block(b, n, count int) ReplicationBlock {
 // compiled lane session (sim.CompiledSession, up to
 // sim.CompiledMaxLanes = 512 replications per session) through the
 // hidden cycles of the independence interval. On sampled cycles a
-// general-delay run hands each lane to the shard's scalar
-// event-driven simulator; a zero-delay run observes every lane
-// word-parallel. Samples are merged into the
+// general-delay run observes each 64-lane word with the shard's lane
+// event-driven engine (sim.EventLanes); a zero-delay run takes every
+// lane's toggle sum from the word diff. Samples are merged into the
 // stopping criterion deterministically (round-major, in replication
 // order), so the result is reproducible and independent of the shard
 // layout and of goroutine scheduling.
@@ -329,12 +332,13 @@ func EstimateParallelFrom(ctx context.Context, tb *Testbench, src vectors.Factor
 }
 
 // wordSampled reports whether a parallel run observes its sampled
-// cycles word-parallel on the lane session (StepSampled) instead of per
-// lane on a scalar engine: zero-delay mode, or a general-delay run whose
-// delay table is all-zero (see delay.Table.AllZero). A control variate,
-// which needs the scalar engine's sample next to the covariate, never
-// meets either condition: Options.Validate rejects it under zero-delay
-// and ResolvePlan on an all-zero table.
+// cycles by the lane session's toggle diff (StepSampled) instead of
+// with the event-driven lane engine: zero-delay mode, or a
+// general-delay run whose delay table is all-zero (see
+// delay.Table.AllZero). A control variate, which needs the event-driven
+// sample next to the covariate, never meets either condition:
+// Options.Validate rejects it under zero-delay and ResolvePlan on an
+// all-zero table.
 func wordSampled(tb *Testbench, opts Options) bool {
 	return opts.Mode.IsZeroDelay() || tb.Delays.AllZero()
 }
@@ -345,10 +349,9 @@ func wordSampled(tb *Testbench, opts Options) bool {
 // word-parallel (wordSampled), the event-driven engine otherwise.
 //
 // A general-delay run whose delay table is all-zero is upgraded to the
-// word-parallel path: the transition sets are identical (see
-// delay.Table.AllZero), though power sums may differ from per-lane
-// event-driven simulation in the last ulp because the summation order
-// changes.
+// toggle-diff path: the transition sets are identical (see
+// delay.Table.AllZero), though power sums may differ from event-driven
+// simulation in the last ulp because the summation order changes.
 func engineLabels(tb *Testbench, opts Options) (engine, delayModel string) {
 	if !wordSampled(tb, opts) {
 		return sim.EngineEventDriven, tb.Delays.ModelName

@@ -95,7 +95,8 @@ func TestServerRestartResumesBreakdownJob(t *testing.T) {
 	}
 
 	ref := NewManager(reg, nil, 1, 0, nil)
-	refID, err := ref.Submit(req)
+	refIDView, err := ref.Submit(req)
+	refID := refIDView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,8 @@ func TestServerRestartResumesBreakdownJob(t *testing.T) {
 	}
 	d := newStallDispatcher()
 	m1 := NewManager(reg, d, 1, 0, store1)
-	id, err := m1.Submit(req)
+	idView, err := m1.Submit(req)
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,11 @@
 //     provenance before it returns. A job resumed from its checkpoint
 //     after a restart runs on the journaled provenance, whatever its
 //     name resolves to by then, and its hook returns the checkpoint.
+//     Finished jobs stay queryable in a bounded window (the newest
+//     256); an older ID answers 404 with ErrJobEvicted, while the
+//     result cache still answers a repeat of its request. Stats keeps lifetime totals per
+//     state, updated at each transition, so /v1/stats costs the same
+//     however many jobs have run.
 //
 //   - HTTP API (handlers.go, server.go): submit/poll/wait/cancel job
 //     endpoints, a batch endpoint that fans a list of jobs across the

@@ -100,7 +100,8 @@ func TestCloseDrainsRunningJobs(t *testing.T) {
 	d := &slowDispatcher{started: make(chan struct{}), cancelled: make(chan struct{})}
 	svc := New(Config{Workers: 1, Dispatcher: d})
 
-	id, err := svc.Jobs.Submit(JobRequest{Circuit: "s27", Seed: 1, Options: OptionsSpec{Replications: 8}})
+	idView, err := svc.Jobs.Submit(JobRequest{Circuit: "s27", Seed: 1, Options: OptionsSpec{Replications: 8}})
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +128,8 @@ func TestCloseDrainsRunningJobs(t *testing.T) {
 	default:
 		t.Fatal("Close returned while the estimation was still running")
 	}
-	view, ok := svc.Jobs.Get(id)
-	if !ok || !view.State.Terminal() {
+	view, err := svc.Jobs.Get(id)
+	if err != nil || !view.State.Terminal() {
 		t.Fatalf("job state after Close = %+v, want terminal", view)
 	}
 

@@ -36,7 +36,10 @@ type BatchRequest struct {
 	Jobs []JobRequest `json:"jobs"`
 }
 
-// BatchResponse lists the job IDs in request order.
+// BatchResponse lists the job IDs in request order. Cache hits finish
+// inside the request, so a batch that finishes more jobs than the
+// finished-job window holds returns IDs that already answer 404 with
+// ErrJobEvicted.
 type BatchResponse struct {
 	IDs []string `json:"ids"`
 }
@@ -183,12 +186,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !ReadJSON(w, r, MaxBodyBytes, &req) {
 		return
 	}
-	id, err := s.Jobs.Submit(req)
+	view, err := s.Jobs.Submit(req)
 	if err != nil {
 		WriteError(w, submitStatus(err), err)
 		return
 	}
-	view, _ := s.Jobs.Get(id)
 	WriteJSON(w, http.StatusAccepted, view)
 }
 
@@ -197,9 +199,9 @@ func (s *Service) handleListJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.Jobs.Get(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+	view, err := s.Jobs.Get(r.PathValue("id"))
+	if err != nil {
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, view)
@@ -222,9 +224,9 @@ func (s *Service) handleWaitJob(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 		// Not done yet: report current state instead of an error so
 		// clients can keep polling.
-		view, ok := s.Jobs.Get(r.PathValue("id"))
-		if !ok {
-			WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+		view, err := s.Jobs.Get(r.PathValue("id"))
+		if err != nil {
+			WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		WriteJSON(w, http.StatusAccepted, view)
@@ -239,9 +241,9 @@ func (s *Service) handleWaitJob(w http.ResponseWriter, r *http.Request) {
 // submit, run, select-interval, plan-resolve, shard, lease/steal,
 // merge-round, stop — with millisecond offsets from submission.
 func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	tr, ok := s.Jobs.Trace(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+	tr, err := s.Jobs.Trace(r.PathValue("id"))
+	if err != nil {
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, tr)
@@ -251,9 +253,9 @@ func (s *Service) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // finished breakdown-enabled job; the job's result view carries only
 // the top rows inline.
 func (s *Service) handleJobBreakdown(w http.ResponseWriter, r *http.Request) {
-	bd, ok := s.Jobs.Breakdown(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+	bd, err := s.Jobs.Breakdown(r.PathValue("id"))
+	if err != nil {
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	if bd.Report == nil {
@@ -265,9 +267,9 @@ func (s *Service) handleJobBreakdown(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.Jobs.Cancel(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
+	view, err := s.Jobs.Cancel(r.PathValue("id"))
+	if err != nil {
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	WriteJSON(w, http.StatusOK, view)
@@ -292,7 +294,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ids := make([]string, 0, len(req.Jobs))
 	for i, jr := range req.Jobs {
-		id, err := s.Jobs.Submit(jr)
+		view, err := s.Jobs.Submit(jr)
 		if err != nil {
 			for _, prev := range ids {
 				s.Jobs.Cancel(prev)
@@ -300,7 +302,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request) {
 			WriteError(w, submitStatus(err), fmt.Errorf("job %d: %w", i, err))
 			return
 		}
-		ids = append(ids, id)
+		ids = append(ids, view.ID)
 	}
 	WriteJSON(w, http.StatusAccepted, BatchResponse{IDs: ids})
 }

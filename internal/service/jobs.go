@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -407,7 +408,15 @@ type job struct {
 	trace *obs.Trace
 }
 
-// PoolStats is a snapshot of the job pool.
+// maxFinishedJobs bounds the finished-job window: a Manager keeps only
+// its newest finished jobs, as many as the result cache holds, and
+// forgets the oldest first. Queued and running jobs are never evicted.
+const maxFinishedJobs = 256
+
+// PoolStats is a snapshot of the job pool: the jobs queued and running
+// now, and how many jobs ended in each terminal state over the
+// manager's lifetime (journal replays included), whether or not they
+// are still in the finished-job window.
 type PoolStats struct {
 	Workers   int `json:"workers"`
 	QueueCap  int `json:"queueCap"`
@@ -427,10 +436,19 @@ var ErrQueueFull = errors.New("service: job queue full")
 // left to run it (and leak any Wait caller blocked on it).
 var ErrClosed = errors.New("service: job manager is shut down")
 
+// ErrUnknownJob is returned for a job ID the manager never issued.
+var ErrUnknownJob = errors.New("service: unknown job")
+
+// ErrJobEvicted is returned for a job ID the manager issued whose
+// finished job has left the finished-job window. Its result may still
+// be in the result cache, which answers a repeat of the request.
+var ErrJobEvicted = errors.New("service: job evicted from the finished-job window")
+
 // Manager owns the asynchronous job lifecycle: a bounded FIFO queue
 // feeding a fixed worker pool, with per-job cancellation and live
-// progress. Jobs are never forgotten; completed records stay queryable
-// until the manager is closed.
+// progress. Queued and running jobs stay queryable until they finish;
+// finished ones until they leave the finished-job window
+// (maxFinishedJobs), after which their IDs answer ErrJobEvicted.
 type Manager struct {
 	reg      *Registry
 	dispatch Dispatcher
@@ -446,9 +464,14 @@ type Manager struct {
 	met *serviceMetrics
 	log *slog.Logger
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string // submission order, for List
+	mu       sync.Mutex
+	jobs     map[string]*job
+	order    []string // submission order of the jobs in the table, for List
+	finished []string // the finished jobs in the table, oldest first
+	// counts holds the number of queued and running jobs and the
+	// lifetime number of jobs in each terminal state, evicted jobs
+	// included; every state change updates it.
+	counts map[JobState]int
 	seq    uint64
 	closed bool
 }
@@ -512,6 +535,7 @@ func NewManagerObs(reg *Registry, dispatch Dispatcher, workers, queueCap int, st
 		stop:     stop,
 		queue:    make(chan *job, queueCap),
 		jobs:     make(map[string]*job),
+		counts:   make(map[JobState]int),
 	}
 	m.registerStateGauges(obsReg)
 	m.restore(restored)
@@ -525,7 +549,8 @@ func NewManagerObs(reg *Registry, dispatch Dispatcher, workers, queueCap int, st
 // restore folds replayed journal records into the job table before the
 // pool starts: terminal jobs are installed finished (their done channel
 // already closed, their results priming the cache, their checkpoints
-// dropped), everything else is re-enqueued with its checkpoint
+// dropped) and enter the finished-job window in journal order, so only
+// the newest stay; everything else is re-enqueued with its checkpoint
 // attached. ID sequencing continues from the highest replayed ID so
 // restarts never reuse a job ID.
 func (m *Manager) restore(restored []RestoredJob) {
@@ -560,8 +585,10 @@ func (m *Manager) restore(restored []RestoredJob) {
 			m.queue <- j // capacity >= len(restored) by construction
 			m.log.Info("job resumed from journal", "job", j.id, "circuit", j.req.Circuit)
 		}
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
+		m.addLocked(j)
+		if j.state.Terminal() {
+			m.retireLocked(j)
+		}
 		var n uint64
 		if _, err := fmt.Sscanf(j.id, "job-%d", &n); err == nil && n > m.seq {
 			m.seq = n
@@ -569,15 +596,17 @@ func (m *Manager) restore(restored []RestoredJob) {
 	}
 }
 
-// Submit validates and enqueues a request, returning the job ID. The
-// non-blocking enqueue and the registration happen under one lock so a
-// full queue never leaves a half-registered job behind. A request whose
-// result is already in the result cache skips the queue entirely: the
-// job is registered terminal with the cached (bit-identical) result and
-// its view is available immediately.
-func (m *Manager) Submit(req JobRequest) (string, error) {
+// Submit validates and enqueues a request, returning the new job's
+// snapshot, taken under the same lock. The non-blocking enqueue and the
+// registration happen under one lock so a full queue never leaves a
+// half-registered job behind. A request whose result is already in the
+// result cache skips the queue entirely: the job is registered terminal
+// with the cached (bit-identical) result, and the returned snapshot
+// carries it even if later jobs push this one out of the finished-job
+// window before the caller reads it.
+func (m *Manager) Submit(req JobRequest) (JobView, error) {
 	if err := req.Validate(); err != nil {
-		return "", err
+		return JobView{}, err
 	}
 	// Provenance resolution happens outside the manager lock (it takes
 	// the registry lock); an unresolvable circuit just bypasses the
@@ -589,7 +618,7 @@ func (m *Manager) Submit(req JobRequest) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return "", ErrClosed
+		return JobView{}, ErrClosed
 	}
 	j := &job{
 		id:       fmt.Sprintf("job-%06d", m.seq+1),
@@ -603,47 +632,90 @@ func (m *Manager) Submit(req JobRequest) (string, error) {
 	if cacheKey != "" {
 		if rv, ok := m.cache.get(cacheKey); ok {
 			m.seq++
-			m.jobs[j.id] = j
-			m.order = append(m.order, j.id)
+			m.addLocked(j)
 			m.journal(storeRecord{Kind: "submit", ID: j.id, Req: &req})
 			j.trace.Event("cache-hit")
 			m.met.submitted.Inc()
 			m.finishLocked(j, StateDone, rv, "")
-			return j.id, nil
+			return m.viewLocked(j), nil
 		}
 	}
 	select {
 	case m.queue <- j:
 	default:
-		return "", ErrQueueFull
+		return JobView{}, ErrQueueFull
 	}
 	m.seq++
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+	m.addLocked(j)
 	m.journal(storeRecord{Kind: "submit", ID: j.id, Req: &req})
 	m.met.submitted.Inc()
 	m.log.Info("job submitted", "job", j.id, "circuit", req.Circuit)
-	return j.id, nil
+	return m.viewLocked(j), nil
+}
+
+// addLocked enters a new job into the table and the state counts.
+// Caller holds m.mu.
+func (m *Manager) addLocked(j *job) {
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
+	m.counts[j.state]++
+}
+
+// setStateLocked moves a job to state, keeping the state counts. Caller
+// holds m.mu.
+func (m *Manager) setStateLocked(j *job, state JobState) {
+	m.counts[j.state]--
+	m.counts[state]++
+	j.state = state
+}
+
+// retireLocked enters a finished job into the finished-job window and
+// evicts the oldest finished jobs while the window holds more than
+// maxFinishedJobs. Caller holds m.mu.
+func (m *Manager) retireLocked(j *job) {
+	m.finished = append(m.finished, j.id)
+	for len(m.finished) > maxFinishedJobs {
+		id := m.finished[0]
+		m.finished = m.finished[1:]
+		delete(m.jobs, id)
+		if i := slices.Index(m.order, id); i >= 0 {
+			m.order = slices.Delete(m.order, i, i+1)
+		}
+	}
+}
+
+// lookupLocked returns the job with the given ID, or ErrJobEvicted for
+// an ID the manager issued (at or below m.seq) that has left the
+// table, or else ErrUnknownJob. Caller holds m.mu.
+func (m *Manager) lookupLocked(id string) (*job, error) {
+	if j, ok := m.jobs[id]; ok {
+		return j, nil
+	}
+	var n uint64
+	if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n >= 1 && n <= m.seq && id == fmt.Sprintf("job-%06d", n) {
+		return nil, fmt.Errorf("%w: %q", ErrJobEvicted, id)
+	}
+	return nil, fmt.Errorf("%w %q", ErrUnknownJob, id)
 }
 
 // Trace returns the job's recorded lifecycle spans.
-func (m *Manager) Trace(id string) (JobTrace, bool) {
+func (m *Manager) Trace(id string) (JobTrace, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
+	j, err := m.lookupLocked(id)
 	var state JobState
-	if ok {
+	if err == nil {
 		state = j.state
 	}
 	m.mu.Unlock()
-	if !ok {
-		return JobTrace{}, false
+	if err != nil {
+		return JobTrace{}, err
 	}
 	return JobTrace{
 		ID:      id,
 		State:   state,
 		Spans:   j.trace.Spans(),
 		Dropped: j.trace.Dropped(),
-	}, true
+	}, nil
 }
 
 // JobBreakdown is the full per-node power attribution of one job, the
@@ -659,15 +731,15 @@ type JobBreakdown struct {
 	Truncated bool `json:"truncated,omitempty"`
 }
 
-// Breakdown returns the job's per-node power attribution. ok reports
-// whether the job exists; Report stays nil until a job submitted with
-// options.breakdown reaches StateDone.
-func (m *Manager) Breakdown(id string) (JobBreakdown, bool) {
+// Breakdown returns the job's per-node power attribution, or the
+// lookup error of a job that is not in the table; Report stays nil
+// until a job submitted with options.breakdown reaches StateDone.
+func (m *Manager) Breakdown(id string) (JobBreakdown, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return JobBreakdown{}, false
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return JobBreakdown{}, err
 	}
 	out := JobBreakdown{ID: id, State: j.state}
 	if j.result != nil && j.result.Breakdown != nil {
@@ -687,7 +759,7 @@ func (m *Manager) Breakdown(id string) (JobBreakdown, bool) {
 			out.Truncated = true
 		}
 	}
-	return out, true
+	return out, nil
 }
 
 // JobTrace is the JSON rendering of a job's lifecycle trace: the
@@ -700,25 +772,27 @@ type JobTrace struct {
 	Dropped int        `json:"dropped,omitempty"`
 }
 
-// Get returns a snapshot of the job, if it exists.
-func (m *Manager) Get(id string) (JobView, bool) {
+// Get returns a snapshot of the job, or ErrJobEvicted or ErrUnknownJob
+// for a job that is not in the table.
+func (m *Manager) Get(id string) (JobView, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return JobView{}, false
+	j, err := m.lookupLocked(id)
+	if err != nil {
+		return JobView{}, err
 	}
-	return m.viewLocked(j), true
+	return m.viewLocked(j), nil
 }
 
 // Wait blocks until the job reaches a terminal state or the context is
-// done, and returns the final snapshot.
+// done, and returns the final snapshot, even if the job has left the
+// finished-job window meanwhile.
 func (m *Manager) Wait(ctx context.Context, id string) (JobView, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
+	j, err := m.lookupLocked(id)
 	m.mu.Unlock()
-	if !ok {
-		return JobView{}, fmt.Errorf("service: unknown job %q", id)
+	if err != nil {
+		return JobView{}, err
 	}
 	select {
 	case <-j.done:
@@ -732,13 +806,14 @@ func (m *Manager) Wait(ctx context.Context, id string) (JobView, error) {
 
 // Cancel requests cancellation of a job. Queued jobs terminate
 // immediately; running jobs stop at the next stopping-criterion block.
-// Cancelling a terminal job is a no-op.
-func (m *Manager) Cancel(id string) (JobView, bool) {
+// Cancelling a terminal job is a no-op; a job that is not in the table
+// returns its lookup error.
+func (m *Manager) Cancel(id string) (JobView, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
+	j, err := m.lookupLocked(id)
+	if err != nil {
 		m.mu.Unlock()
-		return JobView{}, false
+		return JobView{}, err
 	}
 	switch j.state {
 	case StateQueued:
@@ -752,10 +827,11 @@ func (m *Manager) Cancel(id string) (JobView, bool) {
 	}
 	view := m.viewLocked(j)
 	m.mu.Unlock()
-	return view, true
+	return view, nil
 }
 
-// List returns snapshots of all jobs in submission order.
+// List returns snapshots of the jobs in the table, queued, running and
+// the finished-job window, in submission order.
 func (m *Manager) List() []JobView {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -766,26 +842,21 @@ func (m *Manager) List() []JobView {
 	return out
 }
 
-// Stats returns a snapshot of the pool counters.
+// Stats returns a snapshot of the pool counters: the jobs queued and
+// running now, and the lifetime totals of each terminal state, jobs
+// evicted from the finished-job window included.
 func (m *Manager) Stats() PoolStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := PoolStats{Workers: m.workers, QueueCap: cap(m.queue)}
-	for _, j := range m.jobs {
-		switch j.state {
-		case StateQueued:
-			st.Queued++
-		case StateRunning:
-			st.Running++
-		case StateDone:
-			st.Done++
-		case StateFailed:
-			st.Failed++
-		case StateCancelled:
-			st.Cancelled++
-		}
+	return PoolStats{
+		Workers:   m.workers,
+		QueueCap:  cap(m.queue),
+		Queued:    m.counts[StateQueued],
+		Running:   m.counts[StateRunning],
+		Done:      m.counts[StateDone],
+		Failed:    m.counts[StateFailed],
+		Cancelled: m.counts[StateCancelled],
 	}
-	return st
 }
 
 // Close drains the pool: it rejects further submissions, cancels every
@@ -849,7 +920,7 @@ func (m *Manager) run(j *job) {
 		m.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
+	m.setStateLocked(j, StateRunning)
 	j.cancel = cancel
 	m.mu.Unlock()
 	j.trace.Event("run")
@@ -970,13 +1041,14 @@ func (m *Manager) finishLocked(j *job, state JobState, res *ResultView, msg stri
 			}
 		}
 	}
-	j.state = state
+	m.setStateLocked(j, state)
 	j.result = res
 	j.err = msg
 	// Only a queued or running job resumes from its checkpoint; a
 	// finished one keeps neither it nor its cancel func alive.
 	j.ckpt, j.cancel = nil, nil
 	close(j.done)
+	m.retireLocked(j)
 	if state == StateDone && res != nil && !res.Cached && j.cacheKey != "" {
 		m.cache.put(j.cacheKey, *res)
 	}

@@ -27,25 +27,18 @@ func newServiceMetrics(r *obs.Registry) *serviceMetrics {
 	}
 }
 
-// registerStateGauges exposes the live job-state counts — the same
-// numbers PoolStats reports — as scrape-time gauges.
+// registerStateGauges exposes the job-state counts — the same numbers
+// PoolStats reports — as scrape-time gauges.
 func (m *Manager) registerStateGauges(r *obs.Registry) {
 	for _, st := range []JobState{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
-		st := st
-		r.GaugeFunc("dipe_service_jobs_"+string(st),
-			"Jobs currently in state "+string(st)+".",
-			func() float64 { return float64(m.stateCount(st)) })
-	}
-}
-
-func (m *Manager) stateCount(st JobState) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, j := range m.jobs {
-		if j.state == st {
-			n++
+		help := "Jobs currently in state " + string(st) + "."
+		if st.Terminal() {
+			help = "Jobs that ended in state " + string(st) + ", including those evicted from the finished-job window."
 		}
+		r.GaugeFunc("dipe_service_jobs_"+string(st), help, func() float64 {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			return float64(m.counts[st])
+		})
 	}
-	return n
 }

@@ -274,17 +274,19 @@ func TestCancelQueuedJob(t *testing.T) {
 		Seed:    1,
 		Options: OptionsSpec{RelErr: 0.004, Confidence: 0.999, Replications: 32},
 	}
-	blocker, err := svc.Jobs.Submit(slow)
+	blockerView, err := svc.Jobs.Submit(slow)
+	blocker := blockerView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := svc.Jobs.Submit(slow)
+	queuedView, err := svc.Jobs.Submit(slow)
+	queued := queuedView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, ok := svc.Jobs.Cancel(queued)
-	if !ok || view.State != StateCancelled {
-		t.Fatalf("cancel of queued job = %+v (ok=%v), want cancelled", view, ok)
+	view, err := svc.Jobs.Cancel(queued)
+	if err != nil || view.State != StateCancelled {
+		t.Fatalf("cancel of queued job = %+v (err %v), want cancelled", view, err)
 	}
 	// Cancelling the blocker too keeps the test fast; it is either
 	// running (cancel via context) or already terminal.
@@ -343,7 +345,8 @@ func TestPanicInPrepareFailsOnlyThatJob(t *testing.T) {
 	m := NewManager(NewRegistry(0), &panicInPrepare{Dispatcher: NewLocalDispatcher()}, 1, 0, nil)
 	defer m.Close()
 	for seed, want := range []JobState{StateFailed, StateDone} {
-		id, err := m.Submit(fastRequest(int64(seed + 1)))
+		idView, err := m.Submit(fastRequest(int64(seed + 1)))
+		id := idView.ID
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -527,7 +530,8 @@ func TestReuploadBeforeStartKeysCacheByRunCircuit(t *testing.T) {
 	}
 	run := func(m *Manager) JobView {
 		t.Helper()
-		id, err := m.Submit(req)
+		idView, err := m.Submit(req)
+		id := idView.ID
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +559,8 @@ func TestReuploadBeforeStartKeysCacheByRunCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-d.started
-	queued, err := svc.Jobs.Submit(req)
+	queuedView, err := svc.Jobs.Submit(req)
+	queued := queuedView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +663,8 @@ func TestQueueFull(t *testing.T) {
 	// to the worker asynchronously, so allow a couple of extra attempts
 	// before demanding ErrQueueFull.
 	for i := 0; i < 5; i++ {
-		id, err := svc.Jobs.Submit(slow)
+		idView, err := svc.Jobs.Submit(slow)
+		id := idView.ID
 		if err != nil {
 			if err != ErrQueueFull {
 				t.Fatalf("submit %d: %v", i, err)
@@ -757,7 +763,8 @@ func TestElapsedCoversWholeEstimate(t *testing.T) {
 		Seed:    1,
 		Options: OptionsSpec{Replications: 64, SeqLen: 4096, RelErr: 0.2},
 	}
-	id, err := svc.Jobs.Submit(req)
+	idView, err := svc.Jobs.Submit(req)
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -790,7 +797,8 @@ func TestElapsedCoversWholeEstimate(t *testing.T) {
 // half-width the job's result reports, in the event's 'g', 6 rendering.
 func TestMergeRoundCarriesJobValues(t *testing.T) {
 	svc, _ := newTestService(t, Config{Workers: 1})
-	id, err := svc.Jobs.Submit(fastRequest(3))
+	idView, err := svc.Jobs.Submit(fastRequest(3))
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,8 @@ func TestServerRestartResumesInterruptedJob(t *testing.T) {
 
 	// Uninterrupted reference run, no store.
 	ref := NewManager(reg, nil, 1, 0, nil)
-	refID, err := ref.Submit(req)
+	refIDView, err := ref.Submit(req)
+	refID := refIDView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,8 @@ func TestServerRestartResumesInterruptedJob(t *testing.T) {
 	}
 	d := newStallDispatcher()
 	m1 := NewManager(reg, d, 1, 0, store1)
-	id, err := m1.Submit(req)
+	idView, err := m1.Submit(req)
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,8 @@ func TestServerRestartResumesInterruptedJob(t *testing.T) {
 
 	// The resumed result must prime the result cache: an identical
 	// request after the restart is served without a fresh run.
-	id2, err := m2.Submit(req)
+	id2View, err := m2.Submit(req)
+	id2 := id2View.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,8 @@ func TestRestartResumesOnJournaledCircuit(t *testing.T) {
 	refReg := NewRegistry(0)
 	upload(refReg, toyA)
 	ref := NewManager(refReg, nil, 1, 0, nil)
-	refID, err := ref.Submit(req)
+	refIDView, err := ref.Submit(req)
+	refID := refIDView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,8 @@ func TestRestartResumesOnJournaledCircuit(t *testing.T) {
 			}
 			d := newStallDispatcher()
 			m1 := NewManager(reg, d, 1, 0, store1)
-			id, err := m1.Submit(req)
+			idView, err := m1.Submit(req)
+			id := idView.ID
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +254,8 @@ func TestRestartReplaysLongCheckpointLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := NewManager(refReg, nil, 1, 0, nil)
-	refID, err := ref.Submit(req)
+	refIDView, err := ref.Submit(req)
+	refID := refIDView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +276,8 @@ func TestRestartReplaysLongCheckpointLine(t *testing.T) {
 	}
 	d := newStallDispatcher()
 	m1 := NewManager(reg, d, 1, 0, store1)
-	id, err := m1.Submit(req)
+	idView, err := m1.Submit(req)
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +286,13 @@ func TestRestartReplaysLongCheckpointLine(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("job never started sampling")
 	}
-	queued, err := m1.Submit(later)
+	queuedView, err := m1.Submit(later)
+	queued := queuedView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancelled, err := m1.Submit(JobRequest{Circuit: "s27", Seed: 8})
+	cancelledView, err := m1.Submit(JobRequest{Circuit: "s27", Seed: 8})
+	cancelled := cancelledView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +351,8 @@ func TestResumedJobTraceSplicesPreRestartSpans(t *testing.T) {
 	}
 	d := newStallDispatcher()
 	m1 := NewManager(reg, d, 1, 0, store1)
-	id, err := m1.Submit(req)
+	idView, err := m1.Submit(req)
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,9 +373,9 @@ func TestResumedJobTraceSplicesPreRestartSpans(t *testing.T) {
 		t.Fatalf("resumed job: state %v err %v", v.State, err)
 	}
 
-	tr, ok := m2.Trace(id)
-	if !ok {
-		t.Fatalf("no trace for resumed job %s", id)
+	tr, err := m2.Trace(id)
+	if err != nil {
+		t.Fatalf("no trace for resumed job %s: %v", id, err)
 	}
 	idx := map[string]int{}
 	for i, sp := range tr.Spans {
@@ -635,7 +645,8 @@ func TestFinishedJobsDropCheckpoint(t *testing.T) {
 	for seed, state := range map[int64]JobState{1: StateDone, 2: StateFailed, 3: StateCancelled} {
 		req := fastRequest(seed)
 		req.Options.Breakdown = true
-		id, err := m.Submit(req)
+		idView, err := m.Submit(req)
+		id := idView.ID
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,15 +679,15 @@ func TestFinishedJobsDropCheckpoint(t *testing.T) {
 			if ckpt != nil || cancel != nil {
 				t.Errorf("%s %s (%s): checkpoint %v, cancel func set %v", label, id, state, ckpt != nil, cancel != nil)
 			}
-			if v, ok := m.Get(id); !ok || v.State != state {
-				t.Errorf("%s %s: view %+v (ok %v), want state %s", label, id, v, ok, state)
+			if v, err := m.Get(id); err != nil || v.State != state {
+				t.Errorf("%s %s: view %+v (err %v), want state %s", label, id, v, err, state)
 			}
-			if tr, ok := m.Trace(id); !ok || len(tr.Spans) == 0 {
-				t.Errorf("%s %s: trace %+v (ok %v)", label, id, tr, ok)
+			if tr, err := m.Trace(id); err != nil || len(tr.Spans) == 0 {
+				t.Errorf("%s %s: trace %+v (err %v)", label, id, tr, err)
 			}
-			b, ok := m.Breakdown(id)
-			if !ok || (state == StateDone) != (b.Report != nil) {
-				t.Errorf("%s %s: breakdown report present %v (ok %v)", label, id, b.Report != nil, ok)
+			b, err := m.Breakdown(id)
+			if err != nil || (state == StateDone) != (b.Report != nil) {
+				t.Errorf("%s %s: breakdown report present %v (err %v)", label, id, b.Report != nil, err)
 			}
 		}
 	}
@@ -740,7 +751,8 @@ func TestFreshJobJournalsCheckpointInPrepare(t *testing.T) {
 	d := &checkpointProbe{inner: localDispatcher{}, journal: store.Stats().Path}
 	m := NewManager(NewRegistry(0), d, 1, 0, store)
 	defer m.Close()
-	id, err := m.Submit(fastRequest(4))
+	idView, err := m.Submit(fastRequest(4))
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -773,7 +785,8 @@ func TestJournalWriteFailureShows(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewManagerObs(NewRegistry(0), nil, 1, 0, store, nil, logger)
-	id, err := m.Submit(fastRequest(1))
+	idView, err := m.Submit(fastRequest(1))
+	id := idView.ID
 	if err != nil {
 		t.Fatal(err)
 	}

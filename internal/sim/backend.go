@@ -24,11 +24,28 @@ func (Backend) Canonical() Backend { return "compiled" }
 // the benchmark module still reads it.
 func MaxLanesFor(Backend) int { return CompiledMaxLanes }
 
-// LaneSession is the lane-parallel session the estimators drive.
+// LaneSession is a compiled session whose StepSampledWith still takes
+// a PowerEngine.
 //
-// Deprecated: use *CompiledSession. LaneSession remains only because
-// the benchmark module still reads it.
-type LaneSession = *CompiledSession
+// Deprecated: use *CompiledSession, whose StepSampledWith takes the
+// lane engine EventLanes. LaneSession remains only because the
+// benchmark module still reads it.
+type LaneSession struct {
+	*CompiledSession
+	from  *EventDriven
+	lanes *EventLanes // from's lane form
+}
+
+// StepSampledWith is CompiledSession.StepSampledWith with the lane form
+// of engine, which must be an *EventDriven.
+//
+// Deprecated: see LaneSession.
+func (s *LaneSession) StepSampledWith(engine PowerEngine, weights []float64, powers []float64) {
+	if ed := engine.(*EventDriven); ed != s.from {
+		s.from, s.lanes = ed, newEventLanes(ed.calendar)
+	}
+	s.CompiledSession.StepSampledWith(s.lanes, weights, powers)
+}
 
 // SessionConfig once carried compiled-session tuning options.
 //
@@ -43,11 +60,11 @@ type SessionConfig struct {
 	Workers int
 }
 
-// NewLaneSessionConfig is NewCompiledSession(c, srcs); it ignores its
-// backend and cfg.
+// NewLaneSessionConfig is NewCompiledSession(c, srcs) as a LaneSession;
+// it ignores its backend and cfg.
 //
 // Deprecated: use NewCompiledSession. NewLaneSessionConfig remains only
 // because the benchmark module still reads it.
 func NewLaneSessionConfig(_ Backend, c *netlist.Circuit, srcs []vectors.Source, _ SessionConfig) LaneSession {
-	return NewCompiledSession(c, srcs)
+	return LaneSession{CompiledSession: NewCompiledSession(c, srcs)}
 }

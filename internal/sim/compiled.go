@@ -37,8 +37,8 @@ const CompiledMaxLanes = 8 * MaxLanes
 //   - Sampled cycles execute the observation-exact Full program: one
 //     register row per node, so the weighted toggle diff — accumulated
 //     in node-index order per lane, exactly like PackedSession — and
-//     per-lane scalar-engine observation see precisely the interpreted
-//     values.
+//     the general-delay lane engine (EventLanes, one Cycle per 64-lane
+//     word) see precisely the interpreted values.
 //
 // Lanes are packed row-major: lane k lives in bit k%64 of word k/64 of
 // every row, and all rows are w = ceil(lanes/64) words wide.
@@ -63,10 +63,13 @@ type CompiledSession struct {
 	laneBuf []bool   // one lane's pattern, as drawn from its source
 	accBuf  []uint64 // word-local input accumulators (one per input)
 
-	// scratch for per-lane engine observation: one lane, scalar form.
-	svals []bool
-	spins []bool
-	sq    []bool
+	// One word of the advanced-but-unapplied state, the general-delay
+	// lane engine's operands: settled values, new pins, new latch
+	// state. Allocated on the first engine-observed step.
+	wvals []uint64
+	wpins []uint64
+	wq    []uint64
+	sums  [64]float64
 
 	// counts, when installed via AccumulateToggles, receives per-node
 	// transition counts summed over all active lanes of every sampled
@@ -120,9 +123,6 @@ func NewCompiledSession(c *netlist.Circuit, srcs []vectors.Source) *CompiledSess
 		buf:     make([]uint64, len(c.Inputs)*w),
 		laneBuf: make([]bool, len(c.Inputs)),
 		accBuf:  make([]uint64, len(c.Inputs)),
-		svals:   make([]bool, c.NumNodes()),
-		spins:   make([]bool, len(c.Inputs)),
-		sq:      make([]bool, len(c.Latches)),
 	}
 	// Constant rows are written once per register file; Exec never
 	// touches them, and the full/oldFull swap exchanges two files that
@@ -151,7 +151,7 @@ func (s *CompiledSession) execProgram(p *compile.Program, vals []uint64) {
 // the per-node transition-count accumulator, with the same semantics as
 // PackedSession.AccumulateToggles: zero-delay sampled steps count from
 // the Full-file row diff (one popcount per node word, summed across the
-// row's words), engine-observed steps count from the scalar engine.
+// row's words), engine-observed steps count from the lane engine.
 // Counts are integers, so they are bit-identical to the packed backend's
 // regardless of lane width or word layout.
 func (s *CompiledSession) AccumulateToggles(dst []uint64) {
@@ -296,16 +296,31 @@ func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
 	s.SampledCycles += uint64(s.lanes)
 }
 
-// observeLanes hands every lane of the advanced-but-unapplied state
-// (settled values in full, new pins in buf, new latch state in nextQ)
-// to the scalar power engine — the compiled counterpart of
-// PackedSession.observeLanes.
-func (s *CompiledSession) observeLanes(engine PowerEngine, weights, powers []float64) {
-	for k := 0; k < s.lanes; k++ {
-		s.extractRows(k, s.svals, s.full)
-		s.extractRows(k, s.spins, s.buf)
-		s.extractRows(k, s.sq, s.nextQ)
-		powers[k] = engine.CyclePower(s.svals, s.spins, s.sq, weights, s.counts)
+// observe runs the advanced-but-unapplied state (settled values in
+// full, new pins in buf, new latch state in nextQ) through the lane
+// engine, one Cycle per 64-lane word: word j of every row is gathered
+// first, so the engine's values are scratch and full keeps the old
+// settled rows. Lane k's sum lands in powers[k], bit-identical to what
+// PackedSession.observeLanes gets from EventDriven on that lane.
+func (s *CompiledSession) observe(engine *EventLanes, weights, powers []float64) {
+	if s.wvals == nil {
+		s.wvals = make([]uint64, s.c.NumNodes())
+		s.wpins = make([]uint64, len(s.c.Inputs))
+		s.wq = make([]uint64, len(s.c.Latches))
+	}
+	w := s.w
+	for j := 0; j < w; j++ {
+		for i := range s.wvals {
+			s.wvals[i] = s.full[i*w+j]
+		}
+		for i := range s.wpins {
+			s.wpins[i] = s.buf[i*w+j]
+		}
+		for i := range s.wq {
+			s.wq[i] = s.nextQ[i*w+j]
+		}
+		engine.Cycle(s.wvals, s.wpins, s.wq, s.masks[j], weights, &s.sums, s.counts)
+		copy(powers[j<<6:s.lanes], s.sums[:])
 	}
 }
 
@@ -323,7 +338,7 @@ func (s *CompiledSession) observeLanes(engine PowerEngine, weights, powers []flo
 // row's words. Integer sums are order-independent, so the accumulated
 // counts match PackedSession.toggleDiff bit for bit at any lane width.
 // StepSampledBoth passes nil here because its counts come from the
-// scalar engine, which would otherwise double-count the cycle.
+// lane engine, which would otherwise double-count the cycle.
 func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64) {
 	for k := 0; k < s.lanes; k++ {
 		powers[k] = 0
@@ -367,27 +382,29 @@ func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64)
 	}
 }
 
-// StepSampledWith advances every lane one clock cycle, observing each
-// lane with the scalar power engine — the general-delay path. Per-lane
-// results are bit-identical to PackedSession.StepSampledWith.
-func (s *CompiledSession) StepSampledWith(engine PowerEngine, weights []float64, powers []float64) {
+// StepSampledWith advances every lane one clock cycle, observing it
+// with the general-delay lane engine (built for the same circuit), one
+// Cycle per 64-lane word — the general-delay path. Per-lane results are
+// bit-identical to PackedSession.StepSampledWith with an EventDriven
+// over the engine's delay table.
+func (s *CompiledSession) StepSampledWith(engine *EventLanes, weights []float64, powers []float64) {
 	if len(powers) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledWith powers length %d, want >= %d", len(powers), s.lanes))
 	}
 	s.refreshFull()
 	s.advanceFull()
-	s.observeLanes(engine, weights, powers)
+	s.observe(engine, weights, powers)
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
 	s.settleFull()
 	s.SampledCycles += uint64(s.lanes)
 }
 
-// StepSampledBoth advances every lane one clock cycle, observing each
-// lane with the scalar engine while also computing the zero-delay
-// toggle covariate from the row diff — both per-lane bit-identical to
-// PackedSession.StepSampledBoth.
-func (s *CompiledSession) StepSampledBoth(engine PowerEngine, weights []float64, powers, toggles []float64) {
+// StepSampledBoth advances every lane one clock cycle, observing it
+// with the lane engine as StepSampledWith does while also computing the
+// zero-delay toggle covariate from the row diff — both per-lane
+// bit-identical to PackedSession.StepSampledBoth.
+func (s *CompiledSession) StepSampledBoth(engine *EventLanes, weights []float64, powers, toggles []float64) {
 	if len(powers) < s.lanes || len(toggles) < s.lanes {
 		panic(fmt.Sprintf("sim: compiled StepSampledBoth powers/toggles lengths %d/%d, want >= %d",
 			len(powers), len(toggles), s.lanes))
@@ -397,7 +414,7 @@ func (s *CompiledSession) StepSampledBoth(engine PowerEngine, weights []float64,
 	}
 	s.refreshFull()
 	s.advanceFull()
-	s.observeLanes(engine, weights, powers)
+	s.observe(engine, weights, powers)
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
 	s.full, s.oldFull = s.oldFull, s.full

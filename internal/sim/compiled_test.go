@@ -43,8 +43,11 @@ func newPackedTiles(c *netlist.Circuit, lanes int, base int64) []packedTile {
 // tiles through `cycles` mixed steps (hidden runs and all three sampled
 // flavours, chosen by a seeded rng) and reports any per-lane
 // divergence: settled node values, input pattern, latch state,
-// zero-delay toggle powers, scalar-engine powers and the
-// control-variate covariate must all be bit-identical.
+// zero-delay toggle powers, general-delay powers (the compiled
+// session's lane engine against the tiles' EventDriven on each lane)
+// and the control-variate covariate must all be bit-identical, and the
+// per-node transition counts both sides accumulate over the run must be
+// equal.
 func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, base, rngSeed int64) {
 	t.Helper()
 	cs := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, base))
@@ -54,8 +57,13 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 		weights[i] = 1 + float64(i%7)/3
 	}
 	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
-	csEngine := NewEventDriven(c, dt)
+	csEngine := NewEventLanes(c, dt)
 	tileEngine := NewEventDriven(c, dt)
+	cCounts, pCounts := make([]uint64, c.NumNodes()), make([]uint64, c.NumNodes())
+	cs.AccumulateToggles(cCounts)
+	for _, tl := range tiles {
+		tl.ps.AccumulateToggles(pCounts)
+	}
 
 	// The packed tiles write into their own slice of the lane-indexed
 	// buffers, so comparisons address both sessions by global lane.
@@ -124,7 +132,8 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 			}
 			copy(pTog, pPow)
 		case 3:
-			// General-delay per-lane engine sampling (StepSampledWith).
+			// General-delay sampling (StepSampledWith): the lane engine
+			// against EventDriven on each lane.
 			cs.StepSampledWith(csEngine, weights, cPow)
 			copy(cTog, cPow)
 			for _, tl := range tiles {
@@ -150,6 +159,11 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 	}
 	if ch != ph || csamp != psamp {
 		t.Fatalf("cycle counters (%d, %d), packed (%d, %d)", ch, csamp, ph, psamp)
+	}
+	for i := range cCounts {
+		if cCounts[i] != pCounts[i] {
+			t.Fatalf("node %s counted %d, packed %d", c.Nodes[i].Name, cCounts[i], pCounts[i])
+		}
 	}
 }
 
@@ -204,11 +218,16 @@ func bench89SeedBase(name string) int64 {
 // TestCompiledMultiWordLanes checks the widened packing: 65, 256 and
 // 512 lanes exercise 2-, 4- and 8-word rows (8 words take the
 // run-batched dispatcher), including a partial final word, against
-// 64-lane packed tiles.
+// 64-lane packed tiles. On s1494 the general-delay steps run the lane
+// engine over every word of a 65- and a 512-lane shard.
 func TestCompiledMultiWordLanes(t *testing.T) {
 	c := bench89.MustGet("s298")
 	for _, lanes := range []int{1, 63, 65, 256, CompiledMaxLanes} {
 		diffCompiledPacked(t, c, lanes, 10, int64(900+lanes), int64(lanes))
+	}
+	c = bench89.MustGet("s1494")
+	for _, lanes := range []int{65, CompiledMaxLanes} {
+		diffCompiledPacked(t, c, lanes, 12, int64(700+lanes), 3)
 	}
 }
 

@@ -12,7 +12,10 @@
 //     scripts/check_scalar_oracle.sh enforces it), and
 //   - an event-driven general-delay simulator with inertial gate delays,
 //     used on sampled cycles to observe every transition (including
-//     glitches) for the power computation of Eq. 1.
+//     glitches) for the power computation of Eq. 1, in two forms:
+//     EventLanes, which observes up to 64 lanes per Cycle and is the
+//     one every estimate runs, and the scalar EventDriven, kept as its
+//     oracle and as the max-power search's engine.
 //
 // EventDriven keeps its pending events in a calendar queue: a ring of
 // time buckets one delay quantum wide (the gcd of the nonzero gate
@@ -34,6 +37,21 @@
 // The heap engine survives as the oracle of a differential test battery
 // and of FuzzEventDriven.
 //
+// EventLanes runs EventDriven's calendar on lane words. A push queues
+// one entry (node, time, lane mask) for every lane the same gate
+// re-evaluation schedules, and a commit flips its lanes' bits and
+// re-evaluates the fanout gates with one word operation per gate
+// (evalPacked) for all of them. Entries commit in (time, level, push
+// order), which, restricted to one lane, is EventDriven's order, so
+// every lane's transitions, counts and float sums are EventDriven's bit
+// for bit. A cancellation clears the lane's bit in the entry holding it,
+// found through the node's chain of live entries; an entry left with no
+// lanes is dropped where EventDriven drops a stale event. Its
+// differential battery diffs it against EventDriven lane by lane on
+// every bench89 circuit and random netlists under the same delay tables,
+// at 1 to 64 lanes and with holed masks, and FuzzEventDriven fuzzes it
+// too.
+//
 // Power observation itself is pluggable behind the PowerEngine
 // interface: a sampled cycle is "apply the new (pattern, state), settle,
 // return the weighted transition sum of Eq. 1", and which transitions
@@ -44,7 +62,7 @@
 // settled-value diff). Sessions take an engine at construction
 // (NewSessionEngine) and default to event-driven (NewSession).
 //
-// The sampled phase is bit-parallel in the zero-delay scenario:
+// The sampled phase is bit-parallel in both scenarios. In zero delay,
 // CompiledSession.StepSampled computes every lane's power from one
 // settle of the register file plus an XOR diff pass over the value words
 // (each set bit routes its node's weight to its lane's sum) — a sampled
@@ -52,9 +70,11 @@
 // sampled step is bit-identical, float summation order included, to
 // lane k of the packed oracle's, and that in turn to a ZeroDelayToggle
 // ScalarSession over the same source; the differential battery and the
-// property tests assert this for every lane. StepSampledWith keeps the
-// general-delay path: each lane is extracted into a scalar engine for
-// exact glitch accounting.
+// property tests assert this for every lane. In general delay,
+// StepSampledWith and StepSampledBoth observe each 64-lane word of the
+// session with one EventLanes Cycle, exact glitch accounting included;
+// lane k matches the packed oracle's, which runs EventDriven on that
+// lane.
 //
 // Session is the one serial trajectory every estimator runs: phase 1
 // (warm-up and interval selection) of all of them, and the sampling
@@ -65,7 +85,10 @@
 // 32 such pairs together in one 64-lane Full pass (StepSampled settles
 // its one pair at once). Zero-delay samples are the pairs' lane diffs,
 // summed in node-index order like ZeroDelayToggle; general-delay
-// samples hand the settled old lane to the event-driven engine.
+// samples come from one EventLanes Cycle over the batch, pair j's old
+// state in lane j and its new pins and latch state in lane 32+j
+// shifted down, and the event-driven engine's observer still sees each
+// cycle's transitions in sample order.
 // ScalarSession interprets the same trajectory cycle by cycle with the
 // scalar simulators. It is the oracle: samples, counts, cycle counters,
 // settled values and observer streams of the two are bit-identical, and

@@ -16,8 +16,12 @@ import (
 //
 // Two engines ship with the package: *EventDriven (general-delay,
 // glitches included — the paper's configuration) and *ZeroDelayToggle
-// (functional transitions only). CompiledSession.StepSampled is the
-// word-parallel counterpart of the zero-delay engine.
+// (functional transitions only). They name a session's scenario and
+// are the oracles of its word-parallel observation: EventLanes is the
+// lane-word form of EventDriven, and CompiledSession.StepSampled and
+// Session's lane-pair diff are that of the zero-delay engine. Only
+// tests, ScalarSession and PackedSession call CyclePower, and the
+// max-power search calls EventDriven.Cycle directly.
 //
 // The engine contract mirrors EventDriven.Cycle: on entry vals holds
 // the settled values of the previous (pattern, state) pair; on return

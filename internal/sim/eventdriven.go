@@ -65,18 +65,13 @@ const maxBuckets = 4096
 // The fanout walk and gate re-evaluation run over the circuit's CSR view
 // (flat kind/level/fanin/fanout arrays).
 type EventDriven struct {
-	csr       *netlist.CSR
-	modelName string
-
-	quantum delay.Picoseconds // picoseconds per tick
-	ticks   []int64           // per-node delay in ticks
+	calendar
 
 	// ring[s] holds the events of bucket n for the one n ≡ s (mod
 	// len(ring)) within a delay of the current time; bucket n covers
 	// ticks [n<<shift, (n+1)<<shift). queued counts the events in the
 	// ring, stale ones included.
 	ring   [][]qevent
-	shift  uint
 	queued int
 
 	// The time being committed (curT, in ticks), its bucket number and
@@ -97,13 +92,29 @@ type EventDriven struct {
 	// quiesced; callers can check it against the clock period.
 	LastSettleTime delay.Picoseconds
 	// LastEvents is the number of applied (non-stale) events in the
-	// previous Cycle, a machine-independent cost metric.
+	// previous Cycle, a machine-independent cost metric. Only Cycle
+	// sets these two; a Session observing on the engine's lane form
+	// leaves them 0.
 	LastEvents uint64
 
 	// observer, when set, receives every committed transition (including
 	// the t=0 source changes). Used by waveform dumpers; nil in normal
 	// estimation runs.
 	observer func(id netlist.NodeID, t delay.Picoseconds, v bool)
+}
+
+// calendar is the time geometry EventDriven and EventLanes share: the
+// tick quantum, every node's delay in ticks, the width and number of
+// the ring's buckets, and the logic depth that sizes the level lists.
+type calendar struct {
+	csr       *netlist.CSR
+	modelName string
+
+	quantum delay.Picoseconds // picoseconds per tick
+	ticks   []int64           // per-node delay in ticks
+	shift   uint              // bucket n covers ticks [n<<shift, (n+1)<<shift)
+	buckets int               // ring slots
+	levels  int32             // logic levels, sources included
 }
 
 // qevent is a queued change of node; it is stale unless the node's
@@ -124,8 +135,21 @@ type pendingChange struct {
 // NewEventDriven builds an event-driven simulator for a frozen circuit
 // under a delay table. Gate delays must be non-negative.
 func NewEventDriven(c *netlist.Circuit, dt *delay.Table) *EventDriven {
+	cal := newCalendar(c, dt)
+	return &EventDriven{
+		calendar: cal,
+		ring:     make([][]qevent, cal.buckets),
+		byLevel:  make([][]qevent, cal.levels),
+		occupied: make([]uint64, (cal.levels+63)/64),
+		pending:  make([]pendingChange, len(c.Nodes)),
+	}
+}
+
+// newCalendar derives the time geometry of a frozen circuit under a
+// delay table. Gate delays must be non-negative.
+func newCalendar(c *netlist.Circuit, dt *delay.Table) calendar {
 	if !c.Frozen() {
-		panic("sim: NewEventDriven requires a frozen circuit")
+		panic("sim: an event-driven simulator requires a frozen circuit")
 	}
 	if len(dt.Delays) != len(c.Nodes) {
 		panic(fmt.Sprintf("sim: delay table has %d entries, circuit has %d nodes",
@@ -162,16 +186,14 @@ func NewEventDriven(c *netlist.Circuit, dt *delay.Table) *EventDriven {
 	for _, l := range r.Level {
 		depth = max(depth, l)
 	}
-	return &EventDriven{
+	return calendar{
 		csr:       r,
 		modelName: dt.ModelName,
 		quantum:   quantum,
 		ticks:     ticks,
-		ring:      make([][]qevent, buckets()),
 		shift:     shift,
-		byLevel:   make([][]qevent, depth+1),
-		occupied:  make([]uint64, depth/64+1),
-		pending:   make([]pendingChange, len(c.Nodes)),
+		buckets:   int(buckets()),
+		levels:    depth + 1,
 	}
 }
 

@@ -13,13 +13,6 @@ import (
 	"repro/internal/netlist"
 )
 
-// transition is one committed change as an observer sees it.
-type transition struct {
-	node netlist.NodeID
-	t    delay.Picoseconds
-	v    bool
-}
-
 // oracleDelayTables is the differential battery's delay-table set for c:
 // the default fanout-loaded model, unit and zero delays, fanout-loaded
 // with every third gate at zero delay, and a gcd-1 table spanning more
@@ -157,8 +150,8 @@ func TestEventDrivenMatchesHeapOracleRandom(t *testing.T) {
 
 // laneOracle is a PowerEngine that runs EventDriven on the lane it is
 // handed and the heap oracle on a copy, failing the test on any
-// difference. One laneOracle serves every lane of a lane session, the
-// way a shard's engine serves all of its lanes in observeLanes.
+// difference. One laneOracle serves every lane of a packed session,
+// the way one engine serves all of its lanes in observeLanes.
 type laneOracle struct {
 	t         *testing.T
 	ed        *EventDriven
@@ -193,7 +186,7 @@ func (l *laneOracle) Name() string           { return EngineEventDriven }
 func (l *laneOracle) DelayModelName() string { return l.ed.DelayModelName() }
 
 // TestEventDrivenMatchesHeapOracleAcrossLanes reuses one engine for
-// every lane of a 64-lane compiled session, so each Cycle starts from a
+// every lane of a 64-lane packed session, so each Cycle starts from a
 // different lane's state than the previous one ended in.
 func TestEventDrivenMatchesHeapOracleAcrossLanes(t *testing.T) {
 	for _, name := range []string{"s298", "s1494", "s5378"} {
@@ -203,12 +196,12 @@ func TestEventDrivenMatchesHeapOracleAcrossLanes(t *testing.T) {
 				n := c.NumNodes()
 				l := &laneOracle{t: t, ed: NewEventDriven(c, dt), or: newHeapEventDriven(c, dt),
 					ovals: make([]bool, n), ocounts: make([]uint64, n), counts: make([]uint64, n)}
-				cs := NewCompiledSession(c, laneSources(len(c.Inputs), MaxLanes, bench89SeedBase(name)))
+				ps := NewPackedSession(c, laneSources(len(c.Inputs), MaxLanes, bench89SeedBase(name)))
 				w := oracleWeights(c)
 				powers := make([]float64, MaxLanes)
 				for round := 0; round < 3; round++ {
-					cs.StepHiddenN(2)
-					cs.StepSampledWith(l, w, powers)
+					ps.StepHiddenN(2)
+					ps.StepSampledWith(l, w, powers)
 				}
 				if l.observed != 3*MaxLanes || !l.sawEvents {
 					t.Fatalf("observed %d lane cycles (events seen: %v)", l.observed, l.sawEvents)
@@ -324,7 +317,9 @@ func fuzzDelayTable(c *netlist.Circuit, b []byte) *delay.Table {
 // FuzzEventDriven feeds arbitrary ".bench" text (FuzzCompile's seeds,
 // plus generated random netlists) and a delay table drawn from the fuzz
 // bytes through EventDriven and the heap oracle, requiring identical
-// sums, values, counters, observer streams and counts.
+// sums, values, counters, observer streams and counts; then through
+// the lane engine EventLanes against EventDriven on each lane of a
+// battery mask the bytes pick (diffEventLanes).
 func FuzzEventDriven(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(a, a)\n", []byte{})
 	f.Add("INPUT(a)\nOUTPUT(z)\nq = DFF(d)\nd = NOT(q)\nz = OR(a, q)\n", []byte{0, 0x81, 3})
@@ -352,5 +347,6 @@ func FuzzEventDriven(f *testing.F) {
 			t.Fatal("ring exceeds the bucket cap")
 		}
 		diffEventDriven(t, NewEventDriven(c, dt), c, dt, 8, int64(len(tab)))
+		diffEventLanes(t, NewEventLanes(c, dt), c, dt, laneMasks[len(tab)%len(laneMasks)], 8, int64(len(text)))
 	})
 }

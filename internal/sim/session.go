@@ -33,9 +33,11 @@ const pairsPerSettle = 32
 //   - Zero-delay samples (a *ZeroDelayToggle engine) are each pair's
 //     weighted lane diff, summed in node-index order — ZeroDelayToggle's
 //     own summation order.
-//   - Any other engine (the event-driven general-delay simulator) gets
-//     the pair's settled old lane plus its new (pins, q), exactly the
-//     arguments a ScalarSession hands it.
+//   - General-delay samples (an *EventDriven engine) come from one
+//     EventLanes pass over the whole batch: pair j's settled old state
+//     is lane j of the Full rows, its new (pins, q) lane
+//     pairsPerSettle+j shifted down. Each lane replays what EventDriven
+//     computes from the arguments a ScalarSession hands it.
 //   - Covariates are the lane diff alongside the engine's sample, which
 //     is what ScalarSession.StepSampledPair computes.
 //
@@ -43,12 +45,17 @@ const pairsPerSettle = 32
 // pair at once, for callers that act between cycles (state jumps,
 // waveform observers).
 type Session struct {
-	c        *netlist.Circuit
-	unit     *compile.Unit
-	engine   PowerEngine // as built; reported by Engine
-	observer PowerEngine // nil: zero-delay samples from the lane-pair diff
-	src      vectors.Source
-	weights  []float64
+	c       *netlist.Circuit
+	unit    *compile.Unit
+	engine  PowerEngine // as built; reported by Engine
+	src     vectors.Source
+	weights []float64
+
+	// General-delay observation: the engine as built, whose observer
+	// sees each sampled cycle, and its lane form, which observes them
+	// (both nil for zero-delay samples from the lane-pair diff).
+	ed    *EventDriven
+	lanes *EventLanes
 
 	// The current state, one word per input and latch; every bit of a
 	// word holds the same value, so the Step program's output words are
@@ -66,10 +73,14 @@ type Session struct {
 	batchQ    []uint64
 	pairs     int
 
-	// scratch for engine observation: one lane, scalar form.
-	svals []bool
-	spins []bool
-	sq    []bool
+	// A settle batch's new pins and latch state, shifted down onto the
+	// old state's lanes, and the lane engine's sums.
+	newPins []uint64
+	newQ    []uint64
+	sums    [64]float64
+	// Each pair's transitions, held for ed's observer until the batch
+	// is settled (only while an observer is set).
+	seen [pairsPerSettle][]transition
 
 	sample [1]float64 // StepSampled's settle destination
 
@@ -89,8 +100,9 @@ func NewSession(c *netlist.Circuit, dt *delay.Table, src vectors.Source, weights
 }
 
 // NewSessionEngine builds a session over the circuit's cached compiled
-// Unit whose sampled cycles are observed by the given power engine (the
-// engine must have been built for the same circuit).
+// Unit whose sampled cycles are observed by the given power engine: a
+// *ZeroDelayToggle, or an *EventDriven (built for the same circuit)
+// whose lane form EventLanes observes them.
 func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source, weights []float64) *Session {
 	if src.Width() != len(c.Inputs) {
 		panic(fmt.Sprintf("sim: source width %d, circuit has %d inputs", src.Width(), len(c.Inputs)))
@@ -98,15 +110,11 @@ func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source
 	if len(weights) != len(c.Nodes) {
 		panic(fmt.Sprintf("sim: weights length %d, circuit has %d nodes", len(weights), len(c.Nodes)))
 	}
-	if engine == nil {
-		panic("sim: NewSessionEngine requires a power engine")
-	}
 	u := compile.For(c)
 	s := &Session{
 		c:         c,
 		unit:      u,
 		engine:    engine,
-		observer:  engine,
 		src:       src,
 		weights:   weights,
 		pins:      make([]uint64, len(c.Inputs)),
@@ -119,12 +127,14 @@ func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source
 	}
 	u.Step.InitConsts(s.step, 1)
 	u.Full.InitConsts(s.full, 1)
-	if _, zd := engine.(*ZeroDelayToggle); zd {
-		s.observer = nil
-	} else {
-		s.svals = make([]bool, c.NumNodes())
-		s.spins = make([]bool, len(c.Inputs))
-		s.sq = make([]bool, len(c.Latches))
+	switch e := engine.(type) {
+	case *ZeroDelayToggle:
+	case *EventDriven:
+		s.ed, s.lanes = e, newEventLanes(e.calendar)
+		s.newPins = make([]uint64, len(c.Inputs))
+		s.newQ = make([]uint64, len(c.Latches))
+	default:
+		panic(fmt.Sprintf("sim: a Session observes with a *ZeroDelayToggle or an *EventDriven, not %T", engine))
 	}
 	return s
 }
@@ -134,9 +144,12 @@ func (s *Session) Circuit() *netlist.Circuit { return s.c }
 
 // Engine returns the power engine the session was built with. A
 // zero-delay session reports its ZeroDelayToggle even though its
-// samples come from the lane diff; an event-driven engine is the one
-// that observes every sampled cycle, so its observer (see
-// EventDriven.SetObserver) sees each sampled cycle's transitions.
+// samples come from the lane diff. An event-driven session observes on
+// the engine's lane form, but the engine's observer (see
+// EventDriven.SetObserver) still sees every sampled cycle's
+// transitions, cycle by cycle in sample order, exactly as it would if
+// the engine itself had run each cycle. The engine never runs a cycle
+// itself, so its LastEvents and LastSettleTime stay 0.
 func (s *Session) Engine() PowerEngine { return s.engine }
 
 // ResetCounters zeroes the cycle-cost counters.
@@ -279,35 +292,65 @@ func (s *Session) settle(dst, cov []float64, counts []uint64) ([]float64, []floa
 	s.pairs = 0
 
 	var diff [pairsPerSettle]float64
-	if s.observer == nil || cov != nil {
+	if s.lanes == nil || cov != nil {
 		// Engine-observed cycles take their counts from the engine.
 		diffCounts := counts
-		if s.observer != nil {
+		if s.lanes != nil {
 			diffCounts = nil
 		}
 		s.toggleDiff(n, &diff, diffCounts)
 	}
-	for j := 0; j < n; j++ {
-		x := diff[j]
-		if s.observer != nil {
-			for i, v := range s.full {
-				s.svals[i] = v>>uint(j)&1 != 0
-			}
-			lane := uint(pairsPerSettle + j)
-			for i, r := range p.In {
-				s.spins[i] = s.full[r]>>lane&1 != 0
-			}
-			for i, r := range p.Q {
-				s.sq[i] = s.full[r]>>lane&1 != 0
-			}
-			x = s.observer.CyclePower(s.svals, s.spins, s.sq, s.weights, counts)
-		}
-		dst = append(dst, x)
-		if cov != nil {
-			cov = append(cov, diff[j])
-		}
+	x := diff[:n]
+	if s.lanes != nil {
+		s.observe(n, counts)
+		x = s.sums[:n]
+	}
+	dst = append(dst, x...)
+	if cov != nil {
+		cov = append(cov, diff[:n]...)
 	}
 	return dst, cov
+}
+
+// observe runs the settled batch's n pairs through the lane engine in
+// one Cycle, leaving pair j's sample in sums[j]. The Full rows are the
+// engine's values: the toggle diff has read them already. With an
+// observer set on the event-driven engine, each pair's transitions are
+// held until the Cycle ends and then handed over pair by pair.
+func (s *Session) observe(n int, counts []uint64) {
+	p := s.unit.Full
+	for i, r := range p.In {
+		s.newPins[i] = s.full[r] >> pairsPerSettle
+	}
+	for i, r := range p.Q {
+		s.newQ[i] = s.full[r] >> pairsPerSettle
+	}
+	obs := s.ed.observer
+	if obs == nil {
+		s.lanes.SetObserver(nil)
+	} else {
+		for j := range s.seen {
+			s.seen[j] = s.seen[j][:0]
+		}
+		s.lanes.SetObserver(func(lane int, id netlist.NodeID, t delay.Picoseconds, v bool) {
+			s.seen[lane] = append(s.seen[lane], transition{id, t, v})
+		})
+	}
+	s.lanes.Cycle(s.full[:len(s.weights)], s.newPins, s.newQ, 1<<uint(n)-1, s.weights, &s.sums, counts)
+	if obs != nil {
+		for _, seen := range s.seen[:n] {
+			for _, tr := range seen {
+				obs(tr.node, tr.t, tr.v)
+			}
+		}
+	}
+}
+
+// transition is one committed change as an observer sees it.
+type transition struct {
+	node netlist.NodeID
+	t    delay.Picoseconds
+	v    bool
 }
 
 // toggleDiff sums each of the first n pairs' toggle weights into sums,

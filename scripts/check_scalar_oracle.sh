@@ -1,36 +1,48 @@
 #!/usr/bin/env bash
-# check_scalar_oracle.sh — keep the interpreted sessions test oracles.
-# The estimators run the compiled sim.Session and sim.CompiledSession;
-# the interpreted sim.ScalarSession and sim.PackedSession exist so tests
-# can compare against them. This fails when Go code in a non-test file
-# outside internal/sim names ScalarSession, or when Go code in a
-# non-test file other than internal/sim/packed.go names PackedSession,
-# NewPackedSession, PackedZeroDelay or NewPackedZeroDelay (comments may
-# mention either).
+# check_scalar_oracle.sh — keep the interpreted sessions and the scalar
+# power engines test oracles. The estimators run the compiled
+# sim.Session and sim.CompiledSession, whose general-delay cycles the
+# lane engine sim.EventLanes observes; the interpreted
+# sim.ScalarSession and sim.PackedSession, and the scalar engines'
+# per-cycle calls, exist so tests can compare against them. This fails
+# when Go code in a non-test file outside internal/sim names
+# ScalarSession or NewScalarSession; when Go code in a non-test file
+# other than internal/sim/packed.go names PackedSession, NewPackedSession,
+# PackedZeroDelay or NewPackedZeroDelay; or when Go code in a non-test
+# file outside internal/sim and internal/maxpower calls a CyclePower or
+# Cycle method, so no estimator observes a cycle through
+# EventDriven.Cycle or PowerEngine.CyclePower (the max-power search
+# keeps EventDriven as its engine). Comments may mention any of them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # code lists the non-comment lines of non-test Go files matching the
-# extended regular expression $1 as a whole word.
+# extended regular expression $1.
 code() {
-  grep -rnwE --include='*.go' --exclude='*_test.go' "$1" -- *.go internal cmd examples bench |
+  grep -rnE --include='*.go' --exclude='*_test.go' "$1" -- *.go internal cmd examples bench |
     grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true
 }
 
 status=0
-hits=$(code 'ScalarSession' | grep -v '^internal/sim/' || true)
+hits=$(code '\b(New)?ScalarSession\b' | grep -v '^internal/sim/' || true)
 if [ -n "$hits" ]; then
   echo "check_scalar_oracle: production code uses the test oracle sim.ScalarSession:" >&2
   echo "$hits" >&2
   status=1
 fi
-hits=$(code '(New)?Packed(Session|ZeroDelay)' | grep -v '^internal/sim/packed\.go:' || true)
+hits=$(code '\b(New)?Packed(Session|ZeroDelay)\b' | grep -v '^internal/sim/packed\.go:' || true)
 if [ -n "$hits" ]; then
   echo "check_scalar_oracle: production code uses the test oracle sim.PackedSession:" >&2
+  echo "$hits" >&2
+  status=1
+fi
+hits=$(code '\.(Cycle|CyclePower)\(' | grep -vE '^internal/(sim|maxpower)/' || true)
+if [ -n "$hits" ]; then
+  echo "check_scalar_oracle: production code observes cycles through a scalar engine (EventDriven.Cycle or CyclePower):" >&2
   echo "$hits" >&2
   status=1
 fi
 if [ "$status" -ne 0 ]; then
   exit "$status"
 fi
-echo "check_scalar_oracle: only tests and internal/sim use ScalarSession, only tests and packed.go PackedSession"
+echo "check_scalar_oracle: only tests and internal/sim use ScalarSession, only tests and packed.go PackedSession, only tests, internal/sim and internal/maxpower call Cycle or CyclePower"
