@@ -160,8 +160,9 @@ func BenchmarkAblationInputs(b *testing.B) {
 // BenchmarkEventDrivenCycle measures one sampled (general-delay) clock
 // cycle of the scalar event-driven engine across circuit sizes, through
 // the ScalarSession that drives it cycle by cycle. The scalar engine is
-// the oracle of the lane engine estimates run (EventLanes, timed by
-// BenchmarkCompiledSampled) and the engine of the max-power search.
+// the oracle of the lane engine a general-delay session builds from its
+// delay table (timed by BenchmarkCompiledSampled) and the engine of the
+// max-power search.
 func BenchmarkEventDrivenCycle(b *testing.B) {
 	for _, name := range []string{"s298", "s1494", "s5378", "s15850"} {
 		c := bench89.MustGet(name)
@@ -197,7 +198,8 @@ func BenchmarkZeroDelayCycle(b *testing.B) {
 }
 
 // BenchmarkCompiledHidden measures one hidden cycle of a 64-lane
-// compiled session, the lane engine every parallel estimate runs: 64
+// compiled session (built without a delay table; hidden cycles never
+// observe), the lane engine every parallel estimate runs: 64
 // replications advance per iteration, so the cycles/sec metric counts
 // per-replication clock cycles and is directly comparable with
 // BenchmarkZeroDelayCycle's.
@@ -205,7 +207,7 @@ func BenchmarkCompiledHidden(b *testing.B) {
 	for _, name := range []string{"s298", "s832", "s1494", "s5378"} {
 		c := bench89.MustGet(name)
 		b.Run(name, func(b *testing.B) {
-			s := sim.NewCompiledSession(c, laneSources(c))
+			s := sim.NewCompiledSession(c, nil, laneSources(c))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.StepHidden()
@@ -216,20 +218,20 @@ func BenchmarkCompiledHidden(b *testing.B) {
 }
 
 // BenchmarkCompiledSampled measures one general-delay sampled cycle of
-// a 64-lane compiled session, the production path of a general-delay
-// estimate's tail: StepSampledWith observes all 64 lanes with one Cycle
-// of the event-driven lane engine (sim.EventLanes).
+// a 64-lane compiled session built with the testbench's delay table,
+// the production path of a general-delay estimate's tail: StepSampled
+// observes all 64 lanes with one Cycle of the session's event-driven
+// lane engine.
 func BenchmarkCompiledSampled(b *testing.B) {
 	for _, name := range []string{"s298", "s1494"} {
 		c := bench89.MustGet(name)
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
-			s := sim.NewCompiledSession(c, laneSources(c))
-			el := sim.NewEventLanes(c, tb.Delays)
+			s := sim.NewCompiledSession(c, tb.Delays, laneSources(c))
 			powers := make([]float64, sim.MaxLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.StepSampledWith(el, tb.Weights(), powers)
+				s.StepSampled(tb.Weights(), powers)
 			}
 			b.ReportMetric(float64(b.N*sim.MaxLanes)/b.Elapsed().Seconds(), "cycles/sec")
 		})
@@ -237,14 +239,15 @@ func BenchmarkCompiledSampled(b *testing.B) {
 }
 
 // BenchmarkCompiledSampledZeroDelay measures one zero-delay sampled
-// cycle of a 64-lane compiled session: all 64 lanes observed by
-// word-level transition counting, no scalar extraction at all.
+// cycle of a 64-lane compiled session built without a delay table: all
+// 64 lanes observed by word-level transition counting, no scalar
+// extraction at all.
 func BenchmarkCompiledSampledZeroDelay(b *testing.B) {
 	for _, name := range []string{"s298", "s1494"} {
 		c := bench89.MustGet(name)
 		tb := dipe.NewTestbench(c)
 		b.Run(name, func(b *testing.B) {
-			s := sim.NewCompiledSession(c, laneSources(c))
+			s := sim.NewCompiledSession(c, nil, laneSources(c))
 			powers := make([]float64, sim.MaxLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -378,7 +381,11 @@ func BenchmarkPhase1(b *testing.B) {
 						s.StepHiddenN(opts.WarmupCycles)
 						col, count = s, func() uint64 { return s.HiddenCycles + s.SampledCycles }
 					} else {
-						s := sim.NewScalarSession(c, tb.Engine(mode), src, tb.Weights())
+						var engine sim.PowerEngine = sim.NewEventDriven(c, tb.Delays)
+						if mode.IsZeroDelay() {
+							engine = sim.NewZeroDelayToggle(c)
+						}
+						s := sim.NewScalarSession(c, engine, src, tb.Weights())
 						s.StepHiddenN(opts.WarmupCycles)
 						col, count = s, func() uint64 { return s.HiddenCycles + s.SampledCycles }
 					}
@@ -498,8 +505,9 @@ func BenchmarkStateSampling(b *testing.B) {
 	}
 }
 
-// BenchmarkCompiledObsOverhead measures the compiled s1494 duty cycle
-// (3 hidden + 1 sampled step, 64 lanes) with the observability sink
+// BenchmarkCompiledObsOverhead measures the compiled s1494 zero-delay
+// duty cycle (3 hidden + 1 sampled step, 64 lanes, a session built
+// without a delay table) with the observability sink
 // disabled — a nil atomic pointer, one branch per register-file pass —
 // and enabled with live registry counters. The bench CI job gates the
 // enabled/disabled ratio at 1% so instrumentation can never creep onto
@@ -514,7 +522,7 @@ func BenchmarkCompiledObsOverhead(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			sim.RegisterCompiledMetrics(mode.reg)
 			defer sim.RegisterCompiledMetrics(nil)
-			s := sim.NewCompiledSession(c, laneSources(c))
+			s := sim.NewCompiledSession(c, nil, laneSources(c))
 			powers := make([]float64, sim.MaxLanes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -526,8 +534,9 @@ func BenchmarkCompiledObsOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkBreakdownOverhead measures the compiled s1494 duty cycle (3
-// hidden + 1 sampled step, 64 lanes) with per-node toggle counting
+// BenchmarkBreakdownOverhead measures the compiled s1494 zero-delay
+// duty cycle (3 hidden + 1 sampled step, 64 lanes, a session built
+// without a delay table) with per-node toggle counting
 // disabled — a nil accumulator, zero work — and enabled. Counting adds
 // one popcount-and-add per node word per sampled step; the CI gate
 // holds the enabled/disabled ratio at 5% so breakdown runs stay within
@@ -540,7 +549,7 @@ func BenchmarkBreakdownOverhead(b *testing.B) {
 		counting bool
 	}{{"disabled", false}, {"enabled", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			s := sim.NewCompiledSession(c, laneSources(c))
+			s := sim.NewCompiledSession(c, nil, laneSources(c))
 			if mode.counting {
 				s.AccumulateToggles(make([]uint64, c.NumNodes()))
 			}

@@ -38,8 +38,9 @@ type Result = core.Result
 type Testbench = core.Testbench
 
 // Session drives a circuit through clock cycles (two-phase simulation):
-// zero-delay hidden cycles and sampled cycles observed by the session's
-// power engine, on the circuit's compiled word-level programs. Every
+// zero-delay hidden cycles and sampled cycles observed under the delay
+// model the session was built for (Testbench.NewSession,
+// NewSessionMode), on the circuit's compiled word-level programs. Every
 // estimator runs on it.
 type Session = sim.Session
 
@@ -108,8 +109,10 @@ var (
 // or zero-delay (functional transitions only, observed word-parallel
 // across replication lanes so sampled cycles run at compiled-engine
 // throughput). Set Options.Mode, or build sessions with
-// Testbench.NewSessionMode. Result.Engine and Result.DelayModel record
-// what actually observed a run's sampled cycles.
+// Testbench.NewSessionMode, which observes under the testbench's delay
+// table or, in zero-delay mode, without one. Result.Engine and
+// Result.DelayModel record what actually observed a run's sampled
+// cycles.
 type PowerMode = power.PowerMode
 
 // Power modes for Options.Mode / Testbench.NewSessionMode.

@@ -215,13 +215,6 @@ func (t *Transport) Set(host string, r Rule) {
 	t.dropped[host] = 0
 }
 
-// Clear removes the rule for a host.
-func (t *Transport) Clear(host string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.rules, host)
-}
-
 // rule snapshots the host's rule and charges a drop if one applies.
 func (t *Transport) rule(host string) (Rule, bool) {
 	t.mu.Lock()

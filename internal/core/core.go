@@ -77,8 +77,9 @@ type Options struct {
 	// configuration and the zero-value default) or zero-delay (functional
 	// transitions only, bit-parallel across replication lanes). It is
 	// honoured by the estimators that build their own sessions
-	// (EstimateParallel and friends); the session-based estimators follow
-	// the engine of the session they are handed (Testbench.NewSessionMode).
+	// (EstimateParallel and friends); the session-based estimators
+	// observe under the delay model the session they are handed was
+	// built for (Testbench.NewSessionMode).
 	Mode power.PowerMode `json:"mode"`
 	// Deprecated: Backend has no effect. Every parallel estimate runs
 	// on the compiled lane engine (sim.CompiledSession). It remains only
@@ -242,28 +243,23 @@ func DefaultTestbench(c *netlist.Circuit) *Testbench {
 }
 
 // NewSession creates a simulation session over the testbench with the
-// given input source and the default general-delay (event-driven) power
-// engine. Every estimator runs on this compiled session; tests compare
-// it against sim.ScalarSession.
+// given input source, observing its sampled cycles event-driven under
+// the testbench's delay table (general-delay, the default). Every
+// estimator runs on this compiled session; tests compare it against
+// sim.ScalarSession.
 func (tb *Testbench) NewSession(src vectors.Source) *sim.Session {
 	return sim.NewSession(tb.Circuit, tb.Delays, src, tb.weights)
 }
 
-// Engine builds the scalar power engine realizing a power mode on this
-// testbench: the event-driven simulator over the testbench's delay
-// table for general-delay, the zero-delay toggle engine otherwise.
-func (tb *Testbench) Engine(mode power.PowerMode) sim.PowerEngine {
-	if mode.IsZeroDelay() {
-		return sim.NewZeroDelayToggle(tb.Circuit)
-	}
-	return sim.NewEventDriven(tb.Circuit, tb.Delays)
-}
-
 // NewSessionMode creates a session whose sampled cycles are observed
-// under the given power mode. The zero mode value gives exactly
-// NewSession's general-delay behaviour.
+// under the given power mode: event-driven under the testbench's delay
+// table, or by the zero-delay toggle diff. The zero mode value gives
+// exactly NewSession's general-delay behaviour.
 func (tb *Testbench) NewSessionMode(src vectors.Source, mode power.PowerMode) *sim.Session {
-	return sim.NewSessionEngine(tb.Circuit, tb.Engine(mode), src, tb.weights)
+	if mode.IsZeroDelay() {
+		return sim.NewSession(tb.Circuit, nil, src, tb.weights)
+	}
+	return tb.NewSession(src)
 }
 
 // Weights exposes the per-transition power weights (watts per

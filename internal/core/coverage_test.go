@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench89"
+	"repro/internal/power"
 	"repro/internal/refsim"
 	"repro/internal/vectors"
 	"repro/internal/vr"
@@ -22,14 +23,21 @@ import (
 //   - unbiasedness: the mean of the point estimates must sit on the
 //     truth within Monte-Carlo resolution,
 //
-// for the plain estimator and for every variance-reduction mode. The
-// short variant (coverageRuns = 60) runs in the default `go test`; the
-// nightly job builds with -tags slow for the full-size run.
+// for the plain parallel estimator and every variance-reduction mode,
+// for the serial estimator, and for both in zero-delay mode, whose truth
+// is a zero-delay reference. The short variant (coverageRuns = 60) runs
+// in the default `go test`; the nightly job builds with -tags slow for
+// the full-size run.
 
-// coverageCase is one estimator configuration under conformance test.
+// coverageCase is one estimator configuration under conformance test:
+// its variance-reduction mode, its power mode, and whether it is the
+// serial estimator (Estimate on one session) instead of
+// EstimateParallel.
 type coverageCase struct {
-	name string
-	mode vr.Mode
+	name   string
+	mode   vr.Mode
+	power  power.PowerMode
+	serial bool
 }
 
 func TestCICoverageConformance(t *testing.T) {
@@ -40,27 +48,35 @@ func TestCICoverageConformance(t *testing.T) {
 	tb := DefaultTestbench(c)
 	width := len(c.Inputs)
 
-	// Ground truth: a long general-delay reference, far tighter than the
-	// estimates under test. Its own standard error is folded into the
-	// coverage check so the truth's residual uncertainty can only be
-	// charged in the estimator's favour, never against it.
-	ref := refsim.Run(tb.NewSession(vectors.NewIID(width, 0.5, 999_999)), 512, 300_000)
-	truth := ref.Power
-	truthSlack := 3 * ref.StdErr
-	if ref.RelStdErr() > 0.005 {
-		t.Fatalf("reference too loose for a conformance baseline: rel SE %.3f%%", 100*ref.RelStdErr())
+	// Ground truth per power mode: a long reference in that mode, far
+	// tighter than the estimates under test. Its own standard error is
+	// folded into the coverage check so the truth's residual
+	// uncertainty can only be charged in the estimator's favour, never
+	// against it.
+	refs := make(map[power.PowerMode]refsim.Result)
+	for _, mode := range []power.PowerMode{power.ModeGeneralDelay, power.ModeZeroDelay} {
+		ref := refsim.Run(tb.NewSessionMode(vectors.NewIID(width, 0.5, 999_999), mode), 512, 300_000)
+		if ref.RelStdErr() > 0.005 {
+			t.Fatalf("%s reference too loose for a conformance baseline: rel SE %.3f%%", mode, 100*ref.RelStdErr())
+		}
+		refs[mode] = ref
 	}
 
 	const confidence = 0.95
 	cases := []coverageCase{
-		{"plain", vr.ModeNone},
-		{"antithetic", vr.ModeAntithetic},
-		{"control-variate", vr.ModeControlVariate},
+		{name: "plain", mode: vr.ModeNone, power: power.ModeGeneralDelay},
+		{name: "antithetic", mode: vr.ModeAntithetic, power: power.ModeGeneralDelay},
+		{name: "control-variate", mode: vr.ModeControlVariate, power: power.ModeGeneralDelay},
+		{name: "serial", mode: vr.ModeNone, power: power.ModeGeneralDelay, serial: true},
+		{name: "serial-zero-delay", mode: vr.ModeNone, power: power.ModeZeroDelay, serial: true},
+		{name: "zero-delay", mode: vr.ModeNone, power: power.ModeZeroDelay},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
+			truth := refs[tc.power].Power
+			truthSlack := 3 * refs[tc.power].StdErr
 			covered, converged := 0, 0
 			var sumEst, sumSq float64
 			for r := 0; r < coverageRuns; r++ {
@@ -69,10 +85,17 @@ func TestCICoverageConformance(t *testing.T) {
 				opts.Spec.Confidence = confidence
 				opts.Replications = 32
 				opts.pool = 2
+				opts.Mode = tc.power
 				opts.Variance.Mode = tc.mode
 				opts.Variance.ControlCycles = 1024 // cheap covariate mean; error still negligible
 				seed := int64(1_000_000 + r*7919)  // disjoint from the reference seed
-				res, err := EstimateParallel(tb, vectors.IIDFactory(width, 0.5), seed, opts)
+				var res Result
+				var err error
+				if tc.serial {
+					res, err = Estimate(tb.NewSessionMode(vectors.NewIID(width, 0.5, seed), tc.power), opts)
+				} else {
+					res, err = EstimateParallel(tb, vectors.IIDFactory(width, 0.5), seed, opts)
+				}
 				if err != nil {
 					t.Fatalf("run %d: %v", r, err)
 				}

@@ -51,15 +51,18 @@
 // with a guaranteed terminal snapshot — the hooks the dipe-server job
 // manager is built on.
 //
-// Options.Mode selects the power-observation scenario (power.PowerMode):
-// the default general-delay mode observes sampled cycles with the
-// event-driven lane engine (sim.EventLanes, 64 replications or 32
-// phase-1 pairs per pass, each lane bit-identical to the scalar
-// sim.EventDriven), the zero-delay mode with word-parallel transition
-// counting on the compiled lane session (sim.CompiledSession, the one
-// lane session every parallel estimate runs), making sampled cycles as
-// cheap as hidden ones.
-// Result.Engine and Result.DelayModel record what a run actually used.
+// Options.Mode selects the power-observation scenario (power.PowerMode).
+// The estimators pass it to the sessions they build as a delay table:
+// the testbench's for the default general-delay mode, nil for
+// zero-delay (Testbench.NewSessionMode, and the shard sessions of the
+// parallel estimators). A general-delay session observes sampled cycles
+// with the event-driven lane engine it builds from the table (64
+// replications or 32 phase-1 pairs per pass, each lane bit-identical to
+// the scalar sim.EventDriven); a zero-delay one uses word-parallel
+// transition counting on the compiled lane session (sim.CompiledSession,
+// the one lane session every parallel estimate runs), making sampled
+// cycles as cheap as hidden ones. Result.Engine and Result.DelayModel
+// record what a run actually used.
 //
 // Options.Variance selects a variance-reduction transform (vr.Spec):
 // antithetic replication pairing or a control-variate correction by the

@@ -34,12 +34,13 @@ type Result struct {
 	Elapsed time.Duration
 	// Criterion names the stopping criterion used.
 	Criterion string
-	// Engine names the power engine that observed the sampled cycles:
-	// sim.EngineEventDriven for general-delay observation (on the lane
-	// engine sim.EventLanes, bit-identical to sim.EventDriven per lane),
-	// sim.EngineZeroDelay for a serial zero-delay session, or
-	// sim.EngineCompiledZeroDelay when the parallel estimators observed
-	// them by the toggle diff of the compiled lane session.
+	// Engine names what observed the sampled cycles:
+	// sim.EngineEventDriven for general-delay observation (on a
+	// session's event-driven lane engine, bit-identical to
+	// sim.EventDriven per lane), sim.EngineZeroDelay for a serial
+	// zero-delay session, or sim.EngineCompiledZeroDelay when the
+	// parallel estimators observed them by the toggle diff of the
+	// compiled lane session.
 	Engine string
 	// DelayModel names the timing model the engine realized ("zero" for
 	// zero-delay observation).
@@ -147,8 +148,8 @@ func EstimateWithIntervalCtx(ctx context.Context, s *sim.Session, opts Options, 
 // estimateTail runs the sampling/stopping phase at a fixed interval,
 // optionally seeded with an already-collected random sequence. On
 // cancellation it returns the partial result together with ctx.Err().
-// The engine is whatever the session was built with; it is recorded in
-// the result.
+// The session observes under the delay model it was built for, and
+// its labels (sim.Session.Engine) are recorded in the result.
 func estimateTail(ctx context.Context, s *sim.Session, opts Options, interval int, seed []float64) (Result, error) {
 	crit := opts.NewCriterion(opts.Spec)
 	if opts.ReuseTestSamples {
@@ -156,6 +157,7 @@ func estimateTail(ctx context.Context, s *sim.Session, opts Options, interval in
 			crit.Add(p)
 		}
 	}
+	engine, delayModel := s.Engine()
 	result := func(converged bool) Result {
 		// Every exit fires a final Progress snapshot so long-running
 		// callers (the dipe-server job manager) never show a stale last
@@ -176,8 +178,8 @@ func estimateTail(ctx context.Context, s *sim.Session, opts Options, interval in
 			HiddenCycles:  s.HiddenCycles,
 			SampledCycles: s.SampledCycles,
 			Criterion:     crit.Name(),
-			Engine:        s.Engine().Name(),
-			DelayModel:    s.Engine().DelayModelName(),
+			Engine:        engine,
+			DelayModel:    delayModel,
 			Converged:     converged,
 		}
 	}

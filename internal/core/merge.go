@@ -294,8 +294,8 @@ func SplitRange(lo, hi, k int) [][2]int {
 // job observes its sampled cycles by the toggle diff (wordSampled),
 // because a compiled pass costs the same for one lane of a row as for
 // all of them; otherwise it is one replication: a general-delay job's
-// sampled cycles run on the event-driven lane engine (sim.EventLanes),
-// whose cost follows the events its lanes commit, not the word, and a
+// sampled cycles run on each session's event-driven lane engine, whose
+// cost follows the events its lanes commit, not the word, and a
 // word-row layout for those jobs has not been measured. It returns
 // min(want, ceil((hi-lo)/unit)) ascending ranges balanced in whole
 // units, the partial unit last, so no range is empty and none splits a
@@ -378,9 +378,9 @@ type Stream struct {
 // replication space, the skip inside its block budget (MaxBlocks), and
 // the plan's mode must be the one Options.Variance asks for, because a
 // producer lays its shards out from the options: a control-variate plan
-// under plain zero-delay options would reach shards that have no
-// event-driven engine to observe the covariate with. opts must
-// validate.
+// under plain zero-delay options would reach zero-delay shard sessions,
+// which have no event-driven sample to pair the covariate with. opts
+// must validate.
 func (s Stream) Validate(opts Options) error {
 	reps, _, _ := blockShape(opts)
 	budget := MaxBlocks(opts)

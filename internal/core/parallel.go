@@ -18,14 +18,12 @@ import (
 
 // shard is one worker's slice of the replication space: a contiguous
 // range of replication indices driven by a single compiled lane session
-// of at most sim.CompiledMaxLanes lanes. Under the general-delay engine
-// each shard additionally owns a private lane engine (sim.EventLanes)
-// that observes its sampled cycles one 64-lane word at a time; under
-// word-parallel zero-delay sampling the sampled cycles stay on the
-// lane words' toggle diff and engine is nil.
+// of at most sim.CompiledMaxLanes lanes. A general-delay session
+// observes its sampled cycles with its own event-driven lane engine,
+// one 64-lane word at a time; under word-parallel zero-delay sampling
+// the sampled cycles stay on the lane words' toggle diff.
 type shard struct {
 	ps     *sim.CompiledSession
-	engine *sim.EventLanes
 	lanes  int
 	powers []float64 // per-block lane powers, round-major: [round*lanes + lane]
 	cov    []float64 // per-round covariate scratch (control-variate runs only)
@@ -48,6 +46,10 @@ type replicationRun struct {
 	weights  []float64
 	plan     vr.Plan
 	prev     []uint64 // toggle totals of the blocks handed out (breakdown runs only)
+	// wordSampled is wordSampled(tb, opts): the sessions are built
+	// without a delay table, so they have no event-driven sample to pair
+	// a covariate with.
+	wordSampled bool
 }
 
 // newReplicationRun lays replications [lo, hi) out in shards by
@@ -55,8 +57,9 @@ type replicationRun struct {
 // (GOMAXPROCS) and for enough that none exceeds the compiled session
 // width. A word-parallel job therefore cuts only at word rows, and a
 // 64-replication one is a single shard; a general-delay job cuts at
-// lanes, and each shard observes its sampled cycles with a lane engine
-// of its own, one Cycle per 64-lane word. Replication r keeps its
+// lanes, and each shard's session is built with the testbench's delay
+// table, so it observes its sampled cycles with a lane engine of its
+// own, one Cycle per 64-lane word. Replication r keeps its
 // globally fixed seed baseSeed+1+r regardless of the layout. Each
 // shard's sample buffer holds BlockRounds(opts) rounds, the longest
 // block the run will be asked for.
@@ -72,13 +75,17 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 		pool = runtime.GOMAXPROCS(0)
 	}
 	width := sim.CompiledMaxLanes
-	packed := wordSampled(tb, opts)
 	pairing := opts.Variance.Mode.Canonical() == vr.ModeAntithetic
 	r := &replicationRun{
-		pool:    pool,
-		lanes:   hi - lo,
-		warmup:  opts.WarmupCycles,
-		weights: tb.Weights(),
+		pool:        pool,
+		lanes:       hi - lo,
+		warmup:      opts.WarmupCycles,
+		weights:     tb.Weights(),
+		wordSampled: wordSampled(tb, opts),
+	}
+	dt := tb.Delays
+	if r.wordSampled {
+		dt = nil
 	}
 	if opts.Breakdown {
 		r.prev = make([]uint64, tb.Circuit.NumNodes())
@@ -93,12 +100,9 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 			}
 		}
 		sh := &shard{
-			ps:     sim.NewCompiledSession(tb.Circuit, srcs),
+			ps:     sim.NewCompiledSession(tb.Circuit, dt, srcs),
 			lanes:  lanes,
 			powers: make([]float64, rounds*lanes),
-		}
-		if !packed {
-			sh.engine = sim.NewEventLanes(tb.Circuit, tb.Delays)
 		}
 		if opts.Breakdown {
 			// Each shard counts into a private accumulator (no write
@@ -115,18 +119,18 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 
 // bind sets the independence interval and the resolved plan the run
 // samples at. A plan that observes a covariate gets per-shard covariate
-// scratch; it needs the lane engine that only event-driven sampling
-// has, which ResolvePlan guarantees by rejecting control variates on
-// zero-delay runs and all-zero delay tables.
+// scratch; it needs event-driven sampling, which ResolvePlan guarantees
+// by rejecting control variates on zero-delay runs and all-zero delay
+// tables.
 func (r *replicationRun) bind(interval int, plan vr.Plan) error {
 	r.interval, r.plan = interval, plan
 	if !plan.NeedsCovariate() {
 		return nil
 	}
+	if r.wordSampled {
+		return fmt.Errorf("core: a control-variate plan needs event-driven sampling (general-delay mode, non-zero delays)")
+	}
 	for _, sh := range r.shards {
-		if sh.engine == nil {
-			return fmt.Errorf("core: a control-variate plan needs event-driven sampling (general-delay mode, non-zero delays)")
-		}
 		sh.cov = make([]float64, sh.lanes)
 	}
 	return nil
@@ -175,16 +179,13 @@ func (r *replicationRun) block(b, n, count int) ReplicationBlock {
 		for t := 0; t < n; t++ {
 			sh.ps.StepHiddenN(r.interval)
 			powers := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
-			switch {
-			case sh.cov != nil:
-				sh.ps.StepSampledBoth(sh.engine, r.weights, powers, sh.cov)
+			if sh.cov != nil {
+				sh.ps.StepSampledBoth(r.weights, powers, sh.cov)
 				for k, x := range powers {
 					powers[k] = r.plan.Apply(x, sh.cov[k])
 				}
-			case sh.engine == nil:
+			} else {
 				sh.ps.StepSampled(r.weights, powers)
-			default:
-				sh.ps.StepSampledWith(sh.engine, r.weights, powers)
 			}
 			if sh.snap != nil && t+1 == count {
 				copy(sh.snap, sh.counts)
@@ -220,9 +221,9 @@ func (r *replicationRun) block(b, n, count int) ReplicationBlock {
 // compiled lane session (sim.CompiledSession, up to
 // sim.CompiledMaxLanes = 512 replications per session) through the
 // hidden cycles of the independence interval. On sampled cycles a
-// general-delay run observes each 64-lane word with the shard's lane
-// event-driven engine (sim.EventLanes); a zero-delay run takes every
-// lane's toggle sum from the word diff. Samples are merged into the
+// general-delay run observes each 64-lane word with the session's
+// event-driven lane engine; a zero-delay run takes every lane's toggle
+// sum from the word diff. Samples are merged into the
 // stopping criterion deterministically (round-major, in replication
 // order), so the result is reproducible and independent of the shard
 // layout and of goroutine scheduling.
@@ -332,8 +333,9 @@ func EstimateParallelFrom(ctx context.Context, tb *Testbench, src vectors.Factor
 }
 
 // wordSampled reports whether a parallel run observes its sampled
-// cycles by the lane session's toggle diff (StepSampled) instead of
-// with the event-driven lane engine: zero-delay mode, or a
+// cycles by the lane session's toggle diff instead of with the
+// event-driven lane engine, so its sessions are built without a delay
+// table: zero-delay mode, or a
 // general-delay run whose delay table is all-zero (see
 // delay.Table.AllZero). A control variate, which needs the event-driven
 // sample next to the covariate, never meets either condition:

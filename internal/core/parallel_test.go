@@ -338,7 +338,7 @@ func TestCancelDuringPhase1StopsSideWarmup(t *testing.T) {
 // of circuit c when it is built, before its first cycle.
 func drawnAtBuild(c *netlist.Circuit) int {
 	probe := &hookSource{Source: vectors.NewIID(len(c.Inputs), 0.5, 0), hook: func(int) {}}
-	sim.NewCompiledSession(c, []vectors.Source{probe})
+	sim.NewCompiledSession(c, nil, []vectors.Source{probe})
 	return probe.n
 }
 

@@ -13,6 +13,16 @@ import (
 	"repro/internal/vr"
 )
 
+// scalarEngine builds the scalar oracle engine of a power mode: the
+// event-driven simulator over the testbench's delay table, or the
+// zero-delay toggle engine.
+func scalarEngine(tb *Testbench, mode power.PowerMode) sim.PowerEngine {
+	if mode.IsZeroDelay() {
+		return sim.NewZeroDelayToggle(tb.Circuit)
+	}
+	return sim.NewEventDriven(tb.Circuit, tb.Delays)
+}
+
 // scalarResumePoint replays the pre-sampling phases on the
 // sim.ScalarSession oracle: StepHiddenN(WarmupCycles), then
 // SelectIntervalCtx and ResolvePlan. A fixed-interval control-variate
@@ -24,7 +34,7 @@ func scalarResumePoint(t *testing.T, tb *Testbench, factory vectors.Factory, see
 	ctx := context.Background()
 	var rp ResumePoint
 	var sel *IntervalSelection
-	s := sim.NewScalarSession(tb.Circuit, tb.Engine(opts.Mode), factory(seed), tb.Weights())
+	s := sim.NewScalarSession(tb.Circuit, scalarEngine(tb, opts.Mode), factory(seed), tb.Weights())
 	if fixed != nil {
 		rp.Interval = *fixed
 		if opts.Variance.Mode.Canonical() == vr.ModeControlVariate && opts.Variance.BetaOverride == nil {

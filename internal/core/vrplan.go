@@ -141,7 +141,7 @@ func controlMean(ctx context.Context, tb *Testbench, src vectors.Factory, baseSe
 	for k := range srcs {
 		srcs[k] = src(baseSeed + controlSeedOffset + int64(k))
 	}
-	ps := sim.NewCompiledSession(tb.Circuit, srcs)
+	ps := sim.NewCompiledSession(tb.Circuit, nil, srcs)
 	cost := func() CalCost {
 		hidden, sampled := ps.CycleCounts()
 		return CalCost{Hidden: hidden + sampled}

@@ -117,7 +117,7 @@ func AblationAlpha(cfg Config, circuit string, alphas []float64) ([]AlphaRow, er
 			}
 			sumII += float64(res.Interval)
 			sumS += float64(res.SampleSize)
-			dev := 100 * abs(res.Power-ref.Power) / ref.Power
+			dev := 100 * math.Abs(res.Power-ref.Power) / ref.Power
 			sumD += dev
 			if dev > 100*opts.Spec.RelErr {
 				viol++
@@ -173,7 +173,7 @@ func AblationStopping(cfg Config, circuit string) ([]StoppingRow, error) {
 			row.Criterion = res.Criterion
 			sumS += float64(res.SampleSize)
 			sumCyc += float64(res.TotalCycles())
-			dev := 100 * abs(res.Power-ref.Power) / ref.Power
+			dev := 100 * math.Abs(res.Power-ref.Power) / ref.Power
 			sumD += dev
 			if dev > 100*opts.Spec.RelErr {
 				viol++
@@ -239,7 +239,7 @@ func AblationWarmup(cfg Config, circuit string, fixed []int) ([]WarmupRow, error
 			sumII += float64(res.Interval)
 			sumS += float64(res.SampleSize)
 			sumCyc += float64(res.TotalCycles())
-			dev := 100 * abs(res.Power-ref.Power) / ref.Power
+			dev := 100 * math.Abs(res.Power-ref.Power) / ref.Power
 			sumD += dev
 			if dev > 100*cfg.Opts.Spec.RelErr {
 				viol++
@@ -319,7 +319,7 @@ func AblationInputs(cfg Config, circuit string, rhos []float64) ([]InputsRow, er
 			}
 			sumII += float64(res.Interval)
 			sumS += float64(res.SampleSize)
-			dev := 100 * abs(res.Power-ref) / ref
+			dev := 100 * math.Abs(res.Power-ref) / ref
 			sumD += dev
 			if dev > 100*cfg.Opts.Spec.RelErr {
 				viol++

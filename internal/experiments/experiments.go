@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -163,7 +164,7 @@ func Table1(cfg Config) ([]Table1Row, error) {
 			CPUSec:     time.Since(start).Seconds(),
 		}
 		if ref.Power != 0 {
-			row.ErrPct = 100 * abs(res.Power-ref.Power) / ref.Power
+			row.ErrPct = 100 * math.Abs(res.Power-ref.Power) / ref.Power
 		}
 		cfg.logf("table1: %s done: SIM=%.4g est=%.4g II=%d n=%d err=%.2f%%\n",
 			name, row.SIM, row.Estimate, row.II, row.SampleSize, row.ErrPct)
@@ -224,7 +225,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 			sumII += float64(res.Interval)
 			sumS += float64(res.SampleSize)
 			sumCyc += float64(res.TotalCycles())
-			dev := 100 * abs(res.Power-ref.Power) / ref.Power
+			dev := 100 * math.Abs(res.Power-ref.Power) / ref.Power
 			sumD += dev
 			if dev > 100*cfg.Opts.Spec.RelErr {
 				violations++
@@ -306,11 +307,4 @@ func runMany(cfg Config, tb *core.Testbench, width int, baseSeed int64) ([]core.
 		}
 	}
 	return results, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

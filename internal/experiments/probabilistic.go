@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bench89"
 	"repro/internal/core"
@@ -63,8 +64,8 @@ func ProbabilisticBaseline(cfg Config) ([]ProbaRow, error) {
 			Iterations: pr.Iterations,
 		}
 		if ref.Power > 0 {
-			row.ProbaErr = 100 * abs(pProba-ref.Power) / ref.Power
-			row.DipeErr = 100 * abs(dipeRes.Power-ref.Power) / ref.Power
+			row.ProbaErr = 100 * math.Abs(pProba-ref.Power) / ref.Power
+			row.DipeErr = 100 * math.Abs(dipeRes.Power-ref.Power) / ref.Power
 		}
 		cfg.logf("proba baseline: %s SIM=%.4g proba=%.4g (%.1f%%) dipe=%.4g (%.1f%%)\n",
 			name, row.SIM, row.PProba, row.ProbaErr, row.PDipe, row.DipeErr)

@@ -24,27 +24,28 @@ func (Backend) Canonical() Backend { return "compiled" }
 // the benchmark module still reads it.
 func MaxLanesFor(Backend) int { return CompiledMaxLanes }
 
-// LaneSession is a compiled session whose StepSampledWith still takes
-// a PowerEngine.
+// LaneSession is a compiled session that still takes its general-delay
+// engine per sampled step.
 //
-// Deprecated: use *CompiledSession, whose StepSampledWith takes the
-// lane engine EventLanes. LaneSession remains only because the
-// benchmark module still reads it.
+// Deprecated: use *CompiledSession, which takes its delay table at
+// construction. LaneSession remains only because the benchmark module
+// still reads it.
 type LaneSession struct {
 	*CompiledSession
-	from  *EventDriven
-	lanes *EventLanes // from's lane form
+	from *EventDriven // the engine whose calendar the session observes on
 }
 
-// StepSampledWith is CompiledSession.StepSampledWith with the lane form
-// of engine, which must be an *EventDriven.
+// StepSampledWith gives the session a lane engine built from the
+// calendar of engine, which must be an *EventDriven, and then takes a
+// StepSampled. The session keeps observing event-driven from then on.
 //
 // Deprecated: see LaneSession.
 func (s *LaneSession) StepSampledWith(engine PowerEngine, weights []float64, powers []float64) {
 	if ed := engine.(*EventDriven); ed != s.from {
-		s.from, s.lanes = ed, newEventLanes(ed.calendar)
+		s.from = ed
+		s.observeWith(newEventLanes(ed.calendar))
 	}
-	s.CompiledSession.StepSampledWith(s.lanes, weights, powers)
+	s.StepSampled(weights, powers)
 }
 
 // SessionConfig once carried compiled-session tuning options.
@@ -60,11 +61,11 @@ type SessionConfig struct {
 	Workers int
 }
 
-// NewLaneSessionConfig is NewCompiledSession(c, srcs) as a LaneSession;
-// it ignores its backend and cfg.
+// NewLaneSessionConfig is NewCompiledSession(c, nil, srcs) as a
+// LaneSession; it ignores its backend and cfg.
 //
 // Deprecated: use NewCompiledSession. NewLaneSessionConfig remains only
 // because the benchmark module still reads it.
 func NewLaneSessionConfig(_ Backend, c *netlist.Circuit, srcs []vectors.Source, _ SessionConfig) LaneSession {
-	return LaneSession{CompiledSession: NewCompiledSession(c, srcs)}
+	return LaneSession{CompiledSession: NewCompiledSession(c, nil, srcs)}
 }

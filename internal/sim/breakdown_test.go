@@ -28,7 +28,7 @@ type laneEngine struct {
 // laneEngines names the packed oracle and the compiled engine.
 var laneEngines = []laneEngine{
 	{"packed", MaxLanes, func(c *netlist.Circuit, srcs []vectors.Source) laneSession { return NewPackedSession(c, srcs) }},
-	{"compiled", CompiledMaxLanes, func(c *netlist.Circuit, srcs []vectors.Source) laneSession { return NewCompiledSession(c, srcs) }},
+	{"compiled", CompiledMaxLanes, func(c *netlist.Circuit, srcs []vectors.Source) laneSession { return NewCompiledSession(c, nil, srcs) }},
 }
 
 // iidSources builds lane sources for global lanes [lo, hi): lane k is

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"repro/internal/compile"
+	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/vectors"
 )
@@ -35,10 +36,11 @@ const CompiledMaxLanes = 8 * MaxLanes
 //     lazily (settling is a pure function of the current inputs and
 //     latch state, so nothing is lost by deferring it).
 //   - Sampled cycles execute the observation-exact Full program: one
-//     register row per node, so the weighted toggle diff — accumulated
-//     in node-index order per lane, exactly like PackedSession — and
-//     the general-delay lane engine (EventLanes, one Cycle per 64-lane
-//     word) see precisely the interpreted values.
+//     register row per node, so the weighted toggle diff of a
+//     zero-delay session — accumulated in node-index order per lane,
+//     exactly like PackedSession — and the lane engine of a
+//     general-delay one (eventLanes, built from the delay table, one
+//     Cycle per 64-lane word) see precisely the interpreted values.
 //
 // Lanes are packed row-major: lane k lives in bit k%64 of word k/64 of
 // every row, and all rows are w = ceil(lanes/64) words wide.
@@ -63,9 +65,11 @@ type CompiledSession struct {
 	laneBuf []bool   // one lane's pattern, as drawn from its source
 	accBuf  []uint64 // word-local input accumulators (one per input)
 
-	// One word of the advanced-but-unapplied state, the general-delay
-	// lane engine's operands: settled values, new pins, new latch
-	// state. Allocated on the first engine-observed step.
+	// engine observes the sampled cycles of a general-delay session;
+	// it is nil for a zero-delay one, whose samples are the toggle diff.
+	engine *eventLanes
+	// One word of the advanced-but-unapplied state, the lane engine's
+	// operands: settled values, new pins, new latch state.
 	wvals []uint64
 	wpins []uint64
 	wq    []uint64
@@ -84,10 +88,12 @@ type CompiledSession struct {
 
 // NewCompiledSession builds a compiled session over 1..CompiledMaxLanes
 // per-lane sources, compiling the circuit on first use (the Unit is
-// cached on the circuit). Every lane starts in the all-zero latch state
-// with an all-zero input pattern, settled — the same reset state as the
-// packed and serial sessions.
-func NewCompiledSession(c *netlist.Circuit, srcs []vectors.Source) *CompiledSession {
+// cached on the circuit). Its sampled cycles are observed event-driven
+// under the delay table dt, or, when dt is nil, by the zero-delay
+// toggle diff. Every lane starts in the all-zero latch state with an
+// all-zero input pattern, settled — the same reset state as the packed
+// and serial sessions.
+func NewCompiledSession(c *netlist.Circuit, dt *delay.Table, srcs []vectors.Source) *CompiledSession {
 	if len(srcs) == 0 || len(srcs) > CompiledMaxLanes {
 		panic(fmt.Sprintf("sim: NewCompiledSession needs 1..%d sources, got %d", CompiledMaxLanes, len(srcs)))
 	}
@@ -131,7 +137,18 @@ func NewCompiledSession(c *netlist.Circuit, srcs []vectors.Source) *CompiledSess
 	u.Full.InitConsts(s.oldFull, w)
 	u.Step.InitConsts(s.step, w)
 	s.settleFull()
+	if dt != nil {
+		s.observeWith(newEventLanes(newCalendar(c, dt)))
+	}
 	return s
+}
+
+// observeWith makes e the lane engine that observes the sampled cycles.
+func (s *CompiledSession) observeWith(e *eventLanes) {
+	s.engine = e
+	s.wvals = make([]uint64, s.c.NumNodes())
+	s.wpins = make([]uint64, len(s.c.Inputs))
+	s.wq = make([]uint64, len(s.c.Latches))
 }
 
 // execProgram runs one program over vals. The telemetry updates are
@@ -151,7 +168,7 @@ func (s *CompiledSession) execProgram(p *compile.Program, vals []uint64) {
 // the per-node transition-count accumulator, with the same semantics as
 // PackedSession.AccumulateToggles: zero-delay sampled steps count from
 // the Full-file row diff (one popcount per node word, summed across the
-// row's words), engine-observed steps count from the lane engine.
+// row's words), general-delay steps count from the lane engine.
 // Counts are integers, so they are bit-identical to the packed backend's
 // regardless of lane width or word layout.
 func (s *CompiledSession) AccumulateToggles(dst []uint64) {
@@ -275,24 +292,70 @@ func (s *CompiledSession) StepHiddenN(n int) {
 }
 
 // StepSampled advances every lane one clock cycle and computes each
-// lane's weighted zero-delay toggle power from the Full-program row
-// diff, in the same per-lane accumulation order as
-// PackedSession.StepSampled — bit-identical including float summation
-// order.
+// lane's weighted transition sum into powers under the session's delay
+// model. A zero-delay session takes it from the Full-program row diff,
+// in the same per-lane accumulation order as PackedSession.StepSampled;
+// a general-delay one observes each 64-lane word with one Cycle of its
+// lane engine, as PackedSession.StepSampledWith does each lane with an
+// EventDriven over the same delay table. Either is bit-identical to the
+// packed oracle, float summation order included.
 func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
-	if len(powers) < s.lanes {
-		panic(fmt.Sprintf("sim: compiled StepSampled powers length %d, want >= %d", len(powers), s.lanes))
+	s.checkSampled("StepSampled", weights, powers)
+	if s.engine == nil {
+		s.sample(weights, nil, powers)
+	} else {
+		s.sample(weights, powers, nil)
 	}
+}
+
+// StepSampledBoth advances every lane one clock cycle of a general-delay
+// session, observing it with the lane engine as StepSampled does while
+// also computing the zero-delay toggle covariate from the row diff —
+// both per-lane bit-identical to PackedSession.StepSampledBoth. It
+// panics on a zero-delay session, whose sample is the covariate.
+func (s *CompiledSession) StepSampledBoth(weights []float64, powers, toggles []float64) {
+	if s.engine == nil {
+		panic("sim: compiled StepSampledBoth needs a general-delay session")
+	}
+	s.checkSampled("StepSampledBoth", weights, powers)
+	s.checkSampled("StepSampledBoth", weights, toggles)
+	s.sample(weights, powers, toggles)
+}
+
+// checkSampled panics unless weights has one entry per node and dst one
+// per lane.
+func (s *CompiledSession) checkSampled(method string, weights, dst []float64) {
 	if len(weights) != s.c.NumNodes() {
-		panic(fmt.Sprintf("sim: compiled StepSampled weights length %d, want %d", len(weights), s.c.NumNodes()))
+		panic(fmt.Sprintf("sim: compiled %s weights length %d, want %d", method, len(weights), s.c.NumNodes()))
 	}
+	if len(dst) < s.lanes {
+		panic(fmt.Sprintf("sim: compiled %s destination length %d, want >= %d", method, len(dst), s.lanes))
+	}
+}
+
+// sample advances every lane one sampled cycle. The lane engine, when
+// the session has one, observes it into powers, and a non-nil toggles
+// receives the row diff's zero-delay toggle sums. Per-node counts come
+// from the lane engine when there is one, else from the row diff.
+func (s *CompiledSession) sample(weights []float64, powers, toggles []float64) {
 	s.refreshFull()
 	s.advanceFull()
+	if s.engine != nil {
+		s.observe(weights, powers)
+	}
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
-	s.full, s.oldFull = s.oldFull, s.full
+	if toggles != nil {
+		s.full, s.oldFull = s.oldFull, s.full
+	}
 	s.settleFull()
-	s.toggleDiff(weights, powers, s.counts)
+	if toggles != nil {
+		counts := s.counts
+		if s.engine != nil {
+			counts = nil
+		}
+		s.toggleDiff(weights, toggles, counts)
+	}
 	s.SampledCycles += uint64(s.lanes)
 }
 
@@ -302,12 +365,7 @@ func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
 // first, so the engine's values are scratch and full keeps the old
 // settled rows. Lane k's sum lands in powers[k], bit-identical to what
 // PackedSession.observeLanes gets from EventDriven on that lane.
-func (s *CompiledSession) observe(engine *EventLanes, weights, powers []float64) {
-	if s.wvals == nil {
-		s.wvals = make([]uint64, s.c.NumNodes())
-		s.wpins = make([]uint64, len(s.c.Inputs))
-		s.wq = make([]uint64, len(s.c.Latches))
-	}
+func (s *CompiledSession) observe(weights, powers []float64) {
 	w := s.w
 	for j := 0; j < w; j++ {
 		for i := range s.wvals {
@@ -319,7 +377,7 @@ func (s *CompiledSession) observe(engine *EventLanes, weights, powers []float64)
 		for i := range s.wq {
 			s.wq[i] = s.nextQ[i*w+j]
 		}
-		engine.Cycle(s.wvals, s.wpins, s.wq, s.masks[j], weights, &s.sums, s.counts)
+		s.engine.Cycle(s.wvals, s.wpins, s.wq, s.masks[j], weights, &s.sums, s.counts)
 		copy(powers[j<<6:s.lanes], s.sums[:])
 	}
 }
@@ -337,8 +395,8 @@ func (s *CompiledSession) observe(engine *EventLanes, weights, powers []float64)
 // transition count: one popcount per (node, word), summed across the
 // row's words. Integer sums are order-independent, so the accumulated
 // counts match PackedSession.toggleDiff bit for bit at any lane width.
-// StepSampledBoth passes nil here because its counts come from the
-// lane engine, which would otherwise double-count the cycle.
+// A general-delay session passes nil here because its counts come from
+// the lane engine, which would otherwise double-count the cycle.
 func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64) {
 	for k := 0; k < s.lanes; k++ {
 		powers[k] = 0
@@ -380,47 +438,6 @@ func (s *CompiledSession) toggleDiff(weights, powers []float64, counts []uint64)
 			}
 		}
 	}
-}
-
-// StepSampledWith advances every lane one clock cycle, observing it
-// with the general-delay lane engine (built for the same circuit), one
-// Cycle per 64-lane word — the general-delay path. Per-lane results are
-// bit-identical to PackedSession.StepSampledWith with an EventDriven
-// over the engine's delay table.
-func (s *CompiledSession) StepSampledWith(engine *EventLanes, weights []float64, powers []float64) {
-	if len(powers) < s.lanes {
-		panic(fmt.Sprintf("sim: compiled StepSampledWith powers length %d, want >= %d", len(powers), s.lanes))
-	}
-	s.refreshFull()
-	s.advanceFull()
-	s.observe(engine, weights, powers)
-	s.q, s.nextQ = s.nextQ, s.q
-	s.pins, s.buf = s.buf, s.pins
-	s.settleFull()
-	s.SampledCycles += uint64(s.lanes)
-}
-
-// StepSampledBoth advances every lane one clock cycle, observing it
-// with the lane engine as StepSampledWith does while also computing the
-// zero-delay toggle covariate from the row diff — both per-lane
-// bit-identical to PackedSession.StepSampledBoth.
-func (s *CompiledSession) StepSampledBoth(engine *EventLanes, weights []float64, powers, toggles []float64) {
-	if len(powers) < s.lanes || len(toggles) < s.lanes {
-		panic(fmt.Sprintf("sim: compiled StepSampledBoth powers/toggles lengths %d/%d, want >= %d",
-			len(powers), len(toggles), s.lanes))
-	}
-	if len(weights) != s.c.NumNodes() {
-		panic(fmt.Sprintf("sim: compiled StepSampledBoth weights length %d, want %d", len(weights), s.c.NumNodes()))
-	}
-	s.refreshFull()
-	s.advanceFull()
-	s.observe(engine, weights, powers)
-	s.q, s.nextQ = s.nextQ, s.q
-	s.pins, s.buf = s.buf, s.pins
-	s.full, s.oldFull = s.oldFull, s.full
-	s.settleFull()
-	s.toggleDiff(weights, toggles, nil)
-	s.SampledCycles += uint64(s.lanes)
 }
 
 // ExtractLane copies lane k's settled state into scalar arrays (any

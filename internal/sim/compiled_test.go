@@ -39,28 +39,39 @@ func newPackedTiles(c *netlist.Circuit, lanes int, base int64) []packedTile {
 	return tiles
 }
 
-// diffCompiledPacked drives a compiled session and its packed reference
-// tiles through `cycles` mixed steps (hidden runs and all three sampled
-// flavours, chosen by a seeded rng) and reports any per-lane
-// divergence: settled node values, input pattern, latch state,
-// zero-delay toggle powers, general-delay powers (the compiled
-// session's lane engine against the tiles' EventDriven on each lane)
-// and the control-variate covariate must all be bit-identical, and the
-// per-node transition counts both sides accumulate over the run must be
-// equal.
+// diffCompiledPacked drives compiled sessions and their packed
+// reference tiles through `cycles` mixed steps (hidden runs and all
+// three sampled flavours, chosen by a seeded rng) and reports any
+// per-lane divergence: settled node values, input pattern, latch state,
+// zero-delay toggle powers, general-delay powers (the compiled lane
+// engine against the tiles' EventDriven on each lane) and the
+// control-variate covariate must all be bit-identical, and the per-node
+// transition counts both sides accumulate over the run must be equal.
+//
+// A compiled session observes under the one delay model it was built
+// with, so the compiled side is two twins over the same sources: zd
+// (no delay table) and gd (the default fanout-loaded table). On every
+// cycle one twin takes the step the tiles take and the other steps
+// hidden, which moves the state exactly as a sampled step does, so both
+// twins stay on the tiles' trajectory: zd is compared with the tiles
+// lane by lane, and gd with zd word by word. Counts and cycle counters
+// are checked over the two twins together.
 func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, base, rngSeed int64) {
 	t.Helper()
-	cs := NewCompiledSession(c, laneSources(len(c.Inputs), lanes, base))
+	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
+	zd := NewCompiledSession(c, nil, laneSources(len(c.Inputs), lanes, base))
+	gd := NewCompiledSession(c, dt, laneSources(len(c.Inputs), lanes, base))
+	twins := []*CompiledSession{zd, gd}
 	tiles := newPackedTiles(c, lanes, base)
 	weights := make([]float64, c.NumNodes())
 	for i := range weights {
 		weights[i] = 1 + float64(i%7)/3
 	}
-	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
-	csEngine := NewEventLanes(c, dt)
 	tileEngine := NewEventDriven(c, dt)
 	cCounts, pCounts := make([]uint64, c.NumNodes()), make([]uint64, c.NumNodes())
-	cs.AccumulateToggles(cCounts)
+	for _, cs := range twins {
+		cs.AccumulateToggles(cCounts)
+	}
 	for _, tl := range tiles {
 		tl.ps.AccumulateToggles(pCounts)
 	}
@@ -90,7 +101,7 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 						t.Fatalf("cycle %d lane %d: toggle %g, packed %g", cycle, lane, cTog[lane], pTog[lane])
 					}
 				}
-				cs.ExtractLane(lane, cVals, cPins, cQ)
+				zd.ExtractLane(lane, cVals, cPins, cQ)
 				tl.ps.ExtractLane(k, pVals, pPins, pQ)
 				for i := range cQ {
 					if cQ[i] != pQ[i] {
@@ -109,6 +120,17 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 				}
 			}
 		}
+		gd.refreshFull()
+		same := func(what string, a, b []uint64) {
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("cycle %d: twins' %s word %d differs", cycle, what, i)
+				}
+			}
+		}
+		same("latch", zd.q, gd.q)
+		same("input", zd.pins, gd.pins)
+		same("node", zd.full[:c.NumNodes()*zd.w], gd.full[:c.NumNodes()*gd.w])
 	}
 
 	rng := rand.New(rand.NewSource(rngSeed))
@@ -117,32 +139,37 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 		switch rng.Intn(5) {
 		case 0, 1:
 			sampled = false
-			cs.StepHidden()
+			for _, cs := range twins {
+				cs.StepHidden()
+			}
 			for _, tl := range tiles {
 				tl.ps.StepHidden()
 			}
 		case 2:
-			// Zero-delay word-level sampling (StepSampled). The toggle
-			// comparison reuses the power slot: under this flavour the
-			// toggle sum IS the power.
-			cs.StepSampled(weights, cPow)
+			// Zero-delay word-level sampling (zd's StepSampled). The
+			// toggle comparison reuses the power slot: under this
+			// flavour the toggle sum IS the power.
+			zd.StepSampled(weights, cPow)
+			gd.StepHidden()
 			copy(cTog, cPow)
 			for _, tl := range tiles {
 				tl.ps.StepSampled(weights, pPow[tl.lo:tl.lo+tl.ps.Lanes()])
 			}
 			copy(pTog, pPow)
 		case 3:
-			// General-delay sampling (StepSampledWith): the lane engine
+			// General-delay sampling (gd's StepSampled): the lane engine
 			// against EventDriven on each lane.
-			cs.StepSampledWith(csEngine, weights, cPow)
+			gd.StepSampled(weights, cPow)
+			zd.StepHidden()
 			copy(cTog, cPow)
 			for _, tl := range tiles {
 				tl.ps.StepSampledWith(tileEngine, weights, pPow[tl.lo:tl.lo+tl.ps.Lanes()])
 			}
 			copy(pTog, pPow)
 		default:
-			// Engine power plus toggle covariate (StepSampledBoth).
-			cs.StepSampledBoth(csEngine, weights, cPow, cTog)
+			// Lane-engine power plus toggle covariate (StepSampledBoth).
+			gd.StepSampledBoth(weights, cPow, cTog)
+			zd.StepHidden()
 			for _, tl := range tiles {
 				lo, hi := tl.lo, tl.lo+tl.ps.Lanes()
 				tl.ps.StepSampledBoth(tileEngine, weights, pPow[lo:hi], pTog[lo:hi])
@@ -150,15 +177,24 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 		}
 		compareLanes(cycle, sampled)
 	}
-	ch, csamp := cs.CycleCounts()
 	var ph, psamp uint64
 	for _, tl := range tiles {
 		h, s := tl.ps.CycleCounts()
 		ph += h
 		psamp += s
 	}
-	if ch != ph || csamp != psamp {
-		t.Fatalf("cycle counters (%d, %d), packed (%d, %d)", ch, csamp, ph, psamp)
+	// Each twin ran every cycle, hidden or sampled; between them they
+	// sampled each of the tiles' sampled cycles once.
+	var csamp uint64
+	for twin, cs := range twins {
+		h, s := cs.CycleCounts()
+		if h+s != ph+psamp {
+			t.Fatalf("twin %d ran %d lane-cycles, packed %d", twin, h+s, ph+psamp)
+		}
+		csamp += s
+	}
+	if csamp != psamp {
+		t.Fatalf("twins sampled %d lane-cycles, packed %d", csamp, psamp)
 	}
 	for i := range cCounts {
 		if cCounts[i] != pCounts[i] {

@@ -12,10 +12,10 @@
 //     scripts/check_scalar_oracle.sh enforces it), and
 //   - an event-driven general-delay simulator with inertial gate delays,
 //     used on sampled cycles to observe every transition (including
-//     glitches) for the power computation of Eq. 1, in two forms:
-//     EventLanes, which observes up to 64 lanes per Cycle and is the
-//     one every estimate runs, and the scalar EventDriven, kept as its
-//     oracle and as the max-power search's engine.
+//     glitches) for the power computation of Eq. 1, in two forms: the
+//     lane engine eventLanes, which observes up to 64 lanes per Cycle
+//     and is the one every estimate runs, and the scalar EventDriven,
+//     kept as its oracle and as the max-power search's engine.
 //
 // EventDriven keeps its pending events in a calendar queue: a ring of
 // time buckets one delay quantum wide (the gcd of the nonzero gate
@@ -37,7 +37,7 @@
 // The heap engine survives as the oracle of a differential test battery
 // and of FuzzEventDriven.
 //
-// EventLanes runs EventDriven's calendar on lane words. A push queues
+// eventLanes runs EventDriven's calendar on lane words. A push queues
 // one entry (node, time, lane mask) for every lane the same gate
 // re-evaluation schedules, and a commit flips its lanes' bits and
 // re-evaluates the fanout gates with one word operation per gate
@@ -52,15 +52,16 @@
 // at 1 to 64 lanes and with holed masks, and FuzzEventDriven fuzzes it
 // too.
 //
-// Power observation itself is pluggable behind the PowerEngine
-// interface: a sampled cycle is "apply the new (pattern, state), settle,
-// return the weighted transition sum of Eq. 1", and which transitions
-// are counted is the engine's delay-model scenario (power.PowerMode at
-// the estimator level). *EventDriven realizes the paper's general-delay
-// observation (glitches included); *ZeroDelayToggle realizes zero-delay
-// observation (at most one functional toggle per node, computed as a
-// settled-value diff). Sessions take an engine at construction
-// (NewSessionEngine) and default to event-driven (NewSession).
+// A sampled cycle is "apply the new (pattern, state), settle, return the
+// weighted transition sum of Eq. 1", and which transitions are counted
+// is the delay-model scenario (power.PowerMode at the estimator level).
+// The compiled sessions pick it at construction from their delay table
+// (NewSession, NewCompiledSession): a table gives the paper's
+// general-delay observation, glitches included, on a lane engine each
+// session builds from it once; nil gives zero-delay observation, at
+// most one functional toggle per node, computed as a settled-value
+// diff. The interpreted oracles take a scalar PowerEngine instead:
+// *EventDriven for general delay, *ZeroDelayToggle for zero delay.
 //
 // The sampled phase is bit-parallel in both scenarios. In zero delay,
 // CompiledSession.StepSampled computes every lane's power from one
@@ -71,8 +72,8 @@
 // lane k of the packed oracle's, and that in turn to a ZeroDelayToggle
 // ScalarSession over the same source; the differential battery and the
 // property tests assert this for every lane. In general delay,
-// StepSampledWith and StepSampledBoth observe each 64-lane word of the
-// session with one EventLanes Cycle, exact glitch accounting included;
+// StepSampled and StepSampledBoth observe each 64-lane word of the
+// session with one lane-engine Cycle, exact glitch accounting included;
 // lane k matches the packed oracle's, which runs EventDriven on that
 // lane.
 //
@@ -85,9 +86,9 @@
 // 32 such pairs together in one 64-lane Full pass (StepSampled settles
 // its one pair at once). Zero-delay samples are the pairs' lane diffs,
 // summed in node-index order like ZeroDelayToggle; general-delay
-// samples come from one EventLanes Cycle over the batch, pair j's old
+// samples come from one lane-engine Cycle over the batch, pair j's old
 // state in lane j and its new pins and latch state in lane 32+j
-// shifted down, and the event-driven engine's observer still sees each
+// shifted down, and an observer (Session.SetObserver) still sees each
 // cycle's transitions in sample order.
 // ScalarSession interprets the same trajectory cycle by cycle with the
 // scalar simulators. It is the oracle: samples, counts, cycle counters,

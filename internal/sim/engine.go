@@ -3,23 +3,23 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/delay"
 	"repro/internal/netlist"
 )
 
 // PowerEngine observes the power dissipated in one clock cycle of a
-// scalar simulation. It is the seam between the estimator's two-phase
-// sampling loop and the delay-model scenario: CyclePower applies a new
-// (input pattern, latch state) pair to a settled value array, advances
-// it to the next settled state, and returns the weighted transition sum
-// of Eq. 1 for whatever transition accounting the engine implements.
+// scalar simulation: CyclePower applies a new (input pattern, latch
+// state) pair to a settled value array, advances it to the next settled
+// state, and returns the weighted transition sum of Eq. 1 for whatever
+// transition accounting the engine implements.
 //
+// It is the seam of the interpreted oracles: ScalarSession observes its
+// sampled cycles with one, and PackedSession hands it each lane in turn.
 // Two engines ship with the package: *EventDriven (general-delay,
 // glitches included — the paper's configuration) and *ZeroDelayToggle
-// (functional transitions only). They name a session's scenario and
-// are the oracles of its word-parallel observation: EventLanes is the
-// lane-word form of EventDriven, and CompiledSession.StepSampled and
-// Session's lane-pair diff are that of the zero-delay engine. Only
+// (functional transitions only). They are the oracles of the compiled
+// sessions' observation, which those build from their delay table
+// instead: the lane engine eventLanes is EventDriven on lane words, and
+// a zero-delay session's toggle diff is ZeroDelayToggle on them. Only
 // tests, ScalarSession and PackedSession call CyclePower, and the
 // max-power search calls EventDriven.Cycle directly.
 //
@@ -37,21 +37,17 @@ type PowerEngine interface {
 	// high-activity node past 2^32 transitions, which a narrower counter
 	// would wrap silently.
 	CyclePower(vals []bool, newPins, newQ []bool, weights []float64, counts []uint64) float64
-	// Name identifies the engine in results and reports.
-	Name() string
-	// DelayModelName names the timing model the engine realizes
-	// (a delay.Model name; "zero" for zero-delay engines).
-	DelayModelName() string
 }
 
-// EngineEventDriven and EngineZeroDelay are the engine names reported
-// by the built-in scalar engines.
+// EngineEventDriven and EngineZeroDelay are the engine labels a
+// Session reports (Session.Engine) for general-delay and zero-delay
+// observation.
 const (
 	EngineEventDriven = "event-driven"
 	EngineZeroDelay   = "zero-delay"
-	// EngineCompiledZeroDelay is reported when sampled cycles are
-	// observed word-parallel by the compiled lane engine
-	// (CompiledSession.StepSampled) instead of a scalar engine.
+	// EngineCompiledZeroDelay is reported when the sampled cycles of a
+	// parallel run are observed word-parallel by the toggle diff of a
+	// zero-delay CompiledSession.
 	EngineCompiledZeroDelay = "compiled-zero-delay"
 )
 
@@ -98,10 +94,3 @@ func (e *ZeroDelayToggle) CyclePower(vals []bool, newPins, newQ []bool, weights 
 	copy(vals, e.scratch)
 	return sum
 }
-
-// Name implements PowerEngine.
-func (e *ZeroDelayToggle) Name() string { return EngineZeroDelay }
-
-// DelayModelName implements PowerEngine: the zero-delay engine realizes
-// the zero delay model by definition.
-func (e *ZeroDelayToggle) DelayModelName() string { return delay.Zero{}.Name() }

@@ -183,24 +183,18 @@ func TestPackedSampledFewerLanes(t *testing.T) {
 	}
 }
 
-// TestEngineNames: names and delay-model names reported by the engines
-// are what Result records promise.
+// TestEngineNames: the labels a session reports are what Result
+// records promise — the event-driven engine and the table's delay
+// model, or the zero-delay engine and the zero model without a table.
 func TestEngineNames(t *testing.T) {
 	c := bench89.S27()
 	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
-	ed := NewEventDriven(c, dt)
-	if ed.Name() != EngineEventDriven || ed.DelayModelName() != dt.ModelName {
-		t.Fatalf("event-driven names: %q / %q", ed.Name(), ed.DelayModelName())
-	}
-	zt := NewZeroDelayToggle(c)
-	if zt.Name() != EngineZeroDelay || zt.DelayModelName() != "zero" {
-		t.Fatalf("toggle names: %q / %q", zt.Name(), zt.DelayModelName())
-	}
-	// A zero-delay session samples from its lane diff but still reports
-	// the toggle engine it was built with, so results keep its labels.
 	w := make([]float64, c.NumNodes())
-	s := NewSessionEngine(c, zt, vectors.NewIID(len(c.Inputs), 0.5, 1), w)
-	if s.Engine() != PowerEngine(zt) {
-		t.Fatal("session does not expose its engine")
+	src := func() vectors.Source { return vectors.NewIID(len(c.Inputs), 0.5, 1) }
+	if name, model := NewSession(c, dt, src(), w).Engine(); name != EngineEventDriven || model != dt.ModelName {
+		t.Fatalf("general-delay session labels: %q / %q", name, model)
+	}
+	if name, model := NewSession(c, nil, src(), w).Engine(); name != EngineZeroDelay || model != "zero" {
+		t.Fatalf("zero-delay session labels: %q / %q", name, model)
 	}
 }

@@ -92,9 +92,7 @@ type EventDriven struct {
 	// quiesced; callers can check it against the clock period.
 	LastSettleTime delay.Picoseconds
 	// LastEvents is the number of applied (non-stale) events in the
-	// previous Cycle, a machine-independent cost metric. Only Cycle
-	// sets these two; a Session observing on the engine's lane form
-	// leaves them 0.
+	// previous Cycle, a machine-independent cost metric.
 	LastEvents uint64
 
 	// observer, when set, receives every committed transition (including
@@ -103,12 +101,11 @@ type EventDriven struct {
 	observer func(id netlist.NodeID, t delay.Picoseconds, v bool)
 }
 
-// calendar is the time geometry EventDriven and EventLanes share: the
+// calendar is the time geometry EventDriven and eventLanes share: the
 // tick quantum, every node's delay in ticks, the width and number of
 // the ring's buckets, and the logic depth that sizes the level lists.
 type calendar struct {
-	csr       *netlist.CSR
-	modelName string
+	csr *netlist.CSR
 
 	quantum delay.Picoseconds // picoseconds per tick
 	ticks   []int64           // per-node delay in ticks
@@ -187,13 +184,12 @@ func newCalendar(c *netlist.Circuit, dt *delay.Table) calendar {
 		depth = max(depth, l)
 	}
 	return calendar{
-		csr:       r,
-		modelName: dt.ModelName,
-		quantum:   quantum,
-		ticks:     ticks,
-		shift:     shift,
-		buckets:   int(buckets()),
-		levels:    depth + 1,
+		csr:     r,
+		quantum: quantum,
+		ticks:   ticks,
+		shift:   shift,
+		buckets: int(buckets()),
+		levels:  depth + 1,
 	}
 }
 
@@ -301,13 +297,6 @@ func (e *EventDriven) Cycle(vals []bool, newPins, newQ []bool, weights []float64
 func (e *EventDriven) CyclePower(vals []bool, newPins, newQ []bool, weights []float64, counts []uint64) float64 {
 	return e.Cycle(vals, newPins, newQ, weights, counts)
 }
-
-// Name implements PowerEngine.
-func (e *EventDriven) Name() string { return EngineEventDriven }
-
-// DelayModelName implements PowerEngine: the name of the delay model the
-// simulator's table was built from.
-func (e *EventDriven) DelayModelName() string { return e.modelName }
 
 // SetObserver installs (or clears, with nil) a callback invoked for
 // every committed transition during subsequent Cycles. Observation slows

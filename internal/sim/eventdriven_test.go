@@ -182,9 +182,6 @@ func (l *laneOracle) CyclePower(vals []bool, newPins, newQ []bool, weights []flo
 	return sum
 }
 
-func (l *laneOracle) Name() string           { return EngineEventDriven }
-func (l *laneOracle) DelayModelName() string { return l.ed.DelayModelName() }
-
 // TestEventDrivenMatchesHeapOracleAcrossLanes reuses one engine for
 // every lane of a 64-lane packed session, so each Cycle starts from a
 // different lane's state than the previous one ended in.
@@ -318,7 +315,7 @@ func fuzzDelayTable(c *netlist.Circuit, b []byte) *delay.Table {
 // plus generated random netlists) and a delay table drawn from the fuzz
 // bytes through EventDriven and the heap oracle, requiring identical
 // sums, values, counters, observer streams and counts; then through
-// the lane engine EventLanes against EventDriven on each lane of a
+// the lane engine eventLanes against EventDriven on each lane of a
 // battery mask the bytes pick (diffEventLanes).
 func FuzzEventDriven(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(a, a)\n", []byte{})
@@ -347,6 +344,6 @@ func FuzzEventDriven(f *testing.F) {
 			t.Fatal("ring exceeds the bucket cap")
 		}
 		diffEventDriven(t, NewEventDriven(c, dt), c, dt, 8, int64(len(tab)))
-		diffEventLanes(t, NewEventLanes(c, dt), c, dt, laneMasks[len(tab)%len(laneMasks)], 8, int64(len(text)))
+		diffEventLanes(t, newEventLanes(newCalendar(c, dt)), c, dt, laneMasks[len(tab)%len(laneMasks)], 8, int64(len(text)))
 	})
 }

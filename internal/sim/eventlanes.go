@@ -8,7 +8,7 @@ import (
 	"repro/internal/netlist"
 )
 
-// EventLanes is EventDriven on lane words: one Cycle simulates a clock
+// eventLanes is EventDriven on lane words: one Cycle simulates a clock
 // cycle for up to 64 replication lanes at once, lane k being bit k of
 // one uint64 per node, with EventDriven's inertial-delay semantics and
 // commit order. Every lane's transitions, transition counts and
@@ -17,7 +17,8 @@ import (
 // general-delay observer of every estimate: the tail's shards observe
 // each 64-lane word of a sampled cycle with one Cycle, and a serial
 // Session observes its settle batch of up to 32 (old, new) pairs with
-// one Cycle. EventDriven stays as its oracle and as maxpower's engine.
+// one Cycle. Each session builds its own from its delay table.
+// EventDriven stays as its oracle and as maxpower's engine.
 //
 // A push queues one entry (node, time, lane mask) for the lanes that
 // schedule a change of the node in one gate re-evaluation. Entries
@@ -45,7 +46,7 @@ import (
 // is usually one long. An entry whose mask reaches zero is stale: it
 // leaves its chain at once and the queue where EventDriven drops a
 // stale event, so the earliest-time scan and the queued count agree.
-type EventLanes struct {
+type eventLanes struct {
 	calendar
 
 	// ents is the entry pool; index 0 is the nil link. Released
@@ -81,15 +82,11 @@ type laneEntry struct {
 	next int32
 }
 
-// NewEventLanes builds the lane-word event-driven simulator for a
-// frozen circuit under a delay table. Gate delays must be non-negative.
-func NewEventLanes(c *netlist.Circuit, dt *delay.Table) *EventLanes {
-	return newEventLanes(newCalendar(c, dt))
-}
-
-func newEventLanes(cal calendar) *EventLanes {
+// newEventLanes builds the lane-word event-driven simulator on a
+// circuit's calendar (newCalendar).
+func newEventLanes(cal calendar) *eventLanes {
 	n := len(cal.csr.Level)
-	return &EventLanes{
+	return &eventLanes{
 		calendar: cal,
 		ents:     make([]laneEntry, 1, 1+n),
 		head:     make([]int32, n),
@@ -105,7 +102,7 @@ func newEventLanes(cal calendar) *EventLanes {
 // the t=0 source changes included. Within one lane the calls come in
 // EventDriven's observer order; lanes that commit together are reported
 // in ascending lane order.
-func (e *EventLanes) SetObserver(fn func(lane int, id netlist.NodeID, t delay.Picoseconds, v bool)) {
+func (e *eventLanes) SetObserver(fn func(lane int, id netlist.NodeID, t delay.Picoseconds, v bool)) {
 	e.observer = fn
 }
 
@@ -117,7 +114,7 @@ func (e *EventLanes) SetObserver(fn func(lane int, id netlist.NodeID, t delay.Pi
 // sums[k] receives lane k's weighted transition sum (lanes outside mask
 // read 0). If counts is non-nil, counts[i] grows by the number of lanes
 // in each committed transition of node i; it is not cleared first.
-func (e *EventLanes) Cycle(vals, newPins, newQ []uint64, mask uint64, weights []float64, sums *[64]float64, counts []uint64) {
+func (e *eventLanes) Cycle(vals, newPins, newQ []uint64, mask uint64, weights []float64, sums *[64]float64, counts []uint64) {
 	r := e.csr
 	if e.busy {
 		e.reset() // the previous Cycle was aborted and left entries behind
@@ -170,7 +167,7 @@ func (e *EventLanes) Cycle(vals, newPins, newQ []uint64, mask uint64, weights []
 
 // commit flips node id on lanes m at time t, books the transitions and
 // re-evaluates id's fanout gates for those lanes.
-func (e *EventLanes) commit(id int32, t delay.Picoseconds, m uint64, vals []uint64, weights []float64, sums *[64]float64, counts []uint64) {
+func (e *eventLanes) commit(id int32, t delay.Picoseconds, m uint64, vals []uint64, weights []float64, sums *[64]float64, counts []uint64) {
 	vals[id] ^= m
 	wt := weights[id]
 	for b := m; b != 0; b &= b - 1 {
@@ -200,7 +197,7 @@ func (e *EventLanes) commit(id int32, t delay.Picoseconds, m uint64, vals []uint
 
 // schedule queues a change of gate g for lanes s at the gate's delay
 // past the current time.
-func (e *EventLanes) schedule(g int32, s uint64) {
+func (e *eventLanes) schedule(g int32, s uint64) {
 	t := e.curT + e.ticks[g]
 	x := e.free
 	if x != 0 {
@@ -229,7 +226,7 @@ func (e *EventLanes) schedule(g int32, s uint64) {
 // cancel drops the pending changes of gate g on lanes c, clearing each
 // lane's bit in the chain entry that holds it. An entry left with no
 // lanes leaves the chain; its queue slot is dropped later.
-func (e *EventLanes) cancel(g int32, c uint64) {
+func (e *eventLanes) cancel(g int32, c uint64) {
 	e.act[g] &^= c
 	link := &e.head[g]
 	for c != 0 {
@@ -248,7 +245,7 @@ func (e *EventLanes) cancel(g int32, c uint64) {
 
 // unlink removes entry x, whose chain successor is next, from node
 // id's chain.
-func (e *EventLanes) unlink(id, x, next int32) {
+func (e *eventLanes) unlink(id, x, next int32) {
 	link := &e.head[id]
 	for *link != x {
 		link = &e.ents[*link].next
@@ -257,13 +254,13 @@ func (e *EventLanes) unlink(id, x, next int32) {
 }
 
 // release returns entry x to the free list.
-func (e *EventLanes) release(x int32) {
+func (e *eventLanes) release(x int32) {
 	e.ents[x].next = e.free
 	e.free = x
 }
 
 // file appends entry x, due at the current time, to its level's list.
-func (e *EventLanes) file(x int32) {
+func (e *eventLanes) file(x int32) {
 	l := e.csr.Level[e.ents[x].node]
 	e.byLevel[l] = append(e.byLevel[l], x)
 	e.occupied[l>>6] |= 1 << (l & 63)
@@ -273,7 +270,7 @@ func (e *EventLanes) file(x int32) {
 // files that time's entries into byLevel, in push order, exactly as
 // EventDriven.advance does with events. Stale entries met on the way
 // are released.
-func (e *EventLanes) advance() {
+func (e *eventLanes) advance() {
 	for {
 		if b := e.ring[e.curSlot]; len(b) > 0 {
 			live, first := 0, int64(math.MaxInt64)
@@ -317,7 +314,7 @@ func (e *EventLanes) advance() {
 
 // reset empties the queue after an aborted Cycle, so no pending change
 // leaks into the next one.
-func (e *EventLanes) reset() {
+func (e *eventLanes) reset() {
 	for _, lists := range [][][]int32{e.ring, e.byLevel} {
 		for i, b := range lists {
 			lists[i] = b[:0]

@@ -25,7 +25,7 @@ var laneMasks = []uint64{1, 1<<31 - 1, 1<<32 - 1, 1<<63 - 1, ^uint64(0), 0x5555_
 // latch D values), and every fourth cycle jumps to a random one. Odd
 // cycles pass nil counts. Lanes outside mask must stay untouched, and
 // their sums must read 0.
-func diffEventLanes(t *testing.T, el *EventLanes, c *netlist.Circuit, dt *delay.Table, mask uint64, cycles int, seed int64) {
+func diffEventLanes(t *testing.T, el *eventLanes, c *netlist.Circuit, dt *delay.Table, mask uint64, cycles int, seed int64) {
 	t.Helper()
 	ed := NewEventDriven(c, dt)
 	watch := 63 - bits.LeadingZeros64(mask)
@@ -154,7 +154,7 @@ func TestEventLanesMatchesEventDrivenBench89(t *testing.T) {
 			}
 			for _, dt := range oracleDelayTables(c) {
 				for i, mask := range masks {
-					diffEventLanes(t, NewEventLanes(c, dt), c, dt, mask, cycles, bench89SeedBase(name)+int64(i))
+					diffEventLanes(t, newEventLanes(newCalendar(c, dt)), c, dt, mask, cycles, bench89SeedBase(name)+int64(i))
 				}
 			}
 		})
@@ -170,7 +170,7 @@ func TestEventLanesMatchesEventDrivenRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dt := range oracleDelayTables(c) {
-			diffEventLanes(t, NewEventLanes(c, dt), c, dt, laneMasks[int(seed)%len(laneMasks)], 24, int64(seed)+11)
+			diffEventLanes(t, newEventLanes(newCalendar(c, dt)), c, dt, laneMasks[int(seed)%len(laneMasks)], 24, int64(seed)+11)
 		}
 	}
 }
@@ -183,7 +183,7 @@ func TestEventLanesRecoversFromAbortedCycle(t *testing.T) {
 	for _, name := range []string{"s298", "s1494"} {
 		c := bench89.MustGet(name)
 		for _, dt := range oracleDelayTables(c) {
-			el := NewEventLanes(c, dt)
+			el := newEventLanes(newCalendar(c, dt))
 			vals := make([]uint64, c.NumNodes())
 			pins, q := make([]uint64, len(c.Inputs)), make([]uint64, len(c.Latches))
 			settled := make([]bool, c.NumNodes())

@@ -48,15 +48,14 @@ func FuzzCompile(f *testing.F) {
 		}
 		dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
 		for _, gd := range []bool{false, true} {
-			engine := func() PowerEngine {
-				if gd {
-					return NewEventDriven(c, dt)
-				}
-				return NewZeroDelayToggle(c)
+			var table *delay.Table
+			var engine PowerEngine = NewZeroDelayToggle(c)
+			if gd {
+				table, engine = dt, NewEventDriven(c, dt)
 			}
 			src := func() vectors.Source { return vectors.NewIID(len(c.Inputs), 0.5, 7) }
-			s := NewScalarSession(c, engine(), src(), weights)
-			tr := NewSessionEngine(c, engine(), src(), weights)
+			s := NewScalarSession(c, engine, src(), weights)
+			tr := NewSession(c, table, src(), weights)
 			for trial, k := range []int{0, 2} {
 				var sCov, tCov []float64
 				if gd {

@@ -45,7 +45,7 @@ type ScalarSession struct {
 
 // NewScalarSession builds a scalar session whose sampled cycles are
 // observed by the given power engine (built for the same circuit), with
-// NewSessionEngine's arguments. Hidden cycles always run on the
+// NewSession's other arguments. Hidden cycles always run on the
 // zero-delay simulator. The circuit starts in the all-zero latch state
 // with an all-zero input pattern, settled.
 func NewScalarSession(c *netlist.Circuit, engine PowerEngine, src vectors.Source, weights []float64) *ScalarSession {

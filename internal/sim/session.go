@@ -19,10 +19,11 @@ const pairsPerSettle = 32
 // the paper's two-phase sampling — driven through the compiled programs
 // of internal/compile. Hidden cycles advance the circuit inside the
 // independence interval without observing power; sampled cycles return
-// the weighted transition sum of Eq. 1 as observed by the session's
-// power engine. Every sample, per-node count and cycle counter is
-// bit-identical to a ScalarSession built with the same circuit, engine,
-// source and weights.
+// the weighted transition sum of Eq. 1 under the session's delay model.
+// Every sample, per-node count and cycle counter is bit-identical to a
+// ScalarSession built with the same circuit, source and weights and the
+// matching scalar engine: EventDriven over the session's delay table,
+// or ZeroDelayToggle for a zero-delay session.
 //
 // Only the latch state is truly serial, and settled node values are a
 // pure function of (pins, q). So every cycle advances with the Step
@@ -30,16 +31,17 @@ const pairsPerSettle = 32
 // records its old and new (pins, q). Recorded pairs are settled
 // pairsPerSettle at a time in one 64-lane Full pass:
 //
-//   - Zero-delay samples (a *ZeroDelayToggle engine) are each pair's
-//     weighted lane diff, summed in node-index order — ZeroDelayToggle's
-//     own summation order.
-//   - General-delay samples (an *EventDriven engine) come from one
-//     EventLanes pass over the whole batch: pair j's settled old state
-//     is lane j of the Full rows, its new (pins, q) lane
-//     pairsPerSettle+j shifted down. Each lane replays what EventDriven
-//     computes from the arguments a ScalarSession hands it.
-//   - Covariates are the lane diff alongside the engine's sample, which
-//     is what ScalarSession.StepSampledPair computes.
+//   - Zero-delay samples (no delay table) are each pair's weighted lane
+//     diff, summed in node-index order — ZeroDelayToggle's own
+//     summation order.
+//   - General-delay samples come from one pass of the session's lane
+//     engine (eventLanes, built from the delay table) over the whole
+//     batch: pair j's settled old state is lane j of the Full rows, its
+//     new (pins, q) lane pairsPerSettle+j shifted down. Each lane
+//     replays what EventDriven computes from the arguments a
+//     ScalarSession hands it.
+//   - Covariates are the lane diff alongside the general-delay sample,
+//     which is what ScalarSession.StepSampledPair computes.
 //
 // Collect settles a whole batch per pass; StepSampled settles its one
 // pair at once, for callers that act between cycles (state jumps,
@@ -47,15 +49,15 @@ const pairsPerSettle = 32
 type Session struct {
 	c       *netlist.Circuit
 	unit    *compile.Unit
-	engine  PowerEngine // as built; reported by Engine
 	src     vectors.Source
 	weights []float64
 
-	// General-delay observation: the engine as built, whose observer
-	// sees each sampled cycle, and its lane form, which observes them
-	// (both nil for zero-delay samples from the lane-pair diff).
-	ed    *EventDriven
-	lanes *EventLanes
+	// General-delay observation: the lane engine, the delay model it
+	// realizes and the observer SetObserver installed (lanes is nil for
+	// zero-delay samples from the lane-pair diff).
+	lanes    *eventLanes
+	model    string
+	observer func(id netlist.NodeID, t delay.Picoseconds, v bool)
 
 	// The current state, one word per input and latch; every bit of a
 	// word holds the same value, so the Step program's output words are
@@ -78,8 +80,8 @@ type Session struct {
 	newPins []uint64
 	newQ    []uint64
 	sums    [64]float64
-	// Each pair's transitions, held for ed's observer until the batch
-	// is settled (only while an observer is set).
+	// Each pair's transitions, held for the observer until the batch is
+	// settled (only while an observer is set).
 	seen [pairsPerSettle][]transition
 
 	sample [1]float64 // StepSampled's settle destination
@@ -90,20 +92,14 @@ type Session struct {
 	SampledCycles uint64
 }
 
-// NewSession builds a session with the default event-driven
-// general-delay power engine over the given delay table. weights[i] is
-// the per-transition power contribution of node i (see power
-// Model.Weights); src must have width len(c.Inputs). The circuit starts
-// in the all-zero latch state with an all-zero input pattern.
+// NewSession builds a session over the circuit's cached compiled Unit.
+// Its sampled cycles are observed event-driven under the delay table dt
+// (general-delay, glitches included), or, when dt is nil, by the
+// zero-delay toggle diff. weights[i] is the per-transition power
+// contribution of node i (see power Model.Weights); src must have width
+// len(c.Inputs). The circuit starts in the all-zero latch state with an
+// all-zero input pattern.
 func NewSession(c *netlist.Circuit, dt *delay.Table, src vectors.Source, weights []float64) *Session {
-	return NewSessionEngine(c, NewEventDriven(c, dt), src, weights)
-}
-
-// NewSessionEngine builds a session over the circuit's cached compiled
-// Unit whose sampled cycles are observed by the given power engine: a
-// *ZeroDelayToggle, or an *EventDriven (built for the same circuit)
-// whose lane form EventLanes observes them.
-func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source, weights []float64) *Session {
 	if src.Width() != len(c.Inputs) {
 		panic(fmt.Sprintf("sim: source width %d, circuit has %d inputs", src.Width(), len(c.Inputs)))
 	}
@@ -114,7 +110,6 @@ func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source
 	s := &Session{
 		c:         c,
 		unit:      u,
-		engine:    engine,
 		src:       src,
 		weights:   weights,
 		pins:      make([]uint64, len(c.Inputs)),
@@ -127,14 +122,10 @@ func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source
 	}
 	u.Step.InitConsts(s.step, 1)
 	u.Full.InitConsts(s.full, 1)
-	switch e := engine.(type) {
-	case *ZeroDelayToggle:
-	case *EventDriven:
-		s.ed, s.lanes = e, newEventLanes(e.calendar)
+	if dt != nil {
+		s.lanes, s.model = newEventLanes(newCalendar(c, dt)), dt.ModelName
 		s.newPins = make([]uint64, len(c.Inputs))
 		s.newQ = make([]uint64, len(c.Latches))
-	default:
-		panic(fmt.Sprintf("sim: a Session observes with a *ZeroDelayToggle or an *EventDriven, not %T", engine))
 	}
 	return s
 }
@@ -142,15 +133,40 @@ func NewSessionEngine(c *netlist.Circuit, engine PowerEngine, src vectors.Source
 // Circuit returns the simulated circuit.
 func (s *Session) Circuit() *netlist.Circuit { return s.c }
 
-// Engine returns the power engine the session was built with. A
-// zero-delay session reports its ZeroDelayToggle even though its
-// samples come from the lane diff. An event-driven session observes on
-// the engine's lane form, but the engine's observer (see
-// EventDriven.SetObserver) still sees every sampled cycle's
-// transitions, cycle by cycle in sample order, exactly as it would if
-// the engine itself had run each cycle. The engine never runs a cycle
-// itself, so its LastEvents and LastSettleTime stay 0.
-func (s *Session) Engine() PowerEngine { return s.engine }
+// Engine names what observes the session's sampled cycles, as
+// Result.Engine and Result.DelayModel record it: EngineEventDriven and
+// the delay table's model name, or EngineZeroDelay and "zero" for a
+// zero-delay session.
+func (s *Session) Engine() (name, delayModel string) {
+	if s.lanes == nil {
+		return EngineZeroDelay, delay.Zero{}.Name()
+	}
+	return EngineEventDriven, s.model
+}
+
+// SetObserver installs (or clears, with nil) a callback that receives
+// every committed transition of the sampled cycles, the t=0 source
+// changes included: cycle by cycle in sample order, each cycle's calls
+// in the order EventDriven's observer gets them when it runs that
+// cycle. Observation slows sampling; estimation runs leave it unset. A
+// zero-delay session has no timed transitions, so it panics on a
+// non-nil fn.
+func (s *Session) SetObserver(fn func(id netlist.NodeID, t delay.Picoseconds, v bool)) {
+	if s.lanes == nil {
+		if fn != nil {
+			panic("sim: SetObserver needs a general-delay session; a zero-delay one has no timed transitions")
+		}
+		return
+	}
+	s.observer = fn
+	if fn == nil {
+		s.lanes.SetObserver(nil)
+		return
+	}
+	s.lanes.SetObserver(func(lane int, id netlist.NodeID, t delay.Picoseconds, v bool) {
+		s.seen[lane] = append(s.seen[lane], transition{id, t, v})
+	})
+}
 
 // ResetCounters zeroes the cycle-cost counters.
 func (s *Session) ResetCounters() {
@@ -242,13 +258,14 @@ func (s *Session) recordPair() {
 	s.SampledCycles++
 }
 
-// StepSampled advances one clock cycle, observes it with the session's
-// power engine and returns the weighted transition sum: sum_i w_i * n_i,
+// StepSampled advances one clock cycle, observes it under the session's
+// delay model and returns the weighted transition sum: sum_i w_i * n_i,
 // which equals the cycle's average power when the weights are built as
 // C_i * VDD^2 / (2T) (see power Model.Weights). If counts is non-nil,
 // the per-node transition counts are accumulated into it. The cycle is
-// settled before StepSampled returns, so an engine observer has seen
-// its transitions; Collect is the batched form for runs of samples.
+// settled before StepSampled returns, so an observer (SetObserver) has
+// seen its transitions; Collect is the batched form for runs of
+// samples.
 func (s *Session) StepSampled(counts []uint64) float64 {
 	s.recordPair()
 	x, _ := s.settle(s.sample[:0], nil, counts)
@@ -258,7 +275,7 @@ func (s *Session) StepSampled(counts []uint64) float64 {
 // Collect appends n power samples to dst, each taken after k hidden
 // cycles, and returns the extended slice. A non-nil cov also receives
 // each sampled cycle's zero-delay toggle power, and a non-nil counts
-// (len NumNodes) accumulates the engine's per-node transition counts —
+// (len NumNodes) accumulates the per-node transition counts —
 // ScalarSession.StepSampledPair and StepSampled semantics. The
 // trajectory continues across calls exactly as one longer call would.
 func (s *Session) Collect(k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64) {
@@ -293,7 +310,7 @@ func (s *Session) settle(dst, cov []float64, counts []uint64) ([]float64, []floa
 
 	var diff [pairsPerSettle]float64
 	if s.lanes == nil || cov != nil {
-		// Engine-observed cycles take their counts from the engine.
+		// Event-driven cycles take their counts from the lane engine.
 		diffCounts := counts
 		if s.lanes != nil {
 			diffCounts = nil
@@ -315,8 +332,8 @@ func (s *Session) settle(dst, cov []float64, counts []uint64) ([]float64, []floa
 // observe runs the settled batch's n pairs through the lane engine in
 // one Cycle, leaving pair j's sample in sums[j]. The Full rows are the
 // engine's values: the toggle diff has read them already. With an
-// observer set on the event-driven engine, each pair's transitions are
-// held until the Cycle ends and then handed over pair by pair.
+// observer set, each pair's transitions are held until the Cycle ends
+// and then handed over pair by pair.
 func (s *Session) observe(n int, counts []uint64) {
 	p := s.unit.Full
 	for i, r := range p.In {
@@ -325,22 +342,16 @@ func (s *Session) observe(n int, counts []uint64) {
 	for i, r := range p.Q {
 		s.newQ[i] = s.full[r] >> pairsPerSettle
 	}
-	obs := s.ed.observer
-	if obs == nil {
-		s.lanes.SetObserver(nil)
-	} else {
+	if s.observer != nil {
 		for j := range s.seen {
 			s.seen[j] = s.seen[j][:0]
 		}
-		s.lanes.SetObserver(func(lane int, id netlist.NodeID, t delay.Picoseconds, v bool) {
-			s.seen[lane] = append(s.seen[lane], transition{id, t, v})
-		})
 	}
 	s.lanes.Cycle(s.full[:len(s.weights)], s.newPins, s.newQ, 1<<uint(n)-1, s.weights, &s.sums, counts)
-	if obs != nil {
+	if s.observer != nil {
 		for _, seen := range s.seen[:n] {
 			for _, tr := range seen {
-				obs(tr.node, tr.t, tr.v)
+				s.observer(tr.node, tr.t, tr.v)
 			}
 		}
 	}

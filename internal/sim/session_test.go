@@ -18,7 +18,7 @@ import (
 // trajMode is one observation mode of the session battery.
 type trajMode struct {
 	name      string
-	zeroDelay bool // ZeroDelayToggle engine; else event-driven
+	zeroDelay bool // zero-delay session (nil table); else event-driven
 	cov       bool // covariate pairs (StepSampledPair)
 	counts    bool // per-node transition counts
 }
@@ -33,35 +33,39 @@ var trajModes = []trajMode{
 }
 
 // trajPair builds a ScalarSession and a compiled Session over twin
-// sources and twin engines of the given mode.
+// sources in the given mode: the scalar oracle observes with
+// ZeroDelayToggle or with an EventDriven over the delay table the
+// compiled session is built with.
 func trajPair(c *netlist.Circuit, m trajMode, seed int64) (*ScalarSession, *Session) {
 	weights := power.NewModel(c, power.DefaultCapModel(), power.DefaultSupply()).Weights()
-	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
-	engine := func() PowerEngine {
-		if m.zeroDelay {
-			return NewZeroDelayToggle(c)
-		}
-		return NewEventDriven(c, dt)
-	}
 	src := func() vectors.Source { return vectors.NewIID(len(c.Inputs), 0.5, seed) }
-	return NewScalarSession(c, engine(), src(), weights), NewSessionEngine(c, engine(), src(), weights)
+	if m.zeroDelay {
+		return NewScalarSession(c, NewZeroDelayToggle(c), src(), weights), NewSession(c, nil, src(), weights)
+	}
+	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
+	return NewScalarSession(c, NewEventDriven(c, dt), src(), weights), NewSession(c, dt, src(), weights)
 }
 
-// transitionHash folds an event-driven observer's transition stream —
-// node, time within the cycle, new value — into a running hash.
+// transitionHash folds an observer's transition stream — node, time
+// within the cycle, new value — into a running hash.
 type transitionHash struct {
 	h uint64
 	n int
 }
 
-// observe installs the hash as the observer of an event-driven engine;
-// other engines have no transitions to observe.
-func (th *transitionHash) observe(e PowerEngine) {
-	if ed, ok := e.(*EventDriven); ok {
-		ed.SetObserver(func(id netlist.NodeID, at delay.Picoseconds, v bool) {
-			th.h = (th.h ^ uint64(id)<<32 ^ uint64(at)<<1 ^ b2u(v)) * 1099511628211
-			th.n++
-		})
+// add is the observer callback.
+func (th *transitionHash) add(id netlist.NodeID, at delay.Picoseconds, v bool) {
+	th.h = (th.h ^ uint64(id)<<32 ^ uint64(at)<<1 ^ b2u(v)) * 1099511628211
+	th.n++
+}
+
+// observe installs sObs as the observer of the scalar oracle's
+// EventDriven and tObs with the compiled session's SetObserver; a
+// zero-delay pair has no transitions to observe.
+func observe(s *ScalarSession, tr *Session, sObs, tObs *transitionHash) {
+	if ed, ok := s.engine.(*EventDriven); ok {
+		ed.SetObserver(sObs.add)
+		tr.SetObserver(tObs.add)
 	}
 }
 
@@ -73,14 +77,15 @@ type trajStep struct{ k, n int }
 // and a hidden run, then through a few SetState+SetPins jumps each
 // observed by StepSampled (the FSM-analysis estimator's cycle). It
 // requires bit-identical samples, covariates, per-node counts, cycle
-// counters, settled values after the hidden runs and, under the
-// event-driven engine, the same observer transition stream.
+// counters, settled values after the hidden runs and, under general
+// delay, the same transition stream from the compiled session's
+// observer (SetObserver) as from the scalar EventDriven's, over partial
+// and full settle batches and single StepSampled cycles alike.
 func diffTrajectory(t *testing.T, c *netlist.Circuit, m trajMode, seed int64, warmup int, steps []trajStep) {
 	t.Helper()
 	s, tr := trajPair(c, m, seed)
 	var sObs, tObs transitionHash
-	sObs.observe(s.Engine())
-	tObs.observe(tr.Engine())
+	observe(s, tr, &sObs, &tObs)
 	s.StepHiddenN(warmup)
 	tr.StepHiddenN(warmup)
 	var sCov, tCov []float64
@@ -297,9 +302,49 @@ func TestTrajectoryConcurrent(t *testing.T) {
 	}
 }
 
+// TestSessionSetObserverDetaches: SetObserver(nil) stops the calls, and
+// a session observed again reports the scalar oracle's stream from
+// there on. A zero-delay session refuses an observer.
+func TestSessionSetObserverDetaches(t *testing.T) {
+	c := bench89.MustGet("s298")
+	s, tr := trajPair(c, trajModes[2], 21)
+	var sObs, tObs transitionHash
+	observe(s, tr, &sObs, &tObs)
+	s.Collect(1, 40, nil, nil, nil)
+	tr.Collect(1, 40, nil, nil, nil)
+	if tObs.n == 0 || tObs != sObs {
+		t.Fatalf("observed %d transitions (hash %x), scalar %d (hash %x)", tObs.n, tObs.h, sObs.n, sObs.h)
+	}
+	seen := tObs
+	tr.SetObserver(nil)
+	s.engine.(*EventDriven).SetObserver(nil)
+	s.Collect(1, 40, nil, nil, nil)
+	tr.Collect(1, 40, nil, nil, nil)
+	tr.StepSampled(nil)
+	s.StepSampled(nil)
+	if tObs != seen {
+		t.Fatalf("detached observer saw %d more transitions", tObs.n-seen.n)
+	}
+	observe(s, tr, &sObs, &tObs)
+	s.Collect(0, 33, nil, nil, nil)
+	tr.Collect(0, 33, nil, nil, nil)
+	if tObs.n == seen.n || tObs != sObs {
+		t.Fatalf("reattached: observed %d transitions (hash %x), scalar %d (hash %x)", tObs.n, tObs.h, sObs.n, sObs.h)
+	}
+
+	_, zd := trajPair(c, trajModes[0], 21)
+	zd.SetObserver(nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetObserver on a zero-delay session did not panic")
+		}
+	}()
+	zd.SetObserver(tObs.add)
+}
+
 // TestSessionStepSampledNoAlloc: StepSampled settles its one pair into
-// a buffer the session owns, under either engine. A warm-up lets the
-// event-driven engine grow its event storage first.
+// a buffer the session owns, in either mode. A warm-up lets the lane
+// engine grow its event storage first.
 func TestSessionStepSampledNoAlloc(t *testing.T) {
 	c := bench89.MustGet("s298")
 	for _, m := range []trajMode{trajModes[0], trajModes[2]} {

@@ -10,11 +10,6 @@ func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// NormalPDF returns the standard normal density at z.
-func NormalPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
-}
-
 // NormalQuantile returns Phi^-1(p) for p in (0,1). It uses Acklam's
 // rational approximation refined by one Halley step, giving ~1e-15
 // relative accuracy over the full range.

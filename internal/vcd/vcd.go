@@ -92,18 +92,15 @@ func (v *Writer) Header(vals []bool) error {
 	return v.w.Flush()
 }
 
-// Attach subscribes the writer to the session's event-driven engine:
-// every transition of a watched node during sampled cycles is dumped.
-// Step the session with StepSampled, which settles each cycle before it
-// returns, and call BeginCycle before each step so transitions land in
-// the right time slot. It panics if the session's engine is not
-// event-driven — waveform observation is a timed-simulation feature.
+// Attach subscribes the writer to the session's transitions
+// (sim.Session.SetObserver): every transition of a watched node during
+// sampled cycles is dumped. Step the session with StepSampled, which
+// settles each cycle before it returns, and call BeginCycle before each
+// step so transitions land in the right time slot. Like SetObserver,
+// it panics on a zero-delay session — waveform observation is a
+// timed-simulation feature.
 func (v *Writer) Attach(s *sim.Session) {
-	ed, ok := s.Engine().(*sim.EventDriven)
-	if !ok {
-		panic(fmt.Sprintf("vcd: Attach requires the event-driven engine, session uses %q", s.Engine().Name()))
-	}
-	ed.SetObserver(func(id netlist.NodeID, t delay.Picoseconds, val bool) {
+	s.SetObserver(func(id netlist.NodeID, t delay.Picoseconds, val bool) {
 		code, ok := v.ids[id]
 		if !ok || v.err != nil {
 			return

@@ -187,7 +187,7 @@ func (a *alternating) Name() string    { return "alternating" }
 // attach to.
 func TestAttachRequiresEventDriven(t *testing.T) {
 	c := bench89.S27()
-	s := sim.NewSessionEngine(c, sim.NewZeroDelayToggle(c), vectors.NewIID(len(c.Inputs), 0.5, 1), make([]float64, c.NumNodes()))
+	s := sim.NewSession(c, nil, vectors.NewIID(len(c.Inputs), 0.5, 1), make([]float64, c.NumNodes()))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Attach on a zero-delay session did not panic")

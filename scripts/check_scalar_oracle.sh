@@ -1,18 +1,24 @@
 #!/usr/bin/env bash
 # check_scalar_oracle.sh — keep the interpreted sessions and the scalar
 # power engines test oracles. The estimators run the compiled
-# sim.Session and sim.CompiledSession, whose general-delay cycles the
-# lane engine sim.EventLanes observes; the interpreted
-# sim.ScalarSession and sim.PackedSession, and the scalar engines'
-# per-cycle calls, exist so tests can compare against them. This fails
-# when Go code in a non-test file outside internal/sim names
-# ScalarSession or NewScalarSession; when Go code in a non-test file
-# other than internal/sim/packed.go names PackedSession, NewPackedSession,
-# PackedZeroDelay or NewPackedZeroDelay; or when Go code in a non-test
-# file outside internal/sim and internal/maxpower calls a CyclePower or
-# Cycle method, so no estimator observes a cycle through
-# EventDriven.Cycle or PowerEngine.CyclePower (the max-power search
-# keeps EventDriven as its engine). Comments may mention any of them.
+# sim.Session and sim.CompiledSession, which take a delay table (nil
+# for zero-delay) and build the lane engine that observes their
+# general-delay cycles themselves; the interpreted sim.ScalarSession and
+# sim.PackedSession, and the scalar engines, exist so tests can compare
+# against them. This fails when Go code in a non-test file outside
+# internal/sim names ScalarSession or NewScalarSession; when Go code in
+# a non-test file other than internal/sim/packed.go names
+# PackedSession, NewPackedSession, PackedZeroDelay or
+# NewPackedZeroDelay; when Go code in a non-test file outside
+# internal/sim and internal/maxpower calls a CyclePower or Cycle
+# method, so no estimator observes a cycle through EventDriven.Cycle or
+# PowerEngine.CyclePower (the max-power search keeps EventDriven as its
+# engine); or when Go code in a non-test file outside internal/sim,
+# internal/maxpower and bench/layers.go calls NewEventDriven or
+# NewZeroDelayToggle, so no production code builds a scalar engine to
+# hand to a session. bench/layers.go is exempt until the benchmark's
+# replay, which still passes an EventDriven to the deprecated
+# sim.LaneSession, is deleted. Comments may mention any of them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,7 +48,13 @@ if [ -n "$hits" ]; then
   echo "$hits" >&2
   status=1
 fi
+hits=$(code '\b(NewEventDriven|NewZeroDelayToggle)\(' | grep -vE '^(internal/(sim|maxpower)/|bench/layers\.go:)' || true)
+if [ -n "$hits" ]; then
+  echo "check_scalar_oracle: production code builds a scalar power engine (NewEventDriven or NewZeroDelayToggle); sessions take a delay table instead:" >&2
+  echo "$hits" >&2
+  status=1
+fi
 if [ "$status" -ne 0 ]; then
   exit "$status"
 fi
-echo "check_scalar_oracle: only tests and internal/sim use ScalarSession, only tests and packed.go PackedSession, only tests, internal/sim and internal/maxpower call Cycle or CyclePower"
+echo "check_scalar_oracle: only tests and internal/sim use ScalarSession, only tests and packed.go PackedSession, only tests, internal/sim and internal/maxpower call Cycle or CyclePower, and only tests, internal/sim, internal/maxpower and bench/layers.go build a scalar engine"
