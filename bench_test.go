@@ -10,7 +10,9 @@
 package dipe_test
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/bench89"
@@ -509,59 +511,100 @@ func BenchmarkStateSampling(b *testing.B) {
 // duty cycle (3 hidden + 1 sampled step, 64 lanes, a session built
 // without a delay table) with the observability sink
 // disabled — a nil atomic pointer, one branch per register-file pass —
-// and enabled with live registry counters. The bench CI job gates the
-// enabled/disabled ratio at 1% so instrumentation can never creep onto
-// the simulation critical path.
+// and enabled with live registry counters, switching the sink on one
+// session between the blocks pairedOverhead alternates. The bench CI
+// job gates the reported enabled/disabled ratio at 1% so
+// instrumentation can never creep onto the simulation critical path.
 func BenchmarkCompiledObsOverhead(b *testing.B) {
 	c := bench89.MustGet("s1494")
 	tb := dipe.NewTestbench(c)
-	for _, mode := range []struct {
-		name string
-		reg  *obs.Registry
-	}{{"disabled", nil}, {"enabled", obs.NewRegistry()}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sim.RegisterCompiledMetrics(mode.reg)
-			defer sim.RegisterCompiledMetrics(nil)
-			s := sim.NewCompiledSession(c, nil, laneSources(c))
-			powers := make([]float64, sim.MaxLanes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.StepHiddenN(3)
-				s.StepSampled(tb.Weights(), powers)
-			}
-			b.ReportMetric(float64(b.N*sim.MaxLanes*4)/b.Elapsed().Seconds(), "cycles/sec")
-		})
-	}
+	reg := obs.NewRegistry()
+	defer sim.RegisterCompiledMetrics(nil)
+	s := sim.NewCompiledSession(c, nil, laneSources(c))
+	powers := make([]float64, sim.MaxLanes)
+	pairedOverhead(b, func(enabled bool) {
+		if enabled {
+			sim.RegisterCompiledMetrics(reg)
+		} else {
+			sim.RegisterCompiledMetrics(nil)
+		}
+	}, func() {
+		s.StepHiddenN(3)
+		s.StepSampled(tb.Weights(), powers)
+	})
 }
 
 // BenchmarkBreakdownOverhead measures the compiled s1494 zero-delay
 // duty cycle (3 hidden + 1 sampled step, 64 lanes, a session built
 // without a delay table) with per-node toggle counting
-// disabled — a nil accumulator, zero work — and enabled. Counting adds
-// one popcount-and-add per node word per sampled step; the CI gate
-// holds the enabled/disabled ratio at 5% so breakdown runs stay within
-// noise of scalar-only estimation.
+// disabled — a nil accumulator, zero work — and enabled, on two
+// identically built sessions, one of them counting, which the blocks
+// pairedOverhead alternates step in turn. Counting adds one
+// popcount-and-add per node word per sampled step; the CI gate holds
+// the reported enabled/disabled ratio at 5% so breakdown runs stay
+// within noise of scalar-only estimation.
 func BenchmarkBreakdownOverhead(b *testing.B) {
 	c := bench89.MustGet("s1494")
 	tb := dipe.NewTestbench(c)
-	for _, mode := range []struct {
-		name     string
-		counting bool
-	}{{"disabled", false}, {"enabled", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := sim.NewCompiledSession(c, nil, laneSources(c))
-			if mode.counting {
-				s.AccumulateToggles(make([]uint64, c.NumNodes()))
-			}
-			powers := make([]float64, sim.MaxLanes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.StepHiddenN(3)
-				s.StepSampled(tb.Weights(), powers)
-			}
-			b.ReportMetric(float64(b.N*sim.MaxLanes*4)/b.Elapsed().Seconds(), "cycles/sec")
-		})
+	plain := sim.NewCompiledSession(c, nil, laneSources(c))
+	counting := sim.NewCompiledSession(c, nil, laneSources(c))
+	counting.AccumulateToggles(make([]uint64, c.NumNodes()))
+	powers := make([]float64, sim.MaxLanes)
+	var s *sim.CompiledSession
+	pairedOverhead(b, func(enabled bool) {
+		s = plain
+		if enabled {
+			s = counting
+		}
+	}, func() {
+		s.StepHiddenN(3)
+		s.StepSampled(tb.Weights(), powers)
+	})
+}
+
+// overheadBlock is how many duty cycles one timed block of
+// pairedOverhead runs: a few milliseconds on s1494, short against the
+// host's speed drift.
+const overheadBlock = 50
+
+// pairedOverhead times cycle in pairs of blocks, one block of
+// overheadBlock cycles with the measured feature disabled and one with
+// it enabled (set switches it between blocks, untimed), alternating
+// which runs first. It runs b.N cycles in max(1, b.N/(2·overheadBlock))
+// pairs and reports the median of the per-pair enabled/disabled time
+// ratios as the "enabled/disabled" metric. Drift in the host's speed
+// reaches both blocks of a pair alike, so it cancels in each ratio
+// instead of landing in the gate.
+func pairedOverhead(b *testing.B, set func(enabled bool), cycle func()) {
+	block := func(enabled bool) time.Duration {
+		set(enabled)
+		start := time.Now()
+		for i := 0; i < overheadBlock; i++ {
+			cycle()
+		}
+		return time.Since(start)
 	}
+	ratios := make([]float64, max(1, b.N/(2*overheadBlock)))
+	b.ResetTimer()
+	for p := range ratios {
+		var off, on time.Duration
+		if p%2 == 0 {
+			off = block(false)
+			on = block(true)
+		} else {
+			on = block(true)
+			off = block(false)
+		}
+		ratios[p] = on.Seconds() / off.Seconds()
+	}
+	b.StopTimer()
+	slices.Sort(ratios)
+	mid := len(ratios) / 2
+	median := ratios[mid]
+	if len(ratios)%2 == 0 {
+		median = (ratios[mid-1] + ratios[mid]) / 2
+	}
+	b.ReportMetric(median, "enabled/disabled")
 }
 
 func benchName(prefix string, n int) string {

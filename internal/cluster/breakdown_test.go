@@ -35,12 +35,13 @@ func sameBreakdown(t *testing.T, got, want *power.BreakdownReport, label string)
 // TestClusterBreakdownBitIdentical is the distributed-attribution
 // golden: per-node toggle counts folded from worker stream deltas must
 // reproduce the local accumulator bit for bit — same rows, same watts —
-// with one worker and with the replication space split across two. The
-// zero-delay job spans three word rows, the last one partial, so it
-// runs as several word-row ranges. The clipped-budget case ends
-// mid-block at the sample cap, exercising the
-// BudgetRounds snapshot that keeps the final block's count delta
-// aligned with the rounds the merger actually consumes.
+// with one worker and with the replication space split across two.
+// Each job spans five word rows, the last one partial, so one worker
+// runs it as 4 ranges and two workers as 5. The clipped-budget case
+// stops at the sample cap, not at convergence, so the budget, not the
+// criterion, ends every range's stream; core's
+// TestMergerStreamedRangesMatchParallel covers a budget that ends
+// mid-block.
 func TestClusterBreakdownBitIdentical(t *testing.T) {
 	w1, w2 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
 	s1 := httptest.NewServer(w1.Handler())
@@ -58,15 +59,15 @@ func TestClusterBreakdownBitIdentical(t *testing.T) {
 	}{
 		{"converged", service.JobRequest{
 			Circuit: "s298", Seed: 42,
-			Options: service.OptionsSpec{Replications: 16, Breakdown: true},
+			Options: service.OptionsSpec{Replications: 300, Breakdown: true},
 		}},
 		{"zero-delay", service.JobRequest{
 			Circuit: "s298", Seed: 1997,
-			Options: service.OptionsSpec{Replications: 130, PowerMode: "zero-delay", Breakdown: true},
+			Options: service.OptionsSpec{Replications: 300, PowerMode: "zero-delay", Breakdown: true},
 		}},
 		{"clipped-budget", service.JobRequest{
 			Circuit: "s298", Seed: 7,
-			Options: service.OptionsSpec{Replications: 16, Breakdown: true,
+			Options: service.OptionsSpec{Replications: 300, Breakdown: true,
 				RelErr: 0.005, MaxSamples: 1000},
 		}},
 	}
@@ -79,6 +80,7 @@ func TestClusterBreakdownBitIdentical(t *testing.T) {
 			if tc.name == "clipped-budget" && want.Converged {
 				t.Fatal("clipped-budget case converged; raise RelErr pressure so the cap bites")
 			}
+			var splits []int
 			for _, cl := range []struct {
 				label string
 				coord *Coordinator
@@ -89,6 +91,10 @@ func TestClusterBreakdownBitIdentical(t *testing.T) {
 				if ranges < 2 {
 					t.Errorf("%s/%s: %d replication range ran, want the job split", tc.name, cl.label, ranges)
 				}
+				splits = append(splits, ranges)
+			}
+			if splits[0] == splits[1] {
+				t.Errorf("%s: one and two workers both ran %d ranges, want two different splits", tc.name, splits[0])
 			}
 		})
 	}

@@ -24,8 +24,8 @@ import (
 // prefix via SkipBlocks, so the only acceptable outcome is bit
 // identity.
 func TestLeaseReassignmentBitIdentityMatrix(t *testing.T) {
-	// The zero-delay jobs span three word rows, so they too run as
-	// several ranges.
+	// Every job is cut at word rows: the general-delay jobs span two
+	// and the zero-delay jobs three, so each runs as several ranges.
 	cases := []struct {
 		name     string
 		mode     string
@@ -33,13 +33,13 @@ func TestLeaseReassignmentBitIdentityMatrix(t *testing.T) {
 		relErr   float64
 		reps     int
 	}{
-		{"general-delay/plain", "", "", 0.02, 16},
-		{"general-delay/antithetic", "", "antithetic", 0.02, 16},
+		{"general-delay/plain", "", "", 0.02, 128},
+		{"general-delay/antithetic", "", "antithetic", 0.02, 128},
 		// The control variate cuts variance so hard that a 2% spec
 		// converges on each range's very first block — the kill would land
 		// after the coordinator already hung up. A tighter spec keeps
 		// blocks flowing long enough for the crash to be observed.
-		{"general-delay/control-variate", "", "control-variate", 0.004, 16},
+		{"general-delay/control-variate", "", "control-variate", 0.004, 128},
 		{"zero-delay/plain", "zero-delay", "", 0.02, 130},
 		{"zero-delay/antithetic", "zero-delay", "antithetic", 0.02, 130},
 	}

@@ -52,11 +52,19 @@ func prepare(t *testing.T, reg *service.Registry, req service.JobRequest) (*core
 	}
 }
 
+// jobTimeout bounds a test job's Sample call. The package's tests run
+// in seconds, so a job whose premise broke (a hold that waits for
+// ranges that never come, a worker marked dead for good) fails at this
+// deadline instead of running until go test's own timeout.
+const jobTimeout = time.Minute
+
 // estimate prepares req from reg and samples it on coord.
 func estimate(t *testing.T, coord *Coordinator, reg *service.Registry, req service.JobRequest) (core.Result, error) {
 	t.Helper()
 	tb, src, hook := prepare(t, reg, req)
-	return coord.Sample(context.Background(), tb, src, req, hook, nil)
+	ctx, cancel := context.WithTimeout(t.Context(), jobTimeout) // a hang guard
+	defer cancel()
+	return coord.Sample(ctx, tb, src, req, hook, nil)
 }
 
 func sameResult(t *testing.T, got, want core.Result, label string) {
@@ -100,7 +108,9 @@ func estimateRanges(t *testing.T, coord *Coordinator, reg *service.Registry, req
 	t.Helper()
 	tb, src, hook := prepare(t, reg, req)
 	tr := obs.NewTrace()
-	res, err := coord.Sample(obs.ContextWithTrace(context.Background(), tr), tb, src, req, hook, progress)
+	ctx, cancel := context.WithTimeout(t.Context(), jobTimeout) // a hang guard
+	defer cancel()
+	res, err := coord.Sample(obs.ContextWithTrace(ctx, tr), tb, src, req, hook, progress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +191,9 @@ func TestClusterBitIdenticalOneWorker(t *testing.T) {
 // TestClusterBitIdenticalTwoWorkersAndModes: two workers (so the
 // replication space really is split across processes) under both power
 // modes and the fixed-interval path, with progress delivery checked.
-// The zero-delay job spans three word rows, the last one partial, so
-// its word-row ranges merge across workers too.
+// Every job is cut at word rows, so the general-delay jobs span two
+// rows, and the zero-delay job three, the last one partial, so their
+// word-row ranges merge across workers.
 func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 	w1, w2 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
 	s1 := httptest.NewServer(w1.Handler())
@@ -200,7 +211,7 @@ func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 	}{
 		{"general-delay", service.JobRequest{
 			Circuit: "s298", Seed: 42,
-			Options: service.OptionsSpec{Replications: 16},
+			Options: service.OptionsSpec{Replications: 128},
 		}},
 		{"zero-delay", service.JobRequest{
 			Circuit: "s298", Seed: 1997,
@@ -208,7 +219,7 @@ func TestClusterBitIdenticalTwoWorkersAndModes(t *testing.T) {
 		}},
 		{"fixed-interval", service.JobRequest{
 			Circuit: "s298", Seed: 7,
-			Options:  service.OptionsSpec{Replications: 16},
+			Options:  service.OptionsSpec{Replications: 128},
 			Interval: &fixed,
 		}},
 	}

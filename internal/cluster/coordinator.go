@@ -379,7 +379,7 @@ func (c *Coordinator) aliveWorkers() []string {
 
 // rangesPerWorker is how many replication ranges a job asks core.Ranges
 // for per live worker. More ranges than workers give fast workers a
-// tail to steal; a word-parallel job with fewer word rows gets fewer.
+// tail to steal; a job with fewer word rows gets fewer.
 const rangesPerWorker = 4
 
 // rangeMsg is one delivery from a range stream to the merge loop.
@@ -437,9 +437,9 @@ func (c *Coordinator) Sample(ctx context.Context, tb *core.Testbench, src servic
 	}
 	// core.Ranges, the layout rule of the in-process shards, cuts the
 	// ranges: at most rangesPerWorker per live worker, so a fast worker
-	// has a tail of leases to steal, and never below a word row of a
-	// word-parallel job. No layout shows in the merged result.
-	bounds := core.Ranges(tb, opts, 0, reps, len(alive)*rangesPerWorker)
+	// has a tail of leases to steal, and never below a word row. No
+	// layout shows in the merged result.
+	bounds := core.Ranges(0, reps, len(alive)*rangesPerWorker)
 	k := len(bounds)
 	ranges := make([]*repRange, k)
 	lanes := make([]int, k)

@@ -5,8 +5,8 @@
 // resolution) in process and journals its checkpoint. The Coordinator
 // calls the hook first, then partitions the job's independent
 // replications into contiguous seed ranges by core.Ranges, the
-// in-process shard layout rule (never below a word row of a
-// word-parallel job, at most four ranges per live worker), streams
+// in-process shard layout rule (never below a word row of a job, at
+// most four ranges per live worker), streams
 // their power samples back from stateless dipe-worker processes over
 // HTTP, and feeds them to the same merge loop the single-process
 // estimator runs (core.Tail) — so the two-phase

@@ -259,9 +259,10 @@ func newFastCoordinator(t *testing.T, urls ...string) *Coordinator {
 // installs on its workers. This one carries a 2 MiB comment of '<',
 // which fits the service's body bound as the client sends it, but
 // which the coordinator's encoding/json writes as six bytes a
-// character, so the install body is about six times the upload. The job
-// still runs to done on two workers, bit-identical to
-// core.EstimateParallel, and both workers hold the circuit.
+// character, so the install body is about six times the upload. The
+// job, two word rows and so two ranges, still runs to done on two
+// workers, bit-identical to core.EstimateParallel, and both workers
+// hold the circuit.
 func TestEscapedUploadInstallsOnWorkers(t *testing.T) {
 	w1, w2 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
 	s1 := httptest.NewServer(w1.Handler())
@@ -281,7 +282,7 @@ func TestEscapedUploadInstallsOnWorkers(t *testing.T) {
 	if _, err := reg.Upload("toy", "bench", text); err != nil {
 		t.Fatal(err)
 	}
-	req := service.JobRequest{Circuit: "toy", Seed: 5, Options: service.OptionsSpec{Replications: 16}}
+	req := service.JobRequest{Circuit: "toy", Seed: 5, Options: service.OptionsSpec{Replications: 128}}
 	want := reference(t, reg, req)
 
 	m := service.NewManager(reg, newFastCoordinator(t, s1.URL, s2.URL), 1, 0, nil)
@@ -352,7 +353,12 @@ func TestRefusedInstallFailsJob(t *testing.T) {
 
 // heldInstall is a worker that counts the circuit installs it receives
 // and holds each until the job's ranges have all sent their first
-// /v1/run, so every range misses the circuit before it lands.
+// /v1/run, so every range misses the circuit before it lands. Its
+// guard releases a hold after heldInstallGuard, inside the
+// coordinator's 15 s install timeout, so a job that runs as fewer
+// ranges than the hold waits for still installs, and its test fails on
+// the range count instead of hanging on a worker the failed install
+// marked dead.
 type heldInstall struct {
 	http.Handler
 	ranges   int64
@@ -371,23 +377,26 @@ func (h *heldInstall) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.installs.Add(1)
 		select {
 		case <-h.allRan:
-		case <-time.After(30 * time.Second): // a hang guard
+		case <-time.After(heldInstallGuard): // a hang guard
 		}
 	}
 	h.Handler.ServeHTTP(w, r)
 }
 
+const heldInstallGuard = 5 * time.Second
+
 // TestOneInstallPerJobAndWorker: a job's ranges share one circuit
-// install per worker. One worker runs a 16-replication s298 job as 4
-// ranges and holds its install until each range has sent its first
-// /v1/run, so all 4 miss the circuit; the worker still receives exactly
-// one install, and the result is bit-identical to core.EstimateParallel.
+// install per worker. One worker runs a 256-replication s298 job, four
+// word rows, as 4 ranges and holds its install until each range has
+// sent its first /v1/run, so all 4 miss the circuit; the worker still
+// receives exactly one install, and the result is bit-identical to
+// core.EstimateParallel.
 func TestOneInstallPerJobAndWorker(t *testing.T) {
 	h := &heldInstall{Handler: NewWorker(WorkerConfig{}).Handler(), ranges: 4, allRan: make(chan struct{})}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	reg := service.NewRegistry(0)
-	req := service.JobRequest{Circuit: "s298", Seed: 3, Options: service.OptionsSpec{Replications: 16}}
+	req := service.JobRequest{Circuit: "s298", Seed: 3, Options: service.OptionsSpec{Replications: 256}}
 	got, ranges := estimateRanges(t, newTestCoordinator(t, srv.URL), reg, req, nil)
 	if ranges != 4 {
 		t.Fatalf("the job ran as %d ranges, want 4", ranges)

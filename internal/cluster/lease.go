@@ -25,7 +25,7 @@ import (
 // exactly, so stealing is invisible in the merged result. A job asks
 // for more ranges than workers (rangesPerWorker per live worker)
 // precisely so there is a tail of ranges for fast workers to steal;
-// a word-parallel job gets no more ranges than it has word rows.
+// a job gets no more ranges than it has word rows.
 //
 // Scheduling is least-loaded with memory: each (worker, range) pair
 // that burns a lease to expiry is penalized for that range, so a

@@ -15,8 +15,9 @@ import (
 // run with 1 worker and with 2 workers must reproduce
 // core.EstimateParallel bit for bit — mean, half-width, sample size and
 // cycle counts — under both the dynamic-selection and fixed-interval
-// paths. The antithetic zero-delay job spans three word rows, so its
-// pairs merge from several word-row ranges. The plan (including the
+// paths. Each job spans five word rows, the last one partial, so one
+// worker runs it as 4 ranges and two workers as 5, and antithetic pairs
+// merge from several word-row ranges. The plan (including the
 // regression-estimated coefficient and
 // covariate mean) is resolved at the coordinator and shipped on the
 // wire, so any divergence would surface here.
@@ -38,19 +39,19 @@ func TestClusterVRModesBitIdentical(t *testing.T) {
 	}{
 		{"antithetic", service.JobRequest{
 			Circuit: "s298", Seed: 42,
-			Options: service.OptionsSpec{Replications: 16, Variance: "antithetic"},
+			Options: service.OptionsSpec{Replications: 300, Variance: "antithetic"},
 		}},
 		{"antithetic-zero-delay", service.JobRequest{
 			Circuit: "s298", Seed: 19,
-			Options: service.OptionsSpec{Replications: 130, Variance: "antithetic", PowerMode: "zero-delay"},
+			Options: service.OptionsSpec{Replications: 300, Variance: "antithetic", PowerMode: "zero-delay"},
 		}},
 		{"control-variate", service.JobRequest{
 			Circuit: "s298", Seed: 1997,
-			Options: service.OptionsSpec{Replications: 16, Variance: "control-variate"},
+			Options: service.OptionsSpec{Replications: 300, Variance: "control-variate"},
 		}},
 		{"control-variate-fixed-interval", service.JobRequest{
 			Circuit: "s298", Seed: 7,
-			Options:  service.OptionsSpec{Replications: 16, Variance: "control-variate"},
+			Options:  service.OptionsSpec{Replications: 300, Variance: "control-variate"},
 			Interval: &fixed,
 		}},
 	}
@@ -60,15 +61,15 @@ func TestClusterVRModesBitIdentical(t *testing.T) {
 			if want.Variance == "" {
 				t.Fatalf("reference run carries no variance mode")
 			}
-			one, _ := estimateRanges(t, coordOne, reg, tc.req, nil)
+			one, oneRanges := estimateRanges(t, coordOne, reg, tc.req, nil)
 			sameResult(t, one, want, tc.name+"/1-worker")
-			two, ranges := estimateRanges(t, coordTwo, reg, tc.req, nil)
+			two, twoRanges := estimateRanges(t, coordTwo, reg, tc.req, nil)
 			sameResult(t, two, want, tc.name+"/2-workers")
 			if !two.Converged {
 				t.Error("cluster VR run did not converge")
 			}
-			if ranges < 2 {
-				t.Errorf("%d replication range ran on two workers, want the job split", ranges)
+			if oneRanges < 2 || twoRanges < 2 || oneRanges == twoRanges {
+				t.Errorf("%d and %d replication ranges ran on one and two workers, want two different splits", oneRanges, twoRanges)
 			}
 		})
 	}

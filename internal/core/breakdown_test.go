@@ -59,22 +59,27 @@ func TestBreakdownSumsToEstimate(t *testing.T) {
 
 // TestBreakdownDeterministic: toggle counts are integer sums, so the
 // report must be identical — toggles exactly, watts bit-for-bit —
-// across shard layouts. That the packed oracle counts the same per lane
-// is internal/sim's three-way differential.
+// across shard layouts: 200 replications run as 1, 2 and 4 shards at
+// the three pool widths. That the packed oracle counts the same per
+// lane is internal/sim's three-way differential.
 func TestBreakdownDeterministic(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
 	opts := DefaultOptions()
-	opts.Replications = 24
+	opts.Replications = 200
 	opts.Breakdown = true
-	var ref *power.BreakdownReport
+	var (
+		ref    *power.BreakdownReport
+		shards []int
+	)
 	for _, pool := range []int{1, 2, 7} {
 		opts.pool = pool
-		res, err := EstimateParallel(tb, factory, 11, opts)
+		res, n, err := estimateShards(t, tb, factory, 11, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		shards = append(shards, n)
 		if ref == nil {
 			ref = res.Breakdown
 			continue
@@ -90,6 +95,7 @@ func TestBreakdownDeterministic(t *testing.T) {
 			}
 		}
 	}
+	requireLayouts(t, "pools 1, 2, 7", shards)
 }
 
 // TestBreakdownResumeSplice: EstimateParallelCtx, which warms the tail
@@ -97,9 +103,9 @@ func TestBreakdownDeterministic(t *testing.T) {
 // EstimateParallelResumeCtx in every Result field — power, half-width,
 // sample size, interval, cycle counters, coefficient and breakdown
 // rows — in each power mode, variance mode, breakdown setting and
-// interval source, at one and two pool goroutines. The phase-1 seed
-// toggles a breakdown resume point carries are neither lost nor
-// double-counted.
+// interval source, at one and two pool goroutines, which run 200
+// replications as one shard and as two. The phase-1 seed toggles a
+// breakdown resume point carries are neither lost nor double-counted.
 func TestBreakdownResumeSplice(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
@@ -112,27 +118,21 @@ func TestBreakdownResumeSplice(t *testing.T) {
 			}
 			for _, breakdown := range []bool{false, true} {
 				for _, interval := range []*int{nil, &fixed} {
+					var shards []int
 					for _, pool := range []int{1, 2} {
 						opts := DefaultOptions()
-						opts.Replications = 16
+						opts.Replications = 200
 						opts.Mode = mode
 						opts.Variance.Mode = variance
 						opts.Breakdown = breakdown
 						opts.pool = pool
 						label := fmt.Sprintf("%s/%s/breakdown=%v/fixed=%v/pool=%d", mode, variance, breakdown, interval != nil, pool)
 						ctx := context.Background()
-						var (
-							direct Result
-							err    error
-						)
-						if interval == nil {
-							direct, err = EstimateParallelCtx(ctx, tb, factory, 42, opts)
-						} else {
-							direct, err = EstimateParallelWithIntervalCtx(ctx, tb, factory, 42, opts, *interval)
-						}
+						direct, n, err := estimateShards(t, tb, factory, 42, opts, interval)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
+						shards = append(shards, n)
 						rp, err := PreparePlanCtx(ctx, tb, factory, 42, opts, interval)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
@@ -155,6 +155,7 @@ func TestBreakdownResumeSplice(t *testing.T) {
 							t.Errorf("%s: direct and prepare+resume differ\n direct %+v\nresumed %+v", label, direct, resumed)
 						}
 					}
+					requireLayouts(t, fmt.Sprintf("%s/%s/breakdown=%v/fixed=%v", mode, variance, breakdown, interval != nil), shards)
 				}
 			}
 		}

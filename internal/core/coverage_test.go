@@ -7,6 +7,8 @@ import (
 	"repro/internal/bench89"
 	"repro/internal/power"
 	"repro/internal/refsim"
+	"repro/internal/sim"
+	"repro/internal/stopping"
 	"repro/internal/vectors"
 	"repro/internal/vr"
 )
@@ -25,19 +27,22 @@ import (
 //
 // for the plain parallel estimator and every variance-reduction mode,
 // for the serial estimator, and for both in zero-delay mode, whose truth
-// is a zero-delay reference. The short variant (coverageRuns = 60) runs
-// in the default `go test`; the nightly job builds with -tags slow for
-// the full-size run.
+// is a zero-delay reference; for the serial estimator at a fixed
+// interval (dipe -interval), the parallel estimator under the normal and
+// KS criteria (dipe -criterion), and the batch-means baseline. The
+// short variant (coverageRuns = 60) runs in the default `go test`; the
+// nightly job builds with -tags slow for the full-size run.
 
 // coverageCase is one estimator configuration under conformance test:
-// its variance-reduction mode, its power mode, and whether it is the
-// serial estimator (Estimate on one session) instead of
-// EstimateParallel.
+// its variance-reduction mode, its power mode, its stopping criterion
+// (nil keeps the default order statistics), and the serial estimator it
+// runs on one session of its power mode (nil runs EstimateParallel).
 type coverageCase struct {
-	name   string
-	mode   vr.Mode
-	power  power.PowerMode
-	serial bool
+	name      string
+	mode      vr.Mode
+	power     power.PowerMode
+	criterion stopping.Factory
+	serial    func(*sim.Session, Options) (Result, error)
 }
 
 func TestCICoverageConformance(t *testing.T) {
@@ -67,9 +72,19 @@ func TestCICoverageConformance(t *testing.T) {
 		{name: "plain", mode: vr.ModeNone, power: power.ModeGeneralDelay},
 		{name: "antithetic", mode: vr.ModeAntithetic, power: power.ModeGeneralDelay},
 		{name: "control-variate", mode: vr.ModeControlVariate, power: power.ModeGeneralDelay},
-		{name: "serial", mode: vr.ModeNone, power: power.ModeGeneralDelay, serial: true},
-		{name: "serial-zero-delay", mode: vr.ModeNone, power: power.ModeZeroDelay, serial: true},
+		{name: "serial", mode: vr.ModeNone, power: power.ModeGeneralDelay, serial: Estimate},
+		{name: "serial-zero-delay", mode: vr.ModeNone, power: power.ModeZeroDelay, serial: Estimate},
 		{name: "zero-delay", mode: vr.ModeNone, power: power.ModeZeroDelay},
+		// Selection picks interval 1 on s27, so a fixed 2 is a path of
+		// its own.
+		{name: "serial-fixed-interval", mode: vr.ModeNone, power: power.ModeGeneralDelay,
+			serial: func(s *sim.Session, opts Options) (Result, error) { return EstimateWithInterval(s, opts, 2) }},
+		{name: "normal", mode: vr.ModeNone, power: power.ModeGeneralDelay, criterion: stopping.NormalFactory},
+		{name: "ks", mode: vr.ModeNone, power: power.ModeGeneralDelay, criterion: stopping.KSFactory},
+		{name: "batch-means", mode: vr.ModeNone, power: power.ModeGeneralDelay,
+			serial: func(s *sim.Session, opts Options) (Result, error) {
+				return EstimateBatchMeans(s, opts, DefaultBatchCycles)
+			}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -88,11 +103,14 @@ func TestCICoverageConformance(t *testing.T) {
 				opts.Mode = tc.power
 				opts.Variance.Mode = tc.mode
 				opts.Variance.ControlCycles = 1024 // cheap covariate mean; error still negligible
-				seed := int64(1_000_000 + r*7919)  // disjoint from the reference seed
+				if tc.criterion != nil {
+					opts.NewCriterion = tc.criterion
+				}
+				seed := int64(1_000_000 + r*7919) // disjoint from the reference seed
 				var res Result
 				var err error
-				if tc.serial {
-					res, err = Estimate(tb.NewSessionMode(vectors.NewIID(width, 0.5, seed), tc.power), opts)
+				if tc.serial != nil {
+					res, err = tc.serial(tb.NewSessionMode(vectors.NewIID(width, 0.5, seed), tc.power), opts)
 				} else {
 					res, err = EstimateParallel(tb, vectors.IIDFactory(width, 0.5), seed, opts)
 				}

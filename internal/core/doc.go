@@ -29,10 +29,11 @@
 // in-process run alike, while the block cadence (BlockRounds) and
 // budget (MaxBlocks) derive from the options wherever they are needed.
 // One rule, Ranges, lays the replications out in
-// shards and cluster ranges from the options alone: the unit of work is
-// a word row of 64 lanes when sampled cycles are observed word-parallel,
-// since a compiled pass costs per row, and one lane otherwise.
-// GOMAXPROCS goroutines step the shards; no layout changes a result.
+// shards and cluster ranges from the replication span alone: the unit
+// of work is a word row of 64 lanes, whatever the delay model or
+// variance mode, since a compiled pass and a pass of the event-driven
+// lane engine both cost per row. GOMAXPROCS goroutines step the
+// shards; no layout changes a result.
 // Because neither the layout nor the replications' warm-up from reset
 // depends on the interval phase 1 selects, every in-process parallel
 // estimate runs one lifecycle, EstimateParallelFrom: build the shards,

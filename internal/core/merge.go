@@ -289,30 +289,23 @@ func SplitRange(lo, hi, k int) [][2]int {
 
 // Ranges is the one layout rule of the replication space. It cuts
 // replications [lo, hi) into the shards of an in-process run or of a
-// cluster worker's range, and into the coordinator's cluster ranges.
-// Its unit of work is a word row of sim.MaxLanes replications when the
-// job observes its sampled cycles by the toggle diff (wordSampled),
-// because a compiled pass costs the same for one lane of a row as for
-// all of them; otherwise it is one replication: a general-delay job's
-// sampled cycles run on each session's event-driven lane engine, whose
-// cost follows the events its lanes commit, not the word, and a
-// word-row layout for those jobs has not been measured. It returns
-// min(want, ceil((hi-lo)/unit)) ascending ranges balanced in whole
-// units, the partial unit last, so no range is empty and none splits a
-// word row of a word-parallel job. want must be at least 1. The layout
-// depends on the options alone, not on the resolved plan, so it is
-// known before the pre-sampling phases end.
-func Ranges(tb *Testbench, opts Options, lo, hi, want int) [][2]int {
-	unit := 1
-	if wordSampled(tb, opts) {
-		unit = sim.MaxLanes
-	}
-	// SplitRange over the whole and partial units of [lo, hi), so the
-	// interior cuts fall on multiples of unit counted from lo.
-	units := (hi - lo + unit - 1) / unit
-	out := SplitRange(0, units, min(want, units))
+// cluster worker's range, and into the coordinator's cluster ranges,
+// whatever the job's delay model or variance mode. Its unit of work is
+// a word row of sim.MaxLanes replications: a compiled pass costs the
+// same for one lane of a row as for all of them, and so does a pass of
+// the event-driven lane engine that observes a general-delay job's
+// sampled cycles. It returns min(want, ceil((hi-lo)/sim.MaxLanes))
+// ascending ranges balanced in whole rows, the partial row last, so no
+// range is empty and none splits a word row. want must be at least 1.
+// The layout depends on the span and want alone, not on the resolved
+// plan, so it is known before the pre-sampling phases end.
+func Ranges(lo, hi, want int) [][2]int {
+	// SplitRange over the whole and partial rows of [lo, hi), so the
+	// interior cuts fall on multiples of sim.MaxLanes counted from lo.
+	rows := (hi - lo + sim.MaxLanes - 1) / sim.MaxLanes
+	out := SplitRange(0, rows, min(want, rows))
 	for i, b := range out {
-		out[i] = [2]int{lo + b[0]*unit, min(lo+b[1]*unit, hi)}
+		out[i] = [2]int{lo + b[0]*sim.MaxLanes, min(lo+b[1]*sim.MaxLanes, hi)}
 	}
 	return out
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/bench89"
-	"repro/internal/delay"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/vectors"
@@ -239,43 +238,29 @@ func TestStreamReplicationsSkipFastForward(t *testing.T) {
 
 // TestRangesLayouts pins the layouts the rule gives the jobs whose
 // layout it changed or kept, and the inputs on which the aligned split
-// it replaced returned empty ranges. The unit follows wordSampled: a
-// word row under zero-delay sampling or an all-zero delay table, one
-// replication under event-driven sampling, which a control variate
-// always has.
+// it replaced returned empty ranges. Every job cuts at word rows,
+// whatever its delay model or variance mode, so 64 replications are
+// one shard in process and one range on a 2-worker cluster, and a
+// 6-replication control variate is one range.
 func TestRangesLayouts(t *testing.T) {
-	c := bench89.S27()
-	gd := DefaultTestbench(c)
-	allZero := NewTestbench(c, delay.Zero{}, power.DefaultCapModel(), power.DefaultSupply())
-	plain := DefaultOptions()
-	zd := DefaultOptions()
-	zd.Mode = power.ModeZeroDelay
-	cv := DefaultOptions()
-	cv.Variance = vr.Spec{Mode: vr.ModeControlVariate}
 	cases := []struct {
 		name   string
-		tb     *Testbench
-		opts   Options
 		lo, hi int
 		want   int
 		bounds [][2]int
 	}{
-		{"64 zero-delay in process, 2 cores", gd, zd, 0, 64, 2, [][2]int{{0, 64}}},
-		{"64 general-delay in process, 2 cores", gd, plain, 0, 64, 2, [][2]int{{0, 32}, {32, 64}}},
-		{"512 zero-delay in process, 2 cores", gd, zd, 0, 512, 2, [][2]int{{0, 256}, {256, 512}}},
-		{"64 zero-delay cluster, 2 workers", gd, zd, 0, 64, 8, [][2]int{{0, 64}}},
-		{"64 general-delay cluster, 2 workers", gd, plain, 0, 64, 8,
-			[][2]int{{0, 8}, {8, 16}, {16, 24}, {24, 32}, {32, 40}, {40, 48}, {48, 56}, {56, 64}}},
-		{"130 zero-delay cluster, 2 workers", gd, zd, 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
-		{"all-zero delays sample word-parallel", allZero, plain, 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
-		{"a control variate samples per lane", gd, cv, 0, 6, 8, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}},
-		{"one row asked for 3 ranges", gd, zd, 0, 64, 3, [][2]int{{0, 64}}},
-		{"16 lanes asked for 8 ranges", gd, zd, 0, 16, 8, [][2]int{{0, 16}}},
-		{"a worker's range off lo", gd, zd, 7, 4103, 4, [][2]int{{7, 1031}, {1031, 2055}, {2055, 3079}, {3079, 4103}}},
-		{"partial row rides last", gd, zd, 0, 4100, 4, [][2]int{{0, 1088}, {1088, 2112}, {2112, 3136}, {3136, 4100}}},
+		{"64 in process, 2 cores", 0, 64, 2, [][2]int{{0, 64}}},
+		{"512 in process, 2 cores", 0, 512, 2, [][2]int{{0, 256}, {256, 512}}},
+		{"64 cluster, 2 workers", 0, 64, 8, [][2]int{{0, 64}}},
+		{"130 cluster, 2 workers", 0, 130, 8, [][2]int{{0, 64}, {64, 128}, {128, 130}}},
+		{"6-replication control variate, 2 workers", 0, 6, 8, [][2]int{{0, 6}}},
+		{"one row asked for 3 ranges", 0, 64, 3, [][2]int{{0, 64}}},
+		{"16 lanes asked for 8 ranges", 0, 16, 8, [][2]int{{0, 16}}},
+		{"a worker's range off lo", 7, 4103, 4, [][2]int{{7, 1031}, {1031, 2055}, {2055, 3079}, {3079, 4103}}},
+		{"partial row rides last", 0, 4100, 4, [][2]int{{0, 1088}, {1088, 2112}, {2112, 3136}, {3136, 4100}}},
 	}
 	for _, tc := range cases {
-		got := Ranges(tc.tb, tc.opts, tc.lo, tc.hi, tc.want)
+		got := Ranges(tc.lo, tc.hi, tc.want)
 		if !reflect.DeepEqual(got, tc.bounds) {
 			t.Errorf("%s: Ranges(%d, %d, want %d) = %v, want %v", tc.name, tc.lo, tc.hi, tc.want, got, tc.bounds)
 		}
@@ -289,59 +274,51 @@ func TestRangesLayouts(t *testing.T) {
 
 // TestRangesSweep checks the rule's contract over every span up to 600
 // replications and a few around the 512-lane session width: exact
-// ascending coverage, no empty range, min(want, ceil(n/unit)) ranges,
-// interior cuts on unit multiples counted from lo, sizes balanced in
-// whole units with the partial unit last, and no range wider than a
+// ascending coverage, no empty range, min(want, ceil(n/64)) ranges,
+// interior cuts on word-row multiples counted from lo, sizes balanced
+// in whole rows with the partial row last, and no range wider than a
 // session once want covers ceil(n/width) as newReplicationRun asks.
 func TestRangesSweep(t *testing.T) {
-	tb := DefaultTestbench(bench89.S27())
-	zd := DefaultOptions()
-	zd.Mode = power.ModeZeroDelay
-	units := []struct {
-		unit int
-		opts Options
-	}{{1, DefaultOptions()}, {64, zd}}
+	const row = sim.MaxLanes
 	spans := []int{1023, 1025, 4095, 4096, 4160}
 	for n := 1; n <= 600; n++ {
 		spans = append(spans, n)
 	}
-	check := func(u, lo, n, want int, got [][2]int) {
+	check := func(lo, n, want int, got [][2]int) {
 		t.Helper()
-		k := min(want, (n+u-1)/u)
+		k := min(want, (n+row-1)/row)
 		if len(got) != k {
-			t.Fatalf("unit %d, [%d, %d), want %d: %d ranges, want %d", u, lo, lo+n, want, len(got), k)
+			t.Fatalf("[%d, %d), want %d: %d ranges, want %d", lo, lo+n, want, len(got), k)
 		}
-		next, minUnits, maxUnits := lo, n, 0
+		next, minRows, maxRows := lo, n, 0
 		for i, b := range got {
 			if b[0] != next || b[1] <= b[0] {
-				t.Fatalf("unit %d, [%d, %d), want %d: range %d = %v after %d", u, lo, lo+n, want, i, b, next)
+				t.Fatalf("[%d, %d), want %d: range %d = %v after %d", lo, lo+n, want, i, b, next)
 			}
 			size := b[1] - b[0]
-			if i < len(got)-1 && size%u != 0 {
-				t.Fatalf("unit %d, [%d, %d), want %d: interior cut %d splits a unit", u, lo, lo+n, want, b[1])
+			if i < len(got)-1 && size%row != 0 {
+				t.Fatalf("[%d, %d), want %d: interior cut %d splits a word row", lo, lo+n, want, b[1])
 			}
-			c := (size + u - 1) / u
-			minUnits, maxUnits = min(minUnits, c), max(maxUnits, c)
+			c := (size + row - 1) / row
+			minRows, maxRows = min(minRows, c), max(maxRows, c)
 			next = b[1]
 		}
 		if next != lo+n {
-			t.Fatalf("unit %d, [%d, %d), want %d: covers up to %d", u, lo, lo+n, want, next)
+			t.Fatalf("[%d, %d), want %d: covers up to %d", lo, lo+n, want, next)
 		}
-		if maxUnits-minUnits > 1 {
-			t.Fatalf("unit %d, [%d, %d), want %d: unbalanced %v", u, lo, lo+n, want, got)
+		if maxRows-minRows > 1 {
+			t.Fatalf("[%d, %d), want %d: unbalanced %v", lo, lo+n, want, got)
 		}
 	}
-	for _, un := range units {
-		for _, lo := range []int{0, 7} {
-			for _, n := range spans {
-				for _, want := range []int{1, 2, 3, 8, 16} {
-					check(un.unit, lo, n, want, Ranges(tb, un.opts, lo, lo+n, want))
-					for _, width := range []int{sim.MaxLanes, sim.CompiledMaxLanes} {
-						got := Ranges(tb, un.opts, lo, lo+n, max(want, (n+width-1)/width))
-						for _, b := range got {
-							if b[1]-b[0] > width {
-								t.Fatalf("unit %d, [%d, %d), want %d: range %v wider than a %d-lane session", un.unit, lo, lo+n, want, b, width)
-							}
+	for _, lo := range []int{0, 7} {
+		for _, n := range spans {
+			for _, want := range []int{1, 2, 3, 8, 16} {
+				check(lo, n, want, Ranges(lo, lo+n, want))
+				for _, width := range []int{sim.MaxLanes, sim.CompiledMaxLanes} {
+					got := Ranges(lo, lo+n, max(want, (n+width-1)/width))
+					for _, b := range got {
+						if b[1]-b[0] > width {
+							t.Fatalf("[%d, %d), want %d: range %v wider than a %d-lane session", lo, lo+n, want, b, width)
 						}
 					}
 				}

@@ -55,11 +55,11 @@ type replicationRun struct {
 // newReplicationRun lays replications [lo, hi) out in shards by
 // Ranges, asking for as many shards as the goroutine pool is wide
 // (GOMAXPROCS) and for enough that none exceeds the compiled session
-// width. A word-parallel job therefore cuts only at word rows, and a
-// 64-replication one is a single shard; a general-delay job cuts at
-// lanes, and each shard's session is built with the testbench's delay
-// table, so it observes its sampled cycles with a lane engine of its
-// own, one Cycle per 64-lane word. Replication r keeps its
+// width. Every job therefore cuts only at word rows, and a
+// 64-replication one is a single shard. A general-delay job's shard
+// sessions are built with the testbench's delay table, so each
+// observes its sampled cycles with a lane engine of its own, one Cycle
+// per 64-lane word. Replication r keeps its
 // globally fixed seed baseSeed+1+r regardless of the layout. Each
 // shard's sample buffer holds BlockRounds(opts) rounds, the longest
 // block the run will be asked for.
@@ -90,7 +90,7 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 	if opts.Breakdown {
 		r.prev = make([]uint64, tb.Circuit.NumNodes())
 	}
-	for _, b := range Ranges(tb, opts, lo, hi, max(pool, (hi-lo+width-1)/width)) {
+	for _, b := range Ranges(lo, hi, max(pool, (hi-lo+width-1)/width)) {
 		lanes := b[1] - b[0]
 		srcs := make([]vectors.Source, lanes)
 		for k := range srcs {

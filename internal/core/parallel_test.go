@@ -20,22 +20,69 @@ import (
 	"repro/internal/vr"
 )
 
+// estimateShards runs EstimateParallelCtx, or
+// EstimateParallelWithIntervalCtx at a non-nil interval, under a job
+// trace, and returns the result with the shard count the trace's shard
+// event reports.
+func estimateShards(t *testing.T, tb *Testbench, factory vectors.Factory, seed int64, opts Options, interval *int) (Result, int, error) {
+	t.Helper()
+	tr := obs.NewTrace()
+	ctx := obs.ContextWithTrace(context.Background(), tr)
+	var (
+		res Result
+		err error
+	)
+	if interval == nil {
+		res, err = EstimateParallelCtx(ctx, tb, factory, seed, opts)
+	} else {
+		res, err = EstimateParallelWithIntervalCtx(ctx, tb, factory, seed, opts, *interval)
+	}
+	if err != nil {
+		return res, 0, err
+	}
+	for _, s := range tr.Spans() {
+		for i := 0; s.Name == "shard" && i+1 < len(s.Attrs); i += 2 {
+			if s.Attrs[i] == "shards" {
+				n, err := strconv.Atoi(s.Attrs[i+1])
+				return res, n, err
+			}
+		}
+	}
+	t.Fatal("the job's trace has no shard event with a shard count")
+	return res, 0, nil
+}
+
+// requireLayouts fails unless the shard counts a layout test saw hold
+// at least two different values, so the test compared layouts at all.
+func requireLayouts(t *testing.T, label string, shards []int) {
+	t.Helper()
+	if len(slices.Compact(slices.Sorted(slices.Values(shards)))) < 2 {
+		t.Errorf("%s: shard counts %v, want at least two layouts", label, shards)
+	}
+}
+
 // TestEstimateParallelDeterministic: the same seeds give the same result,
 // bit for bit, regardless of the shard layout — the fixed lane→seed
-// mapping plus ordered merge make scheduling invisible.
+// mapping plus ordered merge make scheduling invisible. 200
+// replications are four word rows, so the pool widths run them as 1, 2
+// and 4 shards.
 func TestEstimateParallelDeterministic(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
 	factory := vectors.IIDFactory(len(c.Inputs), 0.5)
 	opts := DefaultOptions()
-	opts.Replications = 16
-	var ref Result
+	opts.Replications = 200
+	var (
+		ref    Result
+		shards []int
+	)
 	for i, pool := range []int{1, 2, 7} {
 		opts.pool = pool
-		res, err := EstimateParallel(tb, factory, 42, opts)
+		res, n, err := estimateShards(t, tb, factory, 42, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		shards = append(shards, n)
 		if i == 0 {
 			ref = res
 			continue
@@ -45,6 +92,7 @@ func TestEstimateParallelDeterministic(t *testing.T) {
 			t.Fatalf("pool=%d: result %v differs from pool=1 result %v", pool, res, ref)
 		}
 	}
+	requireLayouts(t, "pools 1, 2, 7", shards)
 	if ref.Power <= 0 {
 		t.Fatalf("power = %g, want > 0", ref.Power)
 	}
@@ -87,7 +135,9 @@ func TestEstimateParallelMatchesSerial(t *testing.T) {
 
 // TestEstimateParallelReplicationSharding: replication counts that do
 // not divide evenly across shards or exceed one word still work and
-// stay deterministic.
+// stay deterministic. A count of one word row or less runs as one
+// shard at either pool width, general-delay as it is, and each count of
+// several word rows as a different number of shards at the two widths.
 func TestEstimateParallelReplicationSharding(t *testing.T) {
 	c := bench89.MustGet("s27")
 	tb := DefaultTestbench(c)
@@ -95,18 +145,23 @@ func TestEstimateParallelReplicationSharding(t *testing.T) {
 	for _, reps := range []int{1, 3, 64, 130} {
 		opts := DefaultOptions()
 		opts.Replications = reps
-		opts.pool = 3
-		a, err := EstimateParallel(tb, factory, 11, opts)
+		opts.pool = 2
+		a, two, err := estimateShards(t, tb, factory, 11, opts, nil)
 		if err != nil {
 			t.Fatalf("reps=%d: %v", reps, err)
 		}
 		opts.pool = 5
-		b, err := EstimateParallel(tb, factory, 11, opts)
+		b, five, err := estimateShards(t, tb, factory, 11, opts, nil)
 		if err != nil {
 			t.Fatalf("reps=%d: %v", reps, err)
 		}
 		if a.Power != b.Power || a.SampleSize != b.SampleSize {
 			t.Fatalf("reps=%d: results differ across worker counts: %v vs %v", reps, a, b)
+		}
+		if reps > sim.MaxLanes {
+			requireLayouts(t, "reps="+strconv.Itoa(reps), []int{two, five})
+		} else if two != 1 || five != 1 {
+			t.Errorf("reps=%d: %d and %d shards, want one word row as one shard", reps, two, five)
 		}
 	}
 }
@@ -347,7 +402,7 @@ func drawnAtBuild(c *netlist.Circuit) int {
 // goroutine as a *shardPanic, where the service's recover fails just
 // that job. Replication 0's source panics on its first warm-up draw,
 // under both estimators and a resume, with the warm-up on one goroutine
-// and on two shards.
+// and on two shards of a word row each.
 func TestSidePanicReachesCaller(t *testing.T) {
 	c := bench89.MustGet("s832")
 	tb := DefaultTestbench(c)
@@ -371,7 +426,7 @@ func TestSidePanicReachesCaller(t *testing.T) {
 	}
 	for _, pool := range []int{1, 2} {
 		opts := DefaultOptions()
-		opts.Replications = 16
+		opts.Replications = 2 * sim.MaxLanes
 		opts.pool = pool
 		rp, err := PreparePlanCtx(context.Background(), tb, iid, seed, opts, nil)
 		if err != nil {

@@ -83,7 +83,8 @@ func TestControlVariateZeroBetaDegeneracy(t *testing.T) {
 
 // TestVRDeterminismAndWorkerInvariance: every VR mode is bit-repeatable
 // and independent of the goroutine pool width, like the plain parallel
-// estimator.
+// estimator: 200 replications run as one shard at pool 1 and as four
+// at pool 4.
 func TestVRDeterminismAndWorkerInvariance(t *testing.T) {
 	c := bench89.MustGet("s298")
 	tb := DefaultTestbench(c)
@@ -91,18 +92,23 @@ func TestVRDeterminismAndWorkerInvariance(t *testing.T) {
 
 	for _, mode := range []vr.Mode{vr.ModeAntithetic, vr.ModeControlVariate} {
 		opts := vrTestOptions()
+		opts.Replications = 200
 		opts.Variance.Mode = mode
 		opts.pool = 1
-		a, err := EstimateParallel(tb, factory, 7, opts)
+		a, one, err := estimateShards(t, tb, factory, 7, opts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		opts.pool = 4
-		b, err := EstimateParallel(tb, factory, 7, opts)
+		b, four, err := estimateShards(t, tb, factory, 7, opts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		sameEstimate(t, b, a, string(mode)+" worker invariance")
+		if b.CVBeta != a.CVBeta {
+			t.Errorf("%s: cv beta %v, want %v", mode, b.CVBeta, a.CVBeta)
+		}
+		requireLayouts(t, string(mode), []int{one, four})
 		if a.Variance != string(mode) {
 			t.Errorf("%s: variance record %q", mode, a.Variance)
 		}

@@ -12,7 +12,7 @@ import (
 
 // MaxLanes is the width of one lane word: the 64 replications a uint64
 // holds, one per bit. It is the unit of the lane layout: core.Ranges
-// cuts word-parallel jobs at rows of MaxLanes lanes, and a job's
+// cuts every job at rows of MaxLanes lanes, and a job's
 // default replication count and the control-mean pre-run are one word
 // wide. It is also the widest PackedSession.
 const MaxLanes = 64

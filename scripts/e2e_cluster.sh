@@ -5,8 +5,8 @@
 # submission over the cluster dispatcher, and completion checks: a
 # finished job's trace must run from its closed select-interval and
 # plan-resolve spans through its shard event and merge rounds ending at
-# its result, zero-delay jobs must be cut at word rows
-# (64 replications as one range, 130 as three), a worker must
+# its result, every job must be cut at word rows (64 replications as
+# one range, general-delay or zero-delay, 130 as three), a worker must
 # refuse an oversized /v1/run with 400 and keep serving, and both log
 # encodings must hold their record format: worker 2 logs JSON at debug
 # level, the server logfmt at info.
@@ -199,9 +199,11 @@ for key in ("power", "halfWidth"):
 print("  select-interval + plan-resolve, shard + %d merge rounds; last power=%s halfWidth=%s" % (len(merges), last["power"], last["halfWidth"]))
 ' "$LOGS/job.json"
 
-echo "== zero-delay jobs are cut at word rows: 64 replications run as 1 range, 130 as 3"
-zd_ids=($(echo "$ids" | tail -n2))
-for spec in "${zd_ids[0]}:1" "${zd_ids[1]}:3"; do
+echo "== jobs are cut at word rows: 64 replications run as 1 range, general-delay or zero-delay, 130 as 3"
+job_ids=($ids)
+# The batch's s1494 general-delay job (64), and its two zero-delay jobs
+# (64 and 130).
+for spec in "${job_ids[2]}:1" "${job_ids[5]}:1" "${job_ids[6]}:3"; do
   curl -sf "$BASE/v1/jobs/${spec%%:*}/trace" | python3 -c '
 import json, sys
 jid, want = sys.argv[1], sys.argv[2]
