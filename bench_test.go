@@ -163,8 +163,7 @@ func BenchmarkAblationInputs(b *testing.B) {
 // cycle of the scalar event-driven engine across circuit sizes, through
 // the ScalarSession that drives it cycle by cycle. The scalar engine is
 // the oracle of the lane engine a general-delay session builds from its
-// delay table (timed by BenchmarkCompiledSampled) and the engine of the
-// max-power search.
+// delay table (timed by BenchmarkCompiledSampled).
 func BenchmarkEventDrivenCycle(b *testing.B) {
 	for _, name := range []string{"s298", "s1494", "s5378", "s15850"} {
 		c := bench89.MustGet(name)
@@ -445,17 +444,32 @@ func BenchmarkProbabilisticAnalysis(b *testing.B) {
 	}
 }
 
-// BenchmarkMaxPowerSearch measures the peak-power hill climb per 512
-// simulated cycles.
+// BenchmarkMaxPowerSearch times the two peak-power searches `dipe -max`
+// runs, the hill climb (dipe.MaxPower) and the random search
+// (dipe.MaxPowerRandom), at a budget of 512 simulated cycles per
+// search; cycles/sec counts the candidate cycles they evaluated.
 func BenchmarkMaxPowerSearch(b *testing.B) {
-	c := bench89.MustGet("s1494")
-	tb := dipe.NewTestbench(c)
-	for i := 0; i < b.N; i++ {
-		opts := dipe.DefaultMaxPowerOptions()
-		opts.Budget = 512
-		opts.Seed = int64(i + 1)
-		if _, err := dipe.MaxPower(tb, opts); err != nil {
-			b.Fatal(err)
+	searches := []struct {
+		name string
+		run  func(*dipe.Testbench, dipe.MaxPowerOptions) (dipe.MaxPowerResult, error)
+	}{{"hill-climb", dipe.MaxPower}, {"random", dipe.MaxPowerRandom}}
+	for _, name := range []string{"s1494", "s5378"} {
+		tb := dipe.NewTestbench(bench89.MustGet(name))
+		for _, search := range searches {
+			b.Run(name+"/"+search.name, func(b *testing.B) {
+				cycles := 0
+				for i := 0; i < b.N; i++ {
+					opts := dipe.DefaultMaxPowerOptions()
+					opts.Budget = 512
+					opts.Seed = int64(i + 1)
+					r, err := search.run(tb, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycles += r.Cycles
+				}
+				b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
+			})
 		}
 	}
 }

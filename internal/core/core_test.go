@@ -292,7 +292,7 @@ func TestCriterionSwapping(t *testing.T) {
 		opts.NewCriterion = f
 		res, err := Estimate(tb.NewSession(vectors.NewIID(len(c.Inputs), 0.5, 31)), opts)
 		if err != nil {
-			t.Fatalf("%s: %v", criterionName(f, opts.Spec), err)
+			t.Fatalf("%s: %v", f(opts.Spec).Name(), err)
 		}
 		if !res.Converged {
 			t.Errorf("%s: did not converge", res.Criterion)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench89"
+	"repro/internal/markov"
 	"repro/internal/power"
 	"repro/internal/refsim"
 	"repro/internal/sim"
@@ -29,21 +30,27 @@ import (
 // for the serial estimator, and for both in zero-delay mode, whose truth
 // is a zero-delay reference; for the serial estimator at a fixed
 // interval (dipe -interval), the parallel estimator under the normal and
-// KS criteria (dipe -criterion), and the batch-means baseline. The
-// short variant (coverageRuns = 60) runs in the default `go test`; the
-// nightly job builds with -tags slow for the full-size run.
+// KS criteria (dipe -criterion), the batch-means baseline, and the
+// paper's exact state-sampling approach (markov.EstimateByStateSampling).
+// The short variant (coverageRuns = 60) runs in the default `go test`;
+// the nightly job builds with -tags slow for the full-size run.
 
 // coverageCase is one estimator configuration under conformance test:
 // its variance-reduction mode, its power mode, its stopping criterion
 // (nil keeps the default order statistics), and the serial estimator it
-// runs on one session of its power mode (nil runs EstimateParallel).
+// runs on one session of its power mode seeded from the run's seed,
+// which it receives too (nil runs EstimateParallel).
 type coverageCase struct {
 	name      string
 	mode      vr.Mode
 	power     power.PowerMode
 	criterion stopping.Factory
-	serial    func(*sim.Session, Options) (Result, error)
+	serial    func(s *sim.Session, opts Options, seed int64) (Result, error)
 }
+
+// serialEstimate is Estimate as a coverageCase serial estimator: the
+// session is its only source of randomness.
+func serialEstimate(s *sim.Session, opts Options, _ int64) (Result, error) { return Estimate(s, opts) }
 
 func TestCICoverageConformance(t *testing.T) {
 	if testing.Short() {
@@ -67,23 +74,47 @@ func TestCICoverageConformance(t *testing.T) {
 		refs[mode] = ref
 	}
 
+	// The state-sampling estimator draws each sample's state from the
+	// stationary distribution of s27's state transition graph under
+	// the runs' i.i.d. p = 0.5 inputs, solved once for every run.
+	inputP := make([]float64, width)
+	for i := range inputP {
+		inputP[i] = 0.5
+	}
+	stg, err := markov.Extract(c, inputP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stationary, err := stg.Stationary(1e-12, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	const confidence = 0.95
 	cases := []coverageCase{
 		{name: "plain", mode: vr.ModeNone, power: power.ModeGeneralDelay},
 		{name: "antithetic", mode: vr.ModeAntithetic, power: power.ModeGeneralDelay},
 		{name: "control-variate", mode: vr.ModeControlVariate, power: power.ModeGeneralDelay},
-		{name: "serial", mode: vr.ModeNone, power: power.ModeGeneralDelay, serial: Estimate},
-		{name: "serial-zero-delay", mode: vr.ModeNone, power: power.ModeZeroDelay, serial: Estimate},
+		{name: "serial", mode: vr.ModeNone, power: power.ModeGeneralDelay, serial: serialEstimate},
+		{name: "serial-zero-delay", mode: vr.ModeNone, power: power.ModeZeroDelay, serial: serialEstimate},
 		{name: "zero-delay", mode: vr.ModeNone, power: power.ModeZeroDelay},
 		// Selection picks interval 1 on s27, so a fixed 2 is a path of
 		// its own.
 		{name: "serial-fixed-interval", mode: vr.ModeNone, power: power.ModeGeneralDelay,
-			serial: func(s *sim.Session, opts Options) (Result, error) { return EstimateWithInterval(s, opts, 2) }},
+			serial: func(s *sim.Session, opts Options, _ int64) (Result, error) { return EstimateWithInterval(s, opts, 2) }},
 		{name: "normal", mode: vr.ModeNone, power: power.ModeGeneralDelay, criterion: stopping.NormalFactory},
 		{name: "ks", mode: vr.ModeNone, power: power.ModeGeneralDelay, criterion: stopping.KSFactory},
 		{name: "batch-means", mode: vr.ModeNone, power: power.ModeGeneralDelay,
-			serial: func(s *sim.Session, opts Options) (Result, error) {
+			serial: func(s *sim.Session, opts Options, _ int64) (Result, error) {
 				return EstimateBatchMeans(s, opts, DefaultBatchCycles)
+			}},
+		// The session draws each sample's V2; the run's seed also seeds
+		// the estimator's draws of S1 and V1.
+		{name: "state-sampling", mode: vr.ModeNone, power: power.ModeGeneralDelay,
+			serial: func(s *sim.Session, opts Options, seed int64) (Result, error) {
+				r, err := markov.EstimateByStateSampling(s, stg, stationary, inputP,
+					opts.Spec, opts.NewCriterion, seed, opts.CheckEvery, opts.MaxSamples)
+				return Result{Power: r.Power, SampleSize: r.SampleSize, HalfWidth: r.HalfWidth, Converged: r.Converged}, err
 			}},
 	}
 	for _, tc := range cases {
@@ -110,7 +141,7 @@ func TestCICoverageConformance(t *testing.T) {
 				var res Result
 				var err error
 				if tc.serial != nil {
-					res, err = tc.serial(tb.NewSessionMode(vectors.NewIID(width, 0.5, seed), tc.power), opts)
+					res, err = tc.serial(tb.NewSessionMode(vectors.NewIID(width, 0.5, seed), tc.power), opts, seed)
 				} else {
 					res, err = EstimateParallel(tb, vectors.IIDFactory(width, 0.5), seed, opts)
 				}

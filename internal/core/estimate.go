@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/power"
 	"repro/internal/sim"
-	"repro/internal/stopping"
 	"repro/internal/vr"
 )
 
@@ -205,12 +204,6 @@ func estimateTail(ctx context.Context, s *sim.Session, opts Options, interval in
 		}
 	}
 	return result(true), nil
-}
-
-// criterionName is a small helper for reports when only a factory is at
-// hand.
-func criterionName(f stopping.Factory, spec stopping.Spec) string {
-	return f(spec).Name()
 }
 
 // rejectVariance guards the serial estimators: the variance-reduction

@@ -226,17 +226,6 @@ type Diagnostics struct {
 	CV   float64
 }
 
-// AllAccepted reports whether every (non-degenerate) test accepted at
-// the given significance level.
-func (d Diagnostics) AllAccepted(alpha float64) bool {
-	for _, r := range d.Tests {
-		if !r.Accept(alpha) {
-			return false
-		}
-	}
-	return true
-}
-
 // Diagnose collects a fresh power sequence of length n at the given
 // interval on the session and audits it with the standard battery
 // (ordinary runs, runs up/down, von Neumann, Ljung–Box).

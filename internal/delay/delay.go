@@ -117,26 +117,3 @@ func (t *Table) AllZero() bool {
 	}
 	return true
 }
-
-// MaxSettling returns a conservative bound on the settling time of one
-// clock cycle: the sum over the longest path of per-level maxima. It is
-// used to sanity-check that the clock period covers combinational
-// settling.
-func (t *Table) MaxSettling(c *netlist.Circuit) Picoseconds {
-	depth := c.Depth()
-	if depth == 0 {
-		return 0
-	}
-	maxAtLevel := make([]Picoseconds, depth+1)
-	for _, id := range c.Order() {
-		l := c.Level(id)
-		if t.Delays[id] > maxAtLevel[l] {
-			maxAtLevel[l] = t.Delays[id]
-		}
-	}
-	var total Picoseconds
-	for _, d := range maxAtLevel {
-		total += d
-	}
-	return total
-}

@@ -75,27 +75,6 @@ func TestBuildTable(t *testing.T) {
 	}
 }
 
-func TestMaxSettlingCoversDepth(t *testing.T) {
-	c := chainCircuit(t)
-	tab := BuildTable(c, DefaultFanoutLoaded())
-	ms := tab.MaxSettling(c)
-	if ms <= 0 {
-		t.Fatalf("MaxSettling = %d", ms)
-	}
-	// It must be at least the largest single gate delay and at most the
-	// sum of all gate delays.
-	var maxD, sum Picoseconds
-	for _, d := range tab.Delays {
-		if d > maxD {
-			maxD = d
-		}
-		sum += d
-	}
-	if ms < maxD || ms > sum {
-		t.Fatalf("MaxSettling %d outside [%d,%d]", ms, maxD, sum)
-	}
-}
-
 func TestDefaultSettlesWithinPaperClock(t *testing.T) {
 	// The default coefficients must settle the deepest benchmark-scale
 	// chain (~60 levels at fanout 4) within the paper's 50 ns period.

@@ -200,27 +200,3 @@ func Eval(k Kind, in []bool) bool {
 	}
 	panic("logic: Eval called on non-combinational kind " + k.String())
 }
-
-// Controlling returns the controlling input value for the kind and
-// whether one exists. An input at the controlling value fixes the gate
-// output regardless of the other inputs (e.g., a 0 on an AND). Gate kinds
-// without a controlling value (XOR/XNOR/BUF/NOT) return ok=false.
-func Controlling(k Kind) (v bool, ok bool) {
-	switch k {
-	case And, Nand:
-		return false, true
-	case Or, Nor:
-		return true, true
-	}
-	return false, false
-}
-
-// Inverting reports whether the kind's output is inverted relative to its
-// "base" function (NAND vs AND, NOR vs OR, XNOR vs XOR, NOT vs BUF).
-func Inverting(k Kind) bool {
-	switch k {
-	case Not, Nand, Nor, Xnor:
-		return true
-	}
-	return false
-}

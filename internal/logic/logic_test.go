@@ -164,32 +164,11 @@ func TestFaninBounds(t *testing.T) {
 	}
 }
 
-func TestControlling(t *testing.T) {
-	if v, ok := Controlling(And); !ok || v != false {
-		t.Errorf("Controlling(And) = %v,%v", v, ok)
-	}
-	if v, ok := Controlling(Nor); !ok || v != true {
-		t.Errorf("Controlling(Nor) = %v,%v", v, ok)
-	}
-	if _, ok := Controlling(Xor); ok {
-		t.Errorf("Controlling(Xor) should not exist")
-	}
-}
-
-func TestInverting(t *testing.T) {
-	inverting := map[Kind]bool{Not: true, Nand: true, Nor: true, Xnor: true}
-	for k := Input; k < numKinds; k++ {
-		if Inverting(k) != inverting[k] {
-			t.Errorf("Inverting(%s) = %v", k, Inverting(k))
-		}
-	}
-}
-
 func TestControllingFixesOutput(t *testing.T) {
-	// Property: with any input at the controlling value, the output equals
-	// Eval(kind, all-controlling) regardless of the other inputs.
-	for _, k := range []Kind{And, Nand, Or, Nor} {
-		cv, _ := Controlling(k)
+	// Property: with any input at the kind's controlling value (0 for
+	// AND/NAND, 1 for OR/NOR), the output equals Eval(kind,
+	// all-controlling) regardless of the other inputs.
+	for k, cv := range map[Kind]bool{And: false, Nand: false, Or: true, Nor: true} {
 		fixed := Eval(k, []bool{cv, cv})
 		err := quick.Check(func(other bool) bool {
 			return Eval(k, []bool{cv, other}) == fixed && Eval(k, []bool{other, cv}) == fixed

@@ -210,12 +210,3 @@ func (g *STG) SampleState(dist []float64, rng *rand.Rand, q []bool) {
 		q[b] = key&(1<<b) != 0
 	}
 }
-
-// StationaryProb returns the stationary probability of a latch-vector key
-// (0 for unreachable states).
-func StationaryProb(g *STG, dist []float64, key uint64) float64 {
-	if i, ok := g.Index[key]; ok {
-		return dist[i]
-	}
-	return 0
-}

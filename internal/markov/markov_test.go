@@ -231,18 +231,6 @@ func TestSampleStateMatchesDistribution(t *testing.T) {
 	}
 }
 
-func TestStationaryProbLookup(t *testing.T) {
-	c := counter2(t)
-	g, _ := Extract(c, []float64{0.5})
-	pi, _ := g.Stationary(1e-12, 100000)
-	if p := StationaryProb(g, pi, g.States[2]); math.Abs(p-0.25) > 1e-6 {
-		t.Fatalf("StationaryProb = %g", p)
-	}
-	if p := StationaryProb(g, pi, 0xdeadbeef); p != 0 {
-		t.Fatalf("unreachable state prob = %g", p)
-	}
-}
-
 func TestReachableSubsetOnly(t *testing.T) {
 	// s27 has 3 latches = 8 conceivable states; only the reachable ones
 	// appear.

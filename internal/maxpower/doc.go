@@ -13,5 +13,7 @@
 //     which consistently finds higher peaks on the same budget.
 //
 // Both report machine-independent cost (cycles simulated) so they are
-// comparable.
+// comparable. Both evaluate each candidate cycle on the compiled
+// sim.Session the estimators run, observed event-driven by its lane
+// engine under the testbench's delay table.
 package maxpower

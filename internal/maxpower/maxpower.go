@@ -52,35 +52,38 @@ type Result struct {
 	Cycles int
 }
 
-// evaluator bundles the simulators for repeated cycle evaluation.
+// evaluator observes candidate cycles on the compiled session the
+// estimators run, event-driven under the delay table.
 type evaluator struct {
-	c       *netlist.Circuit
-	zd      *sim.ZeroDelay
-	ed      *sim.EventDriven
-	weights []float64
-	vals    []bool
-	s2      []bool
-	cycles  int
+	s      *sim.Session
+	v2     pattern
+	cycles int
 }
 
 func newEvaluator(c *netlist.Circuit, dt *delay.Table, weights []float64) *evaluator {
-	return &evaluator{
-		c:       c,
-		zd:      sim.NewZeroDelay(c),
-		ed:      sim.NewEventDriven(c, dt),
-		weights: weights,
-		vals:    make([]bool, c.NumNodes()),
-		s2:      make([]bool, len(c.Latches)),
-	}
+	e := &evaluator{v2: make(pattern, len(c.Inputs))}
+	e.s = sim.NewSession(c, dt, e.v2, weights)
+	return e
 }
 
-// eval returns the power of the cycle (v1, s1) -> (v2, delta(v1,s1)).
+// eval returns the power of the cycle (v1, s1) -> (v2, delta(v1,s1)):
+// the session settles (v1, s1), steps to delta(v1, s1) and draws v2
+// from its source, then observes the cycle.
 func (e *evaluator) eval(s1, v1, v2 []bool) float64 {
-	e.zd.Settle(e.vals, v1, s1)
-	e.zd.NextState(e.vals, e.s2)
+	copy(e.v2, v2)
+	e.s.SetState(s1)
+	e.s.SetPins(v1)
 	e.cycles++
-	return e.ed.Cycle(e.vals, v2, e.s2, e.weights, nil)
+	return e.s.StepSampled(nil)
 }
+
+// pattern is the evaluator session's input source: every draw is the
+// pattern itself, which eval sets to the candidate's V2.
+type pattern []bool
+
+func (p pattern) Next(dst []bool) { copy(dst, p) }
+func (p pattern) Width() int      { return len(p) }
+func (p pattern) Name() string    { return "maxpower-v2" }
 
 // candidate is one point of the search space.
 type candidate struct {
@@ -187,11 +190,4 @@ func HillClimb(c *netlist.Circuit, dt *delay.Table, weights []float64, opts Opti
 		}
 	}
 	return Result{Power: bestP, State: best.s1, V1: best.v1, V2: best.v2, Cycles: ev.cycles}, nil
-}
-
-// Replay re-simulates a result's cycle and returns its power; callers
-// use it to verify reported peaks independently.
-func Replay(c *netlist.Circuit, dt *delay.Table, weights []float64, r Result) float64 {
-	ev := newEvaluator(c, dt, weights)
-	return ev.eval(r.State, r.V1, r.V2)
 }

@@ -1,6 +1,8 @@
 package maxpower
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench89"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/refsim"
+	"repro/internal/sim"
 	"repro/internal/vectors"
 )
 
@@ -66,14 +69,94 @@ func TestPeakExceedsAverage(t *testing.T) {
 	}
 }
 
+// replay is the search's scalar oracle: it settles (V1, State) and
+// steps the latches with the zero-delay engine, then observes the cycle
+// to (V2, delta(V1, State)) with the scalar event-driven engine.
+func replay(c *netlist.Circuit, dt *delay.Table, weights []float64, r Result) float64 {
+	zd := sim.NewZeroDelay(c)
+	vals := make([]bool, c.NumNodes())
+	s2 := make([]bool, len(c.Latches))
+	zd.Settle(vals, r.V1, r.State)
+	zd.NextState(vals, s2)
+	return sim.NewEventDriven(c, dt).Cycle(vals, r.V2, s2, weights, nil)
+}
+
 func TestReplayReproducesPeak(t *testing.T) {
 	c, dt, w := setup(t, "s344")
 	res, err := HillClimb(c, dt, w, Options{Budget: 1000, Restarts: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Replay(c, dt, w, res); got != res.Power {
+	if got := replay(c, dt, w, res); got != res.Power {
 		t.Fatalf("replay %g != reported %g", got, res.Power)
+	}
+}
+
+// TestEvalMatchesScalarOracle: the evaluator's session observes every
+// candidate cycle bit-identically to the scalar oracle, one session
+// serving the whole sequence of candidates.
+func TestEvalMatchesScalarOracle(t *testing.T) {
+	for _, name := range []string{"s27", "s298", "s1494", "s5378"} {
+		c, dt, w := setup(t, name)
+		ev := newEvaluator(c, dt, w)
+		cd := newCandidate(c)
+		rng := rand.New(rand.NewSource(int64(len(name))))
+		for i := 0; i < 64; i++ {
+			cd.randomize(rng)
+			got := ev.eval(cd.s1, cd.v1, cd.v2)
+			want := replay(c, dt, w, Result{State: cd.s1, V1: cd.v1, V2: cd.v2})
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s candidate %d: session %v, scalar oracle %v", name, i, got, want)
+			}
+		}
+	}
+}
+
+// bitString renders a pattern as 0s and 1s.
+func bitString(v []bool) string {
+	b := make([]byte, len(v))
+	for i, x := range v {
+		b[i] = '0'
+		if x {
+			b[i] = '1'
+		}
+	}
+	return string(b)
+}
+
+// TestSearchResultsPinned pins both searches' results at fixed seeds,
+// as recorded when the evaluator ran the scalar engines: the peak's
+// power bits, its cycle and the cycles spent.
+func TestSearchResultsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		circuit, search string
+		opts            Options
+		power           uint64
+		state, v1, v2   string
+		cycles          int
+	}{
+		{"s27", "HillClimb", Options{Budget: 400, Restarts: 8, Seed: 5}, 0x3f254c985f06f694, "111", "0011", "1000", 217},
+		{"s27", "RandomSearch", Options{Budget: 400, Restarts: 8, Seed: 5}, 0x3f254c985f06f694, "111", "0111", "1000", 400},
+		{"s298", "HillClimb", Options{Budget: 800, Restarts: 8, Seed: 11}, 0x3f5782d38476f2aa, "11101100101011", "111", "101", 508},
+		{"s298", "RandomSearch", Options{Budget: 800, Restarts: 8, Seed: 11}, 0x3f55182a9930be13, "11000110100001", "111", "100", 800},
+		{"s1494", "HillClimb", Options{Budget: 600, Restarts: 8, Seed: 7}, 0x3f7ff04577d95540, "010101", "10001011", "11100010", 558},
+		{"s1494", "RandomSearch", Options{Budget: 600, Restarts: 8, Seed: 7}, 0x3f7d41743e963da0, "010101", "10111011", "11111101", 600},
+	} {
+		c, dt, w := setup(t, tc.circuit)
+		search := HillClimb
+		if tc.search == "RandomSearch" {
+			search = RandomSearch
+		}
+		r, err := search(c, dt, w, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := math.Float64bits(r.Power); got != tc.power || bitString(r.State) != tc.state ||
+			bitString(r.V1) != tc.v1 || bitString(r.V2) != tc.v2 || r.Cycles != tc.cycles {
+			t.Errorf("%s %s: power %#x state %s V1 %s V2 %s in %d cycles, want %#x %s %s %s in %d",
+				tc.circuit, tc.search, got, bitString(r.State), bitString(r.V1), bitString(r.V2), r.Cycles,
+				tc.power, tc.state, tc.v1, tc.v2, tc.cycles)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/logic"
@@ -210,15 +209,4 @@ func BenchString(c *Circuit) string {
 	// strings.Builder writes never fail.
 	_ = WriteBench(&sb, c)
 	return sb.String()
-}
-
-// SortedNodeNames returns all node names in lexical order; useful for
-// deterministic debugging output and tests.
-func (c *Circuit) SortedNodeNames() []string {
-	names := make([]string, len(c.Nodes))
-	for i := range c.Nodes {
-		names[i] = c.Nodes[i].Name
-	}
-	sort.Strings(names)
-	return names
 }

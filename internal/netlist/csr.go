@@ -57,11 +57,6 @@ func (r *CSR) Fanin(i int32) []int32 { return r.FaninList[r.FaninIdx[i]:r.FaninI
 // Fanout returns the fanout node list of node i (read-only).
 func (r *CSR) Fanout(i int32) []int32 { return r.FanoutList[r.FanoutIdx[i]:r.FanoutIdx[i+1]] }
 
-// GateFanout returns the combinational fanout node list of node i.
-func (r *CSR) GateFanout(i int32) []int32 {
-	return r.GateFanoutList[r.GateFanoutIdx[i]:r.GateFanoutIdx[i+1]]
-}
-
 // NumNodes returns the node count of the underlying circuit.
 func (r *CSR) NumNodes() int { return len(r.Kind) }
 

@@ -67,7 +67,7 @@ func TestCSRMatchesNodes(t *testing.T) {
 				gates++
 			}
 		}
-		gfo := r.GateFanout(int32(i))
+		gfo := r.GateFanoutList[r.GateFanoutIdx[i]:r.GateFanoutIdx[i+1]]
 		if len(gfo) != gates {
 			t.Fatalf("node %d gate fanout length %d, want %d", i, len(gfo), gates)
 		}

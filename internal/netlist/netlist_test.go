@@ -260,14 +260,6 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-func TestSortedNodeNames(t *testing.T) {
-	c := buildToggle(t)
-	names := c.SortedNodeNames()
-	if len(names) != 2 || names[0] != "NQ" || names[1] != "Q" {
-		t.Errorf("SortedNodeNames = %v", names)
-	}
-}
-
 func TestCaseInsensitiveKeywords(t *testing.T) {
 	text := "input(A)\noutput(Y)\nY = not(A)\n"
 	c, err := ParseBenchString("lower", text)

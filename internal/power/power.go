@@ -19,9 +19,6 @@ func DefaultSupply() Supply {
 	return Supply{VDD: 5.0, ClockPeriod: 50e-9}
 }
 
-// Frequency returns the clock frequency in Hz.
-func (s Supply) Frequency() float64 { return 1.0 / s.ClockPeriod }
-
 // CapModel assigns a load capacitance to each node from its structure:
 // C = Base + PerFanout * fanout. Primary inputs get zero weight by
 // default because their transitions are charged to the external driver,
@@ -132,12 +129,6 @@ func (m *Model) Weights() []float64 {
 		w[i] = c * k
 	}
 	return w
-}
-
-// EnergyPerTransition returns the switching energy of one transition at
-// node i: C_i * VDD^2 / 2, in joules.
-func (m *Model) EnergyPerTransition(id netlist.NodeID) float64 {
-	return m.Caps[id] * m.Supply.VDD * m.Supply.VDD / 2
 }
 
 // PowerFromCounts converts accumulated per-node transition counts over

@@ -5,17 +5,16 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
 // The result cache exploits the estimator's end-to-end determinism:
 // identical (circuit content, input model, seed, options) always
 // produce a bit-identical Result, so a repeated submission can be
-// answered instantly from the first run's result. The key hashes the
-// circuit's *provenance* (HashSource) rather than its registry name —
+// answered instantly from an earlier run's result while a job holding
+// it is still in the finished-job window. The key hashes the circuit's
+// *provenance* (HashSource) rather than its registry name —
 // re-uploading the same netlist under the same name hits, replacing it
 // with different text misses — plus the request with its defaults
 // applied, so spelling a default explicitly still hits.
@@ -75,74 +74,14 @@ func resultKey(src CircuitSource, req JobRequest) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// CacheStats is a snapshot of the result cache.
+// CacheStats is a snapshot of the result cache, which is the
+// finished-job window's index by result key (see Manager).
 type CacheStats struct {
 	// Hits counts submissions answered from a previous identical run.
 	Hits uint64 `json:"hits"`
 	// Misses counts submissions that had to run.
 	Misses uint64 `json:"misses"`
-	// Entries is the current number of cached results.
+	// Entries is the current number of indexed results: the distinct
+	// result keys of the done jobs in the finished-job window.
 	Entries int `json:"entries"`
-}
-
-// resultCache is a bounded FIFO map of finished results keyed by
-// resultKey. FIFO (not LRU) keeps eviction trivial; the cache exists to
-// absorb repeated submissions, which arrive close together in practice.
-// Hit/miss counts live in registry counters (the manager always hands
-// in real handles) so /v1/stats and /metrics read the same cells.
-type resultCache struct {
-	mu      sync.Mutex
-	cap     int
-	results map[string]ResultView
-	order   []string
-	hits    *obs.Counter
-	misses  *obs.Counter
-}
-
-func newResultCache(capacity int, hits, misses *obs.Counter) *resultCache {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &resultCache{cap: capacity, results: make(map[string]ResultView), hits: hits, misses: misses}
-}
-
-// get returns a copy of the cached result, marked Cached, and counts
-// the hit/miss.
-func (c *resultCache) get(key string) (*ResultView, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rv, ok := c.results[key]
-	if !ok {
-		c.misses.Inc()
-		return nil, false
-	}
-	c.hits.Inc()
-	rv.Cached = true
-	return &rv, true
-}
-
-// put stores a copy of a finished result (its Cached flag cleared — the
-// flag marks served copies, not the original run — and its trace
-// summary dropped: the trace belongs to the job that ran, and a served
-// copy gets its own).
-func (c *resultCache) put(key string, rv ResultView) {
-	rv.Cached = false
-	rv.Trace = nil
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.results[key]; !ok {
-		c.order = append(c.order, key)
-		for len(c.order) > c.cap {
-			delete(c.results, c.order[0])
-			c.order = c.order[1:]
-		}
-	}
-	c.results[key] = rv
-}
-
-// stats snapshots the counters.
-func (c *resultCache) stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits.Value(), Misses: c.misses.Value(), Entries: len(c.results)}
 }

@@ -19,18 +19,21 @@
 //     snapshots, cancellation, and deterministic seeding — two identical
 //     requests return bit-identical estimates regardless of pool load.
 //     The manager is each job's one front end: it resolves the job's
-//     testbench and provenance from one registry entry, keys the result
-//     cache by that provenance, and hands the job to a dispatcher with
+//     testbench and provenance from one registry entry, keys the job's
+//     result by that provenance, and hands the job to a dispatcher with
 //     its prepare hook, which runs the pre-sampling phases
 //     (core.PreparePlanCtx) and journals their checkpoint with that
 //     provenance before it returns. A job resumed from its checkpoint
 //     after a restart runs on the journaled provenance, whatever its
 //     name resolves to by then, and its hook returns the checkpoint.
 //     Finished jobs stay queryable in a bounded window (the newest
-//     256); an older ID answers 404 with ErrJobEvicted, while the
-//     result cache still answers a repeat of its request. Stats keeps lifetime totals per
-//     state, updated at each transition, so /v1/stats costs the same
-//     however many jobs have run.
+//     256); an older ID answers 404 with ErrJobEvicted. The window is
+//     the result cache too: a repeat of a request is answered with a
+//     copy of the result of the newest done job in the window that
+//     holds it, and runs again once no such job is left, so no
+//     finished result outlives the window. Stats keeps lifetime totals
+//     per state, updated at each transition, so /v1/stats costs the
+//     same however many jobs have run.
 //
 //   - HTTP API (handlers.go, server.go): submit/poll/wait/cancel job
 //     endpoints, a batch endpoint that fans a list of jobs across the

@@ -39,7 +39,8 @@ type BatchRequest struct {
 // BatchResponse lists the job IDs in request order. Cache hits finish
 // inside the request, so a batch that finishes more jobs than the
 // finished-job window holds returns IDs that already answer 404 with
-// ErrJobEvicted.
+// ErrJobEvicted; each hit is the newest holder of its result, so a
+// repeat later in the batch hits it while it is in the window.
 type BatchResponse struct {
 	IDs []string `json:"ids"`
 }
@@ -50,7 +51,8 @@ type StatsResponse struct {
 	Registry RegistryStats `json:"registry"`
 	Pool     PoolStats     `json:"pool"`
 	// Cache reports result-cache effectiveness (hits answer repeated
-	// submissions without re-running them).
+	// submissions from the finished-job window without re-running
+	// them).
 	Cache CacheStats `json:"cache"`
 	// Store reports the job journal, when the service runs durable.
 	Store *StoreStats `json:"store,omitempty"`

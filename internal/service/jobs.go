@@ -390,8 +390,9 @@ type job struct {
 	// checkpoint was prepared on (nil otherwise). It is set before the
 	// pool starts and never changes.
 	src *CircuitSource
-	// cacheKey addresses the job's slot in the result cache ("" when the
-	// circuit provenance could not be resolved at submit time). run
+	// cacheKey is the job's result key ("" when the circuit provenance
+	// could not be resolved at submit time), under which a done job
+	// answers repeats while it is in the finished-job window. run
 	// re-keys it by the provenance the job actually runs on.
 	cacheKey string
 	// userCancel distinguishes an explicit Cancel (terminal, journaled)
@@ -409,8 +410,10 @@ type job struct {
 }
 
 // maxFinishedJobs bounds the finished-job window: a Manager keeps only
-// its newest finished jobs, as many as the result cache holds, and
-// forgets the oldest first. Queued and running jobs are never evicted.
+// its newest finished jobs and forgets the oldest first. Queued and
+// running jobs are never evicted. It is the one bound on finished
+// results: the result cache is the window's index, so no result, and
+// no breakdown report, outlives the jobs in the window.
 const maxFinishedJobs = 256
 
 // PoolStats is a snapshot of the job pool: the jobs queued and running
@@ -440,8 +443,10 @@ var ErrClosed = errors.New("service: job manager is shut down")
 var ErrUnknownJob = errors.New("service: unknown job")
 
 // ErrJobEvicted is returned for a job ID the manager issued whose
-// finished job has left the finished-job window. Its result may still
-// be in the result cache, which answers a repeat of the request.
+// finished job has left the finished-job window. A repeat of its
+// request hits the result cache only if a later job holding the same
+// result is still in the window; otherwise it runs again, to the
+// bit-identical result.
 var ErrJobEvicted = errors.New("service: job evicted from the finished-job window")
 
 // Manager owns the asynchronous job lifecycle: a bounded FIFO queue
@@ -449,12 +454,17 @@ var ErrJobEvicted = errors.New("service: job evicted from the finished-job windo
 // progress. Queued and running jobs stay queryable until they finish;
 // finished ones until they leave the finished-job window
 // (maxFinishedJobs), after which their IDs answer ErrJobEvicted.
+//
+// The window is also the result cache: Submit answers a request whose
+// result key a done job in the window holds with a copy of that job's
+// result, so a repeat costs no run while an earlier run of it (or a
+// served copy, which renews the key) is among the newest
+// maxFinishedJobs finished jobs.
 type Manager struct {
 	reg      *Registry
 	dispatch Dispatcher
 	workers  int
-	store    *JobStore    // nil = in-memory only
-	cache    *resultCache // finished results keyed by provenance+options
+	store    *JobStore // nil = in-memory only
 
 	ctx   context.Context // parent of every job context
 	stop  context.CancelFunc
@@ -468,6 +478,9 @@ type Manager struct {
 	jobs     map[string]*job
 	order    []string // submission order of the jobs in the table, for List
 	finished []string // the finished jobs in the table, oldest first
+	// results indexes the window by result key: each key maps to the
+	// newest done job in the window holding that key's result.
+	results map[string]*job
 	// counts holds the number of queued and running jobs and the
 	// lifetime number of jobs in each terminal state, evicted jobs
 	// included; every state change updates it.
@@ -485,9 +498,10 @@ type Manager struct {
 //
 // A non-nil store makes the manager durable: the journal replayed at
 // store open is folded back in before the pool starts — terminal jobs
-// become queryable again (and re-prime the result cache), every other
-// journaled job is re-enqueued and resumed from its checkpoint. The
-// manager owns the store from here and closes it on Close.
+// become queryable again (and the done ones answer repeats again),
+// every other journaled job is re-enqueued and resumed from its
+// checkpoint. The manager owns the store from here and closes it on
+// Close.
 func NewManager(reg *Registry, dispatch Dispatcher, workers, queueCap int, store *JobStore) *Manager {
 	return NewManagerObs(reg, dispatch, workers, queueCap, store, nil, nil)
 }
@@ -528,13 +542,13 @@ func NewManagerObs(reg *Registry, dispatch Dispatcher, workers, queueCap int, st
 		dispatch: dispatch,
 		workers:  workers,
 		store:    store,
-		cache:    newResultCache(0, met.cacheHits, met.cacheMisses),
 		met:      met,
 		log:      log.With("component", "jobs"),
 		ctx:      ctx,
 		stop:     stop,
 		queue:    make(chan *job, queueCap),
 		jobs:     make(map[string]*job),
+		results:  make(map[string]*job),
 		counts:   make(map[JobState]int),
 	}
 	m.registerStateGauges(obsReg)
@@ -548,11 +562,11 @@ func NewManagerObs(reg *Registry, dispatch Dispatcher, workers, queueCap int, st
 
 // restore folds replayed journal records into the job table before the
 // pool starts: terminal jobs are installed finished (their done channel
-// already closed, their results priming the cache, their checkpoints
-// dropped) and enter the finished-job window in journal order, so only
-// the newest stay; everything else is re-enqueued with its checkpoint
-// attached. ID sequencing continues from the highest replayed ID so
-// restarts never reuse a job ID.
+// already closed, their checkpoints dropped) and enter the finished-job
+// window in journal order, so only the newest stay and answer repeats;
+// everything else is re-enqueued with its checkpoint attached. ID
+// sequencing continues from the highest replayed ID so restarts never
+// reuse a job ID.
 func (m *Manager) restore(restored []RestoredJob) {
 	for _, r := range restored {
 		j := &job{
@@ -575,9 +589,6 @@ func (m *Manager) restore(restored []RestoredJob) {
 		}
 		if j.state.Terminal() {
 			close(j.done)
-			if j.state == StateDone && j.result != nil && j.cacheKey != "" {
-				m.cache.put(j.cacheKey, *j.result)
-			}
 		} else {
 			j.state = StateQueued
 			j.ckpt, j.src = r.Checkpoint, r.Source
@@ -599,11 +610,11 @@ func (m *Manager) restore(restored []RestoredJob) {
 // Submit validates and enqueues a request, returning the new job's
 // snapshot, taken under the same lock. The non-blocking enqueue and the
 // registration happen under one lock so a full queue never leaves a
-// half-registered job behind. A request whose result is already in the
-// result cache skips the queue entirely: the job is registered terminal
-// with the cached (bit-identical) result, and the returned snapshot
-// carries it even if later jobs push this one out of the finished-job
-// window before the caller reads it.
+// half-registered job behind. A request whose result key a done job in
+// the finished-job window holds skips the queue entirely: the job is
+// registered terminal with a copy of that job's (bit-identical) result,
+// and the returned snapshot carries it even if later jobs push this one
+// out of the window before the caller reads it.
 func (m *Manager) Submit(req JobRequest) (JobView, error) {
 	if err := req.Validate(); err != nil {
 		return JobView{}, err
@@ -630,15 +641,21 @@ func (m *Manager) Submit(req JobRequest) (JobView, error) {
 	}
 	j.trace.Event("submit", "circuit", req.Circuit)
 	if cacheKey != "" {
-		if rv, ok := m.cache.get(cacheKey); ok {
+		if holder, ok := m.results[cacheKey]; ok {
+			m.met.cacheHits.Inc()
+			// The copy is marked served, and its trace summary is this
+			// job's, which finishLocked fills in.
+			rv := *holder.result
+			rv.Cached, rv.Trace = true, nil
 			m.seq++
 			m.addLocked(j)
 			m.journal(storeRecord{Kind: "submit", ID: j.id, Req: &req})
 			j.trace.Event("cache-hit")
 			m.met.submitted.Inc()
-			m.finishLocked(j, StateDone, rv, "")
+			m.finishLocked(j, StateDone, &rv, "")
 			return m.viewLocked(j), nil
 		}
+		m.met.cacheMisses.Inc()
 	}
 	select {
 	case m.queue <- j:
@@ -669,14 +686,23 @@ func (m *Manager) setStateLocked(j *job, state JobState) {
 	j.state = state
 }
 
-// retireLocked enters a finished job into the finished-job window and
-// evicts the oldest finished jobs while the window holds more than
-// maxFinishedJobs. Caller holds m.mu.
+// retireLocked enters a finished job into the finished-job window, and a
+// done one into the window's result index as its key's newest holder,
+// then evicts the oldest finished jobs while the window holds more than
+// maxFinishedJobs. An evicted job leaves the index only if it still
+// holds its key: a newer holder of the key outlives it in the window.
+// Caller holds m.mu.
 func (m *Manager) retireLocked(j *job) {
 	m.finished = append(m.finished, j.id)
+	if j.state == StateDone && j.result != nil && j.cacheKey != "" {
+		m.results[j.cacheKey] = j
+	}
 	for len(m.finished) > maxFinishedJobs {
 		id := m.finished[0]
 		m.finished = m.finished[1:]
+		if old := m.jobs[id]; m.results[old.cacheKey] == old {
+			delete(m.results, old.cacheKey)
+		}
 		delete(m.jobs, id)
 		if i := slices.Index(m.order, id); i >= 0 {
 			m.order = slices.Delete(m.order, i, i+1)
@@ -899,8 +925,8 @@ func (m *Manager) worker() {
 }
 
 // run executes one job end to end. It is the job's one front end: it
-// resolves the circuit's testbench and provenance together, keys the
-// result cache by that provenance, and hands the dispatcher the job's
+// resolves the circuit's testbench and provenance together, re-keys the
+// job's result by that provenance, and hands the dispatcher the job's
 // prepare hook, which runs the pre-sampling phases (or takes them from
 // the journal) and journals their checkpoint, so phase 1, sampling and
 // the cached result all belong to one circuit. A panic anywhere in the
@@ -1025,8 +1051,8 @@ func (m *Manager) finish(j *job, state JobState, res *ResultView, msg string) {
 // Durability rules: terminal states are journaled — except a
 // cancellation caused by the manager draining (not by an explicit
 // Cancel), which is deliberately left out of the journal so the job
-// replays as resumable after a restart. Finished results fill the
-// result cache.
+// replays as resumable after a restart. The job enters the finished-job
+// window, and a done one answers repeats of its request from there.
 func (m *Manager) finishLocked(j *job, state JobState, res *ResultView, msg string) {
 	if j.state.Terminal() {
 		return
@@ -1049,9 +1075,6 @@ func (m *Manager) finishLocked(j *job, state JobState, res *ResultView, msg stri
 	j.ckpt, j.cancel = nil, nil
 	close(j.done)
 	m.retireLocked(j)
-	if state == StateDone && res != nil && !res.Cached && j.cacheKey != "" {
-		m.cache.put(j.cacheKey, *res)
-	}
 	m.met.finished.With(string(state)).Inc()
 	if msg != "" {
 		m.log.Info("job finished", "job", j.id, "state", string(state), "err", msg)
@@ -1080,8 +1103,13 @@ func (m *Manager) journal(rec storeRecord) {
 // this many newly merged samples.
 const progressJournalEvery = 4096
 
-// CacheStats snapshots the result cache.
-func (m *Manager) CacheStats() CacheStats { return m.cache.stats() }
+// CacheStats snapshots the result cache: the hit and miss counters and
+// the number of result keys the finished-job window holds.
+func (m *Manager) CacheStats() CacheStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return CacheStats{Hits: m.met.cacheHits.Value(), Misses: m.met.cacheMisses.Value(), Entries: len(m.results)}
+}
 
 // StoreStats snapshots the job journal; nil when the manager runs
 // without one.

@@ -19,8 +19,9 @@ import (
 // (interval + resolved VR plan) appends a checkpoint record, merged
 // progress appends throttled progress records, and terminal states
 // append a state record. A restarted server replays the journal, makes
-// finished jobs queryable again (and re-primes the result cache), and
-// re-enqueues every job that never reached a terminal state — resuming
+// finished jobs queryable again (the done ones in the finished-job
+// window answer repeats again), and re-enqueues every job that never
+// reached a terminal state — resuming
 // from the checkpoint, which skips interval selection and plan
 // calibration. Determinism closes the loop: the re-streamed sampling
 // phase reproduces the interrupted run's samples bit for bit, so a

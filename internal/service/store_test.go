@@ -51,7 +51,7 @@ func (d *stallDispatcher) Sample(ctx context.Context, tb *core.Testbench, src Ci
 
 // sameResultView compares two result views bit for bit, ignoring the
 // fields the determinism contract does not cover (wall-clock, cache
-// provenance).
+// provenance). Breakdown views compare by value, full report included.
 func sameResultView(t *testing.T, got, want *ResultView, label string) {
 	t.Helper()
 	if got == nil || want == nil {
@@ -61,6 +61,10 @@ func sameResultView(t *testing.T, got, want *ResultView, label string) {
 	g.ElapsedMS, w.ElapsedMS = 0, 0
 	g.Cached, w.Cached = false, false
 	g.Trace, w.Trace = nil, nil // lifecycle timings, not covered by determinism
+	if !reflect.DeepEqual(g.Breakdown, w.Breakdown) {
+		t.Errorf("%s: breakdown mismatch\n got %+v\nwant %+v", label, g.Breakdown, w.Breakdown)
+	}
+	g.Breakdown, w.Breakdown = nil, nil
 	if g != w {
 		t.Errorf("%s: result mismatch\n got %+v\nwant %+v", label, g, w)
 	}
@@ -141,7 +145,7 @@ func TestServerRestartResumesInterruptedJob(t *testing.T) {
 	}
 	sameResultView(t, got.Result, want, "resumed job")
 
-	// The resumed result must prime the result cache: an identical
+	// The resumed job holds its result in the window: an identical
 	// request after the restart is served without a fresh run.
 	id2View, err := m2.Submit(req)
 	id2 := id2View.ID

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -42,11 +43,30 @@ func repeat(t *testing.T, m *Manager, req JobRequest, n int) {
 	}
 }
 
+// checkCacheEntries asserts that the result cache holds exactly the
+// result keys of the done jobs in the finished-job window, so no result
+// outlives the window.
+func checkCacheEntries(t *testing.T, m *Manager) {
+	t.Helper()
+	m.mu.Lock()
+	keys := make(map[string]bool)
+	for _, id := range m.finished {
+		if j := m.jobs[id]; j.state == StateDone && j.cacheKey != "" {
+			keys[j.cacheKey] = true
+		}
+	}
+	m.mu.Unlock()
+	if n := m.CacheStats().Entries; n != len(keys) || n > maxFinishedJobs {
+		t.Fatalf("result cache holds %d entries, the window %d result keys (at most %d)", n, len(keys), maxFinishedJobs)
+	}
+}
+
 // TestFinishedWindowEvictsOldestFirst fills the window past its count
 // cap with cache-hit repeats: the oldest finished job goes first, its ID
 // answers ErrJobEvicted, List holds the window, the lifetime totals in
 // Stats still count the evicted job, and a repeat of the evicted job's
-// request is served bit-identically from the result cache.
+// request, whose result no job in the window holds any more, runs again
+// to the bit-identical result.
 func TestFinishedWindowEvictsOldestFirst(t *testing.T) {
 	m := NewManager(NewRegistry(0), nil, 1, 0, nil)
 	defer m.Close()
@@ -73,13 +93,134 @@ func TestFinishedWindowEvictsOldestFirst(t *testing.T) {
 		t.Fatalf("List holds %d jobs starting at %s, want %d starting at %s", len(list), list[0].ID, maxFinishedJobs, second.ID)
 	}
 	again := runJob(t, m, fastRequest(1))
-	if !again.Result.Cached {
-		t.Fatal("repeat of the evicted job ran again instead of hitting the result cache")
+	if again.Result.Cached {
+		t.Fatal("repeat of the evicted job was served from cache after its result left the window")
 	}
 	sameResultView(t, again.Result, first.Result, "repeat of an evicted job")
 	if _, err := m.Get("job-999999"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("never-issued ID: err %v, want ErrUnknownJob", err)
 	}
+}
+
+// TestEvictedBreakdownRunsAgain pushes an s27 breakdown job out of the
+// window with maxFinishedJobs finished jobs of another request: its
+// repeat is no longer served from cache but runs again, to the
+// bit-identical result and report, and at every step the result cache
+// holds only the result keys of the window's done jobs, so nothing keeps
+// the evicted job's result or full report alive.
+func TestEvictedBreakdownRunsAgain(t *testing.T) {
+	m := NewManager(NewRegistry(0), nil, 1, 0, nil)
+	defer m.Close()
+	req := fastRequest(9)
+	req.Options.Breakdown = true
+	first := runJob(t, m, req)
+	if first.Result.Breakdown == nil || first.Result.Breakdown.Full == nil {
+		t.Fatalf("breakdown job finished without its full report: %+v", first.Result.Breakdown)
+	}
+	runJob(t, m, fastRequest(10))
+	checkCacheEntries(t, m)
+	for i := 1; i < maxFinishedJobs; i++ {
+		repeat(t, m, fastRequest(10), 1)
+		checkCacheEntries(t, m)
+	}
+	if _, err := m.Get(first.ID); !errors.Is(err, ErrJobEvicted) {
+		t.Fatalf("breakdown job after %d later finished jobs: err %v, want ErrJobEvicted", maxFinishedJobs, err)
+	}
+	again := runJob(t, m, req)
+	if again.Result.Cached {
+		t.Fatal("repeat of the evicted breakdown job was served from cache")
+	}
+	sameResultView(t, again.Result, first.Result, "repeat of an evicted breakdown job")
+	checkCacheEntries(t, m)
+}
+
+// TestRepeatsRenewTheirResult: a request repeated at least once within
+// every maxFinishedJobs finished jobs is still answered from cache after
+// the job that ran it has left the window, because each served copy
+// becomes the newest job holding its result. One repeat too late runs
+// again.
+func TestRepeatsRenewTheirResult(t *testing.T) {
+	m := NewManager(NewRegistry(0), nil, 1, 0, nil)
+	defer m.Close()
+	first := runJob(t, m, fastRequest(1))
+	runJob(t, m, fastRequest(2))
+	repeat(t, m, fastRequest(2), maxFinishedJobs-2)
+	for round := 0; round < 3; round++ {
+		// The holder of the first request's result and maxFinishedJobs-1
+		// later jobs fill the window, so this repeat is still a hit.
+		v, err := m.Submit(fastRequest(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Result == nil || !v.Result.Cached {
+			t.Fatalf("round %d: repeat within the window ran again (%+v)", round, v.Result)
+		}
+		sameResultView(t, v.Result, first.Result, "renewed repeat")
+		checkCacheEntries(t, m)
+		repeat(t, m, fastRequest(2), maxFinishedJobs-1)
+	}
+	if _, err := m.Get(first.ID); !errors.Is(err, ErrJobEvicted) {
+		t.Fatalf("first job after three windows: err %v, want ErrJobEvicted", err)
+	}
+	repeat(t, m, fastRequest(2), 1)
+	late := runJob(t, m, fastRequest(1))
+	if late.Result.Cached {
+		t.Fatal("repeat after a full window without one was served from cache")
+	}
+	sameResultView(t, late.Result, first.Result, "repeat after the window")
+	checkCacheEntries(t, m)
+}
+
+// TestConcurrentRepeatsShareOneResult submits repeats of three requests
+// from several goroutines while two pool workers finish jobs: every
+// submission counts as exactly one hit or miss, every repeat returns
+// its request's bit-identical result, whether served or run again, and
+// the result cache ends holding the window's three result keys.
+func TestConcurrentRepeatsShareOneResult(t *testing.T) {
+	m := NewManager(NewRegistry(0), nil, 2, 0, nil)
+	defer m.Close()
+	const clients, each = 4, 8
+	views := make([][]JobView, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			for i := 0; i < each; i++ {
+				sub, err := m.Submit(fastRequest(int64(1 + (c+i)%3)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				v, err := m.Wait(ctx, sub.ID)
+				if err != nil || v.State != StateDone {
+					t.Errorf("job %s: state %s err %v (%s)", sub.ID, v.State, err, v.Error)
+					return
+				}
+				views[c] = append(views[c], v)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	first := make(map[int64]*ResultView)
+	for _, vs := range views {
+		for _, v := range vs {
+			if want, ok := first[v.Request.Seed]; ok {
+				sameResultView(t, v.Result, want, fmt.Sprintf("seed %d", v.Request.Seed))
+			} else {
+				first[v.Request.Seed] = v.Result
+			}
+		}
+	}
+	if cs := m.CacheStats(); cs.Hits+cs.Misses != clients*each || cs.Entries != 3 {
+		t.Fatalf("result cache stats %+v, want %d hits and misses and 3 entries", cs, clients*each)
+	}
+	checkCacheEntries(t, m)
 }
 
 // TestRunningJobSurvivesEviction holds one job running while the window

@@ -14,8 +14,8 @@
 //     used on sampled cycles to observe every transition (including
 //     glitches) for the power computation of Eq. 1, in two forms: the
 //     lane engine eventLanes, which observes up to 64 lanes per Cycle
-//     and is the one every estimate runs, and the scalar EventDriven,
-//     kept as its oracle and as the max-power search's engine.
+//     and is the one every estimate and the max-power search run, and
+//     the scalar EventDriven, kept as its oracle.
 //
 // EventDriven keeps its pending events in a calendar queue: a ring of
 // time buckets one delay quantum wide (the gcd of the nonzero gate

@@ -20,8 +20,8 @@ import (
 // sessions' observation, which those build from their delay table
 // instead: the lane engine eventLanes is EventDriven on lane words, and
 // a zero-delay session's toggle diff is ZeroDelayToggle on them. Only
-// tests, ScalarSession and PackedSession call CyclePower, and the
-// max-power search calls EventDriven.Cycle directly.
+// tests, ScalarSession and PackedSession call CyclePower, and only
+// tests and EventDriven's own CyclePower call EventDriven.Cycle.
 //
 // The engine contract mirrors EventDriven.Cycle: on entry vals holds
 // the settled values of the previous (pattern, state) pair; on return

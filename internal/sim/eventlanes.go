@@ -17,8 +17,9 @@ import (
 // general-delay observer of every estimate: the tail's shards observe
 // each 64-lane word of a sampled cycle with one Cycle, and a serial
 // Session observes its settle batch of up to 32 (old, new) pairs with
-// one Cycle. Each session builds its own from its delay table.
-// EventDriven stays as its oracle and as maxpower's engine.
+// one Cycle, as the max-power search does each candidate cycle of its
+// own. Each session builds its own from its delay table. EventDriven
+// stays as its oracle.
 //
 // A push queues one entry (node, time, lane mask) for the lanes that
 // schedule a change of the node in one gate re-evaluation. Entries

@@ -6,13 +6,12 @@ import (
 	"sort"
 )
 
-// Accumulator computes running mean, variance, skewness and kurtosis
-// with the one-pass Welford/Pébay update, plus min/max, without storing
-// the samples.
+// Accumulator computes running mean and variance with the one-pass
+// Welford update, plus min/max, without storing the samples.
 type Accumulator struct {
 	n          int
 	mean       float64
-	m2, m3, m4 float64
+	m2         float64
 	min, max   float64
 	hasSamples bool
 }
@@ -24,11 +23,8 @@ func (a *Accumulator) Add(x float64) {
 	n := float64(a.n)
 	d := x - a.mean
 	dn := d / n
-	dn2 := dn * dn
 	t1 := d * dn * n1
 	a.mean += dn
-	a.m4 += t1*dn2*(n*n-3*n+3) + 6*dn2*a.m2 - 4*dn*a.m3
-	a.m3 += t1*dn*(n-2) - 3*dn*a.m2
 	a.m2 += t1
 	if !a.hasSamples || x < a.min {
 		a.min = x
@@ -73,26 +69,6 @@ func (a *Accumulator) CV() float64 {
 		return 0
 	}
 	return a.Std() / math.Abs(a.mean)
-}
-
-// Skewness returns the sample skewness g1 = m3 / m2^(3/2) (biased,
-// moment form; 0 for n < 3 or zero variance).
-func (a *Accumulator) Skewness() float64 {
-	if a.n < 3 || a.m2 == 0 {
-		return 0
-	}
-	n := float64(a.n)
-	return math.Sqrt(n) * a.m3 / math.Pow(a.m2, 1.5)
-}
-
-// ExcessKurtosis returns the sample excess kurtosis g2 = n*m4/m2^2 - 3
-// (0 for n < 4 or zero variance; normal data gives ~0).
-func (a *Accumulator) ExcessKurtosis() float64 {
-	if a.n < 4 || a.m2 == 0 {
-		return 0
-	}
-	n := float64(a.n)
-	return n*a.m4/(a.m2*a.m2) - 3
 }
 
 // Min returns the smallest observation (0 for an empty accumulator).
@@ -224,54 +200,4 @@ func Autocorrelation(xs []float64, maxLag int) []float64 {
 		acf[k] = ck / c0
 	}
 	return acf
-}
-
-// EDF is an empirical distribution function over a fixed sample.
-type EDF struct {
-	sorted []float64
-}
-
-// NewEDF builds an empirical CDF (copies and sorts the sample).
-func NewEDF(xs []float64) *EDF {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return &EDF{sorted: cp}
-}
-
-// At returns F_n(x) = (#samples <= x) / n.
-func (e *EDF) At(x float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(e.sorted, x)
-	// SearchFloat64s returns the first index with sorted[i] >= x; advance
-	// over equal values to count "<= x".
-	for i < n && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(n)
-}
-
-// N returns the sample size.
-func (e *EDF) N() int { return len(e.sorted) }
-
-// Quantile returns the q-quantile of the sample.
-func (e *EDF) Quantile(q float64) float64 { return SortedQuantile(e.sorted, q) }
-
-// KSDistance returns the Kolmogorov–Smirnov statistic between two
-// empirical distributions: sup_x |F(x) - G(x)|.
-func KSDistance(f, g *EDF) float64 {
-	d := 0.0
-	for _, x := range f.sorted {
-		if v := math.Abs(f.At(x) - g.At(x)); v > d {
-			d = v
-		}
-	}
-	for _, x := range g.sorted {
-		if v := math.Abs(f.At(x) - g.At(x)); v > d {
-			d = v
-		}
-	}
-	return d
 }

@@ -165,6 +165,44 @@ func TestAccumulatorAgainstDirect(t *testing.T) {
 	}
 }
 
+func TestMomentsDegenerate(t *testing.T) {
+	var a Accumulator
+	a.Add(1)
+	a.Add(1)
+	if a.Mean() != 1 || a.Variance() != 0 || a.CV() != 0 {
+		t.Errorf("constant data: mean %g variance %g cv %g, want 1, 0, 0", a.Mean(), a.Variance(), a.CV())
+	}
+	var b Accumulator
+	b.Add(3)
+	if b.Mean() != 3 || b.Variance() != 0 || b.StdErr() != 0 {
+		t.Errorf("single sample: mean %g variance %g stderr %g, want 3, 0, 0", b.Mean(), b.Variance(), b.StdErr())
+	}
+}
+
+func TestMomentsShiftInvariance(t *testing.T) {
+	// The one-pass update keeps the variance invariant, to 1e-9
+	// relative, under a shift three orders of magnitude above the
+	// spread, and exactly invariant under negation, which negates the
+	// mean.
+	rng := rand.New(rand.NewSource(23))
+	var a, b, c Accumulator
+	for i := 0; i < 50_000; i++ {
+		x := rng.ExpFloat64()
+		a.Add(x)
+		b.Add(x + 1000)
+		c.Add(-x)
+	}
+	if rel := math.Abs(a.Variance()-b.Variance()) / a.Variance(); rel > 1e-9 {
+		t.Errorf("variance not shift invariant: %g vs %g", a.Variance(), b.Variance())
+	}
+	if math.Abs(b.Mean()-a.Mean()-1000) > 1e-9 {
+		t.Errorf("mean did not shift by 1000: %g vs %g", a.Mean(), b.Mean())
+	}
+	if c.Variance() != a.Variance() || c.Mean() != -a.Mean() {
+		t.Errorf("negation: mean %g variance %g, want %g and %g", c.Mean(), c.Variance(), -a.Mean(), a.Variance())
+	}
+}
+
 func TestAccumulatorReset(t *testing.T) {
 	var acc Accumulator
 	acc.Add(5)
@@ -250,30 +288,6 @@ func TestAutocorrelationConstant(t *testing.T) {
 	if acf[0] != 1 || acf[1] != 0 || acf[2] != 0 {
 		t.Errorf("constant acf = %v", acf)
 	}
-}
-
-func TestEDF(t *testing.T) {
-	e := NewEDF([]float64{1, 2, 2, 3})
-	almost(t, "F(0)", e.At(0), 0, 0)
-	almost(t, "F(1)", e.At(1), 0.25, 0)
-	almost(t, "F(2)", e.At(2), 0.75, 0)
-	almost(t, "F(2.5)", e.At(2.5), 0.75, 0)
-	almost(t, "F(3)", e.At(3), 1, 0)
-	almost(t, "F(9)", e.At(9), 1, 0)
-	if e.N() != 4 {
-		t.Errorf("N = %d", e.N())
-	}
-}
-
-func TestKSDistance(t *testing.T) {
-	a := NewEDF([]float64{1, 2, 3, 4})
-	b := NewEDF([]float64{1, 2, 3, 4})
-	almost(t, "identical", KSDistance(a, b), 0, 0)
-	c := NewEDF([]float64{11, 12, 13, 14})
-	almost(t, "disjoint", KSDistance(a, c), 1, 0)
-	// Shifted uniform: KS distance equals the shift fraction.
-	d := NewEDF([]float64{2, 3, 4, 5})
-	almost(t, "shifted", KSDistance(a, d), 0.25, 0)
 }
 
 func TestMeanVarianceEdgeCases(t *testing.T) {

@@ -292,11 +292,6 @@ func LagCorrelatedFactory(width int, p, rho float64) Factory {
 	return func(seed int64) Source { return NewLagCorrelated(width, p, rho, seed) }
 }
 
-// SpatialFactory returns a Factory of spatially correlated sources.
-func SpatialFactory(width, groupSize int, p, flip float64) Factory {
-	return func(seed int64) Source { return NewSpatial(width, groupSize, p, flip, seed) }
-}
-
 // mirrorable is implemented by the stochastic sources, which can derive
 // an antithetic twin from their stored configuration and seed.
 type mirrorable interface {

@@ -208,7 +208,6 @@ func TestFactoriesProduceIndependentSources(t *testing.T) {
 	for _, f := range []Factory{
 		IIDFactory(2, 0.5),
 		LagCorrelatedFactory(2, 0.5, 0.5),
-		SpatialFactory(2, 2, 0.5, 0.1),
 	} {
 		a := f(1)
 		b := f(1)

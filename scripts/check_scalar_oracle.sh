@@ -10,15 +10,15 @@
 # a non-test file other than internal/sim/packed.go names
 # PackedSession, NewPackedSession, PackedZeroDelay or
 # NewPackedZeroDelay; when Go code in a non-test file outside
-# internal/sim and internal/maxpower calls a CyclePower or Cycle
-# method, so no estimator observes a cycle through EventDriven.Cycle or
-# PowerEngine.CyclePower (the max-power search keeps EventDriven as its
-# engine); or when Go code in a non-test file outside internal/sim,
-# internal/maxpower and bench/layers.go calls NewEventDriven or
-# NewZeroDelayToggle, so no production code builds a scalar engine to
-# hand to a session. bench/layers.go is exempt until the benchmark's
-# replay, which still passes an EventDriven to the deprecated
-# sim.LaneSession, is deleted. Comments may mention any of them.
+# internal/sim calls a CyclePower or Cycle method, so neither the
+# estimators nor the peak-power search observes a cycle through
+# EventDriven.Cycle or PowerEngine.CyclePower; or when Go code in a
+# non-test file outside internal/sim and bench/layers.go calls
+# NewEventDriven or NewZeroDelayToggle, so no production code builds a
+# scalar engine to hand to a session. bench/layers.go is exempt until
+# the benchmark's replay, which still passes an EventDriven to the
+# deprecated sim.LaneSession, is deleted. Comments may mention any of
+# them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,13 +42,13 @@ if [ -n "$hits" ]; then
   echo "$hits" >&2
   status=1
 fi
-hits=$(code '\.(Cycle|CyclePower)\(' | grep -vE '^internal/(sim|maxpower)/' || true)
+hits=$(code '\.(Cycle|CyclePower)\(' | grep -v '^internal/sim/' || true)
 if [ -n "$hits" ]; then
   echo "check_scalar_oracle: production code observes cycles through a scalar engine (EventDriven.Cycle or CyclePower):" >&2
   echo "$hits" >&2
   status=1
 fi
-hits=$(code '\b(NewEventDriven|NewZeroDelayToggle)\(' | grep -vE '^(internal/(sim|maxpower)/|bench/layers\.go:)' || true)
+hits=$(code '\b(NewEventDriven|NewZeroDelayToggle)\(' | grep -vE '^(internal/sim/|bench/layers\.go:)' || true)
 if [ -n "$hits" ]; then
   echo "check_scalar_oracle: production code builds a scalar power engine (NewEventDriven or NewZeroDelayToggle); sessions take a delay table instead:" >&2
   echo "$hits" >&2
@@ -57,4 +57,4 @@ fi
 if [ "$status" -ne 0 ]; then
   exit "$status"
 fi
-echo "check_scalar_oracle: only tests and internal/sim use ScalarSession, only tests and packed.go PackedSession, only tests, internal/sim and internal/maxpower call Cycle or CyclePower, and only tests, internal/sim, internal/maxpower and bench/layers.go build a scalar engine"
+echo "check_scalar_oracle: only tests and internal/sim use ScalarSession, only tests and packed.go PackedSession, only tests and internal/sim call Cycle or CyclePower, and only tests, internal/sim and bench/layers.go build a scalar engine"
