@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -63,7 +64,7 @@ func reportTopConsumers(w io.Writer, c *dipe.Circuit, tb *dipe.Testbench, src di
 	s := tb.NewSession(src)
 	s.StepHiddenN(256)
 	counts := make([]uint64, c.NumNodes())
-	s.Collect(0, cycles, nil, nil, counts)
+	s.Collect(context.Background(), 0, cycles, nil, nil, counts)
 	total := tb.Model.PowerFromCounts(counts, cycles)
 	fmt.Fprintf(w, "total average power over %d cycles: %s\n", cycles, dipe.FormatWatts(total))
 	fmt.Fprintf(w, "%-4s %-16s %14s %8s %12s\n", "#", "node", "power", "share", "switch/cyc")

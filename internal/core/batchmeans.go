@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -52,7 +53,7 @@ func EstimateBatchMeans(s *sim.Session, opts Options, batch int) (Result, error)
 				Converged:     false,
 			}, nil
 		}
-		buf, _ = s.Collect(0, batch, buf[:0], nil, nil)
+		buf, _, _ = s.Collect(context.Background(), 0, batch, buf[:0], nil, nil)
 		sum := 0.0
 		for _, p := range buf {
 			sum += p

@@ -190,7 +190,10 @@ func estimateTail(ctx context.Context, s *sim.Session, opts Options, interval in
 		if crit.N()+opts.CheckEvery > opts.MaxSamples {
 			return result(false), nil
 		}
-		buf, _ = s.Collect(interval, opts.CheckEvery, buf[:0], nil, nil)
+		var err error
+		if buf, _, err = s.Collect(ctx, interval, opts.CheckEvery, buf[:0], nil, nil); err != nil {
+			return result(false), err
+		}
 		for _, p := range buf {
 			crit.Add(p)
 		}

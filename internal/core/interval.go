@@ -56,14 +56,17 @@ type Collector interface {
 	Circuit() *netlist.Circuit
 	// Collect appends n power samples to dst, each taken after k hidden
 	// cycles; a non-nil cov also receives each cycle's zero-delay toggle
-	// power, and a non-nil counts accumulates per-node transitions.
-	Collect(k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64)
+	// power, and a non-nil counts accumulates per-node transitions. It
+	// polls ctx between batches of samples and returns ctx.Err() once
+	// ctx ends.
+	Collect(ctx context.Context, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error)
 }
 
 // collectSequence gathers n power samples, separated by k hidden
-// (zero-delay) cycles each, into dst. It polls ctx every ctxCheckEvery
-// samples and returns early with ctx.Err() when cancelled, so one trial
-// on a large circuit cannot pin a worker past a cancellation request.
+// (zero-delay) cycles each, into dst. The one Collect call polls ctx
+// between settle batches and returns early with ctx.Err() when
+// cancelled, so one trial on a large circuit cannot pin a worker past a
+// cancellation request.
 func collectSequence(ctx context.Context, s Collector, k, n int, dst []float64) ([]float64, error) {
 	dst, _, err := collectSequencePairs(ctx, s, k, n, dst, nil, nil)
 	return dst, err
@@ -75,29 +78,16 @@ func collectSequence(ctx context.Context, s Collector, k, n int, dst []float64) 
 // bit-identical to the plain collection. A non-nil counts buffer (len
 // NumNodes) is zeroed and accumulates the sequence's per-node transition
 // counts, so after an accepted trial it holds exactly the accepted
-// sequence's toggles.
+// sequence's toggles. The whole trial is one Collect, so a session
+// settles its batches beside the trajectory (sim.Session).
 func collectSequencePairs(ctx context.Context, s Collector, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
 	dst = dst[:0]
 	if cov != nil {
 		cov = cov[:0]
 	}
-	for i := range counts {
-		counts[i] = 0
-	}
-	for i := 0; i < n; i += ctxCheckEvery {
-		if err := ctx.Err(); err != nil {
-			return dst, cov, err
-		}
-		dst, cov = s.Collect(k, min(ctxCheckEvery, n-i), dst, cov, counts)
-	}
-	return dst, cov, nil
+	clear(counts)
+	return s.Collect(ctx, k, n, dst, cov, counts)
 }
-
-// ctxCheckEvery is the cancellation-poll cadence of sequence collection,
-// in samples. Coarse enough to stay invisible in profiles, fine enough
-// that cancellation latency is a handful of sampled cycles; it is also
-// the trajectory's settle batch, so each poll covers whole Full passes.
-const ctxCheckEvery = 32
 
 // SelectInterval runs the sequential procedure of Fig. 2 on a trajectory:
 // starting from trial interval 0, collect a power sequence of length

@@ -408,7 +408,10 @@ func (s Stream) Validate(opts Options) error {
 // is cancelled or emit returns an error. Under opts.Breakdown each
 // block additionally carries its per-node transition-count delta,
 // clipped to s.BudgetRounds. The stopping criterion is not consulted:
-// stopping is the merger's job.
+// stopping is the merger's job. A range of fewer shards than
+// GOMAXPROCS observes its general-delay rounds one ahead on helper
+// goroutines (replicationRun); they are joined before it returns, a
+// round no block took abandoned.
 func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, s Stream, emit func(ReplicationBlock) error) error {
 	if err := opts.Validate(); err != nil {
 		return err
@@ -420,6 +423,7 @@ func StreamReplications(ctx context.Context, tb *Testbench, src vectors.Factory,
 	if err != nil {
 		return err
 	}
+	defer run.stop()
 	if err := run.bind(s.Interval, s.Plan); err != nil {
 		return err
 	}

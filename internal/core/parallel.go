@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/delay"
@@ -18,17 +18,39 @@ import (
 
 // shard is one worker's slice of the replication space: a contiguous
 // range of replication indices driven by a single compiled lane session
-// of at most sim.CompiledMaxLanes lanes. A general-delay session
-// observes its sampled cycles with its own event-driven lane engine,
-// one 64-lane word at a time; under word-parallel zero-delay sampling
-// the sampled cycles stay on the lane words' toggle diff.
+// of at most sim.CompiledMaxLanes lanes. A general-delay shard captures
+// each sampled round (sim.CompiledSession.Capture) and observes it with
+// a lane engine of its own, one 64-lane word at a time; under
+// word-parallel zero-delay sampling the sampled cycles stay on the lane
+// words' toggle diff.
 type shard struct {
 	ps     *sim.CompiledSession
 	lanes  int
 	powers []float64 // per-block lane powers, round-major: [round*lanes + lane]
-	cov    []float64 // per-round covariate scratch (control-variate runs only)
-	counts []uint64  // per-node toggle accumulator (breakdown runs only)
-	snap   []uint64  // counts snapshot after the block's merge-consumed rounds
+	counts []uint64  // the block's per-node toggle delta (breakdown runs only)
+	// slots hold the rounds stepped and not yet consumed: one, or two
+	// once the run keeps a round in flight (replicationRun). Round g
+	// lives in slots[g%len(slots)].
+	slots   []*slot
+	started int // rounds stepped
+	taken   int // rounds consumed
+}
+
+// slot is one sampled round of a shard between its step and its
+// consumption: the capture, its observation's lane engine, and what
+// the round yields.
+type slot struct {
+	obs    *sim.LaneObserver // nil for a zero-delay shard
+	round  *sim.Round
+	powers []float64 // the round's lane powers
+	cov    []float64 // the round's covariates (control-variate runs only)
+	delta  []uint64  // the round's per-node toggles (breakdown runs only)
+	// done is closed when the round's observation on a helper goroutine
+	// ends; it is nil when no helper holds the round. abort abandons that
+	// observation.
+	done  chan struct{}
+	abort atomic.Bool
+	panic *sim.GoroutinePanic
 }
 
 // replicationRun is the one block producer of the sampling phase: it
@@ -37,6 +59,17 @@ type shard struct {
 // sampled cycle, and hands out their samples one block at a time. The
 // in-process estimator runs one over every replication; a cluster
 // worker runs one over its leased range (StreamReplications).
+//
+// Only the latch-state trajectory is serial: a general-delay round's
+// observation is a pure function of its capture. So a run that leaves a
+// core free — fewer shards than its pool — and has handed out
+// lookAheadAfter blocks runs each shard's trajectory one round ahead:
+// two helper goroutines observe its rounds on two lane engines, the
+// shard's goroutine captures the next round while they run, and a block
+// waits only for its own rounds. Each block then returns with the next
+// block's first round captured and in flight; stop abandons it, not
+// awaits it, if no block asks for it. Every sample, covariate and count
+// is the one serial observation gives.
 type replicationRun struct {
 	shards   []*shard
 	pool     int // goroutines that step the shards
@@ -45,21 +78,32 @@ type replicationRun struct {
 	interval int
 	weights  []float64
 	plan     vr.Plan
-	prev     []uint64 // toggle totals of the blocks handed out (breakdown runs only)
 	// wordSampled is wordSampled(tb, opts): the sessions are built
 	// without a delay table, so they have no event-driven sample to pair
 	// a covariate with.
 	wordSampled bool
+	// ahead reports that the layout leaves a core free for a round in
+	// flight; blocks counts the blocks handed out.
+	ahead  bool
+	blocks int
 }
+
+// lookAheadAfter is how many blocks a run hands out serially before it
+// keeps a round in flight. A run the merge loop goes on with past them
+// is a long one (the default 5% spec merges about 30), while a job
+// that stops within them — a loose spec, a setup's warm-up job — never
+// pays for a round it does not merge or for a second lane engine.
+const lookAheadAfter = 2
 
 // newReplicationRun lays replications [lo, hi) out in shards by
 // Ranges, asking for as many shards as the goroutine pool is wide
 // (GOMAXPROCS) and for enough that none exceeds the compiled session
 // width. Every job therefore cuts only at word rows, and a
 // 64-replication one is a single shard. A general-delay job's shard
-// sessions are built with the testbench's delay table, so each
-// observes its sampled cycles with a lane engine of its own, one Cycle
-// per 64-lane word. Replication r keeps its
+// sessions are built with the testbench's delay table, and each shard
+// observes its sampled rounds with a lane engine of its own, one Cycle
+// per 64-lane word, and with a second one once it keeps a round in
+// flight. Replication r keeps its
 // globally fixed seed baseSeed+1+r regardless of the layout. Each
 // shard's sample buffer holds BlockRounds(opts) rounds, the longest
 // block the run will be asked for.
@@ -87,10 +131,9 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 	if r.wordSampled {
 		dt = nil
 	}
-	if opts.Breakdown {
-		r.prev = make([]uint64, tb.Circuit.NumNodes())
-	}
-	for _, b := range Ranges(lo, hi, max(pool, (hi-lo+width-1)/width)) {
+	layout := Ranges(lo, hi, max(pool, (hi-lo+width-1)/width))
+	r.ahead = !r.wordSampled && len(layout) < pool
+	for _, b := range layout {
 		lanes := b[1] - b[0]
 		srcs := make([]vectors.Source, lanes)
 		for k := range srcs {
@@ -105,16 +148,31 @@ func newReplicationRun(tb *Testbench, src vectors.Factory, baseSeed int64, opts 
 			powers: make([]float64, rounds*lanes),
 		}
 		if opts.Breakdown {
-			// Each shard counts into a private accumulator (no write
+			// Each shard counts into private buffers (no write
 			// contention); integer addition is associative, so the
 			// folded totals are independent of the shard layout.
-			sh.counts = make([]uint64, len(r.prev))
-			sh.snap = make([]uint64, len(r.prev))
-			sh.ps.AccumulateToggles(sh.counts)
+			sh.counts = make([]uint64, tb.Circuit.NumNodes())
+		}
+		sh.slots = []*slot{sh.newSlot()}
+		if opts.Breakdown && dt == nil {
+			sh.ps.AccumulateToggles(sh.slots[0].delta)
 		}
 		r.shards = append(r.shards, sh)
 	}
 	return r, nil
+}
+
+// newSlot builds a round slot for shard sh: a lane engine and capture
+// buffer under general delay, and a toggle buffer under breakdown.
+func (sh *shard) newSlot() *slot {
+	sl := &slot{obs: sh.ps.NewObserver(), powers: make([]float64, sh.lanes)}
+	if sl.obs != nil {
+		sl.round = sh.ps.NewRound()
+	}
+	if sh.counts != nil {
+		sl.delta = make([]uint64, len(sh.counts))
+	}
+	return sl
 }
 
 // bind sets the independence interval and the resolved plan the run
@@ -131,7 +189,9 @@ func (r *replicationRun) bind(interval int, plan vr.Plan) error {
 		return fmt.Errorf("core: a control-variate plan needs event-driven sampling (general-delay mode, non-zero delays)")
 	}
 	for _, sh := range r.shards {
-		sh.cov = make([]float64, sh.lanes)
+		for _, sl := range sh.slots {
+			sl.cov = make([]float64, sh.lanes)
+		}
 	}
 	return nil
 }
@@ -173,22 +233,30 @@ func (r *replicationRun) warm(ctx context.Context, skipRounds int) {
 // Under a control-variate plan each sample is already transformed.
 // Under Options.Breakdown the block carries the per-node toggle delta
 // of its first `count` rounds (count <= n) — the rounds the merge side
-// will consume, which its sample budget may clip below n.
+// will consume, which its sample budget may clip below n. A run that
+// observes a round ahead returns with the next block's first round in
+// flight.
 func (r *replicationRun) block(b, n, count int) ReplicationBlock {
+	lookAhead := r.ahead && r.blocks == lookAheadAfter
+	r.blocks++
 	runShards(r.shards, r.pool, func(sh *shard) {
+		if lookAhead {
+			sh.lookAhead()
+		}
+		clear(sh.counts)
 		for t := 0; t < n; t++ {
-			sh.ps.StepHiddenN(r.interval)
+			sl := r.take(sh)
 			powers := sh.powers[t*sh.lanes : (t+1)*sh.lanes]
-			if sh.cov != nil {
-				sh.ps.StepSampledBoth(r.weights, powers, sh.cov)
+			copy(powers, sl.powers)
+			if sl.cov != nil {
 				for k, x := range powers {
-					powers[k] = r.plan.Apply(x, sh.cov[k])
+					powers[k] = r.plan.Apply(x, sl.cov[k])
 				}
-			} else {
-				sh.ps.StepSampled(r.weights, powers)
 			}
-			if sh.snap != nil && t+1 == count {
-				copy(sh.snap, sh.counts)
+			if t < count {
+				for i, d := range sl.delta {
+					sh.counts[i] += d
+				}
 			}
 		}
 	})
@@ -198,18 +266,106 @@ func (r *replicationRun) block(b, n, count int) ReplicationBlock {
 			blk.Samples = append(blk.Samples, sh.powers[t*sh.lanes:(t+1)*sh.lanes]...)
 		}
 	}
-	if r.prev != nil {
-		blk.Toggles = make([]uint64, len(r.prev))
+	if sh := r.shards[0]; sh.counts != nil {
+		blk.Toggles = make([]uint64, len(sh.counts))
 		for _, sh := range r.shards {
-			for i, c := range sh.snap {
+			for i, c := range sh.counts {
 				blk.Toggles[i] += c
 			}
 		}
-		for i := range blk.Toggles {
-			blk.Toggles[i], r.prev[i] = blk.Toggles[i]-r.prev[i], blk.Toggles[i]
-		}
 	}
 	return blk
+}
+
+// lookAhead gives shard sh the second slot of a round in flight. The
+// next round keeps the first slot, whose lane engine has run before.
+func (sh *shard) lookAhead() {
+	sl := sh.newSlot()
+	if sh.slots[0].cov != nil {
+		sl.cov = make([]float64, sh.lanes)
+	}
+	if sh.started%2 == 0 {
+		sh.slots = append(sh.slots, sl)
+	} else {
+		sh.slots = []*slot{sl, sh.slots[0]}
+	}
+}
+
+// take returns the slot of shard sh's next round once the round is
+// observed, stepping rounds until as many are in flight as sh has
+// slots: the round itself and, with two slots, the one after it.
+func (r *replicationRun) take(sh *shard) *slot {
+	for sh.started < sh.taken+len(sh.slots) {
+		r.start(sh)
+	}
+	sl := sh.slots[sh.taken%len(sh.slots)]
+	sh.taken++
+	if sl.done != nil {
+		<-sl.done
+		sl.done = nil
+		if sl.panic != nil {
+			panic(sl.panic)
+		}
+	}
+	return sl
+}
+
+// start steps shard sh's next round into its slot: interval hidden
+// cycles, then the sampled cycle. A zero-delay shard samples it at
+// once; a general-delay one captures it and observes the capture, on a
+// helper goroutine when the shard keeps a round in flight.
+func (r *replicationRun) start(sh *shard) {
+	sl := sh.slots[sh.started%len(sh.slots)]
+	sh.started++
+	sh.ps.StepHiddenN(r.interval)
+	clear(sl.delta)
+	if sl.obs == nil {
+		sh.ps.StepSampled(r.weights, sl.powers)
+		return
+	}
+	sh.ps.Capture(sl.round, r.weights, sl.cov)
+	if len(sh.slots) == 1 {
+		sl.obs.Observe(sl.round, r.weights, sl.powers, sl.delta, nil)
+		return
+	}
+	sl.abort.Store(false)
+	sl.panic = nil
+	sl.done = make(chan struct{})
+	g := sh.started - 1
+	go func() {
+		defer close(sl.done)
+		defer func() {
+			if p := recover(); p != nil {
+				sl.panic = sim.CarryPanic(p)
+			}
+		}()
+		if aheadHook != nil {
+			aheadHook(g, &sl.abort)
+		}
+		sl.obs.Observe(sl.round, r.weights, sl.powers, sl.delta, &sl.abort)
+	}()
+}
+
+// aheadHook, when non-nil, runs on a helper goroutine before it
+// observes round g of its shard, with the flag stop sets to abandon the
+// round. Only tests in this package set it, to hold a round in flight
+// or to panic on a helper.
+var aheadHook func(g int, abort *atomic.Bool)
+
+// stop abandons the rounds still in flight on helper goroutines, which
+// no block asked for, and joins their goroutines: each observation
+// gives up at its next time step, and a panic on one is dropped. The
+// run steps no further round after stop.
+func (r *replicationRun) stop() {
+	for _, sh := range r.shards {
+		for _, sl := range sh.slots {
+			if sl.done != nil {
+				sl.abort.Store(true)
+				<-sl.done
+				sl.done = nil
+			}
+		}
+	}
 }
 
 // EstimateParallel runs the DIPE flow with many independent replications
@@ -285,11 +441,14 @@ func EstimateParallelWithIntervalCtx(ctx context.Context, tb *Testbench, src vec
 // manager's hook, which journals the job's checkpoint before it
 // returns, so the checkpoint is durable before the first block.
 //
-// The warm-up goroutine never outlives the call. It is joined before
-// the first block; on an error, a cancellation or a panic on the
-// caller's goroutine (prepare's included) it is cancelled and joined,
-// as if it had not started. A panic on it is raised again on the
-// caller's goroutine as a *shardPanic.
+// No goroutine it starts outlives the call. The warm-up goroutine is
+// joined before the first block; on an error, a cancellation or a panic
+// on the caller's goroutine (prepare's included) it is cancelled and
+// joined, as if it had not started. The run's helper goroutines
+// (replicationRun) are joined before it returns, a round still in
+// flight abandoned. A panic on any of them, or on a phase-1 helper
+// (sim.Session), is raised again on the caller's goroutine as a
+// *sim.GoroutinePanic.
 func EstimateParallelFrom(ctx context.Context, tb *Testbench, src vectors.Factory, baseSeed int64, opts Options, prepare func() (ResumePoint, error)) (Result, error) {
 	start := time.Now()
 	if err := opts.Validate(); err != nil {
@@ -300,6 +459,7 @@ func EstimateParallelFrom(ctx context.Context, tb *Testbench, src vectors.Factor
 	if err != nil {
 		return Result{}, err
 	}
+	defer run.stop()
 	warm := goSide(ctx, func(ctx context.Context) { run.warm(ctx, 0) })
 	defer warm.stop()
 	rp, err := prepare()
@@ -323,8 +483,10 @@ func EstimateParallelFrom(ctx context.Context, tb *Testbench, src vectors.Factor
 	if err := run.bind(s.Interval, s.Plan); err != nil {
 		return Result{}, err
 	}
-	// The producer runs in lockstep with the merge loop, so it simulates
-	// exactly the rounds the merger consumes.
+	// A run that keeps a round in flight has captured, and may have
+	// partly observed, one round past the block the merge loop asks for;
+	// Tail.Run builds the Result from the merged prefix, and stop
+	// abandons that round.
 	res, err := t.Run(ctx, []int{reps}, func(b, n int) ([]ReplicationBlock, error) {
 		return []ReplicationBlock{run.block(b, n, n)}, nil
 	})
@@ -365,8 +527,9 @@ func engineLabels(tb *Testbench, opts Options) (engine, delayModel string) {
 // in flight, and waits for all of them. A panic in fn on a shard
 // goroutine is recovered there and frees its slot; once every other
 // shard has finished, the first such panic is raised again on the
-// caller's goroutine as a *shardPanic, so the caller's recover (the
-// service fails just that job) sees it instead of the process dying.
+// caller's goroutine as a *sim.GoroutinePanic, so the caller's recover
+// (the service fails just that job) sees it instead of the process
+// dying.
 func runShards(shards []*shard, workers int, fn func(*shard)) {
 	if workers <= 1 || len(shards) == 1 {
 		for _, sh := range shards {
@@ -377,14 +540,14 @@ func runShards(shards []*shard, workers int, fn func(*shard)) {
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	var once sync.Once
-	var first *shardPanic
+	var first *sim.GoroutinePanic
 	for _, sh := range shards {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(sh *shard) {
 			defer func() {
 				if r := recover(); r != nil {
-					once.Do(func() { first = &shardPanic{value: r, stack: debug.Stack()} })
+					once.Do(func() { first = sim.CarryPanic(r) })
 				}
 				<-sem
 				wg.Done()
@@ -403,7 +566,7 @@ func runShards(shards []*shard, workers int, fn func(*shard)) {
 type side struct {
 	cancel context.CancelFunc
 	done   chan struct{} // closed when fn has returned or panicked
-	panic  *shardPanic
+	panic  *sim.GoroutinePanic
 }
 
 // goSide starts fn on a goroutine of its own under a child of ctx. The
@@ -416,11 +579,7 @@ func goSide(ctx context.Context, fn func(context.Context)) *side {
 		defer close(s.done)
 		defer func() {
 			if r := recover(); r != nil {
-				p, ok := r.(*shardPanic) // already carried off a shard goroutine
-				if !ok {
-					p = &shardPanic{value: r, stack: debug.Stack()}
-				}
-				s.panic = p
+				s.panic = sim.CarryPanic(r)
 			}
 		}()
 		fn(ctx)
@@ -429,8 +588,8 @@ func goSide(ctx context.Context, fn func(context.Context)) *side {
 }
 
 // wait joins the side goroutine. A panic in fn is raised again here, on
-// the caller's goroutine, as a *shardPanic, so the caller's recover
-// (the service fails just that job) sees it.
+// the caller's goroutine, as a *sim.GoroutinePanic, so the caller's
+// recover (the service fails just that job) sees it.
 func (s *side) wait() {
 	<-s.done
 	s.cancel()
@@ -446,15 +605,4 @@ func (s *side) wait() {
 func (s *side) stop() {
 	s.cancel()
 	<-s.done
-}
-
-// shardPanic is a panic raised on a shard or side goroutine, carried to
-// the goroutine that ran it together with the stack it was raised on.
-type shardPanic struct {
-	value any
-	stack []byte
-}
-
-func (p *shardPanic) Error() string {
-	return fmt.Sprintf("%v [shard goroutine stack:\n%s]", p.value, p.stack)
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -250,8 +251,8 @@ func TestRunShardsPanicReachesCaller(t *testing.T) {
 			ran[sh.lanes] = true
 		})
 	}()
-	p, ok := recovered.(*shardPanic)
-	if !ok || p.value != "shard 2 failed" {
+	p, ok := recovered.(*sim.GoroutinePanic)
+	if !ok || p.Value != "shard 2 failed" {
 		t.Fatalf("recovered %#v, want the shard's panic value", recovered)
 	}
 	if msg := p.Error(); !strings.Contains(msg, "shard 2 failed") || !strings.Contains(msg, "TestRunShardsPanicReachesCaller") {
@@ -399,10 +400,15 @@ func drawnAtBuild(c *netlist.Circuit) int {
 
 // TestSidePanicReachesCaller: a panic on the goroutine that warms the
 // tail beside the pre-sampling phases is raised again on the caller's
-// goroutine as a *shardPanic, where the service's recover fails just
+// goroutine as a *sim.GoroutinePanic, where the service's recover fails just
 // that job. Replication 0's source panics on its first warm-up draw,
 // under both estimators and a resume, with the warm-up on one goroutine
-// and on two shards of a word row each.
+// and on two shards of a word row each. So is a panic on the helper
+// that observes a tail round ahead: at pool 2 the hook panics on the
+// first round a helper observes, in a resume whose spec runs it past
+// the serial blocks. A panic on the helper that settles phase-1
+// batches is sim's TestCollectHelperPanicReachesCaller: the batches it
+// would fail on, the caller settles too.
 func TestSidePanicReachesCaller(t *testing.T) {
 	c := bench89.MustGet("s832")
 	tb := DefaultTestbench(c)
@@ -438,10 +444,28 @@ func TestSidePanicReachesCaller(t *testing.T) {
 			"resume":   func() { EstimateParallelResumeCtx(context.Background(), tb, factory, seed, opts, rp) },
 		} {
 			got := recovered(run)
-			if p, ok := got.(*shardPanic); !ok || p.value != "warm-up draw" {
-				t.Fatalf("%s, pool=%d: recovered %#v, want a *shardPanic of the warm-up draw", name, pool, got)
+			if p, ok := got.(*sim.GoroutinePanic); !ok || p.Value != "warm-up draw" {
+				t.Fatalf("%s, pool=%d: recovered %#v, want a *sim.GoroutinePanic of the warm-up draw", name, pool, got)
 			}
 		}
+	}
+	opts := DefaultOptions()
+	opts.Replications, opts.pool = sim.MaxLanes, 2
+	opts.Spec = stopping.Spec{RelErr: 0.0005, Confidence: 0.999}
+	rp, err := PreparePlanCtx(context.Background(), tb, iid, seed, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setAheadHook(t, func(g int, _ *atomic.Bool) {
+		if g == lookAheadAfter {
+			panic("helper fault")
+		}
+	})
+	got := recovered(func() { EstimateParallelResumeCtx(context.Background(), tb, iid, seed, opts, rp) })
+	if p, ok := got.(*sim.GoroutinePanic); !ok || p.Value != "helper fault" {
+		t.Fatalf("tail helper: recovered %#v, want a *sim.GoroutinePanic of the helper fault", got)
+	} else if !strings.Contains(p.Error(), "replicationRun).start") {
+		t.Fatalf("tail helper: carried %v, want the helper's stack", p)
 	}
 }
 

@@ -39,7 +39,7 @@ func scalarResumePoint(t *testing.T, tb *Testbench, factory vectors.Factory, see
 		rp.Interval = *fixed
 		if opts.Variance.Mode.Canonical() == vr.ModeControlVariate && opts.Variance.BetaOverride == nil {
 			s.StepHiddenN(opts.WarmupCycles)
-			xs, cs := s.Collect(*fixed, opts.SeqLen, nil, []float64{}, nil)
+			xs, cs, _ := s.Collect(context.Background(), *fixed, opts.SeqLen, nil, []float64{}, nil)
 			beta := vr.EstimateBeta(xs, cs)
 			opts.Variance.BetaOverride = &beta
 		}

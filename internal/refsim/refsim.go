@@ -1,6 +1,7 @@
 package refsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -61,7 +62,7 @@ func Run(s *sim.Session, warmup, cycles int) Result {
 	inBatch := 0
 	var buf []float64
 	for done := 0; done < cycles; done += len(buf) {
-		buf, _ = s.Collect(0, min(cycles-done, collectChunk), buf[:0], nil, nil)
+		buf, _, _ = s.Collect(context.Background(), 0, min(cycles-done, collectChunk), buf[:0], nil, nil)
 		for _, p := range buf {
 			all.Add(p)
 			cur.Add(p)

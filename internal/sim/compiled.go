@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/compile"
 	"repro/internal/delay"
@@ -65,15 +66,13 @@ type CompiledSession struct {
 	laneBuf []bool   // one lane's pattern, as drawn from its source
 	accBuf  []uint64 // word-local input accumulators (one per input)
 
-	// engine observes the sampled cycles of a general-delay session;
-	// it is nil for a zero-delay one, whose samples are the toggle diff.
-	engine *eventLanes
-	// One word of the advanced-but-unapplied state, the lane engine's
-	// operands: settled values, new pins, new latch state.
-	wvals []uint64
-	wpins []uint64
-	wq    []uint64
-	sums  [64]float64
+	// cal is the calendar of a general-delay session's lane engines; it
+	// is nil for a zero-delay one, whose samples are the toggle diff.
+	// obs and round are the session's own lane engine and capture
+	// buffer, which StepSampled builds on first use.
+	cal   *calendar
+	obs   *LaneObserver
+	round *Round
 
 	// counts, when installed via AccumulateToggles, receives per-node
 	// transition counts summed over all active lanes of every sampled
@@ -138,17 +137,17 @@ func NewCompiledSession(c *netlist.Circuit, dt *delay.Table, srcs []vectors.Sour
 	u.Step.InitConsts(s.step, w)
 	s.settleFull()
 	if dt != nil {
-		s.observeWith(newEventLanes(newCalendar(c, dt)))
+		cal := newCalendar(c, dt)
+		s.cal = &cal
 	}
 	return s
 }
 
 // observeWith makes e the lane engine that observes the sampled cycles.
 func (s *CompiledSession) observeWith(e *eventLanes) {
-	s.engine = e
-	s.wvals = make([]uint64, s.c.NumNodes())
-	s.wpins = make([]uint64, len(s.c.Inputs))
-	s.wq = make([]uint64, len(s.c.Latches))
+	s.cal = &e.calendar
+	s.obs = &LaneObserver{e: e}
+	s.round = s.NewRound()
 }
 
 // execProgram runs one program over vals. The telemetry updates are
@@ -295,31 +294,19 @@ func (s *CompiledSession) StepHiddenN(n int) {
 // lane's weighted transition sum into powers under the session's delay
 // model. A zero-delay session takes it from the Full-program row diff,
 // in the same per-lane accumulation order as PackedSession.StepSampled;
-// a general-delay one observes each 64-lane word with one Cycle of its
-// lane engine, as PackedSession.StepSampledWith does each lane with an
-// EventDriven over the same delay table. Either is bit-identical to the
-// packed oracle, float summation order included.
+// a general-delay one captures the cycle (Capture) and observes each
+// 64-lane word with one Cycle of its own lane engine, as
+// PackedSession.StepSampledWith does each lane with an EventDriven over
+// the same delay table. Either is bit-identical to the packed oracle,
+// float summation order included.
 func (s *CompiledSession) StepSampled(weights []float64, powers []float64) {
 	s.checkSampled("StepSampled", weights, powers)
-	if s.engine == nil {
-		s.sample(weights, nil, powers)
-	} else {
-		s.sample(weights, powers, nil)
+	if s.cal == nil {
+		s.advanceSampled()
+		s.diffSettled(weights, powers, s.counts)
+		return
 	}
-}
-
-// StepSampledBoth advances every lane one clock cycle of a general-delay
-// session, observing it with the lane engine as StepSampled does while
-// also computing the zero-delay toggle covariate from the row diff —
-// both per-lane bit-identical to PackedSession.StepSampledBoth. It
-// panics on a zero-delay session, whose sample is the covariate.
-func (s *CompiledSession) StepSampledBoth(weights []float64, powers, toggles []float64) {
-	if s.engine == nil {
-		panic("sim: compiled StepSampledBoth needs a general-delay session")
-	}
-	s.checkSampled("StepSampledBoth", weights, powers)
-	s.checkSampled("StepSampledBoth", weights, toggles)
-	s.sample(weights, powers, toggles)
+	s.observe(weights, powers, nil)
 }
 
 // checkSampled panics unless weights has one entry per node and dst one
@@ -333,53 +320,144 @@ func (s *CompiledSession) checkSampled(method string, weights, dst []float64) {
 	}
 }
 
-// sample advances every lane one sampled cycle. The lane engine, when
-// the session has one, observes it into powers, and a non-nil toggles
-// receives the row diff's zero-delay toggle sums. Per-node counts come
-// from the lane engine when there is one, else from the row diff.
-func (s *CompiledSession) sample(weights []float64, powers, toggles []float64) {
+// observe takes one general-delay sampled cycle on the session's own
+// lane engine and capture buffer, counting into the AccumulateToggles
+// accumulator. A non-nil toggles also receives each lane's zero-delay
+// toggle covariate (Capture).
+func (s *CompiledSession) observe(weights, powers, toggles []float64) {
+	if s.obs == nil {
+		s.obs, s.round = s.NewObserver(), s.NewRound()
+	}
+	s.Capture(s.round, weights, toggles)
+	s.obs.Observe(s.round, weights, powers, s.counts, nil)
+}
+
+// advanceSampled advances every lane one sampled cycle from the
+// settled Full rows, which stay behind as the old state's: the next
+// latch state comes out of them, the next patterns from the sources.
+func (s *CompiledSession) advanceSampled() {
 	s.refreshFull()
 	s.advanceFull()
-	if s.engine != nil {
-		s.observe(weights, powers)
-	}
 	s.q, s.nextQ = s.nextQ, s.q
 	s.pins, s.buf = s.buf, s.pins
-	if toggles != nil {
-		s.full, s.oldFull = s.oldFull, s.full
-	}
-	s.settleFull()
-	if toggles != nil {
-		counts := s.counts
-		if s.engine != nil {
-			counts = nil
-		}
-		s.toggleDiff(weights, toggles, counts)
-	}
 	s.SampledCycles += uint64(s.lanes)
 }
 
-// observe runs the advanced-but-unapplied state (settled values in
-// full, new pins in buf, new latch state in nextQ) through the lane
-// engine, one Cycle per 64-lane word: word j of every row is gathered
-// first, so the engine's values are scratch and full keeps the old
-// settled rows. Lane k's sum lands in powers[k], bit-identical to what
-// PackedSession.observeLanes gets from EventDriven on that lane.
-func (s *CompiledSession) observe(weights, powers []float64) {
-	w := s.w
-	for j := 0; j < w; j++ {
-		for i := range s.wvals {
-			s.wvals[i] = s.full[i*w+j]
-		}
-		for i := range s.wpins {
-			s.wpins[i] = s.buf[i*w+j]
-		}
-		for i := range s.wq {
-			s.wq[i] = s.nextQ[i*w+j]
-		}
-		s.engine.Cycle(s.wvals, s.wpins, s.wq, s.masks[j], weights, &s.sums, s.counts)
-		copy(powers[j<<6:s.lanes], s.sums[:])
+// diffSettled settles the new state after advanceSampled, keeping the
+// old rows in oldFull, and accumulates each lane's toggle sum into
+// powers and, when counts is non-nil, each node's toggles into counts.
+func (s *CompiledSession) diffSettled(weights, powers []float64, counts []uint64) {
+	s.full, s.oldFull = s.oldFull, s.full
+	s.settleFull()
+	s.toggleDiff(weights, powers, counts)
+}
+
+// Round is one general-delay sampled cycle of a CompiledSession as
+// Capture records it: for each 64-lane word, the old settled node rows,
+// the new pins and the new latch state — everything the cycle's
+// observation reads and nothing of the session — so a LaneObserver can
+// observe it on any goroutine while the session steps on. Word j's
+// rows are contiguous.
+type Round struct {
+	vals  []uint64 // NumNodes rows per word
+	pins  []uint64 // one row per input, per word
+	q     []uint64 // one row per latch, per word
+	masks []uint64 // the session's per-word lane masks
+	lanes int
+}
+
+// NewRound allocates a capture buffer for the session's rounds.
+func (s *CompiledSession) NewRound() *Round {
+	return &Round{
+		vals:  make([]uint64, s.c.NumNodes()*s.w),
+		pins:  make([]uint64, len(s.c.Inputs)*s.w),
+		q:     make([]uint64, len(s.c.Latches)*s.w),
+		masks: s.masks,
+		lanes: s.lanes,
 	}
+}
+
+// Capture advances every lane of a general-delay session one sampled
+// clock cycle, as StepSampled does, but records the cycle into r for a
+// LaneObserver instead of observing it. A non-nil toggles receives each
+// lane's zero-delay toggle covariate from the row diff, per lane
+// bit-identical to PackedSession.StepSampledBoth's. Without one, the
+// new state is not settled: a following hidden cycle never reads it,
+// and a sampled one settles it then.
+func (s *CompiledSession) Capture(r *Round, weights, toggles []float64) {
+	if s.cal == nil {
+		panic("sim: Capture needs a general-delay session")
+	}
+	if toggles != nil {
+		s.checkSampled("Capture", weights, toggles)
+	}
+	s.refreshFull()
+	s.advanceFull()
+	n, in, l, w := s.c.NumNodes(), len(s.c.Inputs), len(s.c.Latches), s.w
+	for j := 0; j < w; j++ {
+		gather(r.vals[j*n:(j+1)*n], s.full, w, j)
+		gather(r.pins[j*in:(j+1)*in], s.buf, w, j)
+		gather(r.q[j*l:(j+1)*l], s.nextQ, w, j)
+	}
+	s.q, s.nextQ = s.nextQ, s.q
+	s.pins, s.buf = s.buf, s.pins
+	s.SampledCycles += uint64(s.lanes)
+	if toggles != nil {
+		// General-delay counts come from the lane engine.
+		s.diffSettled(weights, toggles, nil)
+		return
+	}
+	s.fresh = false
+}
+
+// gather copies word j of every w-word row of src into dst.
+func gather(dst, src []uint64, w, j int) {
+	if w == 1 {
+		copy(dst, src)
+		return
+	}
+	for i := range dst {
+		dst[i] = src[i*w+j]
+	}
+}
+
+// LaneObserver is a general-delay lane engine (eventLanes) that
+// observes captured Rounds. It holds no session state, so several can
+// observe one session's rounds at once, one goroutine each.
+type LaneObserver struct {
+	e    *eventLanes
+	sums [64]float64
+}
+
+// NewObserver builds a lane engine on the calendar of the session's
+// delay table, or returns nil for a zero-delay session.
+func (s *CompiledSession) NewObserver() *LaneObserver {
+	if s.cal == nil {
+		return nil
+	}
+	return &LaneObserver{e: newEventLanes(*s.cal)}
+}
+
+// Observe runs round r through the lane engine, one Cycle per 64-lane
+// word, and consumes it. Lane k's weighted transition sum lands in
+// powers[k], bit-identical to what PackedSession.observeLanes gets from
+// EventDriven on that lane, and a non-nil counts (len NumNodes) grows
+// by each node's transitions. A non-nil abort is read between the
+// Cycle's time steps: once it is true, Observe gives up and returns
+// false, leaving powers and counts incomplete. It returns true when it
+// observed the whole round.
+func (o *LaneObserver) Observe(r *Round, weights, powers []float64, counts []uint64, abort *atomic.Bool) bool {
+	n, in, l := len(weights), len(r.pins)/len(r.masks), len(r.q)/len(r.masks)
+	o.e.abort = abort
+	defer func() { o.e.abort = nil }()
+	for j, mask := range r.masks {
+		o.e.Cycle(r.vals[j*n:(j+1)*n], r.pins[j*in:(j+1)*in], r.q[j*l:(j+1)*l], mask, weights, &o.sums, counts)
+		if abort != nil && abort.Load() {
+			return false
+		}
+		copy(powers[j<<6:r.lanes], o.sums[:])
+	}
+	return true
 }
 
 // toggleDiff accumulates each lane's weighted toggle sum from the

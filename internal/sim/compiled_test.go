@@ -3,13 +3,16 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bench89"
 	"repro/internal/delay"
 	"repro/internal/netlist"
+	"repro/internal/vectors"
 )
 
 // packedTile is one <=64-lane packed reference covering compiled lanes
@@ -167,8 +170,9 @@ func diffCompiledPacked(t *testing.T, c *netlist.Circuit, lanes, cycles int, bas
 			}
 			copy(pTog, pPow)
 		default:
-			// Lane-engine power plus toggle covariate (StepSampledBoth).
-			gd.StepSampledBoth(weights, cPow, cTog)
+			// Lane-engine power plus toggle covariate (Capture with a
+			// covariate, as a control-variate run's shard takes it).
+			gd.observe(weights, cPow, cTog)
 			zd.StepHidden()
 			for _, tl := range tiles {
 				lo, hi := tl.lo, tl.lo+tl.ps.Lanes()
@@ -314,5 +318,52 @@ func TestPropertyCompiledMatchesPacked(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLaneObserverAbort: an observation abandoned through its abort
+// flag returns false and leaves its lane engine mid-Cycle, and the
+// engine then observes the following rounds exactly as a twin session
+// that never aborted does: the abandoned Cycle's pending changes do not
+// leak into the next one.
+func TestLaneObserverAbort(t *testing.T) {
+	c := bench89.MustGet("s1494")
+	dt := delay.BuildTable(c, delay.DefaultFanoutLoaded())
+	weights := make([]float64, c.NumNodes())
+	for i := range weights {
+		weights[i] = 1 + float64(i%5)
+	}
+	srcs := func() []vectors.Source {
+		out := make([]vectors.Source, MaxLanes)
+		for k := range out {
+			out[k] = vectors.NewIID(len(c.Inputs), 0.5, int64(k+1))
+		}
+		return out
+	}
+	a, b := NewCompiledSession(c, dt, srcs()), NewCompiledSession(c, dt, srcs())
+	obs, r := a.NewObserver(), a.NewRound()
+	pa, pb := make([]float64, MaxLanes), make([]float64, MaxLanes)
+	a.StepHiddenN(5)
+	b.StepHiddenN(5)
+	var abort atomic.Bool
+	abort.Store(true)
+	a.Capture(r, weights, nil)
+	if obs.Observe(r, weights, pa, nil, &abort) || !obs.e.busy {
+		t.Fatal("an aborted observation ran to the end")
+	}
+	b.StepSampled(weights, pb)
+	for round := 0; round < 4; round++ {
+		a.StepHiddenN(1)
+		b.StepHiddenN(1)
+		a.Capture(r, weights, nil)
+		if !obs.Observe(r, weights, pa, nil, nil) {
+			t.Fatalf("round %d: observation without an abort flag gave up", round)
+		}
+		b.StepSampled(weights, pb)
+		for k := range pa {
+			if math.Float64bits(pa[k]) != math.Float64bits(pb[k]) {
+				t.Fatalf("round %d lane %d: %v after an aborted round, %v without", round, k, pa[k], pb[k])
+			}
+		}
 	}
 }

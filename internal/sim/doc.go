@@ -72,24 +72,32 @@
 // lane k of the packed oracle's, and that in turn to a ZeroDelayToggle
 // ScalarSession over the same source; the differential battery and the
 // property tests assert this for every lane. In general delay,
-// StepSampled and StepSampledBoth observe each 64-lane word of the
-// session with one lane-engine Cycle, exact glitch accounting included;
-// lane k matches the packed oracle's, which runs EventDriven on that
-// lane.
+// StepSampled observes each 64-lane word of the session with one
+// lane-engine Cycle, exact glitch accounting included; lane k matches
+// the packed oracle's, which runs EventDriven on that lane.
 //
 // Session is the one serial trajectory every estimator runs: phase 1
 // (warm-up and interval selection) of all of them, and the sampling
 // phase of the paper's serial estimator, the reference run, batch means
 // and the FSM-analysis estimator. It runs on the compiled engine. Each
 // cycle advances the latch state with the one-lane Step program; each
-// sampled cycle records its old and new (pins, q), and Collect settles
-// 32 such pairs together in one 64-lane Full pass (StepSampled settles
-// its one pair at once). Zero-delay samples are the pairs' lane diffs,
-// summed in node-index order like ZeroDelayToggle; general-delay
-// samples come from one lane-engine Cycle over the batch, pair j's old
-// state in lane j and its new pins and latch state in lane 32+j
-// shifted down, and an observer (Session.SetObserver) still sees each
-// cycle's transitions in sample order.
+// sampled cycle records its old (pins, q) in lane j of one word and its
+// new (pins, q) in lane j of another, and Collect settles 64 such pairs
+// together (StepSampled settles its one pair at once). A batch takes
+// one one-word Full pass over the old word; then zero-delay samples take
+// a second pass over the new word and each pair's lane diff against the
+// old rows, summed in node-index order like ZeroDelayToggle, and
+// general-delay samples one lane-engine Cycle over the batch with the
+// new word as its sources. An observer (Session.SetObserver) still sees
+// each cycle's transitions in sample order. A general-delay Collect of
+// several batches settles them on a helper goroutine beside the
+// trajectory, each sample at its fixed offset.
+//
+// The tail's general-delay rounds split the same way:
+// CompiledSession.Capture records a round's old settled rows and new
+// state (a Round), and a LaneObserver, holding no session state,
+// observes it, so internal/core can observe one round while the
+// trajectory captures the next.
 // ScalarSession interprets the same trajectory cycle by cycle with the
 // scalar simulators. It is the oracle: samples, counts, cycle counters,
 // settled values and observer streams of the two are bit-identical, and

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
@@ -16,7 +17,7 @@ import (
 // what EventDriven.Cycle computes for that lane alone. It is the
 // general-delay observer of every estimate: the tail's shards observe
 // each 64-lane word of a sampled cycle with one Cycle, and a serial
-// Session observes its settle batch of up to 32 (old, new) pairs with
+// Session observes its settle batch of up to 64 (old, new) pairs with
 // one Cycle, as the max-power search does each candidate cycle of its
 // own. Each session builds its own from its delay table. EventDriven
 // stays as its oracle.
@@ -69,6 +70,9 @@ type eventLanes struct {
 	byLevel  [][]int32
 	occupied []uint64
 	busy     bool // inside Cycle; still set on entry after an aborted one
+	// abort, when non-nil, ends a Cycle between two time steps once it
+	// reads true (LaneObserver.Observe sets it for one observation).
+	abort *atomic.Bool
 
 	observer func(lane int, id netlist.NodeID, t delay.Picoseconds, v bool)
 }
@@ -161,6 +165,9 @@ func (e *eventLanes) Cycle(vals, newPins, newQ []uint64, mask uint64, weights []
 		if e.queued == 0 {
 			e.busy = false
 			return
+		}
+		if e.abort != nil && e.abort.Load() {
+			return // busy stays set, so the next Cycle resets the queue
 		}
 		e.advance()
 	}

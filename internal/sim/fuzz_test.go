@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -61,8 +62,8 @@ func FuzzCompile(f *testing.F) {
 				if gd {
 					sCov, tCov = []float64{}, []float64{}
 				}
-				sx, sc := s.Collect(k, 5, nil, sCov, nil)
-				tx, tc := tr.Collect(k, 5, nil, tCov, nil)
+				sx, sc, _ := s.Collect(context.Background(), k, 5, nil, sCov, nil)
+				tx, tc, _ := tr.Collect(context.Background(), k, 5, nil, tCov, nil)
 				for i := range sx {
 					if math.Float64bits(sx[i]) != math.Float64bits(tx[i]) {
 						t.Fatalf("gd=%v trial %d sample %d: compiled %v, scalar %v", gd, trial, i, tx[i], sx[i])

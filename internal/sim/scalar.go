@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/delay"
@@ -160,9 +161,17 @@ func (s *ScalarSession) StepSampledPair(counts []uint64) (x, c float64) {
 // cycles (StepHiddenN then StepSampled), and returns the extended slice.
 // A non-nil cov switches the sampled step to StepSampledPair and also
 // receives each cycle's zero-delay toggle power; counts is passed to
-// the sampled step. Session.Collect is the compiled counterpart.
-func (s *ScalarSession) Collect(k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64) {
+// the sampled step. It polls ctx every pairsPerSettle samples and, once
+// ctx ends, returns ctx.Err() with dst and cov at their lengths on
+// entry, as Session.Collect, the compiled counterpart, does.
+func (s *ScalarSession) Collect(ctx context.Context, k, n int, dst, cov []float64, counts []uint64) ([]float64, []float64, error) {
+	base, cbase := len(dst), len(cov)
 	for i := 0; i < n; i++ {
+		if i%pairsPerSettle == 0 {
+			if err := ctx.Err(); err != nil {
+				return dst[:base], cov[:cbase], err
+			}
+		}
 		s.StepHiddenN(k)
 		if cov != nil {
 			x, c := s.StepSampledPair(counts)
@@ -172,7 +181,7 @@ func (s *ScalarSession) Collect(k, n int, dst, cov []float64, counts []uint64) (
 			dst = append(dst, s.StepSampled(counts))
 		}
 	}
-	return dst, cov
+	return dst, cov, nil
 }
 
 // Engine returns the session's power engine.
